@@ -6,13 +6,13 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 from .arb import arb_approx
-from .boost import BoostResult, PhaseFrame, boost, heavy_inner
+from .boost import BoostResult, Inner, PhaseFrame, boost
 from .engine import RoundStats, run
 from .graphs import IndependentSet, WeightedGraph, degeneracy
 from .heavy import heavy_mis_approx
 from .mis import luby_mis_program
-from .ranking import boppana_once, fast_low_degree_approx
-from .sparsify import DEFAULT_LAMBDA, sparse_approx, sparse_inner
+from .ranking import boppana_once
+from .sparsify import DEFAULT_LAMBDA, sparse_approx
 
 ALGORITHMS = ("heavy", "sparse", "boost-heavy", "boost-sparse", "arb",
               "boppana", "fastld", "luby")
@@ -60,44 +60,56 @@ def resolved_params(alg: str, params: Mapping[str, Any],
 
 
 def run_algorithm(g: WeightedGraph, alg: str, params: Mapping[str, Any],
-                  seed: int, mode: str = "congest") -> RunOutcome:
+                  seed: int, mode: str = "congest",
+                  n_upper: int | None = None) -> RunOutcome:
+    """Run one algorithm; ``n_upper`` is the network-size bound nodes see
+    (default g.n), passed down when the run is a local-ratio inner step."""
     if alg not in ALGORITHMS:
         raise UsageError(f"unknown algorithm {alg!r}; choose from {ALGORITHMS}")
     p = resolved_params(alg, params, g)
 
     if alg == "heavy":
-        r = heavy_mis_approx(g, seed=seed, mode=mode)
+        r = heavy_mis_approx(g, seed=seed, mode=mode, n_upper=n_upper)
         return RunOutcome(r.iset, r.stats,
                           {"good_nodes": len(r.good), "mis_valid": r.mis_valid})
     if alg == "sparse":
         r = sparse_approx(g, lam=p["lam"], seed=seed, mode=mode,
-                          log_base=p["log_base"])
+                          n_upper=n_upper, log_base=p["log_base"])
         return RunOutcome(r.iset, r.stats,
                           {"sampled": len(r.sampled), "delta_h": r.delta_h,
                            "weight_h": r.weight_h, "mis_valid": r.mis_valid})
-    if alg == "boost-heavy":
-        r = boost(g, heavy_inner, eps=p["eps"], c=p["c"], seed=seed, mode=mode)
-        return _boost_outcome(r)
-    if alg == "boost-sparse":
-        r = boost(g, sparse_inner(p["lam"], p["log_base"]), eps=p["eps"],
-                  c=p["c"], seed=seed, mode=mode)
+    if alg in ("boost-heavy", "boost-sparse"):
+        inner = as_inner(alg.removeprefix("boost-"), p, mode)
+        r = boost(g, inner, eps=p["eps"], c=p["c"], seed=seed, mode=mode,
+                  n_upper=n_upper)
         return _boost_outcome(r)
     if alg == "arb":
-        r = arb_approx(g, alpha=p["alpha"], eps=p["eps"], seed=seed, mode=mode)
+        r = arb_approx(g, alpha=p["alpha"], eps=p["eps"], seed=seed, mode=mode,
+                       n_upper=n_upper)
         return RunOutcome(r.iset, r.stats,
-                          {"phases": r.phases, "alpha": r.alpha,
+                          {"phases": r.phases, "alpha": p["alpha"],
                            "sizes": list(r.sizes)},
                           stack=r.stack)
     if alg == "boppana":
-        iset, _, stats = boppana_once(g, c=p["c"], seed=seed, mode=mode)
+        iset, _, stats = boppana_once(g, c=p["c"], seed=seed, mode=mode,
+                                      n_upper=n_upper)
         return RunOutcome(iset, stats, {})
     if alg == "fastld":
-        r = fast_low_degree_approx(g, eps=p["eps"], c=p["c"], seed=seed, mode=mode)
+        # one ranking round on unit weights keeps a 1/(8*Delta) fraction, so
+        # boosting uses c = 8; p["c"] is the rank-range constant
+        r = boost(g, as_inner("boppana", p, mode), eps=p["eps"], c=8.0,
+                  seed=seed, mode=mode, n_upper=n_upper)
         return _boost_outcome(r)
     # luby
-    out, stats = run(g, luby_mis_program(), mode=mode, seed=seed)
+    out, stats = run(g, luby_mis_program(), mode=mode, seed=seed, n_upper=n_upper)
     members = frozenset(v for v, is_in in out.items() if is_in)
     return RunOutcome(IndependentSet.of(g, members), stats, {})
+
+
+def as_inner(alg: str, params: Mapping[str, Any], mode: str = "congest") -> Inner:
+    """``alg`` as a local-ratio inner algorithm (see ``boost.local_ratio``)."""
+    return lambda g_sub, seed, n_upper: run_algorithm(g_sub, alg, params, seed,
+                                                      mode, n_upper)
 
 
 def _boost_outcome(r: BoostResult) -> RunOutcome:

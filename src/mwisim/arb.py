@@ -8,21 +8,17 @@ and keeps only strictly positive residuals for the next phase. Since at
 least half the nodes of any subgraph have degree at most 4*alpha when alpha
 is at least the arboricity, the vertex set halves every phase and empties
 within the phase budget. The shared pop stage then yields an
-8*(1+eps)*alpha approximation.
+8*(1+eps)*alpha approximation. The phases are ``boost.local_ratio`` with a
+degree cap of 4*alpha, so each reduction is one charged engine round.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Mapping
 
-from .boost import (BoostPhaseError, InnerAlgorithm, PhaseFrame, boost,
-                    heavy_inner, pop_stack)
-from .engine import RoundStats
-from .graphs import (GraphError, IndependentSet, ResidualWeights,
-                     WeightedGraph, check_int64)
-from .rng import derive_seed
+from .boost import BoostResult, Inner, local_ratio
+from .graphs import GraphError, WeightedGraph, check_int64
 
 
 def low_degree_subgraph(g_i: WeightedGraph, alpha: int) -> frozenset[int]:
@@ -33,65 +29,42 @@ def low_degree_subgraph(g_i: WeightedGraph, alpha: int) -> frozenset[int]:
     return frozenset(v for v in g_i.nodes if len(g_i.adj[v]) <= cap)
 
 
-def arb_reduce(w_i: ResidualWeights, selected: Iterable[int],
-               low_degree: Iterable[int], g_i: WeightedGraph,
-               ) -> tuple[ResidualWeights, WeightedGraph]:
-    """One arboricity-phase reduction.
+def arb_reduce(w: Mapping[int, int], selected: Iterable[int],
+               zeroed: Iterable[int], g: WeightedGraph) -> dict[int, int]:
+    """Sequential mirror of one local-ratio reduction over all nodes of ``w``.
 
-    Low-degree nodes drop to zero; everyone else loses the residual weight
-    of selected neighbors. Returns the next residual function and the
-    subgraph induced by strictly positive residuals.
+    Nodes in ``zeroed`` (a superset of the independent set ``selected``) drop
+    to zero; every other node loses the residual weight of its selected
+    neighbors. Boosting zeroes exactly the selected set; the arboricity
+    pipeline zeroes every low-degree node. Arithmetic is checked signed
+    64-bit.
     """
     chosen = set(selected)
-    low = set(low_degree)
-    if not chosen <= low:
-        raise GraphError("selected set must lie inside the low-degree set")
-    if not g_i.is_independent(chosen):
+    zero = set(zeroed)
+    if not chosen <= zero:
+        raise GraphError("selected set must lie inside the zeroed set")
+    if not g.is_independent(chosen):
         raise GraphError("selected set is not independent")
-    values = {}
-    for v in g_i.nodes:
-        if v in low:
-            values[v] = 0
+    out = {}
+    for v, wv in w.items():
+        if v in zero:
+            out[v] = 0
         else:
-            reduction = sum(w_i.values[u] for u in g_i.adj[v] if u in chosen)
-            values[v] = check_int64(w_i.values[v] - reduction,
-                                    f"residual of node {v}")
-    w_next = ResidualWeights(w_i.phase + 1, values)
-    survivors = [v for v in g_i.nodes if values[v] > 0]
-    return w_next, g_i.induced(survivors, values)
+            reduction = sum(w[u] for u in g.adj[v] if u in chosen)
+            out[v] = check_int64(wv - reduction, f"residual of node {v}")
+    return out
 
 
 def arb_phase_count(n: int) -> int:
     return (math.ceil(math.log2(n)) if n > 1 else 0) + 1
 
 
-def boosted_heavy_inner(eps: float, c: float = 8.0) -> InnerAlgorithm:
-    """The boosting pipeline over the good-node algorithm, as an inner handle."""
-    from .boost import InnerResult
-
-    def inner(g_sub: WeightedGraph, seed: int, mode: str, n_upper: int) -> InnerResult:
-        r = boost(g_sub, heavy_inner, eps=eps, c=c, seed=seed, mode=mode,
-                  n_upper=n_upper)
-        return InnerResult(members=r.iset.members, stats=r.stats)
-
-    return inner
-
-
-@dataclass(frozen=True)
-class ArbResult:
-    iset: IndependentSet
-    stack: tuple[PhaseFrame, ...]
-    stats: RoundStats
-    phases: int
-    sizes: tuple[int, ...]  # |V_i| for i = 1 .. phases+1
-    alpha: int
-
-
 def arb_approx(g: WeightedGraph, alpha: int, eps: float,
-               inner: InnerAlgorithm | None = None, seed: int = 0,
-               mode: str = "congest", n_upper: int | None = None) -> ArbResult:
+               inner: Inner | None = None, seed: int = 0,
+               mode: str = "congest", n_upper: int | None = None) -> BoostResult:
     """The full low-arboricity pipeline; ``alpha`` is caller-supplied.
 
+    The inner algorithm defaults to boosting over the good-node algorithm.
     Degeneracy is a safe surrogate for alpha (it is never smaller), at the
     cost of a weaker constant in the approximation factor.
     """
@@ -100,35 +73,7 @@ def arb_approx(g: WeightedGraph, alpha: int, eps: float,
     if eps <= 0:
         raise GraphError(f"eps must be > 0, got {eps}")
     if inner is None:
-        inner = boosted_heavy_inner(eps)
-    if n_upper is None:
-        n_upper = g.n
-    phases = arb_phase_count(g.n)
-    w_cur = ResidualWeights.initial(g)
-    g_cur = g
-    frames: list[PhaseFrame] = []
-    stats = RoundStats()
-    sizes = [g_cur.n]
-
-    for i in range(1, phases + 1):
-        low = low_degree_subgraph(g_cur, alpha)
-        members: frozenset[int] = frozenset()
-        if low:
-            res = inner(g_cur.induced(low, w_cur.values),
-                        derive_seed(seed, 0xA5B + i), mode, n_upper)
-            if not res.ok:
-                raise BoostPhaseError(i, res.note or "inner algorithm failed")
-            members = frozenset(res.members)
-            if not members <= low:
-                raise BoostPhaseError(i, "inner selected nodes outside the "
-                                         "low-degree subgraph")
-            if not g_cur.is_independent(members):
-                raise BoostPhaseError(i, "inner returned a non-independent set")
-            stats = stats.merge(res.stats)
-        frames.append(PhaseFrame(i, members, {v: w_cur.values[v] for v in members}))
-        w_cur, g_cur = arb_reduce(w_cur, members, low, g_cur)
-        sizes.append(g_cur.n)
-
-    iset = IndependentSet.of(g, pop_stack(g, frames))
-    return ArbResult(iset=iset, stack=tuple(frames), stats=stats,
-                     phases=phases, sizes=tuple(sizes), alpha=alpha)
+        from .algorithms import as_inner  # algorithms imports this module
+        inner = as_inner("boost-heavy", {"eps": eps}, mode)
+    return local_ratio(g, inner, arb_phase_count(g.n), 0xA5B, seed, mode,
+                       n_upper, degree_cap=4 * alpha)

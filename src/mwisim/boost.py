@@ -1,31 +1,33 @@
-"""Local-ratio boosting: push phases of an inner algorithm, then greedy pop.
+"""Local-ratio stack: push phases of an inner algorithm, then greedy pop.
 
-Each of t = ceil(c/eps) phases runs an inner algorithm (anything returning
-an independent set whose weight is at least a 1/(c*Delta) fraction of the
-remaining positive weight) on the subgraph induced by nodes with positive
-residual weight, pushes the selected nodes with their residual weights onto
-a stack, and reduces weights in the closed neighborhoods of selected nodes.
-The pop stage walks the stack newest-first and keeps every node without a
-kept neighbor.
+Each phase runs an inner algorithm on (part of) the subgraph induced by
+nodes with positive residual weight, pushes the selected nodes with their
+residual weights onto a stack, and reduces weights in the closed
+neighborhoods of selected nodes. The pop stage walks the stack
+newest-first and keeps every node without a kept neighbor.
 
-The *stack property* — the popped set's original weight dominates the sum of
-all pushed residual weights — holds exactly in integer arithmetic and is the
-engine of both the (1+eps)*Delta approximation bound and the arboricity
-algorithm built on top of this module.
+``local_ratio`` is the one phase loop. ``boost`` runs t = ceil(c/eps)
+phases of an inner algorithm whose set weighs at least a 1/(c*Delta)
+fraction of the remaining positive weight; the arboricity pipeline
+(``arb.arb_approx``) runs it with a degree cap on what the inner algorithm
+sees. The *stack property* — the popped set's original weight dominates the
+sum of all pushed residual weights — holds exactly in integer arithmetic and
+drives both the (1+eps)*Delta and the 8*(1+eps)*alpha bounds.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from .engine import Broadcast, NodeContext, RoundStats, StepResult, run
-from .graphs import (GraphError, IndependentSet, ResidualWeights,
-                     WeightedGraph, check_int64)
-from .heavy import heavy_mis_approx
+from .graphs import GraphError, IndependentSet, WeightedGraph, check_int64
 from .rng import derive_seed
 from .wire import Message
+
+if TYPE_CHECKING:
+    from .algorithms import RunOutcome
 
 TAG_REDUCE = 5
 
@@ -57,50 +59,9 @@ class PhaseFrame:
         return sum(self.pushed_weights.values())
 
 
-@dataclass(frozen=True)
-class InnerResult:
-    """What an inner algorithm hands back to the boosting loop."""
-
-    members: frozenset[int]
-    stats: RoundStats
-    ok: bool = True
-    note: str | None = None
-
-
-# An inner algorithm receives the positive-residual induced subgraph (its
-# weights are the residuals), a seed, the communication mode, and the
-# original graph's n_upper.
-InnerAlgorithm = Callable[[WeightedGraph, int, str, int], InnerResult]
-
-
-def heavy_inner(g_sub: WeightedGraph, seed: int, mode: str, n_upper: int) -> InnerResult:
-    """The good-node MIS algorithm as a boosting inner step (c <= 8)."""
-    r = heavy_mis_approx(g_sub, seed=seed, mode=mode, n_upper=n_upper)
-    return InnerResult(members=r.iset.members, stats=r.stats,
-                       ok=r.mis_valid, note=r.mis_violation)
-
-
-def reduce_weights(w: ResidualWeights, selected: Iterable[int],
-                   g: WeightedGraph) -> ResidualWeights:
-    """One local-ratio weight reduction step over all nodes of ``w``.
-
-    Selected nodes drop to zero; every other node loses the residual weight
-    of its selected neighbors. Arithmetic is checked signed 64-bit.
-    """
-    chosen = set(selected)
-    if not g.is_independent(chosen):
-        raise GraphError("selected set is not independent")
-    missing = chosen - set(w.values)
-    if missing:
-        raise GraphError(f"selected nodes {sorted(missing)} have no residual weight")
-    values = {}
-    for v, wv in w.values.items():
-        if v in chosen:
-            values[v] = 0
-        else:
-            reduction = sum(w.values[u] for u in g.adj[v] if u in chosen)
-            values[v] = check_int64(wv - reduction, f"residual of node {v}")
-    return ResidualWeights(w.phase + 1, values)
+# An inner algorithm receives the subgraph it may select from (its weights
+# are the residuals), a seed, and the original graph's n_upper.
+Inner = Callable[[WeightedGraph, int, int], "RunOutcome"]
 
 
 @dataclass(frozen=True)
@@ -108,11 +69,13 @@ class ResidualUpdateProgram:
     """One announcement round realizing the weight reduction distributively.
 
     Run on the positive-residual subgraph (so ctx.weight is the residual):
-    selected nodes broadcast their residual weight and end at zero; everyone
-    else subtracts the announced weights of selected neighbors.
+    selected nodes broadcast their residual weight; nodes in ``zeroed`` (a
+    superset of ``selected``) end at zero; everyone else subtracts the
+    announced weights of selected neighbors.
     """
 
     selected: frozenset[int]
+    zeroed: frozenset[int]
 
     def init(self, ctx: NodeContext, rng) -> StepResult:
         if ctx.node_id in self.selected:
@@ -121,7 +84,7 @@ class ResidualUpdateProgram:
         return StepResult(state=None)
 
     def step(self, state, ctx: NodeContext, inbox, rng) -> StepResult:
-        if ctx.node_id in self.selected:
+        if ctx.node_id in self.zeroed:
             return StepResult(halt=True, output=0)
         reduction = sum(msg.values[0] for msg in inbox.values()
                         if msg.tag == TAG_REDUCE)
@@ -151,13 +114,73 @@ class BoostResult:
     stats: RoundStats
     phases: int
     inner_rounds_max: int
+    sizes: tuple[int, ...]  # positive-residual nodes before phase i = 1 .. phases+1
 
 
 def phase_count(c: float, eps: float) -> int:
     return math.ceil(c / eps)
 
 
-def boost(g: WeightedGraph, inner: InnerAlgorithm, eps: float, c: float = 8.0,
+def local_ratio(g: WeightedGraph, inner: Inner, phases: int, salt: int,
+                seed: int, mode: str, n_upper: int | None,
+                degree_cap: int | None = None) -> BoostResult:
+    """``phases`` push phases of ``inner``, then the greedy pop stage.
+
+    Phase i runs on the subgraph of nodes with positive residual weight.
+    Without a cap the inner algorithm sees all of it and only the nodes it
+    selects drop to zero; with ``degree_cap`` it sees only the nodes of
+    degree at most the cap, and all of those drop to zero. Either way the
+    reduction is one announcement round, charged like any other engine run.
+    A phase whose inner algorithm would see no node costs nothing.
+    """
+    if n_upper is None:
+        n_upper = g.n
+    residual: dict[int, int] = dict(g.weights)
+    frames: list[PhaseFrame] = []
+    stats = RoundStats()
+    inner_rounds_max = 0
+    sizes = []
+
+    for i in range(1, phases + 1):
+        active = [v for v in g.nodes if residual[v] > 0]
+        sizes.append(len(active))
+        if not active:
+            frames.append(PhaseFrame(i, frozenset(), {}))
+            continue
+        g_i = g.induced(active, residual)
+        g_in = g_i
+        if degree_cap is not None:
+            g_in = g_i.induced(v for v in active if len(g_i.adj[v]) <= degree_cap)
+            if not g_in.n:
+                frames.append(PhaseFrame(i, frozenset(), {}))
+                continue
+        res = inner(g_in, derive_seed(seed, salt + i), n_upper)
+        if not res.diagnostics.get("mis_valid", True):
+            raise BoostPhaseError(i, "inner MIS black box returned an invalid MIS")
+        members = res.iset.members
+        if not members <= set(g_in.nodes):
+            raise BoostPhaseError(i, "inner selected nodes outside its subgraph")
+        if not g_in.is_independent(members):
+            raise BoostPhaseError(i, "inner returned a non-independent set")
+        stats = stats.merge(res.stats)
+        inner_rounds_max = max(inner_rounds_max, res.stats.rounds)
+        frames.append(PhaseFrame(i, members, {v: residual[v] for v in members}))
+
+        zeroed = members if degree_cap is None else frozenset(g_in.nodes)
+        upd_out, upd_stats = run(g_i, ResidualUpdateProgram(members, zeroed),
+                                 mode=mode, seed=derive_seed(seed, 0x0DD + i),
+                                 n_upper=n_upper)
+        stats = stats.merge(upd_stats)
+        for v in active:
+            residual[v] = check_int64(upd_out[v], f"residual of node {v}")
+
+    sizes.append(sum(1 for v in g.nodes if residual[v] > 0))
+    iset = IndependentSet.of(g, pop_stack(g, frames))
+    return BoostResult(iset=iset, stack=tuple(frames), stats=stats, phases=phases,
+                       inner_rounds_max=inner_rounds_max, sizes=tuple(sizes))
+
+
+def boost(g: WeightedGraph, inner: Inner, eps: float, c: float = 8.0,
           seed: int = 0, mode: str = "congest",
           n_upper: int | None = None) -> BoostResult:
     """t = ceil(c/eps) push phases of ``inner``, then the greedy pop stage.
@@ -170,38 +193,4 @@ def boost(g: WeightedGraph, inner: InnerAlgorithm, eps: float, c: float = 8.0,
         raise GraphError(f"eps must be > 0, got {eps}")
     if c < 1:
         raise GraphError(f"c must be >= 1, got {c}")
-    if n_upper is None:
-        n_upper = g.n
-    t = phase_count(c, eps)
-    residual: dict[int, int] = dict(g.weights)
-    frames: list[PhaseFrame] = []
-    stats = RoundStats()
-    inner_rounds_max = 0
-
-    for i in range(1, t + 1):
-        active = [v for v in g.nodes if residual[v] > 0]
-        if not active:
-            frames.append(PhaseFrame(i, frozenset(), {}))
-            continue
-        g_i = g.induced(active, residual)
-        res = inner(g_i, derive_seed(seed, 0xB0057 + i), mode, n_upper)
-        if not res.ok:
-            raise BoostPhaseError(i, res.note or "inner algorithm failed")
-        members = frozenset(res.members)
-        if not members <= set(g_i.nodes):
-            raise BoostPhaseError(i, "inner selected nodes outside its subgraph")
-        if not g_i.is_independent(members):
-            raise BoostPhaseError(i, "inner returned a non-independent set")
-        stats = stats.merge(res.stats)
-        inner_rounds_max = max(inner_rounds_max, res.stats.rounds)
-        frames.append(PhaseFrame(i, members, {v: residual[v] for v in members}))
-
-        upd_out, upd_stats = run(g_i, ResidualUpdateProgram(members), mode=mode,
-                                 seed=derive_seed(seed, 0x0DD + i), n_upper=n_upper)
-        stats = stats.merge(upd_stats)
-        for v in active:
-            residual[v] = check_int64(upd_out[v], f"residual of node {v}")
-
-    iset = IndependentSet.of(g, pop_stack(g, frames))
-    return BoostResult(iset=iset, stack=tuple(frames), stats=stats,
-                       phases=t, inner_rounds_max=inner_rounds_max)
+    return local_ratio(g, inner, phase_count(c, eps), 0xB0057, seed, mode, n_upper)

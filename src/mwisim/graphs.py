@@ -171,32 +171,6 @@ class IndependentSet:
         return len(self.members)
 
 
-@dataclass(frozen=True)
-class ResidualWeights:
-    """Signed residual weight function at one phase of a local-ratio run.
-
-    Phase 1 equals the input weights; later phases may go negative on
-    non-selected nodes. Values outside the signed 64-bit range raise instead
-    of wrapping.
-    """
-
-    phase: int
-    values: dict[int, int]
-
-    def __post_init__(self):
-        if self.phase < 1:
-            raise GraphError(f"phase must be >= 1, got {self.phase}")
-        for v, x in self.values.items():
-            check_int64(x, f"residual weight of node {v}")
-
-    @classmethod
-    def initial(cls, g: WeightedGraph) -> "ResidualWeights":
-        return cls(1, dict(g.weights))
-
-    def positive_nodes(self) -> frozenset[int]:
-        return frozenset(v for v, x in self.values.items() if x > 0)
-
-
 def check_int64(x: int, what: str = "value") -> int:
     if not -INT64_MAX - 1 <= x <= INT64_MAX:
         raise OverflowError(f"{what} = {x} overflows signed 64-bit range")

@@ -77,10 +77,6 @@ class LocalStatsProgram:
                           output=LocalStats(deg, delta, s, good, good_nbrs))
 
 
-def compute_local_stats_program() -> LocalStatsProgram:
-    return LocalStatsProgram()
-
-
 def local_degree_stats(g: WeightedGraph) -> dict[int, tuple[int, int, int]]:
     """Sequential recomputation of (deg, delta, s) per node, for validation."""
     out = {}

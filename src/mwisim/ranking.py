@@ -8,7 +8,8 @@ earlier; per permutation the two rules select literally the same set, which
 ``check_perm_equivalence`` verifies exhaustively on small graphs.
 
 Boosting this one-round algorithm through the local-ratio stack gives the
-fast pipeline for unweighted low-degree graphs.
+fast pipeline for unweighted low-degree graphs (``fastld`` in
+``algorithms``).
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Sequence
 
-from .boost import BoostResult, InnerResult, boost
 from .engine import Broadcast, NodeContext, RoundStats, StepResult, run
 from .graphs import GraphError, IndependentSet, WeightedGraph
 from .wire import Message
@@ -79,10 +79,6 @@ class BoppanaProgram:
         return StepResult(halt=True, output=RankOutput(True, rank))
 
 
-def boppana_program(c: int = 2) -> BoppanaProgram:
-    return BoppanaProgram(c)
-
-
 def rank_rule(g: WeightedGraph, ranks: dict[int, int]) -> frozenset[int]:
     """The strict-max membership rule applied to a full rank assignment."""
     return frozenset(v for v in g.nodes
@@ -128,27 +124,3 @@ def check_perm_equivalence(g: WeightedGraph) -> bool:
         if rank_rule(g, ranks) != seq_members:
             return False
     return True
-
-
-def boppana_inner(c: int = 2):
-    """One ranking round as a boosting inner algorithm (unweighted c = 8)."""
-
-    def inner(g_sub: WeightedGraph, seed: int, mode: str, n_upper: int) -> InnerResult:
-        iset, _, stats = boppana_once(g_sub, c=c, seed=seed, mode=mode,
-                                      n_upper=n_upper)
-        return InnerResult(members=iset.members, stats=stats)
-
-    return inner
-
-
-def fast_low_degree_approx(g: WeightedGraph, eps: float, c: int = 2,
-                           seed: int = 0, mode: str = "congest",
-                           n_upper: int | None = None) -> BoostResult:
-    """Boosted ranking pipeline for unweighted (unit-weight) graphs.
-
-    On unit weights the residual graphs stay unit-weighted, so each phase is
-    one ranking round on the not-yet-covered subgraph; the popped set has
-    size at least n / ((1+eps) * (max_degree+1)) with high probability.
-    """
-    return boost(g, boppana_inner(c), eps=eps, c=8.0, seed=seed, mode=mode,
-                 n_upper=n_upper)

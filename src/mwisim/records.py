@@ -184,7 +184,9 @@ def replay(record: Mapping[str, Any]) -> dict[str, Any]:
     params = {k: v for k, v in alg.items() if k not in ("name", "mode")}
     return make_record(g, source, alg["name"], params, record["seed"],
                        mode=alg["mode"],
-                       oracle=record.get("oracle") is not None)
+                       oracle=record.get("oracle") is not None,
+                       # an oracle value was computed under a cap >= n
+                       oracle_cap=max(BRUTE_FORCE_CAP, record["n"]))
 
 
 def same_outcome(a: Mapping[str, Any], b: Mapping[str, Any]) -> bool:

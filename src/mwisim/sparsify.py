@@ -108,10 +108,6 @@ class ProfileProgram:
         return StepResult(halt=True, output=ProfileEntry(delta, wdeg, wmax, p))
 
 
-def compute_sampling_profile_program(lam: float, log_base: str = "two") -> ProfileProgram:
-    return ProfileProgram(lam, log_base)
-
-
 def compute_sampling_profile(g: WeightedGraph, lam: float, log_base: str = "two",
                              n_upper: int | None = None) -> SamplingProfile:
     """Sequential recomputation of the profile from the full graph."""
@@ -173,16 +169,3 @@ def sparse_approx(g: WeightedGraph, lam: float = DEFAULT_LAMBDA, seed: int = 0,
                         weight_h=h.total_weight(),
                         mis_valid=heavy.mis_valid,
                         mis_violation=heavy.mis_violation)
-
-
-def sparse_inner(lam: float = DEFAULT_LAMBDA, log_base: str = "two"):
-    """Sparsified pipeline as a boosting inner algorithm (statistical c)."""
-    from .boost import InnerResult
-
-    def inner(g_sub: WeightedGraph, seed: int, mode: str, n_upper: int) -> InnerResult:
-        r = sparse_approx(g_sub, lam=lam, seed=seed, mode=mode,
-                          n_upper=n_upper, log_base=log_base)
-        return InnerResult(members=r.iset.members, stats=r.stats,
-                           ok=r.mis_valid, note=r.mis_violation)
-
-    return inner

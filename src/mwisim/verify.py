@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .arb import arb_approx
-from .boost import boost, check_stack_property, heavy_inner, phase_count
+from .algorithms import run_algorithm
+from .boost import check_stack_property, phase_count
 from .cliquecycle import rand_mis
 from .engine import RoundStats, run
 from .graphs import (WeightedGraph, brute_force_max_is, degeneracy, generate,
@@ -237,14 +237,15 @@ def _c3_boost(tally: _Tally, quick: bool) -> tuple[bool, str]:
         delta = g.max_degree
         for j, eps in enumerate(EPS_GRID):
             runs += 1
-            r = boost(g, heavy_inner, eps=float(eps), c=8.0,
-                      seed=derive_seed(0xB003, 1000 * i + j))
+            r = run_algorithm(g, "boost-heavy", {"eps": float(eps), "c": 8.0},
+                              seed=derive_seed(0xB003, 1000 * i + j))
             tally.note_budget(r.stats)
             tally.note_stack(check_stack_property(g, r.iset, r.stack))
             t = phase_count(8.0, float(eps))
+            d = r.diagnostics
             tally.note_rounds(
-                r.phases == t
-                and r.stats.rounds <= t * (r.inner_rounds_max + 2))
+                d["phases"] == t
+                and r.stats.rounds <= t * (d["inner_rounds_max"] + 2))
             w = r.iset.weight
             if (1 + eps) * delta * w < opt:
                 bad.append(f"ratio graph#{i} eps={eps}")
@@ -346,19 +347,21 @@ def _c8_arb(tally: _Tally, quick: bool) -> tuple[bool, str]:
     for i, g in enumerate(corpus):
         alpha = max(1, degeneracy(g))
         opt = brute_force_max_is(g).weight
-        r = arb_approx(g, alpha=alpha, eps=float(eps),
-                       seed=derive_seed(0xA4B, i))
+        r = run_algorithm(g, "arb", {"alpha": alpha, "eps": float(eps)},
+                          seed=derive_seed(0xA4B, i))
+        sizes = r.diagnostics["sizes"]
         tally.note_budget(r.stats)
         tally.note_stack(check_stack_property(g, r.iset, r.stack))
         if 8 * (1 + eps) * alpha * r.iset.weight < opt:
             bad.append(f"ratio graph#{i}")
-        if r.sizes[-1] != 0:
+        if sizes[-1] != 0:
             bad.append(f"not empty graph#{i}")
-        for a, b in zip(r.sizes, r.sizes[1:]):
+        for a, b in zip(sizes, sizes[1:]):
             if 2 * b > a:
                 bad.append(f"halving graph#{i}")
                 break
-        if r.phases != (math.ceil(math.log2(g.n)) if g.n > 1 else 0) + 1:
+        want_phases = (math.ceil(math.log2(g.n)) if g.n > 1 else 0) + 1
+        if r.diagnostics["phases"] != want_phases:
             bad.append(f"phase count graph#{i}")
     return not bad, (f"{count} runs (alpha = degeneracy): "
                      + (f"{len(bad)} violations, first: {bad[0]}" if bad

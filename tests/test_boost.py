@@ -3,13 +3,21 @@ from fractions import Fraction
 
 import pytest
 
-from mwisim.boost import (BoostPhaseError, InnerResult, PhaseFrame, boost,
-                          check_stack_property, heavy_inner, phase_count,
-                          pop_stack, reduce_weights)
+from mwisim.algorithms import RunOutcome, as_inner
+from mwisim.arb import arb_reduce
+from mwisim.boost import (BoostPhaseError, PhaseFrame, boost,
+                          check_stack_property, phase_count, pop_stack)
 from mwisim.engine import RoundStats
-from mwisim.graphs import (GraphError, IndependentSet, ResidualWeights,
-                           WeightedGraph, brute_force_max_is, generate)
+from mwisim.graphs import (GraphError, IndependentSet, WeightedGraph,
+                           brute_force_max_is, generate)
 from mwisim.rng import derive_seed
+
+heavy_inner = as_inner("heavy", {})
+
+
+def boost_reduce(w, selected, g):
+    """Boosting's reduction: the zeroed set is the selected set."""
+    return arb_reduce(w, selected, selected, g)
 
 
 def weighted_path(weights):
@@ -22,23 +30,22 @@ def weighted_path(weights):
 
 def test_reduce_examples():
     p3 = weighted_path([3, 5, 3])
-    w2 = reduce_weights(ResidualWeights.initial(p3), {1}, p3)
-    assert w2.phase == 2
-    assert [w2.values[v] for v in range(3)] == [-2, 0, -2]
+    w2 = boost_reduce(p3.weights, {1}, p3)
+    assert [w2[v] for v in range(3)] == [-2, 0, -2]
 
-    w_same = reduce_weights(ResidualWeights.initial(p3), set(), p3)
-    assert w_same.values == {0: 3, 1: 5, 2: 3}
+    w_same = boost_reduce(p3.weights, set(), p3)
+    assert w_same == {0: 3, 1: 5, 2: 3}
 
     p4 = weighted_path([2, 3, 3, 2])
-    w2 = reduce_weights(ResidualWeights.initial(p4), {1}, p4)
-    assert [w2.values[v] for v in range(4)] == [-1, 0, 0, 2]
+    w2 = boost_reduce(p4.weights, {1}, p4)
+    assert [w2[v] for v in range(4)] == [-1, 0, 0, 2]
 
 
 def test_reduce_matches_closed_neighborhood_form():
     # w_{i+1}(v) = w_i(v) - sum over N+(v) cap I equals the two-case form
     for seed in range(10):
         g = generate("gnp", {"n": 14, "p": 0.3}, "uniform_range", seed)
-        w = ResidualWeights.initial(g)
+        w = g.weights
         rng = random.Random(seed)
         members = set()
         for v in sorted(g.nodes, key=lambda v: rng.random()):
@@ -46,24 +53,23 @@ def test_reduce_matches_closed_neighborhood_form():
                 members.add(v)
                 if len(members) == 3:
                     break
-        nxt = reduce_weights(w, members, g)
+        nxt = boost_reduce(w, members, g)
         for v in g.nodes:
             closed = set(g.adj[v]) | {v}
-            assert nxt.values[v] == w.values[v] - sum(
-                w.values[u] for u in closed & members)
+            assert nxt[v] == w[v] - sum(w[u] for u in closed & members)
 
 
 def test_reduce_rejects_dependent_set():
     g = weighted_path([1, 1, 1])
     with pytest.raises(GraphError, match="not independent"):
-        reduce_weights(ResidualWeights.initial(g), {0, 1}, g)
+        boost_reduce(g.weights, {0, 1}, g)
 
 
 def test_reduce_overflow_detected():
     g = WeightedGraph([0, 1], [(0, 1)], {0: 2**62, 1: 2**62})
-    w = ResidualWeights(1, {0: -(2**62) - 2, 1: 2**62 + 1})
+    w = {0: -(2**62) - 2, 1: 2**62 + 1}
     with pytest.raises(OverflowError):
-        reduce_weights(w, {1}, g)
+        boost_reduce(w, {1}, g)
 
 
 # ----------------------------------------------------------------- the stack
@@ -103,10 +109,10 @@ class ScriptedInner:
         self.sets = list(sets)
         self.calls = 0
 
-    def __call__(self, g_sub, seed, mode, n_upper):
+    def __call__(self, g_sub, seed, n_upper):
         members = frozenset(self.sets[self.calls]) & frozenset(g_sub.nodes)
         self.calls += 1
-        return InnerResult(members=members, stats=RoundStats(rounds=1))
+        return RunOutcome(IndependentSet.of(g_sub, members), RoundStats(rounds=1))
 
 
 def test_boost_scripted_trace():
@@ -142,9 +148,10 @@ def test_boost_invalid_inner_aborts_with_phase():
     g = weighted_path([1, 2, 1])
 
     class BadInner:
-        def __call__(self, g_sub, seed, mode, n_upper):
-            return InnerResult(members=frozenset(g_sub.nodes),
-                               stats=RoundStats())
+        def __call__(self, g_sub, seed, n_upper):
+            everything = frozenset(g_sub.nodes)
+            return RunOutcome(IndependentSet(everything, g_sub.total_weight()),
+                              RoundStats())
 
     with pytest.raises(BoostPhaseError, match="phase 1"):
         boost(g, BadInner(), eps=1.0, c=8.0, seed=0)
@@ -191,21 +198,22 @@ def test_boost_guarantees_random_corpus(eps):
 
 
 def test_residuals_match_sequential_reduction():
-    # the announcement round must realize reduce_weights on positive nodes
+    # the announcement round must realize the sequential reduction on
+    # positive nodes
     g = generate("gnp", {"n": 16, "p": 0.35}, "uniform_range", 4)
     observed = []
 
     class Recorder:
-        def __call__(self, g_sub, seed, mode, n_upper):
-            r = heavy_inner(g_sub, seed, mode, n_upper)
+        def __call__(self, g_sub, seed, n_upper):
+            r = heavy_inner(g_sub, seed, n_upper)
             observed.append((frozenset(g_sub.nodes), dict(g_sub.weights),
-                             r.members))
+                             r.iset.members))
             return r
 
     boost(g, Recorder(), eps=1.0, c=8.0, seed=9)
     assert observed
-    w = ResidualWeights.initial(g)
+    w = g.weights
     for active, weights, members in observed:
-        assert active == frozenset(v for v in g.nodes if w.values[v] > 0)
-        assert weights == {v: w.values[v] for v in active}
-        w = reduce_weights(w, members, g)
+        assert active == frozenset(v for v in g.nodes if w[v] > 0)
+        assert weights == {v: w[v] for v in active}
+        w = boost_reduce(w, members, g)

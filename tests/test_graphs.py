@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mwisim.graphs import (BruteForceCapError, GraphError, GraphParseError,
-                           IndependentSet, ResidualWeights, WeightedGraph,
-                           brute_force_max_is, degeneracy, generate, load,
-                           random_tree, save)
+                           IndependentSet, WeightedGraph, brute_force_max_is,
+                           degeneracy, generate, load, random_tree, save)
 
 
 def unit(nodes, edges):
@@ -230,7 +229,7 @@ def test_parse_errors_carry_line_numbers(text, line):
     assert exc.value.line_no == line
 
 
-# ----------------------------------------------------------------- residuals
+# ---------------------------------------------------------- independent sets
 
 def test_independent_set_validates():
     g = unit(range(3), [(0, 1)])
@@ -239,11 +238,3 @@ def test_independent_set_validates():
     s = IndependentSet.of(g, {0, 2})
     assert s.weight == 2 and len(s) == 2
 
-
-def test_residual_weights_initial_and_overflow():
-    g = WeightedGraph([0, 1], [(0, 1)], {0: 3, 1: 4})
-    w = ResidualWeights.initial(g)
-    assert w.phase == 1 and w.values == {0: 3, 1: 4}
-    assert w.positive_nodes() == frozenset({0, 1})
-    with pytest.raises(OverflowError):
-        ResidualWeights(2, {0: 2**63})

@@ -3,11 +3,15 @@ from fractions import Fraction
 
 import pytest
 
+from mwisim.algorithms import run_algorithm
 from mwisim.graphs import GraphError, WeightedGraph, generate
-from mwisim.ranking import (boppana_once, check_perm_equivalence,
-                            fast_low_degree_approx, rank_range, rank_rule,
-                            seq_boppana)
+from mwisim.ranking import (boppana_once, check_perm_equivalence, rank_range,
+                            rank_rule, seq_boppana)
 from mwisim.rng import derive_seed, node_rng
+
+
+def fastld(g, eps, c=None, seed=0):
+    return run_algorithm(g, "fastld", {"eps": eps, "c": c}, seed)
 
 
 def unit(nodes, edges):
@@ -94,7 +98,7 @@ def test_rank_collisions_absent_at_width():
 
 def test_fastld_c5():
     g = generate("cycle", {"n": 5}, "unit", 0)
-    r = fast_low_degree_approx(g, eps=0.5, c=2, seed=7)
+    r = fastld(g, eps=0.5, c=2, seed=7)
     assert len(r.iset.members) == 2
     assert 2 * Fraction(3, 2) * 3 >= 5  # the claimed bound is satisfiable
     assert Fraction(3, 2) * (g.max_degree + 1) * len(r.iset.members) >= g.n
@@ -102,16 +106,16 @@ def test_fastld_c5():
 
 def test_fastld_edgeless():
     g = unit(range(7), [])
-    r = fast_low_degree_approx(g, eps=1.0, seed=0)
+    r = fastld(g, eps=1.0, seed=0)
     assert r.iset.members == frozenset(range(7))
 
 
 def test_fastld_phase_budget():
     g = generate("gnp", {"n": 128, "p": 0.05}, "unit", 1)
     c_rank = 2
-    r = fast_low_degree_approx(g, eps=0.5, c=c_rank, seed=3)
+    r = fastld(g, eps=0.5, c=c_rank, seed=3)
     t = 16  # ceil(8 / 0.5)
-    assert r.phases == t
+    assert r.diagnostics["phases"] == t
     assert r.stats.rounds <= t * (c_rank + 2)
     assert Fraction(3, 2) * (g.max_degree + 1) * len(r.iset.members) >= g.n
 
@@ -119,7 +123,7 @@ def test_fastld_phase_budget():
 def test_fastld_size_bound_random():
     for seed in range(15):
         g = generate("gnp", {"n": 256, "p": 0.03}, "unit", derive_seed(0xFD, seed))
-        r = fast_low_degree_approx(g, eps=1.0, seed=seed)
+        r = fastld(g, eps=1.0, seed=seed)
         assert g.is_independent(r.iset.members)
         assert 2 * (g.max_degree + 1) * len(r.iset.members) >= g.n
 
@@ -129,7 +133,7 @@ def test_fastld_2048_statistical():
     for seed in range(100):
         g = generate("gnp", {"n": 2048, "p": 30 / 2047}, "unit",
                      derive_seed(0xFD17, seed))
-        r = fast_low_degree_approx(g, eps=1.0, seed=seed)
+        r = fastld(g, eps=1.0, seed=seed)
         assert 2 * (g.max_degree + 1) * len(r.iset.members) >= g.n
 
 

@@ -50,6 +50,16 @@ def test_replay_reproduces_exactly():
         assert r["result"] == again["result"]
 
 
+def test_replay_keeps_a_raised_oracle_cap():
+    g = generate("cycle", {"n": 28}, "uniform_range", 4)
+    source = GraphSource.generator("cycle", {"n": 28}, "uniform_range", 4)
+    r = make_record(g, source, "heavy", {}, seed=2, oracle=True, oracle_cap=28)
+    assert r["oracle"] is not None
+    again = replay(r)
+    assert again["oracle"] == r["oracle"]
+    assert same_outcome(r, again)
+
+
 def test_same_outcome_ignores_wall_time():
     a = _record()
     b = dict(a)
