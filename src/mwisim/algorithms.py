@@ -10,7 +10,7 @@ from .boost import BoostResult, Inner, PhaseFrame, boost
 from .engine import RoundStats, run
 from .graphs import IndependentSet, WeightedGraph, degeneracy
 from .heavy import heavy_mis_approx
-from .mis import luby_mis_program
+from .mis import LubyProgram
 from .ranking import boppana_once
 from .sparsify import DEFAULT_LAMBDA, sparse_approx
 
@@ -40,6 +40,12 @@ def _need(params: Mapping[str, Any], key: str, alg: str) -> Any:
     return value
 
 
+def _get(params: Mapping[str, Any], key: str, default: Any) -> Any:
+    """``params[key]`` unless absent or None; a given 0 is kept and checked."""
+    value = params.get(key)
+    return default if value is None else value
+
+
 def resolved_params(alg: str, params: Mapping[str, Any],
                     g: WeightedGraph) -> dict[str, Any]:
     """The parameters a record stores: everything the run actually used."""
@@ -47,15 +53,15 @@ def resolved_params(alg: str, params: Mapping[str, Any],
     if alg in ("boost-heavy", "boost-sparse", "arb", "fastld"):
         p["eps"] = float(_need(params, "eps", alg))
     if alg in ("boost-heavy", "boost-sparse"):
-        p["c"] = float(params.get("c") or DEFAULT_C_BOOST)
+        p["c"] = float(_get(params, "c", DEFAULT_C_BOOST))
     if alg in ("sparse", "boost-sparse"):
-        p["lam"] = float(params.get("lam") or DEFAULT_LAMBDA)
-        p["log_base"] = params.get("log_base") or "two"
+        p["lam"] = float(_get(params, "lam", DEFAULT_LAMBDA))
+        p["log_base"] = _get(params, "log_base", "two")
     if alg == "arb":
         alpha = params.get("alpha")
         p["alpha"] = int(alpha) if alpha is not None else max(1, degeneracy(g))
     if alg in ("boppana", "fastld"):
-        p["c"] = int(params.get("c") or DEFAULT_C_RANK)
+        p["c"] = int(_get(params, "c", DEFAULT_C_RANK))
     return p
 
 
@@ -101,7 +107,7 @@ def run_algorithm(g: WeightedGraph, alg: str, params: Mapping[str, Any],
                   seed=seed, mode=mode, n_upper=n_upper)
         return _boost_outcome(r)
     # luby
-    out, stats = run(g, luby_mis_program(), mode=mode, seed=seed, n_upper=n_upper)
+    out, stats = run(g, LubyProgram(), mode=mode, seed=seed, n_upper=n_upper)
     members = frozenset(v for v, is_in in out.items() if is_in)
     return RunOutcome(IndependentSet.of(g, members), stats, {})
 

@@ -23,6 +23,7 @@ from typing import TYPE_CHECKING, Callable, Iterable
 
 from .engine import Broadcast, NodeContext, RoundStats, StepResult, run
 from .graphs import GraphError, IndependentSet, WeightedGraph, check_int64
+from .mis import greedy_mis
 from .rng import derive_seed
 from .wire import Message
 
@@ -91,14 +92,10 @@ class ResidualUpdateProgram:
         return StepResult(halt=True, output=ctx.weight - reduction)
 
 
-def pop_stack(g: WeightedGraph, frames: Iterable[PhaseFrame]) -> frozenset[int]:
-    """Second stage: pop newest-first, keep nodes with no kept neighbor."""
-    chosen: set[int] = set()
-    for frame in sorted(frames, key=lambda f: f.phase, reverse=True):
-        for v in sorted(frame.members):
-            if not any(u in chosen for u in g.adj[v]):
-                chosen.add(v)
-    return frozenset(chosen)
+def pop_stack(g: WeightedGraph, frames: Iterable[PhaseFrame]) -> IndependentSet:
+    """Second stage: the greedy scan over the frames' members, newest first."""
+    newest_first = sorted(frames, key=lambda f: f.phase, reverse=True)
+    return greedy_mis(g, [v for f in newest_first for v in sorted(f.members)])
 
 
 def check_stack_property(g: WeightedGraph, iset: IndependentSet,
@@ -175,7 +172,7 @@ def local_ratio(g: WeightedGraph, inner: Inner, phases: int, salt: int,
             residual[v] = check_int64(upd_out[v], f"residual of node {v}")
 
     sizes.append(sum(1 for v in g.nodes if residual[v] > 0))
-    iset = IndependentSet.of(g, pop_stack(g, frames))
+    iset = pop_stack(g, frames)
     return BoostResult(iset=iset, stack=tuple(frames), stats=stats, phases=phases,
                        inner_rounds_max=inner_rounds_max, sizes=tuple(sizes))
 

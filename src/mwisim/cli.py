@@ -12,12 +12,11 @@ import os
 import sys
 
 from . import records as rec
-from .algorithms import ALGORITHMS, UsageError
+from .algorithms import ALGORITHMS, UsageError, as_inner
 from .cliquecycle import rand_mis
 from .engine import EngineError
 from .graphs import (FAMILIES, WEIGHT_MODELS, GraphError, generate, load,
                      save)
-from .sparsify import sparse_approx
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -31,14 +30,18 @@ def _default_seed() -> int:
 
 def _parse_seeds(spec: str) -> list[int]:
     """Seed list syntax: '7', '0:20' (half-open range), or '1,2,5'."""
-    if ":" in spec:
-        lo, hi = spec.split(":", 1)
-        return list(range(int(lo), int(hi)))
-    return [int(s) for s in spec.split(",") if s.strip()]
+    try:
+        if ":" in spec:
+            lo, hi = spec.split(":", 1)
+            return list(range(int(lo), int(hi)))
+        return [int(s) for s in spec.split(",") if s.strip()]
+    except ValueError:
+        raise UsageError(f"bad --seeds {spec!r}; use 7, 0:20 or 1,2,5") from None
 
 
 def _graph_params(args) -> dict:
-    params = {}
+    if not args.family:
+        raise UsageError("no graph: give --family (or, with run, --graph FILE)")
     if args.family == "gnp":
         if args.p is None:
             raise UsageError("gnp needs --p")
@@ -58,8 +61,6 @@ def _load_or_generate(args) -> tuple:
     if getattr(args, "graph", None):
         text = open(args.graph, encoding="utf-8").read()
         return load(text), rec.GraphSource.from_file(args.graph, text)
-    if not args.family:
-        raise UsageError("provide --graph FILE or a generator spec (--family ...)")
     params = _graph_params(args)
     g = generate(args.family, params, args.weights, args.graph_seed)
     return g, rec.GraphSource.generator(args.family, params, args.weights,
@@ -130,14 +131,10 @@ def cmd_verify(args) -> int:
 
 def cmd_reduce(args) -> int:
     base = generate("cycle", {"n": args.n0}, "unit", 0)
-
-    def alg(g1, seed):
-        r = sparse_approx(g1, lam=args.lam, seed=seed, mode="local")
-        return r.iset.members, r.stats
-
+    inner = as_inner("sparse", {"lam": args.lam}, "local")
     lines = []
     for seed in _parse_seeds(args.seeds):
-        r = rand_mis(base, alg, args.n1, seed=seed, c_approx=args.c)
+        r = rand_mis(base, inner, args.n1, seed=seed, c_approx=args.c)
         lines.append(json.dumps({
             "n0": r.n0, "n1": r.n1, "seed": seed,
             "mis_size": len(r.mis.members), "mapped_size": len(r.mapped.members),
@@ -209,7 +206,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, FileNotFoundError) as e:
+    except (UsageError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except (GraphError, ValueError, OverflowError) as e:

@@ -12,8 +12,9 @@ statistics measured instead of bounded.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
+from .boost import Inner
 from .engine import RoundStats
 from .graphs import GraphError, IndependentSet, WeightedGraph
 from .mis import greedy_mis, verify_mis
@@ -129,10 +130,6 @@ def max_gap(order: Sequence[int], members: Iterable[int]) -> int:
     return best
 
 
-# An approximate MaxIS algorithm handle: (graph, seed) -> (members, stats).
-MaxISAlgorithm = Callable[[WeightedGraph, int], tuple[frozenset[int], RoundStats]]
-
-
 @dataclass(frozen=True)
 class RandMISResult:
     mis: IndependentSet            # maximal independent set of the cycle
@@ -145,66 +142,42 @@ class RandMISResult:
     n1: int
 
 
-def rand_mis(c: WeightedGraph, alg: MaxISAlgorithm, n1: int, seed: int = 0,
+def rand_mis(c: WeightedGraph, inner: Inner, n1: int, seed: int = 0,
              c_approx: float = 8.0) -> RandMISResult:
-    """Build the clique cycle, run ``alg`` on it, map back, fill the gaps.
+    """Build the clique cycle, run ``inner`` on it, map back, fill the gaps.
 
-    ``alg`` runs on the clique cycle (LOCAL semantics are the caller's
-    choice inside the handle); its output must be an independent set. The
-    returned set is verified maximal on the cycle. R_large and R_small are
-    diagnostic radii computed from the measured round count.
+    ``inner`` runs on the whole clique cycle (LOCAL semantics are the
+    caller's choice, e.g. ``as_inner(alg, params, "local")``); its output
+    must be an independent set, and a black-box MIS it reports invalid is
+    rejected. The returned set is verified maximal on the cycle. R_large and
+    R_small are diagnostic radii computed from the measured round count.
     """
     order = cycle_order(c)
     n0 = len(order)
     cc = build_clique_cycle(n0, n1, base_ids=order)
-    members, stats = alg(cc.graph, seed)
-    if not set(members) <= set(cc.graph.nodes):
+    res = inner(cc.graph, seed, cc.graph.n)
+    if res.diagnostics.get("mis_valid") is False:
+        raise GraphError("inner MIS black box returned an invalid MIS")
+    members = res.iset.members
+    if not members <= set(cc.graph.nodes):
         raise GraphError("algorithm selected nodes outside the clique cycle")
     if not cc.graph.is_independent(members):
         raise GraphError("algorithm returned a non-independent set on the clique cycle")
     mapped = map_back(c, order, cc, members)
 
-    covered = set(mapped.members)
-    for v in mapped.members:
-        covered.update(c.adj[v])
-    rest = [v for v in c.nodes if v not in covered]
-    chosen = set(mapped.members)
-    for comp in _components(c, rest):
-        fill = greedy_mis(c.induced(comp), order="by_id")
-        chosen.update(fill.members)
-    ok, violation = verify_mis(c, c.nodes, chosen)
+    # the hits first, then the uncovered gaps greedily by id
+    mis = greedy_mis(c, [*sorted(mapped.members), *c.nodes])
+    ok, violation = verify_mis(c, c.nodes, mis.members)
     if not ok:
         raise GraphError(f"final set is not a maximal independent set: {violation}")
 
-    t = stats.rounds
+    t = res.stats.rounds
     return RandMISResult(
-        mis=IndependentSet.of(c, chosen),
+        mis=mis,
         mapped=mapped,
         gap=max_gap(order, mapped.members),
-        inner_stats=stats,
+        inner_stats=res.stats,
         r_large=int((100 * c_approx + 1) * t + 2),
         r_small=int(100 * c_approx * t),
         n0=n0, n1=n1,
     )
-
-
-def _components(g: WeightedGraph, subset: Iterable[int]) -> list[list[int]]:
-    """Connected components of the induced subgraph, each sorted by id."""
-    sub = set(subset)
-    seen: set[int] = set()
-    comps = []
-    for s in sorted(sub):
-        if s in seen:
-            continue
-        comp = []
-        frontier = [s]
-        seen.add(s)
-        while frontier:
-            v = frontier.pop()
-            comp.append(v)
-            for u in g.adj[v]:
-                if u in sub and u not in seen:
-                    seen.add(u)
-                    frontier.append(u)
-        comps.append(sorted(comp))
-    return comps

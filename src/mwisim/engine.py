@@ -119,26 +119,26 @@ class RoundStats:
         )
 
 
-def message_budget_bits(n_upper: int, c_msg: int = DEFAULT_C_MSG) -> int:
-    """CONGEST budget B = c_msg * ceil(log2 n_upper) bits (at least c_msg)."""
-    return c_msg * max(1, math.ceil(math.log2(max(n_upper, 2))))
+def message_budget_bits(n_upper: int) -> int:
+    """CONGEST budget B = DEFAULT_C_MSG * ceil(log2 n_upper) bits."""
+    return DEFAULT_C_MSG * max(1, math.ceil(math.log2(max(n_upper, 2))))
 
 
 def run(g: WeightedGraph, program: NodeProgram, mode: str = "congest",
         seed: int = 0, max_rounds: int = DEFAULT_MAX_ROUNDS,
-        n_upper: int | None = None, c_msg: int = DEFAULT_C_MSG,
+        n_upper: int | None = None,
         node_order: Callable[[list[int]], list[int]] | None = None,
         ) -> tuple[dict[int, Any], RoundStats]:
     """Execute ``program`` on all nodes of ``g``; see ``run_on_subgraph``."""
     return run_on_subgraph(g, g.nodes, program, mode=mode, seed=seed,
-                           max_rounds=max_rounds, n_upper=n_upper, c_msg=c_msg,
+                           max_rounds=max_rounds, n_upper=n_upper,
                            node_order=node_order)
 
 
 def run_on_subgraph(g: WeightedGraph, subset: Iterable[int], program: NodeProgram,
                     mode: str = "congest", seed: int = 0,
                     max_rounds: int = DEFAULT_MAX_ROUNDS,
-                    n_upper: int | None = None, c_msg: int = DEFAULT_C_MSG,
+                    n_upper: int | None = None,
                     node_order: Callable[[list[int]], list[int]] | None = None,
                     ) -> tuple[dict[int, Any], RoundStats]:
     """Execute ``program`` on the subgraph induced by ``subset``.
@@ -163,7 +163,7 @@ def run_on_subgraph(g: WeightedGraph, subset: Iterable[int], program: NodeProgra
             raise EngineError("node_order must permute the subset")
     if n_upper is None:
         n_upper = g.n
-    budget = message_budget_bits(n_upper, c_msg) if mode == "congest" else None
+    budget = message_budget_bits(n_upper) if mode == "congest" else None
 
     if len(sub) == g.n:
         adj = g.adj

@@ -139,9 +139,6 @@ class WeightedGraph:
             {v: src[v] for v in sub},
         )
 
-    def with_weights(self, weights: Mapping[int, int]) -> "WeightedGraph":
-        return self.induced(self.nodes, weights)
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, WeightedGraph) and self.nodes == other.nodes
                 and self.adj == other.adj and self.weights == other.weights)
@@ -249,7 +246,7 @@ def generate(family: str, params: Mapping[str, object], weight_model: str = "uni
         g = build_clique_cycle(n0, n1).graph
         if weight_model == "unit":
             return g
-        return g.with_weights(_draw_weights(g.nodes, weight_model, seed))
+        return g.induced(g.nodes, _draw_weights(g.nodes, weight_model, seed))
 
     n = int(params["n"])
     if n < 1:

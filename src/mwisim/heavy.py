@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from .engine import (Broadcast, NodeContext, RoundStats, StepResult, run,
                      run_on_subgraph)
 from .graphs import IndependentSet, WeightedGraph
-from .mis import LubyProgram, luby_mis_program, verify_mis
+from .mis import LubyProgram, verify_mis
 from .rng import derive_seed
 from .wire import Message
 
@@ -103,8 +103,7 @@ class HeavyResult:
     mis_violation: str | None = None
 
 
-def heavy_mis_approx(g: WeightedGraph, mis_program: LubyProgram | None = None,
-                     seed: int = 0, mode: str = "congest",
+def heavy_mis_approx(g: WeightedGraph, seed: int = 0, mode: str = "congest",
                      n_upper: int | None = None) -> HeavyResult:
     """Run the MIS black box on the good subgraph.
 
@@ -112,12 +111,10 @@ def heavy_mis_approx(g: WeightedGraph, mis_program: LubyProgram | None = None,
     black box really produced a maximal independent set of the good subgraph
     (checked, never assumed), which is the hypothesis of the weight bound.
     """
-    if mis_program is None:
-        mis_program = luby_mis_program()
     stats_out, st1 = run(g, LocalStatsProgram(), mode=mode,
                          seed=derive_seed(seed, 0x10CA1), n_upper=n_upper)
     good = frozenset(v for v, st in stats_out.items() if st.good)
-    mis_out, st2 = run_on_subgraph(g, good, mis_program, mode=mode,
+    mis_out, st2 = run_on_subgraph(g, good, LubyProgram(), mode=mode,
                                    seed=derive_seed(seed, 0x1B15), n_upper=n_upper)
     members = frozenset(v for v, is_in in mis_out.items() if is_in)
     ok, violation = verify_mis(g, good, members)

@@ -11,12 +11,11 @@ bound is the usual high-probability one.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
+from typing import Iterable
 
 from .engine import Broadcast, NodeContext, StepResult
-from .graphs import GraphError, IndependentSet, WeightedGraph
-from .rng import derive_seed
+from .graphs import IndependentSet, WeightedGraph
 from .wire import Message
 
 TAG_VALUE = 1
@@ -67,22 +66,11 @@ class LubyProgram:
                           outbox=Broadcast(Message(TAG_VALUE, (value,))))
 
 
-def luby_mis_program() -> LubyProgram:
-    return LubyProgram()
-
-
-def greedy_mis(g: WeightedGraph, order: str = "by_id", seed: int = 0) -> IndependentSet:
-    """Sequential greedy MIS: scan nodes, add each unless a neighbor is in.
-
-    ``order`` is ``by_id`` or ``by_permutation`` (seeded shuffle).
-    """
-    nodes = list(g.nodes)
-    if order == "by_permutation":
-        random.Random(derive_seed(seed, 0x9EE0)).shuffle(nodes)
-    elif order != "by_id":
-        raise GraphError(f"unknown order {order!r}")
+def greedy_mis(g: WeightedGraph, order: Iterable[int] | None = None) -> IndependentSet:
+    """Sequential greedy MIS: scan ``order`` (default: ids ascending) and add
+    each node unless a neighbor is already in."""
     chosen: set[int] = set()
-    for v in nodes:
+    for v in g.nodes if order is None else order:
         if not any(u in chosen for u in g.adj[v]):
             chosen.add(v)
     return IndependentSet.of(g, chosen)

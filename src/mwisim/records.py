@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Mapping
 
-import jsonschema
+from jsonschema import Draft202012Validator
 
 from . import algorithms
 from .graphs import (BRUTE_FORCE_CAP, BruteForceCapError, WeightedGraph,
@@ -81,8 +81,12 @@ RECORD_SCHEMA: dict[str, Any] = {
 }
 
 
+# built once: jsonschema.validate would re-check the schema on every call
+_VALIDATOR = Draft202012Validator(RECORD_SCHEMA)
+
+
 def validate_record(record: Mapping[str, Any]) -> None:
-    jsonschema.validate(record, RECORD_SCHEMA)
+    _VALIDATOR.validate(record)
 
 
 @dataclass(frozen=True)

@@ -30,9 +30,9 @@ def derive_seed(master_seed: int, node_id: int, salt: int = 0) -> int:
     return h
 
 
-def node_rng(master_seed: int, node_id: int, salt: int = 0) -> random.Random:
+def node_rng(master_seed: int, node_id: int) -> random.Random:
     """The private random stream of one node for one run."""
-    return random.Random(derive_seed(master_seed, node_id, salt))
+    return random.Random(derive_seed(master_seed, node_id))
 
 
 def node_uniform(master_seed: int, node_id: int, salt: int = 0) -> float:

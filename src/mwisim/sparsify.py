@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from .engine import Broadcast, NodeContext, RoundStats, StepResult, run
 from .graphs import GraphError, IndependentSet, WeightedGraph
 from .heavy import heavy_mis_approx
-from .mis import LubyProgram
 from .rng import derive_seed, node_uniform
 from .wire import Message
 
@@ -63,19 +62,6 @@ class ProfileEntry:
 
 
 @dataclass(frozen=True)
-class SamplingProfile:
-    """Per-node sampling data plus the parameters that produced it."""
-
-    lam: float
-    log_base: str
-    n_upper: int
-    entries: dict[int, ProfileEntry]
-
-    def p(self, v: int) -> float:
-        return self.entries[v].p
-
-
-@dataclass(frozen=True)
 class ProfileProgram:
     """Round 1: exchange (degree, weight). Round 2: exchange weighted degree."""
 
@@ -109,7 +95,7 @@ class ProfileProgram:
 
 
 def compute_sampling_profile(g: WeightedGraph, lam: float, log_base: str = "two",
-                             n_upper: int | None = None) -> SamplingProfile:
+                             n_upper: int | None = None) -> dict[int, ProfileEntry]:
     """Sequential recomputation of the profile from the full graph."""
     if n_upper is None:
         n_upper = g.n
@@ -121,14 +107,14 @@ def compute_sampling_profile(g: WeightedGraph, lam: float, log_base: str = "two"
         wmax = max(wdeg[u] for u in closed)
         p = sampling_probability(g.weights[v], delta, wmax, lam, n_upper, log_base)
         entries[v] = ProfileEntry(delta, wdeg[v], wmax, p)
-    return SamplingProfile(lam, log_base, n_upper, entries)
+    return entries
 
 
-def sample_subgraph(g: WeightedGraph, profile: SamplingProfile,
+def sample_subgraph(g: WeightedGraph, profile: dict[int, ProfileEntry],
                     seed: int) -> frozenset[int]:
     """Independent per-node Bernoulli draws from each node's private stream."""
     return frozenset(v for v in g.nodes
-                     if node_uniform(seed, v, SAMPLE_SALT) < profile.p(v))
+                     if node_uniform(seed, v, SAMPLE_SALT) < profile[v].p)
 
 
 @dataclass(frozen=True)
@@ -144,8 +130,7 @@ class SparseResult:
 
 def sparse_approx(g: WeightedGraph, lam: float = DEFAULT_LAMBDA, seed: int = 0,
                   mode: str = "congest", n_upper: int | None = None,
-                  log_base: str = "two",
-                  mis_program: LubyProgram | None = None) -> SparseResult:
+                  log_base: str = "two") -> SparseResult:
     """Sample the sparse subgraph, then run the good-node MIS algorithm on it.
 
     The result is independent in ``g`` (the sample is induced). Diagnostics
@@ -156,11 +141,9 @@ def sparse_approx(g: WeightedGraph, lam: float = DEFAULT_LAMBDA, seed: int = 0,
         n_upper = g.n
     prof_out, st1 = run(g, ProfileProgram(lam, log_base), mode=mode,
                         seed=derive_seed(seed, 0x5A8F), n_upper=n_upper)
-    profile = SamplingProfile(lam, log_base, n_upper, dict(prof_out))
-    sampled = sample_subgraph(g, profile, derive_seed(seed, SAMPLE_SALT))
+    sampled = sample_subgraph(g, prof_out, derive_seed(seed, SAMPLE_SALT))
     h = g.induced(sampled)
-    heavy = heavy_mis_approx(h, mis_program=mis_program,
-                             seed=derive_seed(seed, 0x4EA4), mode=mode,
+    heavy = heavy_mis_approx(h, seed=derive_seed(seed, 0x4EA4), mode=mode,
                              n_upper=n_upper)
     return SparseResult(iset=IndependentSet.of(g, heavy.iset.members),
                         stats=st1.merge(heavy.stats),

@@ -8,7 +8,6 @@ thresholds at fixed desk-scale parameters.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 import time
@@ -17,18 +16,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .algorithms import run_algorithm
+from .algorithms import as_inner, run_algorithm
 from .boost import check_stack_property, phase_count
 from .cliquecycle import rand_mis
 from .engine import RoundStats, run
 from .graphs import (WeightedGraph, brute_force_max_is, degeneracy, generate,
                      random_tree)
 from .heavy import heavy_mis_approx
-from .mis import luby_mis_program
+from .mis import LubyProgram
 from .ranking import boppana_once, check_perm_equivalence
 from .records import GraphSource, make_record, replay, same_outcome
 from .rng import derive_seed
-from .sparsify import compute_sampling_profile, sample_subgraph, sparse_approx
+from .sparsify import (ProfileProgram, compute_sampling_profile,
+                       sample_subgraph, sparse_approx)
 
 
 @dataclass
@@ -129,27 +129,6 @@ def mixed_corpus(count: int, n_lo: int, n_hi: int, master: int,
     return out
 
 
-def _pruefer_decode(seq: tuple[int, ...], n: int) -> list[tuple[int, int]]:
-    import heapq
-
-    deg = [1] * n
-    for x in seq:
-        deg[x] += 1
-    leaves = [i for i in range(n) if deg[i] == 1]
-    heapq.heapify(leaves)
-    edges = []
-    for x in seq:
-        leaf = heapq.heappop(leaves)
-        edges.append((leaf, x))
-        deg[x] -= 1
-        if deg[x] == 1:
-            heapq.heappush(leaves, x)
-    u = heapq.heappop(leaves)
-    v = heapq.heappop(leaves)
-    edges.append((u, v))
-    return edges
-
-
 def _tree_certificate(n: int, edges: list[tuple[int, int]]) -> str:
     """AHU canonical string, rooted at the tree center(s)."""
     if n == 1:
@@ -179,22 +158,23 @@ def _tree_certificate(n: int, edges: list[tuple[int, int]]) -> str:
 
 
 def all_trees_upto(n_max: int) -> list[WeightedGraph]:
-    """One representative per isomorphism class of trees on 1..n_max nodes."""
+    """One representative per isomorphism class of trees on 1..n_max nodes.
+
+    Every tree on n + 1 nodes is a tree on n nodes plus a leaf, so each size
+    hangs a leaf on every node of the previous size's representatives and
+    keeps the first tree per canonical certificate.
+    """
     out = []
+    level: list[list[tuple[int, int]]] = [[]]  # edge lists of the trees on n nodes
     for n in range(1, n_max + 1):
-        if n == 1:
-            out.append(WeightedGraph([0], [], {0: 1}))
-            continue
-        if n == 2:
-            out.append(WeightedGraph([0, 1], [(0, 1)], {0: 1, 1: 1}))
-            continue
-        seen: set[str] = set()
-        for seq in itertools.product(range(n), repeat=n - 2):
-            edges = _pruefer_decode(seq, n)
-            cert = _tree_certificate(n, edges)
-            if cert not in seen:
-                seen.add(cert)
-                out.append(WeightedGraph(range(n), edges, {v: 1 for v in range(n)}))
+        if n > 1:
+            grown: dict[str, list[tuple[int, int]]] = {}
+            for edges in level:
+                for v in range(n - 1):
+                    tree = [*edges, (v, n - 1)]
+                    grown.setdefault(_tree_certificate(n, tree), tree)
+            level = list(grown.values())
+        out.extend(WeightedGraph(range(n), e, {v: 1 for v in range(n)}) for e in level)
     return out
 
 
@@ -286,13 +266,10 @@ def _c5_sparsifier(tally: _Tally, quick: bool) -> tuple[bool, str]:
             weight_ok += 1
     # distributed-vs-sequential profile cross-check at full scale, plus one
     # complete CONGEST pipeline run for the budget ledger
-    from .sparsify import ProfileProgram
-
     g = generate("gnp", {"n": n, "p": p}, "heavy_tail", derive_seed(0xAC05, 0))
     prof_out, prof_stats = run(g, ProfileProgram(lam), seed=derive_seed(0xAC05, 1))
     tally.note_budget(prof_stats)
-    seq = compute_sampling_profile(g, lam)
-    engine_matches = all(prof_out[v] == seq.entries[v] for v in g.nodes)
+    engine_matches = prof_out == compute_sampling_profile(g, lam)
     r = sparse_approx(g, lam=lam, seed=derive_seed(0x5A17, 10**6))
     tally.note_budget(r.stats)
     need = math.ceil(0.98 * seeds)
@@ -372,19 +349,13 @@ def _c9_reduction(quick: bool) -> tuple[bool, str]:
     seeds = 5 if quick else 50
     failures = []
     total = 0
+    inner = as_inner("sparse", {"lam": 4.0}, "local")
     for n0, n1 in ((32, 16), (64, 8)):
         base = generate("cycle", {"n": n0}, "unit", 0)
-
-        def alg(g1, seed):
-            r = sparse_approx(g1, lam=4.0, seed=seed, mode="local")
-            if not r.mis_valid:
-                raise AssertionError(f"inner MIS invalid: {r.mis_violation}")
-            return r.iset.members, r.stats
-
         for s in range(seeds):
             total += 1
             try:
-                rand_mis(base, alg, n1, seed=derive_seed(0xAC09, 1000 * n0 + s))
+                rand_mis(base, inner, n1, seed=derive_seed(0xAC09, 1000 * n0 + s))
             except Exception as e:  # any failure counts against the criterion
                 failures.append(f"(n0={n0}, n1={n1}, seed {s}): {e}")
     return not failures, (f"{total} reduction runs: "
@@ -417,7 +388,7 @@ def _c10_contracts(tally: _Tally, quick: bool) -> tuple[bool, str]:
             problems.append(f"{name}: replay differs")
     # schedule independence: shuffled step order must not change anything
     g2 = generate("gnp", {"n": 40, "p": 0.2}, "uniform_range", 5)
-    base_out, base_stats = run(g2, luby_mis_program(), seed=11)
+    base_out, base_stats = run(g2, LubyProgram(), seed=11)
     for k in range(3):
         shuffler = random.Random(k)
 
@@ -426,7 +397,7 @@ def _c10_contracts(tally: _Tally, quick: bool) -> tuple[bool, str]:
             _s.shuffle(nodes)
             return nodes
 
-        out, stats = run(g2, luby_mis_program(), seed=11, node_order=order)
+        out, stats = run(g2, LubyProgram(), seed=11, node_order=order)
         if out != base_out or stats.rounds != base_stats.rounds \
                 or stats.messages_sent != base_stats.messages_sent:
             problems.append(f"schedule dependence under shuffle #{k}")
@@ -528,7 +499,7 @@ def _inv_luby(quick: bool) -> tuple[bool, str]:
         n = rng.randint(2, 200)
         g = generate("gnp", {"n": n, "p": rng.uniform(0.02, 0.4)}, "unit",
                      derive_seed(0x1B, k))
-        out, stats = run(g, luby_mis_program(), seed=derive_seed(0x1B1B, k))
+        out, stats = run(g, LubyProgram(), seed=derive_seed(0x1B1B, k))
         members = {v for v, is_in in out.items() if is_in}
         ok, _v = verify_mis(g, g.nodes, members)
         bad += not ok

@@ -214,7 +214,7 @@ def test_arb_zero_weight_nodes_leave_before_phase_one():
         base = generate("gnp", {"n": n, "p": rng.uniform(0.1, 0.4)},
                         ("uniform_range", "heavy_tail")[k % 2], derive_seed(0xA20, k))
         weights = {v: 0 if rng.random() < 0.3 else w for v, w in base.weights.items()}
-        g = base.with_weights(weights)
+        g = base.induced(base.nodes, weights)
         alpha = max(1, degeneracy(g))
         out = run_algorithm(g, "arb", {"eps": float(eps), "alpha": alpha},
                             derive_seed(0xA21, k))

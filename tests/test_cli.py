@@ -171,3 +171,35 @@ def test_dump_stack_flag(capsys):
     stack = rec["diagnostics"]["stack"]
     assert isinstance(stack, list) and len(stack) == 8
     assert all(set(f) == {"phase", "members", "pushed_weights"} for f in stack)
+
+
+def test_directory_paths_are_usage_errors(tmp_path, capsys):
+    assert run_cli(["run", "--graph", str(tmp_path), "--alg", "luby",
+                    "--seeds", "0"]) == 2
+    assert run_cli(["gen", "--family", "path", "--n", "3",
+                    "-o", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.count("error:") == 2
+
+
+@pytest.mark.parametrize("spec", ["abc", "1:", "1,x"])
+def test_malformed_seeds_are_usage_errors(spec, capsys):
+    assert run_cli(["run", "--family", "path", "--n", "4", "--alg", "luby",
+                    "--seeds", spec]) == 2
+    assert "bad --seeds" in capsys.readouterr().err
+
+
+def test_gen_without_family_is_usage_error(capsys):
+    assert run_cli(["gen", "--n", "5"]) == 2
+    assert "--family" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    ["reduce", "--n0", "12", "--n1", "4", "--seeds", "0", "--lam", "0"],
+    ["run", "--family", "path", "--n", "6", "--alg", "sparse", "--lam", "0",
+     "--seeds", "0"],
+    ["run", "--family", "path", "--n", "6", "--alg", "boost-heavy",
+     "--eps", "0.5", "--c", "0", "--seeds", "0"],
+])
+def test_zero_parameters_are_rejected_not_defaulted(args, capsys):
+    assert run_cli(args) == 3
+    assert "invariant violation" in capsys.readouterr().err

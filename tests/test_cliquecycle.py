@@ -1,11 +1,11 @@
 import pytest
 
+from mwisim.algorithms import RunOutcome, as_inner
 from mwisim.cliquecycle import (build_clique_cycle, cycle_order, map_back,
                                 max_gap, rand_mis)
 from mwisim.engine import RoundStats
-from mwisim.graphs import GraphError, generate
+from mwisim.graphs import GraphError, IndependentSet, generate
 from mwisim.mis import verify_mis
-from mwisim.sparsify import sparse_approx
 
 
 def test_build_4_3():
@@ -106,9 +106,11 @@ def test_max_gap():
     assert max_gap(order, {1, 2}) == 6  # wrap-around run 3..0
 
 
-def _scripted_alg(picks):
-    def alg(g1, seed):
-        return frozenset(picks), RoundStats(rounds=3)
+def _scripted_alg(picks, diagnostics=None):
+    def alg(g1, seed, n_upper):
+        # unchecked set: the rejection tests hand rand_mis a dependent one
+        return RunOutcome(IndependentSet(frozenset(picks), len(picks)),
+                          RoundStats(rounds=3), diagnostics or {})
     return alg
 
 
@@ -147,15 +149,20 @@ def test_rand_mis_rejects_dependent_algorithm_output():
         rand_mis(c, bad, 2, seed=0)
 
 
+def test_rand_mis_rejects_an_invalid_inner_mis():
+    c = generate("cycle", {"n": 6}, "unit", 0)
+    order = cycle_order(c)
+    cc = build_clique_cycle(6, 2, base_ids=order)
+    # an independent set, but the inner black box reports its MIS invalid
+    bad = _scripted_alg({cc.vertex_id(1, 1)}, {"mis_valid": False})
+    with pytest.raises(GraphError, match="invalid MIS"):
+        rand_mis(c, bad, 2, seed=0)
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_rand_mis_sparse_pipeline(seed):
     c = generate("cycle", {"n": 16}, "unit", 0)
-
-    def alg(g1, s):
-        r = sparse_approx(g1, lam=4.0, seed=s, mode="local")
-        return r.iset.members, r.stats
-
-    r = rand_mis(c, alg, 4, seed=seed)
+    r = rand_mis(c, as_inner("sparse", {"lam": 4.0}, "local"), 4, seed=seed)
     ok, violation = verify_mis(c, c.nodes, r.mis.members)
     assert ok, violation
     assert r.gap <= 8 * max(1, r.inner_stats.rounds)

@@ -8,7 +8,7 @@ from mwisim.engine import (Broadcast, CongestViolation, EngineError,
                            RoundLimitExceeded, StepResult,
                            message_budget_bits, run, run_on_subgraph)
 from mwisim.graphs import WeightedGraph, generate
-from mwisim.mis import luby_mis_program
+from mwisim.mis import LubyProgram
 from mwisim.wire import Message
 
 
@@ -102,10 +102,10 @@ def test_non_neighbor_unicast_rejected():
 
 def test_run_on_subgraph_empty_and_full():
     g = generate("cycle", {"n": 5}, "unit", 0)
-    out, stats = run_on_subgraph(g, [], luby_mis_program(), seed=3)
+    out, stats = run_on_subgraph(g, [], LubyProgram(), seed=3)
     assert out == {} and stats.rounds == 0
-    full_a = run(g, luby_mis_program(), seed=3)
-    full_b = run_on_subgraph(g, g.nodes, luby_mis_program(), seed=3)
+    full_a = run(g, LubyProgram(), seed=3)
+    full_b = run_on_subgraph(g, g.nodes, LubyProgram(), seed=3)
     assert full_a == full_b
 
 
@@ -157,11 +157,11 @@ def test_context_excludes_global_knowledge():
 
 def test_determinism_same_seed():
     g = generate("gnp", {"n": 30, "p": 0.2}, "uniform_range", 1)
-    a = run(g, luby_mis_program(), seed=7)
-    b = run(g, luby_mis_program(), seed=7)
+    a = run(g, LubyProgram(), seed=7)
+    b = run(g, LubyProgram(), seed=7)
     assert a[0] == b[0]
     assert a[1].per_round_messages == b[1].per_round_messages
-    c = run(g, luby_mis_program(), seed=8)
+    c = run(g, LubyProgram(), seed=8)
     assert a[0] != c[0] or a[1].per_round_messages != c[1].per_round_messages
 
 
@@ -169,7 +169,7 @@ def test_determinism_same_seed():
 @settings(max_examples=30, deadline=None)
 def test_schedule_independence(seed, shuffle_seed):
     g = generate("gnp", {"n": 24, "p": 0.25}, "unit", seed % 17)
-    base_out, base_stats = run(g, luby_mis_program(), seed=seed)
+    base_out, base_stats = run(g, LubyProgram(), seed=seed)
     shuffler = random.Random(shuffle_seed)
 
     def order(nodes):
@@ -177,7 +177,7 @@ def test_schedule_independence(seed, shuffle_seed):
         shuffler.shuffle(nodes)
         return nodes
 
-    out, stats = run(g, luby_mis_program(), seed=seed, node_order=order)
+    out, stats = run(g, LubyProgram(), seed=seed, node_order=order)
     assert out == base_out
     assert stats.per_round_messages == base_stats.per_round_messages
     assert stats.max_message_bits == base_stats.max_message_bits

@@ -92,13 +92,13 @@ def test_heavy_c5_unit():
 
 def test_round_count_is_two_plus_mis():
     from mwisim.engine import run_on_subgraph
-    from mwisim.mis import luby_mis_program
+    from mwisim.mis import LubyProgram
 
     g = generate("gnp", {"n": 50, "p": 0.15}, "uniform_range", 5)
     r = heavy_mis_approx(g, seed=5)
     assert r.stats.per_round_messages[0] == 2 * g.m
     # replay the MIS leg with the same derived seed: rounds = 2 + T_mis exactly
-    _, mis_stats = run_on_subgraph(g, r.good, luby_mis_program(),
+    _, mis_stats = run_on_subgraph(g, r.good, LubyProgram(),
                                    seed=derive_seed(5, 0x1B15))
     assert r.stats.rounds == 2 + mis_stats.rounds
 

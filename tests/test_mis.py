@@ -5,7 +5,7 @@ import pytest
 
 from mwisim.engine import run, run_on_subgraph
 from mwisim.graphs import WeightedGraph, generate, random_tree
-from mwisim.mis import greedy_mis, luby_mis_program, verify_mis
+from mwisim.mis import LubyProgram, greedy_mis, verify_mis
 from mwisim.rng import derive_seed
 
 
@@ -15,7 +15,7 @@ def unit(nodes, edges):
 
 def luby_members(g, seed, subset=None):
     subset = g.nodes if subset is None else subset
-    out, stats = run_on_subgraph(g, subset, luby_mis_program(), seed=seed)
+    out, stats = run_on_subgraph(g, subset, LubyProgram(), seed=seed)
     return {v for v, is_in in out.items() if is_in}, stats
 
 
@@ -76,20 +76,20 @@ def test_greedy_examples():
     assert greedy_mis(empty).members == frozenset(range(4))
 
 
-def test_greedy_permutation_order_is_seeded():
-    g = generate("cycle", {"n": 9}, "unit", 0)
-    a = greedy_mis(g, order="by_permutation", seed=4)
-    b = greedy_mis(g, order="by_permutation", seed=4)
-    assert a == b
-    ok, _ = verify_mis(g, g.nodes, a.members)
-    assert ok
+def test_greedy_follows_the_given_order():
+    p3 = unit([0, 1, 2], [(0, 1), (1, 2)])
+    assert greedy_mis(p3, [1, 0, 2]).members == frozenset({1})
+    assert greedy_mis(p3, [2, 1, 0]).members == frozenset({0, 2})
 
 
 def test_greedy_always_maximal():
     for seed in range(20):
-        g = random_tree(random.Random(seed).randint(2, 60), seed)
-        for order in ("by_id", "by_permutation"):
-            iset = greedy_mis(g, order=order, seed=seed)
+        rng = random.Random(seed)
+        g = random_tree(rng.randint(2, 60), seed)
+        shuffled = list(g.nodes)
+        rng.shuffle(shuffled)
+        for order in (None, shuffled):
+            iset = greedy_mis(g, order)
             ok, violation = verify_mis(g, g.nodes, iset.members)
             assert ok, violation
 

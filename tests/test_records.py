@@ -4,8 +4,8 @@ import jsonschema
 import pytest
 
 from mwisim.graphs import generate, save
-from mwisim.records import (GraphSource, make_record, replay, same_outcome,
-                            to_csv, to_jsonl, validate_record)
+from mwisim.records import (RECORD_SCHEMA, GraphSource, make_record, replay,
+                            same_outcome, to_csv, to_jsonl, validate_record)
 
 
 def _record(alg="heavy", params=None, oracle=False, **kw):
@@ -19,6 +19,11 @@ def test_record_validates_and_serializes():
     validate_record(r)
     line = to_jsonl([r])
     assert json.loads(line) == r
+
+
+def test_record_schema_is_a_valid_draft_2020_12_schema():
+    # validate_record skips this metaschema check; it is done once, here
+    jsonschema.Draft202012Validator.check_schema(RECORD_SCHEMA)
 
 
 def test_ratio_travels_with_opt():

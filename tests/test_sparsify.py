@@ -6,7 +6,7 @@ import pytest
 from mwisim.engine import run
 from mwisim.graphs import WeightedGraph, generate
 from mwisim.rng import derive_seed
-from mwisim.sparsify import (ProfileProgram, SamplingProfile,
+from mwisim.sparsify import (ProfileEntry, ProfileProgram,
                              compute_sampling_profile, sample_subgraph,
                              sampling_probability, sparse_approx)
 
@@ -35,9 +35,7 @@ def test_profile_program_matches_sequential():
                      derive_seed(0x0F, seed))
         out, stats = run(g, ProfileProgram(4.0), seed=seed)
         assert stats.rounds == 2
-        seq = compute_sampling_profile(g, 4.0)
-        for v in g.nodes:
-            assert out[v] == seq.entries[v]
+        assert out == compute_sampling_profile(g, 4.0)
 
 
 def test_clamp_and_range():
@@ -45,20 +43,16 @@ def test_clamp_and_range():
         g = generate("gnp", {"n": 80, "p": 0.2}, "heavy_tail", seed)
         prof = compute_sampling_profile(g, 4.0)
         for v in g.nodes:
-            e = prof.entries[v]
+            e = prof[v]
             assert 0.0 <= e.p <= 1.0
             raw = 4.0 * math.log2(g.n) * (1 / e.delta + g.weights[v] / e.wmax)
             assert e.p == min(raw, 1.0)
 
 
 def test_sampling_degenerate_probabilities():
-    from mwisim.sparsify import ProfileEntry
-
     g = generate("path", {"n": 6}, "unit", 0)
-    all_one = SamplingProfile(4.0, "two", 6,
-                              {v: ProfileEntry(1, 1, 1, 1.0) for v in g.nodes})
-    all_zero = SamplingProfile(4.0, "two", 6,
-                               {v: ProfileEntry(1, 1, 1, 0.0) for v in g.nodes})
+    all_one = {v: ProfileEntry(1, 1, 1, 1.0) for v in g.nodes}
+    all_zero = {v: ProfileEntry(1, 1, 1, 0.0) for v in g.nodes}
     assert sample_subgraph(g, all_one, seed=5) == frozenset(g.nodes)
     assert sample_subgraph(g, all_zero, seed=5) == frozenset()
 
@@ -67,7 +61,7 @@ def test_sampling_deterministic():
     # dense enough that probabilities stay below the clamp
     g = generate("gnp", {"n": 300, "p": 0.15}, "heavy_tail", 3)
     prof = compute_sampling_profile(g, 4.0)
-    assert any(prof.p(v) < 1.0 for v in g.nodes)
+    assert any(prof[v].p < 1.0 for v in g.nodes)
     assert sample_subgraph(g, prof, 9) == sample_subgraph(g, prof, 9)
     draws = {sample_subgraph(g, prof, s) for s in range(5)}
     assert len(draws) > 1  # different seeds differ somewhere
@@ -76,7 +70,7 @@ def test_sampling_deterministic():
 def test_isolated_nodes_always_sampled():
     g = WeightedGraph(range(4), [], {v: 1 for v in range(4)})
     prof = compute_sampling_profile(g, 4.0)
-    assert all(prof.p(v) == 1.0 for v in g.nodes)
+    assert all(prof[v].p == 1.0 for v in g.nodes)
     assert sample_subgraph(g, prof, 0) == frozenset(g.nodes)
 
 
