@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 from .arb import arb_approx
 from .boost import BoostResult, Inner, PhaseFrame, boost
 from .engine import RoundStats, run
-from .graphs import IndependentSet, WeightedGraph, degeneracy
+from .graphs import GraphError, IndependentSet, WeightedGraph, degeneracy
 from .heavy import heavy_mis_approx
 from .mis import LubyProgram
 from .ranking import boppana_once
@@ -46,22 +47,41 @@ def _get(params: Mapping[str, Any], key: str, default: Any) -> Any:
     return default if value is None else value
 
 
+def _finite(value: Any, key: str, alg: str) -> float:
+    x = float(value)
+    if not math.isfinite(x):
+        raise GraphError(f"algorithm {alg!r}: {key} must be finite, got {x}")
+    return x
+
+
+def _integral(value: Any, key: str, alg: str) -> int:
+    """``int(value)``, refusing a float it would truncate (or nan, inf)."""
+    if isinstance(value, float) and not value.is_integer():
+        raise GraphError(f"algorithm {alg!r}: {key} must be an integer, "
+                         f"got {value}")
+    return int(value)
+
+
 def resolved_params(alg: str, params: Mapping[str, Any],
                     g: WeightedGraph) -> dict[str, Any]:
-    """The parameters a record stores: everything the run actually used."""
+    """The parameters a record stores: everything the run actually used.
+
+    Raises ``GraphError`` for a non-finite eps, lam or c, or a ranking c
+    that is not an integer.
+    """
     p: dict[str, Any] = {}
     if alg in ("boost-heavy", "boost-sparse", "arb", "fastld"):
-        p["eps"] = float(_need(params, "eps", alg))
+        p["eps"] = _finite(_need(params, "eps", alg), "eps", alg)
     if alg in ("boost-heavy", "boost-sparse"):
-        p["c"] = float(_get(params, "c", DEFAULT_C_BOOST))
+        p["c"] = _finite(_get(params, "c", DEFAULT_C_BOOST), "c", alg)
     if alg in ("sparse", "boost-sparse"):
-        p["lam"] = float(_get(params, "lam", DEFAULT_LAMBDA))
+        p["lam"] = _finite(_get(params, "lam", DEFAULT_LAMBDA), "lam", alg)
         p["log_base"] = _get(params, "log_base", "two")
     if alg == "arb":
         alpha = params.get("alpha")
         p["alpha"] = int(alpha) if alpha is not None else max(1, degeneracy(g))
     if alg in ("boppana", "fastld"):
-        p["c"] = int(_get(params, "c", DEFAULT_C_RANK))
+        p["c"] = _integral(_get(params, "c", DEFAULT_C_RANK), "c", alg)
     return p
 
 

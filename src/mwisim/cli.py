@@ -125,7 +125,8 @@ def cmd_verify(args) -> int:
     if args.json:
         payload = [{"name": r.name, "passed": r.passed, "detail": r.detail,
                     "seconds": round(r.seconds, 3)} for r in results]
-        open(args.json, "w", encoding="utf-8").write(json.dumps(payload, indent=2))
+        text = json.dumps(payload, indent=2, allow_nan=False)
+        open(args.json, "w", encoding="utf-8").write(text)
     return EXIT_OK if not failed else EXIT_INVARIANT
 
 
@@ -141,7 +142,7 @@ def cmd_reduce(args) -> int:
             "max_gap": r.gap, "inner_rounds": r.inner_stats.rounds,
             "inner_messages": r.inner_stats.messages_sent,
             "r_large": r.r_large, "r_small": r.r_small,
-        }, sort_keys=True))
+        }, sort_keys=True, allow_nan=False))
     text = "".join(line + "\n" for line in lines)
     if args.output:
         open(args.output, "w", encoding="utf-8").write(text)

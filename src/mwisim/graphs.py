@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -39,9 +39,15 @@ class WeightedGraph:
 
     ``adj`` maps each node id to a sorted tuple of neighbor ids; adjacency is
     symmetric with no self-loops and no duplicate edges.
+
+    ``csr()`` gives the same adjacency as two read-only int64 arrays in
+    compressed-sparse-row form, with nodes numbered by their position in
+    ``nodes``: the neighbors of ``nodes[i]`` are ``nodes[j]`` for ``j`` in
+    ``nbr[indptr[i]:indptr[i + 1]]``, ascending. Generated graphs are built
+    from it; for any other graph it is built on the first call.
     """
 
-    __slots__ = ("nodes", "adj", "weights", "_max_degree")
+    __slots__ = ("nodes", "adj", "weights", "_max_degree", "_csr")
 
     def __init__(self, nodes: Iterable[int], edges: Iterable[tuple[int, int]],
                  weights: Mapping[int, int]):
@@ -75,23 +81,43 @@ class WeightedGraph:
         self.adj: dict[int, tuple[int, ...]] = {v: tuple(sorted(adj[v])) for v in node_list}
         self.weights: dict[int, int] = w
         self._max_degree: int | None = None
+        self._csr: tuple[np.ndarray, np.ndarray] | None = None
 
     @classmethod
-    def _trusted(cls, nodes: tuple[int, ...], edges: Iterable[tuple[int, int]],
-                 weights: dict[int, int]) -> "WeightedGraph":
-        """Skip-validation path for generators whose output is clean by
-        construction (sorted distinct ids, no self-loops, no duplicates,
-        weights already checked)."""
+    def _from_edge_arrays(cls, n: int, u: np.ndarray, v: np.ndarray,
+                          weights: dict[int, int]) -> "WeightedGraph":
+        """Graph on ids 0..n-1 from int64 endpoint arrays, for generators
+        whose output is clean by construction (no self-loops, no duplicate
+        edges, weights already checked)."""
+        keys = np.sort(np.concatenate([u * n + v, v * n + u]))
+        src, nbr = np.divmod(keys, n)
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+        # every adjacency tuple refers to the one int object per node in
+        # ``ids``, not to a fresh object per edge endpoint
+        ids = list(range(n))
+        flat = list(map(ids.__getitem__, nbr.tolist()))
+        bounds = indptr.tolist()
         g = object.__new__(cls)
-        lists: dict[int, list[int]] = {v: [] for v in nodes}
-        for u, v in edges:
-            lists[u].append(v)
-            lists[v].append(u)
-        g.nodes = nodes
-        g.adj = {v: tuple(sorted(lists[v])) for v in nodes}
+        g.nodes = tuple(ids)
+        g.adj = {i: tuple(flat[bounds[i]:bounds[i + 1]]) for i in ids}
         g.weights = weights
         g._max_degree = None
+        g._csr = _read_only(indptr, nbr)
         return g
+
+    def csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(indptr, nbr)``: the adjacency by node position (class docstring)."""
+        if self._csr is None:
+            pos = {v: i for i, v in enumerate(self.nodes)}
+            deg = np.fromiter((len(self.adj[v]) for v in self.nodes),
+                              dtype=np.int64, count=self.n)
+            indptr = np.zeros(self.n + 1, dtype=np.int64)
+            np.cumsum(deg, out=indptr[1:])
+            nbr = np.fromiter((pos[u] for v in self.nodes for u in self.adj[v]),
+                              dtype=np.int64, count=int(indptr[-1]))
+            self._csr = _read_only(indptr, nbr)
+        return self._csr
 
     @property
     def n(self) -> int:
@@ -174,6 +200,37 @@ def check_int64(x: int, what: str = "value") -> int:
     return x
 
 
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+def neighbor_reduce(g: WeightedGraph, ufunc: np.ufunc, values: Sequence[int],
+                    initial: Sequence[int] | None = None) -> list[int]:
+    """Fold ``ufunc`` (``np.add``, ``np.maximum``, ...) over each node's
+    neighbors, exactly.
+
+    ``values``, ``initial`` and the result are lists in ``g.nodes`` order:
+    node i gets ``initial[i]`` (0 when not given) combined with the values of
+    all its neighbors. The arithmetic is int64 when no sum over a closed
+    neighborhood can leave its range, and Python integers otherwise.
+    """
+    top = max(map(abs, values), default=0)
+    if initial is not None:
+        top = max(top, max(map(abs, initial), default=0))
+    dtype = np.int64 if top * (g.max_degree + 1) <= INT64_MAX else object
+    vals = np.array(values, dtype=dtype)
+    out = (np.zeros(g.n, dtype=dtype) if initial is None
+           else np.array(initial, dtype=dtype))
+    indptr, nbr = g.csr()
+    # reduceat gives a row with no entries its next row's first value
+    rows = np.flatnonzero(indptr[1:] > indptr[:-1])
+    if rows.size:
+        out[rows] = ufunc(out[rows], ufunc.reduceat(vals[nbr], indptr[rows]))
+    return out.tolist()
+
+
 # ---------------------------------------------------------------------------
 # generators
 
@@ -198,13 +255,19 @@ def _draw_weights(nodes: Iterable[int], model: str, seed: int) -> dict[int, int]
     return out
 
 
-def _gnp_edges(n: int, p: float, seed: int) -> list[tuple[int, int]]:
-    """G(n, p) edge list via geometric skipping over the n(n-1)/2 slots."""
+def _clique_edges(n: int) -> tuple[np.ndarray, np.ndarray]:
+    u, v = np.triu_indices(n, 1)
+    return u.astype(np.int64), v.astype(np.int64)
+
+
+def _gnp_edges(n: int, p: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """G(n, p) endpoint arrays via geometric skipping over the n(n-1)/2 slots."""
     if p <= 0.0 or n < 2:
-        return []
+        none = np.zeros(0, dtype=np.int64)
+        return none, none
     total = n * (n - 1) // 2
     if p >= 1.0:
-        return [(u, v) for u in range(n) for v in range(u + 1, n)]
+        return _clique_edges(n)
     gen = np.random.Generator(np.random.PCG64(derive_seed(seed, 0x6E90)))
     chunks = []
     pos = -1
@@ -225,7 +288,7 @@ def _gnp_edges(n: int, p: float, seed: int) -> list[tuple[int, int]]:
     u[under] += 1
     row_start = u * (2 * n - u - 1) // 2
     v = u + 1 + (k - row_start)
-    return list(zip(u.tolist(), v.tolist()))
+    return u, v
 
 
 def generate(family: str, params: Mapping[str, object], weight_model: str = "unit",
@@ -251,24 +314,24 @@ def generate(family: str, params: Mapping[str, object], weight_model: str = "uni
     n = int(params["n"])
     if n < 1:
         raise GraphError(f"n must be >= 1, got {n}")
+    ids = np.arange(n, dtype=np.int64)
     if family == "cycle":
         if n < 3:
             raise GraphError(f"cycle needs n >= 3, got {n}")
-        edges = [(i, (i + 1) % n) for i in range(n)]
+        u, v = ids, (ids + 1) % n
     elif family == "path":
-        edges = [(i, i + 1) for i in range(n - 1)]
+        u, v = ids[:-1], ids[1:]
     elif family == "clique":
-        edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        u, v = _clique_edges(n)
     elif family == "star":
-        edges = [(0, i) for i in range(1, n)]
+        u, v = np.zeros(n - 1, dtype=np.int64), ids[1:]
     else:  # gnp
         p = float(params["p"])
         if not 0.0 <= p <= 1.0:
             raise GraphError(f"gnp needs 0 <= p <= 1, got {p}")
-        edges = _gnp_edges(n, p, seed)
-    nodes = tuple(range(n))
-    return WeightedGraph._trusted(nodes, edges,
-                                  _draw_weights(nodes, weight_model, seed))
+        u, v = _gnp_edges(n, p, seed)
+    return WeightedGraph._from_edge_arrays(
+        n, u, v, _draw_weights(range(n), weight_model, seed))
 
 
 def random_tree(n: int, seed: int, weight_model: str = "unit") -> WeightedGraph:

@@ -16,9 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .engine import (Broadcast, NodeContext, RoundStats, StepResult, run,
                      run_on_subgraph)
-from .graphs import IndependentSet, WeightedGraph
+from .graphs import IndependentSet, WeightedGraph, neighbor_reduce
 from .mis import LubyProgram, verify_mis
 from .rng import derive_seed
 from .wire import Message
@@ -79,13 +81,11 @@ class LocalStatsProgram:
 
 def local_degree_stats(g: WeightedGraph) -> dict[int, tuple[int, int, int]]:
     """Sequential recomputation of (deg, delta, s) per node, for validation."""
-    out = {}
-    for v in g.nodes:
-        closed = (v, *g.adj[v])
-        out[v] = (len(g.adj[v]),
-                  max(len(g.adj[u]) for u in closed),
-                  sum(g.weights[u] for u in closed))
-    return out
+    w = [g.weights[v] for v in g.nodes]
+    deg = [len(g.adj[v]) for v in g.nodes]
+    delta = neighbor_reduce(g, np.maximum, deg, deg)
+    s = neighbor_reduce(g, np.add, w, w)
+    return {v: (deg[i], delta[i], s[i]) for i, v in enumerate(g.nodes)}
 
 
 def good_nodes(g: WeightedGraph) -> frozenset[int]:

@@ -201,7 +201,9 @@ def same_outcome(a: Mapping[str, Any], b: Mapping[str, Any]) -> bool:
 
 
 def to_jsonl(records: list[Mapping[str, Any]]) -> str:
-    return "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
+    """One strict JSON line per record: NaN or Infinity raises ValueError."""
+    return "".join(json.dumps(r, sort_keys=True, allow_nan=False) + "\n"
+                   for r in records)
 
 
 CSV_COLUMNS = ["family", "n", "max_degree", "degeneracy", "algorithm", "mode",

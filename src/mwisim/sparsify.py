@@ -17,8 +17,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .engine import Broadcast, NodeContext, RoundStats, StepResult, run
-from .graphs import GraphError, IndependentSet, WeightedGraph
+from .graphs import (GraphError, IndependentSet, WeightedGraph,
+                     neighbor_reduce)
 from .heavy import heavy_mis_approx
 from .rng import derive_seed, node_uniform
 from .wire import Message
@@ -99,15 +102,15 @@ def compute_sampling_profile(g: WeightedGraph, lam: float, log_base: str = "two"
     """Sequential recomputation of the profile from the full graph."""
     if n_upper is None:
         n_upper = g.n
-    wdeg = {v: sum(g.weights[u] for u in g.adj[v]) for v in g.nodes}
-    entries = {}
-    for v in g.nodes:
-        closed = (v, *g.adj[v])
-        delta = max(len(g.adj[u]) for u in closed)
-        wmax = max(wdeg[u] for u in closed)
-        p = sampling_probability(g.weights[v], delta, wmax, lam, n_upper, log_base)
-        entries[v] = ProfileEntry(delta, wdeg[v], wmax, p)
-    return entries
+    w = [g.weights[v] for v in g.nodes]
+    deg = [len(g.adj[v]) for v in g.nodes]
+    wdeg = neighbor_reduce(g, np.add, w)
+    delta = neighbor_reduce(g, np.maximum, deg, deg)
+    wmax = neighbor_reduce(g, np.maximum, wdeg, wdeg)
+    return {v: ProfileEntry(delta[i], wdeg[i], wmax[i],
+                            sampling_probability(w[i], delta[i], wmax[i], lam,
+                                                 n_upper, log_base))
+            for i, v in enumerate(g.nodes)}
 
 
 def sample_subgraph(g: WeightedGraph, profile: dict[int, ProfileEntry],

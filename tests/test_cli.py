@@ -203,3 +203,49 @@ def test_gen_without_family_is_usage_error(capsys):
 def test_zero_parameters_are_rejected_not_defaulted(args, capsys):
     assert run_cli(args) == 3
     assert "invariant violation" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args,reason", [
+    (["--alg", "sparse", "--lam", "nan"], "finite"),
+    (["--alg", "sparse", "--lam", "inf"], "finite"),
+    (["--alg", "boost-sparse", "--eps", "0.5", "--lam", "nan"], "finite"),
+    (["--alg", "fastld", "--eps", "inf"], "finite"),
+    (["--alg", "boost-heavy", "--eps", "nan"], "finite"),
+    (["--alg", "arb", "--alpha", "2", "--eps", "inf"], "finite"),
+    (["--alg", "boost-heavy", "--eps", "0.5", "--c", "inf"], "finite"),
+    (["--alg", "boppana", "--c", "2.7"], "integer"),
+    (["--alg", "boppana", "--c", "0.5"], "integer"),
+    (["--alg", "boppana", "--c", "nan"], "integer"),
+    (["--alg", "fastld", "--eps", "0.5", "--c", "inf"], "integer"),
+])
+def test_non_finite_and_truncated_parameters_are_rejected(args, reason, capsys):
+    assert run_cli(["run", "--family", "path", "--n", "6", "--seeds", "0",
+                    *args]) == 3
+    assert reason in capsys.readouterr().err
+
+
+def test_integral_rank_constant_given_as_float_is_kept(capsys):
+    assert run_cli(["run", "--family", "path", "--n", "6", "--seeds", "0",
+                    "--alg", "boppana", "--c", "3.0"]) == 0
+    assert json.loads(capsys.readouterr().out)["algorithm"]["c"] == 3
+
+
+def test_reduce_rejects_non_finite_lambda(capsys):
+    assert run_cli(["reduce", "--n0", "12", "--n1", "4", "--seeds", "0",
+                    "--lam", "nan"]) == 3
+    assert "finite" in capsys.readouterr().err
+
+
+def test_python_dash_m_runs_the_cli():
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    proc = subprocess.run([sys.executable, "-m", "mwisim", "--help"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: mwisim")

@@ -1,13 +1,15 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mwisim.graphs import (BruteForceCapError, GraphError, GraphParseError,
-                           IndependentSet, WeightedGraph, brute_force_max_is,
-                           degeneracy, generate, load, random_tree, save)
+from mwisim.graphs import (INT64_MAX, BruteForceCapError, GraphError,
+                           GraphParseError, IndependentSet, WeightedGraph,
+                           _gnp_edges, brute_force_max_is, degeneracy,
+                           generate, load, neighbor_reduce, random_tree, save)
 
 
 def unit(nodes, edges):
@@ -116,6 +118,75 @@ def test_weight_models():
     h = generate("path", {"n": 50}, "heavy_tail", 5)
     assert all(1 <= w <= 10**9 for w in h.weights.values())
     assert max(h.weights.values()) > 100  # a heavy node exists at n=50
+
+def _reference_edges(family, n, p, seed):
+    """Each family's edge list as plain Python pairs."""
+    if family == "cycle":
+        return [(i, (i + 1) % n) for i in range(n)]
+    if family == "path":
+        return [(i, i + 1) for i in range(n - 1)]
+    if family == "clique":
+        return list(itertools.combinations(range(n), 2))
+    if family == "star":
+        return [(0, i) for i in range(1, n)]
+    u, v = _gnp_edges(n, p, seed)
+    return list(zip(u.tolist(), v.tolist()))
+
+
+ARRAY_BUILT_CASES = [(f, n, None) for f in ("cycle", "path", "clique", "star")
+                     for n in (1, 2, 3, 50) if f != "cycle" or n >= 3]
+ARRAY_BUILT_CASES += [("gnp", n, p) for n in (1, 2, 3, 50) for p in (0.0, 0.3, 1.0)]
+
+
+@pytest.mark.parametrize("family,n,p", ARRAY_BUILT_CASES)
+def test_array_built_graph_equals_validated_construction(family, n, p):
+    params = {"n": n} if p is None else {"n": n, "p": p}
+    g = generate(family, params, "uniform_range", 9)
+    ref = WeightedGraph(range(n), _reference_edges(family, n, p, 9), g.weights)
+    assert g == ref
+    for built, lazy in zip(g.csr(), ref.csr()):
+        assert built.dtype == lazy.dtype == np.int64
+        assert np.array_equal(built, lazy)
+    # one int object per node id, shared by every adjacency tuple
+    assert all(u is g.nodes[u] for nbrs in g.adj.values() for u in nbrs)
+
+
+def test_csr_of_non_contiguous_ids_and_isolated_nodes():
+    g = WeightedGraph([42, 3, 10, 7], [(3, 7), (42, 7)], {3: 1, 7: 2, 10: 3, 42: 4})
+    indptr, nbr = g.csr()
+    assert indptr.tolist() == [0, 1, 3, 3, 4]
+    assert nbr.tolist() == [1, 0, 3, 1]
+    assert g.csr() is g.csr()
+    with pytest.raises(ValueError):
+        nbr[0] = 2  # shared by every caller, so read-only
+    empty = WeightedGraph([], [], {})
+    assert [a.tolist() for a in empty.csr()] == [[0], []]
+
+
+def test_neighbor_reduce_examples():
+    g = WeightedGraph([42, 3, 10, 7], [(3, 7), (42, 7)], {3: 1, 7: 2, 10: 3, 42: 4})
+    vals = [1, 2, 3, 4]  # by position: nodes 3, 7, 10, 42
+    assert neighbor_reduce(g, np.add, vals) == [2, 5, 0, 2]
+    assert neighbor_reduce(g, np.add, vals, vals) == [3, 7, 3, 6]
+    assert neighbor_reduce(g, np.maximum, vals, vals) == [2, 4, 3, 4]
+    assert neighbor_reduce(WeightedGraph([], [], {}), np.add, []) == []
+
+
+def test_neighbor_reduce_is_exact_beyond_int64():
+    star = WeightedGraph(range(3), [(0, 1), (0, 2)], {v: 1 for v in range(3)})
+    big = [INT64_MAX, INT64_MAX, INT64_MAX - 1]
+    out = neighbor_reduce(star, np.add, big, big)
+    assert out == [3 * INT64_MAX - 1, 2 * INT64_MAX, 2 * INT64_MAX - 1]
+    assert all(type(x) is int for x in out)
+    # delta * top fits in int64, the closed sum at the center does not
+    half = INT64_MAX // 2
+    assert neighbor_reduce(star, np.add, [half] * 3, [half] * 3)[0] == 3 * half
+    # the largest values that still take the int64 path: (delta + 1) * top fits
+    top = INT64_MAX // 3
+    out = neighbor_reduce(star, np.add, [top] * 3, [top] * 3)
+    assert out == [3 * top, 2 * top, 2 * top]
+    assert all(type(x) is int for x in out)
+
 
 # --------------------------------------------------------------- degeneracy
 

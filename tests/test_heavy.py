@@ -3,7 +3,7 @@ import random
 import pytest
 
 from mwisim.engine import run
-from mwisim.graphs import WeightedGraph, generate
+from mwisim.graphs import INT64_MAX, WeightedGraph, generate
 from mwisim.heavy import (LocalStatsProgram, good_nodes, heavy_mis_approx,
                           is_good, local_degree_stats)
 from mwisim.rng import derive_seed
@@ -22,6 +22,28 @@ def test_stats_examples():
     stats = local_degree_stats(star)
     assert stats[0] == (3, 3, 4)   # center
     assert stats[1] == (1, 3, 2)   # leaf
+
+
+def _reference_stats(g):
+    out = {}
+    for v in g.nodes:
+        closed = (v, *g.adj[v])
+        out[v] = (len(g.adj[v]),
+                  max(len(g.adj[u]) for u in closed),
+                  sum(g.weights[u] for u in closed))
+    return out
+
+
+def test_stats_equal_reference():
+    corpus = [generate("gnp", {"n": n, "p": p}, wm, n)
+              for n in (1, 7, 60) for p in (0.0, 0.2, 1.0)
+              for wm in ("unit", "heavy_tail")]
+    corpus.append(WeightedGraph([2, 5, 9, 40, 41], [(2, 40), (40, 41)],
+                                {2: 3, 5: 7, 9: 0, 40: 1, 41: 6}))
+    corpus.append(WeightedGraph(range(4), [(0, 1), (0, 2), (2, 3)],
+                                {0: INT64_MAX, 1: INT64_MAX, 2: 1, 3: INT64_MAX}))
+    for g in corpus:
+        assert local_degree_stats(g) == _reference_stats(g)
 
 
 def test_stats_program_matches_sequential():

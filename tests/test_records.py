@@ -21,6 +21,14 @@ def test_record_validates_and_serializes():
     assert json.loads(line) == r
 
 
+def test_jsonl_is_strict_json():
+    r = _record(oracle=True)
+    for bad in (float("nan"), float("inf")):
+        r["oracle"]["ratio"] = bad
+        with pytest.raises(ValueError):
+            to_jsonl([r])
+
+
 def test_record_schema_is_a_valid_draft_2020_12_schema():
     # validate_record skips this metaschema check; it is done once, here
     jsonschema.Draft202012Validator.check_schema(RECORD_SCHEMA)

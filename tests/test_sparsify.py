@@ -4,7 +4,7 @@ import random
 import pytest
 
 from mwisim.engine import run
-from mwisim.graphs import WeightedGraph, generate
+from mwisim.graphs import INT64_MAX, WeightedGraph, generate
 from mwisim.rng import derive_seed
 from mwisim.sparsify import (ProfileEntry, ProfileProgram,
                              compute_sampling_profile, sample_subgraph,
@@ -36,6 +36,41 @@ def test_profile_program_matches_sequential():
         out, stats = run(g, ProfileProgram(4.0), seed=seed)
         assert stats.rounds == 2
         assert out == compute_sampling_profile(g, 4.0)
+
+
+def _reference_profile(g, lam, log_base="two", n_upper=None):
+    """The profile by its definition, one neighborhood at a time."""
+    n_upper = g.n if n_upper is None else n_upper
+    wdeg = {v: sum(g.weights[u] for u in g.adj[v]) for v in g.nodes}
+    out = {}
+    for v in g.nodes:
+        closed = (v, *g.adj[v])
+        delta = max(len(g.adj[u]) for u in closed)
+        wmax = max(wdeg[u] for u in closed)
+        p = sampling_probability(g.weights[v], delta, wmax, lam, n_upper, log_base)
+        out[v] = ProfileEntry(delta, wdeg[v], wmax, p)
+    return out
+
+
+def _profile_corpus():
+    for seed in range(30):
+        rng = random.Random(seed)
+        yield generate("gnp", {"n": rng.randint(1, 90), "p": rng.uniform(0, 0.4)},
+                       ("unit", "uniform_range", "heavy_tail")[seed % 3], seed)
+    # isolated nodes and non-contiguous ids
+    yield WeightedGraph([2, 5, 9, 40, 41], [(2, 40), (40, 41)],
+                        {2: 3, 5: 7, 9: 0, 40: 1, 41: 6})
+    yield WeightedGraph(range(4), [], {v: v + 1 for v in range(4)})
+    # weighted degrees beyond int64
+    yield WeightedGraph(range(5), [(0, 1), (0, 2), (0, 3), (3, 4)],
+                        {0: INT64_MAX, 1: INT64_MAX, 2: INT64_MAX - 1, 3: 1, 4: 0})
+
+
+def test_profile_equals_reference():
+    for g in _profile_corpus():
+        assert compute_sampling_profile(g, 4.0) == _reference_profile(g, 4.0)
+        assert (compute_sampling_profile(g, 0.3, "natural", 1000)
+                == _reference_profile(g, 0.3, "natural", 1000))
 
 
 def test_clamp_and_range():
