@@ -1,6 +1,6 @@
 """Round-synchronous CONGEST/LOCAL simulation and distributed MaxIS approximation."""
 
-from .engine import (Broadcast, CongestViolation, EngineError, NodeContext,
+from .engine import (CongestViolation, EngineError, NodeContext,
                      RoundLimitExceeded, RoundStats, StepResult,
                      message_budget_bits, run, run_on_subgraph)
 from .graphs import (BruteForceCapError, GraphError, GraphParseError,
@@ -9,7 +9,7 @@ from .graphs import (BruteForceCapError, GraphError, GraphParseError,
 from .wire import Message, WireError
 
 __all__ = [
-    "Broadcast", "BruteForceCapError", "CongestViolation", "EngineError",
+    "BruteForceCapError", "CongestViolation", "EngineError",
     "GraphError", "GraphParseError", "IndependentSet", "Message",
     "NodeContext", "RoundLimitExceeded", "RoundStats", "StepResult",
     "WeightedGraph", "WireError", "brute_force_max_is", "degeneracy",

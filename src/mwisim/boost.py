@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable
 
-from .engine import Broadcast, NodeContext, RoundStats, StepResult, run
+from .engine import NodeContext, RoundStats, StepResult, run
 from .graphs import GraphError, IndependentSet, WeightedGraph, check_int64
 from .mis import greedy_mis
 from .rng import derive_seed
@@ -81,7 +81,7 @@ class ResidualUpdateProgram:
     def init(self, ctx: NodeContext, rng) -> StepResult:
         if ctx.node_id in self.selected:
             return StepResult(state=None,
-                              outbox=Broadcast(Message(TAG_REDUCE, (ctx.weight,))))
+                              outbox=Message(TAG_REDUCE, (ctx.weight,)))
         return StepResult(state=None)
 
     def step(self, state, ctx: NodeContext, inbox, rng) -> StepResult:

@@ -33,10 +33,14 @@ def _parse_seeds(spec: str) -> list[int]:
     try:
         if ":" in spec:
             lo, hi = spec.split(":", 1)
-            return list(range(int(lo), int(hi)))
-        return [int(s) for s in spec.split(",") if s.strip()]
+            seeds = list(range(int(lo), int(hi)))
+        else:
+            seeds = [int(s) for s in spec.split(",") if s.strip()]
     except ValueError:
-        raise UsageError(f"bad --seeds {spec!r}; use 7, 0:20 or 1,2,5") from None
+        seeds = []
+    if not seeds:
+        raise UsageError(f"bad --seeds {spec!r}; use 7, 0:20 or 1,2,5")
+    return seeds
 
 
 def _graph_params(args) -> dict:

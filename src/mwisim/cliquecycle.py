@@ -11,6 +11,7 @@ statistics measured instead of bounded.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -150,8 +151,11 @@ def rand_mis(c: WeightedGraph, inner: Inner, n1: int, seed: int = 0,
     caller's choice, e.g. ``as_inner(alg, params, "local")``); its output
     must be an independent set, and a black-box MIS it reports invalid is
     rejected. The returned set is verified maximal on the cycle. R_large and
-    R_small are diagnostic radii computed from the measured round count.
+    R_small are diagnostic radii computed from the measured round count and
+    the approximation constant ``c_approx``, a finite number >= 1.
     """
+    if not (math.isfinite(c_approx) and c_approx >= 1):
+        raise GraphError(f"c must be a finite number >= 1, got {c_approx}")
     order = cycle_order(c)
     n0 = len(order)
     cc = build_clique_cycle(n0, n1, base_ids=order)

@@ -1,15 +1,16 @@
 """Synchronous round engine for node programs under CONGEST or LOCAL rules.
 
-Execution model: ``init`` runs on every node and may already emit an outbox
-(sent in round 1) or halt. Each round then delivers all outboxes computed
-from the previous round's states before any node takes a step, so results
-cannot depend on the order in which nodes are processed. A node that halts
-stops sending; messages it emitted into its final round are still read by
-its neighbors in that round.
+Execution model: ``init`` runs on every node and may already emit a
+message (sent in round 1) or halt. Every message is a broadcast: it goes to
+all of the sender's neighbors in the executed graph. Each round delivers all
+messages computed from the previous round's states before any node takes a
+step, so results cannot depend on the order in which nodes are processed. A
+node that halts stops sending; a message it emitted into its final round is
+still read by its neighbors in that round.
 
-Nodes see only their own id, their weight, the ids on their incident edges
-within the executed subgraph, and an upper bound ``n_upper`` on the network
-size. They never see n, the maximum degree, or any global structure.
+Nodes see only their own id, their weight, the ids of their neighbors in the
+executed graph, and an upper bound ``n_upper`` on the network size. They
+never see n, the maximum degree, or any global structure.
 """
 
 from __future__ import annotations
@@ -24,8 +25,6 @@ from .wire import Message
 
 DEFAULT_C_MSG = 32
 DEFAULT_MAX_ROUNDS = 10_000
-
-EMPTY_INBOX: dict[int, Message] = {}
 
 
 class EngineError(Exception):
@@ -68,19 +67,11 @@ class NodeContext:
 
 
 @dataclass(frozen=True)
-class Broadcast:
-    """Send the same message to every neighbor in the executed subgraph."""
-
-    message: Message
-
-
-Outbox = Broadcast | Mapping[int, Message] | None
-
-
-@dataclass(frozen=True)
 class StepResult:
+    """``outbox``, if given, is broadcast to every neighbor next round."""
+
     state: Any = None
-    outbox: Outbox = None
+    outbox: Message | None = None
     halt: bool = False
     output: Any = None
 
@@ -141,41 +132,37 @@ def run_on_subgraph(g: WeightedGraph, subset: Iterable[int], program: NodeProgra
                     n_upper: int | None = None,
                     node_order: Callable[[list[int]], list[int]] | None = None,
                     ) -> tuple[dict[int, Any], RoundStats]:
-    """Execute ``program`` on the subgraph induced by ``subset``.
+    """Execute ``program`` on ``g.induced(subset)``, or on ``g`` itself when
+    the subset is all of it.
 
-    Nodes outside the subset are inert; identifiers and ``n_upper`` are
-    inherited from ``g`` (``n_upper`` defaults to g.n, not to the subset
-    size). ``node_order`` reorders per-round processing and exists to test
-    schedule independence; results must not depend on it.
+    Identifiers and ``n_upper`` are inherited from ``g`` (``n_upper``
+    defaults to g.n, not to the subset size). ``node_order`` reorders
+    per-round processing and exists to test schedule independence; results
+    must not depend on it.
     """
     if mode not in ("congest", "local"):
         raise EngineError(f"unknown mode {mode!r}")
     if max_rounds < 1:
         raise EngineError(f"max_rounds must be >= 1, got {max_rounds}")
-    sub = set(subset)
-    unknown = sub - set(g.nodes)
-    if unknown:
-        raise EngineError(f"subset contains unknown nodes {sorted(unknown)}")
-    nodes = sorted(sub)
-    if node_order is not None:
-        nodes = list(node_order(nodes))
-        if sorted(nodes) != sorted(sub):
-            raise EngineError("node_order must permute the subset")
     if n_upper is None:
         n_upper = g.n
+    sub = set(subset)
+    h = g if sub == g.adj.keys() else g.induced(sub)
+    nodes = list(h.nodes)
+    if node_order is not None:
+        nodes = list(node_order(nodes))
+        if sorted(nodes) != list(h.nodes):
+            raise EngineError("node_order must permute the subset")
     budget = message_budget_bits(n_upper) if mode == "congest" else None
 
-    if len(sub) == g.n:
-        adj = g.adj
-    else:
-        adj = {v: tuple(u for u in g.adj[v] if u in sub) for v in nodes}
-    ctxs = {v: NodeContext(v, g.weights[v], adj[v], n_upper) for v in nodes}
+    adj = h.adj
+    ctxs = {v: NodeContext(v, h.weights[v], adj[v], n_upper) for v in nodes}
     rngs = {v: node_rng(seed, v) for v in nodes}
 
     stats = RoundStats(budget_bits=budget)
     outputs: dict[int, Any] = {}
     states: dict[int, Any] = {}
-    pending: dict[int, Outbox] = {}
+    pending: dict[int, Message] = {}
     active: list[int] = []
 
     for v in nodes:
@@ -195,37 +182,21 @@ def run_on_subgraph(g: WeightedGraph, subset: Iterable[int], program: NodeProgra
         round_msgs = 0
         round_max = 0
         # budget checks and message counts happen sender-side; inboxes are
-        # assembled receiver-side below, which keeps the loop in C for the
-        # common all-broadcast rounds
-        bcast: dict[int, Message] = {}
-        extra: dict[int, dict[int, Message]] = {}
-        for u, outbox in pending.items():
-            if isinstance(outbox, Broadcast):
-                targets = adj[u]
-                if not targets:
-                    continue
-                msg = outbox.message
-                bits = msg.size_bits
-                if budget is not None and bits > budget:
-                    raise CongestViolation(u, targets[0], round_no, bits, budget)
-                if bits > round_max:
-                    round_max = bits
-                bcast[u] = msg
-                round_msgs += len(targets)
-            else:
-                nbrs = adj[u]
-                for v, msg in outbox.items():
-                    if v not in nbrs:
-                        raise EngineError(
-                            f"round {round_no}: node {u} addressed non-neighbor {v}")
-                    bits = msg.size_bits
-                    if budget is not None and bits > budget:
-                        raise CongestViolation(u, v, round_no, bits, budget)
-                    if bits > round_max:
-                        round_max = bits
-                    extra.setdefault(v, {})[u] = msg
-                    round_msgs += 1
-        pending = {}
+        # assembled receiver-side below, which keeps that loop in C
+        for u, msg in pending.items():
+            if not isinstance(msg, Message):
+                raise EngineError(f"round {round_no}: node {u} sent a "
+                                  f"{type(msg).__name__}, not a Message")
+            targets = adj[u]
+            if not targets:
+                continue
+            bits = msg.size_bits
+            if budget is not None and bits > budget:
+                raise CongestViolation(u, targets[0], round_no, bits, budget)
+            if bits > round_max:
+                round_max = bits
+            round_msgs += len(targets)
+        sent, pending = pending, {}
         stats.rounds = round_no
         stats.messages_sent += round_msgs
         stats.per_round_messages.append(round_msgs)
@@ -235,12 +206,7 @@ def run_on_subgraph(g: WeightedGraph, subset: Iterable[int], program: NodeProgra
         still_active = []
         step = program.step
         for v in active:
-            if bcast:
-                inbox = {u: bcast[u] for u in adj[v] if u in bcast}
-                if extra:
-                    inbox.update(extra.get(v, EMPTY_INBOX))
-            else:
-                inbox = extra.get(v, EMPTY_INBOX)
+            inbox = {u: sent[u] for u in adj[v] if u in sent} if sent else {}
             res = step(states[v], ctxs[v], inbox, rngs[v])
             if res.halt:
                 outputs[v] = res.output

@@ -65,23 +65,24 @@ class WeightedGraph:
                 raise GraphError(f"edge ({u}, {v}) references unknown node")
             adj[u].add(v)
             adj[v].add(u)
-        w: dict[int, int] = {}
-        for v in node_list:
-            if v not in weights:
-                raise GraphError(f"missing weight for node {v}")
-            wv = weights[v]
-            if not isinstance(wv, int) or isinstance(wv, bool):
-                raise GraphError(f"weight of node {v} is not an integer")
-            if wv < 0:
-                raise GraphError(f"negative weight {wv} at node {v}")
-            if wv > INT64_MAX:
-                raise GraphError(f"weight of node {v} exceeds 64-bit range")
-            w[v] = wv
+        w = _checked_weights(node_list, weights)
         self.nodes: tuple[int, ...] = tuple(node_list)
         self.adj: dict[int, tuple[int, ...]] = {v: tuple(sorted(adj[v])) for v in node_list}
         self.weights: dict[int, int] = w
         self._max_degree: int | None = None
         self._csr: tuple[np.ndarray, np.ndarray] | None = None
+
+    @classmethod
+    def _unchecked(cls, nodes: tuple[int, ...], adj: dict[int, tuple[int, ...]],
+                   weights: dict[int, int],
+                   csr: tuple[np.ndarray, np.ndarray] | None = None,
+                   ) -> "WeightedGraph":
+        """A graph from parts that are valid by construction, unchecked."""
+        g = object.__new__(cls)
+        g.nodes, g.adj, g.weights = nodes, adj, weights
+        g._max_degree = None
+        g._csr = csr
+        return g
 
     @classmethod
     def _from_edge_arrays(cls, n: int, u: np.ndarray, v: np.ndarray,
@@ -98,13 +99,9 @@ class WeightedGraph:
         ids = list(range(n))
         flat = list(map(ids.__getitem__, nbr.tolist()))
         bounds = indptr.tolist()
-        g = object.__new__(cls)
-        g.nodes = tuple(ids)
-        g.adj = {i: tuple(flat[bounds[i]:bounds[i + 1]]) for i in ids}
-        g.weights = weights
-        g._max_degree = None
-        g._csr = _read_only(indptr, nbr)
-        return g
+        return cls._unchecked(tuple(ids),
+                              {i: tuple(flat[bounds[i]:bounds[i + 1]]) for i in ids},
+                              weights, _read_only(indptr, nbr))
 
     def csr(self) -> tuple[np.ndarray, np.ndarray]:
         """``(indptr, nbr)``: the adjacency by node position (class docstring)."""
@@ -153,17 +150,22 @@ class WeightedGraph:
 
     def induced(self, subset: Iterable[int],
                 weights: Mapping[int, int] | None = None) -> "WeightedGraph":
-        """Induced subgraph keeping original identifiers; optional new weights."""
+        """Induced subgraph keeping original identifiers; optional new weights.
+
+        A subgraph of a valid graph is valid, so only the subset and the
+        replacement weights are checked; each adjacency tuple is the
+        parent's, filtered to the subset.
+        """
         sub = set(subset)
-        unknown = sub - set(self.nodes)
+        unknown = sub - self.adj.keys()
         if unknown:
             raise GraphError(f"subset contains unknown nodes {sorted(unknown)}")
-        src = weights if weights is not None else self.weights
-        return WeightedGraph(
-            sub,
-            ((u, v) for u in sub for v in self.adj[u] if v in sub and u < v),
-            {v: src[v] for v in sub},
-        )
+        nodes = tuple(sorted(sub))
+        w = (_checked_weights(nodes, weights) if weights is not None
+             else {v: self.weights[v] for v in nodes})
+        adj = self.adj
+        return WeightedGraph._unchecked(
+            nodes, {v: tuple([u for u in adj[v] if u in sub]) for v in nodes}, w)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, WeightedGraph) and self.nodes == other.nodes
@@ -198,6 +200,25 @@ def check_int64(x: int, what: str = "value") -> int:
     if not -INT64_MAX - 1 <= x <= INT64_MAX:
         raise OverflowError(f"{what} = {x} overflows signed 64-bit range")
     return x
+
+
+def _checked_weights(nodes: Iterable[int],
+                     weights: Mapping[int, int]) -> dict[int, int]:
+    """``{v: weights[v]}`` over ``nodes``, each an int (not a bool) in
+    [0, INT64_MAX]."""
+    w: dict[int, int] = {}
+    for v in nodes:
+        if v not in weights:
+            raise GraphError(f"missing weight for node {v}")
+        wv = weights[v]
+        if not isinstance(wv, int) or isinstance(wv, bool):
+            raise GraphError(f"weight of node {v} is not an integer")
+        if wv < 0:
+            raise GraphError(f"negative weight {wv} at node {v}")
+        if wv > INT64_MAX:
+            raise GraphError(f"weight of node {v} exceeds 64-bit range")
+        w[v] = wv
+    return w
 
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -273,7 +294,9 @@ def _gnp_edges(n: int, p: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
     pos = -1
     while pos < total:
         block = gen.geometric(p, size=max(64, int((total - pos) * p * 1.1) + 64))
-        block = np.cumsum(block.astype(np.int64)) + pos
+        # a gap past the last slot ends the scan either way; clipping it keeps
+        # the running sum inside int64 when p is tiny
+        block = np.cumsum(np.minimum(block, total + 1)) + pos
         pos = int(block[-1])
         chunks.append(block[block < total])
     k = np.concatenate(chunks)

@@ -18,8 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import (Broadcast, NodeContext, RoundStats, StepResult, run,
-                     run_on_subgraph)
+from .engine import NodeContext, RoundStats, StepResult, run, run_on_subgraph
 from .graphs import IndependentSet, WeightedGraph, neighbor_reduce
 from .mis import LubyProgram, verify_mis
 from .rng import derive_seed
@@ -57,7 +56,7 @@ class LocalStatsProgram:
     def init(self, ctx: NodeContext, rng) -> StepResult:
         deg = len(ctx.neighbors)
         return StepResult(state=None,
-                          outbox=Broadcast(Message(TAG_STATS, (deg, ctx.weight))))
+                          outbox=Message(TAG_STATS, (deg, ctx.weight)))
 
     def step(self, state, ctx: NodeContext, inbox, rng) -> StepResult:
         if state is None:
@@ -72,7 +71,7 @@ class LocalStatsProgram:
             good = is_good(ctx.weight, delta, s)
             partial = (deg, delta, s, good)
             return StepResult(state=partial,
-                              outbox=Broadcast(Message(TAG_GOOD, (int(good),))))
+                              outbox=Message(TAG_GOOD, (int(good),)))
         deg, delta, s, good = state
         good_nbrs = tuple(sorted(u for u, msg in inbox.items() if msg.values[0]))
         return StepResult(halt=True,

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .engine import Broadcast, NodeContext, StepResult
+from .engine import NodeContext, StepResult
 from .graphs import IndependentSet, WeightedGraph
 from .wire import Message
 
@@ -42,7 +42,7 @@ class LubyProgram:
             return StepResult(halt=True, output=True)
         value = rng.getrandbits(_value_bits(ctx.n_upper))
         return StepResult(state=("compete", value),
-                          outbox=Broadcast(Message(TAG_VALUE, (value,))))
+                          outbox=Message(TAG_VALUE, (value,)))
 
     def step(self, state, ctx: NodeContext, inbox, rng) -> StepResult:
         phase = state[0]
@@ -54,7 +54,7 @@ class LubyProgram:
                     return StepResult(state=("listen",))
             # local maximum among still-active neighbors: join and announce
             return StepResult(state=("winner",),
-                              outbox=Broadcast(Message(TAG_IN)))
+                              outbox=Message(TAG_IN))
         if phase == "winner":
             return StepResult(halt=True, output=True)
         # phase == "listen": drop out if a neighbor joined, else recompete
@@ -63,7 +63,7 @@ class LubyProgram:
                 return StepResult(halt=True, output=False)
         value = rng.getrandbits(_value_bits(ctx.n_upper))
         return StepResult(state=("compete", value),
-                          outbox=Broadcast(Message(TAG_VALUE, (value,))))
+                          outbox=Message(TAG_VALUE, (value,)))
 
 
 def greedy_mis(g: WeightedGraph, order: Iterable[int] | None = None) -> IndependentSet:

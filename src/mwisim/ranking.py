@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Sequence
 
-from .engine import Broadcast, NodeContext, RoundStats, StepResult, run
+from .engine import NodeContext, RoundStats, StepResult, run
 from .graphs import GraphError, IndependentSet, WeightedGraph
 from .wire import Message
 
@@ -67,7 +67,7 @@ class BoppanaProgram:
     def init(self, ctx: NodeContext, rng) -> StepResult:
         rank = rng.randint(1, rank_range(ctx.n_upper, self.c))
         return StepResult(state=rank,
-                          outbox=Broadcast(Message(TAG_RANK, _rank_to_limbs(rank))))
+                          outbox=Message(TAG_RANK, _rank_to_limbs(rank)))
 
     def step(self, state, ctx: NodeContext, inbox, rng) -> StepResult:
         rank = state

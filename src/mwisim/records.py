@@ -139,7 +139,8 @@ def make_record(g: WeightedGraph, source: GraphSource, alg_name: str,
                 dump_stack: bool = False) -> dict[str, Any]:
     """Run one algorithm on one graph and package the observation."""
     start = time.perf_counter()
-    outcome = algorithms.run_algorithm(g, alg_name, params, seed, mode)
+    p = algorithms.resolved_params(alg_name, params, g)
+    outcome = algorithms.run_algorithm(g, alg_name, p, seed, mode)
     elapsed = time.perf_counter() - start
 
     record: dict[str, Any] = {
@@ -148,8 +149,7 @@ def make_record(g: WeightedGraph, source: GraphSource, alg_name: str,
         "n": g.n,
         "max_degree": g.max_degree,
         "degeneracy": degeneracy(g),
-        "algorithm": {"name": alg_name, "mode": mode,
-                      **algorithms.resolved_params(alg_name, params, g)},
+        "algorithm": {"name": alg_name, "mode": mode, **p},
         "seed": seed,
         "result": {
             "weight": outcome.iset.weight,

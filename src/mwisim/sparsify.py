@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import Broadcast, NodeContext, RoundStats, StepResult, run
+from .engine import NodeContext, RoundStats, StepResult, run
 from .graphs import (GraphError, IndependentSet, WeightedGraph,
                      neighbor_reduce)
 from .heavy import heavy_mis_approx
@@ -74,7 +74,7 @@ class ProfileProgram:
     def init(self, ctx: NodeContext, rng) -> StepResult:
         deg = len(ctx.neighbors)
         return StepResult(state=None,
-                          outbox=Broadcast(Message(TAG_DEGW, (deg, ctx.weight))))
+                          outbox=Message(TAG_DEGW, (deg, ctx.weight)))
 
     def step(self, state, ctx: NodeContext, inbox, rng) -> StepResult:
         if state is None:
@@ -86,7 +86,7 @@ class ProfileProgram:
                     delta = d
                 wdeg += w
             return StepResult(state=(delta, wdeg),
-                              outbox=Broadcast(Message(TAG_WDEG, (wdeg,))))
+                              outbox=Message(TAG_WDEG, (wdeg,)))
         delta, wdeg = state
         wmax = wdeg
         for msg in inbox.values():

@@ -181,11 +181,13 @@ def test_directory_paths_are_usage_errors(tmp_path, capsys):
     assert capsys.readouterr().err.count("error:") == 2
 
 
-@pytest.mark.parametrize("spec", ["abc", "1:", "1,x"])
+@pytest.mark.parametrize("spec", ["abc", "1:", "1,x", "5:1", "5:5", ","])
 def test_malformed_seeds_are_usage_errors(spec, capsys):
     assert run_cli(["run", "--family", "path", "--n", "4", "--alg", "luby",
                     "--seeds", spec]) == 2
-    assert "bad --seeds" in capsys.readouterr().err
+    assert run_cli(["reduce", "--n0", "12", "--n1", "4", "--seeds", spec]) == 2
+    out = capsys.readouterr()
+    assert out.err.count("bad --seeds") == 2 and out.out == ""
 
 
 def test_gen_without_family_is_usage_error(capsys):
@@ -234,6 +236,14 @@ def test_reduce_rejects_non_finite_lambda(capsys):
     assert run_cli(["reduce", "--n0", "12", "--n1", "4", "--seeds", "0",
                     "--lam", "nan"]) == 3
     assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("c", ["-5", "0.5", "nan", "inf"])
+def test_reduce_rejects_an_invalid_approximation_constant(c, capsys):
+    assert run_cli(["reduce", "--n0", "12", "--n1", "4", "--seeds", "0",
+                    "--c", c]) == 3
+    out = capsys.readouterr()
+    assert "c must be a finite number >= 1" in out.err and out.out == ""
 
 
 def test_python_dash_m_runs_the_cli():

@@ -1,13 +1,14 @@
+import hashlib
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mwisim.engine import (Broadcast, CongestViolation, EngineError,
-                           RoundLimitExceeded, StepResult,
-                           message_budget_bits, run, run_on_subgraph)
-from mwisim.graphs import WeightedGraph, generate
+from mwisim.engine import (CongestViolation, EngineError, RoundLimitExceeded,
+                           StepResult, message_budget_bits, run,
+                           run_on_subgraph)
+from mwisim.graphs import GraphError, WeightedGraph, generate
 from mwisim.mis import LubyProgram
 from mwisim.wire import Message
 
@@ -28,7 +29,7 @@ class ExchangeIds:
     """Send own id once, halt after reading the replies."""
 
     def init(self, ctx, rng):
-        return StepResult(state=None, outbox=Broadcast(Message(1, (ctx.node_id,))))
+        return StepResult(state=None, outbox=Message(1, (ctx.node_id,)))
 
     def step(self, state, ctx, inbox, rng):
         return StepResult(halt=True,
@@ -48,7 +49,7 @@ class FatMessage:
         self.value = (1 << (bits - 1)) - 1  # bit_length = bits - 1
 
     def init(self, ctx, rng):
-        return StepResult(state=None, outbox=Broadcast(Message(1, (self.value,))))
+        return StepResult(state=None, outbox=Message(1, (self.value,)))
 
     def step(self, state, ctx, inbox, rng):
         return StepResult(halt=True, output=None)
@@ -87,17 +88,22 @@ def test_round_limit_carries_partial_stats():
     assert sorted(exc.value.unfinished) == [0, 1]
 
 
-def test_non_neighbor_unicast_rejected():
-    class Sneaky:
+@pytest.mark.parametrize("outbox", [{1: Message(1, (1,))}, (Message(1),), 7],
+                         ids=["dict", "tuple", "int"])
+def test_non_message_outbox_rejected(outbox):
+    class Stale:
+        """Sends an old-style per-recipient dict (or other non-Message) in
+        round 2."""
+
         def init(self, ctx, rng):
-            return StepResult(state=None, outbox={99: Message(1, (1,))})
+            return StepResult(state=0, outbox=Message(1))
 
         def step(self, state, ctx, inbox, rng):
-            return StepResult(halt=True)
+            return StepResult(state=1, outbox=outbox if ctx.node_id == 1 else None)
 
-    g = unit([0, 1, 99], [(0, 1)])
-    with pytest.raises(EngineError, match="non-neighbor"):
-        run(g, Sneaky())
+    g = unit([0, 1, 2], [(0, 1)])
+    with pytest.raises(EngineError, match=r"^round 2: node 1 sent a \w+, not a Message"):
+        run(g, Stale(), max_rounds=5)
 
 
 def test_run_on_subgraph_empty_and_full():
@@ -107,6 +113,24 @@ def test_run_on_subgraph_empty_and_full():
     full_a = run(g, LubyProgram(), seed=3)
     full_b = run_on_subgraph(g, g.nodes, LubyProgram(), seed=3)
     assert full_a == full_b
+
+
+def test_run_on_subgraph_rejects_unknown_nodes_like_induced():
+    g = generate("cycle", {"n": 5}, "unit", 0)
+    with pytest.raises(GraphError, match=r"unknown nodes \[7, 9\]"):
+        run_on_subgraph(g, [0, 9, 7], LubyProgram())
+
+
+def test_full_subset_runs_on_the_graph_itself(monkeypatch):
+    g = generate("gnp", {"n": 30, "p": 0.2}, "unit", 2)
+    want = run(g, LubyProgram(), seed=4)
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("a full-graph run built a subgraph")
+
+    monkeypatch.setattr(WeightedGraph, "induced", no_build)
+    assert run(g, LubyProgram(), seed=4) == want
+    assert run_on_subgraph(g, reversed(g.nodes), LubyProgram(), seed=4) == want
 
 
 def test_subgraph_semantics_inert_outside():
@@ -189,7 +213,7 @@ def test_halted_node_stops_sending():
         def init(self, ctx, rng):
             if ctx.node_id == 0:
                 return StepResult(halt=True, output="gone",
-                                  outbox=Broadcast(Message(1, (9,))))
+                                  outbox=Message(1, (9,)))
             return StepResult(state=None)
 
         def step(self, state, ctx, inbox, rng):
@@ -210,3 +234,63 @@ def test_stats_merge():
     c = a.merge(b)
     assert c.rounds == 3 and c.messages_sent == 12
     assert c.max_message_bits == 20 and c.per_round_messages == [3, 2, 7]
+
+
+class HashedBroadcasts:
+    """A random broadcast program: whether a node halts, and what it sends,
+    is a hash of (salt, node id, round, sorted inbox). Its output lists the
+    rounds in which its messages were delivered."""
+
+    LAST_ROUND = 12
+
+    def __init__(self, salt):
+        self.salt = salt
+
+    def _act(self, ctx, round_no, inbox, delivered):
+        heard = tuple(sorted((u, m.values) for u, m in inbox.items()))
+        h = int.from_bytes(hashlib.blake2b(
+            repr((self.salt, ctx.node_id, round_no, heard)).encode(),
+            digest_size=8).digest(), "big")
+        if h % 5 == 0 or round_no >= self.LAST_ROUND:
+            return StepResult(halt=True, output=(delivered, h))
+        if h >> 3 & 3 == 0:
+            return StepResult(state=(round_no + 1, delivered))
+        msg = Message(1 + (h >> 5) % 15, (h >> 9 & 0xFFFF, ctx.node_id))
+        return StepResult(state=(round_no + 1, delivered + (round_no + 1,)),
+                          outbox=msg)
+
+    def init(self, ctx, rng):
+        return self._act(ctx, 0, {}, ())
+
+    def step(self, state, ctx, inbox, rng):
+        round_no, delivered = state
+        return self._act(ctx, round_no, inbox, delivered)
+
+
+@given(st.integers(1, 24), st.floats(0.0, 1.0), st.integers(0, 2**32),
+       st.integers(0, 2**32), st.integers(0, 2**32))
+@settings(max_examples=60, deadline=None)
+def test_random_broadcast_programs(n, p, graph_seed, salt, shuffle_seed):
+    g = generate("gnp", {"n": n, "p": p}, "uniform_range", graph_seed)
+    pick = random.Random(shuffle_seed)
+    subset = [v for v in g.nodes if pick.random() < 0.75]
+    program = HashedBroadcasts(salt)
+    base_out, base_stats = run_on_subgraph(g, subset, program, mode="local")
+
+    def order(nodes):
+        nodes = list(nodes)
+        pick.shuffle(nodes)
+        return nodes
+
+    out, stats = run_on_subgraph(g, subset, program, mode="local",
+                                 node_order=order)
+    assert out == base_out and stats == base_stats
+
+    # every message reaches each neighbor in the executed graph once
+    h = g.induced(subset)
+    want = [0] * stats.rounds
+    for v, (delivered, _) in out.items():
+        for r in delivered:
+            want[r - 1] += h.degree(v)
+    assert stats.per_round_messages == want
+    assert stats.messages_sent == sum(want)

@@ -58,6 +58,68 @@ def test_induced_keeps_ids_and_reweights():
     assert h.weights == {1: 9, 2: 8, 3: 7}
 
 
+def _induced_reference(g, subset, weights):
+    sub = set(subset)
+    src = g.weights if weights is None else weights
+    return WeightedGraph(sub, [(u, v) for u, v in g.edges() if u in sub and v in sub],
+                         {v: src[v] for v in sub})
+
+
+INDUCED_GRAPHS = {
+    "gnp-sparse": lambda: generate("gnp", {"n": 60, "p": 0.05}, "uniform_range", 3),
+    "gnp-dense": lambda: generate("gnp", {"n": 40, "p": 0.6}, "heavy_tail", 4),
+    "gnp-edgeless": lambda: generate("gnp", {"n": 12, "p": 0.0}, "unit", 5),
+    "cycle-of-cliques": lambda: generate("cycle_of_cliques", {"n0": 5, "n1": 3},
+                                         "uniform_range", 6),
+    "isolated": lambda: WeightedGraph([0, 4, 9, 12, 30], [(4, 9), (9, 30)],
+                                      {0: 1, 4: 2, 9: 3, 12: 4, 30: 5}),
+    "empty": lambda: WeightedGraph([], [], {}),
+}
+
+
+@pytest.mark.parametrize("reweight", [False, True])
+@pytest.mark.parametrize("kind", ["empty", "full", "half", "most"])
+@pytest.mark.parametrize("name", INDUCED_GRAPHS)
+def test_induced_equals_validated_construction(name, kind, reweight):
+    g = INDUCED_GRAPHS[name]()
+    rng = random.Random(f"{name}/{kind}")
+    keep = {"empty": 0.0, "full": 1.0, "half": 0.5, "most": 0.8}[kind]
+    subset = [v for v in g.nodes if rng.random() < keep]
+    rng.shuffle(subset)
+    # replacement weights may cover more nodes than the subset
+    weights = ({v: rng.choice([0, 1, rng.randrange(INT64_MAX), INT64_MAX])
+                for v in g.nodes} if reweight else None)
+    h = g.induced(iter(subset), weights)
+    ref = _induced_reference(g, subset, weights)
+    assert h == ref
+    assert list(h.weights) == list(ref.weights) == list(h.nodes)
+    assert h.max_degree == ref.max_degree and h.m == ref.m
+    for got, want in zip(h.csr(), ref.csr()):
+        assert got.dtype == want.dtype == np.int64
+        assert np.array_equal(got, want)
+    assert g == INDUCED_GRAPHS[name]()  # the parent is untouched
+
+
+def test_induced_rejects_unknown_nodes():
+    g = generate("path", {"n": 4}, "unit", 0)
+    with pytest.raises(GraphError, match=r"^subset contains unknown nodes \[-1, 7\]$"):
+        g.induced([0, 7, -1])
+
+
+@pytest.mark.parametrize("bad", [-1, 1.5, True, 2**63, None])
+def test_induced_rejects_bad_weights_like_the_constructor(bad):
+    g = generate("path", {"n": 4}, "unit", 0)
+    weights = {0: 5, 1: 6, 2: bad, 3: 7}
+    if bad is None:
+        del weights[2]
+    with pytest.raises(GraphError) as want:
+        WeightedGraph([1, 2, 3], [], weights)
+    with pytest.raises(GraphError) as got:
+        g.induced([1, 2, 3], weights)
+    assert str(got.value) == str(want.value)
+    assert g.induced([0, 1], weights).weights == {0: 5, 1: 6}  # node 2 left out
+
+
 # --------------------------------------------------------------- generators
 
 def test_cycle_triangle():
@@ -77,6 +139,12 @@ def test_gnp_p_zero():
 def test_gnp_p_one_is_complete():
     g = generate("gnp", {"n": 9, "p": 1.0}, "unit", 3)
     assert g.m == 36
+
+
+@pytest.mark.parametrize("p", [5e-324, 1e-300, 1e-19])
+def test_gnp_tiny_p_has_no_edges(p):
+    # geometric gaps near 2**63 used to overflow the running slot index
+    assert generate("gnp", {"n": 40, "p": p}, "unit", 1).m == 0
 
 
 def test_gnp_deterministic_and_plausible():

@@ -117,3 +117,20 @@ def test_clique_cycle_family_replays():
     r = make_record(g, source, "luby", {}, seed=2, oracle=True)
     assert same_outcome(r, replay(r))
     assert r["oracle"]["opt"] >= r["result"]["weight"]
+
+
+def test_make_record_resolves_parameters_once(monkeypatch):
+    from mwisim import algorithms, graphs, records
+
+    calls = []
+
+    def counted(g):
+        calls.append(g.n)
+        return graphs.degeneracy(g)
+
+    monkeypatch.setattr(algorithms, "degeneracy", counted)
+    monkeypatch.setattr(records, "degeneracy", counted)
+    r = _record("arb", {"eps": 0.5})
+    # one for the record's degeneracy field, one for arb's default alpha
+    assert calls == [18, 18]
+    assert r["algorithm"]["alpha"] == max(1, r["degeneracy"])
