@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 from .arb import arb_approx
 from .boost import BoostResult, Inner, PhaseFrame, boost
 from .engine import RoundStats, run
-from .graphs import GraphError, IndependentSet, WeightedGraph, degeneracy
+from .graphs import (GraphError, IndependentSet, WeightedGraph, check_real,
+                     degeneracy)
 from .heavy import heavy_mis_approx
 from .mis import LubyProgram
 from .ranking import boppana_once
@@ -47,13 +47,6 @@ def _get(params: Mapping[str, Any], key: str, default: Any) -> Any:
     return default if value is None else value
 
 
-def _finite(value: Any, key: str, alg: str) -> float:
-    x = float(value)
-    if not math.isfinite(x):
-        raise GraphError(f"algorithm {alg!r}: {key} must be finite, got {x}")
-    return x
-
-
 def _integral(value: Any, key: str, alg: str) -> int:
     """``int(value)``, refusing a float it would truncate (or nan, inf)."""
     if isinstance(value, float) and not value.is_integer():
@@ -66,16 +59,18 @@ def resolved_params(alg: str, params: Mapping[str, Any],
                     g: WeightedGraph) -> dict[str, Any]:
     """The parameters a record stores: everything the run actually used.
 
-    Raises ``GraphError`` for a non-finite eps, lam or c, or a ranking c
-    that is not an integer.
+    Raises ``GraphError`` for an eps, lam or c that is not finite or out of
+    range (eps > 0, lam > 0, boosting's c >= 1), or a ranking c that is not
+    an integer.
     """
     p: dict[str, Any] = {}
     if alg in ("boost-heavy", "boost-sparse", "arb", "fastld"):
-        p["eps"] = _finite(_need(params, "eps", alg), "eps", alg)
+        p["eps"] = check_real(_need(params, "eps", alg), "eps", alg, above=0)
     if alg in ("boost-heavy", "boost-sparse"):
-        p["c"] = _finite(_get(params, "c", DEFAULT_C_BOOST), "c", alg)
+        p["c"] = check_real(_get(params, "c", DEFAULT_C_BOOST), "c", alg, at_least=1)
     if alg in ("sparse", "boost-sparse"):
-        p["lam"] = _finite(_get(params, "lam", DEFAULT_LAMBDA), "lam", alg)
+        p["lam"] = check_real(_get(params, "lam", DEFAULT_LAMBDA), "lam", alg,
+                              above=0)
         p["log_base"] = _get(params, "log_base", "two")
     if alg == "arb":
         alpha = params.get("alpha")

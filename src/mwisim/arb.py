@@ -18,15 +18,7 @@ import math
 from typing import Iterable, Mapping
 
 from .boost import BoostResult, Inner, local_ratio
-from .graphs import GraphError, WeightedGraph, check_int64
-
-
-def low_degree_subgraph(g_i: WeightedGraph, alpha: int) -> frozenset[int]:
-    """Nodes of degree at most 4*alpha in the current residual graph."""
-    if alpha < 1:
-        raise GraphError(f"alpha must be >= 1, got {alpha}")
-    cap = 4 * alpha
-    return frozenset(v for v in g_i.nodes if len(g_i.adj[v]) <= cap)
+from .graphs import GraphError, WeightedGraph, check_int64, check_real
 
 
 def arb_reduce(w: Mapping[int, int], selected: Iterable[int],
@@ -70,8 +62,7 @@ def arb_approx(g: WeightedGraph, alpha: int, eps: float,
     """
     if alpha < 1:
         raise GraphError(f"alpha must be >= 1, got {alpha}")
-    if eps <= 0:
-        raise GraphError(f"eps must be > 0, got {eps}")
+    eps = check_real(eps, "eps", "arb", above=0)
     if inner is None:
         from .algorithms import as_inner  # algorithms imports this module
         inner = as_inner("boost-heavy", {"eps": eps}, mode)

@@ -21,8 +21,11 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable
 
-from .engine import NodeContext, RoundStats, StepResult, run
-from .graphs import GraphError, IndependentSet, WeightedGraph, check_int64
+import numpy as np
+
+from .engine import Net, NodeContext, RoundStats, StepResult, run
+from .graphs import (GraphError, IndependentSet, WeightedGraph, check_int64,
+                     check_real)
 from .mis import greedy_mis
 from .rng import derive_seed
 from .wire import Message
@@ -90,6 +93,17 @@ class ResidualUpdateProgram:
         reduction = sum(msg.values[0] for msg in inbox.values()
                         if msg.tag == TAG_REDUCE)
         return StepResult(halt=True, output=ctx.weight - reduction)
+
+    def kernel(self, net: Net) -> dict[int, int]:
+        ids = net.ids
+        selected = np.fromiter((v in self.selected for v in ids), dtype=bool,
+                               count=len(ids))
+        w = net.weights
+        net.send(np.ones(len(ids), dtype=bool), selected, TAG_REDUCE, w)
+        out = w - net.fold(np.add, w)
+        out[np.fromiter((v in self.zeroed for v in ids), dtype=bool,
+                        count=len(ids))] = 0
+        return dict(zip(ids, out.tolist()))
 
 
 def pop_stack(g: WeightedGraph, frames: Iterable[PhaseFrame]) -> IndependentSet:
@@ -186,8 +200,6 @@ def boost(g: WeightedGraph, inner: Inner, eps: float, c: float = 8.0,
     algorithm has 4*(Delta+1)/Delta <= 8). Each phase costs the inner
     algorithm's rounds plus one announcement round for the weight reduction.
     """
-    if eps <= 0:
-        raise GraphError(f"eps must be > 0, got {eps}")
-    if c < 1:
-        raise GraphError(f"c must be >= 1, got {c}")
+    eps = check_real(eps, "eps", "boost", above=0)
+    c = check_real(c, "c", "boost", at_least=1)
     return local_ratio(g, inner, phase_count(c, eps), 0xB0057, seed, mode, n_upper)

@@ -7,6 +7,7 @@ inequality with zero tolerance.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -202,6 +203,20 @@ def check_int64(x: int, what: str = "value") -> int:
     return x
 
 
+def check_real(value, key: str, alg: str, above: float | None = None,
+               at_least: float | None = None) -> float:
+    """``float(value)`` if it is finite and in range; else ``GraphError``
+    naming the algorithm ``alg`` and the parameter ``key``."""
+    x = float(value)
+    if not math.isfinite(x):
+        raise GraphError(f"algorithm {alg!r}: {key} must be finite, got {x}")
+    if above is not None and not x > above:
+        raise GraphError(f"algorithm {alg!r}: {key} must be > {above:g}, got {x}")
+    if at_least is not None and not x >= at_least:
+        raise GraphError(f"algorithm {alg!r}: {key} must be >= {at_least:g}, got {x}")
+    return x
+
+
 def _checked_weights(nodes: Iterable[int],
                      weights: Mapping[int, int]) -> dict[int, int]:
     """``{v: weights[v]}`` over ``nodes``, each an int (not a bool) in
@@ -228,28 +243,35 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def neighbor_reduce(g: WeightedGraph, ufunc: np.ufunc, values: Sequence[int],
-                    initial: Sequence[int] | None = None) -> list[int]:
+                    initial: Sequence[int] | None = None) -> np.ndarray:
     """Fold ``ufunc`` (``np.add``, ``np.maximum``, ...) over each node's
     neighbors, exactly.
 
-    ``values``, ``initial`` and the result are lists in ``g.nodes`` order:
-    node i gets ``initial[i]`` (0 when not given) combined with the values of
-    all its neighbors. The arithmetic is int64 when no sum over a closed
-    neighborhood can leave its range, and Python integers otherwise.
+    ``values``, ``initial`` and the result are in ``g.nodes`` order (lists or
+    arrays): node i gets ``initial[i]`` (0 when not given) combined with the
+    values of all its neighbors. The result is an int64 array when no sum
+    over a closed neighborhood can leave its range, and an array of Python
+    integers (``dtype=object``) otherwise.
     """
-    top = max(map(abs, values), default=0)
+    top = _max_abs(values)
     if initial is not None:
-        top = max(top, max(map(abs, initial), default=0))
+        top = max(top, _max_abs(initial))
     dtype = np.int64 if top * (g.max_degree + 1) <= INT64_MAX else object
-    vals = np.array(values, dtype=dtype)
+    vals = np.asarray(values, dtype=dtype)
     out = (np.zeros(g.n, dtype=dtype) if initial is None
            else np.array(initial, dtype=dtype))
     indptr, nbr = g.csr()
     # reduceat gives a row with no entries its next row's first value
-    rows = np.flatnonzero(indptr[1:] > indptr[:-1])
+    rows = (indptr[1:] > indptr[:-1]).nonzero()[0]
     if rows.size:
         out[rows] = ufunc(out[rows], ufunc.reduceat(vals[nbr], indptr[rows]))
-    return out.tolist()
+    return out
+
+
+def _max_abs(values) -> int:
+    if isinstance(values, np.ndarray) and values.dtype != object:
+        return max(int(values.max()), -int(values.min())) if values.size else 0
+    return max(map(abs, values), default=0)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import NodeContext, RoundStats, StepResult, run, run_on_subgraph
+from .engine import Net, NodeContext, RoundStats, StepResult, run, run_on_subgraph
 from .graphs import IndependentSet, WeightedGraph, neighbor_reduce
 from .mis import LubyProgram, verify_mis
 from .rng import derive_seed
@@ -77,20 +77,35 @@ class LocalStatsProgram:
         return StepResult(halt=True,
                           output=LocalStats(deg, delta, s, good, good_nbrs))
 
+    def kernel(self, net: Net) -> dict[int, LocalStats]:
+        # every node sends (deg, weight) in round 1, so local_degree_stats'
+        # folds over g are the folds over each inbox
+        g = net.graph
+        every = np.ones(g.n, dtype=bool)
+        deg, delta, s = local_degree_stats(g)
+        good = [is_good(*wds) for wds in zip(net.weights.tolist(), delta.tolist(),
+                                             s.tolist())]
+        net.send(every, every, TAG_STATS, deg, net.weights)
+        good_bits = np.array(good, dtype=np.int64)
+        net.send(every, every, TAG_GOOD, good_bits)
+        return {v: LocalStats(*row) for v, row in zip(
+            g.nodes, zip(deg.tolist(), delta.tolist(), s.tolist(), good,
+                         net.senders_among(good_bits > 0)))}
 
-def local_degree_stats(g: WeightedGraph) -> dict[int, tuple[int, int, int]]:
-    """Sequential recomputation of (deg, delta, s) per node, for validation."""
-    w = [g.weights[v] for v in g.nodes]
-    deg = [len(g.adj[v]) for v in g.nodes]
-    delta = neighbor_reduce(g, np.maximum, deg, deg)
-    s = neighbor_reduce(g, np.add, w, w)
-    return {v: (deg[i], delta[i], s[i]) for i, v in enumerate(g.nodes)}
+
+def local_degree_stats(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(deg, delta, s) per node in ``g.nodes`` order: the statistics
+    program's first round, every node having sent (deg, weight)."""
+    w = np.fromiter(map(g.weights.__getitem__, g.nodes), dtype=np.int64, count=g.n)
+    deg = np.diff(g.csr()[0])
+    return deg, neighbor_reduce(g, np.maximum, deg, deg), neighbor_reduce(g, np.add, w, w)
 
 
 def good_nodes(g: WeightedGraph) -> frozenset[int]:
     """Exactly the nodes satisfying the good predicate (sequential route)."""
-    stats = local_degree_stats(g)
-    return frozenset(v for v in g.nodes if is_good(g.weights[v], *stats[v][1:]))
+    _, delta, s = local_degree_stats(g)
+    return frozenset(v for v, d, t in zip(g.nodes, delta.tolist(), s.tolist())
+                     if is_good(g.weights[v], d, t))
 
 
 @dataclass(frozen=True)

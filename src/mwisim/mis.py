@@ -14,7 +14,9 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .engine import NodeContext, StepResult
+import numpy as np
+
+from .engine import Net, NodeContext, StepResult
 from .graphs import IndependentSet, WeightedGraph
 from .wire import Message
 
@@ -64,6 +66,30 @@ class LubyProgram:
         value = rng.getrandbits(_value_bits(ctx.n_upper))
         return StepResult(state=("compete", value),
                           outbox=Message(TAG_VALUE, (value,)))
+
+    def kernel(self, net: Net) -> dict[int, bool]:
+        """Two rounds per iteration over all competing nodes at once."""
+        n = len(net.ids)
+        shift = np.uint64(64 - _value_bits(net.n_upper))
+        draws = np.zeros(n, dtype=np.int64)
+        value = np.zeros(n, dtype=np.int64)
+        key = np.zeros(n, dtype=np.int64)
+        compete = net.deg > 0
+        in_mis = ~compete  # isolated nodes join in init
+        while compete.any():
+            pos = compete.nonzero()[0]
+            value[pos] = (net.words(pos, draws[pos]) >> shift).astype(np.int64)
+            draws[pos] += 1
+            net.send(compete, compete, TAG_VALUE, value)
+            # 1 + the rank of (value, id) among the competitors orders any
+            # two competitors as the lexicographic comparison does
+            key[pos[np.lexsort((pos, value[pos]))]] = np.arange(1, pos.size + 1)
+            win = compete & (key > net.fold(np.maximum, key))
+            net.send(compete, win, TAG_IN)
+            in_mis |= win
+            # a listener that heard a winner drops out, the rest recompete
+            compete &= ~win & (net.fold(np.add, win) == 0)
+        return dict(zip(net.ids, in_mis.tolist()))
 
 
 def greedy_mis(g: WeightedGraph, order: Iterable[int] | None = None) -> IndependentSet:

@@ -18,7 +18,9 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Sequence
 
-from .engine import NodeContext, RoundStats, StepResult, run
+import numpy as np
+
+from .engine import Net, NodeContext, RoundStats, StepResult, run
 from .graphs import GraphError, IndependentSet, WeightedGraph
 from .wire import Message
 
@@ -77,6 +79,20 @@ class BoppanaProgram:
             if other >= rank:
                 return StepResult(halt=True, output=RankOutput(False, rank))
         return StepResult(halt=True, output=RankOutput(True, rank))
+
+    def kernel(self, net: Net) -> dict[int, RankOutput]:
+        ranks = net.randints(1, rank_range(net.n_upper, self.c))
+        every = np.ones(len(ranks), dtype=bool)
+        if ranks.dtype == object:  # wider than 63 bits: several limbs
+            sizes = np.array([Message(TAG_RANK, _rank_to_limbs(r)).size_bits
+                              for r in ranks], dtype=np.int64)
+            net.send(every, every, TAG_RANK, sizes=sizes)
+        else:
+            net.send(every, every, TAG_RANK, ranks)
+        # ranks are >= 1, so a node without neighbors compares against 0
+        joins = (ranks > net.fold(np.maximum, ranks)).tolist()
+        return {v: RankOutput(j, r)
+                for v, j, r in zip(net.ids, joins, ranks.tolist())}
 
 
 def rank_rule(g: WeightedGraph, ranks: dict[int, int]) -> frozenset[int]:

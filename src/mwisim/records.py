@@ -18,10 +18,11 @@ from typing import Any, Mapping
 from jsonschema import Draft202012Validator
 
 from . import algorithms
-from .graphs import (BRUTE_FORCE_CAP, BruteForceCapError, WeightedGraph,
-                     brute_force_max_is, degeneracy, generate, load)
+from .graphs import (BRUTE_FORCE_CAP, BruteForceCapError, GraphError,
+                     WeightedGraph, brute_force_max_is, degeneracy, generate,
+                     load)
 
-SCHEMA_ID = "mwisim-record-v1"
+SCHEMA_ID = "mwisim-record-v2"
 
 RECORD_SCHEMA: dict[str, Any] = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -181,7 +182,14 @@ def make_record(g: WeightedGraph, source: GraphSource, alg_name: str,
 
 
 def replay(record: Mapping[str, Any]) -> dict[str, Any]:
-    """Re-execute a record; the caller compares ``result`` fields."""
+    """Re-execute a record; the caller compares ``result`` fields.
+
+    A record of another schema was made by a program whose random streams
+    or counts may differ, so it is refused, not re-run.
+    """
+    if record.get("schema") != SCHEMA_ID:
+        raise GraphError(f"record schema {record.get('schema')!r} is not "
+                         f"{SCHEMA_ID!r}; it cannot be replayed by this version")
     source = GraphSource.from_json(record["graph"])
     g = source.build()
     alg = record["algorithm"]

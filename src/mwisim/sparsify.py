@@ -16,14 +16,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
-from .engine import NodeContext, RoundStats, StepResult, run
+from .engine import Net, NodeContext, RoundStats, StepResult, run
 from .graphs import (GraphError, IndependentSet, WeightedGraph,
                      neighbor_reduce)
 from .heavy import heavy_mis_approx
-from .rng import derive_seed, node_uniform
+from .rng import derive_seed, node_uniforms
 from .wire import Message
 
 TAG_DEGW = 7
@@ -96,28 +97,44 @@ class ProfileProgram:
                                  ctx.n_upper, self.log_base)
         return StepResult(halt=True, output=ProfileEntry(delta, wdeg, wmax, p))
 
+    def kernel(self, net: Net) -> dict[int, ProfileEntry]:
+        return compute_sampling_profile(net.graph, self.lam, self.log_base,
+                                        net.n_upper, net)
+
 
 def compute_sampling_profile(g: WeightedGraph, lam: float, log_base: str = "two",
-                             n_upper: int | None = None) -> dict[int, ProfileEntry]:
-    """Sequential recomputation of the profile from the full graph."""
+                             n_upper: int | None = None,
+                             net: Net | None = None) -> dict[int, ProfileEntry]:
+    """The profile program's rounds as array steps over the whole graph.
+
+    Every node sends in both rounds, so each fold over g is the fold over
+    each inbox. With ``net`` (the program's kernel) the two rounds are sent
+    and charged; without it this is the sequential profile.
+    """
     if n_upper is None:
         n_upper = g.n
-    w = [g.weights[v] for v in g.nodes]
-    deg = [len(g.adj[v]) for v in g.nodes]
+    w = np.fromiter(map(g.weights.__getitem__, g.nodes), dtype=np.int64, count=g.n)
+    deg = np.diff(g.csr()[0])
     wdeg = neighbor_reduce(g, np.add, w)
     delta = neighbor_reduce(g, np.maximum, deg, deg)
     wmax = neighbor_reduce(g, np.maximum, wdeg, wdeg)
-    return {v: ProfileEntry(delta[i], wdeg[i], wmax[i],
-                            sampling_probability(w[i], delta[i], wmax[i], lam,
-                                                 n_upper, log_base))
-            for i, v in enumerate(g.nodes)}
+    if net is not None:
+        every = np.ones(g.n, dtype=bool)
+        net.send(every, every, TAG_DEGW, deg, w)
+        net.send(every, every, TAG_WDEG, wdeg)
+    return {v: ProfileEntry(d, wd, wm, sampling_probability(wv, d, wm, lam,
+                                                            n_upper, log_base))
+            for v, wv, d, wd, wm in zip(g.nodes, w.tolist(), delta.tolist(),
+                                        wdeg.tolist(), wmax.tolist())}
 
 
 def sample_subgraph(g: WeightedGraph, profile: dict[int, ProfileEntry],
                     seed: int) -> frozenset[int]:
-    """Independent per-node Bernoulli draws from each node's private stream."""
-    return frozenset(v for v in g.nodes
-                     if node_uniform(seed, v, SAMPLE_SALT) < profile[v].p)
+    """Independent per-node Bernoulli draws, ``rng.node_uniform`` for every
+    node at once."""
+    u = node_uniforms(seed, g.nodes, SAMPLE_SALT)
+    p = np.fromiter((profile[v].p for v in g.nodes), dtype=np.float64, count=g.n)
+    return frozenset(compress(g.nodes, (u < p).tolist()))
 
 
 @dataclass(frozen=True)

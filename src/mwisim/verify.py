@@ -246,9 +246,8 @@ def _c3_boost(tally: _Tally, quick: bool) -> tuple[bool, str]:
 
 def sampled_max_degree(g: WeightedGraph, sampled: frozenset[int]) -> int:
     """Maximum degree of the subgraph induced by ``sampled``, without building it."""
-    inside = [v in sampled for v in g.nodes]
-    degree = neighbor_reduce(g, np.add, inside)
-    return max((d for d, v_in in zip(degree, inside) if v_in), default=0)
+    inside = np.fromiter((v in sampled for v in g.nodes), dtype=bool, count=g.n)
+    return int(neighbor_reduce(g, np.add, inside)[inside].max(initial=0))
 
 
 def _c5_sparsifier(tally: _Tally, quick: bool) -> tuple[bool, str]:
@@ -272,12 +271,13 @@ def _c5_sparsifier(tally: _Tally, quick: bool) -> tuple[bool, str]:
         bound_all = 8 * w_h >= w_v
         if bound_weight or bound_all:
             weight_ok += 1
-    # distributed-vs-sequential profile cross-check at full scale, plus one
-    # complete CONGEST pipeline run for the budget ledger
+    # the profile kernel against the per-node reference interpreter at full
+    # scale, plus one complete CONGEST pipeline run for the budget ledger
     g = generate("gnp", {"n": n, "p": p}, "heavy_tail", derive_seed(0xAC05, 0))
     prof_out, prof_stats = run(g, ProfileProgram(lam), seed=derive_seed(0xAC05, 1))
     tally.note_budget(prof_stats)
-    engine_matches = prof_out == compute_sampling_profile(g, lam)
+    engine_matches = (prof_out, prof_stats) == run(
+        g, ProfileProgram(lam), seed=derive_seed(0xAC05, 1), node_order=list)
     r = sparse_approx(g, lam=lam, seed=derive_seed(0x5A17, 10**6))
     tally.note_budget(r.stats)
     need = math.ceil(0.98 * seeds)
@@ -394,7 +394,8 @@ def _c10_contracts(tally: _Tally, quick: bool) -> tuple[bool, str]:
         c = replay(a)
         if not same_outcome(a, c):
             problems.append(f"{name}: replay differs")
-    # schedule independence: shuffled step order must not change anything
+    # schedule independence: the interpreter under shuffled step orders must
+    # match the kernel, which has no order
     g2 = generate("gnp", {"n": 40, "p": 0.2}, "uniform_range", 5)
     base_out, base_stats = run(g2, LubyProgram(), seed=11)
     for k in range(3):
@@ -406,8 +407,7 @@ def _c10_contracts(tally: _Tally, quick: bool) -> tuple[bool, str]:
             return nodes
 
         out, stats = run(g2, LubyProgram(), seed=11, node_order=order)
-        if out != base_out or stats.rounds != base_stats.rounds \
-                or stats.messages_sent != base_stats.messages_sent:
+        if out != base_out or stats != base_stats:
             problems.append(f"schedule dependence under shuffle #{k}")
     if tally.budget_checked == 0 or tally.budget_failed:
         problems.append(

@@ -4,10 +4,9 @@ from fractions import Fraction
 import pytest
 
 from mwisim.algorithms import RunOutcome, as_inner, run_algorithm
-from mwisim.arb import (arb_approx, arb_phase_count, arb_reduce,
-                        low_degree_subgraph)
+from mwisim.arb import arb_approx, arb_phase_count, arb_reduce
 from mwisim.boost import (BoostPhaseError, ResidualUpdateProgram,
-                          check_stack_property)
+                          check_stack_property, local_ratio)
 from mwisim.engine import RoundStats, run
 from mwisim.graphs import (GraphError, IndependentSet, WeightedGraph,
                            brute_force_max_is, degeneracy, generate,
@@ -15,27 +14,38 @@ from mwisim.graphs import (GraphError, IndependentSet, WeightedGraph,
 from mwisim.rng import derive_seed
 
 
+def _first_phase_nodes(g, cap):
+    """The nodes the inner algorithm sees in local_ratio's first phase."""
+    seen = []
+
+    def inner(g_sub, seed, n_upper):
+        seen.append(frozenset(g_sub.nodes))
+        return RunOutcome(IndependentSet(frozenset(), 0), RoundStats())
+
+    local_ratio(g, inner, 1, 0, 0, "congest", None, degree_cap=cap)
+    return seen[0] if seen else frozenset()
+
+
 def test_low_degree_examples():
     tree = random_tree(30, 3)
-    low = low_degree_subgraph(tree, 1)
+    low = _first_phase_nodes(tree, 4)
     assert low == frozenset(v for v in tree.nodes if len(tree.adj[v]) <= 4)
 
     k10 = generate("clique", {"n": 10}, "unit", 0)
-    assert low_degree_subgraph(k10, 2) == frozenset()  # degrees 9 > 8
+    assert _first_phase_nodes(k10, 8) == frozenset()  # degrees 9 > 8
 
     edgeless = WeightedGraph(range(5), [], {v: 1 for v in range(5)})
-    assert low_degree_subgraph(edgeless, 7) == frozenset(range(5))
+    assert _first_phase_nodes(edgeless, 28) == frozenset(range(5))
 
     with pytest.raises(GraphError, match="alpha"):
-        low_degree_subgraph(k10, 0)
+        arb_approx(k10, alpha=0, eps=0.5)
 
 
 def test_arb_reduce_star():
     # center weight 100 with 5 leaves of weight 1, alpha = 1
     g = WeightedGraph(range(6), [(0, i) for i in range(1, 6)],
                       {0: 100, 1: 1, 2: 1, 3: 1, 4: 1, 5: 1})
-    low = low_degree_subgraph(g, 1)
-    assert low == frozenset(range(1, 6))  # center has degree 5 > 4
+    low = frozenset(range(1, 6))  # degree <= 4 * alpha; the center has 5
     selected = {1, 3}
     w2 = arb_reduce(g.weights, selected, low, g)
     assert w2[0] == 100 - 2            # center loses selected leaf weights
@@ -50,7 +60,7 @@ def test_arb_reduce_identity_when_nothing_low():
 
 def test_arb_reduce_single_node():
     g = WeightedGraph([0], [], {0: 7})
-    assert arb_reduce(g.weights, {0}, low_degree_subgraph(g, 1), g) == {0: 0}
+    assert arb_reduce(g.weights, {0}, frozenset({0}), g) == {0: 0}
 
 
 def test_arb_reduce_preconditions():
@@ -129,6 +139,12 @@ def test_arb_rejects_bad_parameters():
         arb_approx(g, alpha=1, eps=-1.0)
 
 
+def test_arb_rejects_a_non_finite_eps_under_its_own_name():
+    g = generate("path", {"n": 3}, "unit", 0)
+    with pytest.raises(GraphError, match="algorithm 'arb': eps must be finite"):
+        arb_approx(g, alpha=2, eps=float("nan"))
+
+
 def test_boosted_inner_respects_subgraph_guarantee():
     # inner returns a (1+eps)Delta-approximation on the low-degree subgraph
     g = generate("gnp", {"n": 14, "p": 0.3}, "uniform_range", 6)
@@ -185,7 +201,8 @@ def test_arb_rounds_are_inner_rounds_plus_one_per_low_phase():
         for frame, size in zip(r.stack, r.sizes):
             active = [v for v in g.nodes if w[v] > 0]
             assert size == len(active)
-            low = low_degree_subgraph(g.induced(active, w), alpha)
+            g_i = g.induced(active, w)
+            low = frozenset(v for v in active if g_i.degree(v) <= 4 * alpha)
             assert frame.members <= low
             low_phases += bool(low)
             w = arb_reduce(w, frame.members, low, g)
@@ -202,8 +219,8 @@ def test_arb_rounds_are_inner_rounds_plus_one_per_low_phase():
 def test_c10_arb_charges_its_reduction_rounds():
     g = generate("gnp", {"n": 60, "p": 0.12}, "uniform_range", 99)
     out = run_algorithm(g, "arb", {"eps": 0.5}, 7)
-    assert out.stats.rounds == 18
-    assert out.stats.messages_sent == 1459
+    assert out.stats.rounds == 16
+    assert out.stats.messages_sent == 1458
 
 
 def test_arb_zero_weight_nodes_leave_before_phase_one():

@@ -165,6 +165,15 @@ def test_boost_rejects_bad_parameters():
         boost(g, heavy_inner, eps=0.5, c=0.5)
 
 
+@pytest.mark.parametrize("kw", [{"eps": float("nan")},
+                                {"eps": 0.5, "c": float("nan")},
+                                {"eps": float("inf")}], ids=["eps", "c", "eps-inf"])
+def test_boost_rejects_non_finite_parameters(kw):
+    g = weighted_path([1, 1])
+    with pytest.raises(GraphError, match=r"algorithm 'boost': \w+ must be finite"):
+        boost(g, as_inner("heavy", {}), **kw)
+
+
 def test_phase_count_exact():
     assert phase_count(8.0, 0.25) == 32
     assert phase_count(8.0, 0.5) == 16

@@ -234,26 +234,29 @@ def test_csr_of_non_contiguous_ids_and_isolated_nodes():
 def test_neighbor_reduce_examples():
     g = WeightedGraph([42, 3, 10, 7], [(3, 7), (42, 7)], {3: 1, 7: 2, 10: 3, 42: 4})
     vals = [1, 2, 3, 4]  # by position: nodes 3, 7, 10, 42
-    assert neighbor_reduce(g, np.add, vals) == [2, 5, 0, 2]
-    assert neighbor_reduce(g, np.add, vals, vals) == [3, 7, 3, 6]
-    assert neighbor_reduce(g, np.maximum, vals, vals) == [2, 4, 3, 4]
-    assert neighbor_reduce(WeightedGraph([], [], {}), np.add, []) == []
+    assert neighbor_reduce(g, np.add, vals).tolist() == [2, 5, 0, 2]
+    assert neighbor_reduce(g, np.add, vals, vals).tolist() == [3, 7, 3, 6]
+    assert neighbor_reduce(g, np.maximum, vals, vals).tolist() == [2, 4, 3, 4]
+    assert neighbor_reduce(g, np.add, np.array(vals)).dtype == np.int64
+    assert neighbor_reduce(WeightedGraph([], [], {}), np.add, []).tolist() == []
 
 
 def test_neighbor_reduce_is_exact_beyond_int64():
     star = WeightedGraph(range(3), [(0, 1), (0, 2)], {v: 1 for v in range(3)})
     big = [INT64_MAX, INT64_MAX, INT64_MAX - 1]
-    out = neighbor_reduce(star, np.add, big, big)
-    assert out == [3 * INT64_MAX - 1, 2 * INT64_MAX, 2 * INT64_MAX - 1]
-    assert all(type(x) is int for x in out)
+    for vals in (big, np.array(big)):
+        out = neighbor_reduce(star, np.add, vals, vals)
+        assert out.dtype == object
+        assert out.tolist() == [3 * INT64_MAX - 1, 2 * INT64_MAX, 2 * INT64_MAX - 1]
+        assert all(type(x) is int for x in out)
     # delta * top fits in int64, the closed sum at the center does not
     half = INT64_MAX // 2
     assert neighbor_reduce(star, np.add, [half] * 3, [half] * 3)[0] == 3 * half
     # the largest values that still take the int64 path: (delta + 1) * top fits
     top = INT64_MAX // 3
     out = neighbor_reduce(star, np.add, [top] * 3, [top] * 3)
-    assert out == [3 * top, 2 * top, 2 * top]
-    assert all(type(x) is int for x in out)
+    assert out.dtype == np.int64
+    assert out.tolist() == [3 * top, 2 * top, 2 * top]
 
 
 # --------------------------------------------------------------- degeneracy

@@ -1,0 +1,207 @@
+"""Each program's array kernel against the per-node reference interpreter.
+
+``run_on_subgraph`` runs a program's kernel unless ``node_order`` is given;
+with ``node_order=list`` the interpreter runs in id order. The two must
+agree on everything observable: outputs, ``RoundStats`` (with
+``per_round_messages``, ``max_message_bits`` and ``budget_bits``) and any
+error with all of its fields.
+"""
+
+import os
+import random
+import tempfile
+from contextlib import contextmanager
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mwisim import boost, heavy, mis, ranking, sparsify
+from mwisim.algorithms import ALGORITHMS, run_algorithm
+from mwisim.cli import main as run_cli
+from mwisim.engine import (DEFAULT_MAX_ROUNDS, CongestViolation, EngineError,
+                           RoundLimitExceeded, message_budget_bits, run,
+                           run_on_subgraph)
+from mwisim.graphs import INT64_MAX, WEIGHT_MODELS, WeightedGraph, generate, save
+from mwisim.records import GraphSource, make_record, replay, same_outcome, to_jsonl
+from mwisim.wire import WireError
+from test_golden import GRAPHS
+
+PROGRAM_CLASSES = (mis.LubyProgram, heavy.LocalStatsProgram,
+                   sparsify.ProfileProgram, ranking.BoppanaProgram,
+                   boost.ResidualUpdateProgram)
+PARAMS = {"eps": 0.5, "alpha": 2, "c": None, "lam": None}
+
+
+def outcome(fn):
+    """What a run shows: its value, or its error with every field."""
+    try:
+        return ("ok", fn())
+    except (EngineError, ValueError, OverflowError) as e:
+        return (type(e).__name__, str(e), vars(e))
+
+
+def both(g, program, **kw):
+    return (outcome(lambda: run(g, program, **kw)),
+            outcome(lambda: run(g, program, node_order=list, **kw)))
+
+
+def programs(g, rng):
+    independent = set()
+    for v in g.nodes:
+        if rng.random() < 0.4 and not independent.intersection(g.adj[v]):
+            independent.add(v)
+    selected = frozenset(independent)
+    zeroed = selected | {v for v in g.nodes if rng.random() < 0.3}
+    return [mis.LubyProgram(), heavy.LocalStatsProgram(),
+            sparsify.ProfileProgram(rng.choice([0.3, 4.0]),
+                                    rng.choice(["two", "natural"])),
+            ranking.BoppanaProgram(rng.randint(1, 4)),
+            boost.ResidualUpdateProgram(selected, frozenset(zeroed))]
+
+
+weights = st.one_of(st.integers(0, 10**6),
+                    st.integers(INT64_MAX - 2**20, INT64_MAX))
+
+
+@given(st.integers(1, 30), st.floats(0.0, 0.6), st.integers(0, 2**32),
+       st.lists(weights, min_size=30, max_size=30), st.integers(0, 2**64),
+       st.sampled_from(["congest", "local"]),
+       st.sampled_from([1, 2, 3, DEFAULT_MAX_ROUNDS]),
+       st.sampled_from([None, 1, 4096]))
+@settings(max_examples=120, deadline=None)
+def test_kernels_equal_the_interpreter(n, p, graph_seed, ws, seed, mode,
+                                       max_rounds, n_upper):
+    base = generate("gnp", {"n": n, "p": p}, "unit", graph_seed)
+    g = base.induced(base.nodes, {v: ws[v] for v in base.nodes})
+    rng = random.Random(graph_seed)
+    sub = [v for v in g.nodes if rng.random() < 0.8]
+    for program in programs(g, rng):
+        kw = dict(mode=mode, seed=seed, max_rounds=max_rounds, n_upper=n_upper)
+        kernel, reference = both(g, program, **kw)
+        assert kernel == reference, type(program).__name__
+        kernel = outcome(lambda: run_on_subgraph(g, sub, program, **kw))
+        reference = outcome(lambda: run_on_subgraph(g, sub, program,
+                                                    node_order=list, **kw))
+        assert kernel == reference, type(program).__name__
+
+
+@contextmanager
+def interpreted():
+    """Takes the kernels away, so every engine run interprets."""
+    saved = [(cls, cls.kernel) for cls in PROGRAM_CLASSES]
+    try:
+        for cls, _ in saved:
+            del cls.kernel
+        yield
+    finally:
+        for cls, kernel in saved:
+            cls.kernel = kernel
+
+
+def _algorithm_runs(graphs, modes=("congest", "local")):
+    out = []
+    for g in graphs:
+        for mode in modes:
+            for alg in ALGORITHMS:
+                r = outcome(lambda: run_algorithm(g, alg, PARAMS, seed=7, mode=mode))
+                if r[0] == "ok":
+                    o = r[1]
+                    r = ("ok", o.iset, o.stats, o.diagnostics, o.stack)
+                out.append((alg, mode, r))
+    return out
+
+
+def test_golden_grid_and_c10_sweep_interpret_the_same():
+    graphs = [generate(family, params, weights, k)
+              for k, (family, params) in enumerate(GRAPHS) for weights in WEIGHT_MODELS]
+    graphs.append(generate("gnp", {"n": 60, "p": 0.12}, "uniform_range", 99))
+    kernels = _algorithm_runs(graphs)
+    with interpreted():
+        assert _algorithm_runs(graphs) == kernels
+    assert all(r[0] == "ok" for _, _, r in kernels)
+
+
+# ------------------------------------------------------- weights near 2^63
+
+big_weights = st.lists(st.integers(INT64_MAX - 2**16, INT64_MAX), min_size=4,
+                       max_size=4)
+
+
+@given(st.integers(2, 4), st.floats(0.0, 1.0), st.integers(0, 2**32), big_weights,
+       st.integers(0, 99))
+@settings(max_examples=25, deadline=None)
+def test_63_bit_weights(n, p, graph_seed, ws, seed):
+    # n <= 4 keeps the CONGEST budget at 32 or 64 bits, below one 63-bit
+    # weight plus its headers
+    g = generate("gnp", {"n": n, "p": p}, "unit", graph_seed)
+    g = g.induced(g.nodes, {v: ws[v] for v in g.nodes})
+    kernels = _algorithm_runs([g])
+    with interpreted():
+        assert _algorithm_runs([g]) == kernels
+    heavy_run = {mode: r for alg, mode, r in kernels if alg == "heavy"}
+    senders = [v for v in g.nodes if g.adj[v]]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "big.g")
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(save(g))
+        code = run_cli(["run", "--graph", path, "--alg", "heavy",
+                        "--seeds", str(seed)])
+    if senders:
+        # the first sender's (degree, weight) message breaks the budget
+        kind, _, fields = heavy_run["congest"]
+        assert kind == "CongestViolation" and code == 4
+        assert fields["sender"] == senders[0] and fields["round_no"] == 1
+        assert fields["receiver"] == g.adj[senders[0]][0]
+        assert fields["budget_bits"] == message_budget_bits(n) <= 64
+        assert fields["size_bits"] > 64
+    else:
+        assert heavy_run["congest"][0] == "ok" and code == 0
+    # LOCAL mode: exact, whatever the sum
+    kind, iset, *_ = heavy_run["local"]
+    assert kind == "ok"
+    assert iset.weight == sum(g.weights[v] for v in iset.members)
+    assert type(iset.weight) is int
+
+
+def test_local_heavy_weight_past_int64_is_stored_exactly(tmp_path):
+    g = WeightedGraph(range(3), [(0, 1)], {v: INT64_MAX for v in range(3)})
+    path = tmp_path / "big.g"
+    text = save(g)
+    path.write_text(text)
+    source = GraphSource.from_file(str(path), text)
+    rec = make_record(g, source, "heavy", {}, seed=0, mode="local")
+    # the isolated node and one end of the edge: 2 * (2^63 - 1)
+    assert rec["result"]["weight"] == 2**64 - 2
+    assert '"weight": 18446744073709551614' in to_jsonl([rec])
+    assert same_outcome(rec, replay(rec))
+
+
+def test_shuffled_interpreter_matches_the_kernel():
+    g = generate("gnp", {"n": 40, "p": 0.2}, "uniform_range", 5)
+    want = run(g, mis.LubyProgram(), seed=11)
+    for k in range(5):
+        shuffler = random.Random(k)
+
+        def order(nodes):
+            nodes = list(nodes)
+            shuffler.shuffle(nodes)
+            return nodes
+
+        assert run(g, mis.LubyProgram(), seed=11, node_order=order) == want
+
+
+def test_round_limit_and_budget_errors_carry_the_same_fields():
+    g = generate("gnp", {"n": 50, "p": 0.2}, "unit", 1)
+    for program in (mis.LubyProgram(), heavy.LocalStatsProgram()):
+        kernel, reference = both(g, program, max_rounds=1)
+        assert kernel[0] == "RoundLimitExceeded" and kernel == reference
+        assert isinstance(kernel[2]["stats"].per_round_messages, list)
+    fat = WeightedGraph([0, 1, 2], [(1, 2)], {0: 10**6, 1: 10**6, 2: 10**6})
+    kernel, reference = both(fat, heavy.LocalStatsProgram(), n_upper=2)
+    assert kernel[0] == "CongestViolation" and kernel == reference
+    assert (kernel[2]["sender"], kernel[2]["receiver"]) == (1, 2)
+    with pytest.raises(RoundLimitExceeded):
+        run(g, mis.LubyProgram(), max_rounds=1)
+    with pytest.raises(CongestViolation):
+        run(fat, heavy.LocalStatsProgram(), n_upper=2)

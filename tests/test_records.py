@@ -3,9 +3,20 @@ import json
 import jsonschema
 import pytest
 
-from mwisim.graphs import generate, save
-from mwisim.records import (RECORD_SCHEMA, GraphSource, make_record, replay,
-                            same_outcome, to_csv, to_jsonl, validate_record)
+from mwisim.graphs import GraphError, generate, save
+from mwisim.records import (RECORD_SCHEMA, SCHEMA_ID, GraphSource, make_record,
+                            replay, same_outcome, to_csv, to_jsonl,
+                            validate_record)
+
+# a line of the golden file made before the counter-based node streams
+V1_LUBY = (
+    '{"algorithm": {"mode": "congest", "name": "luby"}, "degeneracy": 4, '
+    '"diagnostics": {}, "graph": {"family": "gnp", "file": null, "params": '
+    '{"n": 14, "p": 0.3}, "seed": 0, "sha256": null, "weights": "unit"}, '
+    '"max_degree": 7, "n": 14, "oracle": {"opt": 5, "ratio": 1.25}, "result": '
+    '{"max_message_bits": 42, "messages": 87, "rounds": 4, "size": 4, '
+    '"weight": 4}, "schema": "mwisim-record-v1", "seed": 7, '
+    '"wall_time_s": 0.000598}')
 
 
 def _record(alg="heavy", params=None, oracle=False, **kw):
@@ -134,3 +145,13 @@ def test_make_record_resolves_parameters_once(monkeypatch):
     # one for the record's degeneracy field, one for arb's default alpha
     assert calls == [18, 18]
     assert r["algorithm"]["alpha"] == max(1, r["degeneracy"])
+
+
+def test_replay_refuses_a_record_of_another_schema():
+    old = json.loads(V1_LUBY)
+    with pytest.raises(GraphError, match="'mwisim-record-v1'.*'mwisim-record-v2'"):
+        replay(old)
+    assert SCHEMA_ID == "mwisim-record-v2"
+    # the same record under the current schema replays (to this version's run)
+    again = replay(dict(old, schema=SCHEMA_ID))
+    assert again["schema"] == SCHEMA_ID

@@ -5,8 +5,8 @@ import pytest
 
 from mwisim.engine import run
 from mwisim.graphs import INT64_MAX, WeightedGraph, generate
-from mwisim.rng import derive_seed
-from mwisim.sparsify import (ProfileEntry, ProfileProgram,
+from mwisim.rng import derive_seed, node_uniform
+from mwisim.sparsify import (SAMPLE_SALT, ProfileEntry, ProfileProgram,
                              compute_sampling_profile, sample_subgraph,
                              sampling_probability, sparse_approx)
 
@@ -33,7 +33,8 @@ def test_profile_program_matches_sequential():
         g = generate("gnp", {"n": rng.randint(3, 60), "p": rng.uniform(0.05, 0.5)},
                      ("unit", "uniform_range", "heavy_tail")[seed % 3],
                      derive_seed(0x0F, seed))
-        out, stats = run(g, ProfileProgram(4.0), seed=seed)
+        # the per-node interpreter against the array form
+        out, stats = run(g, ProfileProgram(4.0), seed=seed, node_order=list)
         assert stats.rounds == 2
         assert out == compute_sampling_profile(g, 4.0)
 
@@ -100,6 +101,19 @@ def test_sampling_deterministic():
     assert sample_subgraph(g, prof, 9) == sample_subgraph(g, prof, 9)
     draws = {sample_subgraph(g, prof, s) for s in range(5)}
     assert len(draws) > 1  # different seeds differ somewhere
+
+
+def test_sample_is_the_per_node_uniform_draw():
+    g = generate("gnp", {"n": 300, "p": 0.15}, "heavy_tail", 3)
+    g = WeightedGraph([7 * v + 2**40 for v in g.nodes],
+                      [(7 * u + 2**40, 7 * v + 2**40) for u, v in g.edges()],
+                      {7 * v + 2**40: w for v, w in g.weights.items()})
+    prof = compute_sampling_profile(g, 4.0)
+    for seed in (0, 9, 2**63 + 1):
+        want = frozenset(v for v in g.nodes
+                         if node_uniform(seed, v, SAMPLE_SALT) < prof[v].p)
+        assert sample_subgraph(g, prof, seed) == want
+        assert 0 < len(want) < g.n
 
 
 def test_isolated_nodes_always_sampled():
