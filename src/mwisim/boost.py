@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 from typing import TYPE_CHECKING, Callable, Iterable
 
 import numpy as np
@@ -161,7 +162,7 @@ def local_ratio(g: WeightedGraph, inner: Inner, phases: int, salt: int,
         g_i = g.induced(active, residual)
         g_in = g_i
         if degree_cap is not None:
-            g_in = g_i.induced(v for v in active if len(g_i.adj[v]) <= degree_cap)
+            g_in = g_i.induced(compress(g_i.nodes, g_i.degrees <= degree_cap))
             if not g_in.n:
                 frames.append(PhaseFrame(i, frozenset(), {}))
                 continue

@@ -118,10 +118,7 @@ def cmd_run(args) -> int:
 def cmd_verify(args) -> int:
     from . import verify
 
-    if args.suite == "invariants":
-        results = verify.run_invariant_suite(quick=args.quick)
-    else:
-        results = verify.run_acceptance_suite(quick=args.quick)
+    results = verify.run_acceptance_suite(quick=args.quick)
     for r in results:
         print(r.line())
     failed = [r for r in results if not r.passed]
@@ -186,8 +183,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--csv", help="also write a CSV projection")
     p_run.set_defaults(func=cmd_run)
 
-    p_ver = sub.add_parser("verify", help="run invariant or acceptance suites")
-    p_ver.add_argument("suite", choices=("invariants", "acceptance"))
+    p_ver = sub.add_parser("verify", help="run the acceptance battery")
+    p_ver.add_argument("suite", choices=("acceptance",))
     p_ver.add_argument("--quick", action="store_true",
                        help="reduced corpus sizes for a fast smoke run")
     p_ver.add_argument("--json", help="write machine-readable results here")

@@ -181,7 +181,7 @@ class Net:
         self.ids = graph.nodes
         self.n_upper = n_upper
         self.indptr, self.nbr = graph.csr()
-        self.deg = self.indptr[1:] - self.indptr[:-1]
+        self.deg = graph.degrees
         self.weights = np.fromiter(map(graph.weights.__getitem__, graph.nodes),
                                    dtype=np.int64, count=graph.n)
         self.stats = RoundStats(budget_bits=budget)
@@ -292,7 +292,7 @@ def run_on_subgraph(g: WeightedGraph, subset: Iterable[int], program: NodeProgra
     if n_upper is None:
         n_upper = g.n
     sub = set(subset)
-    h = g if sub == g.adj.keys() else g.induced(sub)
+    h = g if len(sub) == g.n and sub.issuperset(g.nodes) else g.induced(sub)
     budget = message_budget_bits(n_upper) if mode == "congest" else None
     kernel = getattr(program, "kernel", None)
     if node_order is None and kernel is not None and h.n:

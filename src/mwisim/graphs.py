@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -38,84 +39,73 @@ class GraphParseError(GraphError):
 class WeightedGraph:
     """Immutable undirected graph with integer node weights.
 
-    ``adj`` maps each node id to a sorted tuple of neighbor ids; adjacency is
-    symmetric with no self-loops and no duplicate edges.
+    Node ids are distinct integers in [0, INT64_MAX]; ``nodes`` lists them
+    ascending, and a node's position in ``nodes`` is its number in every
+    array below. The adjacency is stored once, in compressed-sparse-row
+    form: ``csr()`` returns two read-only int64 arrays ``(indptr, nbr)``,
+    and the neighbors of ``nodes[i]`` are ``nodes[j]`` for ``j`` in
+    ``nbr[indptr[i]:indptr[i + 1]]``, ascending. It is symmetric, with no
+    self-loops and no duplicate edges. ``degrees`` (read-only int64, by
+    position) and ``max_degree`` are computed with it.
 
-    ``csr()`` gives the same adjacency as two read-only int64 arrays in
-    compressed-sparse-row form, with nodes numbered by their position in
-    ``nodes``: the neighbors of ``nodes[i]`` are ``nodes[j]`` for ``j`` in
-    ``nbr[indptr[i]:indptr[i + 1]]``, ascending. Generated graphs are built
-    from it; for any other graph it is built on the first call.
+    ``adj`` maps each node id to the sorted tuple of its neighbor ids, for
+    the sequential reference code that walks one neighborhood at a time.
+    It is derived from the CSR on first read and then cached.
     """
 
-    __slots__ = ("nodes", "adj", "weights", "_max_degree", "_csr")
+    __slots__ = ("nodes", "weights", "degrees", "max_degree", "_ids", "_csr", "_adj")
 
     def __init__(self, nodes: Iterable[int], edges: Iterable[tuple[int, int]],
                  weights: Mapping[int, int]):
         node_list = sorted(nodes)
-        node_set = set(node_list)
-        if len(node_list) != len(node_set):
+        pos = {v: i for i, v in enumerate(node_list)}
+        if len(pos) != len(node_list):
             raise GraphError("duplicate node identifiers")
         if node_list and node_list[0] < 0:
             raise GraphError("node identifiers must be non-negative")
-        adj: dict[int, set[int]] = {v: set() for v in node_list}
+        for v in node_list:
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise GraphError(f"node identifier {v!r} is not an integer")
+        if node_list and node_list[-1] > INT64_MAX:
+            raise GraphError(f"node identifier {node_list[-1]} exceeds 64-bit range")
+        ends: list[tuple[int, int]] = []
         for u, v in edges:
             if u == v:
                 raise GraphError(f"self-loop at node {u}")
-            if u not in node_set or v not in node_set:
+            if u not in pos or v not in pos:
                 raise GraphError(f"edge ({u}, {v}) references unknown node")
-            adj[u].add(v)
-            adj[v].add(u)
+            ends.append((pos[u], pos[v]))
         w = _checked_weights(node_list, weights)
-        self.nodes: tuple[int, ...] = tuple(node_list)
-        self.adj: dict[int, tuple[int, ...]] = {v: tuple(sorted(adj[v])) for v in node_list}
-        self.weights: dict[int, int] = w
-        self._max_degree: int | None = None
-        self._csr: tuple[np.ndarray, np.ndarray] | None = None
+        uv = np.array(ends, dtype=np.int64).reshape(-1, 2)
+        self._build(tuple(node_list), np.array(node_list, dtype=np.int64), w,
+                    *_csr_of_edges(len(node_list), uv[:, 0], uv[:, 1]))
 
-    @classmethod
-    def _unchecked(cls, nodes: tuple[int, ...], adj: dict[int, tuple[int, ...]],
-                   weights: dict[int, int],
-                   csr: tuple[np.ndarray, np.ndarray] | None = None,
-                   ) -> "WeightedGraph":
-        """A graph from parts that are valid by construction, unchecked."""
-        g = object.__new__(cls)
-        g.nodes, g.adj, g.weights = nodes, adj, weights
-        g._max_degree = None
-        g._csr = csr
-        return g
-
-    @classmethod
-    def _from_edge_arrays(cls, n: int, u: np.ndarray, v: np.ndarray,
-                          weights: dict[int, int]) -> "WeightedGraph":
-        """Graph on ids 0..n-1 from int64 endpoint arrays, for generators
-        whose output is clean by construction (no self-loops, no duplicate
-        edges, weights already checked)."""
-        keys = np.sort(np.concatenate([u * n + v, v * n + u]))
-        src, nbr = np.divmod(keys, n)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-        # every adjacency tuple refers to the one int object per node in
-        # ``ids``, not to a fresh object per edge endpoint
-        ids = list(range(n))
-        flat = list(map(ids.__getitem__, nbr.tolist()))
-        bounds = indptr.tolist()
-        return cls._unchecked(tuple(ids),
-                              {i: tuple(flat[bounds[i]:bounds[i + 1]]) for i in ids},
-                              weights, _read_only(indptr, nbr))
+    def _build(self, nodes: tuple[int, ...], ids: np.ndarray, weights: dict[int, int],
+               indptr: np.ndarray, nbr: np.ndarray) -> "WeightedGraph":
+        """Fill in every field from ``nodes`` (ascending; ``ids`` holds the
+        same as int64), their weights and the CSR. Checks nothing: each
+        caller has validated its parts or taken them from a valid graph."""
+        deg = indptr[1:] - indptr[:-1]
+        self.nodes: tuple[int, ...] = nodes
+        self.weights: dict[int, int] = weights
+        self.degrees, self._ids = _read_only(deg, ids)
+        self.max_degree: int = int(np.maximum.reduce(deg, initial=0))
+        self._csr: tuple[np.ndarray, np.ndarray] = _read_only(indptr, nbr)
+        self._adj: dict[int, tuple[int, ...]] | None = None
+        return self
 
     def csr(self) -> tuple[np.ndarray, np.ndarray]:
         """``(indptr, nbr)``: the adjacency by node position (class docstring)."""
-        if self._csr is None:
-            pos = {v: i for i, v in enumerate(self.nodes)}
-            deg = np.fromiter((len(self.adj[v]) for v in self.nodes),
-                              dtype=np.int64, count=self.n)
-            indptr = np.zeros(self.n + 1, dtype=np.int64)
-            np.cumsum(deg, out=indptr[1:])
-            nbr = np.fromiter((pos[u] for v in self.nodes for u in self.adj[v]),
-                              dtype=np.int64, count=int(indptr[-1]))
-            self._csr = _read_only(indptr, nbr)
         return self._csr
+
+    @property
+    def adj(self) -> dict[int, tuple[int, ...]]:
+        if self._adj is None:
+            ptr = self._csr[0].tolist()
+            # every tuple refers to the one int object per node in ``nodes``
+            flat = list(map(self.nodes.__getitem__, self._csr[1].tolist()))
+            self._adj = {v: tuple(flat[a:b]) for v, a, b in zip(self.nodes, ptr, ptr[1:])}
+        return self._adj
 
     @property
     def n(self) -> int:
@@ -123,16 +113,13 @@ class WeightedGraph:
 
     @property
     def m(self) -> int:
-        return sum(len(nbrs) for nbrs in self.adj.values()) // 2
+        return self._csr[1].size // 2
 
     def degree(self, v: int) -> int:
-        return len(self.adj[v])
-
-    @property
-    def max_degree(self) -> int:
-        if self._max_degree is None:
-            self._max_degree = max((len(a) for a in self.adj.values()), default=0)
-        return self._max_degree
+        i = bisect_left(self.nodes, v)
+        if i == self.n or self.nodes[i] != v:
+            raise GraphError(f"node {v} is not in the graph")
+        return int(self.degrees[i])
 
     def total_weight(self, subset: Iterable[int] | None = None) -> int:
         if subset is None:
@@ -140,37 +127,57 @@ class WeightedGraph:
         return sum(self.weights[v] for v in subset)
 
     def edges(self) -> list[tuple[int, int]]:
-        return [(u, v) for u in self.nodes for v in self.adj[u] if u < v]
+        src, nbr = np.arange(self.n).repeat(self.degrees), self._csr[1]
+        once = src < nbr
+        return list(zip(map(self.nodes.__getitem__, src[once].tolist()),
+                        map(self.nodes.__getitem__, nbr[once].tolist())))
 
     def is_independent(self, members: Iterable[int]) -> bool:
         mem = set(members)
-        for v in mem:
-            if v not in self.adj:
-                raise GraphError(f"node {v} is not in the graph")
-        return all(not (mem & set(self.adj[v])) for v in mem)
+        unknown = mem.difference(self.nodes)
+        if unknown:
+            raise GraphError(f"node {min(unknown)} is not in the graph")
+        inside = self._mask(mem)
+        return not np.count_nonzero(inside[self._csr[1]] & inside.repeat(self.degrees))
 
     def induced(self, subset: Iterable[int],
                 weights: Mapping[int, int] | None = None) -> "WeightedGraph":
         """Induced subgraph keeping original identifiers; optional new weights.
 
         A subgraph of a valid graph is valid, so only the subset and the
-        replacement weights are checked; each adjacency tuple is the
-        parent's, filtered to the subset.
+        replacement weights are checked. The CSR is the parent's, filtered
+        to the entries between kept positions and renumbered; both steps
+        keep each row ascending.
         """
         sub = set(subset)
-        unknown = sub - self.adj.keys()
+        unknown = sub.difference(self.nodes)
         if unknown:
             raise GraphError(f"subset contains unknown nodes {sorted(unknown)}")
-        nodes = tuple(sorted(sub))
+        keep = self._mask(sub)
+        kept = keep.nonzero()[0]
+        nodes = tuple(map(self.nodes.__getitem__, kept.tolist()))
         w = (_checked_weights(nodes, weights) if weights is not None
              else {v: self.weights[v] for v in nodes})
-        adj = self.adj
-        return WeightedGraph._unchecked(
-            nodes, {v: tuple([u for u in adj[v] if u in sub]) for v in nodes}, w)
+        indptr, nbr = self._csr
+        entry = keep[nbr] & keep.repeat(self.degrees)
+        # kept entries before each row of the parent: the new row bounds
+        before = np.zeros(nbr.size + 1, dtype=np.int64)
+        np.add.accumulate(entry, dtype=np.int64, out=before[1:])
+        bounds = before[indptr]
+        return object.__new__(WeightedGraph)._build(
+            nodes, self._ids[kept], w, np.concatenate((bounds[kept], bounds[-1:])),
+            kept.searchsorted(nbr[entry]))
+
+    def _mask(self, ids: set[int]) -> np.ndarray:
+        """Boolean array by position, set at the nodes ``ids`` (all in the graph)."""
+        mask = np.zeros(self.n, dtype=bool)
+        mask[self._ids.searchsorted(np.fromiter(ids, np.int64, len(ids)))] = True
+        return mask
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, WeightedGraph) and self.nodes == other.nodes
-                and self.adj == other.adj and self.weights == other.weights)
+                and self.weights == other.weights
+                and all(map(np.array_equal, self._csr, other._csr)))
 
     def __hash__(self):
         raise TypeError("WeightedGraph is not hashable")
@@ -234,6 +241,19 @@ def _checked_weights(nodes: Iterable[int],
             raise GraphError(f"weight of node {v} exceeds 64-bit range")
         w[v] = wv
     return w
+
+
+def _csr_of_edges(n: int, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(indptr, nbr)`` of the graph on positions 0..n-1 with an edge
+    between ``u[k]`` and ``v[k]`` for each k, in either order, repeats
+    merged."""
+    # sort, then drop each key equal to its predecessor: np.unique gives the
+    # same keys but takes a hash path here that is about 10x slower
+    keys = np.sort(np.concatenate([u * n + v, v * n + u]))
+    src, nbr = np.divmod(keys[np.diff(keys, prepend=-1) != 0], n)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    return indptr, nbr
 
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -375,8 +395,9 @@ def generate(family: str, params: Mapping[str, object], weight_model: str = "uni
         if not 0.0 <= p <= 1.0:
             raise GraphError(f"gnp needs 0 <= p <= 1, got {p}")
         u, v = _gnp_edges(n, p, seed)
-    return WeightedGraph._from_edge_arrays(
-        n, u, v, _draw_weights(range(n), weight_model, seed))
+    return object.__new__(WeightedGraph)._build(
+        tuple(range(n)), ids, _draw_weights(range(n), weight_model, seed),
+        *_csr_of_edges(n, u, v))
 
 
 def random_tree(n: int, seed: int, weight_model: str = "unit") -> WeightedGraph:

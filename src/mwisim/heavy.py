@@ -97,15 +97,8 @@ def local_degree_stats(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray, np.nda
     """(deg, delta, s) per node in ``g.nodes`` order: the statistics
     program's first round, every node having sent (deg, weight)."""
     w = np.fromiter(map(g.weights.__getitem__, g.nodes), dtype=np.int64, count=g.n)
-    deg = np.diff(g.csr()[0])
+    deg = g.degrees
     return deg, neighbor_reduce(g, np.maximum, deg, deg), neighbor_reduce(g, np.add, w, w)
-
-
-def good_nodes(g: WeightedGraph) -> frozenset[int]:
-    """Exactly the nodes satisfying the good predicate (sequential route)."""
-    _, delta, s = local_degree_stats(g)
-    return frozenset(v for v, d, t in zip(g.nodes, delta.tolist(), s.tolist())
-                     if is_good(g.weights[v], d, t))
 
 
 @dataclass(frozen=True)

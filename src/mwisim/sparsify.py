@@ -114,7 +114,7 @@ def compute_sampling_profile(g: WeightedGraph, lam: float, log_base: str = "two"
     if n_upper is None:
         n_upper = g.n
     w = np.fromiter(map(g.weights.__getitem__, g.nodes), dtype=np.int64, count=g.n)
-    deg = np.diff(g.csr()[0])
+    deg = g.degrees
     wdeg = neighbor_reduce(g, np.add, w)
     delta = neighbor_reduce(g, np.maximum, deg, deg)
     wmax = neighbor_reduce(g, np.maximum, wdeg, wdeg)

@@ -1,4 +1,4 @@
-"""Invariant and acceptance batteries behind `mwisim verify` and the tests.
+"""The acceptance battery behind `mwisim verify` and the tests.
 
 Every guarantee with an exact integer form is asserted with zero tolerance
 (cross-multiplied fractions, no floats). The two statistical checks
@@ -16,14 +16,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-import numpy as np
-
 from .algorithms import as_inner, run_algorithm
 from .boost import check_stack_property, phase_count
 from .cliquecycle import rand_mis
 from .engine import RoundStats, run
 from .graphs import (WeightedGraph, brute_force_max_is, degeneracy, generate,
-                     neighbor_reduce, random_tree)
+                     random_tree)
 from .heavy import heavy_mis_approx
 from .mis import LubyProgram
 from .ranking import boppana_once, check_perm_equivalence
@@ -244,12 +242,6 @@ def _c3_boost(tally: _Tally, quick: bool) -> tuple[bool, str]:
                         else "all ratio and fraction bounds hold exactly"))
 
 
-def sampled_max_degree(g: WeightedGraph, sampled: frozenset[int]) -> int:
-    """Maximum degree of the subgraph induced by ``sampled``, without building it."""
-    inside = np.fromiter((v in sampled for v in g.nodes), dtype=bool, count=g.n)
-    return int(neighbor_reduce(g, np.add, inside)[inside].max(initial=0))
-
-
 def _c5_sparsifier(tally: _Tally, quick: bool) -> tuple[bool, str]:
     seeds = 10 if quick else 50
     n, p, lam = 4096, 0.04, 4.0
@@ -260,7 +252,7 @@ def _c5_sparsifier(tally: _Tally, quick: bool) -> tuple[bool, str]:
         g = generate("gnp", {"n": n, "p": p}, "heavy_tail", derive_seed(0xAC05, s))
         profile = compute_sampling_profile(g, lam)
         sampled = sample_subgraph(g, profile, derive_seed(0x5A17, s))
-        delta_h = sampled_max_degree(g, sampled)
+        delta_h = g.induced(sampled).max_degree
         w_v = g.total_weight()
         w_h = g.total_weight(sampled)
         delta = g.max_degree
@@ -450,87 +442,3 @@ def run_acceptance_suite(quick: bool = False) -> list[CheckResult]:
     c10 = _timed("C10 engine contracts: budget, determinism, replay",
                  lambda: _c10_contracts(tally, quick))
     return [c1, c2, c3, c4, c5, c6, c7, c8, c9, c10]
-
-
-# ---------------------------------------------------------------------------
-# invariant suite (lighter, module-level checks)
-
-
-def _inv_graphs() -> tuple[bool, str]:
-    problems = []
-    for n in (3, 10, 57):
-        if generate("cycle", {"n": n}, "unit", 0).m != n:
-            problems.append(f"cycle {n} edge count")
-        if generate("clique", {"n": n}, "unit", 0).m != n * (n - 1) // 2:
-            problems.append(f"clique {n} edge count")
-    for s in range(30):
-        t = random_tree(random.Random(s).randint(2, 1000), s)
-        if degeneracy(t) != 1:
-            problems.append(f"tree degeneracy seed {s}")
-    from .graphs import load, save
-    rng = random.Random(0x10AD)
-    for k in range(1000):
-        g = generate("gnp", {"n": rng.randint(1, 60), "p": rng.random()},
-                     ("unit", "uniform_range", "heavy_tail")[k % 3],
-                     derive_seed(0x10AD, k))
-        if load(save(g)) != g:
-            problems.append(f"save/load roundtrip #{k}")
-    if problems:
-        return False, f"{len(problems)} problems, first: {problems[0]}"
-    return True, "generators, degeneracy, save/load OK"
-
-
-def _inv_oracle_dominance() -> tuple[bool, str]:
-    from .mis import greedy_mis
-    rng = random.Random(0xD0)
-    worst = 0
-    for k in range(100):
-        # n >= 3 keeps in-model weights (<= poly n) inside the CONGEST budget
-        n = rng.randint(3, 18)
-        g = generate("gnp", {"n": n, "p": rng.uniform(0.1, 0.6)},
-                     "uniform_range", derive_seed(0xD0, k))
-        opt = brute_force_max_is(g).weight
-        for other in (greedy_mis(g).weight,
-                      heavy_mis_approx(g, seed=k).iset.weight):
-            if other > opt:
-                worst += 1
-    return worst == 0, f"oracle dominated all heuristics in 100 graphs ({worst} exceptions)"
-
-
-def _inv_luby(quick: bool) -> tuple[bool, str]:
-    from .mis import verify_mis
-    count = 200 if quick else 1000
-    rng = random.Random(0x1B)
-    bad = 0
-    slow = 0
-    for k in range(count):
-        n = rng.randint(2, 200)
-        g = generate("gnp", {"n": n, "p": rng.uniform(0.02, 0.4)}, "unit",
-                     derive_seed(0x1B, k))
-        out, stats = run(g, LubyProgram(), seed=derive_seed(0x1B1B, k))
-        members = {v for v, is_in in out.items() if is_in}
-        ok, _v = verify_mis(g, g.nodes, members)
-        bad += not ok
-        slow += stats.rounds > 8 * math.log2(max(n, 2))
-    ok = bad == 0 and slow <= 0.01 * count
-    return ok, (f"valid MIS in {count - bad}/{count} runs, "
-                f"{slow} over the 8*log2(n) round budget")
-
-
-def run_invariant_suite(quick: bool = False) -> list[CheckResult]:
-    tally = _Tally()
-    results = [
-        _timed("graph generators / degeneracy / roundtrip", _inv_graphs),
-        _timed("exact-oracle dominance", _inv_oracle_dominance),
-        _timed("Luby MIS validity", lambda: _inv_luby(quick)),
-        _timed("boost oracle ratio (reduced corpus)",
-               lambda: _c3_boost(tally, quick=True)),
-        _timed("perm equivalence (reduced corpus)",
-               lambda: _c6_equivalence(quick=True)),
-    ]
-    results.append(CheckResult(
-        "stack property (reduced corpus)",
-        tally.stack_checked > 0 and tally.stack_failed == 0,
-        f"{tally.stack_checked - tally.stack_failed}/{tally.stack_checked} runs",
-        0.0))
-    return results

@@ -10,6 +10,9 @@ from mwisim.graphs import (INT64_MAX, BruteForceCapError, GraphError,
                            GraphParseError, IndependentSet, WeightedGraph,
                            _gnp_edges, brute_force_max_is, degeneracy,
                            generate, load, neighbor_reduce, random_tree, save)
+from mwisim.heavy import heavy_mis_approx
+from mwisim.mis import greedy_mis
+from mwisim.rng import derive_seed
 
 
 def unit(nodes, edges):
@@ -48,6 +51,51 @@ def test_bad_weights_rejected():
 def test_duplicate_ids_rejected():
     with pytest.raises(GraphError, match="duplicate"):
         WeightedGraph([0, 0], [], {0: 1})
+
+
+def test_node_ids_must_fit_int64():
+    # ids past INT64_MAX would alias the 64-bit masked random streams
+    for big in (2**63, 5 + 2**64):
+        with pytest.raises(GraphError, match=f"identifier {big} exceeds 64-bit range"):
+            WeightedGraph([5, big], [(5, big)], {5: 1, big: 1})
+    g = WeightedGraph([0, INT64_MAX], [(0, INT64_MAX)], {0: 1, INT64_MAX: 2})
+    assert g.adj == {0: (INT64_MAX,), INT64_MAX: (0,)}
+    assert g.induced([INT64_MAX]).nodes == (INT64_MAX,)
+    assert not g.is_independent([0, INT64_MAX])
+    for bad in (1.5, True):
+        with pytest.raises(GraphError, match="is not an integer"):
+            WeightedGraph([0, bad], [], {0: 1, bad: 1})
+
+
+def test_repeated_edges_merge():
+    g = unit([0, 1], [(0, 1), (1, 0), (0, 1)])
+    one = unit([0, 1], [(0, 1)])
+    assert g.m == 1 and g.max_degree == 1 and g == one
+    for got, want in zip(g.csr(), one.csr()):
+        assert got.tolist() == want.tolist()
+
+
+def test_adjacency_tuples_are_derived_once_and_read_only():
+    g = generate("gnp", {"n": 30, "p": 0.2}, "unit", 1)
+    assert g._adj is None
+    assert g.adj is g.adj
+    assert g.edges() == [(u, v) for u in g.nodes for v in g.adj[u] if u < v]
+    with pytest.raises(AttributeError):
+        g.adj = {}
+
+
+def test_is_independent_equals_an_edge_scan():
+    rng = random.Random(11)
+    for _ in range(40):
+        ids = rng.sample(range(10**6), rng.randint(1, 30))
+        edges = [e for e in itertools.combinations(ids, 2) if rng.random() < 0.15]
+        g = unit(ids, edges)
+        for _ in range(10):
+            mem = {v for v in ids if rng.random() < 0.3}
+            assert g.is_independent(mem) == (not any(a in mem and b in mem
+                                                     for a, b in edges))
+    with pytest.raises(GraphError, match="^node 7 is not in the graph$"):
+        unit([0, 1], []).is_independent([0, 7])
 
 
 def test_induced_keeps_ids_and_reweights():
@@ -312,6 +360,18 @@ def test_brute_force_matches_exhaustive(seed):
     n = rng.randint(1, 12)
     g = generate("gnp", {"n": n, "p": rng.uniform(0.1, 0.7)}, "uniform_range", seed)
     assert brute_force_max_is(g).weight == _exhaustive_max_weight(g)
+
+
+def test_oracle_dominates_the_heuristics():
+    rng = random.Random(0xD0)
+    for k in range(100):
+        # n >= 3 keeps in-model weights (<= poly n) inside the CONGEST budget
+        n = rng.randint(3, 18)
+        g = generate("gnp", {"n": n, "p": rng.uniform(0.1, 0.6)},
+                     "uniform_range", derive_seed(0xD0, k))
+        opt = brute_force_max_is(g).weight
+        assert greedy_mis(g).weight <= opt
+        assert heavy_mis_approx(g, seed=k).iset.weight <= opt
 
 
 def test_brute_force_cap():

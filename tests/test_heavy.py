@@ -4,8 +4,8 @@ import pytest
 
 from mwisim.engine import run
 from mwisim.graphs import INT64_MAX, WeightedGraph, generate
-from mwisim.heavy import (LocalStatsProgram, good_nodes, heavy_mis_approx,
-                          is_good, local_degree_stats)
+from mwisim.heavy import (LocalStatsProgram, heavy_mis_approx, is_good,
+                          local_degree_stats)
 from mwisim.rng import derive_seed
 
 
@@ -18,6 +18,13 @@ def stats_by_node(g):
     """``local_degree_stats`` as {node: (deg, delta, s)}."""
     columns = (a.tolist() for a in local_degree_stats(g))
     return dict(zip(g.nodes, zip(*columns)))
+
+
+def good_nodes(g):
+    """Exactly the nodes satisfying the good predicate (sequential route)."""
+    _, delta, s = local_degree_stats(g)
+    return frozenset(v for v, d, t in zip(g.nodes, delta.tolist(), s.tolist())
+                     if is_good(g.weights[v], d, t))
 
 
 def test_stats_examples():

@@ -12,6 +12,7 @@ import random
 import tempfile
 from contextlib import contextmanager
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,7 +23,8 @@ from mwisim.cli import main as run_cli
 from mwisim.engine import (DEFAULT_MAX_ROUNDS, CongestViolation, EngineError,
                            RoundLimitExceeded, message_budget_bits, run,
                            run_on_subgraph)
-from mwisim.graphs import INT64_MAX, WEIGHT_MODELS, WeightedGraph, generate, save
+from mwisim.graphs import (INT64_MAX, WEIGHT_MODELS, IndependentSet, WeightedGraph,
+                           generate, neighbor_reduce, save)
 from mwisim.records import GraphSource, make_record, replay, same_outcome, to_jsonl
 from mwisim.wire import WireError
 from test_golden import GRAPHS
@@ -205,3 +207,20 @@ def test_round_limit_and_budget_errors_carry_the_same_fields():
         run(g, mis.LubyProgram(), max_rounds=1)
     with pytest.raises(CongestViolation):
         run(fat, heavy.LocalStatsProgram(), n_upper=2)
+
+
+def test_kernels_and_graph_queries_build_no_adjacency_tuples():
+    g = generate("gnp", {"n": 200, "p": 0.05}, "uniform_range", 3)
+    out, _ = run(g, mis.LubyProgram(), seed=1)
+    selected = frozenset(v for v, inside in out.items() if inside)
+    for program in (heavy.LocalStatsProgram(), sparsify.ProfileProgram(4.0),
+                    ranking.BoppanaProgram(2),
+                    boost.ResidualUpdateProgram(selected, selected)):
+        run(g, program, seed=1)
+    h = g.induced(g.nodes[::3])
+    run_on_subgraph(g, h.nodes, mis.LubyProgram(), seed=2)
+    run(h, heavy.LocalStatsProgram(), seed=2)
+    assert IndependentSet.of(g, selected).weight == g.total_weight(selected)
+    assert g.max_degree == max(map(g.degree, g.nodes)) and g.m == g.csr()[1].size // 2
+    neighbor_reduce(g, np.add, np.ones(g.n, dtype=np.int64))
+    assert g._adj is None and h._adj is None

@@ -59,6 +59,21 @@ def test_luby_valid_on_random_graphs(seed):
     assert stats.rounds <= 8 * math.log2(max(n, 2)) + 16  # loose per-run guard
 
 
+def test_luby_round_budget_rate():
+    # at most 1% of 200 runs over 8*log2(n) rounds, every run a valid MIS
+    rng = random.Random(0x1B)
+    slow = 0
+    for k in range(200):
+        n = rng.randint(2, 200)
+        g = generate("gnp", {"n": n, "p": rng.uniform(0.02, 0.4)}, "unit",
+                     derive_seed(0x1B, k))
+        members, stats = luby_members(g, derive_seed(0x1B1B, k))
+        ok, violation = verify_mis(g, g.nodes, members)
+        assert ok, violation
+        slow += stats.rounds > 8 * math.log2(n)
+    assert slow <= 2
+
+
 def test_luby_on_subgraph_is_mis_of_subgraph_only():
     g = generate("cycle", {"n": 8}, "unit", 0)
     subset = [0, 1, 2, 3]

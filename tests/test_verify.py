@@ -1,9 +1,8 @@
-import random
 from collections import Counter
 
-from mwisim.graphs import WeightedGraph, generate
+from mwisim.graphs import WeightedGraph
 from mwisim.verify import (_connected, _tree_certificate, all_trees_upto,
-                           mixed_corpus, sampled_max_degree)
+                           mixed_corpus)
 
 
 def test_tree_enumeration_counts():
@@ -42,19 +41,3 @@ def test_mixed_corpus_deterministic_and_flagged():
 
     assert all(degeneracy(g) <= 6 for g in low)
 
-
-def test_sampled_max_degree_equals_set_count():
-    rng = random.Random(5)
-    for k in range(20):
-        g = generate("gnp", {"n": rng.randint(1, 80), "p": rng.uniform(0, 0.5)},
-                     "unit", k)
-        for frac in (0.0, 0.3, 1.0):
-            sampled = frozenset(v for v in g.nodes if rng.random() < frac)
-            in_h = set(sampled)
-            want = max((sum(u in in_h for u in g.adj[v]) for v in sampled),
-                       default=0)
-            assert sampled_max_degree(g, sampled) == want
-            assert want == g.induced(sampled).max_degree
-    g = WeightedGraph([3, 8, 20], [(3, 20)], {3: 1, 8: 1, 20: 1})
-    assert sampled_max_degree(g, frozenset({3, 20})) == 1
-    assert sampled_max_degree(g, frozenset({3, 8})) == 0
