@@ -15,8 +15,8 @@ from . import records as rec
 from .algorithms import ALGORITHMS, UsageError, as_inner
 from .cliquecycle import rand_mis
 from .engine import EngineError
-from .graphs import (FAMILIES, WEIGHT_MODELS, GraphError, generate, load,
-                     save)
+from .graphs import (BRUTE_FORCE_CAP, FAMILIES, WEIGHT_MODELS, GraphError,
+                     generate, load, save)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -93,6 +93,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_run(args) -> int:
+    if args.oracle_cap < 0:
+        raise UsageError(f"--oracle-cap must be >= 0, got {args.oracle_cap}")
     g, source = _load_or_generate(args)
     if args.alg == "arb" and args.alpha is None:
         raise UsageError("algorithm 'arb' requires --alpha "
@@ -176,7 +178,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seeds", default=str(_default_seed()))
     p_run.add_argument("--oracle", action="store_true",
                        help="compare against the exact solver (small graphs)")
-    p_run.add_argument("--oracle-cap", type=int, default=26)
+    p_run.add_argument("--oracle-cap", type=int, default=BRUTE_FORCE_CAP,
+                       help="largest n the exact solver accepts")
     p_run.add_argument("--dump-stack", action="store_true",
                        help="include the local-ratio stack in the record")
     p_run.add_argument("-o", "--output", help="JSONL output path (default stdout)")

@@ -136,10 +136,11 @@ def message_budget_bits(n_upper: int) -> int:
 
 def _bit_lengths(a: np.ndarray) -> np.ndarray:
     """``max(1, v.bit_length())`` for each non-negative int64 ``v`` in ``a``."""
+    a = np.maximum(a, 1)
     e = np.frexp(a)[1]
     # past 2^53 the float can round up to the next power of two: one too many
-    e -= (a >> np.maximum(e - 1, 0)) == 0
-    return np.maximum(e, 1)
+    e -= (a >> (e - 1)) == 0
+    return e
 
 
 def _message_sizes(tag: int, fields: Sequence[np.ndarray], count: int) -> np.ndarray:
@@ -159,9 +160,12 @@ def _message_sizes(tag: int, fields: Sequence[np.ndarray], count: int) -> np.nda
         if bad.any():
             i = int(np.flatnonzero(bad)[0])
             Message(tag, tuple(int(f[i]) for f in fields))
-    sizes = np.full(count, TAG_BITS + LEN_BITS * len(fields), dtype=np.int64)
-    for f in fields:
-        sizes += _bit_lengths(f.astype(np.int64))
+    if not fields:
+        return np.full(count, TAG_BITS, dtype=np.int64)
+    # one (fields x senders) array, so the per-call numpy cost is paid once
+    bits = _bit_lengths(np.array(fields, dtype=np.int64))
+    sizes = bits.sum(axis=0, dtype=np.int64)
+    sizes += TAG_BITS + LEN_BITS * len(fields)
     return sizes
 
 
@@ -200,7 +204,7 @@ class Net:
 
     def _stream_seeds(self) -> np.ndarray:
         if self._seeds is None:
-            self._seeds = derive_seeds(self._seed, self.ids)
+            self._seeds = derive_seeds(self._seed, self.graph._ids)
         return self._seeds
 
     def send(self, active: np.ndarray, senders: np.ndarray, tag: int,

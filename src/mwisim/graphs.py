@@ -48,12 +48,20 @@ class WeightedGraph:
     self-loops and no duplicate edges. ``degrees`` (read-only int64, by
     position) and ``max_degree`` are computed with it.
 
-    ``adj`` maps each node id to the sorted tuple of its neighbor ids, for
-    the sequential reference code that walks one neighborhood at a time.
-    It is derived from the CSR on first read and then cached.
+    Three facts are computed on first use and then cached on the graph,
+    which is safe only because nothing changes a graph after it is built
+    (``induced`` and the generators return new graphs, with empty caches):
+
+    * ``adj``, which maps each node id to the sorted tuple of its neighbor
+      ids, for the sequential reference code that walks one neighborhood
+      at a time; it is derived from the CSR on first read;
+    * the degeneracy (``degeneracy(g)``);
+    * the exact optimum (``brute_force_max_is(g)``), so a seed sweep over
+      one graph solves it once.
     """
 
-    __slots__ = ("nodes", "weights", "degrees", "max_degree", "_ids", "_csr", "_adj")
+    __slots__ = ("nodes", "weights", "degrees", "max_degree", "_ids", "_csr", "_adj",
+                 "_degeneracy", "_opt")
 
     def __init__(self, nodes: Iterable[int], edges: Iterable[tuple[int, int]],
                  weights: Mapping[int, int]):
@@ -92,6 +100,8 @@ class WeightedGraph:
         self.max_degree: int = int(np.maximum.reduce(deg, initial=0))
         self._csr: tuple[np.ndarray, np.ndarray] = _read_only(indptr, nbr)
         self._adj: dict[int, tuple[int, ...]] | None = None
+        self._degeneracy: int | None = None
+        self._opt: IndependentSet | None = None
         return self
 
     def csr(self) -> tuple[np.ndarray, np.ndarray]:
@@ -417,7 +427,14 @@ def degeneracy(g: WeightedGraph) -> int:
     """Graph degeneracy via minimum-degree peeling (bucket queue, O(n + m)).
 
     Serves as the implementable surrogate for arboricity: alpha <= d <= 2*alpha - 1.
+    Computed once per graph and cached on it.
     """
+    if g._degeneracy is None:
+        g._degeneracy = _peel(g)
+    return g._degeneracy
+
+
+def _peel(g: WeightedGraph) -> int:
     if g.n == 0:
         return 0
     deg = {v: len(g.adj[v]) for v in g.nodes}
@@ -466,9 +483,17 @@ def brute_force_max_is(g: WeightedGraph, cap: int = BRUTE_FORCE_CAP) -> Independ
 
     Branches on a maximum-degree vertex of the remaining candidate set:
     either exclude it, or include it and delete its closed neighborhood.
+    Solved once per graph and cached on it; the cap is checked on every
+    call, so a result cached under a raised cap never bypasses a refusal.
     """
     if g.n > cap:
         raise BruteForceCapError(g.n, cap)
+    if g._opt is None:
+        g._opt = _branch_and_bound(g)
+    return g._opt
+
+
+def _branch_and_bound(g: WeightedGraph) -> IndependentSet:
     if g.n == 0:
         return IndependentSet(frozenset(), 0)
     idx = {v: i for i, v in enumerate(g.nodes)}

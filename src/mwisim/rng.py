@@ -38,12 +38,18 @@ def splitmix64(x: int) -> int:
     return z ^ (z >> 31)
 
 
+# numpy forms of the constants, made once: building them costs more than
+# the arithmetic on a small array
+_GAMMA_U64, _M1_U64, _M2_U64 = np.uint64(GAMMA), np.uint64(_M1), np.uint64(_M2)
+_S30, _S27, _S31 = np.uint64(30), np.uint64(27), np.uint64(31)
+
+
 def _splitmix64_np(x: np.ndarray) -> np.ndarray:
     """``splitmix64`` over a uint64 array (arithmetic wraps mod 2^64)."""
-    z = x + np.uint64(GAMMA)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_M1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_M2)
-    return z ^ (z >> np.uint64(31))
+    z = x + _GAMMA_U64
+    z = (z ^ (z >> _S30)) * _M1_U64
+    z = (z ^ (z >> _S27)) * _M2_U64
+    return z ^ (z >> _S31)
 
 
 def derive_seed(master_seed: int, node_id: int, salt: int = 0) -> int:
@@ -56,8 +62,12 @@ def derive_seed(master_seed: int, node_id: int, salt: int = 0) -> int:
 
 
 def derive_seeds(master_seed: int, node_ids, salt: int = 0) -> np.ndarray:
-    """``derive_seed`` for every id in ``node_ids``, as a uint64 array."""
-    ids = np.fromiter((v & _MASK64 for v in node_ids), dtype=np.uint64)
+    """``derive_seed`` for every id in ``node_ids`` (Python integers, or an
+    int64 array such as a graph's ids), as a uint64 array."""
+    if isinstance(node_ids, np.ndarray):
+        ids = node_ids.astype(np.uint64)  # wraps mod 2^64, as the mask does
+    else:
+        ids = np.fromiter((v & _MASK64 for v in node_ids), dtype=np.uint64)
     h = _splitmix64_np(ids ^ np.uint64(splitmix64(master_seed & _MASK64)))
     if salt:
         h = _splitmix64_np(h ^ np.uint64(salt & _MASK64))
@@ -67,7 +77,7 @@ def derive_seeds(master_seed: int, node_ids, salt: int = 0) -> np.ndarray:
 def stream_words(seeds: np.ndarray, k) -> np.ndarray:
     """Word ``k`` (an int or an array of them) of the streams seeded by
     ``seeds``, the numpy form of ``NodeStream``'s draws."""
-    step = np.asarray(k, dtype=np.uint64) * np.uint64(GAMMA)
+    step = np.asarray(k, dtype=np.uint64) * _GAMMA_U64
     return _splitmix64_np(seeds + step)
 
 

@@ -188,6 +188,24 @@ def test_malformed_seeds_are_usage_errors(spec, capsys):
     assert out.err.count("bad --seeds") == 2 and out.out == ""
 
 
+def test_oracle_cap_defaults_to_the_solver_cap(monkeypatch, capsys):
+    from mwisim import cli
+
+    monkeypatch.setattr(cli, "BRUTE_FORCE_CAP", 5)
+    assert run_cli(["run", "--family", "path", "--n", "6", "--alg", "luby",
+                    "--seeds", "0", "--oracle"]) == 0
+    rec = json.loads(capsys.readouterr().out)
+    assert rec["oracle"] is None and "cap of 5" in rec["oracle_refused"]
+
+
+@pytest.mark.parametrize("cap", ["-1", "-27"])
+def test_negative_oracle_cap_is_usage_error(cap, capsys):
+    assert run_cli(["run", "--family", "path", "--n", "6", "--alg", "luby",
+                    "--seeds", "0", "--oracle", "--oracle-cap", cap]) == 2
+    out = capsys.readouterr()
+    assert "--oracle-cap must be >= 0" in out.err and out.out == ""
+
+
 def test_gen_without_family_is_usage_error(capsys):
     assert run_cli(["gen", "--n", "5"]) == 2
     assert "--family" in capsys.readouterr().err

@@ -379,6 +379,37 @@ def test_brute_force_cap():
     with pytest.raises(BruteForceCapError, match="cap of 26"):
         brute_force_max_is(g)
     assert brute_force_max_is(g, cap=27).weight == 14
+    # the optimum is now cached on g, and the default cap still refuses it
+    with pytest.raises(BruteForceCapError, match="cap of 26"):
+        brute_force_max_is(g)
+
+
+def test_oracle_and_degeneracy_are_computed_once_per_graph(monkeypatch):
+    from mwisim import graphs
+
+    calls = []
+    solve, peel = graphs._branch_and_bound, graphs._peel
+    monkeypatch.setattr(graphs, "_branch_and_bound",
+                        lambda h: calls.append("solve") or solve(h))
+    monkeypatch.setattr(graphs, "_peel", lambda h: calls.append("peel") or peel(h))
+    g = generate("gnp", {"n": 20, "p": 0.3}, "heavy_tail", 4)
+    first = brute_force_max_is(g)
+    assert brute_force_max_is(g) is first
+    assert brute_force_max_is(g, cap=20) is first
+    assert degeneracy(g) == degeneracy(g) == peel(g)
+    assert calls == ["solve", "peel"]
+
+
+def test_new_graphs_start_with_empty_caches():
+    g = generate("gnp", {"n": 20, "p": 0.3}, "uniform_range", 2)
+    brute_force_max_is(g)
+    degeneracy(g)
+    assert g._opt is not None and g._degeneracy is not None
+    for h in (g.induced(g.nodes),
+              g.induced(g.nodes, {v: 1 for v in g.nodes}),
+              generate("gnp", {"n": 20, "p": 0.3}, "uniform_range", 2),
+              load(save(g))):
+        assert h._opt is None and h._degeneracy is None and h._adj is None
 
 
 def test_brute_force_result_is_independent():

@@ -21,12 +21,12 @@ from mwisim import boost, heavy, mis, ranking, sparsify
 from mwisim.algorithms import ALGORITHMS, run_algorithm
 from mwisim.cli import main as run_cli
 from mwisim.engine import (DEFAULT_MAX_ROUNDS, CongestViolation, EngineError,
-                           RoundLimitExceeded, message_budget_bits, run,
-                           run_on_subgraph)
+                           RoundLimitExceeded, _message_sizes,
+                           message_budget_bits, run, run_on_subgraph)
 from mwisim.graphs import (INT64_MAX, WEIGHT_MODELS, IndependentSet, WeightedGraph,
                            generate, neighbor_reduce, save)
 from mwisim.records import GraphSource, make_record, replay, same_outcome, to_jsonl
-from mwisim.wire import WireError
+from mwisim.wire import Message, WireError
 from test_golden import GRAPHS
 
 PROGRAM_CLASSES = (mis.LubyProgram, heavy.LocalStatsProgram,
@@ -207,6 +207,46 @@ def test_round_limit_and_budget_errors_carry_the_same_fields():
         run(g, mis.LubyProgram(), max_rounds=1)
     with pytest.raises(CongestViolation):
         run(fat, heavy.LocalStatsProgram(), n_upper=2)
+
+
+# field values where a float64 bit length can round the wrong way, and the
+# first ones past the wire's range
+EDGE_VALUES = (0, 1, 2**53 - 1, 2**53, 2**53 + 1, 2**62, INT64_MAX)
+OUT_OF_RANGE = (-1, -(2**63), INT64_MAX + 1, 2**64)
+
+
+@st.composite
+def message_fields(draw):
+    """Up to three fields of one round's messages: int64 arrays, or
+    object arrays (always when a value leaves int64), a few values out of
+    the wire's range."""
+    count = draw(st.integers(0, 6))
+    value = st.one_of(st.sampled_from(EDGE_VALUES), st.integers(0, INT64_MAX))
+    if draw(st.booleans()):
+        value = st.one_of(value, st.sampled_from(OUT_OF_RANGE))
+    fields = []
+    for _ in range(draw(st.integers(0, 3))):
+        col = draw(st.lists(value, min_size=count, max_size=count))
+        in_int64 = all(-(2**63) <= v <= INT64_MAX for v in col)
+        dtype = np.int64 if in_int64 and draw(st.booleans()) else object
+        fields.append(np.array(col, dtype=dtype))
+    return count, fields
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 15), message_fields())
+def test_message_sizes_equal_message_size_bits(tag, case):
+    count, fields = case
+    try:
+        want = [Message(tag, tuple(int(f[i]) for f in fields)).size_bits
+                for i in range(count)]
+    except WireError as e:
+        with pytest.raises(WireError) as got:
+            _message_sizes(tag, fields, count)
+        assert str(got.value) == str(e)
+        return
+    sizes = _message_sizes(tag, fields, count)
+    assert sizes.dtype == np.int64 and sizes.tolist() == want
 
 
 def test_kernels_and_graph_queries_build_no_adjacency_tuples():

@@ -3,7 +3,8 @@ import json
 import jsonschema
 import pytest
 
-from mwisim.graphs import GraphError, generate, save
+from mwisim.graphs import (GraphError, IndependentSet, brute_force_max_is,
+                           generate, save)
 from mwisim.records import (RECORD_SCHEMA, SCHEMA_ID, GraphSource, make_record,
                             replay, same_outcome, to_csv, to_jsonl,
                             validate_record)
@@ -82,6 +83,20 @@ def test_replay_keeps_a_raised_oracle_cap():
     again = replay(r)
     assert again["oracle"] == r["oracle"]
     assert same_outcome(r, again)
+
+
+def test_replay_solves_the_oracle_independently():
+    g = generate("gnp", {"n": 18, "p": 0.25}, "uniform_range", 3)
+    source = GraphSource.generator("gnp", {"n": 18, "p": 0.25}, "uniform_range", 3)
+    opt = brute_force_max_is(g).weight
+    # poison the optimum cached on g: make_record reports it, replay (which
+    # rebuilds the graph from its source) does not
+    g._opt = IndependentSet(frozenset(), opt + 1)
+    r = make_record(g, source, "heavy", {}, seed=5, oracle=True)
+    assert r["oracle"]["opt"] == opt + 1
+    again = replay(r)
+    assert again["oracle"]["opt"] == opt
+    assert not same_outcome(r, again)
 
 
 def test_same_outcome_ignores_wall_time():

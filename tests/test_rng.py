@@ -7,7 +7,7 @@ import pytest
 
 from mwisim.algorithms import ALGORITHMS, run_algorithm
 from mwisim.engine import run
-from mwisim.graphs import generate
+from mwisim.graphs import INT64_MAX, WeightedGraph, generate
 from mwisim.mis import LubyProgram
 from mwisim.ranking import BoppanaProgram, rank_range
 from mwisim.rng import (NodeStream, derive_seed, derive_seeds, node_rng,
@@ -68,6 +68,15 @@ def test_scalar_and_numpy_words_agree():
             row[k] for row, k in zip(scalar, ks.tolist())]
     assert triples >= 10**4
     assert any(v >= 2**63 for v in ids)
+
+
+def test_derive_seeds_takes_a_graphs_id_array():
+    ids = [0, 1, 4095, 2**40 + 3, 2**53 + 1, 2**62, INT64_MAX - 1, INT64_MAX]
+    g = WeightedGraph(ids, [(0, INT64_MAX), (2**62, 1)], {v: 1 for v in ids})
+    for seed, salt in ((0, 0), (7, 0), (MASK, 0), (-3, 0x5A3B1E)):
+        want = [derive_seed(seed, v, salt) for v in g.nodes]
+        assert derive_seeds(seed, g._ids, salt).tolist() == want
+        assert derive_seeds(seed, g.nodes, salt).tolist() == want
 
 
 def test_getrandbits_reads_the_top_bits_of_whole_words():
