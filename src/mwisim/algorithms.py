@@ -60,8 +60,8 @@ def resolved_params(alg: str, params: Mapping[str, Any],
     """The parameters a record stores: everything the run actually used.
 
     Raises ``GraphError`` for an eps, lam or c that is not finite or out of
-    range (eps > 0, lam > 0, boosting's c >= 1), or a ranking c that is not
-    an integer.
+    range (eps > 0, lam > 0, boosting's c >= 1), or a ranking c or an alpha
+    that is not an integer; ``arb_approx`` checks that alpha >= 1.
     """
     p: dict[str, Any] = {}
     if alg in ("boost-heavy", "boost-sparse", "arb", "fastld"):
@@ -74,7 +74,8 @@ def resolved_params(alg: str, params: Mapping[str, Any],
         p["log_base"] = _get(params, "log_base", "two")
     if alg == "arb":
         alpha = params.get("alpha")
-        p["alpha"] = int(alpha) if alpha is not None else max(1, degeneracy(g))
+        p["alpha"] = (_integral(alpha, "alpha", alg) if alpha is not None
+                      else max(1, degeneracy(g)))
     if alg in ("boppana", "fastld"):
         p["c"] = _integral(_get(params, "c", DEFAULT_C_RANK), "c", alg)
     return p

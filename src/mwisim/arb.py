@@ -60,8 +60,8 @@ def arb_approx(g: WeightedGraph, alpha: int, eps: float,
     Degeneracy is a safe surrogate for alpha (it is never smaller), at the
     cost of a weaker constant in the approximation factor.
     """
-    if alpha < 1:
-        raise GraphError(f"alpha must be >= 1, got {alpha}")
+    if not alpha >= 1:  # NaN included
+        raise GraphError(f"algorithm 'arb': alpha must be >= 1, got {alpha}")
     eps = check_real(eps, "eps", "arb", above=0)
     if inner is None:
         from .algorithms import as_inner  # algorithms imports this module

@@ -138,34 +138,34 @@ def local_ratio(g: WeightedGraph, inner: Inner, phases: int, salt: int,
                 degree_cap: int | None = None) -> BoostResult:
     """``phases`` push phases of ``inner``, then the greedy pop stage.
 
-    Phase i runs on the subgraph of nodes with positive residual weight.
-    Without a cap the inner algorithm sees all of it and only the nodes it
-    selects drop to zero; with ``degree_cap`` it sees only the nodes of
-    degree at most the cap, and all of those drop to zero. Either way the
-    reduction is one announcement round, charged like any other engine run.
-    A phase whose inner algorithm would see no node costs nothing.
+    The loop's only state is the residual graph ``g_i``: the subgraph of
+    ``g`` induced by the nodes of positive residual weight, carrying those
+    residuals as its weights. Without a cap the inner algorithm sees all of
+    it and only the nodes it selects drop to zero; with ``degree_cap`` it
+    sees only the nodes of degree at most the cap, and all of those drop to
+    zero. Either way the reduction is one announcement round on ``g_i``,
+    charged like any other engine run, and its positive outputs induce the
+    next phase's graph. That is exact: residuals never rise, so a node that
+    leaves never returns, and an induced subgraph of ``g_i`` is the induced
+    subgraph of ``g`` on the same nodes. A phase whose inner algorithm would
+    see no node costs nothing.
     """
     if n_upper is None:
         n_upper = g.n
-    residual: dict[int, int] = dict(g.weights)
+    g_i = g.induced(v for v in g.nodes if g.weights[v] > 0)
     frames: list[PhaseFrame] = []
     stats = RoundStats()
     inner_rounds_max = 0
     sizes = []
 
     for i in range(1, phases + 1):
-        active = [v for v in g.nodes if residual[v] > 0]
-        sizes.append(len(active))
-        if not active:
+        sizes.append(g_i.n)
+        g_in = g_i
+        if degree_cap is not None and g_i.n:
+            g_in = g_i.induced(compress(g_i.nodes, g_i.degrees <= degree_cap))
+        if not g_in.n:
             frames.append(PhaseFrame(i, frozenset(), {}))
             continue
-        g_i = g.induced(active, residual)
-        g_in = g_i
-        if degree_cap is not None:
-            g_in = g_i.induced(compress(g_i.nodes, g_i.degrees <= degree_cap))
-            if not g_in.n:
-                frames.append(PhaseFrame(i, frozenset(), {}))
-                continue
         res = inner(g_in, derive_seed(seed, salt + i), n_upper)
         if not res.diagnostics.get("mis_valid", True):
             raise BoostPhaseError(i, "inner MIS black box returned an invalid MIS")
@@ -176,17 +176,18 @@ def local_ratio(g: WeightedGraph, inner: Inner, phases: int, salt: int,
             raise BoostPhaseError(i, "inner returned a non-independent set")
         stats = stats.merge(res.stats)
         inner_rounds_max = max(inner_rounds_max, res.stats.rounds)
-        frames.append(PhaseFrame(i, members, {v: residual[v] for v in members}))
+        frames.append(PhaseFrame(i, members, {v: g_i.weights[v] for v in members}))
 
         zeroed = members if degree_cap is None else frozenset(g_in.nodes)
         upd_out, upd_stats = run(g_i, ResidualUpdateProgram(members, zeroed),
                                  mode=mode, seed=derive_seed(seed, 0x0DD + i),
                                  n_upper=n_upper)
         stats = stats.merge(upd_stats)
-        for v in active:
-            residual[v] = check_int64(upd_out[v], f"residual of node {v}")
+        residual = {v: check_int64(r, f"residual of node {v}")
+                    for v, r in upd_out.items()}
+        g_i = g_i.induced([v for v, r in residual.items() if r > 0], residual)
 
-    sizes.append(sum(1 for v in g.nodes if residual[v] > 0))
+    sizes.append(g_i.n)
     iset = pop_stack(g, frames)
     return BoostResult(iset=iset, stack=tuple(frames), stats=stats, phases=phases,
                        inner_rounds_max=inner_rounds_max, sizes=tuple(sizes))

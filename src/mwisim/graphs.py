@@ -351,19 +351,16 @@ def _gnp_edges(n: int, p: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
         block = np.cumsum(np.minimum(block, total + 1)) + pos
         pos = int(block[-1])
         chunks.append(block[block < total])
-    k = np.concatenate(chunks)
-    # invert slot index k -> pair (u, v) in lexicographic order
-    u = ((2 * n - 1) - np.sqrt(float((2 * n - 1) ** 2) - 8.0 * k)) // 2
-    u = u.astype(np.int64)
-    row_start = u * (2 * n - u - 1) // 2
-    over = row_start > k
-    u[over] -= 1
-    row_start = u * (2 * n - u - 1) // 2
-    under = k >= row_start + (n - 1 - u)
-    u[under] += 1
-    row_start = u * (2 * n - u - 1) // 2
-    v = u + 1 + (k - row_start)
-    return u, v
+    return _slot_pairs(n, np.concatenate(chunks))
+
+
+def _slot_pairs(n: int, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (u, v), u < v, at slots ``k`` of the n(n-1)/2 pairs of
+    0..n-1 in lexicographic order; exact while n(n-1)/2 fits in int64."""
+    row_start = np.zeros(n - 1, dtype=np.int64)
+    np.cumsum(np.arange(n - 1, 1, -1, dtype=np.int64), out=row_start[1:])
+    u = row_start.searchsorted(k, side="right") - 1
+    return u, u + 1 + (k - row_start[u])
 
 
 def generate(family: str, params: Mapping[str, object], weight_model: str = "unit",
@@ -581,6 +578,14 @@ def load(text: str) -> WeightedGraph:
             v, wv = map(int, lines[1 + i].split())
         except ValueError:
             raise GraphParseError(line_no, f"bad node line {lines[1 + i]!r}") from None
+        if v < 0:
+            raise GraphParseError(line_no, f"negative node identifier {v}")
+        if v > INT64_MAX:
+            raise GraphParseError(line_no, f"node identifier {v} exceeds 64-bit range")
+        if wv < 0:
+            raise GraphParseError(line_no, f"negative weight {wv} at node {v}")
+        if wv > INT64_MAX:
+            raise GraphParseError(line_no, f"weight of node {v} exceeds 64-bit range")
         if v in weights:
             raise GraphParseError(line_no, f"duplicate node {v}")
         weights[v] = wv

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import Net, NodeContext, RoundStats, StepResult, run, run_on_subgraph
-from .graphs import IndependentSet, WeightedGraph, neighbor_reduce
+from .graphs import IndependentSet, WeightedGraph
 from .mis import LubyProgram, verify_mis
 from .rng import derive_seed
 from .wire import Message
@@ -78,27 +78,17 @@ class LocalStatsProgram:
                           output=LocalStats(deg, delta, s, good, good_nbrs))
 
     def kernel(self, net: Net) -> dict[int, LocalStats]:
-        # every node sends (deg, weight) in round 1, so local_degree_stats'
-        # folds over g are the folds over each inbox
-        g = net.graph
-        every = np.ones(g.n, dtype=bool)
-        deg, delta, s = local_degree_stats(g)
-        good = [is_good(*wds) for wds in zip(net.weights.tolist(), delta.tolist(),
-                                             s.tolist())]
-        net.send(every, every, TAG_STATS, deg, net.weights)
+        every = np.ones(len(net.ids), dtype=bool)
+        deg, w = net.deg, net.weights
+        net.send(every, every, TAG_STATS, deg, w)
+        delta = net.fold(np.maximum, deg, deg)
+        s = net.fold(np.add, w, w)
+        good = [is_good(*wds) for wds in zip(w.tolist(), delta.tolist(), s.tolist())]
         good_bits = np.array(good, dtype=np.int64)
         net.send(every, every, TAG_GOOD, good_bits)
         return {v: LocalStats(*row) for v, row in zip(
-            g.nodes, zip(deg.tolist(), delta.tolist(), s.tolist(), good,
+            net.ids, zip(deg.tolist(), delta.tolist(), s.tolist(), good,
                          net.senders_among(good_bits > 0)))}
-
-
-def local_degree_stats(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(deg, delta, s) per node in ``g.nodes`` order: the statistics
-    program's first round, every node having sent (deg, weight)."""
-    w = np.fromiter(map(g.weights.__getitem__, g.nodes), dtype=np.int64, count=g.n)
-    deg = g.degrees
-    return deg, neighbor_reduce(g, np.maximum, deg, deg), neighbor_reduce(g, np.add, w, w)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,8 @@
 import pytest
 
-from mwisim.algorithms import ALGORITHMS, UsageError, run_algorithm
-from mwisim.graphs import WeightedGraph, generate
+from mwisim.algorithms import (ALGORITHMS, UsageError, resolved_params,
+                               run_algorithm)
+from mwisim.graphs import GraphError, WeightedGraph, generate
 
 PARAMS = {
     "heavy": {},
@@ -58,3 +59,17 @@ def test_local_mode_supported_everywhere():
         out = run_algorithm(g, alg, PARAMS[alg], seed=2, mode="local")
         assert g.is_independent(out.iset.members)
         assert out.stats.budget_bits is None
+
+
+@pytest.mark.parametrize("alpha,reason", [(2.7, "integer"), (float("nan"), "integer"),
+                                          (0, ">= 1")])
+def test_arb_alpha_is_not_truncated(alpha, reason):
+    with pytest.raises(GraphError, match=f"algorithm 'arb': alpha must be.*{reason}"):
+        run_algorithm(TINY[3], "arb", {"alpha": alpha, "eps": 0.5}, 0)
+
+
+def test_arb_integral_float_alpha_is_stored_as_int():
+    p = resolved_params("arb", {"alpha": 2.0, "eps": 0.5}, TINY[3])
+    assert p["alpha"] == 2 and type(p["alpha"]) is int
+    out = run_algorithm(TINY[3], "arb", {"alpha": 2.0, "eps": 0.5}, 0)
+    assert out.diagnostics["alpha"] == 2

@@ -1,15 +1,16 @@
 import random
 from fractions import Fraction
+from itertools import compress
 
 import pytest
 
 from mwisim.algorithms import RunOutcome, as_inner
-from mwisim.arb import arb_reduce
+from mwisim.arb import arb_approx, arb_reduce
 from mwisim.boost import (BoostPhaseError, PhaseFrame, boost,
                           check_stack_property, phase_count, pop_stack)
 from mwisim.engine import RoundStats
 from mwisim.graphs import (GraphError, IndependentSet, WeightedGraph,
-                           brute_force_max_is, generate)
+                           brute_force_max_is, degeneracy, generate)
 from mwisim.rng import derive_seed
 
 heavy_inner = as_inner("heavy", {})
@@ -207,22 +208,46 @@ def test_boost_guarantees_random_corpus(eps):
 
 
 def test_residuals_match_sequential_reduction():
-    # the announcement round must realize the sequential reduction on
-    # positive nodes
-    g = generate("gnp", {"n": 16, "p": 0.35}, "uniform_range", 4)
-    observed = []
+    # in every phase the inner algorithm gets exactly (CSR included) the
+    # subgraph of the input induced by the positive residuals of the
+    # sequential reduction over all of the input, degree-capped for arb
+    for alg in ("boost", "arb"):
+        rng = random.Random(0x5EE)
+        multi_phase = 0
+        for k in range(16):
+            n = rng.randint(10, 60)
+            base = generate("gnp", {"n": n, "p": min(1.0, rng.uniform(3, 12) / n)},
+                            ("uniform_range", "heavy_tail")[k % 2],
+                            derive_seed(0x5EF, k))
+            g = base.induced(base.nodes, {v: 0 if rng.random() < 0.2 else w
+                                          for v, w in base.weights.items()})
+            observed = []
 
-    class Recorder:
-        def __call__(self, g_sub, seed, n_upper):
-            r = heavy_inner(g_sub, seed, n_upper)
-            observed.append((frozenset(g_sub.nodes), dict(g_sub.weights),
-                             r.iset.members))
-            return r
+            def recorder(g_sub, seed, n_upper):
+                r = heavy_inner(g_sub, seed, n_upper)
+                observed.append((g_sub, r.iset.members))
+                return r
 
-    boost(g, Recorder(), eps=1.0, c=8.0, seed=9)
-    assert observed
-    w = g.weights
-    for active, weights, members in observed:
-        assert active == frozenset(v for v in g.nodes if w[v] > 0)
-        assert weights == {v: w[v] for v in active}
-        w = boost_reduce(w, members, g)
+            if alg == "boost":
+                cap = None
+                r = boost(g, recorder, eps=1.0, c=8.0, seed=k)
+            else:
+                cap = 4  # alpha = 1 leaves high-degree nodes for later phases
+                r = arb_approx(g, alpha=1, eps=0.5, inner=recorder, seed=k)
+            replay = iter(observed)
+            w = g.weights
+            for frame in r.stack:
+                mirror = g.induced([v for v in g.nodes if w[v] > 0], w)
+                if cap is not None:
+                    mirror = mirror.induced(compress(mirror.nodes,
+                                                     mirror.degrees <= cap))
+                if not mirror.n:
+                    assert not frame.members
+                    continue
+                g_sub, members = next(replay)
+                assert g_sub == mirror
+                assert frame.members == members
+                w = arb_reduce(w, members, members if cap is None else mirror.nodes, g)
+            assert next(replay, None) is None
+            multi_phase += len(observed) >= 2
+        assert multi_phase >= 8, alg  # phases after the first are the point

@@ -144,6 +144,19 @@ def test_node_id_past_int64_is_invariant_failure(big, tmp_path, capsys):
     assert f"node identifier {big} exceeds 64-bit range" in err
 
 
+@pytest.mark.parametrize("node_line,reason", [
+    ("1 -3", "line 3: negative weight -3 at node 1"),
+    (f"{2**63} 1", f"line 3: node identifier {2**63} exceeds 64-bit range"),
+    (f"1 {2**63}", "line 3: weight of node 1 exceeds 64-bit range"),
+], ids=["negative-weight", "id-past-int64", "weight-past-int64"])
+def test_bad_node_line_is_blamed_on_its_line(node_line, reason, tmp_path, capsys):
+    bad = tmp_path / "bad.g"
+    bad.write_text(f"2 0\n0 4\n{node_line}\n")
+    assert run_cli(["run", "--graph", str(bad), "--alg", "luby",
+                    "--seeds", "0"]) == 3
+    assert reason in capsys.readouterr().err
+
+
 def test_congest_violation_exit_code(tmp_path, capsys):
     # 20-bit weights cannot fit the 32-bit budget of a 2-node network
     fat = tmp_path / "fat.g"

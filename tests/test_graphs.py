@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from mwisim.graphs import (INT64_MAX, BruteForceCapError, GraphError,
                            GraphParseError, IndependentSet, WeightedGraph,
-                           _gnp_edges, brute_force_max_is, degeneracy,
+                           _gnp_edges, _slot_pairs, brute_force_max_is,
+                           degeneracy,
                            generate, load, neighbor_reduce, random_tree, save)
 from mwisim.heavy import heavy_mis_approx
 from mwisim.mis import greedy_mis
@@ -210,6 +211,27 @@ def test_gnp_edges_valid():
         assert u not in g.adj[u]
         for v in g.adj[u]:
             assert u in g.adj[v]
+
+
+@pytest.mark.parametrize("n", [2, 3, 17])
+def test_slot_pairs_match_the_enumerated_table(n):
+    table = list(itertools.combinations(range(n), 2))
+    u, v = _slot_pairs(n, np.arange(len(table), dtype=np.int64))
+    assert list(zip(u.tolist(), v.tolist())) == table
+
+
+@pytest.mark.parametrize("n", [2, 3, 4096, 65537, 10**6])
+def test_slot_pairs_at_row_boundaries(n):
+    total = n * (n - 1) // 2
+    u, v = _slot_pairs(n, np.array([0, total - 1], dtype=np.int64))
+    assert list(zip(u.tolist(), v.tolist())) == [(0, 1), (n - 2, n - 1)]
+    # the first and last slot of every row
+    rows = np.arange(n - 1, dtype=np.int64)
+    starts = rows * (2 * n - rows - 1) // 2
+    u, v = _slot_pairs(n, starts)
+    assert np.array_equal(u, rows) and np.array_equal(v, rows + 1)
+    u, v = _slot_pairs(n, starts[1:] - 1)
+    assert np.array_equal(u, rows[:-1]) and (v == n - 1).all()
 
 
 @pytest.mark.parametrize("family,count", [("cycle", 17), ("path", 16), ("star", 16)])

@@ -4,8 +4,7 @@ import pytest
 
 from mwisim.engine import run
 from mwisim.graphs import INT64_MAX, WeightedGraph, generate
-from mwisim.heavy import (LocalStatsProgram, heavy_mis_approx, is_good,
-                          local_degree_stats)
+from mwisim.heavy import LocalStatsProgram, heavy_mis_approx, is_good
 from mwisim.rng import derive_seed
 
 
@@ -15,15 +14,15 @@ def star_1_10():
 
 
 def stats_by_node(g):
-    """``local_degree_stats`` as {node: (deg, delta, s)}."""
-    columns = (a.tolist() for a in local_degree_stats(g))
-    return dict(zip(g.nodes, zip(*columns)))
+    """The statistics kernel's (deg, delta, s) as {node: (deg, delta, s)}; LOCAL
+    mode, so weights near INT64_MAX are not refused as too wide."""
+    out, _ = run(g, LocalStatsProgram(), mode="local")
+    return {v: (st.deg, st.delta, st.s) for v, st in out.items()}
 
 
 def good_nodes(g):
-    """Exactly the nodes satisfying the good predicate (sequential route)."""
-    _, delta, s = local_degree_stats(g)
-    return frozenset(v for v, d, t in zip(g.nodes, delta.tolist(), s.tolist())
+    """Exactly the nodes satisfying the good predicate on the kernel's stats."""
+    return frozenset(v for v, (_, d, t) in stats_by_node(g).items()
                      if is_good(g.weights[v], d, t))
 
 
