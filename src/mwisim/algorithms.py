@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 from .arb import arb_approx
-from .boost import BoostResult, Inner, PhaseFrame, boost
-from .engine import RoundStats, run
+from .boost import BoostResult, Inner, boost
+from .engine import RunOutcome, run
 from .graphs import (GraphError, IndependentSet, WeightedGraph, check_real,
                      degeneracy)
 from .heavy import heavy_mis_approx
@@ -20,14 +19,6 @@ ALGORITHMS = ("heavy", "sparse", "boost-heavy", "boost-sparse", "arb",
 
 DEFAULT_C_BOOST = 8.0
 DEFAULT_C_RANK = 2
-
-
-@dataclass(frozen=True)
-class RunOutcome:
-    iset: IndependentSet
-    stats: RoundStats
-    diagnostics: dict[str, Any] = field(default_factory=dict)
-    stack: tuple[PhaseFrame, ...] | None = None
 
 
 class UsageError(ValueError):
@@ -91,15 +82,10 @@ def run_algorithm(g: WeightedGraph, alg: str, params: Mapping[str, Any],
     p = resolved_params(alg, params, g)
 
     if alg == "heavy":
-        r = heavy_mis_approx(g, seed=seed, mode=mode, n_upper=n_upper)
-        return RunOutcome(r.iset, r.stats,
-                          {"good_nodes": len(r.good), "mis_valid": r.mis_valid})
+        return heavy_mis_approx(g, seed=seed, mode=mode, n_upper=n_upper)
     if alg == "sparse":
-        r = sparse_approx(g, lam=p["lam"], seed=seed, mode=mode,
-                          n_upper=n_upper, log_base=p["log_base"])
-        return RunOutcome(r.iset, r.stats,
-                          {"sampled": len(r.sampled), "delta_h": r.delta_h,
-                           "weight_h": r.weight_h, "mis_valid": r.mis_valid})
+        return sparse_approx(g, lam=p["lam"], seed=seed, mode=mode,
+                             n_upper=n_upper, log_base=p["log_base"])
     if alg in ("boost-heavy", "boost-sparse"):
         inner = as_inner(alg.removeprefix("boost-"), p, mode)
         r = boost(g, inner, eps=p["eps"], c=p["c"], seed=seed, mode=mode,
@@ -108,14 +94,14 @@ def run_algorithm(g: WeightedGraph, alg: str, params: Mapping[str, Any],
     if alg == "arb":
         r = arb_approx(g, alpha=p["alpha"], eps=p["eps"], seed=seed, mode=mode,
                        n_upper=n_upper)
+        # the phases after the last frame left the vertex set as it was
+        sizes = [*r.sizes, *r.sizes[-1:] * (r.phases + 1 - len(r.sizes))]
         return RunOutcome(r.iset, r.stats,
                           {"phases": r.phases, "alpha": p["alpha"],
-                           "sizes": list(r.sizes)},
+                           "sizes": sizes},
                           stack=r.stack)
     if alg == "boppana":
-        iset, _, stats = boppana_once(g, c=p["c"], seed=seed, mode=mode,
-                                      n_upper=n_upper)
-        return RunOutcome(iset, stats, {})
+        return boppana_once(g, c=p["c"], seed=seed, mode=mode, n_upper=n_upper)
     if alg == "fastld":
         # one ranking round on unit weights keeps a 1/(8*Delta) fraction, so
         # boosting uses c = 8; p["c"] is the rank-range constant

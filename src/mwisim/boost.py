@@ -20,25 +20,22 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import compress
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
-from .engine import Net, NodeContext, RoundStats, StepResult, run
+from .engine import Net, NodeContext, RoundStats, RunOutcome, StepResult, run
 from .graphs import (GraphError, IndependentSet, WeightedGraph, check_int64,
                      check_real)
 from .mis import greedy_mis
 from .rng import derive_seed
 from .wire import Message
 
-if TYPE_CHECKING:
-    from .algorithms import RunOutcome
-
 TAG_REDUCE = 5
 
 
-class BoostPhaseError(RuntimeError):
-    """The inner algorithm failed during one push phase."""
+class BoostPhaseError(GraphError):
+    """The inner algorithm's answer was refused in one push phase."""
 
     def __init__(self, phase: int, reason: str):
         super().__init__(f"phase {phase}: {reason}")
@@ -66,7 +63,22 @@ class PhaseFrame:
 
 # An inner algorithm receives the subgraph it may select from (its weights
 # are the residuals), a seed, and the original graph's n_upper.
-Inner = Callable[[WeightedGraph, int, int], "RunOutcome"]
+Inner = Callable[[WeightedGraph, int, int], RunOutcome]
+
+
+def run_inner(inner: Inner, g: WeightedGraph, seed: int,
+              n_upper: int) -> RunOutcome:
+    """``inner(g, seed, n_upper)``, refused with ``GraphError`` unless its
+    set is an independent set of ``g`` and any MIS it ran is valid."""
+    res = inner(g, seed, n_upper)
+    if not res.diagnostics.get("mis_valid", True):
+        raise GraphError("inner MIS black box returned an invalid MIS")
+    members = res.iset.members
+    if not members <= set(g.nodes):
+        raise GraphError("inner selected nodes outside its graph")
+    if not g.is_independent(members):
+        raise GraphError("inner returned a non-independent set")
+    return res
 
 
 @dataclass(frozen=True)
@@ -126,7 +138,8 @@ class BoostResult:
     stats: RoundStats
     phases: int
     inner_rounds_max: int
-    sizes: tuple[int, ...]  # positive-residual nodes before phase i = 1 .. phases+1
+    # positive-residual nodes before each frame's phase, then after the last
+    sizes: tuple[int, ...]
 
 
 def phase_count(c: float, eps: float) -> int:
@@ -148,7 +161,10 @@ def local_ratio(g: WeightedGraph, inner: Inner, phases: int, salt: int,
     next phase's graph. That is exact: residuals never rise, so a node that
     leaves never returns, and an induced subgraph of ``g_i`` is the induced
     subgraph of ``g`` on the same nodes. A phase whose inner algorithm would
-    see no node costs nothing.
+    see no node leaves ``g_i`` as it is, so the loop ends there: the stack
+    holds a frame for each phase that ran, and ``phases`` stays the budget.
+    A ``GraphError`` from a phase's inner run or its check (``run_inner``)
+    is re-raised as ``BoostPhaseError`` naming the phase.
     """
     if n_upper is None:
         n_upper = g.n
@@ -159,21 +175,17 @@ def local_ratio(g: WeightedGraph, inner: Inner, phases: int, salt: int,
     sizes = []
 
     for i in range(1, phases + 1):
-        sizes.append(g_i.n)
         g_in = g_i
         if degree_cap is not None and g_i.n:
             g_in = g_i.induced(compress(g_i.nodes, g_i.degrees <= degree_cap))
         if not g_in.n:
-            frames.append(PhaseFrame(i, frozenset(), {}))
-            continue
-        res = inner(g_in, derive_seed(seed, salt + i), n_upper)
-        if not res.diagnostics.get("mis_valid", True):
-            raise BoostPhaseError(i, "inner MIS black box returned an invalid MIS")
+            break
+        sizes.append(g_i.n)
+        try:
+            res = run_inner(inner, g_in, derive_seed(seed, salt + i), n_upper)
+        except GraphError as e:
+            raise BoostPhaseError(i, str(e)) from e
         members = res.iset.members
-        if not members <= set(g_in.nodes):
-            raise BoostPhaseError(i, "inner selected nodes outside its subgraph")
-        if not g_in.is_independent(members):
-            raise BoostPhaseError(i, "inner returned a non-independent set")
         stats = stats.merge(res.stats)
         inner_rounds_max = max(inner_rounds_max, res.stats.rounds)
         frames.append(PhaseFrame(i, members, {v: g_i.weights[v] for v in members}))

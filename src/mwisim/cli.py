@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+from pathlib import Path
 
 from . import records as rec
 from .algorithms import ALGORITHMS, UsageError, as_inner
@@ -63,7 +64,7 @@ def _graph_params(args) -> dict:
 
 def _load_or_generate(args) -> tuple:
     if getattr(args, "graph", None):
-        text = open(args.graph, encoding="utf-8").read()
+        text = Path(args.graph).read_text(encoding="utf-8")
         return load(text), rec.GraphSource.from_file(args.graph, text)
     params = _graph_params(args)
     g = generate(args.family, params, args.weights, args.graph_seed)
@@ -86,7 +87,7 @@ def cmd_gen(args) -> int:
     g = generate(args.family, _graph_params(args), args.weights, args.graph_seed)
     text = save(g)
     if args.output:
-        open(args.output, "w", encoding="utf-8").write(text)
+        Path(args.output).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -109,11 +110,11 @@ def cmd_run(args) -> int:
             dump_stack=args.dump_stack))
     text = rec.to_jsonl(out_records)
     if args.output:
-        open(args.output, "w", encoding="utf-8").write(text)
+        Path(args.output).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
     if args.csv:
-        open(args.csv, "w", encoding="utf-8").write(rec.to_csv(out_records))
+        Path(args.csv).write_text(rec.to_csv(out_records), encoding="utf-8")
     return EXIT_OK
 
 
@@ -129,7 +130,7 @@ def cmd_verify(args) -> int:
         payload = [{"name": r.name, "passed": r.passed, "detail": r.detail,
                     "seconds": round(r.seconds, 3)} for r in results]
         text = json.dumps(payload, indent=2, allow_nan=False)
-        open(args.json, "w", encoding="utf-8").write(text)
+        Path(args.json).write_text(text, encoding="utf-8")
     return EXIT_OK if not failed else EXIT_INVARIANT
 
 
@@ -148,7 +149,7 @@ def cmd_reduce(args) -> int:
         }, sort_keys=True, allow_nan=False))
     text = "".join(line + "\n" for line in lines)
     if args.output:
-        open(args.output, "w", encoding="utf-8").write(text)
+        Path(args.output).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
     return EXIT_OK

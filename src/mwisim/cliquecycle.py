@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .boost import Inner
+from .boost import Inner, run_inner
 from .engine import RoundStats
 from .graphs import GraphError, IndependentSet, WeightedGraph
 from .mis import greedy_mis, verify_mis
@@ -159,15 +159,8 @@ def rand_mis(c: WeightedGraph, inner: Inner, n1: int, seed: int = 0,
     order = cycle_order(c)
     n0 = len(order)
     cc = build_clique_cycle(n0, n1, base_ids=order)
-    res = inner(cc.graph, seed, cc.graph.n)
-    if res.diagnostics.get("mis_valid") is False:
-        raise GraphError("inner MIS black box returned an invalid MIS")
-    members = res.iset.members
-    if not members <= set(cc.graph.nodes):
-        raise GraphError("algorithm selected nodes outside the clique cycle")
-    if not cc.graph.is_independent(members):
-        raise GraphError("algorithm returned a non-independent set on the clique cycle")
-    mapped = map_back(c, order, cc, members)
+    res = run_inner(inner, cc.graph, seed, cc.graph.n)
+    mapped = map_back(c, order, cc, res.iset.members)
 
     # the hits first, then the uncovered gaps greedily by id
     mis = greedy_mis(c, [*sorted(mapped.members), *c.nodes])

@@ -29,13 +29,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Mapping, Protocol, Sequence
+from typing import (TYPE_CHECKING, Any, Callable, Iterable, Mapping, Protocol,
+                    Sequence)
 
 import numpy as np
 
-from .graphs import INT64_MAX, WeightedGraph, neighbor_reduce
+from .graphs import INT64_MAX, IndependentSet, WeightedGraph, neighbor_reduce
 from .rng import derive_seeds, node_rng, stream_randints, stream_words
 from .wire import LEN_BITS, TAG_BITS, Message
+
+if TYPE_CHECKING:
+    from .boost import PhaseFrame
 
 DEFAULT_C_MSG = 32
 DEFAULT_MAX_ROUNDS = 10_000
@@ -127,6 +131,17 @@ class RoundStats:
             per_round_messages=self.per_round_messages + other.per_round_messages,
             budget_bits=self.budget_bits if other.budget_bits is None else other.budget_bits,
         )
+
+
+@dataclass(frozen=True)
+class RunOutcome:
+    """What every algorithm returns: its set, its cost, what a record keeps
+    as ``diagnostics``, and the local-ratio stack if it has one."""
+
+    iset: IndependentSet
+    stats: RoundStats
+    diagnostics: dict[str, Any] = field(default_factory=dict)
+    stack: tuple[PhaseFrame, ...] | None = None
 
 
 def message_budget_bits(n_upper: int) -> int:

@@ -606,7 +606,4 @@ def load(text: str) -> WeightedGraph:
             raise GraphParseError(line_no, f"duplicate edge ({u}, {v})")
         seen.add(key)
         edges.append((u, v))
-    try:
-        return WeightedGraph(weights.keys(), edges, weights)
-    except GraphError as e:
-        raise GraphParseError(1, str(e)) from None
+    return WeightedGraph(weights.keys(), edges, weights)

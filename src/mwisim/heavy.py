@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import Net, NodeContext, RoundStats, StepResult, run, run_on_subgraph
+from .engine import (Net, NodeContext, RunOutcome, StepResult, run,
+                     run_on_subgraph)
 from .graphs import IndependentSet, WeightedGraph
 from .mis import LubyProgram, verify_mis
 from .rng import derive_seed
@@ -91,22 +92,14 @@ class LocalStatsProgram:
                          net.senders_among(good_bits > 0)))}
 
 
-@dataclass(frozen=True)
-class HeavyResult:
-    iset: IndependentSet
-    stats: RoundStats
-    good: frozenset[int]
-    mis_valid: bool
-    mis_violation: str | None = None
-
-
 def heavy_mis_approx(g: WeightedGraph, seed: int = 0, mode: str = "congest",
-                     n_upper: int | None = None) -> HeavyResult:
+                     n_upper: int | None = None) -> RunOutcome:
     """Run the MIS black box on the good subgraph.
 
-    The returned set is independent in ``g``; ``mis_valid`` flags whether the
-    black box really produced a maximal independent set of the good subgraph
-    (checked, never assumed), which is the hypothesis of the weight bound.
+    The returned set is independent in ``g``. Diagnostics: ``good_nodes``
+    counts the good subgraph, and ``mis_valid`` flags whether the black box
+    really produced a maximal independent set of it (checked, never
+    assumed), which is the hypothesis of the weight bound.
     """
     stats_out, st1 = run(g, LocalStatsProgram(), mode=mode,
                          seed=derive_seed(seed, 0x10CA1), n_upper=n_upper)
@@ -114,7 +107,6 @@ def heavy_mis_approx(g: WeightedGraph, seed: int = 0, mode: str = "congest",
     mis_out, st2 = run_on_subgraph(g, good, LubyProgram(), mode=mode,
                                    seed=derive_seed(seed, 0x1B15), n_upper=n_upper)
     members = frozenset(v for v, is_in in mis_out.items() if is_in)
-    ok, violation = verify_mis(g, good, members)
-    return HeavyResult(iset=IndependentSet.of(g, members),
-                       stats=st1.merge(st2),
-                       good=good, mis_valid=ok, mis_violation=violation)
+    ok, _ = verify_mis(g, good, members)
+    return RunOutcome(IndependentSet.of(g, members), st1.merge(st2),
+                      {"good_nodes": len(good), "mis_valid": ok})

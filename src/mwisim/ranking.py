@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .engine import Net, NodeContext, RoundStats, StepResult, run
+from .engine import Net, NodeContext, RunOutcome, StepResult, run
 from .graphs import GraphError, IndependentSet, WeightedGraph
 from .wire import Message
 
@@ -32,8 +32,8 @@ PERM_CHECK_CAP = 9
 
 def rank_range(n_upper: int, c: int) -> int:
     """Upper end R of the rank range {1, ..., 100 * n_upper^(c+2)}."""
-    if c < 1:
-        raise GraphError(f"rank constant c must be >= 1, got {c}")
+    if not isinstance(c, int) or c < 1:
+        raise GraphError(f"rank constant c must be an integer >= 1, got {c!r}")
     return 100 * max(n_upper, 2) ** (c + 2)
 
 
@@ -102,13 +102,11 @@ def rank_rule(g: WeightedGraph, ranks: dict[int, int]) -> frozenset[int]:
 
 
 def boppana_once(g: WeightedGraph, c: int = 2, seed: int = 0,
-                 mode: str = "congest", n_upper: int | None = None,
-                 ) -> tuple[IndependentSet, dict[int, int], RoundStats]:
-    """One engine run of the ranking program; returns set, ranks, stats."""
+                 mode: str = "congest", n_upper: int | None = None) -> RunOutcome:
+    """One engine run of the ranking program: its set and stats."""
     out, stats = run(g, BoppanaProgram(c), mode=mode, seed=seed, n_upper=n_upper)
     members = frozenset(v for v, r in out.items() if r.in_set)
-    ranks = {v: r.rank for v, r in out.items()}
-    return IndependentSet.of(g, members), ranks, stats
+    return RunOutcome(IndependentSet.of(g, members), stats)
 
 
 def seq_boppana(g: WeightedGraph, permutation: Sequence[int]) -> IndependentSet:

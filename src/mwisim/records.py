@@ -13,6 +13,7 @@ import hashlib
 import json
 import time
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Any, Mapping
 
 from jsonschema import Draft202012Validator
@@ -115,7 +116,7 @@ class GraphSource:
             return generate(self.family, self.params or {},
                             self.weights or "unit", self.seed or 0)
         if self.file is not None:
-            text = open(self.file, encoding="utf-8").read()
+            text = Path(self.file).read_text(encoding="utf-8")
             digest = hashlib.sha256(text.encode()).hexdigest()
             if self.sha256 and digest != self.sha256:
                 raise ValueError(f"{self.file} changed since the record was made")

@@ -20,8 +20,8 @@ from itertools import compress
 
 import numpy as np
 
-from .engine import Net, NodeContext, RoundStats, StepResult, run
-from .graphs import (GraphError, IndependentSet, WeightedGraph,
+from .engine import Net, NodeContext, RunOutcome, StepResult, run
+from .graphs import (GraphError, IndependentSet, WeightedGraph, check_real,
                      neighbor_reduce)
 from .heavy import heavy_mis_approx
 from .rng import derive_seed, node_uniforms
@@ -137,26 +137,16 @@ def sample_subgraph(g: WeightedGraph, profile: dict[int, ProfileEntry],
     return frozenset(compress(g.nodes, (u < p).tolist()))
 
 
-@dataclass(frozen=True)
-class SparseResult:
-    iset: IndependentSet
-    stats: RoundStats
-    sampled: frozenset[int]
-    delta_h: int
-    weight_h: int
-    mis_valid: bool
-    mis_violation: str | None = None
-
-
 def sparse_approx(g: WeightedGraph, lam: float = DEFAULT_LAMBDA, seed: int = 0,
                   mode: str = "congest", n_upper: int | None = None,
-                  log_base: str = "two") -> SparseResult:
+                  log_base: str = "two") -> RunOutcome:
     """Sample the sparse subgraph, then run the good-node MIS algorithm on it.
 
     The result is independent in ``g`` (the sample is induced). Diagnostics
-    expose the sampled maximum degree and total weight for the statistical
-    acceptance checks.
+    give the sample's size, maximum degree and total weight for the
+    statistical acceptance checks, and the inner run's ``mis_valid``.
     """
+    lam = check_real(lam, "lam", "sparse", above=0)
     if n_upper is None:
         n_upper = g.n
     prof_out, st1 = run(g, ProfileProgram(lam, log_base), mode=mode,
@@ -165,10 +155,8 @@ def sparse_approx(g: WeightedGraph, lam: float = DEFAULT_LAMBDA, seed: int = 0,
     h = g.induced(sampled)
     heavy = heavy_mis_approx(h, seed=derive_seed(seed, 0x4EA4), mode=mode,
                              n_upper=n_upper)
-    return SparseResult(iset=IndependentSet.of(g, heavy.iset.members),
-                        stats=st1.merge(heavy.stats),
-                        sampled=sampled,
-                        delta_h=h.max_degree,
-                        weight_h=h.total_weight(),
-                        mis_valid=heavy.mis_valid,
-                        mis_violation=heavy.mis_violation)
+    return RunOutcome(IndependentSet.of(g, heavy.iset.members),
+                      st1.merge(heavy.stats),
+                      {"sampled": len(sampled), "delta_h": h.max_degree,
+                       "weight_h": h.total_weight(),
+                       "mis_valid": heavy.diagnostics["mis_valid"]})

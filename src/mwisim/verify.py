@@ -193,7 +193,7 @@ def _c1_warmup(tally: _Tally, quick: bool) -> tuple[bool, str]:
     for i, g in enumerate(corpus):
         r = heavy_mis_approx(g, seed=derive_seed(0x1EAF, i))
         tally.note_budget(r.stats)
-        if not r.mis_valid:
+        if not r.diagnostics["mis_valid"]:
             bad_mis += 1
             continue
         if 4 * (g.max_degree + 1) * r.iset.weight < g.total_weight():
@@ -276,7 +276,7 @@ def _c5_sparsifier(tally: _Tally, quick: bool) -> tuple[bool, str]:
     r = sparse_approx(g, lam=lam, seed=derive_seed(0x5A17, 10**6))
     tally.note_budget(r.stats)
     need = math.ceil(0.98 * seeds)
-    ok = deg_ok >= need and weight_ok >= need and engine_matches and r.mis_valid
+    ok = deg_ok >= need and weight_ok >= need and engine_matches and r.diagnostics["mis_valid"]
     return ok, (f"{seeds} seeds: degree bound {deg_ok}/{seeds}, weight bound "
                 f"{weight_ok}/{seeds} (need {need}), engine/sequential profile "
                 f"match: {engine_matches}")
@@ -306,12 +306,12 @@ def _c7_ranking_size(tally: _Tally, quick: bool) -> tuple[bool, str]:
     regime_bad = 0
     for s in range(seeds):
         g = generate("gnp", {"n": n, "p": p}, "unit", derive_seed(0xAC07, s))
-        iset, _, stats = boppana_once(g, c=2, seed=derive_seed(0x0B0B, s))
-        tally.note_budget(stats)
+        r = boppana_once(g, c=2, seed=derive_seed(0x0B0B, s))
+        tally.note_budget(r.stats)
         delta = g.max_degree
         if delta > n / math.log2(n):
             regime_bad += 1
-        if 8 * (delta + 1) * len(iset.members) >= n:
+        if 8 * (delta + 1) * len(r.iset.members) >= n:
             good += 1
     need = math.ceil(0.99 * seeds)
     ok = good >= need and regime_bad == 0

@@ -1,10 +1,11 @@
 import random
+import time
 from fractions import Fraction
 from itertools import compress
 
 import pytest
 
-from mwisim.algorithms import RunOutcome, as_inner
+from mwisim.algorithms import RunOutcome, as_inner, run_algorithm
 from mwisim.arb import arb_approx, arb_reduce
 from mwisim.boost import (BoostPhaseError, PhaseFrame, boost,
                           check_stack_property, phase_count, pop_stack)
@@ -134,7 +135,7 @@ def test_boost_edgeless_takes_everything_in_phase_one():
     r = boost(g, heavy_inner, eps=1.0, c=8.0, seed=1)
     assert r.iset.members == frozenset(range(5))
     assert r.stack[0].members == frozenset(range(5))
-    assert all(not f.members for f in r.stack[1:])
+    assert len(r.stack) == 1  # nothing is left for phase 2
 
 
 def test_boost_path_vs_oracle():
@@ -156,6 +157,39 @@ def test_boost_invalid_inner_aborts_with_phase():
 
     with pytest.raises(BoostPhaseError, match="phase 1"):
         boost(g, BadInner(), eps=1.0, c=8.0, seed=0)
+
+
+def test_boost_refuses_an_inner_set_outside_its_graph():
+    g = weighted_path([2, 3, 3, 2])
+    picks = iter([{1}, {1}])  # phase 2 sees only node 3: node 1 has left
+
+    def inner(g_sub, seed, n_upper):
+        members = frozenset(next(picks))  # unchecked, like a faulty inner
+        return RunOutcome(IndependentSet(members, 3), RoundStats(rounds=1))
+
+    with pytest.raises(BoostPhaseError, match="phase 2: .*outside") as err:
+        boost(g, inner, eps=0.5, c=8.0, seed=0)
+    assert err.value.phase == 2
+
+
+def test_boost_phase_error_is_a_graph_error():
+    # so the CLI maps it to the invariant exit code like any other refusal
+    assert issubclass(BoostPhaseError, GraphError)
+
+
+def test_boost_stops_when_nothing_is_left():
+    g = generate("gnp", {"n": 20, "p": 0.2}, "uniform_range", 3)
+    start = time.perf_counter()
+    r = run_algorithm(g, "boost-heavy", {"eps": 1e-9}, 0)
+    assert time.perf_counter() - start < 1.0
+    assert r.diagnostics["phases"] == phase_count(8.0, 1e-9)
+    # a frame per phase that pushed nodes, and none after
+    assert [f.phase for f in r.stack] == list(range(1, len(r.stack) + 1))
+    assert all(f.members for f in r.stack)
+    # phase seeds do not depend on eps: the 8 phases of eps = 1 empty the
+    # graph too, and they are the same phases
+    short = run_algorithm(g, "boost-heavy", {"eps": 1.0}, 0)
+    assert (short.iset, short.stats, short.stack) == (r.iset, r.stats, r.stack)
 
 
 def test_boost_rejects_bad_parameters():

@@ -149,6 +149,16 @@ def test_rand_mis_rejects_dependent_algorithm_output():
         rand_mis(c, bad, 2, seed=0)
 
 
+def test_rand_mis_rejects_nodes_outside_the_clique_cycle():
+    c = generate("cycle", {"n": 6}, "unit", 0)
+    order = cycle_order(c)
+    cc = build_clique_cycle(6, 2, base_ids=order)
+    outside = max(cc.graph.nodes) + 1
+    bad = _scripted_alg({cc.vertex_id(1, 1), outside})
+    with pytest.raises(GraphError, match="outside"):
+        rand_mis(c, bad, 2, seed=0)
+
+
 def test_rand_mis_rejects_an_invalid_inner_mis():
     c = generate("cycle", {"n": 6}, "unit", 0)
     order = cycle_order(c)

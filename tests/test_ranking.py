@@ -4,9 +4,11 @@ from fractions import Fraction
 import pytest
 
 from mwisim.algorithms import run_algorithm
+from mwisim.engine import run
 from mwisim.graphs import GraphError, WeightedGraph, generate
-from mwisim.ranking import (boppana_once, check_perm_equivalence, rank_range,
-                            rank_rule, seq_boppana)
+from mwisim.ranking import (BoppanaProgram, boppana_once,
+                            check_perm_equivalence, rank_range, rank_rule,
+                            seq_boppana)
 from mwisim.rng import derive_seed, node_rng
 
 
@@ -16,6 +18,12 @@ def fastld(g, eps, c=None, seed=0):
 
 def unit(nodes, edges):
     return WeightedGraph(nodes, edges, {v: 1 for v in nodes})
+
+
+def ranks_of(g, c, seed):
+    """The ranks ``boppana_once(g, c, seed)`` draws."""
+    out, _ = run(g, BoppanaProgram(c), seed=seed)
+    return {v: r.rank for v, r in out.items()}
 
 
 def test_rank_rule_examples():
@@ -31,13 +39,15 @@ def test_rank_rule_examples():
 
 def test_boppana_one_round_and_in_range():
     g = generate("gnp", {"n": 64, "p": 0.1}, "unit", 3)
-    iset, ranks, stats = boppana_once(g, c=2, seed=5)
-    assert stats.rounds == 1
-    assert stats.messages_sent == 2 * g.m
+    r = boppana_once(g, c=2, seed=5)
+    assert r.stats.rounds == 1
+    assert r.stats.messages_sent == 2 * g.m
+    assert r.diagnostics == {} and r.stack is None
+    ranks = ranks_of(g, 2, 5)
     r_max = rank_range(64, 2)
-    assert all(1 <= r <= r_max for r in ranks.values())
+    assert all(1 <= rank <= r_max for rank in ranks.values())
     # membership is exactly the strict-max rule on the drawn ranks
-    assert iset.members == rank_rule(g, ranks)
+    assert r.iset.members == rank_rule(g, ranks)
 
 
 @pytest.mark.parametrize("seed", range(25))
@@ -45,14 +55,12 @@ def test_boppana_always_independent(seed):
     rng = random.Random(seed)
     g = generate("gnp", {"n": rng.randint(2, 80), "p": rng.uniform(0.05, 0.5)},
                  "unit", derive_seed(0xAA, seed))
-    iset, _, _ = boppana_once(g, c=2, seed=seed)
-    assert g.is_independent(iset.members)
+    assert g.is_independent(boppana_once(g, c=2, seed=seed).iset.members)
 
 
 def test_boppana_edgeless_takes_all():
     g = unit(range(5), [])
-    iset, _, _ = boppana_once(g, c=1, seed=0)
-    assert iset.members == frozenset(range(5))
+    assert boppana_once(g, c=1, seed=0).iset.members == frozenset(range(5))
 
 
 def test_seq_examples():
@@ -143,7 +151,15 @@ def test_rank_range_validates():
     assert rank_range(2, 1) == 800
 
 
+@pytest.mark.parametrize("c", [2.5, float("nan"), 0, 2.0])
+def test_rank_constant_must_be_an_integer_at_least_one(c):
+    with pytest.raises(GraphError, match="c must be an integer >= 1"):
+        rank_range(10, c)
+    # a direct library call, which no parameter resolution guards
+    with pytest.raises(GraphError, match="c must be an integer >= 1"):
+        boppana_once(unit([0, 1], [(0, 1)]), c=c)
+
+
 def test_program_c_parameter_changes_width():
     g = unit([0, 1], [(0, 1)])
-    _, ranks1, _ = boppana_once(g, c=1, seed=9)
-    assert all(1 <= r <= 800 for r in ranks1.values())
+    assert all(1 <= r <= 800 for r in ranks_of(g, 1, 9).values())

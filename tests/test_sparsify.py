@@ -4,7 +4,7 @@ import random
 import pytest
 
 from mwisim.engine import run
-from mwisim.graphs import INT64_MAX, WeightedGraph, generate
+from mwisim.graphs import INT64_MAX, GraphError, WeightedGraph, generate
 from mwisim.rng import derive_seed, node_uniform
 from mwisim.sparsify import (SAMPLE_SALT, ProfileEntry, ProfileProgram,
                              compute_sampling_profile, sample_subgraph,
@@ -123,31 +123,51 @@ def test_isolated_nodes_always_sampled():
     assert sample_subgraph(g, prof, 0) == frozenset(g.nodes)
 
 
+def _sample(g, seed, lam=4.0):
+    """The nodes ``sparse_approx(g, lam, seed)`` samples."""
+    return sample_subgraph(g, compute_sampling_profile(g, lam),
+                           derive_seed(seed, SAMPLE_SALT))
+
+
+@pytest.mark.parametrize("lam", [float("nan"), float("inf"), 0.0])
+def test_sparse_refuses_a_lambda_that_is_not_finite_and_positive(lam):
+    # a direct library call, which no parameter resolution guards
+    g = generate("gnp", {"n": 30, "p": 0.2}, "unit", 1)
+    with pytest.raises(GraphError, match="algorithm 'sparse': lam must be"):
+        sparse_approx(g, lam=lam)
+
+
 def test_sparse_edgeless():
     g = WeightedGraph(range(5), [], {v: 2 for v in range(5)})
     r = sparse_approx(g, seed=1)
-    assert r.sampled == frozenset(g.nodes)
+    assert _sample(g, 1) == frozenset(g.nodes)
     assert r.iset.members == frozenset(g.nodes)
-    assert r.iset.weight == 10 and r.delta_h == 0
+    assert r.iset.weight == 10
+    assert r.diagnostics == {"sampled": 5, "delta_h": 0, "weight_h": 10,
+                             "mis_valid": True}
 
 
 def test_sparse_unit_clique():
     g = generate("clique", {"n": 50}, "unit", 0)
     r = sparse_approx(g, lam=4.0, seed=7)
     assert len(r.iset.members) == 1  # any single clique node is the MIS
-    assert r.mis_valid
+    assert r.diagnostics["mis_valid"]
 
 
 def test_sparse_result_independent_in_g():
     for seed in range(10):
         g = generate("gnp", {"n": 120, "p": 0.1}, "heavy_tail", seed)
-        r = sparse_approx(g, seed=derive_seed(0xF00, seed))
+        s = derive_seed(0xF00, seed)
+        r = sparse_approx(g, seed=s)
         assert g.is_independent(r.iset.members)
-        assert r.mis_valid
         # subgraph soundness: diagnostics describe the induced sample
-        h = g.induced(r.sampled)
-        assert r.delta_h == h.max_degree
-        assert r.weight_h == h.total_weight()
+        sampled = _sample(g, s)
+        h = g.induced(sampled)
+        assert r.iset.members <= sampled
+        assert r.diagnostics == {"sampled": len(sampled),
+                                 "delta_h": h.max_degree,
+                                 "weight_h": h.total_weight(),
+                                 "mis_valid": True}
 
 
 def test_sparse_statistical_200():
@@ -158,7 +178,7 @@ def test_sparse_statistical_200():
         g = generate("gnp", {"n": 200, "p": 0.3}, "heavy_tail",
                      derive_seed(0x5AA, seed))
         r = sparse_approx(g, lam=4.0, seed=seed)
-        assert r.mis_valid
+        assert r.diagnostics["mis_valid"]
         weights.append(r.iset.weight)
         bounds.append(g.total_weight() / (8 * g.max_degree))
     assert sum(weights) / len(weights) >= sum(bounds) / len(bounds)
