@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Any, Mapping
 
 from .arb import arb_approx
@@ -109,9 +110,8 @@ def run_algorithm(g: WeightedGraph, alg: str, params: Mapping[str, Any],
                   seed=seed, mode=mode, n_upper=n_upper)
         return _boost_outcome(r)
     # luby
-    out, stats = run(g, LubyProgram(), mode=mode, seed=seed, n_upper=n_upper)
-    members = frozenset(v for v, is_in in out.items() if is_in)
-    return RunOutcome(IndependentSet.of(g, members), stats, {})
+    in_mis, stats = run(g, LubyProgram(), mode=mode, seed=seed, n_upper=n_upper)
+    return RunOutcome(IndependentSet.of(g, compress(g.nodes, in_mis)), stats, {})
 
 
 def as_inner(alg: str, params: Mapping[str, Any], mode: str = "congest") -> Inner:

@@ -88,7 +88,8 @@ class ResidualUpdateProgram:
     Run on the positive-residual subgraph (so ctx.weight is the residual):
     selected nodes broadcast their residual weight; nodes in ``zeroed`` (a
     superset of ``selected``) end at zero; everyone else subtracts the
-    announced weights of selected neighbors.
+    announced weights of selected neighbors. Each node's output is its new
+    residual.
     """
 
     selected: frozenset[int]
@@ -107,7 +108,7 @@ class ResidualUpdateProgram:
                         if msg.tag == TAG_REDUCE)
         return StepResult(halt=True, output=ctx.weight - reduction)
 
-    def kernel(self, net: Net) -> dict[int, int]:
+    def kernel(self, net: Net) -> list[int]:
         ids = net.ids
         selected = np.fromiter((v in self.selected for v in ids), dtype=bool,
                                count=len(ids))
@@ -116,7 +117,7 @@ class ResidualUpdateProgram:
         out = w - net.fold(np.add, w)
         out[np.fromiter((v in self.zeroed for v in ids), dtype=bool,
                         count=len(ids))] = 0
-        return dict(zip(ids, out.tolist()))
+        return out.tolist()
 
 
 def pop_stack(g: WeightedGraph, frames: Iterable[PhaseFrame]) -> IndependentSet:
@@ -196,7 +197,7 @@ def local_ratio(g: WeightedGraph, inner: Inner, phases: int, salt: int,
                                  n_upper=n_upper)
         stats = stats.merge(upd_stats)
         residual = {v: check_int64(r, f"residual of node {v}")
-                    for v, r in upd_out.items()}
+                    for v, r in zip(g_i.nodes, upd_out)}
         g_i = g_i.induced([v for v, r in residual.items() if r > 0], residual)
 
     sizes.append(g_i.n)

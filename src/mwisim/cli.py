@@ -47,19 +47,17 @@ def _parse_seeds(spec: str) -> list[int]:
 def _graph_params(args) -> dict:
     if not args.family:
         raise UsageError("no graph: give --family (or, with run, --graph FILE)")
-    if args.family == "gnp":
-        if args.p is None:
-            raise UsageError("gnp needs --p")
-        params = {"n": args.n, "p": args.p}
-    elif args.family == "cycle_of_cliques":
+    if args.family == "cycle_of_cliques":
         if args.n0 is None or args.n1 is None:
             raise UsageError("cycle_of_cliques needs --n0 and --n1")
-        params = {"n0": args.n0, "n1": args.n1}
-    else:
-        if args.n is None:
-            raise UsageError(f"{args.family} needs --n")
-        params = {"n": args.n}
-    return params
+        return {"n0": args.n0, "n1": args.n1}
+    if args.n is None:
+        raise UsageError(f"{args.family} needs --n")
+    if args.family != "gnp":
+        return {"n": args.n}
+    if args.p is None:
+        raise UsageError("gnp needs --p")
+    return {"n": args.n, "p": args.p}
 
 
 def _load_or_generate(args) -> tuple:

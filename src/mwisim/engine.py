@@ -15,6 +15,10 @@ never see n, the maximum degree, or any global structure.
 Each node has a private counter-based random stream (``rng``): word k of
 node v is the k-th SplitMix64 output seeded by ``derive_seed(seed, v)``.
 
+A run's outputs are one value per node, by position in the executed graph
+(``g.nodes``, or ``g.induced(subset).nodes``: ascending ids): the value the
+node's halting ``StepResult.output`` carried.
+
 A program runs in one of two forms with identical outputs, ``RoundStats``
 and errors. Its ``kernel``, if it has one, computes each whole round with
 numpy arrays over ``g.csr()``, drawing the same stream words in bulk, and
@@ -102,9 +106,10 @@ class NodeProgram(Protocol):
     ``rng.NodeStream`` whose word k is the k-th SplitMix64 output seeded by
     ``derive_seed(seed, node id)``, with ``getrandbits`` and ``randint``.
 
-    A program may also define ``kernel(net: Net) -> outputs``: the same
+    A program may also define ``kernel(net: Net) -> list``: the same
     program as whole-round array steps, which the engine runs in place of
-    the per-node interpreter (see the module docstring).
+    the per-node interpreter (see the module docstring). Its list holds
+    each node's output by position in ``net.ids``.
     """
 
     def init(self, ctx: NodeContext, rng) -> StepResult: ...
@@ -188,10 +193,10 @@ class Net:
     """A kernel's view of one run: the executed graph and its rounds.
 
     Arrays are indexed by node position in ``graph.nodes`` (ascending ids,
-    the interpreter's processing order). A kernel ends each step with one
-    ``send``, which opens the next round with the interpreter's checks and
-    charges; ``fold`` and ``senders_among`` read only what the last round's
-    senders broadcast.
+    the interpreter's processing order), and so is the list of outputs a
+    kernel returns. A kernel ends each step with one ``send``, which opens
+    the next round with the interpreter's checks and charges; ``fold``
+    reads only what the last round's senders broadcast.
     """
 
     def __init__(self, graph: WeightedGraph, n_upper: int, seed: int,
@@ -268,21 +273,12 @@ class Net:
         return neighbor_reduce(self.graph, ufunc, np.where(self._sent, values, 0),
                                initial)
 
-    def senders_among(self, flags: np.ndarray) -> list[tuple[int, ...]]:
-        """Per node, the ids (ascending) of its neighbors that sent in the
-        last round and have ``flags`` set."""
-        keep = (self._sent & flags)[self.nbr]
-        bounds = np.concatenate(([0], np.cumsum(keep)))[self.indptr].tolist()
-        ids = self.ids
-        flat = [ids[j] for j in self.nbr[keep].tolist()]
-        return [tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:])]
-
 
 def run(g: WeightedGraph, program: NodeProgram, mode: str = "congest",
         seed: int = 0, max_rounds: int = DEFAULT_MAX_ROUNDS,
         n_upper: int | None = None,
         node_order: Callable[[list[int]], list[int]] | None = None,
-        ) -> tuple[dict[int, Any], RoundStats]:
+        ) -> tuple[list[Any], RoundStats]:
     """Execute ``program`` on all nodes of ``g``; see ``run_on_subgraph``."""
     return run_on_subgraph(g, g.nodes, program, mode=mode, seed=seed,
                            max_rounds=max_rounds, n_upper=n_upper,
@@ -294,9 +290,11 @@ def run_on_subgraph(g: WeightedGraph, subset: Iterable[int], program: NodeProgra
                     max_rounds: int = DEFAULT_MAX_ROUNDS,
                     n_upper: int | None = None,
                     node_order: Callable[[list[int]], list[int]] | None = None,
-                    ) -> tuple[dict[int, Any], RoundStats]:
+                    ) -> tuple[list[Any], RoundStats]:
     """Execute ``program`` on ``g.induced(subset)``, or on ``g`` itself when
-    the subset is all of it.
+    the subset is all of it, and return ``(outputs, stats)``: ``outputs``
+    holds one value per node of the executed graph, by position (the subset
+    in ascending order).
 
     Identifiers and ``n_upper`` are inherited from ``g`` (``n_upper``
     defaults to g.n, not to the subset size). The program's kernel runs
@@ -388,4 +386,4 @@ def run_on_subgraph(g: WeightedGraph, subset: Iterable[int], program: NodeProgra
                 still_active.append(v)
         active = still_active
 
-    return outputs, stats
+    return [outputs[v] for v in h.nodes], stats

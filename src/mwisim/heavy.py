@@ -15,6 +15,7 @@ the good bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -29,17 +30,6 @@ TAG_STATS = 3
 TAG_GOOD = 4
 
 
-@dataclass(frozen=True)
-class LocalStats:
-    """Per-node output of the two-round statistics program."""
-
-    deg: int
-    delta: int          # max degree over the inclusive neighborhood
-    s: int              # total weight of the inclusive neighborhood
-    good: bool
-    good_neighbors: tuple[int, ...]
-
-
 def is_good(weight: int, delta: int, s: int) -> bool:
     """Good-node predicate 2*(delta+1)*w >= s, zero-weight nodes excluded.
 
@@ -52,7 +42,8 @@ def is_good(weight: int, delta: int, s: int) -> bool:
 
 @dataclass(frozen=True)
 class LocalStatsProgram:
-    """Round 1: exchange (degree, weight). Round 2: announce the good bit."""
+    """Round 1: exchange (degree, weight). Round 2: announce the good bit,
+    which is each node's output."""
 
     def init(self, ctx: NodeContext, rng) -> StepResult:
         deg = len(ctx.neighbors)
@@ -61,8 +52,7 @@ class LocalStatsProgram:
 
     def step(self, state, ctx: NodeContext, inbox, rng) -> StepResult:
         if state is None:
-            deg = len(ctx.neighbors)
-            delta = deg
+            delta = len(ctx.neighbors)
             s = ctx.weight
             for msg in inbox.values():
                 d, w = msg.values
@@ -70,26 +60,19 @@ class LocalStatsProgram:
                     delta = d
                 s += w
             good = is_good(ctx.weight, delta, s)
-            partial = (deg, delta, s, good)
-            return StepResult(state=partial,
+            return StepResult(state=good,
                               outbox=Message(TAG_GOOD, (int(good),)))
-        deg, delta, s, good = state
-        good_nbrs = tuple(sorted(u for u, msg in inbox.items() if msg.values[0]))
-        return StepResult(halt=True,
-                          output=LocalStats(deg, delta, s, good, good_nbrs))
+        return StepResult(halt=True, output=state)
 
-    def kernel(self, net: Net) -> dict[int, LocalStats]:
+    def kernel(self, net: Net) -> list[bool]:
         every = np.ones(len(net.ids), dtype=bool)
         deg, w = net.deg, net.weights
         net.send(every, every, TAG_STATS, deg, w)
         delta = net.fold(np.maximum, deg, deg)
         s = net.fold(np.add, w, w)
         good = [is_good(*wds) for wds in zip(w.tolist(), delta.tolist(), s.tolist())]
-        good_bits = np.array(good, dtype=np.int64)
-        net.send(every, every, TAG_GOOD, good_bits)
-        return {v: LocalStats(*row) for v, row in zip(
-            net.ids, zip(deg.tolist(), delta.tolist(), s.tolist(), good,
-                         net.senders_among(good_bits > 0)))}
+        net.send(every, every, TAG_GOOD, np.array(good, dtype=np.int64))
+        return good
 
 
 def heavy_mis_approx(g: WeightedGraph, seed: int = 0, mode: str = "congest",
@@ -101,12 +84,15 @@ def heavy_mis_approx(g: WeightedGraph, seed: int = 0, mode: str = "congest",
     really produced a maximal independent set of it (checked, never
     assumed), which is the hypothesis of the weight bound.
     """
-    stats_out, st1 = run(g, LocalStatsProgram(), mode=mode,
+    good_bits, st1 = run(g, LocalStatsProgram(), mode=mode,
                          seed=derive_seed(seed, 0x10CA1), n_upper=n_upper)
-    good = frozenset(v for v, st in stats_out.items() if st.good)
-    mis_out, st2 = run_on_subgraph(g, good, LubyProgram(), mode=mode,
-                                   seed=derive_seed(seed, 0x1B15), n_upper=n_upper)
-    members = frozenset(v for v, is_in in mis_out.items() if is_in)
+    good = list(compress(g.nodes, good_bits))
+    in_mis, st2 = run_on_subgraph(g, good, LubyProgram(), mode=mode,
+                                  seed=derive_seed(seed, 0x1B15), n_upper=n_upper)
+    members = frozenset(compress(good, in_mis))
     ok, _ = verify_mis(g, good, members)
-    return RunOutcome(IndependentSet.of(g, members), st1.merge(st2),
+    # a valid MIS of an induced subgraph is independent in g
+    iset = (IndependentSet(members, g.total_weight(members)) if ok
+            else IndependentSet.of(g, members))
+    return RunOutcome(iset, st1.merge(st2),
                       {"good_nodes": len(good), "mis_valid": ok})

@@ -37,7 +37,7 @@ def _value_bits(n_upper: int) -> int:
 
 @dataclass(frozen=True)
 class LubyProgram:
-    """Node program producing True (in MIS) / False (out) outputs."""
+    """Node program whose output is membership: True (in the MIS) or False."""
 
     def init(self, ctx: NodeContext, rng) -> StepResult:
         if not ctx.neighbors:
@@ -67,7 +67,7 @@ class LubyProgram:
         return StepResult(state=("compete", value),
                           outbox=Message(TAG_VALUE, (value,)))
 
-    def kernel(self, net: Net) -> dict[int, bool]:
+    def kernel(self, net: Net) -> list[bool]:
         """Two rounds per iteration over all competing nodes at once."""
         n = len(net.ids)
         shift = np.uint64(64 - _value_bits(net.n_upper))
@@ -89,7 +89,7 @@ class LubyProgram:
             in_mis |= win
             # a listener that heard a winner drops out, the rest recompete
             compete &= ~win & (net.fold(np.add, win) == 0)
-        return dict(zip(net.ids, in_mis.tolist()))
+        return in_mis.tolist()
 
 
 def greedy_mis(g: WeightedGraph, order: Iterable[int] | None = None) -> IndependentSet:

@@ -15,7 +15,7 @@ fast pipeline for unweighted low-degree graphs (``fastld`` in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import compress, permutations
 from typing import Sequence
 
 import numpy as np
@@ -55,14 +55,10 @@ def _limbs_to_rank(limbs: Sequence[int]) -> int:
 
 
 @dataclass(frozen=True)
-class RankOutput:
-    in_set: bool
-    rank: int
-
-
-@dataclass(frozen=True)
 class BoppanaProgram:
-    """Draw a rank, exchange it once, join iff strictly above all neighbors."""
+    """Draw a rank, exchange it once, join iff strictly above all neighbors.
+
+    Each node's output is its membership (a bool)."""
 
     c: int = 2
 
@@ -77,10 +73,10 @@ class BoppanaProgram:
             vals = msg.values
             other = vals[0] if len(vals) == 1 else _limbs_to_rank(vals)
             if other >= rank:
-                return StepResult(halt=True, output=RankOutput(False, rank))
-        return StepResult(halt=True, output=RankOutput(True, rank))
+                return StepResult(halt=True, output=False)
+        return StepResult(halt=True, output=True)
 
-    def kernel(self, net: Net) -> dict[int, RankOutput]:
+    def kernel(self, net: Net) -> list[bool]:
         ranks = net.randints(1, rank_range(net.n_upper, self.c))
         every = np.ones(len(ranks), dtype=bool)
         if ranks.dtype == object:  # wider than 63 bits: several limbs
@@ -90,9 +86,7 @@ class BoppanaProgram:
         else:
             net.send(every, every, TAG_RANK, ranks)
         # ranks are >= 1, so a node without neighbors compares against 0
-        joins = (ranks > net.fold(np.maximum, ranks)).tolist()
-        return {v: RankOutput(j, r)
-                for v, j, r in zip(net.ids, joins, ranks.tolist())}
+        return (ranks > net.fold(np.maximum, ranks)).tolist()
 
 
 def rank_rule(g: WeightedGraph, ranks: dict[int, int]) -> frozenset[int]:
@@ -104,9 +98,8 @@ def rank_rule(g: WeightedGraph, ranks: dict[int, int]) -> frozenset[int]:
 def boppana_once(g: WeightedGraph, c: int = 2, seed: int = 0,
                  mode: str = "congest", n_upper: int | None = None) -> RunOutcome:
     """One engine run of the ranking program: its set and stats."""
-    out, stats = run(g, BoppanaProgram(c), mode=mode, seed=seed, n_upper=n_upper)
-    members = frozenset(v for v, r in out.items() if r.in_set)
-    return RunOutcome(IndependentSet.of(g, members), stats)
+    joins, stats = run(g, BoppanaProgram(c), mode=mode, seed=seed, n_upper=n_upper)
+    return RunOutcome(IndependentSet.of(g, compress(g.nodes, joins)), stats)
 
 
 def seq_boppana(g: WeightedGraph, permutation: Sequence[int]) -> IndependentSet:

@@ -17,12 +17,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import compress
+from typing import Sequence
 
 import numpy as np
 
 from .engine import Net, NodeContext, RunOutcome, StepResult, run
-from .graphs import (GraphError, IndependentSet, WeightedGraph, check_real,
-                     neighbor_reduce)
+from .graphs import GraphError, WeightedGraph, check_real, neighbor_reduce
 from .heavy import heavy_mis_approx
 from .rng import derive_seed, node_uniforms
 from .wire import Message
@@ -49,8 +49,7 @@ def sampling_probability(weight: int, delta: int, wmax: int, lam: float,
     delta = 0 (isolated) or wmax = 0 (weightless 2-neighborhood) means the
     node is free to keep, so p = 1.
     """
-    if lam <= 0:
-        raise GraphError(f"lambda must be > 0, got {lam}")
+    lam = check_real(lam, "lam", "sparse", above=0)
     if delta == 0 or wmax == 0:
         return 1.0
     p = lam * _log_n(n_upper, log_base) * (1.0 / delta + weight / wmax)
@@ -58,16 +57,10 @@ def sampling_probability(weight: int, delta: int, wmax: int, lam: float,
 
 
 @dataclass(frozen=True)
-class ProfileEntry:
-    delta: int   # max degree over the inclusive neighborhood
-    wdeg: int    # weighted degree w(N(v))
-    wmax: int    # max weighted degree over the inclusive neighborhood
-    p: float
-
-
-@dataclass(frozen=True)
 class ProfileProgram:
-    """Round 1: exchange (degree, weight). Round 2: exchange weighted degree."""
+    """Round 1: exchange (degree, weight). Round 2: exchange weighted degree.
+
+    Each node's output is its sampling probability p(v)."""
 
     lam: float
     log_base: str = "two"
@@ -95,17 +88,18 @@ class ProfileProgram:
                 wmax = msg.values[0]
         p = sampling_probability(ctx.weight, delta, wmax, self.lam,
                                  ctx.n_upper, self.log_base)
-        return StepResult(halt=True, output=ProfileEntry(delta, wdeg, wmax, p))
+        return StepResult(halt=True, output=p)
 
-    def kernel(self, net: Net) -> dict[int, ProfileEntry]:
+    def kernel(self, net: Net) -> list[float]:
         return compute_sampling_profile(net.graph, self.lam, self.log_base,
                                         net.n_upper, net)
 
 
 def compute_sampling_profile(g: WeightedGraph, lam: float, log_base: str = "two",
                              n_upper: int | None = None,
-                             net: Net | None = None) -> dict[int, ProfileEntry]:
-    """The profile program's rounds as array steps over the whole graph.
+                             net: Net | None = None) -> list[float]:
+    """The profile program's rounds as array steps over the whole graph:
+    p(v) for each node, by position in ``g.nodes``.
 
     Every node sends in both rounds, so each fold over g is the fold over
     each inbox. With ``net`` (the program's kernel) the two rounds are sent
@@ -122,19 +116,16 @@ def compute_sampling_profile(g: WeightedGraph, lam: float, log_base: str = "two"
         every = np.ones(g.n, dtype=bool)
         net.send(every, every, TAG_DEGW, deg, w)
         net.send(every, every, TAG_WDEG, wdeg)
-    return {v: ProfileEntry(d, wd, wm, sampling_probability(wv, d, wm, lam,
-                                                            n_upper, log_base))
-            for v, wv, d, wd, wm in zip(g.nodes, w.tolist(), delta.tolist(),
-                                        wdeg.tolist(), wmax.tolist())}
+    return [sampling_probability(wv, d, wm, lam, n_upper, log_base)
+            for wv, d, wm in zip(w.tolist(), delta.tolist(), wmax.tolist())]
 
 
-def sample_subgraph(g: WeightedGraph, profile: dict[int, ProfileEntry],
+def sample_subgraph(g: WeightedGraph, p: Sequence[float],
                     seed: int) -> frozenset[int]:
-    """Independent per-node Bernoulli draws, ``rng.node_uniform`` for every
-    node at once."""
+    """Independent per-node Bernoulli draws with probabilities ``p`` (by
+    position in ``g.nodes``), ``rng.node_uniform`` for every node at once."""
     u = node_uniforms(seed, g.nodes, SAMPLE_SALT)
-    p = np.fromiter((profile[v].p for v in g.nodes), dtype=np.float64, count=g.n)
-    return frozenset(compress(g.nodes, (u < p).tolist()))
+    return frozenset(compress(g.nodes, (u < np.asarray(p, np.float64)).tolist()))
 
 
 def sparse_approx(g: WeightedGraph, lam: float = DEFAULT_LAMBDA, seed: int = 0,
@@ -149,14 +140,14 @@ def sparse_approx(g: WeightedGraph, lam: float = DEFAULT_LAMBDA, seed: int = 0,
     lam = check_real(lam, "lam", "sparse", above=0)
     if n_upper is None:
         n_upper = g.n
-    prof_out, st1 = run(g, ProfileProgram(lam, log_base), mode=mode,
-                        seed=derive_seed(seed, 0x5A8F), n_upper=n_upper)
-    sampled = sample_subgraph(g, prof_out, derive_seed(seed, SAMPLE_SALT))
+    p, st1 = run(g, ProfileProgram(lam, log_base), mode=mode,
+                 seed=derive_seed(seed, 0x5A8F), n_upper=n_upper)
+    sampled = sample_subgraph(g, p, derive_seed(seed, SAMPLE_SALT))
     h = g.induced(sampled)
     heavy = heavy_mis_approx(h, seed=derive_seed(seed, 0x4EA4), mode=mode,
                              n_upper=n_upper)
-    return RunOutcome(IndependentSet.of(g, heavy.iset.members),
-                      st1.merge(heavy.stats),
+    # h keeps g's weights, so the set and its weight are the same in g
+    return RunOutcome(heavy.iset, st1.merge(heavy.stats),
                       {"sampled": len(sampled), "delta_h": h.max_degree,
                        "weight_h": h.total_weight(),
                        "mis_valid": heavy.diagnostics["mis_valid"]})

@@ -228,6 +228,14 @@ def test_gen_without_family_is_usage_error(capsys):
     assert "--family" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["gen"], ["run", "--alg", "luby", "--seeds", "0"]],
+                         ids=["gen", "run"])
+def test_gnp_without_n_is_usage_error(command, capsys):
+    assert run_cli([*command, "--family", "gnp", "--p", "0.1"]) == 2
+    out = capsys.readouterr()
+    assert "error: gnp needs --n" in out.err and out.out == ""
+
+
 @pytest.mark.parametrize("args", [
     ["reduce", "--n0", "12", "--n1", "4", "--seeds", "0", "--lam", "0"],
     ["run", "--family", "path", "--n", "6", "--alg", "sparse", "--lam", "0",

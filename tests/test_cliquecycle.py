@@ -4,7 +4,7 @@ from mwisim.algorithms import RunOutcome, as_inner
 from mwisim.cliquecycle import (build_clique_cycle, cycle_order, map_back,
                                 max_gap, rand_mis)
 from mwisim.engine import RoundStats
-from mwisim.graphs import GraphError, IndependentSet, generate
+from mwisim.graphs import GraphError, IndependentSet, WeightedGraph, generate
 from mwisim.mis import verify_mis
 
 
@@ -188,3 +188,18 @@ def test_rand_mis_sparse_pipeline(seed):
     ok, violation = verify_mis(c, c.nodes, r.mis.members)
     assert ok, violation
     assert r.gap <= 8 * max(1, r.inner_stats.rounds)
+
+
+def test_rand_mis_checks_the_clique_cycle_set_twice(monkeypatch):
+    # once in run_inner and once in map_back; the sparse pipeline adds none
+    checked = []
+    is_independent = WeightedGraph.is_independent
+
+    def counted(self, members):
+        checked.append(self.n)
+        return is_independent(self, members)
+
+    monkeypatch.setattr(WeightedGraph, "is_independent", counted)
+    c = generate("cycle", {"n": 32}, "unit", 0)
+    rand_mis(c, as_inner("sparse", {"lam": 4.0}, "local"), 16)
+    assert checked.count(32 * 16) <= 2

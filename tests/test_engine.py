@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mwisim.arb import arb_reduce
+from mwisim.boost import ResidualUpdateProgram
 from mwisim.engine import (CongestViolation, EngineError, RoundLimitExceeded,
                            StepResult, message_budget_bits, run,
                            run_on_subgraph)
@@ -57,13 +59,13 @@ class FatMessage:
 
 def test_single_node_halts_in_init():
     out, stats = run(unit([0], []), HaltInInit())
-    assert out == {0: "x"}
+    assert out == ["x"]
     assert stats.rounds == 0 and stats.messages_sent == 0
 
 
 def test_two_node_exchange():
     out, stats = run(unit([0, 1], [(0, 1)]), ExchangeIds())
-    assert out == {0: [1], 1: [0]}
+    assert out == [[1], [0]]
     assert stats.rounds == 1 and stats.messages_sent == 2
     assert stats.per_round_messages == [2]
 
@@ -109,7 +111,7 @@ def test_non_message_outbox_rejected(outbox):
 def test_run_on_subgraph_empty_and_full():
     g = generate("cycle", {"n": 5}, "unit", 0)
     out, stats = run_on_subgraph(g, [], LubyProgram(), seed=3)
-    assert out == {} and stats.rounds == 0
+    assert out == [] and stats.rounds == 0
     full_a = run(g, LubyProgram(), seed=3)
     full_b = run_on_subgraph(g, g.nodes, LubyProgram(), seed=3)
     assert full_a == full_b
@@ -137,7 +139,23 @@ def test_subgraph_semantics_inert_outside():
     g = generate("cycle", {"n": 6}, "unit", 0)
     out, _ = run_on_subgraph(g, [0, 2, 4], ExchangeIds(), seed=0)
     # the induced subgraph has no edges, so nobody hears anything
-    assert out == {0: [], 2: [], 4: []}
+    assert out == [[], [], []]
+
+
+def test_outputs_follow_the_executed_graphs_positions():
+    g = generate("gnp", {"n": 30, "p": 0.25}, "uniform_range", 3)
+    subset = [29, 3, 17, 8, 0, 22, 11, 5, 14, 26]  # a proper subset, unsorted
+    h = g.induced(subset)
+    selected = frozenset({3, 22})
+    zeroed = selected | {17, 5}
+    want = arb_reduce(h.weights, selected, zeroed, h)
+    assert [v for v in sorted(subset) if want[v] == 0] == sorted(zeroed)
+    for node_order in (None, list):
+        out, _ = run_on_subgraph(g, subset, ResidualUpdateProgram(selected, zeroed),
+                                 node_order=node_order)
+        assert out == [want[v] for v in sorted(subset)]
+        assert [i for i, r in enumerate(out) if r == 0] == [
+            sorted(subset).index(v) for v in sorted(zeroed)]
 
 
 def test_n_upper_configurable_upward():
@@ -220,7 +238,7 @@ def test_halted_node_stops_sending():
             return StepResult(halt=True, output=len(inbox))
 
     out, stats = run(unit([0, 1], [(0, 1)]), OneShot())
-    assert out == {0: "gone", 1: 0}
+    assert out == ["gone", 0]
     assert stats.messages_sent == 0
 
 
@@ -289,7 +307,7 @@ def test_random_broadcast_programs(n, p, graph_seed, salt, shuffle_seed):
     # every message reaches each neighbor in the executed graph once
     h = g.induced(subset)
     want = [0] * stats.rounds
-    for v, (delivered, _) in out.items():
+    for v, (delivered, _) in zip(h.nodes, out):
         for r in delivered:
             want[r - 1] += h.degree(v)
     assert stats.per_round_messages == want

@@ -1,4 +1,5 @@
 import random
+from itertools import compress
 
 import pytest
 
@@ -13,30 +14,15 @@ def star_1_10():
                          {0: 1, 1: 10, 2: 10, 3: 10})
 
 
-def stats_by_node(g):
-    """The statistics kernel's (deg, delta, s) as {node: (deg, delta, s)}; LOCAL
-    mode, so weights near INT64_MAX are not refused as too wide."""
-    out, _ = run(g, LocalStatsProgram(), mode="local")
-    return {v: (st.deg, st.delta, st.s) for v, st in out.items()}
-
-
 def good_nodes(g):
-    """Exactly the nodes satisfying the good predicate on the kernel's stats."""
-    return frozenset(v for v, (_, d, t) in stats_by_node(g).items()
-                     if is_good(g.weights[v], d, t))
-
-
-def test_stats_examples():
-    isolated = WeightedGraph([0], [], {0: 5})
-    assert stats_by_node(isolated)[0] == (0, 0, 5)
-
-    star = WeightedGraph(range(4), [(0, 1), (0, 2), (0, 3)], {v: 1 for v in range(4)})
-    stats = stats_by_node(star)
-    assert stats[0] == (3, 3, 4)   # center
-    assert stats[1] == (1, 3, 2)   # leaf
+    """The nodes whose output from the statistics kernel is the good bit;
+    LOCAL mode, so weights near INT64_MAX are not refused as too wide."""
+    out, _ = run(g, LocalStatsProgram(), mode="local")
+    return frozenset(compress(g.nodes, out))
 
 
 def _reference_stats(g):
+    """(deg, delta, s) per node by its definition, one neighborhood at a time."""
     out = {}
     for v in g.nodes:
         closed = (v, *g.adj[v])
@@ -44,6 +30,27 @@ def _reference_stats(g):
                   max(len(g.adj[u]) for u in closed),
                   sum(g.weights[u] for u in closed))
     return out
+
+
+def _reference_good(g):
+    return frozenset(v for v, (_, delta, s) in _reference_stats(g).items()
+                     if is_good(g.weights[v], delta, s))
+
+
+def test_stats_examples():
+    isolated = WeightedGraph([0], [], {0: 5})
+    assert _reference_stats(isolated)[0] == (0, 0, 5)
+    assert good_nodes(isolated) == frozenset({0})
+
+    star = WeightedGraph(range(4), [(0, 1), (0, 2), (0, 3)], {v: 1 for v in range(4)})
+    stats = _reference_stats(star)
+    assert stats[0] == (3, 3, 4)   # center
+    assert stats[1] == (1, 3, 2)   # leaf
+    # a leaf of weight 1 beside a center of weight 7: s = 8 = 2 * (3 + 1) * 1
+    heavy_center = star.induced(star.nodes, {0: 7, 1: 1, 2: 1, 3: 2})
+    assert good_nodes(heavy_center) == frozenset({0, 1, 2, 3})
+    heavier_center = star.induced(star.nodes, {0: 8, 1: 1, 2: 1, 3: 2})
+    assert good_nodes(heavier_center) == frozenset({0, 3})
 
 
 def test_stats_equal_reference():
@@ -55,7 +62,7 @@ def test_stats_equal_reference():
     corpus.append(WeightedGraph(range(4), [(0, 1), (0, 2), (2, 3)],
                                 {0: INT64_MAX, 1: INT64_MAX, 2: 1, 3: INT64_MAX}))
     for g in corpus:
-        assert stats_by_node(g) == _reference_stats(g)
+        assert good_nodes(g) == _reference_good(g)
 
 
 def test_stats_program_matches_sequential():
@@ -64,15 +71,11 @@ def test_stats_program_matches_sequential():
         g = generate("gnp", {"n": rng.randint(3, 60), "p": rng.uniform(0.05, 0.5)},
                      ("unit", "uniform_range", "heavy_tail")[seed % 3],
                      derive_seed(0x5E, seed))
-        # the per-node interpreter against the array form
+        # the per-node interpreter against the definition
         out, stats = run(g, LocalStatsProgram(), seed=seed, node_order=list)
         assert stats.rounds == 2
-        seq = stats_by_node(g)
-        good = good_nodes(g)
-        for v in g.nodes:
-            assert (out[v].deg, out[v].delta, out[v].s) == seq[v]
-            assert out[v].good == (v in good)
-            assert set(out[v].good_neighbors) == {u for u in g.adj[v] if u in good}
+        good = _reference_good(g)
+        assert out == [v in good for v in g.nodes]
 
 
 def test_good_examples():

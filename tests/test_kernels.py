@@ -11,6 +11,7 @@ import os
 import random
 import tempfile
 from contextlib import contextmanager
+from itertools import compress
 
 import numpy as np
 import pytest
@@ -252,7 +253,7 @@ def test_message_sizes_equal_message_size_bits(tag, case):
 def test_kernels_and_graph_queries_build_no_adjacency_tuples():
     g = generate("gnp", {"n": 200, "p": 0.05}, "uniform_range", 3)
     out, _ = run(g, mis.LubyProgram(), seed=1)
-    selected = frozenset(v for v, inside in out.items() if inside)
+    selected = frozenset(compress(g.nodes, out))
     for program in (heavy.LocalStatsProgram(), sparsify.ProfileProgram(4.0),
                     ranking.BoppanaProgram(2),
                     boost.ResidualUpdateProgram(selected, selected)):

@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import compress
 
 import pytest
 
@@ -16,7 +17,7 @@ def unit(nodes, edges):
 def luby_members(g, seed, subset=None):
     subset = g.nodes if subset is None else subset
     out, stats = run_on_subgraph(g, subset, LubyProgram(), seed=seed)
-    return {v for v, is_in in out.items() if is_in}, stats
+    return set(compress(sorted(subset), out)), stats
 
 
 def test_edgeless_all_join():

@@ -9,7 +9,7 @@ from mwisim.algorithms import ALGORITHMS, run_algorithm
 from mwisim.engine import run
 from mwisim.graphs import INT64_MAX, WeightedGraph, generate
 from mwisim.mis import LubyProgram
-from mwisim.ranking import BoppanaProgram, rank_range
+from mwisim.ranking import BoppanaProgram, rank_range, rank_rule
 from mwisim.rng import (NodeStream, derive_seed, derive_seeds, node_rng,
                         node_uniform, node_uniforms, stream_randints,
                         stream_words)
@@ -123,8 +123,10 @@ def test_boppana_ranks_wider_than_64_bits():
     assert (r_max - 1).bit_length() == 67
     kernel = run(g, BoppanaProgram(3), seed=9, n_upper=4096)
     assert kernel == run(g, BoppanaProgram(3), seed=9, n_upper=4096, node_order=list)
-    ranks = {v: out.rank for v, out in kernel[0].items()}
-    assert ranks == {v: NodeStream(9, v).randint(1, r_max) for v in g.nodes}
+    ranks = {v: NodeStream(9, v).randint(1, r_max) for v in g.nodes}
+    # membership is the strict-max rule on these ranks
+    joined = rank_rule(g, ranks)
+    assert kernel[0] == [v in joined for v in g.nodes]
     assert all(1 <= r <= r_max for r in ranks.values())
     assert any(r >= 1 << 64 for r in ranks.values())
     assert kernel[1].max_message_bits > 4 + 6 + 63  # two limbs on the wire

@@ -6,7 +6,7 @@ import pytest
 from mwisim.engine import run
 from mwisim.graphs import INT64_MAX, GraphError, WeightedGraph, generate
 from mwisim.rng import derive_seed, node_uniform
-from mwisim.sparsify import (SAMPLE_SALT, ProfileEntry, ProfileProgram,
+from mwisim.sparsify import (SAMPLE_SALT, ProfileProgram,
                              compute_sampling_profile, sample_subgraph,
                              sampling_probability, sparse_approx)
 
@@ -39,18 +39,22 @@ def test_profile_program_matches_sequential():
         assert out == compute_sampling_profile(g, 4.0)
 
 
-def _reference_profile(g, lam, log_base="two", n_upper=None):
-    """The profile by its definition, one neighborhood at a time."""
-    n_upper = g.n if n_upper is None else n_upper
+def _reference_terms(g):
+    """(delta, wmax) per node by their definition, one neighborhood at a time."""
     wdeg = {v: sum(g.weights[u] for u in g.adj[v]) for v in g.nodes}
-    out = {}
+    out = []
     for v in g.nodes:
         closed = (v, *g.adj[v])
-        delta = max(len(g.adj[u]) for u in closed)
-        wmax = max(wdeg[u] for u in closed)
-        p = sampling_probability(g.weights[v], delta, wmax, lam, n_upper, log_base)
-        out[v] = ProfileEntry(delta, wdeg[v], wmax, p)
+        out.append((max(len(g.adj[u]) for u in closed),
+                    max(wdeg[u] for u in closed)))
     return out
+
+
+def _reference_profile(g, lam, log_base="two", n_upper=None):
+    """p(v) by its definition, by position in ``g.nodes``."""
+    n_upper = g.n if n_upper is None else n_upper
+    return [sampling_probability(g.weights[v], delta, wmax, lam, n_upper, log_base)
+            for v, (delta, wmax) in zip(g.nodes, _reference_terms(g))]
 
 
 def _profile_corpus():
@@ -78,17 +82,16 @@ def test_clamp_and_range():
     for seed in range(10):
         g = generate("gnp", {"n": 80, "p": 0.2}, "heavy_tail", seed)
         prof = compute_sampling_profile(g, 4.0)
-        for v in g.nodes:
-            e = prof[v]
-            assert 0.0 <= e.p <= 1.0
-            raw = 4.0 * math.log2(g.n) * (1 / e.delta + g.weights[v] / e.wmax)
-            assert e.p == min(raw, 1.0)
+        for v, p, (delta, wmax) in zip(g.nodes, prof, _reference_terms(g)):
+            assert 0.0 <= p <= 1.0
+            raw = 4.0 * math.log2(g.n) * (1 / delta + g.weights[v] / wmax)
+            assert p == min(raw, 1.0)
 
 
 def test_sampling_degenerate_probabilities():
     g = generate("path", {"n": 6}, "unit", 0)
-    all_one = {v: ProfileEntry(1, 1, 1, 1.0) for v in g.nodes}
-    all_zero = {v: ProfileEntry(1, 1, 1, 0.0) for v in g.nodes}
+    all_one = [1.0] * g.n
+    all_zero = [0.0] * g.n
     assert sample_subgraph(g, all_one, seed=5) == frozenset(g.nodes)
     assert sample_subgraph(g, all_zero, seed=5) == frozenset()
 
@@ -97,7 +100,7 @@ def test_sampling_deterministic():
     # dense enough that probabilities stay below the clamp
     g = generate("gnp", {"n": 300, "p": 0.15}, "heavy_tail", 3)
     prof = compute_sampling_profile(g, 4.0)
-    assert any(prof[v].p < 1.0 for v in g.nodes)
+    assert any(p < 1.0 for p in prof)
     assert sample_subgraph(g, prof, 9) == sample_subgraph(g, prof, 9)
     draws = {sample_subgraph(g, prof, s) for s in range(5)}
     assert len(draws) > 1  # different seeds differ somewhere
@@ -110,8 +113,8 @@ def test_sample_is_the_per_node_uniform_draw():
                       {7 * v + 2**40: w for v, w in g.weights.items()})
     prof = compute_sampling_profile(g, 4.0)
     for seed in (0, 9, 2**63 + 1):
-        want = frozenset(v for v in g.nodes
-                         if node_uniform(seed, v, SAMPLE_SALT) < prof[v].p)
+        want = frozenset(v for v, p in zip(g.nodes, prof)
+                         if node_uniform(seed, v, SAMPLE_SALT) < p)
         assert sample_subgraph(g, prof, seed) == want
         assert 0 < len(want) < g.n
 
@@ -119,7 +122,7 @@ def test_sample_is_the_per_node_uniform_draw():
 def test_isolated_nodes_always_sampled():
     g = WeightedGraph(range(4), [], {v: 1 for v in range(4)})
     prof = compute_sampling_profile(g, 4.0)
-    assert all(prof[v].p == 1.0 for v in g.nodes)
+    assert prof == [1.0] * g.n
     assert sample_subgraph(g, prof, 0) == frozenset(g.nodes)
 
 
@@ -133,8 +136,15 @@ def _sample(g, seed, lam=4.0):
 def test_sparse_refuses_a_lambda_that_is_not_finite_and_positive(lam):
     # a direct library call, which no parameter resolution guards
     g = generate("gnp", {"n": 30, "p": 0.2}, "unit", 1)
-    with pytest.raises(GraphError, match="algorithm 'sparse': lam must be"):
+    with pytest.raises(GraphError, match="algorithm 'sparse': lam must be") as exc:
         sparse_approx(g, lam=lam)
+    # the profile refuses it alike, as array steps and in both program forms
+    for profile in (lambda: compute_sampling_profile(g, lam),
+                    lambda: run(g, ProfileProgram(lam)),
+                    lambda: run(g, ProfileProgram(lam), node_order=list)):
+        with pytest.raises(GraphError) as again:
+            profile()
+        assert str(again.value) == str(exc.value)
 
 
 def test_sparse_edgeless():
