@@ -93,8 +93,8 @@ def run_algorithm(g: WeightedGraph, alg: str, params: Mapping[str, Any],
                   n_upper=n_upper)
         return _boost_outcome(r)
     if alg == "arb":
-        r = arb_approx(g, alpha=p["alpha"], eps=p["eps"], seed=seed, mode=mode,
-                       n_upper=n_upper)
+        r = arb_approx(g, p["alpha"], as_inner("boost-heavy", p, mode),
+                       seed=seed, mode=mode, n_upper=n_upper)
         # the phases after the last frame left the vertex set as it was
         sizes = [*r.sizes, *r.sizes[-1:] * (r.phases + 1 - len(r.sizes))]
         return RunOutcome(r.iset, r.stats,

@@ -9,7 +9,8 @@ least half the nodes of any subgraph have degree at most 4*alpha when alpha
 is at least the arboricity, the vertex set halves every phase and empties
 within the phase budget. The shared pop stage then yields an
 8*(1+eps)*alpha approximation. The phases are ``boost.local_ratio`` with a
-degree cap of 4*alpha, so each reduction is one charged engine round.
+degree cap of 4*alpha, so each reduction is one charged engine round. The
+caller supplies the (1+eps)*Delta-approximation as the inner algorithm.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import math
 from typing import Iterable, Mapping
 
 from .boost import BoostResult, Inner, local_ratio
-from .graphs import GraphError, WeightedGraph, check_int64, check_real
+from .graphs import GraphError, WeightedGraph, check_int64
 
 
 def arb_reduce(w: Mapping[int, int], selected: Iterable[int],
@@ -51,20 +52,16 @@ def arb_phase_count(n: int) -> int:
     return (math.ceil(math.log2(n)) if n > 1 else 0) + 1
 
 
-def arb_approx(g: WeightedGraph, alpha: int, eps: float,
-               inner: Inner | None = None, seed: int = 0,
+def arb_approx(g: WeightedGraph, alpha: int, inner: Inner, seed: int = 0,
                mode: str = "congest", n_upper: int | None = None) -> BoostResult:
     """The full low-arboricity pipeline; ``alpha`` is caller-supplied.
 
-    The inner algorithm defaults to boosting over the good-node algorithm.
-    Degeneracy is a safe surrogate for alpha (it is never smaller), at the
-    cost of a weaker constant in the approximation factor.
+    ``inner`` is the (1+eps)*Delta-approximation each phase runs (the
+    harness passes boosting over the good-node algorithm). Degeneracy is a
+    safe surrogate for alpha (it is never smaller), at the cost of a weaker
+    constant in the approximation factor.
     """
     if not alpha >= 1:  # NaN included
         raise GraphError(f"algorithm 'arb': alpha must be >= 1, got {alpha}")
-    eps = check_real(eps, "eps", "arb", above=0)
-    if inner is None:
-        from .algorithms import as_inner  # algorithms imports this module
-        inner = as_inner("boost-heavy", {"eps": eps}, mode)
     return local_ratio(g, inner, arb_phase_count(g.n), 0xA5B, seed, mode,
                        n_upper, degree_cap=4 * alpha)

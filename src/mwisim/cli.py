@@ -138,12 +138,13 @@ def cmd_reduce(args) -> int:
     lines = []
     for seed in _parse_seeds(args.seeds):
         r = rand_mis(base, inner, args.n1, seed=seed, c_approx=args.c)
+        d = r.diagnostics
         lines.append(json.dumps({
-            "n0": r.n0, "n1": r.n1, "seed": seed,
-            "mis_size": len(r.mis.members), "mapped_size": len(r.mapped.members),
-            "max_gap": r.gap, "inner_rounds": r.inner_stats.rounds,
-            "inner_messages": r.inner_stats.messages_sent,
-            "r_large": r.r_large, "r_small": r.r_small,
+            "n0": args.n0, "n1": args.n1, "seed": seed,
+            "mis_size": len(r.iset), "mapped_size": len(d["mapped"]),
+            "max_gap": d["max_gap"], "inner_rounds": r.stats.rounds,
+            "inner_messages": r.stats.messages_sent,
+            "r_large": d["r_large"], "r_small": d["r_small"],
         }, sort_keys=True, allow_nan=False))
     text = "".join(line + "\n" for line in lines)
     if args.output:

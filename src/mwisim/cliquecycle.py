@@ -4,9 +4,9 @@ The construction replaces each of the n0 cycle nodes with an n1-clique and
 joins adjacent cliques by complete bipartite graphs; every vertex ends up
 with degree exactly 3*n1 - 1. Running any approximate max-weight
 independent set algorithm on this graph (LOCAL model), mapping hits back to
-the cycle, and greedily filling the gaps yields a maximal independent set
-of the cycle — the executable form of the lower-bound reduction, with gap
-statistics measured instead of bounded.
+the cycle through the composite ids, and greedily filling the gaps yields a
+maximal independent set of the cycle — the executable form of the
+lower-bound reduction, with gap statistics measured instead of bounded.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .boost import Inner, run_inner
-from .engine import RoundStats
-from .graphs import GraphError, IndependentSet, WeightedGraph
+from .engine import RunOutcome
+from .graphs import GraphError, WeightedGraph
 from .mis import greedy_mis, verify_mis
 
 
@@ -26,7 +26,8 @@ class CliqueCycle:
     """The built graph plus the (clique index, member index) id scheme.
 
     Composite identifiers concatenate the base cycle id with the member
-    number: id(v_ij) = base_id(i) << j_bits | j, with j in 1..n1.
+    number: id(v_ij) = base_id(i) << j_bits | j, with j in 1..n1, so a
+    vertex's base id is ``v >> j_bits``.
     """
 
     n0: int
@@ -39,16 +40,6 @@ class CliqueCycle:
         if not (1 <= i <= self.n0 and 1 <= j <= self.n1):
             raise GraphError(f"no vertex ({i}, {j}) in a ({self.n0}, {self.n1}) build")
         return (self.base_ids[i - 1] << self.j_bits) | j
-
-    def clique_index(self, vid: int) -> int:
-        base = vid >> self.j_bits
-        try:
-            return self.base_ids.index(base) + 1
-        except ValueError:
-            raise GraphError(f"vertex {vid} not in this construction") from None
-
-    def column(self, i: int) -> tuple[int, ...]:
-        return tuple(self.vertex_id(i, j) for j in range(1, self.n1 + 1))
 
 
 def build_clique_cycle(n0: int, n1: int,
@@ -100,23 +91,10 @@ def cycle_order(c: WeightedGraph) -> list[int]:
     return order
 
 
-def map_back(c: WeightedGraph, order: Sequence[int], cc: CliqueCycle,
-             i1: Iterable[int]) -> IndependentSet:
-    """Project an independent set of the clique cycle onto the base cycle.
-
-    Cycle node u_i joins iff the i-th clique column contains a member.
-    Raises if the input set is not independent in the clique cycle.
-    """
-    members = set(i1)
-    if not cc.graph.is_independent(members):
-        raise GraphError("input set is not independent in the clique cycle")
-    hit = {cc.clique_index(v) for v in members}
-    return IndependentSet.of(c, {order[i - 1] for i in hit})
-
-
 def max_gap(order: Sequence[int], members: Iterable[int]) -> int:
     """Longest run of consecutive cycle nodes outside ``members``."""
-    flags = [v in set(members) for v in order]
+    member = set(members)
+    flags = [v in member for v in order]
     if not any(flags):
         return len(order)
     if all(flags):
@@ -131,50 +109,39 @@ def max_gap(order: Sequence[int], members: Iterable[int]) -> int:
     return best
 
 
-@dataclass(frozen=True)
-class RandMISResult:
-    mis: IndependentSet            # maximal independent set of the cycle
-    mapped: IndependentSet         # hits mapped back before gap filling
-    gap: int                       # longest uncovered run before filling
-    inner_stats: RoundStats
-    r_large: int
-    r_small: int
-    n0: int
-    n1: int
-
-
 def rand_mis(c: WeightedGraph, inner: Inner, n1: int, seed: int = 0,
-             c_approx: float = 8.0) -> RandMISResult:
+             c_approx: float = 8.0) -> RunOutcome:
     """Build the clique cycle, run ``inner`` on it, map back, fill the gaps.
 
     ``inner`` runs on the whole clique cycle (LOCAL semantics are the
-    caller's choice, e.g. ``as_inner(alg, params, "local")``); its output
-    must be an independent set, and a black-box MIS it reports invalid is
-    rejected. The returned set is verified maximal on the cycle. R_large and
-    R_small are diagnostic radii computed from the measured round count and
-    the approximation constant ``c_approx``, a finite number >= 1.
+    caller's choice, e.g. ``as_inner(alg, params, "local")``); ``run_inner``
+    refuses a set that is not independent there and a black-box MIS it
+    reports invalid. The cliques follow ``cycle_order(c)`` and carry the
+    cycle's ids as base ids, so a member ``v`` hits cycle node
+    ``v >> j_bits``; adjacent cliques are completely joined, so the hits
+    are independent on the cycle. The hits come first in the greedy fill,
+    and the returned set is verified maximal on the cycle.
+
+    The outcome's ``stats`` are the inner run's. Its diagnostics are the
+    sorted cycle ids hit (``mapped``), the longest run of the cycle without
+    a hit (``max_gap``), and the diagnostic radii ``r_large`` and
+    ``r_small``, computed from the inner round count and the approximation
+    constant ``c_approx``, a finite number >= 1.
     """
     if not (math.isfinite(c_approx) and c_approx >= 1):
         raise GraphError(f"c must be a finite number >= 1, got {c_approx}")
     order = cycle_order(c)
-    n0 = len(order)
-    cc = build_clique_cycle(n0, n1, base_ids=order)
+    cc = build_clique_cycle(len(order), n1, base_ids=order)
     res = run_inner(inner, cc.graph, seed, cc.graph.n)
-    mapped = map_back(c, order, cc, res.iset.members)
+    mapped = sorted({v >> cc.j_bits for v in res.iset.members})
 
-    # the hits first, then the uncovered gaps greedily by id
-    mis = greedy_mis(c, [*sorted(mapped.members), *c.nodes])
+    mis = greedy_mis(c, [*mapped, *c.nodes])
     ok, violation = verify_mis(c, c.nodes, mis.members)
     if not ok:
         raise GraphError(f"final set is not a maximal independent set: {violation}")
 
     t = res.stats.rounds
-    return RandMISResult(
-        mis=mis,
-        mapped=mapped,
-        gap=max_gap(order, mapped.members),
-        inner_stats=res.stats,
-        r_large=int((100 * c_approx + 1) * t + 2),
-        r_small=int(100 * c_approx * t),
-        n0=n0, n1=n1,
-    )
+    return RunOutcome(mis, res.stats,
+                      {"mapped": mapped, "max_gap": max_gap(order, mapped),
+                       "r_large": int((100 * c_approx + 1) * t + 2),
+                       "r_small": int(100 * c_approx * t)})

@@ -140,8 +140,8 @@ class RoundStats:
 
 @dataclass(frozen=True)
 class RunOutcome:
-    """What every algorithm returns: its set, its cost, what a record keeps
-    as ``diagnostics``, and the local-ratio stack if it has one."""
+    """What every algorithm and ``cliquecycle.rand_mis`` return: the set, its
+    cost, what a record keeps as ``diagnostics``, and any local-ratio stack."""
 
     iset: IndependentSet
     stats: RoundStats
@@ -291,10 +291,10 @@ def run_on_subgraph(g: WeightedGraph, subset: Iterable[int], program: NodeProgra
                     n_upper: int | None = None,
                     node_order: Callable[[list[int]], list[int]] | None = None,
                     ) -> tuple[list[Any], RoundStats]:
-    """Execute ``program`` on ``g.induced(subset)``, or on ``g`` itself when
-    the subset is all of it, and return ``(outputs, stats)``: ``outputs``
-    holds one value per node of the executed graph, by position (the subset
-    in ascending order).
+    """Execute ``program`` on ``g.induced(subset)`` (``g`` itself when the
+    subset is all of it) and return ``(outputs, stats)``: ``outputs`` holds
+    one value per node of the executed graph, by position (the subset in
+    ascending order).
 
     Identifiers and ``n_upper`` are inherited from ``g`` (``n_upper``
     defaults to g.n, not to the subset size). The program's kernel runs
@@ -308,8 +308,7 @@ def run_on_subgraph(g: WeightedGraph, subset: Iterable[int], program: NodeProgra
         raise EngineError(f"max_rounds must be >= 1, got {max_rounds}")
     if n_upper is None:
         n_upper = g.n
-    sub = set(subset)
-    h = g if len(sub) == g.n and sub.issuperset(g.nodes) else g.induced(sub)
+    h = g.induced(subset)
     budget = message_budget_bits(n_upper) if mode == "congest" else None
     kernel = getattr(program, "kernel", None)
     if node_order is None and kernel is not None and h.n:

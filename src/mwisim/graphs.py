@@ -50,7 +50,9 @@ class WeightedGraph:
 
     Three facts are computed on first use and then cached on the graph,
     which is safe only because nothing changes a graph after it is built
-    (``induced`` and the generators return new graphs, with empty caches):
+    (the generators return new graphs with empty caches, and so does
+    ``induced``, except that the whole node set with the same weights is
+    the graph itself):
 
     * ``adj``, which maps each node id to the sorted tuple of its neighbor
       ids, for the sequential reference code that walks one neighborhood
@@ -155,14 +157,17 @@ class WeightedGraph:
         """Induced subgraph keeping original identifiers; optional new weights.
 
         A subgraph of a valid graph is valid, so only the subset and the
-        replacement weights are checked. The CSR is the parent's, filtered
-        to the entries between kept positions and renumbered; both steps
-        keep each row ascending.
+        replacement weights are checked. Every node without new weights is
+        ``self``. Otherwise the CSR is the parent's, filtered to the entries
+        between kept positions and renumbered; both steps keep each row
+        ascending.
         """
         sub = set(subset)
         unknown = sub.difference(self.nodes)
         if unknown:
             raise GraphError(f"subset contains unknown nodes {sorted(unknown)}")
+        if weights is None and len(sub) == self.n:
+            return self
         keep = self._mask(sub)
         kept = keep.nonzero()[0]
         nodes = tuple(map(self.nodes.__getitem__, kept.tolist()))

@@ -102,32 +102,40 @@ def boppana_once(g: WeightedGraph, c: int = 2, seed: int = 0,
     return RunOutcome(IndependentSet.of(g, compress(g.nodes, joins)), stats)
 
 
-def seq_boppana(g: WeightedGraph, permutation: Sequence[int]) -> IndependentSet:
-    """Process nodes in order; keep a node iff no neighbor came earlier."""
-    perm = list(permutation)
-    if sorted(perm) != list(g.nodes):
-        raise GraphError("not a permutation of the node set")
+def _seq_rule(g: WeightedGraph, perm: Sequence[int]) -> frozenset[int]:
+    """Keep each node of ``perm``, in order, iff no neighbor came earlier."""
     processed: set[int] = set()
     chosen: set[int] = set()
     for v in perm:
         if not any(u in processed for u in g.adj[v]):
             chosen.add(v)
         processed.add(v)
-    return IndependentSet.of(g, chosen)
+    return frozenset(chosen)
+
+
+def seq_boppana(g: WeightedGraph, permutation: Sequence[int]) -> IndependentSet:
+    """Process nodes in order; keep a node iff no neighbor came earlier."""
+    perm = list(permutation)
+    if sorted(perm) != list(g.nodes):
+        raise GraphError("not a permutation of the node set")
+    return IndependentSet.of(g, _seq_rule(g, perm))
 
 
 def check_perm_equivalence(g: WeightedGraph) -> bool:
     """Exhaustively compare the sequential rule against the rank rule.
 
     For every permutation, ranks decreasing along the draw order must select
-    the same set as the sequential scan. Enumeration-bounded to n <= 9.
+    the same set as the sequential scan, and each distinct set the scan
+    selects must be independent. Enumeration-bounded to n <= 9.
     """
     n = g.n
     if n > PERM_CHECK_CAP:
         raise GraphError(f"exhaustive check limited to n <= {PERM_CHECK_CAP}, got {n}")
+    selected = set()
     for perm in permutations(g.nodes):
-        seq_members = seq_boppana(g, perm).members
+        seq_members = _seq_rule(g, perm)
         ranks = {v: n - pos for pos, v in enumerate(perm)}
         if rank_rule(g, ranks) != seq_members:
             return False
-    return True
+        selected.add(seq_members)
+    return all(map(g.is_independent, selected))

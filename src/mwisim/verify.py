@@ -17,6 +17,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .algorithms import as_inner, run_algorithm
+from .arb import arb_phase_count
 from .boost import check_stack_property, phase_count
 from .cliquecycle import rand_mis
 from .engine import RoundStats, run
@@ -340,8 +341,7 @@ def _c8_arb(tally: _Tally, quick: bool) -> tuple[bool, str]:
             if 2 * b > a:
                 bad.append(f"halving graph#{i}")
                 break
-        want_phases = (math.ceil(math.log2(g.n)) if g.n > 1 else 0) + 1
-        if r.diagnostics["phases"] != want_phases:
+        if r.diagnostics["phases"] != arb_phase_count(g.n):
             bad.append(f"phase count graph#{i}")
     return not bad, (f"{count} runs (alpha = degeneracy): "
                      + (f"{len(bad)} violations, first: {bad[0]}" if bad

@@ -14,6 +14,11 @@ from mwisim.graphs import (GraphError, IndependentSet, WeightedGraph,
 from mwisim.rng import derive_seed
 
 
+def _boosted(eps):
+    """The inner algorithm the harness gives arb: boosting the good nodes."""
+    return as_inner("boost-heavy", {"eps": eps})
+
+
 def _first_phase_nodes(g, cap):
     """The nodes the inner algorithm sees in local_ratio's first phase."""
     seen = []
@@ -38,7 +43,7 @@ def test_low_degree_examples():
     assert _first_phase_nodes(edgeless, 28) == frozenset(range(5))
 
     with pytest.raises(GraphError, match="alpha"):
-        arb_approx(k10, alpha=0, eps=0.5)
+        arb_approx(k10, alpha=0, inner=_boosted(0.5))
 
 
 def test_arb_reduce_star():
@@ -80,7 +85,7 @@ def test_phase_count():
 
 def test_arb_edgeless_one_phase():
     g = WeightedGraph(range(4), [], {v: v + 1 for v in range(4)})
-    r = arb_approx(g, alpha=1, eps=0.5, seed=0)
+    r = arb_approx(g, alpha=1, inner=_boosted(0.5), seed=0)
     assert r.iset.members == frozenset(range(4))
     assert r.sizes[1] == 0
 
@@ -88,7 +93,7 @@ def test_arb_edgeless_one_phase():
 def test_arb_path_example():
     g = WeightedGraph(range(3), [(0, 1), (1, 2)], {0: 3, 1: 5, 2: 3})
     opt = brute_force_max_is(g).weight  # 6
-    r = arb_approx(g, alpha=1, eps=0.25, seed=2)
+    r = arb_approx(g, alpha=1, inner=_boosted(0.25), seed=2)
     assert 8 * Fraction(5, 4) * 1 * r.iset.weight >= opt
     assert r.sizes[-1] == 0
     assert check_stack_property(g, r.iset, r.stack)
@@ -100,7 +105,8 @@ def test_arb_trees_vs_oracle(seed):
     g = random_tree(n, seed, weight_model=("uniform_range", "heavy_tail")[seed % 2])
     opt = brute_force_max_is(g).weight
     eps = Fraction(1, 2)
-    r = arb_approx(g, alpha=1, eps=float(eps), seed=derive_seed(0xA4, seed))
+    r = arb_approx(g, alpha=1, inner=_boosted(float(eps)),
+                   seed=derive_seed(0xA4, seed))
     assert 8 * (1 + eps) * 1 * r.iset.weight >= opt
     assert r.sizes[-1] == 0
     assert r.phases == arb_phase_count(n)
@@ -112,7 +118,7 @@ def test_arb_halving_with_degeneracy_alpha():
     for seed in range(10):
         g = generate("gnp", {"n": 22, "p": 0.18}, "uniform_range", seed)
         alpha = max(1, degeneracy(g))
-        r = arb_approx(g, alpha=alpha, eps=0.5, seed=seed)
+        r = arb_approx(g, alpha=alpha, inner=_boosted(0.5), seed=seed)
         for a, b in zip(r.sizes, r.sizes[1:]):
             assert 2 * b <= a
         assert r.sizes[-1] == 0
@@ -128,21 +134,21 @@ def test_arb_inner_failure_reports_phase():
 
     g = generate("cycle", {"n": 8}, "unit", 0)
     with pytest.raises(BoostPhaseError, match="phase 1"):
-        arb_approx(g, alpha=2, eps=0.5, inner=Bad(), seed=0)
+        arb_approx(g, alpha=2, inner=Bad(), seed=0)
 
 
 def test_arb_rejects_bad_parameters():
     g = generate("path", {"n": 3}, "unit", 0)
     with pytest.raises(GraphError, match="alpha"):
-        arb_approx(g, alpha=0, eps=0.5)
+        arb_approx(g, alpha=0, inner=_boosted(0.5))
     with pytest.raises(GraphError, match="eps"):
-        arb_approx(g, alpha=1, eps=-1.0)
+        run_algorithm(g, "arb", {"alpha": 1, "eps": -1.0}, 0)
 
 
 def test_arb_rejects_a_non_finite_eps_under_its_own_name():
     g = generate("path", {"n": 3}, "unit", 0)
     with pytest.raises(GraphError, match="algorithm 'arb': eps must be finite"):
-        arb_approx(g, alpha=2, eps=float("nan"))
+        run_algorithm(g, "arb", {"alpha": 2, "eps": float("nan")}, 0)
 
 
 def test_boosted_inner_respects_subgraph_guarantee():
@@ -186,14 +192,14 @@ def test_arb_rounds_are_inner_rounds_plus_one_per_low_phase():
         g = generate("gnp", {"n": 40, "p": 0.15}, "heavy_tail", derive_seed(0xA8C, seed))
         alpha = max(1, degeneracy(g) // 2)  # leaves high-degree nodes for later
         inner_rounds = []
-        boosted = as_inner("boost-heavy", {"eps": 0.5})
+        boosted = _boosted(0.5)
 
         def inner(g_sub, s, n_upper):
             out = boosted(g_sub, s, n_upper)
             inner_rounds.append(out.stats.rounds)
             return out
 
-        r = arb_approx(g, alpha=alpha, eps=0.5, inner=inner, seed=seed)
+        r = arb_approx(g, alpha=alpha, inner=inner, seed=seed)
         # replay the phases with the sequential mirror: the inner algorithm
         # and the reduction round run exactly in phases with a low-degree node
         w = g.weights
@@ -212,7 +218,7 @@ def test_arb_rounds_are_inner_rounds_plus_one_per_low_phase():
         assert len(r.stats.per_round_messages) == r.stats.rounds
     # no low-degree node in any phase: nothing runs and nothing is charged
     k10 = generate("clique", {"n": 10}, "unit", 0)
-    r = arb_approx(k10, alpha=2, eps=0.5, seed=0)
+    r = arb_approx(k10, alpha=2, inner=_boosted(0.5), seed=0)
     assert r.stats.rounds == 0 and set(r.sizes) == {10}
 
 

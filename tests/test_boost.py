@@ -267,7 +267,7 @@ def test_residuals_match_sequential_reduction():
                 r = boost(g, recorder, eps=1.0, c=8.0, seed=k)
             else:
                 cap = 4  # alpha = 1 leaves high-degree nodes for later phases
-                r = arb_approx(g, alpha=1, eps=0.5, inner=recorder, seed=k)
+                r = arb_approx(g, alpha=1, inner=recorder, seed=k)
             replay = iter(observed)
             w = g.weights
             for frame in r.stack:

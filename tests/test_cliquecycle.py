@@ -1,8 +1,7 @@
 import pytest
 
 from mwisim.algorithms import RunOutcome, as_inner
-from mwisim.cliquecycle import (build_clique_cycle, cycle_order, map_back,
-                                max_gap, rand_mis)
+from mwisim.cliquecycle import build_clique_cycle, cycle_order, max_gap, rand_mis
 from mwisim.engine import RoundStats
 from mwisim.graphs import GraphError, IndependentSet, WeightedGraph, generate
 from mwisim.mis import verify_mis
@@ -52,19 +51,20 @@ def test_composite_ids():
     assert cc.j_bits == 2
     assert cc.vertex_id(1, 1) == (10 << 2) | 1
     assert cc.vertex_id(4, 3) == (40 << 2) | 3
-    assert cc.clique_index(cc.vertex_id(2, 3)) == 2
-    assert cc.column(3) == tuple((30 << 2) | j for j in (1, 2, 3))
+    assert cc.vertex_id(2, 3) >> cc.j_bits == 20
+    assert all(cc.vertex_id(i, j) >> cc.j_bits == cc.base_ids[i - 1]
+               for i in range(1, 5) for j in range(1, 4))
     with pytest.raises(GraphError):
         cc.vertex_id(5, 1)
 
 
 def test_adjacency_rule():
-    cc = build_clique_cycle(6, 2)
+    cc = build_clique_cycle(6, 2, base_ids=[50, 10, 40, 0, 30, 20])
     g = cc.graph
     for u in g.nodes:
-        iu = cc.clique_index(u)
+        iu = cc.base_ids.index(u >> cc.j_bits) + 1
         for v in g.adj[u]:
-            iv = cc.clique_index(v)
+            iv = cc.base_ids.index(v >> cc.j_bits) + 1
             diff = abs(iu - iv)
             assert diff <= 1 or {iu, iv} == {1, 6}
 
@@ -79,27 +79,10 @@ def test_cycle_order():
         cycle_order(generate("path", {"n": 5}, "unit", 0))
 
 
-def test_map_back_examples():
-    c = generate("cycle", {"n": 6}, "unit", 0)
-    order = cycle_order(c)
-    cc = build_clique_cycle(6, 3, base_ids=order)
-
-    single = map_back(c, order, cc, {cc.vertex_id(1, 2)})
-    assert single.members == {order[0]}
-
-    empty = map_back(c, order, cc, set())
-    assert empty.members == frozenset()
-
-    two = map_back(c, order, cc, {cc.vertex_id(1, 1), cc.vertex_id(3, 2)})
-    assert two.members == {order[0], order[2]}
-
-    with pytest.raises(GraphError, match="not independent"):
-        map_back(c, order, cc, {cc.vertex_id(1, 1), cc.vertex_id(1, 2)})
-
-
 def test_max_gap():
     order = list(range(8))
     assert max_gap(order, {0, 4}) == 3
+    assert max_gap(range(8), iter([0, 4])) == 3  # members read once
     assert max_gap(order, {0}) == 7
     assert max_gap(order, set()) == 8
     assert max_gap(order, set(range(8))) == 0
@@ -114,6 +97,23 @@ def _scripted_alg(picks, diagnostics=None):
     return alg
 
 
+def test_rand_mis_maps_each_hit_to_its_cycle_node():
+    # a cycle whose ids are not in cyclic order: 0-7-3-12-5-9-0
+    ids = [0, 7, 3, 12, 5, 9]
+    c = WeightedGraph(ids, zip(ids, ids[1:] + ids[:1]), {v: 1 for v in ids})
+    order = cycle_order(c)
+    cc = build_clique_cycle(6, 3, base_ids=order)
+    for hits, mapped in (({cc.vertex_id(1, 2)}, [order[0]]),
+                         (set(), []),
+                         ({cc.vertex_id(1, 1), cc.vertex_id(3, 2)},
+                          sorted([order[0], order[2]]))):
+        r = rand_mis(c, _scripted_alg(hits), 3, seed=0)
+        assert r.diagnostics["mapped"] == mapped
+        assert set(mapped) <= r.iset.members
+        ok, violation = verify_mis(c, c.nodes, r.iset.members)
+        assert ok, violation
+
+
 def test_rand_mis_trace_no_gap():
     c = generate("cycle", {"n": 6}, "unit", 0)
     order = cycle_order(c)
@@ -121,10 +121,11 @@ def test_rand_mis_trace_no_gap():
     # hits in cliques 1 and 4: J covers everything
     alg = _scripted_alg({cc.vertex_id(1, 1), cc.vertex_id(4, 2)})
     r = rand_mis(c, alg, 2, seed=0)
-    assert r.mapped.members == {order[0], order[3]}
-    assert r.mis.members == {order[0], order[3]}
-    assert r.gap == 2
-    assert r.r_small == 100 * 8 * 3 and r.r_large == (100 * 8 + 1) * 3 + 2
+    assert isinstance(r, RunOutcome) and r.stats == RoundStats(rounds=3)
+    assert r.iset.members == {order[0], order[3]}
+    assert r.diagnostics == {"mapped": sorted([order[0], order[3]]),
+                             "max_gap": 2, "r_small": 100 * 8 * 3,
+                             "r_large": (100 * 8 + 1) * 3 + 2}
 
 
 def test_rand_mis_trace_fill():
@@ -133,11 +134,11 @@ def test_rand_mis_trace_fill():
     cc = build_clique_cycle(8, 2, base_ids=order)
     alg = _scripted_alg({cc.vertex_id(1, 1)})  # only u_1 hit
     r = rand_mis(c, alg, 2, seed=0)
-    assert r.mapped.members == {order[0]}
-    assert r.gap == 7
-    ok, violation = verify_mis(c, c.nodes, r.mis.members)
+    assert r.diagnostics["mapped"] == [order[0]]
+    assert r.diagnostics["max_gap"] == 7
+    ok, violation = verify_mis(c, c.nodes, r.iset.members)
     assert ok, violation
-    assert len(r.mis.members) in (3, 4)
+    assert len(r.iset) in (3, 4)
 
 
 def test_rand_mis_rejects_dependent_algorithm_output():
@@ -178,20 +179,21 @@ def test_rand_mis_needs_a_finite_constant_of_at_least_one(c_approx):
 
     with pytest.raises(GraphError, match="finite number >= 1"):
         rand_mis(c, never, 2, seed=0, c_approx=c_approx)
-    assert rand_mis(c, _scripted_alg(set()), 2, seed=0, c_approx=1).r_small == 100 * 3
+    r = rand_mis(c, _scripted_alg(set()), 2, seed=0, c_approx=1)
+    assert r.diagnostics["r_small"] == 100 * 3
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_rand_mis_sparse_pipeline(seed):
     c = generate("cycle", {"n": 16}, "unit", 0)
     r = rand_mis(c, as_inner("sparse", {"lam": 4.0}, "local"), 4, seed=seed)
-    ok, violation = verify_mis(c, c.nodes, r.mis.members)
+    ok, violation = verify_mis(c, c.nodes, r.iset.members)
     assert ok, violation
-    assert r.gap <= 8 * max(1, r.inner_stats.rounds)
+    assert r.diagnostics["max_gap"] <= 8 * max(1, r.stats.rounds)
 
 
-def test_rand_mis_checks_the_clique_cycle_set_twice(monkeypatch):
-    # once in run_inner and once in map_back; the sparse pipeline adds none
+def test_rand_mis_checks_the_clique_cycle_set_once(monkeypatch):
+    # in run_inner; the sparse pipeline and the mapping back add none
     checked = []
     is_independent = WeightedGraph.is_independent
 
@@ -202,4 +204,4 @@ def test_rand_mis_checks_the_clique_cycle_set_twice(monkeypatch):
     monkeypatch.setattr(WeightedGraph, "is_independent", counted)
     c = generate("cycle", {"n": 32}, "unit", 0)
     rand_mis(c, as_inner("sparse", {"lam": 4.0}, "local"), 16)
-    assert checked.count(32 * 16) <= 2
+    assert checked.count(32 * 16) == 1

@@ -126,11 +126,12 @@ def test_run_on_subgraph_rejects_unknown_nodes_like_induced():
 def test_full_subset_runs_on_the_graph_itself(monkeypatch):
     g = generate("gnp", {"n": 30, "p": 0.2}, "unit", 2)
     want = run(g, LubyProgram(), seed=4)
+    assert g.induced(g.nodes) is g
 
     def no_build(*args, **kwargs):
         raise AssertionError("a full-graph run built a subgraph")
 
-    monkeypatch.setattr(WeightedGraph, "induced", no_build)
+    monkeypatch.setattr(WeightedGraph, "_build", no_build)
     assert run(g, LubyProgram(), seed=4) == want
     assert run_on_subgraph(g, reversed(g.nodes), LubyProgram(), seed=4) == want
 

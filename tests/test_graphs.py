@@ -427,7 +427,8 @@ def test_new_graphs_start_with_empty_caches():
     brute_force_max_is(g)
     degeneracy(g)
     assert g._opt is not None and g._degeneracy is not None
-    for h in (g.induced(g.nodes),
+    assert g.induced(g.nodes) is g  # the same graph, caches included
+    for h in (g.induced(g.nodes[1:]),
               g.induced(g.nodes, {v: 1 for v in g.nodes}),
               generate("gnp", {"n": 20, "p": 0.3}, "uniform_range", 2),
               load(save(g))):

@@ -157,6 +157,21 @@ def test_sparse_edgeless():
                              "mis_valid": True}
 
 
+def test_full_sample_builds_no_copy_of_g(monkeypatch):
+    g = generate("gnp", {"n": 40, "p": 0.2}, "uniform_range", 3)
+    built = []
+    build = WeightedGraph._build
+
+    def counted(self, nodes, *args):
+        built.append(len(nodes))
+        return build(self, nodes, *args)
+
+    monkeypatch.setattr(WeightedGraph, "_build", counted)
+    r = sparse_approx(g, lam=1e6, seed=1)  # every p(v) clamps to 1
+    assert r.diagnostics["sampled"] == g.n
+    assert g.n not in built
+
+
 def test_sparse_unit_clique():
     g = generate("clique", {"n": 50}, "unit", 0)
     r = sparse_approx(g, lam=4.0, seed=7)
