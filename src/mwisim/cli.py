@@ -26,11 +26,24 @@ EXIT_ENGINE = 4
 
 
 def _default_seed() -> int:
-    return int(os.environ.get("MWISIM_SEED", "0"))
+    """``MWISIM_SEED`` (0 if unset): the seed when ``--seeds`` or
+    ``--graph-seed`` is not given. Read only then, so ``verify`` ignores it."""
+    text = os.environ.get("MWISIM_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise UsageError(f"MWISIM_SEED must be an integer, got {text!r}") from None
 
 
-def _parse_seeds(spec: str) -> list[int]:
-    """Seed list syntax: '7', '0:20' (half-open range), or '1,2,5'."""
+def _graph_seed(args) -> int:
+    return _default_seed() if args.graph_seed is None else args.graph_seed
+
+
+def _parse_seeds(spec: str | None) -> list[int]:
+    """Seed list syntax: '7', '0:20' (half-open range), or '1,2,5'; none
+    given is ``MWISIM_SEED``."""
+    if spec is None:
+        return [_default_seed()]
     try:
         if ":" in spec:
             lo, hi = spec.split(":", 1)
@@ -64,10 +77,9 @@ def _load_or_generate(args) -> tuple:
     if getattr(args, "graph", None):
         text = Path(args.graph).read_text(encoding="utf-8")
         return load(text), rec.GraphSource.from_file(args.graph, text)
-    params = _graph_params(args)
-    g = generate(args.family, params, args.weights, args.graph_seed)
-    return g, rec.GraphSource.generator(args.family, params, args.weights,
-                                        args.graph_seed)
+    params, seed = _graph_params(args), _graph_seed(args)
+    g = generate(args.family, params, args.weights, seed)
+    return g, rec.GraphSource.generator(args.family, params, args.weights, seed)
 
 
 def _add_generator_flags(p: argparse.ArgumentParser, seed_flags=("--graph-seed",)):
@@ -77,12 +89,11 @@ def _add_generator_flags(p: argparse.ArgumentParser, seed_flags=("--graph-seed",
     p.add_argument("--n0", type=int, help="cycle length for cycle_of_cliques")
     p.add_argument("--n1", type=int, help="clique size for cycle_of_cliques")
     p.add_argument("--weights", choices=WEIGHT_MODELS, default="unit")
-    p.add_argument(*seed_flags, dest="graph_seed", type=int,
-                   default=_default_seed())
+    p.add_argument(*seed_flags, dest="graph_seed", type=int)
 
 
 def cmd_gen(args) -> int:
-    g = generate(args.family, _graph_params(args), args.weights, args.graph_seed)
+    g = generate(args.family, _graph_params(args), args.weights, _graph_seed(args))
     text = save(g)
     if args.output:
         Path(args.output).write_text(text, encoding="utf-8")
@@ -175,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--alpha", type=int)
     p_run.add_argument("--log-base", choices=("two", "natural"), default="two")
     p_run.add_argument("--mode", choices=("congest", "local"), default="congest")
-    p_run.add_argument("--seeds", default=str(_default_seed()))
+    p_run.add_argument("--seeds")
     p_run.add_argument("--oracle", action="store_true",
                        help="compare against the exact solver (small graphs)")
     p_run.add_argument("--oracle-cap", type=int, default=BRUTE_FORCE_CAP,
@@ -199,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_red.add_argument("--lam", type=float, default=4.0)
     p_red.add_argument("--c", type=float, default=8.0,
                        help="approximation constant for the diagnostic radii")
-    p_red.add_argument("--seeds", default=str(_default_seed()))
+    p_red.add_argument("--seeds")
     p_red.add_argument("-o", "--output")
     p_red.set_defaults(func=cmd_reduce)
 

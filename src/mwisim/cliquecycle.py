@@ -1,76 +1,24 @@
-"""Cycle-of-cliques construction and the MIS-on-a-cycle reduction.
+"""The MIS-on-a-cycle reduction over the cycle of cliques.
 
-The construction replaces each of the n0 cycle nodes with an n1-clique and
-joins adjacent cliques by complete bipartite graphs; every vertex ends up
-with degree exactly 3*n1 - 1. Running any approximate max-weight
-independent set algorithm on this graph (LOCAL model), mapping hits back to
-the cycle through the composite ids, and greedily filling the gaps yields a
-maximal independent set of the cycle — the executable form of the
-lower-bound reduction, with gap statistics measured instead of bounded.
+The construction (``graphs.build_clique_cycle``) replaces each of the n0
+cycle nodes with an n1-clique and joins adjacent cliques by complete
+bipartite graphs; every vertex ends up with degree exactly 3*n1 - 1.
+Running any approximate max-weight independent set algorithm on this graph
+(LOCAL model), mapping hits back to the cycle through the composite ids,
+and greedily filling the gaps yields a maximal independent set of the
+cycle — the executable form of the lower-bound reduction, with gap
+statistics measured instead of bounded.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .boost import Inner, run_inner
 from .engine import RunOutcome
-from .graphs import GraphError, WeightedGraph
+from .graphs import GraphError, WeightedGraph, build_clique_cycle
 from .mis import greedy_mis, verify_mis
-
-
-@dataclass(frozen=True)
-class CliqueCycle:
-    """The built graph plus the (clique index, member index) id scheme.
-
-    Composite identifiers concatenate the base cycle id with the member
-    number: id(v_ij) = base_id(i) << j_bits | j, with j in 1..n1, so a
-    vertex's base id is ``v >> j_bits``.
-    """
-
-    n0: int
-    n1: int
-    base_ids: tuple[int, ...]
-    j_bits: int
-    graph: WeightedGraph
-
-    def vertex_id(self, i: int, j: int) -> int:
-        if not (1 <= i <= self.n0 and 1 <= j <= self.n1):
-            raise GraphError(f"no vertex ({i}, {j}) in a ({self.n0}, {self.n1}) build")
-        return (self.base_ids[i - 1] << self.j_bits) | j
-
-
-def build_clique_cycle(n0: int, n1: int,
-                       base_ids: Sequence[int] | None = None) -> CliqueCycle:
-    """Unit-weight cycle of cliques: n0*n1 vertices, degree 3*n1 - 1.
-
-    Edge rule: v_ij ~ v_i'j' iff i = i' (j != j'), |i - i'| = 1, or
-    {i, i'} = {1, n0}.
-    """
-    if n0 < 3:
-        raise GraphError(f"cycle of cliques needs n0 >= 3, got {n0}")
-    if n1 < 1:
-        raise GraphError(f"clique size must be >= 1, got {n1}")
-    if base_ids is None:
-        base_ids = tuple(range(n0))
-    else:
-        base_ids = tuple(base_ids)
-        if len(base_ids) != n0 or len(set(base_ids)) != n0:
-            raise GraphError("base_ids must be n0 distinct identifiers")
-    j_bits = max(1, n1.bit_length())
-    columns = [tuple((base << j_bits) | j for j in range(1, n1 + 1))
-               for base in base_ids]
-    edges = []
-    for col in columns:
-        edges.extend((col[a], col[b]) for a in range(n1) for b in range(a + 1, n1))
-    for i in range(n0):
-        nxt = (i + 1) % n0
-        edges.extend((u, v) for u in columns[i] for v in columns[nxt])
-    nodes = [v for col in columns for v in col]
-    graph = WeightedGraph(nodes, edges, {v: 1 for v in nodes})
-    return CliqueCycle(n0, n1, base_ids, j_bits, graph)
 
 
 def cycle_order(c: WeightedGraph) -> list[int]:

@@ -20,11 +20,13 @@ A run's outputs are one value per node, by position in the executed graph
 node's halting ``StepResult.output`` carried.
 
 A program runs in one of two forms with identical outputs, ``RoundStats``
-and errors. Its ``kernel``, if it has one, computes each whole round with
-numpy arrays over ``g.csr()``, drawing the same stream words in bulk, and
-sends through a ``Net``, which checks and charges every round exactly as
-the interpreter does. The per-node interpreter (``init``/``step`` on each
-node in turn) is the reference: it runs when the program has no kernel,
+and errors, under any ``node_order``. Both open their rounds through one
+``Net``, the run's round ledger: ``Net.send`` applies the round limit and
+the CONGEST check and charges every round, for both forms alike. A
+program's ``kernel``, if it has one, computes each whole round with numpy
+arrays over ``g.csr()``, drawing the same stream words in bulk. The
+per-node interpreter (``init``/``step`` on each node in turn) is the
+reference for program semantics: it runs when the program has no kernel,
 and whenever ``node_order`` is given, since a kernel has no processing
 order.
 """
@@ -190,13 +192,13 @@ def _message_sizes(tag: int, fields: Sequence[np.ndarray], count: int) -> np.nda
 
 
 class Net:
-    """A kernel's view of one run: the executed graph and its rounds.
+    """The round ledger of one run: the executed graph and its rounds.
 
-    Arrays are indexed by node position in ``graph.nodes`` (ascending ids,
-    the interpreter's processing order), and so is the list of outputs a
-    kernel returns. A kernel ends each step with one ``send``, which opens
-    the next round with the interpreter's checks and charges; ``fold``
-    reads only what the last round's senders broadcast.
+    Both forms of a program send through it (module docstring). Arrays are
+    indexed by node position in ``graph.nodes`` (ascending ids), and so is
+    the list of outputs a run returns. Each step ends with one ``send``,
+    which opens the next round with its checks and charges; ``fold`` reads
+    only what the last round's senders broadcast.
     """
 
     def __init__(self, graph: WeightedGraph, n_upper: int, seed: int,
@@ -232,12 +234,12 @@ class Net:
         """End a step: nodes in ``active`` keep running, and each node in
         ``senders`` (a subset) broadcasts ``Message(tag, its field values)``.
 
-        Then, if any node is active, the next round opens as in the
-        interpreter's loop: the round limit, the CONGEST check (the first
-        sender over budget, named with its first neighbor), and a charge of
-        deg(sender) messages per sender. ``sizes`` (bits per sender, in
-        position order) stands in for ``fields`` when senders' messages have
-        different field counts.
+        Then, if any node is active, the next round opens: the round limit
+        (naming the active nodes in position order), the CONGEST check (the
+        first sender over budget by position, named with its first
+        neighbor), and a charge of deg(sender) messages per sender.
+        ``sizes`` (bits per sender, in position order) stands in for
+        ``fields`` when senders' messages have different field counts.
         """
         idx = senders.nonzero()[0]
         if sizes is None:
@@ -300,7 +302,11 @@ def run_on_subgraph(g: WeightedGraph, subset: Iterable[int], program: NodeProgra
     defaults to g.n, not to the subset size). The program's kernel runs
     when it has one; ``node_order`` runs the per-node interpreter instead,
     with per-round processing in that order. It exists to test schedule
-    independence and the kernels; results must not depend on it.
+    independence and the kernels: outputs, stats and errors do not depend on
+    it, since both forms are checked and charged by the same ``Net``. A
+    non-``Message`` outbox is refused when its step returns, before
+    ``Net.send`` opens the round it would go out in, so that refusal wins
+    over the round limit and the CONGEST check of that round.
     """
     if mode not in ("congest", "local"):
         raise EngineError(f"unknown mode {mode!r}")
@@ -310,9 +316,9 @@ def run_on_subgraph(g: WeightedGraph, subset: Iterable[int], program: NodeProgra
         n_upper = g.n
     h = g.induced(subset)
     budget = message_budget_bits(n_upper) if mode == "congest" else None
+    net = Net(h, n_upper, seed, budget, max_rounds)
     kernel = getattr(program, "kernel", None)
-    if node_order is None and kernel is not None and h.n:
-        net = Net(h, n_upper, seed, budget, max_rounds)
+    if node_order is None and kernel is not None:
         return kernel(net), net.stats
 
     # the reference interpreter
@@ -326,63 +332,33 @@ def run_on_subgraph(g: WeightedGraph, subset: Iterable[int], program: NodeProgra
     ctxs = {v: NodeContext(v, h.weights[v], adj[v], n_upper) for v in nodes}
     rngs = {v: node_rng(seed, v) for v in nodes}
 
-    stats = RoundStats(budget_bits=budget)
+    def init(state, ctx, inbox, rng):
+        return program.init(ctx, rng)
+
+    act = init
     outputs: dict[int, Any] = {}
-    states: dict[int, Any] = {}
-    pending: dict[int, Message] = {}
-    active: list[int] = []
-
-    for v in nodes:
-        res = program.init(ctxs[v], rngs[v])
-        if res.halt:
-            outputs[v] = res.output
-        else:
-            states[v] = res.state
-            if res.outbox is not None:
-                pending[v] = res.outbox
-            active.append(v)
-
-    while active:
-        if stats.rounds >= max_rounds:
-            raise RoundLimitExceeded(active, stats)
-        round_no = stats.rounds + 1
-        round_msgs = 0
-        round_max = 0
-        # budget checks and message counts happen sender-side; inboxes are
-        # assembled receiver-side below, which keeps that loop in C
-        for u, msg in pending.items():
-            if not isinstance(msg, Message):
-                raise EngineError(f"round {round_no}: node {u} sent a "
-                                  f"{type(msg).__name__}, not a Message")
-            targets = adj[u]
-            if not targets:
-                continue
-            bits = msg.size_bits
-            if budget is not None and bits > budget:
-                raise CongestViolation(u, targets[0], round_no, bits, budget)
-            if bits > round_max:
-                round_max = bits
-            round_msgs += len(targets)
-        sent, pending = pending, {}
-        stats.rounds = round_no
-        stats.messages_sent += round_msgs
-        stats.per_round_messages.append(round_msgs)
-        if round_max > stats.max_message_bits:
-            stats.max_message_bits = round_max
-
-        still_active = []
-        step = program.step
-        for v in active:
+    states: dict[int, Any] = dict.fromkeys(nodes)
+    sent: dict[int, Message] = {}
+    while states:
+        pending = {}
+        for v in list(states):
             inbox = {u: sent[u] for u in adj[v] if u in sent} if sent else {}
-            res = step(states[v], ctxs[v], inbox, rngs[v])
+            res = act(states.pop(v), ctxs[v], inbox, rngs[v])
             if res.halt:
                 outputs[v] = res.output
-                del states[v]
             else:
                 states[v] = res.state
                 if res.outbox is not None:
                     pending[v] = res.outbox
-                still_active.append(v)
-        active = still_active
+        # senders in position order (ascending ids), as ``Net.send`` reads sizes
+        sent = dict(sorted(pending.items()))
+        for u, msg in sent.items():
+            if not isinstance(msg, Message):
+                raise EngineError(f"round {net.stats.rounds + 1}: node {u} sent a "
+                                  f"{type(msg).__name__}, not a Message")
+        net.send(h._mask(states.keys()), h._mask(sent.keys()), 0,
+                 sizes=np.fromiter((m.size_bits for m in sent.values()), np.int64,
+                                   len(sent)))
+        act = program.step
 
-    return [outputs[v] for v in h.nodes], stats
+    return [outputs[v] for v in h.nodes], net.stats

@@ -11,7 +11,7 @@ import math
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -183,7 +183,7 @@ class WeightedGraph:
             nodes, self._ids[kept], w, np.concatenate((bounds[kept], bounds[-1:])),
             kept.searchsorted(nbr[entry]))
 
-    def _mask(self, ids: set[int]) -> np.ndarray:
+    def _mask(self, ids: Collection[int]) -> np.ndarray:
         """Boolean array by position, set at the nodes ``ids`` (all in the graph)."""
         mask = np.zeros(self.n, dtype=bool)
         mask[self._ids.searchsorted(np.fromiter(ids, np.int64, len(ids)))] = True
@@ -368,6 +368,68 @@ def _slot_pairs(n: int, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return u, u + 1 + (k - row_start[u])
 
 
+@dataclass(frozen=True)
+class CliqueCycle:
+    """The built graph plus the (clique index, member index) id scheme.
+
+    Composite identifiers concatenate the base cycle id with the member
+    number: id(v_ij) = base_id(i) << j_bits | j, with j in 1..n1, so a
+    vertex's base id is ``v >> j_bits``.
+    """
+
+    n0: int
+    n1: int
+    base_ids: tuple[int, ...]
+    j_bits: int
+    graph: WeightedGraph
+
+    def vertex_id(self, i: int, j: int) -> int:
+        if not (1 <= i <= self.n0 and 1 <= j <= self.n1):
+            raise GraphError(f"no vertex ({i}, {j}) in a ({self.n0}, {self.n1}) build")
+        return (self.base_ids[i - 1] << self.j_bits) | j
+
+
+def build_clique_cycle(n0: int, n1: int,
+                       base_ids: Sequence[int] | None = None) -> CliqueCycle:
+    """Unit-weight cycle of cliques: n0*n1 vertices, degree 3*n1 - 1.
+
+    Edge rule: v_ij ~ v_i'j' iff i = i' (j != j'), |i - i'| = 1, or
+    {i, i'} = {1, n0}. The CSR comes straight from node positions: ids
+    ascend with the base id, then with j.
+    """
+    if n0 < 3:
+        raise GraphError(f"cycle of cliques needs n0 >= 3, got {n0}")
+    if n1 < 1:
+        raise GraphError(f"clique size must be >= 1, got {n1}")
+    if base_ids is None:
+        base_ids = tuple(range(n0))
+    else:
+        base_ids = tuple(base_ids)
+        if len(base_ids) != n0 or len(set(base_ids)) != n0:
+            raise GraphError("base_ids must be n0 distinct identifiers")
+    j_bits = max(1, n1.bit_length())
+    if min(base_ids) < 0:
+        raise GraphError("node identifiers must be non-negative")
+    top = max(base_ids) << j_bits | n1
+    if top > INT64_MAX:
+        raise GraphError(f"node identifier {top} exceeds 64-bit range")
+    base = np.array(base_ids, dtype=np.int64)
+    ids = (np.sort(base)[:, None] << j_bits | np.arange(1, n1 + 1)).ravel()
+    # first position of clique i (in cycle order), its members, and the
+    # members of clique i + 1 (mod n0), each paired with each
+    first = np.empty(n0, dtype=np.int64)
+    first[base.argsort()] = np.arange(0, n0 * n1, n1)
+    a, b = _clique_edges(n1)
+    x, y = np.divmod(np.arange(n1 * n1), n1)
+    u = np.concatenate([(first[:, None] + a).ravel(), (first[:, None] + x).ravel()])
+    v = np.concatenate([(first[:, None] + b).ravel(),
+                        (np.roll(first, -1)[:, None] + y).ravel()])
+    nodes = tuple(ids.tolist())
+    graph = object.__new__(WeightedGraph)._build(
+        nodes, ids, dict.fromkeys(nodes, 1), *_csr_of_edges(n0 * n1, u, v))
+    return CliqueCycle(n0, n1, base_ids, j_bits, graph)
+
+
 def generate(family: str, params: Mapping[str, object], weight_model: str = "unit",
              seed: int = 0) -> WeightedGraph:
     """Deterministic graph generator for the families used in the experiments.
@@ -380,8 +442,6 @@ def generate(family: str, params: Mapping[str, object], weight_model: str = "uni
         raise GraphError(f"unknown family {family!r}; choose from {FAMILIES}")
 
     if family == "cycle_of_cliques":
-        from .cliquecycle import build_clique_cycle
-
         n0, n1 = int(params["n0"]), int(params["n1"])
         g = build_clique_cycle(n0, n1).graph
         if weight_model == "unit":

@@ -68,14 +68,9 @@ RECORD_SCHEMA: dict[str, Any] = {
             },
         },
         # null when the oracle did not run; opt and ratio travel together
-        "oracle": {
-            "oneOf": [
-                {"type": "null"},
-                {"type": "object", "required": ["opt", "ratio"],
-                 "properties": {"opt": {"type": "integer", "minimum": 0},
-                                "ratio": {"type": ["number", "null"]}}},
-            ],
-        },
+        "oracle": {"type": ["object", "null"], "required": ["opt", "ratio"],
+                   "properties": {"opt": {"type": "integer", "minimum": 0},
+                                  "ratio": {"type": ["number", "null"]}}},
         "oracle_refused": {"type": ["string", "null"]},
         "diagnostics": {"type": "object"},
         "wall_time_s": {"type": "number"},

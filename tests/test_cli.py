@@ -173,6 +173,23 @@ def test_env_var_default_seed(monkeypatch, capsys):
     assert rec["seed"] == 17 and rec["graph"]["seed"] == 17
 
 
+def test_non_integer_env_seed_is_a_usage_error(monkeypatch, capsys):
+    from mwisim import verify
+
+    monkeypatch.setenv("MWISIM_SEED", "x7")
+    for argv in (["gen", "--family", "path", "--n", "4"],
+                 ["run", "--family", "path", "--n", "4", "--alg", "luby"],
+                 ["reduce", "--n0", "12", "--n1", "4"]):
+        assert run_cli(argv) == 2
+        out = capsys.readouterr()
+        assert out.err == "error: MWISIM_SEED must be an integer, got 'x7'\n"
+        assert out.out == ""
+    # verify reads no seed from the environment
+    monkeypatch.setattr(verify, "run_acceptance_suite", lambda quick: [])
+    assert run_cli(["verify", "acceptance", "--quick"]) == 0
+    assert capsys.readouterr().out == "0/0 checks passed\n"
+
+
 def test_dump_stack_flag(capsys):
     assert run_cli(["run", "--family", "path", "--n", "5",
                     "--weights", "uniform_range", "--graph-seed", "2",

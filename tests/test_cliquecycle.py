@@ -44,6 +44,26 @@ def test_build_validates():
         build_clique_cycle(4, 0)
     with pytest.raises(GraphError, match="distinct"):
         build_clique_cycle(3, 2, base_ids=[0, 0, 1])
+    with pytest.raises(GraphError, match="distinct"):
+        build_clique_cycle(3, 2, base_ids=[0, 1])
+    with pytest.raises(GraphError, match="non-negative"):
+        build_clique_cycle(3, 2, base_ids=[0, -1, 1])
+    top = (1 << 61) - 1  # j_bits = 2 for n1 = 3: ids up to top << 2 | 3
+    assert build_clique_cycle(3, 3, base_ids=[top, 0, 1]).graph.nodes[-1] == 2**63 - 1
+    with pytest.raises(GraphError, match=rf"identifier {2**63 + 3} exceeds 64-bit"):
+        build_clique_cycle(3, 3, base_ids=[top + 1, 0, 1])
+
+
+@pytest.mark.parametrize("n0,n1,base_ids", [(3, 1, None), (4, 3, None),
+                                            (6, 2, [50, 10, 40, 0, 30, 20]),
+                                            (5, 4, [7, 3, 9, 1, 2**40])])
+def test_build_equals_the_edge_rule(n0, n1, base_ids):
+    cc = build_clique_cycle(n0, n1, base_ids)
+    ids = [[cc.vertex_id(i, j) for j in range(1, n1 + 1)] for i in range(1, n0 + 1)]
+    edges = [(u, v) for i in range(n0) for a, u in enumerate(ids[i])
+             for v in ids[i][a + 1:] + ids[(i + 1) % n0]]
+    nodes = [v for clique in ids for v in clique]
+    assert cc.graph == WeightedGraph(nodes, edges, {v: 1 for v in nodes})
 
 
 def test_composite_ids():

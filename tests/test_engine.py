@@ -1,6 +1,7 @@
 import hashlib
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -87,7 +88,7 @@ def test_round_limit_carries_partial_stats():
     with pytest.raises(RoundLimitExceeded) as exc:
         run(unit([0, 1], [(0, 1)]), NeverHalt(), max_rounds=5)
     assert exc.value.stats.rounds == 5
-    assert sorted(exc.value.unfinished) == [0, 1]
+    assert exc.value.unfinished == [0, 1]
 
 
 @pytest.mark.parametrize("outbox", [{1: Message(1, (1,))}, (Message(1),), 7],
@@ -106,6 +107,72 @@ def test_non_message_outbox_rejected(outbox):
     g = unit([0, 1, 2], [(0, 1)])
     with pytest.raises(EngineError, match=r"^round 2: node 1 sent a \w+, not a Message"):
         run(g, Stale(), max_rounds=5)
+
+
+def test_non_message_outbox_wins_over_the_round_limit():
+    """The outbox is refused when its step returns, before ``Net.send``
+    opens the round it would go out in; with max_rounds=1 that round is
+    also past the limit. Of several such senders, the least id is named."""
+
+    class Stale:
+        def init(self, ctx, rng):
+            return StepResult(state=0, outbox=Message(1))
+
+        def step(self, state, ctx, inbox, rng):
+            return StepResult(state=1, outbox=7 if ctx.node_id else None)
+
+    g = unit([0, 1, 2], [(0, 1), (1, 2)])
+    for node_order in (None, list, lambda nodes: nodes[::-1]):
+        with pytest.raises(EngineError) as exc:
+            run(g, Stale(), max_rounds=1, node_order=node_order)
+        assert type(exc.value) is EngineError
+        assert str(exc.value) == "round 2: node 1 sent a int, not a Message"
+
+
+class Chatter:
+    """Every node broadcasts ``Message(1, (value, value))`` in every round
+    and never halts, in both forms: ``kernel`` sends the same through
+    ``Net.send``."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def init(self, ctx, rng):
+        return StepResult(state=None, outbox=Message(1, (self.value, self.value)))
+
+    def step(self, state, ctx, inbox, rng):
+        return self.init(ctx, rng)
+
+    def kernel(self, net):
+        everyone = np.ones(len(net.ids), dtype=bool)
+        values = np.full(len(net.ids), self.value, dtype=np.int64)
+        while True:
+            net.send(everyone, everyone, 1, values, values)
+
+
+def _error(fn):
+    with pytest.raises(EngineError) as exc:
+        fn()
+    return type(exc.value), str(exc.value), vars(exc.value)
+
+
+def test_reversed_interpreter_raises_the_kernels_errors():
+    g = generate("path", {"n": 5}, "unit", 0)
+
+    def both(value, max_rounds):
+        kernel = _error(lambda: run(g, Chatter(value), max_rounds=max_rounds))
+        assert _error(lambda: run(g, Chatter(value), max_rounds=max_rounds,
+                                  node_order=lambda nodes: nodes[::-1])) == kernel
+        return kernel
+
+    # the over-budget broadcast names the first sender by position and
+    # its first neighbor; the round limit lists the nodes by position
+    over = both(2**62, 10)
+    assert over[0] is CongestViolation
+    assert (over[2]["sender"], over[2]["receiver"], over[2]["round_no"]) == (0, 1, 1)
+    stuck = both(1, 3)
+    assert stuck[0] is RoundLimitExceeded and stuck[2]["unfinished"] == [0, 1, 2, 3, 4]
+    assert stuck[2]["stats"].per_round_messages == [8, 8, 8]
 
 
 def test_run_on_subgraph_empty_and_full():

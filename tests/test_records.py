@@ -46,16 +46,25 @@ def test_record_schema_is_a_valid_draft_2020_12_schema():
     jsonschema.Draft202012Validator.check_schema(RECORD_SCHEMA)
 
 
-def test_ratio_travels_with_opt():
-    r = _record(oracle=True)
-    assert r["oracle"] is not None and "ratio" in r["oracle"]
-    r2 = _record(oracle=False)
-    assert r2["oracle"] is None
-
-    broken = dict(r)
-    broken["oracle"] = {"opt": 5}
-    with pytest.raises(jsonschema.ValidationError):
-        validate_record(broken)
+@pytest.mark.parametrize("oracle,valid", [
+    (None, True), ({"opt": 5, "ratio": 1.25}, True), ({"opt": 5, "ratio": None}, True),
+    ({"opt": 1}, False), ({"opt": -1, "ratio": 1.0}, False), (3, False),
+    ("x", False), ([], False), ({"opt": 5, "ratio": "1.25"}, False),
+    ({"opt": 5.5, "ratio": 1.0}, False)],
+    ids=["null", "good", "null-ratio", "opt-only", "negative-opt", "int", "str",
+         "list", "str-ratio", "float-opt"])
+def test_ratio_travels_with_opt(oracle, valid):
+    r = _record(oracle=oracle is not None)
+    if oracle is None:
+        assert r["oracle"] is None
+    else:
+        assert set(r["oracle"]) == {"opt", "ratio"}
+    r["oracle"] = oracle
+    if valid:
+        validate_record(r)
+    else:
+        with pytest.raises(jsonschema.ValidationError):
+            validate_record(r)
 
 
 def test_oracle_refusal_recorded():
