@@ -27,6 +27,7 @@ from .wire import Message
 TAG_RANK = 6
 
 _LIMB_BITS = 63
+_MAX_RANK_LIMBS = 64
 PERM_CHECK_CAP = 9
 
 
@@ -34,7 +35,18 @@ def rank_range(n_upper: int, c: int) -> int:
     """Upper end R of the rank range {1, ..., 100 * n_upper^(c+2)}."""
     if not isinstance(c, int) or c < 1:
         raise GraphError(f"rank constant c must be an integer >= 1, got {c!r}")
-    return 100 * max(n_upper, 2) ** (c + 2)
+    # Refuse before the power: for a huge c it would run for minutes and fill
+    # memory before any CONGEST check sees a rank. 100 < 2^7 and
+    # n < 2^bit_length(n), so R has at most `bits` bits. 64 limbs of 63 bits
+    # (4032 bits) still lets c reach about 4000 / log2(n), far past any rank
+    # a CONGEST budget carries.
+    n = max(n_upper, 2)
+    bits = 7 + (c + 2) * n.bit_length()
+    if bits > _MAX_RANK_LIMBS * _LIMB_BITS:
+        raise GraphError(f"rank constant c={c} needs ranks of up to {bits} "
+                         f"bits for n={n_upper}; the limit is "
+                         f"{_MAX_RANK_LIMBS} limbs of {_LIMB_BITS} bits")
+    return 100 * n ** (c + 2)
 
 
 def _rank_to_limbs(rank: int) -> tuple[int, ...]:

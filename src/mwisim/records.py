@@ -1,22 +1,30 @@
-"""Experiment records: one JSON object per run, schema-validated, replayable.
+"""Experiment records: one JSON object per run, schema-checked, replayable.
 
 A record carries everything needed to reproduce the run bit-for-bit: the
 graph source (generator family, params, weight model, graph seed — or a
 file path with a content hash), the algorithm name and parameters, and the
 run seed. ``replay`` re-executes a record and returns a fresh record whose
 result fields must match exactly.
+
+``RECORD_SCHEMA`` (JSON Schema, Draft 2020-12) is the one definition of the
+format. It is compiled once, at import, into nested check functions that
+support exactly the keywords it uses (``$schema``, ``type``, ``const``,
+``enum``, ``required``, ``properties``, ``minimum``) and raise on any
+other, so a schema edit the checker cannot follow fails at import. Types
+and equality follow Draft 2020-12 as jsonschema implements it; jsonschema
+itself is only the tests' reference. A record that fails raises
+``RecordError`` naming the JSON path and the keyword.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Mapping
-
-from jsonschema import Draft202012Validator
+from typing import Any, Callable, Mapping
 
 from . import algorithms
 from .graphs import (BRUTE_FORCE_CAP, BruteForceCapError, GraphError,
@@ -78,12 +86,138 @@ RECORD_SCHEMA: dict[str, Any] = {
 }
 
 
-# built once: jsonschema.validate would re-check the schema on every call
-_VALIDATOR = Draft202012Validator(RECORD_SCHEMA)
+class RecordError(ValueError):
+    """A record that does not match ``RECORD_SCHEMA``."""
+
+    def __init__(self, path: str, keyword: str, detail: str):
+        super().__init__(f"{path} fails {keyword!r}: {detail}")
+        self.path = path
+        self.keyword = keyword
+
+
+def _is_integer(value: Any) -> bool:
+    # an integral float counts, a bool does not (Draft 2020-12)
+    if isinstance(value, int):
+        return not isinstance(value, bool)
+    return isinstance(value, float) and value.is_integer()
+
+
+def _is_number(value: Any) -> bool:
+    return isinstance(value, numbers.Number) and not isinstance(value, bool)
+
+
+# type name -> (exact Python types that always pass, the full test)
+_TYPES: dict[str, tuple[tuple[type, ...], Callable[[Any], bool]]] = {
+    "null": ((type(None),), lambda value: value is None),
+    "integer": ((int,), _is_integer),
+    "number": ((int, float), _is_number),
+    "string": ((str,), lambda value: isinstance(value, str)),
+    "object": ((dict,), lambda value: isinstance(value, dict)),
+}
+_PLAIN_NUMBERS = frozenset(_TYPES["number"][0])
+
+# "$schema" only names the dialect; it checks nothing
+_KEYWORDS = frozenset({"$schema", "type", "const", "enum", "required",
+                       "properties", "minimum"})
+
+Check = Callable[[Any], None]
+
+
+def _json_equal(a: Any, b: Any) -> bool:
+    """Equality of a value and a schema scalar; a bool equals only itself."""
+    if a is b:
+        return True
+    if isinstance(a, bool) or isinstance(b, bool):
+        return False
+    return a == b
+
+
+def _scalars(values: list[Any], path: str, keyword: str) -> tuple[Any, ...]:
+    if not all(v is None or isinstance(v, (str, int, float)) for v in values):
+        raise ValueError(f"{path}: the record checker compares {keyword!r} "
+                         f"only with JSON scalars, got {values!r}")
+    return tuple(values)
+
+
+def _type_check(names: Any, path: str) -> Check:
+    names = [names] if isinstance(names, str) else list(names)
+    unknown = [t for t in names if t not in _TYPES]
+    if unknown:
+        raise ValueError(f"{path}: the record checker has no type {unknown}")
+    # the exact-type lookup settles every value a record normally holds
+    fast = frozenset(t for name in names for t in _TYPES[name][0])
+    tests = tuple(_TYPES[name][1] for name in names)
+    expected = " or ".join(names)
+
+    def check_type(value):
+        if type(value) not in fast and not any(test(value) for test in tests):
+            raise RecordError(path, "type", f"{value!r} is not of type {expected}")
+    return check_type
+
+
+def _compile(schema: Mapping[str, Any], path: str) -> tuple[Check, ...]:
+    """The checks of ``schema``'s keywords, applied at JSON path ``path``."""
+    unknown = set(schema) - _KEYWORDS
+    if unknown:
+        raise ValueError(f"{path}: the record checker does not support "
+                         f"keyword(s) {sorted(unknown)}")
+    checks: list[Check] = []
+    if "type" in schema:
+        checks.append(_type_check(schema["type"], path))
+    if "const" in schema:
+        (const,) = _scalars([schema["const"]], path, "const")
+
+        def check_const(value):
+            if not _json_equal(value, const):
+                raise RecordError(path, "const", f"{const!r} was expected, "
+                                  f"got {value!r}")
+        checks.append(check_const)
+    if "enum" in schema:
+        enum = _scalars(schema["enum"], path, "enum")
+
+        def check_enum(value):
+            if not any(_json_equal(each, value) for each in enum):
+                raise RecordError(path, "enum", f"{value!r} is not one of "
+                                  f"{list(enum)!r}")
+        checks.append(check_enum)
+    if "minimum" in schema:
+        minimum = schema["minimum"]
+
+        def check_minimum(value):
+            # only a number is compared, and NaN is not less than anything
+            if ((type(value) in _PLAIN_NUMBERS or _is_number(value))
+                    and value < minimum):
+                raise RecordError(path, "minimum", f"{value!r} is less than "
+                                  f"{minimum!r}")
+        checks.append(check_minimum)
+    if "required" in schema or "properties" in schema:
+        required = tuple(schema.get("required", ()))
+        props = tuple((key, _compile(sub, f"{path}.{key}"))
+                      for key, sub in schema.get("properties", {}).items())
+
+        def check_object(value):
+            if not isinstance(value, dict):
+                return
+            for key in required:
+                if key not in value:
+                    raise RecordError(path, "required", f"{key!r} is missing")
+            for key, sub_checks in props:
+                if key in value:
+                    item = value[key]
+                    for check in sub_checks:
+                        check(item)
+        checks.append(check_object)
+    return tuple(checks)
+
+
+# compiled once, at import: a call walks closures, never the schema dict
+_RECORD_CHECKS = _compile(RECORD_SCHEMA, "record")
 
 
 def validate_record(record: Mapping[str, Any]) -> None:
-    _VALIDATOR.validate(record)
+    """Raise ``RecordError`` unless ``record`` matches ``RECORD_SCHEMA``."""
+    for check in _RECORD_CHECKS:
+        check(record)
 
 
 @dataclass(frozen=True)
@@ -225,9 +359,10 @@ def to_csv(records: list[Mapping[str, Any]]) -> str:
             r["n"], r["max_degree"], r["degeneracy"],
             r["algorithm"]["name"], r["algorithm"]["mode"], r["seed"],
             r["result"]["weight"], r["result"]["size"],
-            oracle.get("opt", ""), oracle.get("ratio", ""),
+            oracle.get("opt"), oracle.get("ratio"),
             r["result"]["rounds"], r["result"]["messages"],
             r["result"]["max_message_bits"], r["wall_time_s"],
         ]
-        lines.append(",".join(str(x) for x in row))
+        # a null (no oracle, or a ratio over a zero-weight set) is an empty cell
+        lines.append(",".join("" if x is None else str(x) for x in row))
     return "\n".join(lines) + "\n"

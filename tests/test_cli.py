@@ -166,6 +166,21 @@ def test_congest_violation_exit_code(tmp_path, capsys):
     assert "budget" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("alg", [["boppana"], ["fastld", "--eps", "0.5"]])
+def test_huge_rank_constant_exit_code(alg, capsys):
+    assert run_cli(["run", "--family", "gnp", "--n", "20", "--p", "0.2",
+                    "--alg", *alg, "--c", "1000000000"]) == 3
+    assert "limbs" in capsys.readouterr().err
+
+
+def test_failing_record_exit_code(monkeypatch, capsys):
+    from mwisim import records
+
+    monkeypatch.setattr(records, "degeneracy", lambda g: -1)
+    assert run_cli(["run", "--family", "path", "--n", "4", "--alg", "luby"]) == 3
+    assert "record.degeneracy fails 'minimum'" in capsys.readouterr().err
+
+
 def test_env_var_default_seed(monkeypatch, capsys):
     monkeypatch.setenv("MWISIM_SEED", "17")
     assert run_cli(["run", "--family", "path", "--n", "4", "--alg", "luby"]) == 0

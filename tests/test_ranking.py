@@ -150,6 +150,15 @@ def test_rank_range_validates():
     assert rank_range(2, 1) == 800
 
 
+def test_huge_rank_constant_is_refused_before_the_power():
+    with pytest.raises(GraphError, match="64 limbs of 63 bits"):
+        rank_range(4096, 10**9)
+    # 4096 has 13 bits: 7 + 309 * 13 = 4024 bits fit, 7 + 310 * 13 do not
+    assert rank_range(4096, 307).bit_length() <= 64 * 63
+    with pytest.raises(GraphError, match="4037 bits"):
+        rank_range(4096, 308)
+
+
 @pytest.mark.parametrize("c", [2.5, float("nan"), 0, 2.0])
 def test_rank_constant_must_be_an_integer_at_least_one(c):
     with pytest.raises(GraphError, match="c must be an integer >= 1"):

@@ -1,13 +1,18 @@
+import copy
 import json
+import subprocess
+import sys
+from decimal import Decimal
 
-import jsonschema
+import numpy as np
 import pytest
+from jsonschema import Draft202012Validator
 
 from mwisim.graphs import (GraphError, IndependentSet, brute_force_max_is,
-                           generate, save)
-from mwisim.records import (RECORD_SCHEMA, SCHEMA_ID, GraphSource, make_record,
-                            replay, same_outcome, to_csv, to_jsonl,
-                            validate_record)
+                           generate, load, save)
+from mwisim.records import (RECORD_SCHEMA, SCHEMA_ID, GraphSource, RecordError,
+                            _compile, make_record, replay, same_outcome,
+                            to_csv, to_jsonl, validate_record)
 
 # a line of the golden file made before the counter-based node streams
 V1_LUBY = (
@@ -43,7 +48,7 @@ def test_jsonl_is_strict_json():
 
 def test_record_schema_is_a_valid_draft_2020_12_schema():
     # validate_record skips this metaschema check; it is done once, here
-    jsonschema.Draft202012Validator.check_schema(RECORD_SCHEMA)
+    Draft202012Validator.check_schema(RECORD_SCHEMA)
 
 
 @pytest.mark.parametrize("oracle,valid", [
@@ -63,14 +68,121 @@ def test_ratio_travels_with_opt(oracle, valid):
     if valid:
         validate_record(r)
     else:
-        with pytest.raises(jsonschema.ValidationError):
+        with pytest.raises(RecordError):
             validate_record(r)
 
 
-def test_oracle_refusal_recorded():
+# jsonschema is the reference the compiled checker must agree with
+REFERENCE = Draft202012Validator(RECORD_SCHEMA)
+DELETE = object()
+PROBES = {
+    "None": None, "True": True, "False": False, "0": 0, "-1": -1, "5": 5,
+    "5.0": 5.0, "-1.0": -1.0, "5.5": 5.5, "nan": float("nan"),
+    "inf": float("inf"), "-inf": float("-inf"), "np.int64(5)": np.int64(5),
+    "np.float64(5.0)": np.float64(5.0), "np.float64(-1.0)": np.float64(-1.0),
+    "Decimal(5)": Decimal(5), "Decimal(-1)": Decimal(-1), "str": "x",
+    "str-empty": "", "str-local": "local", "str-congest": "congest",
+    "str-schema-id": SCHEMA_ID, "[]": [], "{}": {},
+    "oracle-opt-only": {"opt": 5}, "oracle-ratio-only": {"ratio": 1.0},
+    "oracle-null-ratio": {"opt": 5, "ratio": None},
+    "oracle-bool-opt": {"opt": True, "ratio": 1.0},
+    "oracle-negative-opt": {"opt": -1, "ratio": 1.0},
+    "oracle-str-ratio": {"opt": 5, "ratio": "1"}, "delete": DELETE,
+}
+
+
+def _refused_record():
     g = generate("gnp", {"n": 40, "p": 0.1}, "unit", 1)
     source = GraphSource.generator("gnp", {"n": 40, "p": 0.1}, "unit", 1)
-    r = make_record(g, source, "heavy", {}, seed=0, oracle=True)
+    return make_record(g, source, "heavy", {}, seed=0, oracle=True)
+
+
+def _field_paths(obj, prefix=()):
+    for key, value in obj.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _field_paths(value, prefix + (key,))
+
+
+def _verdict(record):
+    try:
+        validate_record(record)
+    except RecordError as e:
+        return e
+    return None
+
+
+# each field path of a real record, with the record it is probed in; the
+# refused one adds oracle_refused, the other an oracle object
+GRID = {path: record
+        for record in (_refused_record(),
+                       _record("boost-heavy", {"eps": 0.5}, oracle=True))
+        for path in _field_paths(record)}
+
+
+@pytest.mark.parametrize("probe", PROBES.values(), ids=PROBES.keys())
+@pytest.mark.parametrize("path", GRID, ids=".".join)
+def test_compiled_checker_agrees_with_jsonschema(path, probe):
+    r = copy.deepcopy(GRID[path])
+    parent = r
+    for key in path[:-1]:
+        parent = parent[key]
+    if probe is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = probe
+    error = _verdict(r)
+    assert (error is None) == REFERENCE.is_valid(r)
+    if error is not None:
+        # the error names a path and keyword jsonschema also reports
+        found = {("record" + e.json_path[1:], e.validator)
+                 for e in REFERENCE.iter_errors(r)}
+        assert (error.path, error.keyword) in found
+
+
+def test_record_error_names_path_and_keyword():
+    r = _record(oracle=True)
+    r["oracle"]["opt"] = -1
+    with pytest.raises(RecordError, match=r"record\.oracle\.opt fails 'minimum'"):
+        validate_record(r)
+
+
+@pytest.mark.parametrize("value", [True, False, 0, 1, 1.0, 0.0, "a", None])
+@pytest.mark.parametrize("schema", [{"const": 1}, {"const": False},
+                                    {"enum": [0, "a"]}, {"enum": [True, None]}],
+                         ids=str)
+def test_const_and_enum_keep_bools_apart_like_jsonschema(schema, value):
+    # RECORD_SCHEMA compares only strings, so this is probed on small schemas
+    try:
+        for check in _compile(schema, "x"):
+            check(value)
+        ok = True
+    except RecordError:
+        ok = False
+    assert ok == Draft202012Validator(schema).is_valid(value)
+
+
+@pytest.mark.parametrize("schema,word", [
+    ({"type": "integer", "maximum": 3}, "maximum"),
+    ({"properties": {"x": {"pattern": "a+"}}}, "pattern"),
+    ({"type": "boolean"}, "boolean"),
+    ({"const": [1, 2]}, "const"),
+])
+def test_unsupported_schema_is_refused_at_compile_time(schema, word):
+    with pytest.raises(ValueError, match=word):
+        _compile(schema, "record")
+
+
+def test_runtime_imports_skip_jsonschema():
+    code = ("import mwisim.cli, mwisim.verify, sys; "
+            "assert 'jsonschema' not in sys.modules")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_oracle_refusal_recorded():
+    r = _refused_record()
     assert r["oracle"] is None
     assert "cap of 26" in r["oracle_refused"]
 
@@ -135,6 +247,18 @@ def test_csv_projection():
     assert rows[0].startswith("family,n,max_degree")
     assert len(rows) == 2
     assert rows[1].split(",")[0] == "gnp"
+
+
+def test_csv_writes_a_null_ratio_as_an_empty_cell():
+    # every weight 0: the oracle's opt is 0 and its ratio is null
+    text = "4 3\n0 0\n1 0\n2 0\n3 0\n0 1\n1 2\n2 3\n"
+    r = make_record(load(text), GraphSource.from_file("z.txt", text), "heavy",
+                    {}, seed=0, oracle=True)
+    assert r["oracle"] == {"opt": 0, "ratio": None}
+    header, row = to_csv([r]).splitlines()
+    cells = dict(zip(header.split(","), row.split(",")))
+    assert cells["opt"] == "0" and cells["ratio"] == ""
+    assert "None" not in row
 
 
 def test_resolved_params_stored():
