@@ -92,13 +92,16 @@ def _add_generator_flags(p: argparse.ArgumentParser, seed_flags=("--graph-seed",
     p.add_argument(*seed_flags, dest="graph_seed", type=int)
 
 
-def cmd_gen(args) -> int:
-    g = generate(args.family, _graph_params(args), args.weights, _graph_seed(args))
-    text = save(g)
-    if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
+def _emit(text: str, path: str | None) -> None:
+    if path:
+        Path(path).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
+
+
+def cmd_gen(args) -> int:
+    g = generate(args.family, _graph_params(args), args.weights, _graph_seed(args))
+    _emit(save(g), args.output)
     return EXIT_OK
 
 
@@ -117,11 +120,7 @@ def cmd_run(args) -> int:
             g, source, args.alg, params, seed, mode=args.mode,
             oracle=args.oracle, oracle_cap=args.oracle_cap,
             dump_stack=args.dump_stack))
-    text = rec.to_jsonl(out_records)
-    if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    _emit(rec.to_jsonl(out_records), args.output)
     if args.csv:
         Path(args.csv).write_text(rec.to_csv(out_records), encoding="utf-8")
     return EXIT_OK
@@ -157,11 +156,7 @@ def cmd_reduce(args) -> int:
             "inner_messages": r.stats.messages_sent,
             "r_large": d["r_large"], "r_small": d["r_small"],
         }, sort_keys=True, allow_nan=False))
-    text = "".join(line + "\n" for line in lines)
-    if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    _emit("".join(line + "\n" for line in lines), args.output)
     return EXIT_OK
 
 

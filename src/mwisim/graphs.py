@@ -55,8 +55,8 @@ class WeightedGraph:
     the graph itself):
 
     * ``adj``, which maps each node id to the sorted tuple of its neighbor
-      ids, for the sequential reference code that walks one neighborhood
-      at a time; it is derived from the CSR on first read;
+      ids; it is derived from the CSR on first read, and only the sequential
+      walks read it (checks such as ``is_independent`` read the CSR);
     * the degeneracy (``degeneracy(g)``);
     * the exact optimum (``brute_force_max_is(g)``), so a seed sweep over
       one graph solves it once.
@@ -145,11 +145,7 @@ class WeightedGraph:
                         map(self.nodes.__getitem__, nbr[once].tolist())))
 
     def is_independent(self, members: Iterable[int]) -> bool:
-        mem = set(members)
-        unknown = mem.difference(self.nodes)
-        if unknown:
-            raise GraphError(f"node {min(unknown)} is not in the graph")
-        inside = self._mask(mem)
+        inside = self._mask(set(members))
         return not np.count_nonzero(inside[self._csr[1]] & inside.repeat(self.degrees))
 
     def induced(self, subset: Iterable[int],
@@ -184,7 +180,10 @@ class WeightedGraph:
             kept.searchsorted(nbr[entry]))
 
     def _mask(self, ids: Collection[int]) -> np.ndarray:
-        """Boolean array by position, set at the nodes ``ids`` (all in the graph)."""
+        """Boolean array by position, set at the nodes ``ids``; refuses unknown ids."""
+        unknown = set(ids).difference(self.nodes)
+        if unknown:
+            raise GraphError(f"node {min(unknown)} is not in the graph")
         mask = np.zeros(self.n, dtype=bool)
         mask[self._ids.searchsorted(np.fromiter(ids, np.int64, len(ids)))] = True
         return mask
@@ -671,4 +670,7 @@ def load(text: str) -> WeightedGraph:
             raise GraphParseError(line_no, f"duplicate edge ({u}, {v})")
         seen.add(key)
         edges.append((u, v))
+    for k in range(1 + n + m, len(lines)):
+        if lines[k].strip():
+            raise GraphParseError(k + 1, f"line past the header's {n} nodes and {m} edges")
     return WeightedGraph(weights.keys(), edges, weights)

@@ -6,6 +6,8 @@ announced nodes' neighbors drop out. One iteration costs two engine rounds
 (values, then announcements). Ties are broken by node id, so every
 iteration makes progress and termination is deterministic; the O(log n)
 bound is the usual high-probability one.
+
+``verify_mis`` checks the black box's answers over the CSR, not ``g.adj``.
 """
 
 from __future__ import annotations
@@ -103,22 +105,27 @@ def greedy_mis(g: WeightedGraph, order: Iterable[int] | None = None) -> Independ
 
 
 def verify_mis(g: WeightedGraph, node_subset, candidate) -> tuple[bool, str | None]:
-    """Check maximal independence of ``candidate`` in the induced subgraph.
+    """Check maximal independence of ``candidate`` in the subgraph induced by
+    ``node_subset``, over the CSR; an id not in ``g`` raises ``GraphError``.
 
-    Returns (True, None), or (False, description of the first violation).
+    Returns (True, None), or (False, description of the first violation: a
+    stray candidate, then adjacent members, then a node left uncovered).
     """
     subset = set(node_subset)
     cand = set(candidate)
     stray = cand - subset
     if stray:
         return False, f"candidate node {min(stray)} is outside the subset"
-    for v in sorted(cand):
-        for u in g.adj[v]:
-            if u in cand:
-                return False, f"members {min(u, v)} and {max(u, v)} are adjacent"
-    for v in sorted(subset):
-        if v in cand:
-            continue
-        if not any(u in cand for u in g.adj[v] if u in subset):
-            return False, f"node {v} is neither in the set nor adjacent to it"
+    sub, inside = g._mask(subset), g._mask(cand)
+    indptr, nbr = g.csr()
+    own = inside.repeat(g.degrees)  # the CSR entries of members' rows
+    both = (inside[nbr] & own).nonzero()[0]
+    if both.size:  # the least member with a member neighbor, and its least one
+        v = g.nodes[indptr.searchsorted(both[0], "right") - 1]
+        return False, f"members {v} and {g.nodes[nbr[both[0]]]} are adjacent"
+    covered = inside.copy()
+    covered[nbr[own]] = True
+    bare = (sub & ~covered).nonzero()[0]
+    if bare.size:
+        return False, f"node {g.nodes[bare[0]]} is neither in the set nor adjacent to it"
     return True, None

@@ -35,11 +35,12 @@ LOG_BASES = ("two", "natural")
 DEFAULT_LAMBDA = 4.0
 
 
-def _log_n(n_upper: int, log_base: str) -> float:
+def _scale(lam: float, n_upper: int, log_base: str) -> float:
+    """lambda * log n, the factor every node's p shares; both are checked."""
+    lam = check_real(lam, "lam", "sparse", above=0)
     if log_base not in LOG_BASES:
         raise GraphError(f"unknown log base {log_base!r}; choose from {LOG_BASES}")
-    n = max(n_upper, 2)
-    return math.log2(n) if log_base == "two" else math.log(n)
+    return lam * (math.log2 if log_base == "two" else math.log)(max(n_upper, 2))
 
 
 def sampling_probability(weight: int, delta: int, wmax: int, lam: float,
@@ -49,11 +50,13 @@ def sampling_probability(weight: int, delta: int, wmax: int, lam: float,
     delta = 0 (isolated) or wmax = 0 (weightless 2-neighborhood) means the
     node is free to keep, so p = 1.
     """
-    lam = check_real(lam, "lam", "sparse", above=0)
+    return _clamped(weight, delta, wmax, _scale(lam, n_upper, log_base))
+
+
+def _clamped(weight: int, delta: int, wmax: int, scale: float) -> float:
     if delta == 0 or wmax == 0:
         return 1.0
-    p = lam * _log_n(n_upper, log_base) * (1.0 / delta + weight / wmax)
-    return min(p, 1.0)
+    return min(scale * (1.0 / delta + weight / wmax), 1.0)
 
 
 @dataclass(frozen=True)
@@ -105,8 +108,7 @@ def compute_sampling_profile(g: WeightedGraph, lam: float, log_base: str = "two"
     each inbox. With ``net`` (the program's kernel) the two rounds are sent
     and charged; without it this is the sequential profile.
     """
-    if n_upper is None:
-        n_upper = g.n
+    scale = _scale(lam, g.n if n_upper is None else n_upper, log_base)
     w = np.fromiter(map(g.weights.__getitem__, g.nodes), dtype=np.int64, count=g.n)
     deg = g.degrees
     wdeg = neighbor_reduce(g, np.add, w)
@@ -116,7 +118,7 @@ def compute_sampling_profile(g: WeightedGraph, lam: float, log_base: str = "two"
         every = np.ones(g.n, dtype=bool)
         net.send(every, every, TAG_DEGW, deg, w)
         net.send(every, every, TAG_WDEG, wdeg)
-    return [sampling_probability(wv, d, wm, lam, n_upper, log_base)
+    return [_clamped(wv, d, wm, scale)
             for wv, d, wm in zip(w.tolist(), delta.tolist(), wmax.tolist())]
 
 

@@ -157,6 +157,14 @@ def test_bad_node_line_is_blamed_on_its_line(node_line, reason, tmp_path, capsys
     assert reason in capsys.readouterr().err
 
 
+def test_lines_past_the_header_counts_are_invariant_failures(tmp_path, capsys):
+    under = tmp_path / "under.g"
+    under.write_text("3 1\n0 1\n1 1\n2 1\n0 1\n1 2\n")  # header undercounts edges
+    assert run_cli(["run", "--graph", str(under), "--alg", "luby",
+                    "--seeds", "0"]) == 3
+    assert "line 6: line past the header's 3 nodes and 1 edges" in capsys.readouterr().err
+
+
 def test_congest_violation_exit_code(tmp_path, capsys):
     # 20-bit weights cannot fit the 32-bit budget of a 2-node network
     fat = tmp_path / "fat.g"
@@ -203,6 +211,23 @@ def test_non_integer_env_seed_is_a_usage_error(monkeypatch, capsys):
     monkeypatch.setattr(verify, "run_acceptance_suite", lambda quick: [])
     assert run_cli(["verify", "acceptance", "--quick"]) == 0
     assert capsys.readouterr().out == "0/0 checks passed\n"
+
+
+@pytest.mark.parametrize("passed,code", [(True, 0), (False, 3)])
+def test_verify_writes_json_results(passed, code, monkeypatch, tmp_path, capsys):
+    from mwisim import verify
+
+    results = [verify.CheckResult(f"C{i} check", passed or i < 10, "detail", i / 3)
+               for i in range(1, 11)]
+    monkeypatch.setattr(verify, "run_acceptance_suite", lambda quick: results)
+    out = tmp_path / "verify.json"
+    assert run_cli(["verify", "acceptance", "--json", str(out)]) == code
+    payload = json.loads(out.read_text())
+    assert len(payload) == 10
+    assert payload[0] == {"name": "C1 check", "passed": True, "detail": "detail",
+                          "seconds": 0.333}
+    assert [e["passed"] for e in payload].count(False) == (not passed)
+    assert capsys.readouterr().out.endswith(f"{9 + passed}/10 checks passed\n")
 
 
 def test_dump_stack_flag(capsys):
@@ -266,6 +291,17 @@ def test_gnp_without_n_is_usage_error(command, capsys):
     assert run_cli([*command, "--family", "gnp", "--p", "0.1"]) == 2
     out = capsys.readouterr()
     assert "error: gnp needs --n" in out.err and out.out == ""
+
+
+@pytest.mark.parametrize("flags,reason", [
+    (["--family", "cycle_of_cliques", "--n0", "5"], "cycle_of_cliques needs --n0 and --n1"),
+    (["--family", "cycle_of_cliques"], "cycle_of_cliques needs --n0 and --n1"),
+    (["--family", "gnp", "--n", "8"], "gnp needs --p"),
+])
+def test_missing_family_parameters_are_usage_errors(flags, reason, capsys):
+    assert run_cli(["run", "--alg", "luby", "--seeds", "0", *flags]) == 2
+    out = capsys.readouterr()
+    assert f"error: {reason}" in out.err and out.out == ""
 
 
 @pytest.mark.parametrize("args", [

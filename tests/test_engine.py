@@ -380,3 +380,13 @@ def test_random_broadcast_programs(n, p, graph_seed, salt, shuffle_seed):
             want[r - 1] += h.degree(v)
     assert stats.per_round_messages == want
     assert stats.messages_sent == sum(want)
+
+
+@pytest.mark.parametrize("kwargs,reason", [
+    ({"mode": "quantum"}, "unknown mode 'quantum'"),
+    ({"max_rounds": 0}, "max_rounds must be >= 1, got 0"),
+    ({"node_order": lambda nodes: nodes[1:]}, "node_order must permute the subset"),
+], ids=["mode", "max-rounds", "node-order"])
+def test_run_refuses_bad_arguments(kwargs, reason):
+    with pytest.raises(EngineError, match=f"^{reason}$"):
+        run(unit(range(3), [(0, 1)]), ExchangeIds(), **kwargs)

@@ -471,7 +471,14 @@ def test_save_load_roundtrip(n, seed):
     ("", 1),
     ("junk\n", 1),
     ("2 1\n0 5\n1 6\n0 9\n", 4),     # edge references unknown id
-    ("1 0\n0 5\n0 5\n", None),        # trailing garbage is ignored by design
+    ("1 0\n0 5\n0 5\n", 3),           # a line past the header's counts
+    ("3 1\n0 1\n1 1\n2 1\n0 1\n1 2\n", 6),  # an edge the header undercounts
+    ("1 0\n0 5\n\n  \n", None),        # blank trailing lines are accepted
+    ("-1 0\n", 1),                    # negative header count
+    ("2 1\n0 5\n1 6\n", 4),           # fewer lines than promised
+    ("2 0\n0 5\nx 6\n", 3),           # unparsable node line
+    ("1 0\n-3 5\n", 2),               # negative node id
+    ("2 1\n0 5\n1 6\n0\n", 4),        # unparsable edge line
     ("2 1\n0 5\n0 6\n0 1\n", 3),      # duplicate node line
     ("2 2\n0 5\n1 6\n0 1\n0 1\n", 5),  # duplicate edge
     ("1 1\n0 5\n0 0\n", 3),           # self-loop

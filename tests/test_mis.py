@@ -5,13 +5,33 @@ from itertools import compress
 import pytest
 
 from mwisim.engine import run, run_on_subgraph
-from mwisim.graphs import WeightedGraph, generate, random_tree
+from mwisim.graphs import GraphError, WeightedGraph, generate, random_tree
 from mwisim.mis import LubyProgram, greedy_mis, verify_mis
 from mwisim.rng import derive_seed
 
 
 def unit(nodes, edges):
     return WeightedGraph(nodes, edges, {v: 1 for v in nodes})
+
+
+def verify_mis_walk(g, node_subset, candidate):
+    """The reference for ``verify_mis``: the same checks, in the same order,
+    walking ``g.adj`` one node at a time."""
+    subset = set(node_subset)
+    cand = set(candidate)
+    stray = cand - subset
+    if stray:
+        return False, f"candidate node {min(stray)} is outside the subset"
+    for v in sorted(cand):
+        for u in g.adj[v]:
+            if u in cand:
+                return False, f"members {min(u, v)} and {max(u, v)} are adjacent"
+    for v in sorted(subset):
+        if v in cand:
+            continue
+        if not any(u in cand for u in g.adj[v] if u in subset):
+            return False, f"node {v} is neither in the set nor adjacent to it"
+    return True, None
 
 
 def luby_members(g, seed, subset=None):
@@ -120,3 +140,44 @@ def test_verify_mis_examples():
     assert not ok and "adjacent" in violation
     ok, violation = verify_mis(c5, [0, 1], {2})
     assert not ok and "outside the subset" in violation
+
+
+def test_verify_mis_matches_the_walk():
+    # spread-out ids, so that a mix-up of positions and ids shows
+    rng = random.Random(0x7E51)
+    kinds = ("valid", "dependent", "non-maximal", "stray", "random")
+    seen = set()
+    for case in range(400):
+        n = rng.randint(0, 30)
+        ids = rng.sample(range(1 << 40), n)
+        edges = [(a, b) for i, a in enumerate(ids) for b in ids[i + 1:]
+                 if rng.random() < 0.2]
+        g = unit(ids, edges)
+        subset = (list(g.nodes) if case % 2 else
+                  [v for v in g.nodes if rng.random() < 0.7])
+        order = rng.sample(subset, len(subset))
+        cand = set(greedy_mis(g.induced(subset), order).members)
+        kind = rng.choice(kinds)
+        if kind == "dependent" and len(cand) < len(subset):
+            cand.add(rng.choice([v for v in subset if v not in cand]))
+        elif kind == "non-maximal" and cand:
+            cand.discard(rng.choice(sorted(cand)))
+        elif kind == "stray":
+            cand.add(rng.choice([v for v in g.nodes if v not in subset] or [1 << 41]))
+        elif kind == "random":
+            cand = {v for v in subset if rng.random() < 0.3}
+        want = verify_mis_walk(g, subset, cand)
+        assert verify_mis(g, subset, cand) == want, (case, kind)
+        seen.add(want[1] and want[1].split()[-1])
+    # every outcome occurs: valid, stray, adjacent members, not maximal
+    assert seen == {None, "subset", "adjacent", "it"}
+
+
+def test_verify_mis_refuses_ids_outside_the_graph():
+    g = generate("path", {"n": 4}, "unit", 0)
+    with pytest.raises(GraphError, match="node 9 is not in the graph"):
+        verify_mis(g, [0, 9], {0})
+    with pytest.raises(GraphError, match="node 7 is not in the graph"):
+        verify_mis(g, [1, 7, 9], {7})
+    # a stray candidate is reported before any id is looked up
+    assert verify_mis(g, [0], {9}) == (False, "candidate node 9 is outside the subset")

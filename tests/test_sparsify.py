@@ -147,6 +147,14 @@ def test_sparse_refuses_a_lambda_that_is_not_finite_and_positive(lam):
         assert str(again.value) == str(exc.value)
 
 
+def test_unknown_log_base_is_refused():
+    g = generate("path", {"n": 4}, "unit", 0)
+    for call in (lambda: sampling_probability(1, 2, 3, lam=1, n_upper=8, log_base="ten"),
+                 lambda: compute_sampling_profile(g, 4.0, "ten")):
+        with pytest.raises(GraphError, match="unknown log base 'ten'"):
+            call()
+
+
 def test_sparse_edgeless():
     g = WeightedGraph(range(5), [], {v: 2 for v in range(5)})
     r = sparse_approx(g, seed=1)
