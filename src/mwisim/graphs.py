@@ -114,8 +114,9 @@ class WeightedGraph:
     def adj(self) -> dict[int, tuple[int, ...]]:
         if self._adj is None:
             ptr = self._csr[0].tolist()
-            # every tuple refers to the one int object per node in ``nodes``
-            flat = list(map(self.nodes.__getitem__, self._csr[1].tolist()))
+            # an object array holds ``nodes``' own ints, so every tuple refers
+            # to the one int object per node
+            flat = np.array(self.nodes, dtype=object)[self._csr[1]].tolist()
             self._adj = {v: tuple(flat[a:b]) for v, a, b in zip(self.nodes, ptr, ptr[1:])}
         return self._adj
 
@@ -164,7 +165,7 @@ class WeightedGraph:
             raise GraphError(f"subset contains unknown nodes {sorted(unknown)}")
         if weights is None and len(sub) == self.n:
             return self
-        keep = self._mask(sub)
+        keep = self._known_mask(sub)
         kept = keep.nonzero()[0]
         nodes = tuple(map(self.nodes.__getitem__, kept.tolist()))
         w = (_checked_weights(nodes, weights) if weights is not None
@@ -184,6 +185,10 @@ class WeightedGraph:
         unknown = set(ids).difference(self.nodes)
         if unknown:
             raise GraphError(f"node {min(unknown)} is not in the graph")
+        return self._known_mask(ids)
+
+    def _known_mask(self, ids: Collection[int]) -> np.ndarray:
+        """``_mask`` of ids the caller has already checked are nodes."""
         mask = np.zeros(self.n, dtype=bool)
         mask[self._ids.searchsorted(np.fromiter(ids, np.int64, len(ids)))] = True
         return mask
@@ -261,13 +266,20 @@ def _csr_of_edges(n: int, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.
     """``(indptr, nbr)`` of the graph on positions 0..n-1 with an edge
     between ``u[k]`` and ``v[k]`` for each k, in either order, repeats
     merged."""
-    # sort, then drop each key equal to its predecessor: np.unique gives the
-    # same keys but takes a hash path here that is about 10x slower
-    keys = np.sort(np.concatenate([u * n + v, v * n + u]))
-    src, nbr = np.divmod(keys[np.diff(keys, prepend=-1) != 0], n)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-    return indptr, nbr
+    # the directed keys i * n + j, sorted in place in one array, are the CSR
+    # in row order: repeats are neighbouring equal keys (dropped only if there
+    # are any), row i starts at the first key >= i * n (n + 1 binary
+    # searches), and a key's neighbour is the key mod n
+    keys = np.empty(2 * u.size, dtype=np.int64)
+    for half, a, b in ((keys[:u.size], u, v), (keys[u.size:], v, u)):
+        np.multiply(a, n, out=half)
+        half += b
+    keys.sort()
+    same = keys[1:] == keys[:-1]
+    if same.any():
+        keys = keys[np.append(True, ~same)]
+    indptr = keys.searchsorted(np.arange(n + 1, dtype=np.int64) * n)
+    return indptr, np.remainder(keys, n, out=keys)
 
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -352,19 +364,26 @@ def _gnp_edges(n: int, p: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
         block = gen.geometric(p, size=max(64, int((total - pos) * p * 1.1) + 64))
         # a gap past the last slot ends the scan either way; clipping it keeps
         # the running sum inside int64 when p is tiny
-        block = np.cumsum(np.minimum(block, total + 1)) + pos
+        np.cumsum(np.minimum(block, total + 1, out=block), out=block)
+        block += pos
         pos = int(block[-1])
-        chunks.append(block[block < total])
+        # every gap is >= 1, so the slots ascend and those in range are a prefix
+        chunks.append(block[:block.searchsorted(total)])
     return _slot_pairs(n, np.concatenate(chunks))
 
 
 def _slot_pairs(n: int, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The pairs (u, v), u < v, at slots ``k`` of the n(n-1)/2 pairs of
-    0..n-1 in lexicographic order; exact while n(n-1)/2 fits in int64."""
+    0..n-1 in lexicographic order; exact while n(n-1)/2 fits in int64.
+
+    ``k`` must be strictly ascending, so that each row's slots are one run
+    of ``k``, found by one binary search per row start."""
     row_start = np.zeros(n - 1, dtype=np.int64)
     np.cumsum(np.arange(n - 1, 1, -1, dtype=np.int64), out=row_start[1:])
-    u = row_start.searchsorted(k, side="right") - 1
-    return u, u + 1 + (k - row_start[u])
+    count = np.diff(k.searchsorted(row_start), append=k.size)
+    u = np.repeat(np.arange(n - 1, dtype=np.int64), count)
+    # slot row_start[u] holds the pair (u, u + 1)
+    return u, k + np.repeat(np.arange(1, n, dtype=np.int64) - row_start, count)
 
 
 @dataclass(frozen=True)

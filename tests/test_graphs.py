@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 
 from mwisim.graphs import (INT64_MAX, BruteForceCapError, GraphError,
                            GraphParseError, IndependentSet, WeightedGraph,
-                           _gnp_edges, _slot_pairs, brute_force_max_is,
+                           _csr_of_edges, _gnp_edges, _slot_pairs,
+                           brute_force_max_is,
                            degeneracy,
                            generate, load, neighbor_reduce, random_tree, save)
 from mwisim.heavy import heavy_mis_approx
@@ -234,6 +236,17 @@ def test_slot_pairs_at_row_boundaries(n):
     assert np.array_equal(u, rows[:-1]) and (v == n - 1).all()
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_slot_pairs_of_ascending_subsets_match_the_table(data):
+    n = data.draw(st.integers(2, 40), label="n")
+    table = list(itertools.combinations(range(n), 2))
+    slots = sorted(data.draw(st.sets(st.integers(0, len(table) - 1)), label="slots"))
+    u, v = _slot_pairs(n, np.array(slots, dtype=np.int64))
+    assert u.dtype == v.dtype == np.int64
+    assert list(zip(u.tolist(), v.tolist())) == [table[k] for k in slots]
+
+
 @pytest.mark.parametrize("family,count", [("cycle", 17), ("path", 16), ("star", 16)])
 def test_closed_form_edge_counts(family, count):
     assert generate(family, {"n": 17}, "unit", 0).m == count
@@ -299,6 +312,66 @@ def test_csr_of_non_contiguous_ids_and_isolated_nodes():
         nbr[0] = 2  # shared by every caller, so read-only
     empty = WeightedGraph([], [], {})
     assert [a.tolist() for a in empty.csr()] == [[0], []]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_csr_of_edges_matches_sorted_neighbour_sets(data):
+    n = data.draw(st.integers(0, 60), label="n")
+    pairs = []
+    if n >= 2:
+        node = st.integers(0, n - 1)
+        pairs = data.draw(st.lists(st.tuples(node, node).filter(lambda e: e[0] != e[1]),
+                                   max_size=150), label="pairs")
+        # repeats, some turned round and some not
+        k = data.draw(st.integers(0, len(pairs)), label="repeated")
+        pairs += [(b, a) for a, b in pairs[:k:2]] + pairs[1:k:2]
+    u = np.array([a for a, _ in pairs], dtype=np.int64)
+    v = np.array([b for _, b in pairs], dtype=np.int64)
+    nbrs = [set() for _ in range(n)]
+    for a, b in pairs:
+        nbrs[a].add(b)
+        nbrs[b].add(a)
+    indptr, nbr = _csr_of_edges(n, u, v)
+    assert indptr.dtype == nbr.dtype == np.int64
+    assert indptr.tolist() == list(itertools.accumulate(map(len, nbrs), initial=0))
+    assert nbr.tolist() == [j for s in nbrs for j in sorted(s)]
+
+
+def _sha256(a):
+    return hashlib.sha256(np.asarray(a, dtype="<i8").tobytes()).hexdigest()
+
+
+# sha256 of indptr, nbr and the weights by position (little-endian int64) of
+# the seed-0 graphs of acceptance criteria C5 and C7 and of a 2^16-node
+# graph, recorded before the array passes of the gnp build were reworked.
+# Only a change meant to alter generated graphs updates them, together with
+# GRAPH_SHA256 in test_golden.py.
+LARGE_GNP_DIGESTS = [
+    ({"n": 4096, "p": 0.04}, "heavy_tail", derive_seed(0xAC05, 0), (
+        "0d3d146b25d5a0224398b9e4f60205e3181dccfddba7f5aba51ec5a06fe1c2e1",
+        "8b885e09896378fd2494dcdf21cb0ebdb974cac21a20afffea6a4b8b2f1aff64",
+        "7915df5fa583bd7c5d8ac858c14346dde7088cdcab71a035ff1eb16b693002e7")),
+    ({"n": 4096, "p": 0.01}, "unit", derive_seed(0xAC07, 0), (
+        "342f9a2a92f85679f63ff3f2d4bbb55184dd327addb4c50fec8af8d37656e47c",
+        "923680a1084f740176a4a299f30e7ede7af57312f3067869e2ddb534a379bbe9",
+        "7f359c344d1520daab697c52d31afa5610321993c6619d49fa8f98600921483f")),
+    ({"n": 2**16, "p": 20 / 2**16}, "heavy_tail", 1, (
+        "8d9e8edd08f82c1e0d6611bdbe907c28db8e11d08c8188c766ff9cd491c4fdcb",
+        "50e79451dcdc953f1d9ae621290fe86fdfd12974ee1064a387139b4e9998b0ca",
+        "167fd5b68c359d324b352aef5a7806e4e7899f11429dd0a089d2295bbb9a4d9f")),
+]
+
+
+@pytest.mark.parametrize("params,model,seed,digests", LARGE_GNP_DIGESTS,
+                         ids=["C5", "C7", "n65536"])
+def test_large_gnp_graphs_are_pinned(params, model, seed, digests):
+    g = generate("gnp", params, model, seed)
+    weights = [g.weights[v] for v in g.nodes]
+    assert tuple(map(_sha256, (*g.csr(), weights))) == digests
+    if params["n"] == 4096:
+        # ids past the small-int cache: the tuples still share one object per node
+        assert all(u is g.nodes[u] for nbrs in g.adj.values() for u in nbrs)
 
 
 def test_neighbor_reduce_examples():
