@@ -25,8 +25,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .engine import Net, NodeContext, RoundStats, RunOutcome, StepResult, run
-from .graphs import (GraphError, IndependentSet, WeightedGraph, check_int64,
-                     check_real)
+from .graphs import GraphError, IndependentSet, WeightedGraph, check_real
 from .mis import greedy_mis
 from .rng import derive_seed
 from .wire import Message
@@ -109,14 +108,11 @@ class ResidualUpdateProgram:
         return StepResult(halt=True, output=ctx.weight - reduction)
 
     def kernel(self, net: Net) -> list[int]:
-        ids = net.ids
-        selected = np.fromiter((v in self.selected for v in ids), dtype=bool,
-                               count=len(ids))
-        w = net.weights
+        ids, w = net.ids, net.graph.w
+        selected = np.fromiter(map(self.selected.__contains__, ids), bool, len(ids))
         net.send(np.ones(len(ids), dtype=bool), selected, TAG_REDUCE, w)
         out = w - net.fold(np.add, w)
-        out[np.fromiter((v in self.zeroed for v in ids), dtype=bool,
-                        count=len(ids))] = 0
+        out[np.fromiter(map(self.zeroed.__contains__, ids), bool, len(ids))] = 0
         return out.tolist()
 
 
@@ -169,7 +165,7 @@ def local_ratio(g: WeightedGraph, inner: Inner, phases: int, salt: int,
     """
     if n_upper is None:
         n_upper = g.n
-    g_i = g.induced(v for v in g.nodes if g.weights[v] > 0)
+    g_i = g.induced(compress(g.nodes, g.w > 0))
     frames: list[PhaseFrame] = []
     stats = RoundStats()
     inner_rounds_max = 0
@@ -189,16 +185,17 @@ def local_ratio(g: WeightedGraph, inner: Inner, phases: int, salt: int,
         members = res.iset.members
         stats = stats.merge(res.stats)
         inner_rounds_max = max(inner_rounds_max, res.stats.rounds)
-        frames.append(PhaseFrame(i, members, {v: g_i.weights[v] for v in members}))
+        chosen = g_i._known_mask(members)
+        frames.append(PhaseFrame(i, members, dict(zip(compress(g_i.nodes, chosen),
+                                                      g_i.w[chosen].tolist()))))
 
         zeroed = members if degree_cap is None else frozenset(g_in.nodes)
         upd_out, upd_stats = run(g_i, ResidualUpdateProgram(members, zeroed),
                                  mode=mode, seed=derive_seed(seed, 0x0DD + i),
                                  n_upper=n_upper)
         stats = stats.merge(upd_stats)
-        residual = {v: check_int64(r, f"residual of node {v}")
-                    for v, r in zip(g_i.nodes, upd_out)}
-        g_i = g_i.induced([v for v, r in residual.items() if r > 0], residual)
+        # a kept (positive) residual is at most its old weight: no int64 check
+        g_i = g_i.induced(compress(g_i.nodes, [r > 0 for r in upd_out]), upd_out)
 
     sizes.append(g_i.n)
     iset = pop_stack(g, frames)

@@ -208,8 +208,6 @@ class Net:
         self.n_upper = n_upper
         self.indptr, self.nbr = graph.csr()
         self.deg = graph.degrees
-        self.weights = np.fromiter(map(graph.weights.__getitem__, graph.nodes),
-                                   dtype=np.int64, count=graph.n)
         self.stats = RoundStats(budget_bits=budget)
         self._seed = seed
         self._seeds: np.ndarray | None = None
@@ -329,7 +327,7 @@ def run_on_subgraph(g: WeightedGraph, subset: Iterable[int], program: NodeProgra
             raise EngineError("node_order must permute the subset")
 
     adj = h.adj
-    ctxs = {v: NodeContext(v, h.weights[v], adj[v], n_upper) for v in nodes}
+    ctxs = {v: NodeContext(v, wv, adj[v], n_upper) for v, wv in zip(h.nodes, h.w.tolist())}
     rngs = {v: node_rng(seed, v) for v in nodes}
 
     def init(state, ctx, inbox, rng):

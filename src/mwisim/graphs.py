@@ -11,6 +11,7 @@ import math
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Collection, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -46,9 +47,11 @@ class WeightedGraph:
     and the neighbors of ``nodes[i]`` are ``nodes[j]`` for ``j`` in
     ``nbr[indptr[i]:indptr[i + 1]]``, ascending. It is symmetric, with no
     self-loops and no duplicate edges. ``degrees`` (read-only int64, by
-    position) and ``max_degree`` are computed with it.
+    position) and ``max_degree`` are computed with it. The weights ``w``
+    are stored by position too (read-only int64, each in [0, INT64_MAX]),
+    as are new weights for ``induced``; totals are exact Python ints.
 
-    Three facts are computed on first use and then cached on the graph,
+    Four facts are computed on first use and then cached on the graph,
     which is safe only because nothing changes a graph after it is built
     (the generators return new graphs with empty caches, and so does
     ``induced``, except that the whole node set with the same weights is
@@ -57,13 +60,14 @@ class WeightedGraph:
     * ``adj``, which maps each node id to the sorted tuple of its neighbor
       ids; it is derived from the CSR on first read, and only the sequential
       walks read it (checks such as ``is_independent`` read the CSR);
+    * ``weights``, ``w`` as a read-only mapping by id, for the sequential mirrors;
     * the degeneracy (``degeneracy(g)``);
     * the exact optimum (``brute_force_max_is(g)``), so a seed sweep over
       one graph solves it once.
     """
 
-    __slots__ = ("nodes", "weights", "degrees", "max_degree", "_ids", "_csr", "_adj",
-                 "_degeneracy", "_opt")
+    __slots__ = ("nodes", "w", "degrees", "max_degree", "_ids", "_csr", "_adj",
+                 "_weights", "_degeneracy", "_opt")
 
     def __init__(self, nodes: Iterable[int], edges: Iterable[tuple[int, int]],
                  weights: Mapping[int, int]):
@@ -85,23 +89,25 @@ class WeightedGraph:
             if u not in pos or v not in pos:
                 raise GraphError(f"edge ({u}, {v}) references unknown node")
             ends.append((pos[u], pos[v]))
-        w = _checked_weights(node_list, weights)
+        if pos.keys() - weights.keys():
+            raise GraphError(f"missing weight for node {min(pos.keys() - weights.keys())}")
+        w = _checked_weights(node_list, [weights[v] for v in node_list])
         uv = np.array(ends, dtype=np.int64).reshape(-1, 2)
         self._build(tuple(node_list), np.array(node_list, dtype=np.int64), w,
                     *_csr_of_edges(len(node_list), uv[:, 0], uv[:, 1]))
 
-    def _build(self, nodes: tuple[int, ...], ids: np.ndarray, weights: dict[int, int],
+    def _build(self, nodes: tuple[int, ...], ids: np.ndarray, w: np.ndarray,
                indptr: np.ndarray, nbr: np.ndarray) -> "WeightedGraph":
         """Fill in every field from ``nodes`` (ascending; ``ids`` holds the
         same as int64), their weights and the CSR. Checks nothing: each
         caller has validated its parts or taken them from a valid graph."""
         deg = indptr[1:] - indptr[:-1]
         self.nodes: tuple[int, ...] = nodes
-        self.weights: dict[int, int] = weights
-        self.degrees, self._ids = _read_only(deg, ids)
+        self.degrees, self._ids, self.w = _read_only(deg, ids, w)
         self.max_degree: int = int(np.maximum.reduce(deg, initial=0))
         self._csr: tuple[np.ndarray, np.ndarray] = _read_only(indptr, nbr)
         self._adj: dict[int, tuple[int, ...]] | None = None
+        self._weights: Mapping[int, int] | None = None
         self._degeneracy: int | None = None
         self._opt: IndependentSet | None = None
         return self
@@ -121,6 +127,12 @@ class WeightedGraph:
         return self._adj
 
     @property
+    def weights(self) -> Mapping[int, int]:
+        if self._weights is None:
+            self._weights = MappingProxyType(dict(zip(self.nodes, self.w.tolist())))
+        return self._weights
+
+    @property
     def n(self) -> int:
         return len(self.nodes)
 
@@ -135,9 +147,8 @@ class WeightedGraph:
         return int(self.degrees[i])
 
     def total_weight(self, subset: Iterable[int] | None = None) -> int:
-        if subset is None:
-            return sum(self.weights.values())
-        return sum(self.weights[v] for v in subset)
+        w = self.w if subset is None else self.w[self._mask(set(subset))]
+        return sum(w.tolist())
 
     def edges(self) -> list[tuple[int, int]]:
         src, nbr = np.arange(self.n).repeat(self.degrees), self._csr[1]
@@ -146,18 +157,20 @@ class WeightedGraph:
                         map(self.nodes.__getitem__, nbr[once].tolist())))
 
     def is_independent(self, members: Iterable[int]) -> bool:
-        inside = self._mask(set(members))
+        return self._independent(self._mask(set(members)))
+
+    def _independent(self, inside: np.ndarray) -> bool:  # inside: a mask by position
         return not np.count_nonzero(inside[self._csr[1]] & inside.repeat(self.degrees))
 
     def induced(self, subset: Iterable[int],
-                weights: Mapping[int, int] | None = None) -> "WeightedGraph":
-        """Induced subgraph keeping original identifiers; optional new weights.
+                weights: Sequence[int] | None = None) -> "WeightedGraph":
+        """Induced subgraph keeping original identifiers; optional new
+        ``weights``, one per node of ``self`` by position.
 
         A subgraph of a valid graph is valid, so only the subset and the
-        replacement weights are checked. Every node without new weights is
-        ``self``. Otherwise the CSR is the parent's, filtered to the entries
-        between kept positions and renumbered; both steps keep each row
-        ascending.
+        kept nodes' new weights are checked. Every node without new weights
+        is ``self``. Otherwise the CSR is the parent's, filtered to the
+        entries between kept positions and renumbered, each row ascending.
         """
         sub = set(subset)
         unknown = sub.difference(self.nodes)
@@ -165,11 +178,14 @@ class WeightedGraph:
             raise GraphError(f"subset contains unknown nodes {sorted(unknown)}")
         if weights is None and len(sub) == self.n:
             return self
+        if weights is not None and len(weights) != self.n:
+            raise GraphError(f"expected {self.n} weights by position, got {len(weights)}")
         keep = self._known_mask(sub)
         kept = keep.nonzero()[0]
-        nodes = tuple(map(self.nodes.__getitem__, kept.tolist()))
-        w = (_checked_weights(nodes, weights) if weights is not None
-             else {v: self.weights[v] for v in nodes})
+        pos = kept.tolist()
+        nodes = tuple(map(self.nodes.__getitem__, pos))
+        w = (self.w[kept] if weights is None
+             else _checked_weights(nodes, list(map(weights.__getitem__, pos))))
         indptr, nbr = self._csr
         entry = keep[nbr] & keep.repeat(self.degrees)
         # kept entries before each row of the parent: the new row bounds
@@ -194,9 +210,8 @@ class WeightedGraph:
         return mask
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, WeightedGraph) and self.nodes == other.nodes
-                and self.weights == other.weights
-                and all(map(np.array_equal, self._csr, other._csr)))
+        return (isinstance(other, WeightedGraph) and self.nodes == other.nodes and all(
+            map(np.array_equal, (self.w, *self._csr), (other.w, *other._csr))))
 
     def __hash__(self):
         raise TypeError("WeightedGraph is not hashable")
@@ -215,9 +230,10 @@ class IndependentSet:
     @classmethod
     def of(cls, g: WeightedGraph, members: Iterable[int]) -> "IndependentSet":
         mem = frozenset(members)
-        if not g.is_independent(mem):
+        inside = g._mask(mem)
+        if not g._independent(inside):
             raise GraphError("set is not independent")
-        return cls(mem, g.total_weight(mem))
+        return cls(mem, sum(g.w[inside].tolist()))
 
     def __len__(self):
         return len(self.members)
@@ -243,23 +259,16 @@ def check_real(value, key: str, alg: str, above: float | None = None,
     return x
 
 
-def _checked_weights(nodes: Iterable[int],
-                     weights: Mapping[int, int]) -> dict[int, int]:
-    """``{v: weights[v]}`` over ``nodes``, each an int (not a bool) in
-    [0, INT64_MAX]."""
-    w: dict[int, int] = {}
-    for v in nodes:
-        if v not in weights:
-            raise GraphError(f"missing weight for node {v}")
-        wv = weights[v]
+def _checked_weights(nodes: Iterable[int], values: Sequence[int]) -> np.ndarray:
+    """``nodes``' weights ``values`` as int64; each an int (not a bool) in [0, INT64_MAX]."""
+    for v, wv in zip(nodes, values):
         if not isinstance(wv, int) or isinstance(wv, bool):
             raise GraphError(f"weight of node {v} is not an integer")
         if wv < 0:
             raise GraphError(f"negative weight {wv} at node {v}")
         if wv > INT64_MAX:
             raise GraphError(f"weight of node {v} exceeds 64-bit range")
-        w[v] = wv
-    return w
+    return np.array(values, dtype=np.int64)
 
 
 def _csr_of_edges(n: int, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -324,24 +333,24 @@ def _max_abs(values) -> int:
 # generators
 
 
-def _draw_weights(nodes: Iterable[int], model: str, seed: int) -> dict[int, int]:
+def _draw_weights(n: int, model: str, seed: int) -> np.ndarray:
     if model not in WEIGHT_MODELS:
         raise GraphError(f"unknown weight model {model!r}; choose from {WEIGHT_MODELS}")
     if model == "unit":
-        return {v: 1 for v in nodes}
+        return np.ones(n, dtype=np.int64)
     rng = random.Random(derive_seed(seed, 0x57E16875))
     if model == "uniform_range":
-        return {v: rng.randint(1, UNIFORM_RANGE_MAX) for v in nodes}
+        return np.array([rng.randint(1, UNIFORM_RANGE_MAX) for _ in range(n)], np.int64)
     # heavy_tail: Pareto-like integer weights, capped; a few giant nodes
     # dominate the total weight, which is the regime the weighted sampler
     # targets.
-    out = {}
-    for v in nodes:
+    out = []
+    for _ in range(n):
         u = rng.random()
         while u == 0.0:
             u = rng.random()
-        out[v] = min(int(1.0 / (u * u)), HEAVY_TAIL_CAP)
-    return out
+        out.append(min(int(1.0 / (u * u)), HEAVY_TAIL_CAP))
+    return np.array(out, np.int64)
 
 
 def _clique_edges(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -444,7 +453,7 @@ def build_clique_cycle(n0: int, n1: int,
                         (np.roll(first, -1)[:, None] + y).ravel()])
     nodes = tuple(ids.tolist())
     graph = object.__new__(WeightedGraph)._build(
-        nodes, ids, dict.fromkeys(nodes, 1), *_csr_of_edges(n0 * n1, u, v))
+        nodes, ids, np.ones(n0 * n1, dtype=np.int64), *_csr_of_edges(n0 * n1, u, v))
     return CliqueCycle(n0, n1, base_ids, j_bits, graph)
 
 
@@ -464,7 +473,7 @@ def generate(family: str, params: Mapping[str, object], weight_model: str = "uni
         g = build_clique_cycle(n0, n1).graph
         if weight_model == "unit":
             return g
-        return g.induced(g.nodes, _draw_weights(g.nodes, weight_model, seed))
+        return g.induced(g.nodes, _draw_weights(g.n, weight_model, seed).tolist())
 
     n = int(params["n"])
     if n < 1:
@@ -486,7 +495,7 @@ def generate(family: str, params: Mapping[str, object], weight_model: str = "uni
             raise GraphError(f"gnp needs 0 <= p <= 1, got {p}")
         u, v = _gnp_edges(n, p, seed)
     return object.__new__(WeightedGraph)._build(
-        tuple(range(n)), ids, _draw_weights(range(n), weight_model, seed),
+        tuple(range(n)), ids, _draw_weights(n, weight_model, seed),
         *_csr_of_edges(n, u, v))
 
 
@@ -496,7 +505,8 @@ def random_tree(n: int, seed: int, weight_model: str = "unit") -> WeightedGraph:
         raise GraphError(f"n must be >= 1, got {n}")
     rng = random.Random(derive_seed(seed, 0x7EEE))
     edges = [(rng.randrange(i), i) for i in range(1, n)]
-    return WeightedGraph(range(n), edges, _draw_weights(range(n), weight_model, seed))
+    weights = _draw_weights(n, weight_model, seed).tolist()
+    return WeightedGraph(range(n), edges, dict(enumerate(weights)))
 
 
 # ---------------------------------------------------------------------------
@@ -576,14 +586,10 @@ def brute_force_max_is(g: WeightedGraph, cap: int = BRUTE_FORCE_CAP) -> Independ
 def _branch_and_bound(g: WeightedGraph) -> IndependentSet:
     if g.n == 0:
         return IndependentSet(frozenset(), 0)
-    idx = {v: i for i, v in enumerate(g.nodes)}
-    nbr_mask = [0] * g.n
-    for v in g.nodes:
-        for u in g.adj[v]:
-            nbr_mask[idx[v]] |= 1 << idx[u]
-    w = [g.weights[v] for v in g.nodes]
-    bit_w = {1 << i: w[i] for i in range(g.n)}
-    bit_nbr = {1 << i: nbr_mask[i] for i in range(g.n)}
+    ptr, nbr = (a.tolist() for a in g.csr())
+    bit_w = {1 << i: wv for i, wv in enumerate(g.w.tolist())}
+    bit_nbr = {1 << i: sum(1 << j for j in nbr[a:b])
+               for i, (a, b) in enumerate(zip(ptr, ptr[1:]))}
 
     def mask_weight(mask: int) -> int:
         total = 0
@@ -625,7 +631,7 @@ def _branch_and_bound(g: WeightedGraph) -> IndependentSet:
            avail_weight - mask_weight(closed))
         bb(avail ^ pick, cur_weight, cur_mask, avail_weight - bit_w[pick])
 
-    bb((1 << g.n) - 1, 0, 0, sum(w))
+    bb((1 << g.n) - 1, 0, 0, g.total_weight())
     members = frozenset(g.nodes[i] for i in range(g.n) if best_mask >> i & 1)
     return IndependentSet(members, best_weight)
 
@@ -636,7 +642,7 @@ def _branch_and_bound(g: WeightedGraph) -> IndependentSet:
 
 def save(g: WeightedGraph) -> str:
     lines = [f"{g.n} {g.m}"]
-    lines.extend(f"{v} {g.weights[v]}" for v in g.nodes)
+    lines.extend(f"{v} {wv}" for v, wv in zip(g.nodes, g.w.tolist()))
     lines.extend(f"{u} {v}" for u, v in g.edges())
     return "\n".join(lines) + "\n"
 

@@ -66,7 +66,7 @@ class LocalStatsProgram:
 
     def kernel(self, net: Net) -> list[bool]:
         every = np.ones(len(net.ids), dtype=bool)
-        deg, w = net.deg, net.weights
+        deg, w = net.deg, net.graph.w
         net.send(every, every, TAG_STATS, deg, w)
         delta = net.fold(np.maximum, deg, deg)
         s = net.fold(np.add, w, w)
@@ -92,7 +92,7 @@ def heavy_mis_approx(g: WeightedGraph, seed: int = 0, mode: str = "congest",
     members = frozenset(compress(good, in_mis))
     ok, _ = verify_mis(g, good, members)
     # a valid MIS of an induced subgraph is independent in g
-    iset = (IndependentSet(members, g.total_weight(members)) if ok
-            else IndependentSet.of(g, members))
+    weight = sum(compress(compress(g.w.tolist(), good_bits), in_mis))
+    iset = IndependentSet(members, weight) if ok else IndependentSet.of(g, members)
     return RunOutcome(iset, st1.merge(st2),
                       {"good_nodes": len(good), "mis_valid": ok})

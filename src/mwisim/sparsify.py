@@ -109,8 +109,7 @@ def compute_sampling_profile(g: WeightedGraph, lam: float, log_base: str = "two"
     and charged; without it this is the sequential profile.
     """
     scale = _scale(lam, g.n if n_upper is None else n_upper, log_base)
-    w = np.fromiter(map(g.weights.__getitem__, g.nodes), dtype=np.int64, count=g.n)
-    deg = g.degrees
+    w, deg = g.w, g.degrees
     wdeg = neighbor_reduce(g, np.add, w)
     delta = neighbor_reduce(g, np.maximum, deg, deg)
     wmax = neighbor_reduce(g, np.maximum, wdeg, wdeg)

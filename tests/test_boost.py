@@ -1,3 +1,4 @@
+import json
 import random
 import time
 from fractions import Fraction
@@ -9,8 +10,9 @@ from mwisim.algorithms import RunOutcome, as_inner, run_algorithm
 from mwisim.arb import arb_approx, arb_reduce
 from mwisim.boost import (BoostPhaseError, PhaseFrame, boost,
                           check_stack_property, phase_count, pop_stack)
+from mwisim.cli import main
 from mwisim.engine import RoundStats
-from mwisim.graphs import (GraphError, IndependentSet, WeightedGraph,
+from mwisim.graphs import (INT64_MAX, GraphError, IndependentSet, WeightedGraph,
                            brute_force_max_is, degeneracy, generate)
 from mwisim.rng import derive_seed
 
@@ -72,6 +74,32 @@ def test_reduce_overflow_detected():
     w = {0: -(2**62) - 2, 1: 2**62 + 1}
     with pytest.raises(OverflowError):
         boost_reduce(w, {1}, g)
+
+
+@pytest.mark.parametrize("mode", ["congest", "local"])
+@pytest.mark.parametrize("alg", ["boost-heavy", "arb"])
+def test_negative_residual_past_int64_only_drops_its_node(alg, mode):
+    # an odd node's two heavy neighbours announce 2(2^63 - 1) > 2^63: its
+    # residual leaves the int64 range below zero, which only drops it
+    g = weighted_path([INT64_MAX if v % 2 == 0 else 1 for v in range(9)])
+    eps = Fraction(1, 2)
+    out = run_algorithm(g, alg, {"eps": float(eps), "alpha": 1}, 0, mode)
+    assert out.iset.members == frozenset({0, 2, 4, 6, 8})
+    assert out.iset.weight == 5 * INT64_MAX == 46116860184273879035
+    assert type(out.iset.weight) is int
+    assert (1 + eps) * g.max_degree * out.iset.weight >= brute_force_max_is(g).weight
+    assert check_stack_property(g, out.iset, out.stack)
+    assert [f.pushed_weights for f in out.stack] == [dict.fromkeys(range(0, 9, 2), INT64_MAX)]
+
+
+@pytest.mark.parametrize("alg", ["boost-heavy", "arb"])
+def test_negative_residual_past_int64_exits_0_from_the_cli(alg, tmp_path, capsys):
+    path = tmp_path / "big.g"
+    path.write_text(f"3 2\n0 {INT64_MAX}\n1 1\n2 {INT64_MAX}\n0 1\n1 2\n")
+    assert main(["run", "--graph", str(path), "--alg", alg, "--mode", "local",
+                 "--eps", "0.5", "--alpha", "1", "--seeds", "0"]) == 0
+    rec = json.loads(capsys.readouterr().out)
+    assert rec["result"]["weight"] == 2 * INT64_MAX and rec["result"]["size"] == 2
 
 
 # ----------------------------------------------------------------- the stack
@@ -253,8 +281,8 @@ def test_residuals_match_sequential_reduction():
             base = generate("gnp", {"n": n, "p": min(1.0, rng.uniform(3, 12) / n)},
                             ("uniform_range", "heavy_tail")[k % 2],
                             derive_seed(0x5EF, k))
-            g = base.induced(base.nodes, {v: 0 if rng.random() < 0.2 else w
-                                          for v, w in base.weights.items()})
+            g = base.induced(base.nodes, [0 if rng.random() < 0.2 else w
+                                          for w in base.w.tolist()])
             observed = []
 
             def recorder(g_sub, seed, n_upper):
@@ -271,7 +299,8 @@ def test_residuals_match_sequential_reduction():
             replay = iter(observed)
             w = g.weights
             for frame in r.stack:
-                mirror = g.induced([v for v in g.nodes if w[v] > 0], w)
+                mirror = g.induced([v for v in g.nodes if w[v] > 0],
+                                   [w[v] for v in g.nodes])
                 if cap is not None:
                     mirror = mirror.induced(compress(mirror.nodes,
                                                      mirror.degrees <= cap))

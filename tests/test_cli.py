@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -243,6 +244,31 @@ def test_dump_stack_flag(capsys):
     assert [f["phase"] for f in stack] == list(range(1, len(stack) + 1))
     assert all(f["members"] for f in stack)
     assert all(set(f) == {"phase", "members", "pushed_weights"} for f in stack)
+
+
+# sha256 of each record's diagnostics.stack (JSON, sorted keys), seeds 0 and 1
+STACK_DIGESTS = {
+    "boost-heavy": ("0c9ec0d3f1549ac85273c66b481926f7aced69380ec75afe2ee709953acaf5c8",
+                    "0c9ec0d3f1549ac85273c66b481926f7aced69380ec75afe2ee709953acaf5c8"),
+    "boost-sparse": ("0c9ec0d3f1549ac85273c66b481926f7aced69380ec75afe2ee709953acaf5c8",
+                     "00818a52951f05dcb719108249ef2844ab9eda1a812571106bf972a4a534622a"),
+    "fastld": ("22185777cc50f0ddbc48d641865e273513eb7c29cece5d396f7d77632194dfc1",
+               "adbc58f77de0fa105f9a5b4c35ade355251cd19d0a3826d71214a643d01d84d2"),
+    "arb": ("d13e0c1bcf76106adcbdaa5375f142cdcb34e8954747840be59b2f5d43bfe11d",
+            "8a21a1c1f295fce289a575a946bfc4c6e5158192626d5e6a8e7a69050fe5fd3b"),
+}
+
+
+@pytest.mark.parametrize("alg", sorted(STACK_DIGESTS))
+def test_dump_stack_is_pinned(alg, capsys):
+    assert run_cli(["run", "--family", "gnp", "--n", "24", "--p", "0.2",
+                    "--weights", "heavy_tail", "--graph-seed", "2", "--alg", alg,
+                    "--alpha", "3", "--eps", "0.5", "--seeds", "0:2",
+                    "--dump-stack"]) == 0
+    stacks = [json.loads(line)["diagnostics"]["stack"]
+              for line in capsys.readouterr().out.splitlines()]
+    assert tuple(hashlib.sha256(json.dumps(s, sort_keys=True).encode()).hexdigest()
+                 for s in stacks) == STACK_DIGESTS[alg]
 
 
 def test_directory_paths_are_usage_errors(tmp_path, capsys):

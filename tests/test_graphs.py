@@ -103,15 +103,20 @@ def test_is_independent_equals_an_edge_scan():
 
 def test_induced_keeps_ids_and_reweights():
     g = unit(range(4), [(0, 1), (1, 2), (2, 3)])
-    h = g.induced([1, 2, 3], weights={1: 9, 2: 8, 3: 7, 0: 0})
+    h = g.induced([1, 2, 3], weights=[0, 9, 8, 7])  # by position in g.nodes
     assert h.nodes == (1, 2, 3)
     assert h.adj[1] == (2,)
     assert h.weights == {1: 9, 2: 8, 3: 7}
+    assert h.w.tolist() == [9, 8, 7] and h.w.dtype == np.int64
+    with pytest.raises(ValueError):
+        h.w[0] = 1  # read-only, like the CSR
+    with pytest.raises(TypeError):
+        h.weights[1] = 1  # read-only mapping
 
 
 def _induced_reference(g, subset, weights):
     sub = set(subset)
-    src = g.weights if weights is None else weights
+    src = g.weights if weights is None else dict(zip(g.nodes, weights))
     return WeightedGraph(sub, [(u, v) for u, v in g.edges() if u in sub and v in sub],
                          {v: src[v] for v in sub})
 
@@ -137,13 +142,14 @@ def test_induced_equals_validated_construction(name, kind, reweight):
     keep = {"empty": 0.0, "full": 1.0, "half": 0.5, "most": 0.8}[kind]
     subset = [v for v in g.nodes if rng.random() < keep]
     rng.shuffle(subset)
-    # replacement weights may cover more nodes than the subset
-    weights = ({v: rng.choice([0, 1, rng.randrange(INT64_MAX), INT64_MAX])
-                for v in g.nodes} if reweight else None)
+    # replacement weights cover every node of g, by position
+    weights = ([rng.choice([0, 1, rng.randrange(INT64_MAX), INT64_MAX])
+                for _ in g.nodes] if reweight else None)
     h = g.induced(iter(subset), weights)
     ref = _induced_reference(g, subset, weights)
     assert h == ref
     assert list(h.weights) == list(ref.weights) == list(h.nodes)
+    assert h.w.tolist() == list(ref.weights.values())
     assert h.max_degree == ref.max_degree and h.m == ref.m
     for got, want in zip(h.csr(), ref.csr()):
         assert got.dtype == want.dtype == np.int64
@@ -157,18 +163,25 @@ def test_induced_rejects_unknown_nodes():
         g.induced([0, 7, -1])
 
 
-@pytest.mark.parametrize("bad", [-1, 1.5, True, 2**63, None])
+@pytest.mark.parametrize("bad", [-1, 1.5, True, 2**63, None, np.int64(3)])
 def test_induced_rejects_bad_weights_like_the_constructor(bad):
     g = generate("path", {"n": 4}, "unit", 0)
-    weights = {0: 5, 1: 6, 2: bad, 3: 7}
-    if bad is None:
-        del weights[2]
+    weights = [5, 6, bad, 7]
     with pytest.raises(GraphError) as want:
-        WeightedGraph([1, 2, 3], [], weights)
+        WeightedGraph([1, 2, 3], [], dict(zip(g.nodes, weights)))
     with pytest.raises(GraphError) as got:
         g.induced([1, 2, 3], weights)
     assert str(got.value) == str(want.value)
     assert g.induced([0, 1], weights).weights == {0: 5, 1: 6}  # node 2 left out
+    # only the kept nodes' weights are read, whatever the others hold
+    assert g.induced([0, 3], [5, -2**70, object(), 7]).w.tolist() == [5, 7]
+
+
+@pytest.mark.parametrize("count", [0, 3, 5])
+def test_induced_wants_one_weight_per_parent_node(count):
+    g = generate("path", {"n": 4}, "unit", 0)
+    with pytest.raises(GraphError, match=f"^expected 4 weights by position, got {count}$"):
+        g.induced([1, 2], [1] * count)
 
 
 # --------------------------------------------------------------- generators
@@ -502,7 +515,7 @@ def test_new_graphs_start_with_empty_caches():
     assert g._opt is not None and g._degeneracy is not None
     assert g.induced(g.nodes) is g  # the same graph, caches included
     for h in (g.induced(g.nodes[1:]),
-              g.induced(g.nodes, {v: 1 for v in g.nodes}),
+              g.induced(g.nodes, [1] * g.n),
               generate("gnp", {"n": 20, "p": 0.3}, "uniform_range", 2),
               load(save(g))):
         assert h._opt is None and h._degeneracy is None and h._adj is None

@@ -47,9 +47,9 @@ def test_stats_examples():
     assert stats[0] == (3, 3, 4)   # center
     assert stats[1] == (1, 3, 2)   # leaf
     # a leaf of weight 1 beside a center of weight 7: s = 8 = 2 * (3 + 1) * 1
-    heavy_center = star.induced(star.nodes, {0: 7, 1: 1, 2: 1, 3: 2})
+    heavy_center = star.induced(star.nodes, [7, 1, 1, 2])
     assert good_nodes(heavy_center) == frozenset({0, 1, 2, 3})
-    heavier_center = star.induced(star.nodes, {0: 8, 1: 1, 2: 1, 3: 2})
+    heavier_center = star.induced(star.nodes, [8, 1, 1, 2])
     assert good_nodes(heavier_center) == frozenset({0, 3})
 
 

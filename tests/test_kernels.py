@@ -77,7 +77,7 @@ weights = st.one_of(st.integers(0, 10**6),
 def test_kernels_equal_the_interpreter(n, p, graph_seed, ws, seed, mode,
                                        max_rounds, n_upper):
     base = generate("gnp", {"n": n, "p": p}, "unit", graph_seed)
-    g = base.induced(base.nodes, {v: ws[v] for v in base.nodes})
+    g = base.induced(base.nodes, ws[:base.n])
     rng = random.Random(graph_seed)
     sub = [v for v in g.nodes if rng.random() < 0.8]
     for program in programs(g, rng):
@@ -142,7 +142,9 @@ def test_63_bit_weights(n, p, graph_seed, ws, seed):
     # n <= 4 keeps the CONGEST budget at 32 or 64 bits, below one 63-bit
     # weight plus its headers
     g = generate("gnp", {"n": n, "p": p}, "unit", graph_seed)
-    g = g.induced(g.nodes, {v: ws[v] for v in g.nodes})
+    g = g.induced(g.nodes, ws[:g.n])
+    # totals are exact Python ints: four weights near 2^63 overflow an int64 sum
+    assert g.total_weight() == sum(ws[:n]) and type(g.total_weight()) is int
     kernels = _algorithm_runs([g])
     with interpreted():
         assert _algorithm_runs([g]) == kernels
@@ -167,8 +169,23 @@ def test_63_bit_weights(n, p, graph_seed, ws, seed):
     # LOCAL mode: exact, whatever the sum
     kind, iset, *_ = heavy_run["local"]
     assert kind == "ok"
-    assert iset.weight == sum(g.weights[v] for v in iset.members)
-    assert type(iset.weight) is int
+    for alg, mode, (kind, *rest) in kernels:
+        if kind != "ok":
+            continue
+        iset, _, _, stack = rest
+        assert iset.weight == sum(ws[v] for v in iset.members)  # id v is position v
+        assert type(iset.weight) is int
+        if mode == "local" and stack is not None:
+            total = sum(f.pushed_total() for f in stack)
+            assert total == sum(w for f in stack for w in f.pushed_weights.values())
+            assert type(total) is int and iset.weight >= total
+            # phase 1 pushes original weights
+            assert stack[0].pushed_weights == {v: ws[v] for v in stack[0].members}
+    # no boost-heavy, fastld or arb run is refused in LOCAL mode: a residual
+    # past int64 is negative and only drops its node (the sampler's weighted
+    # degree is a message field, so the sparse runs may still be refused)
+    assert all(kind == "ok" for alg, mode, (kind, *_) in kernels
+               if mode == "local" and "sparse" not in alg)
 
 
 def test_local_heavy_weight_past_int64_is_stored_exactly(tmp_path):
@@ -252,6 +269,25 @@ def test_message_sizes_equal_message_size_bits(tag, case):
         return
     sizes = _message_sizes(tag, fields, count)
     assert sizes.dtype == np.int64 and sizes.tolist() == want
+
+
+def test_no_run_path_reads_the_id_keyed_weights(monkeypatch):
+    def refuse(g):
+        raise AssertionError("a run path read WeightedGraph.weights")
+
+    monkeypatch.setattr(WeightedGraph, "weights", property(refuse))
+    params = {"n": 24, "p": 0.2}
+    source = GraphSource.generator("gnp", params, "heavy_tail", 3)
+    g = source.build()
+    for mode in ("congest", "local"):
+        for alg in ALGORITHMS:
+            assert run_algorithm(g, alg, PARAMS, seed=7, mode=mode).iset.weight > 0
+            rec = make_record(g, source, alg, PARAMS, 7, mode=mode, oracle=True,
+                              dump_stack=True)
+            assert rec["oracle"]["opt"] >= rec["result"]["weight"]
+    assert save(g).startswith("24 ")
+    with pytest.raises(AssertionError, match="read WeightedGraph.weights"):
+        g.weights
 
 
 def test_kernels_and_graph_queries_build_no_adjacency_tuples():
