@@ -22,7 +22,11 @@ node's halting ``StepResult.output`` carried.
 A program runs in one of two forms with identical outputs, ``RoundStats``
 and errors, under any ``node_order``. Both open their rounds through one
 ``Net``, the run's round ledger: ``Net.send`` applies the round limit and
-the CONGEST check and charges every round, for both forms alike. A
+the CONGEST check and charges every round, for both forms alike. It
+sizes a round by its largest message: with at most one field that is the
+field's largest value among senders with a neighbor, since a message never
+shrinks when a field grows, and per-sender sizes are built only for two or
+more fields, a field that may be out of range, or a round over budget. A
 program's ``kernel``, if it has one, computes each whole round with numpy
 arrays over ``g.csr()``, drawing the same stream words in bulk. The
 per-node interpreter (``init``/``step`` on each node in turn) is the
@@ -42,7 +46,7 @@ import numpy as np
 
 from .graphs import INT64_MAX, IndependentSet, WeightedGraph, neighbor_reduce
 from .rng import derive_seeds, node_rng, stream_randints, stream_words
-from .wire import LEN_BITS, TAG_BITS, Message
+from .wire import LEN_BITS, TAG_BITS, Message, to_limbs
 
 if TYPE_CHECKING:
     from .boost import PhaseFrame
@@ -208,6 +212,7 @@ class Net:
         self.n_upper = n_upper
         self.indptr, self.nbr = graph.csr()
         self.deg = graph.degrees
+        self._talks = self.deg > 0
         self.stats = RoundStats(budget_bits=budget)
         self._seed = seed
         self._seeds: np.ndarray | None = None
@@ -232,16 +237,28 @@ class Net:
         """End a step: nodes in ``active`` keep running, and each node in
         ``senders`` (a subset) broadcasts ``Message(tag, its field values)``.
 
-        Then, if any node is active, the next round opens: the round limit
-        (naming the active nodes in position order), the CONGEST check (the
-        first sender over budget by position, named with its first
-        neighbor), and a charge of deg(sender) messages per sender.
-        ``sizes`` (bits per sender, in position order) stands in for
-        ``fields`` when senders' messages have different field counts.
+        Every sender's fields are checked first, even if no node is active:
+        a value outside [0, 2^63) raises the ``WireError`` that the first
+        such sender's ``Message`` raises. Then, if any node is active, the
+        next round opens: the round limit (naming the active nodes in
+        position order), the CONGEST check (the first sender over budget by
+        position, named with its first neighbor), and a charge of
+        deg(sender) messages per sender. ``sizes`` (bits per sender, in
+        position order) stands in for ``fields`` when senders' messages
+        have different field counts.
+
+        A message's size never falls when a field grows, so the round's
+        largest message among senders with a neighbor is sized from each
+        field's maximum when there is at most one field: ``TAG_BITS`` with
+        none, one Python ``bit_length`` with one. Per-sender sizes are
+        built only for two or more fields, a field that may be out of
+        range, or a round over budget, where they name the offender.
         """
         idx = senders.nonzero()[0]
-        if sizes is None:
-            sizes = _message_sizes(tag, [np.asarray(f)[idx] for f in fields], idx.size)
+        fields = [np.asarray(f)[idx] for f in fields]
+        if sizes is None and (len(fields) > 1 or any(
+                f.dtype == object or (idx.size and f.min() < 0) for f in fields)):
+            sizes = _message_sizes(tag, fields, idx.size)
         if not active.any():
             return
         stats = self.stats
@@ -249,21 +266,39 @@ class Net:
             raise RoundLimitExceeded([self.ids[i] for i in np.flatnonzero(active)],
                                      stats)
         round_no = stats.rounds + 1
-        deg = self.deg[idx]
-        sizes = sizes[deg > 0]
+        talk = self._talks[idx]  # senders with a neighbor: their messages go out
+        msgs = int(self.deg[idx].sum())
+        if sizes is not None:
+            sizes = sizes[talk]
+            top = int(sizes.max(initial=0))
+        elif not msgs:
+            top = 0
+        else:
+            top = TAG_BITS + sum(LEN_BITS + max(1, int(f[talk].max()).bit_length())
+                                 for f in fields)
         budget = stats.budget_bits
-        if budget is not None:
-            over = (sizes > budget).nonzero()[0]
-            if over.size:
-                u = int(idx[deg > 0][over[0]])
-                raise CongestViolation(self.ids[u], self.ids[self.nbr[self.indptr[u]]],
-                                       round_no, int(sizes[over[0]]), budget)
-        msgs = int(deg.sum())
+        if budget is not None and top > budget:
+            if sizes is None:
+                sizes = _message_sizes(tag, fields, idx.size)[talk]
+            first = int((sizes > budget).argmax())
+            u = int(idx[talk][first])
+            raise CongestViolation(self.ids[u], self.ids[self.nbr[self.indptr[u]]],
+                                   round_no, int(sizes[first]), budget)
         stats.rounds = round_no
         stats.messages_sent += msgs
         stats.per_round_messages.append(msgs)
-        stats.max_message_bits = max(stats.max_message_bits, int(sizes.max(initial=0)))
+        stats.max_message_bits = max(stats.max_message_bits, top)
         self._sent = senders
+
+    def send_limbs(self, active: np.ndarray, senders: np.ndarray, tag: int,
+                   values: np.ndarray) -> None:
+        """``send`` of one value per node that may pass 63 bits: each sender's
+        message is ``Message(tag, wire.to_limbs(value))``, which is the one
+        field ``value`` while ``values`` is an int64 array."""
+        if values.dtype != object:
+            return self.send(active, senders, tag, values)
+        self.send(active, senders, tag, sizes=np.array(
+            [Message(tag, to_limbs(v)).size_bits for v in values[senders]], np.int64))
 
     def fold(self, ufunc: np.ufunc, values, initial=None) -> np.ndarray:
         """``ufunc`` (``np.add`` or ``np.maximum``) over ``values`` of each

@@ -51,7 +51,7 @@ class WeightedGraph:
     are stored by position too (read-only int64, each in [0, INT64_MAX]),
     as are new weights for ``induced``; totals are exact Python ints.
 
-    Four facts are computed on first use and then cached on the graph,
+    Five facts are computed on first use and then cached on the graph,
     which is safe only because nothing changes a graph after it is built
     (the generators return new graphs with empty caches, and so does
     ``induced``, except that the whole node set with the same weights is
@@ -61,13 +61,14 @@ class WeightedGraph:
       ids; it is derived from the CSR on first read, and only the sequential
       walks read it (checks such as ``is_independent`` read the CSR);
     * ``weights``, ``w`` as a read-only mapping by id, for the sequential mirrors;
+    * the rows with entries and their starts in ``nbr`` (``neighbor_reduce``);
     * the degeneracy (``degeneracy(g)``);
     * the exact optimum (``brute_force_max_is(g)``), so a seed sweep over
       one graph solves it once.
     """
 
-    __slots__ = ("nodes", "w", "degrees", "max_degree", "_ids", "_csr", "_adj",
-                 "_weights", "_degeneracy", "_opt")
+    __slots__ = ("nodes", "w", "degrees", "max_degree", "_ids", "_csr", "_rows",
+                 "_adj", "_weights", "_degeneracy", "_opt")
 
     def __init__(self, nodes: Iterable[int], edges: Iterable[tuple[int, int]],
                  weights: Mapping[int, int]):
@@ -106,6 +107,7 @@ class WeightedGraph:
         self.degrees, self._ids, self.w = _read_only(deg, ids, w)
         self.max_degree: int = int(np.maximum.reduce(deg, initial=0))
         self._csr: tuple[np.ndarray, np.ndarray] = _read_only(indptr, nbr)
+        self._rows: tuple[slice | np.ndarray, np.ndarray] | None = None
         self._adj: dict[int, tuple[int, ...]] | None = None
         self._weights: Mapping[int, int] | None = None
         self._degeneracy: int | None = None
@@ -115,6 +117,18 @@ class WeightedGraph:
     def csr(self) -> tuple[np.ndarray, np.ndarray]:
         """``(indptr, nbr)``: the adjacency by node position (class docstring)."""
         return self._csr
+
+    def _row_starts(self) -> tuple[slice | np.ndarray, np.ndarray]:
+        """The rows with entries and their starts in ``nbr``, for
+        ``neighbor_reduce``: ``reduceat`` gives a row with no entries its
+        next row's first value, so such rows are left out. Derived on first
+        use; when no row is empty it is every row, with no index array."""
+        if self._rows is None:
+            indptr = self._csr[0]
+            rows = self.degrees.nonzero()[0]
+            self._rows = ((slice(None), indptr[:-1]) if rows.size == self.n
+                          else (rows, indptr[rows]))
+        return self._rows
 
     @property
     def adj(self) -> dict[int, tuple[int, ...]]:
@@ -305,22 +319,29 @@ def neighbor_reduce(g: WeightedGraph, ufunc: np.ufunc, values: Sequence[int],
     ``values``, ``initial`` and the result are in ``g.nodes`` order (lists or
     arrays): node i gets ``initial[i]`` (0 when not given) combined with the
     values of all its neighbors. The result is an int64 array when no sum
-    over a closed neighborhood can leave its range, and an array of Python
-    integers (``dtype=object``) otherwise.
+    over a closed neighborhood can leave its range (always, for
+    ``np.maximum`` over int64 arrays), and an array of Python integers
+    (``dtype=object``) otherwise.
     """
-    top = _max_abs(values)
-    if initial is not None:
-        top = max(top, _max_abs(initial))
-    dtype = np.int64 if top * (g.max_degree + 1) <= INT64_MAX else object
+    if (ufunc is np.maximum and _is_int64(values)
+            and (initial is None or _is_int64(initial))):
+        dtype = np.int64  # a maximum of int64 values is one of them
+    else:
+        top = _max_abs(values)
+        if initial is not None:
+            top = max(top, _max_abs(initial))
+        dtype = np.int64 if top * (g.max_degree + 1) <= INT64_MAX else object
     vals = np.asarray(values, dtype=dtype)
     out = (np.zeros(g.n, dtype=dtype) if initial is None
            else np.array(initial, dtype=dtype))
-    indptr, nbr = g.csr()
-    # reduceat gives a row with no entries its next row's first value
-    rows = (indptr[1:] > indptr[:-1]).nonzero()[0]
-    if rows.size:
-        out[rows] = ufunc(out[rows], ufunc.reduceat(vals[nbr], indptr[rows]))
+    rows, starts = g._row_starts()
+    if starts.size:
+        out[rows] = ufunc(out[rows], ufunc.reduceat(vals[g._csr[1]], starts))
     return out
+
+
+def _is_int64(values) -> bool:
+    return isinstance(values, np.ndarray) and values.dtype == np.int64
 
 
 def _max_abs(values) -> int:

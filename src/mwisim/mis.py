@@ -97,9 +97,10 @@ class LubyProgram:
 def greedy_mis(g: WeightedGraph, order: Iterable[int] | None = None) -> IndependentSet:
     """Sequential greedy MIS: scan ``order`` (default: ids ascending) and add
     each node unless a neighbor is already in."""
+    adj = g.adj
     chosen: set[int] = set()
     for v in g.nodes if order is None else order:
-        if not any(u in chosen for u in g.adj[v]):
+        if not any(u in chosen for u in adj[v]):
             chosen.add(v)
     return IndependentSet.of(g, chosen)
 

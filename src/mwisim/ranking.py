@@ -22,11 +22,10 @@ import numpy as np
 
 from .engine import Net, NodeContext, RunOutcome, StepResult, run
 from .graphs import GraphError, IndependentSet, WeightedGraph
-from .wire import Message
+from .wire import FIELD_BITS, Message, from_limbs, to_limbs
 
 TAG_RANK = 6
 
-_LIMB_BITS = 63
 _MAX_RANK_LIMBS = 64
 PERM_CHECK_CAP = 9
 
@@ -42,28 +41,11 @@ def rank_range(n_upper: int, c: int) -> int:
     # a CONGEST budget carries.
     n = max(n_upper, 2)
     bits = 7 + (c + 2) * n.bit_length()
-    if bits > _MAX_RANK_LIMBS * _LIMB_BITS:
+    if bits > _MAX_RANK_LIMBS * FIELD_BITS:
         raise GraphError(f"rank constant c={c} needs ranks of up to {bits} "
                          f"bits for n={n_upper}; the limit is "
-                         f"{_MAX_RANK_LIMBS} limbs of {_LIMB_BITS} bits")
+                         f"{_MAX_RANK_LIMBS} limbs of {FIELD_BITS} bits")
     return 100 * n ** (c + 2)
-
-
-def _rank_to_limbs(rank: int) -> tuple[int, ...]:
-    """Split a rank into 63-bit wire limbs, least significant first."""
-    limbs = []
-    while True:
-        limbs.append(rank & ((1 << _LIMB_BITS) - 1))
-        rank >>= _LIMB_BITS
-        if not rank:
-            return tuple(limbs)
-
-
-def _limbs_to_rank(limbs: Sequence[int]) -> int:
-    rank = 0
-    for limb in reversed(limbs):
-        rank = (rank << _LIMB_BITS) | limb
-    return rank
 
 
 @dataclass(frozen=True)
@@ -77,13 +59,13 @@ class BoppanaProgram:
     def init(self, ctx: NodeContext, rng) -> StepResult:
         rank = rng.randint(1, rank_range(ctx.n_upper, self.c))
         return StepResult(state=rank,
-                          outbox=Message(TAG_RANK, _rank_to_limbs(rank)))
+                          outbox=Message(TAG_RANK, to_limbs(rank)))
 
     def step(self, state, ctx: NodeContext, inbox, rng) -> StepResult:
         rank = state
         for msg in inbox.values():
             vals = msg.values
-            other = vals[0] if len(vals) == 1 else _limbs_to_rank(vals)
+            other = vals[0] if len(vals) == 1 else from_limbs(vals)
             if other >= rank:
                 return StepResult(halt=True, output=False)
         return StepResult(halt=True, output=True)
@@ -91,20 +73,16 @@ class BoppanaProgram:
     def kernel(self, net: Net) -> list[bool]:
         ranks = net.randints(1, rank_range(net.n_upper, self.c))
         every = np.ones(len(ranks), dtype=bool)
-        if ranks.dtype == object:  # wider than 63 bits: several limbs
-            sizes = np.array([Message(TAG_RANK, _rank_to_limbs(r)).size_bits
-                              for r in ranks], dtype=np.int64)
-            net.send(every, every, TAG_RANK, sizes=sizes)
-        else:
-            net.send(every, every, TAG_RANK, ranks)
+        net.send_limbs(every, every, TAG_RANK, ranks)
         # ranks are >= 1, so a node without neighbors compares against 0
         return (ranks > net.fold(np.maximum, ranks)).tolist()
 
 
 def rank_rule(g: WeightedGraph, ranks: dict[int, int]) -> frozenset[int]:
     """The strict-max membership rule applied to a full rank assignment."""
+    adj = g.adj
     return frozenset(v for v in g.nodes
-                     if all(ranks[v] > ranks[u] for u in g.adj[v]))
+                     if all(ranks[v] > ranks[u] for u in adj[v]))
 
 
 def boppana_once(g: WeightedGraph, c: int = 2, seed: int = 0,
@@ -116,10 +94,11 @@ def boppana_once(g: WeightedGraph, c: int = 2, seed: int = 0,
 
 def _seq_rule(g: WeightedGraph, perm: Sequence[int]) -> frozenset[int]:
     """Keep each node of ``perm``, in order, iff no neighbor came earlier."""
+    adj = g.adj
     processed: set[int] = set()
     chosen: set[int] = set()
     for v in perm:
-        if not any(u in processed for u in g.adj[v]):
+        if not any(u in processed for u in adj[v]):
             chosen.add(v)
         processed.add(v)
     return frozenset(chosen)

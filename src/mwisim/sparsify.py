@@ -25,7 +25,7 @@ from .engine import Net, NodeContext, RunOutcome, StepResult, run
 from .graphs import GraphError, WeightedGraph, check_real, neighbor_reduce
 from .heavy import heavy_mis_approx
 from .rng import derive_seed, node_uniforms
-from .wire import Message
+from .wire import Message, from_limbs, to_limbs
 
 TAG_DEGW = 7
 TAG_WDEG = 8
@@ -61,7 +61,9 @@ def _clamped(weight: int, delta: int, wmax: int, scale: float) -> float:
 
 @dataclass(frozen=True)
 class ProfileProgram:
-    """Round 1: exchange (degree, weight). Round 2: exchange weighted degree.
+    """Round 1: exchange (degree, weight). Round 2: exchange weighted degree,
+    as 63-bit limbs (``wire.to_limbs``), since a sum of weights can pass
+    2^63 - 1.
 
     Each node's output is its sampling probability p(v)."""
 
@@ -83,12 +85,16 @@ class ProfileProgram:
                     delta = d
                 wdeg += w
             return StepResult(state=(delta, wdeg),
-                              outbox=Message(TAG_WDEG, (wdeg,)))
+                              outbox=Message(TAG_WDEG, to_limbs(wdeg)))
         delta, wdeg = state
         wmax = wdeg
         for msg in inbox.values():
-            if msg.values[0] > wmax:
-                wmax = msg.values[0]
+            try:  # one limb, unless the sum passed 63 bits
+                (other,) = msg.values
+            except ValueError:
+                other = from_limbs(msg.values)
+            if other > wmax:
+                wmax = other
         p = sampling_probability(ctx.weight, delta, wmax, self.lam,
                                  ctx.n_upper, self.log_base)
         return StepResult(halt=True, output=p)
@@ -116,7 +122,7 @@ def compute_sampling_profile(g: WeightedGraph, lam: float, log_base: str = "two"
     if net is not None:
         every = np.ones(g.n, dtype=bool)
         net.send(every, every, TAG_DEGW, deg, w)
-        net.send(every, every, TAG_WDEG, wdeg)
+        net.send_limbs(every, every, TAG_WDEG, wdeg)
     return [_clamped(wv, d, wm, scale)
             for wv, d, wm in zip(w.tolist(), delta.tolist(), wmax.tolist())]
 

@@ -5,16 +5,18 @@ The canonical encoding is self-delimiting: tag, then for each field a 6-bit
 bit-length header followed by the field's bits. ``size_bits`` is the exact
 length of that encoding, which is what the CONGEST budget check consumes.
 Values must stay below 2^63, matching the model assumption that node
-weights and identifiers are polynomially bounded.
+weights and identifiers are polynomially bounded; a wider value, such as a
+rank or a sum of weights, travels as 63-bit limbs (``to_limbs``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 TAG_BITS = 4
 LEN_BITS = 6
-_MAX_FIELD_BITS = 63
+FIELD_BITS = 63
 
 
 class WireError(ValueError):
@@ -25,8 +27,8 @@ def _field_bits(value: int) -> int:
     if value < 0:
         raise WireError(f"message fields must be non-negative, got {value}")
     width = max(1, value.bit_length())
-    if width > _MAX_FIELD_BITS:
-        raise WireError(f"message field {value} exceeds {_MAX_FIELD_BITS} bits")
+    if width > FIELD_BITS:
+        raise WireError(f"message field {value} exceeds {FIELD_BITS} bits")
     return width
 
 
@@ -56,6 +58,27 @@ class Message:
             length += LEN_BITS + w
         pad = (-length) % 8
         return (acc << pad).to_bytes((length + pad) // 8, "big")
+
+
+def to_limbs(value: int) -> tuple[int, ...]:
+    """Split a non-negative integer into ``FIELD_BITS``-bit fields, least
+    significant first: one field when it fits in one."""
+    if value < 0:
+        raise WireError(f"message fields must be non-negative, got {value}")
+    limbs = []
+    while True:
+        limbs.append(value & ((1 << FIELD_BITS) - 1))
+        value >>= FIELD_BITS
+        if not value:
+            return tuple(limbs)
+
+
+def from_limbs(limbs: Sequence[int]) -> int:
+    """Inverse of ``to_limbs``."""
+    value = 0
+    for limb in reversed(limbs):
+        value = (value << FIELD_BITS) | limb
+    return value
 
 
 def decode(payload: bytes, n_fields: int) -> Message:

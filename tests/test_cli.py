@@ -175,6 +175,20 @@ def test_congest_violation_exit_code(tmp_path, capsys):
     assert "budget" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("alg", ["sparse", "boost-sparse"])
+def test_weighted_degree_past_63_bits_runs_in_local_mode(alg, tmp_path, capsys):
+    # the middle node's weighted degree is 2^64 - 2: it goes out as two limbs
+    path = tmp_path / "big.g"
+    big = 2**63 - 1
+    path.write_text(f"3 2\n0 {big}\n1 1\n2 {big}\n0 1\n1 2\n")
+    assert run_cli(["run", "--graph", str(path), "--alg", alg, "--mode", "local",
+                    "--eps", "0.5", "--seeds", "0"]) == 0
+    rec = json.loads(capsys.readouterr().out)
+    assert rec["result"]["weight"] == 2 * big and rec["result"]["size"] == 2
+    # 2^64 - 2 is the limbs (2^63 - 2, 1): 4 + (6 + 63) + (6 + 1) bits
+    assert rec["result"]["max_message_bits"] == 80
+
+
 @pytest.mark.parametrize("alg", [["boppana"], ["fastld", "--eps", "0.5"]])
 def test_huge_rank_constant_exit_code(alg, capsys):
     assert run_cli(["run", "--family", "gnp", "--n", "20", "--p", "0.2",

@@ -415,6 +415,70 @@ def test_neighbor_reduce_is_exact_beyond_int64():
     assert out.tolist() == [3 * top, 2 * top, 2 * top]
 
 
+def fold_by_rows(g, ufunc, values, initial=None):
+    """``neighbor_reduce`` as a Python loop over each row of the CSR."""
+    op = {np.add: lambda a, b: a + b, np.maximum: max}[ufunc]
+    indptr, nbr = g.csr()
+    out = []
+    for i in range(g.n):
+        acc = 0 if initial is None else int(initial[i])
+        for j in nbr[indptr[i]:indptr[i + 1]].tolist():
+            acc = op(acc, int(values[j]))
+        out.append(acc)
+    return out
+
+
+def assert_folds_by_rows(g, values, initial):
+    for ufunc in (np.add, np.maximum):
+        for init in (None, initial):
+            got = neighbor_reduce(g, ufunc, values, init)
+            assert got.tolist() == fold_by_rows(g, ufunc, values, init)
+
+
+ISOLATED_AT = {"first": [(1, 2), (2, 3), (3, 4)], "middle": [(0, 1), (3, 4)],
+               "last": [(0, 1), (1, 2), (2, 3)], "none": [(0, 1), (1, 2), (3, 4)],
+               "all": []}
+
+
+@pytest.mark.parametrize("where", ISOLATED_AT)
+def test_neighbor_reduce_equals_a_fold_by_rows(where):
+    g = WeightedGraph(range(5), ISOLATED_AT[where], {v: 1 for v in range(5)})
+    values = np.array([5, -3, INT64_MAX, 0, 2**62], dtype=np.int64)
+    for vals in (values, values.tolist(), values.astype(object)):
+        assert_folds_by_rows(g, vals, values[::-1].copy())
+    assert_folds_by_rows(g, [INT64_MAX] * 5, [INT64_MAX] * 5)  # sums past int64
+    rows, starts = g._row_starts()
+    if where == "none":
+        assert rows == slice(None) and starts.tolist() == g.csr()[0][:-1].tolist()
+    else:
+        assert rows.tolist() == g.degrees.nonzero()[0].tolist()
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_neighbor_reduce_without_edges(n):
+    g = WeightedGraph(range(n), [], {v: 7 for v in range(n)})
+    assert_folds_by_rows(g, np.arange(n, dtype=np.int64), np.full(n, 3, dtype=np.int64))
+    assert neighbor_reduce(g, np.maximum, g.w).dtype == np.int64
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12), st.floats(0.0, 0.6), st.integers(0, 2**32), st.data())
+def test_induced_children_derive_their_own_row_starts(n, p, seed, data):
+    g = generate("gnp", {"n": n, "p": p}, "uniform_range", seed)
+    values = np.array(data.draw(st.lists(st.integers(0, 10**12), min_size=n,
+                                         max_size=n)), dtype=np.int64)
+    assert_folds_by_rows(g, values, values)  # fills the parent's cache
+    parent_rows = g._row_starts()
+    keep = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    child = g.induced([v for v, k in zip(g.nodes, keep) if k])
+    if child is not g:
+        assert child._rows is None
+    assert_folds_by_rows(child, values[np.array(keep)], values[np.array(keep)])
+    if child is not g:
+        assert child._row_starts() is not parent_rows
+    assert g._row_starts() is parent_rows
+
+
 # --------------------------------------------------------------- degeneracy
 
 def test_degeneracy_examples():

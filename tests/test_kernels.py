@@ -16,13 +16,13 @@ from itertools import compress
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mwisim import boost, heavy, mis, ranking, sparsify
+from mwisim import boost, engine, heavy, mis, ranking, sparsify
 from mwisim.algorithms import ALGORITHMS, run_algorithm
 from mwisim.cli import main as run_cli
-from mwisim.engine import (DEFAULT_MAX_ROUNDS, CongestViolation, EngineError,
+from mwisim.engine import (DEFAULT_MAX_ROUNDS, CongestViolation, EngineError, Net,
                            RoundLimitExceeded, RoundStats, _message_sizes,
                            message_budget_bits, run, run_on_subgraph)
 from mwisim.graphs import (INT64_MAX, WEIGHT_MODELS, IndependentSet, WeightedGraph,
@@ -181,11 +181,9 @@ def test_63_bit_weights(n, p, graph_seed, ws, seed):
             assert type(total) is int and iset.weight >= total
             # phase 1 pushes original weights
             assert stack[0].pushed_weights == {v: ws[v] for v in stack[0].members}
-    # no boost-heavy, fastld or arb run is refused in LOCAL mode: a residual
-    # past int64 is negative and only drops its node (the sampler's weighted
-    # degree is a message field, so the sparse runs may still be refused)
-    assert all(kind == "ok" for alg, mode, (kind, *_) in kernels
-               if mode == "local" and "sparse" not in alg)
+    # no run is refused in LOCAL mode: a residual past int64 is negative and
+    # only drops its node, and the sampler's weighted degree travels as limbs
+    assert all(kind == "ok" for alg, mode, (kind, *_) in kernels if mode == "local")
 
 
 def test_local_heavy_weight_past_int64_is_stored_exactly(tmp_path):
@@ -269,6 +267,93 @@ def test_message_sizes_equal_message_size_bits(tag, case):
         return
     sizes = _message_sizes(tag, fields, count)
     assert sizes.dtype == np.int64 and sizes.tolist() == want
+
+
+@st.composite
+def send_rounds(draw):
+    """One ``Net.send`` call: a graph with some isolated nodes, the
+    active and sending nodes, and 0, 1 or 2 fields by position, which may
+    hold a value outside the wire's range (at a sender or not) and may give
+    an isolated sender the round's largest value."""
+    n = draw(st.integers(1, 8))
+    # nodes outside ``linked`` are isolated, wherever they fall by position
+    linked = sorted(draw(st.lists(st.integers(0, n - 1), min_size=min(n, 2),
+                                  unique=True)))
+    pairs = [(u, v) for i, u in enumerate(linked) for v in linked[i + 1:]]
+    edges = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True)) if pairs else []
+    g = WeightedGraph(range(n), edges, {v: 1 for v in range(n)})
+    senders = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    active = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    if draw(st.integers(0, 3)) == 0:  # a final round: no node goes on
+        active[:] = False
+    value = st.one_of(st.sampled_from(EDGE_VALUES), st.integers(0, INT64_MAX))
+    fields = []
+    for _ in range(draw(st.integers(0, 2))):
+        col = draw(st.lists(value, min_size=n, max_size=n))
+        isolated = [v for v in range(n) if senders[v] and not g.degrees[v]]
+        if isolated and draw(st.booleans()):
+            col[draw(st.sampled_from(isolated))] = INT64_MAX
+        if draw(st.integers(0, 4)) == 0:
+            col[draw(st.integers(0, n - 1))] = draw(st.sampled_from(OUT_OF_RANGE))
+        in_int64 = all(-(2**63) <= v <= INT64_MAX for v in col)
+        dtype = np.int64 if in_int64 and draw(st.booleans()) else object
+        fields.append(np.array(col, dtype=dtype))
+    # sizes run from 4 bits (no field) to 4 + 2 * (6 + 63)
+    budget = draw(st.one_of(st.none(), st.integers(0, 150)))
+    return g, active, senders, draw(st.integers(0, 15)), fields, budget
+
+
+def send_by_sender(g, active, senders, tag, fields, budget):
+    """``Net.send``'s checks and charge with one ``Message`` per sender."""
+    msgs = [(u, Message(tag, tuple(int(f[u]) for f in fields)))
+            for u in senders.nonzero()[0].tolist()]
+    if not active.any():
+        return None
+    talking = [(u, m.size_bits) for u, m in msgs if g.degrees[u]]
+    for u, bits in talking:
+        if budget is not None and bits > budget:
+            raise CongestViolation(u, int(g.csr()[1][g.csr()[0][u]]), 1, bits, budget)
+    msgs_sent = sum(int(g.degrees[u]) for u, _ in msgs)
+    return 1, msgs_sent, [msgs_sent], max((bits for _, bits in talking), default=0)
+
+
+def send_once(g, active, senders, tag, fields, budget):
+    net = Net(g, g.n, 0, budget, DEFAULT_MAX_ROUNDS)
+    net.send(active, senders, tag, *fields)
+    stats = net.stats
+    return (stats.rounds, stats.messages_sent, stats.per_round_messages,
+            stats.max_message_bits) if stats.rounds else None
+
+
+# node 0 is an isolated sender with the round's largest value: it sends nothing
+_EDGE_AND_ISOLATED = WeightedGraph(range(3), [(1, 2)], {v: 1 for v in range(3)})
+_EVERY = np.ones(3, dtype=bool)
+_TOP_ISOLATED = [np.array([INT64_MAX, 1, 2**53 + 1], dtype=np.int64)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(send_rounds())
+@example((_EDGE_AND_ISOLATED, _EVERY, _EVERY, 1, _TOP_ISOLATED, None))
+@example((_EDGE_AND_ISOLATED, _EVERY, _EVERY, 1, _TOP_ISOLATED, 40))
+@example((_EDGE_AND_ISOLATED, ~_EVERY, _EVERY, 1, [np.array([1, -1, 2])], None))
+def test_send_sizes_a_round_as_its_largest_message(case):
+    # node ids are positions, so both name the same nodes
+    want = outcome(lambda: send_by_sender(*case))
+    assert outcome(lambda: send_once(*case)) == want
+
+
+def test_one_field_rounds_build_no_per_sender_sizes(monkeypatch):
+    g = generate("gnp", {"n": 40, "p": 0.2}, "uniform_range", 5)
+    selected = frozenset(g.nodes[::4])
+    programs = (mis.LubyProgram(), boost.ResidualUpdateProgram(selected, selected))
+    want = [run(g, p, mode=mode, seed=3) for p in programs for mode in ("congest", "local")]
+
+    def refuse(*args):
+        raise AssertionError("a round with at most one field built per-sender sizes")
+
+    monkeypatch.setattr(engine, "_message_sizes", refuse)
+    assert [run(g, p, mode=mode, seed=3)
+            for p in programs for mode in ("congest", "local")] == want
 
 
 def test_no_run_path_reads_the_id_keyed_weights(monkeypatch):

@@ -2,7 +2,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 import pytest
 
-from mwisim.wire import LEN_BITS, TAG_BITS, Message, WireError, decode
+from mwisim.wire import (FIELD_BITS, LEN_BITS, TAG_BITS, Message, WireError, decode,
+                         from_limbs, to_limbs)
 
 fields = st.lists(st.integers(min_value=0, max_value=(1 << 63) - 1), max_size=5)
 
@@ -36,3 +37,16 @@ def test_rejects_negative_and_oversized():
 
 def test_bigger_values_cost_more():
     assert Message(0, (1,)).size_bits < Message(0, (2**40,)).size_bits
+
+
+@given(st.integers(min_value=0, max_value=1 << 300))
+def test_limbs_roundtrip_as_fields(value):
+    limbs = to_limbs(value)
+    assert from_limbs(limbs) == value
+    assert len(limbs) == max(1, -(-value.bit_length() // FIELD_BITS))
+    Message(0, limbs)  # every limb is a valid field
+
+
+def test_limbs_refuse_a_negative_value():
+    with pytest.raises(WireError, match="non-negative"):
+        to_limbs(-1)
