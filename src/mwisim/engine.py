@@ -26,9 +26,9 @@ the CONGEST check and charges every round, for both forms alike. It
 sizes a round by its largest message: with at most one field that is the
 field's largest value among senders with a neighbor, since a message never
 shrinks when a field grows, and per-sender sizes are built only for two or
-more fields, a field that may be out of range, or a round over budget. A
-program's ``kernel``, if it has one, computes each whole round with numpy
-arrays over ``g.csr()``, drawing the same stream words in bulk. The
+more fields, or for a round over budget. A program's ``kernel``, if it has
+one, computes each whole round with numpy arrays over ``g.csr()``, drawing
+the same stream words in bulk. The
 per-node interpreter (``init``/``step`` on each node in turn) is the
 reference for program semantics: it runs when the program has no kernel,
 and whenever ``node_order`` is given, since a kernel has no processing
@@ -169,13 +169,10 @@ def _bit_lengths(a: np.ndarray) -> np.ndarray:
     return e
 
 
-def _message_sizes(tag: int, fields: Sequence[np.ndarray], count: int) -> np.ndarray:
-    """``Message(tag, (f[i] for f in fields)).size_bits`` for i < ``count``.
-
-    A field outside [0, 2^63) raises the ``WireError`` that building the
-    first such message raises, as the interpreter would when that sender
-    built it.
-    """
+def _check_fields(tag: int, fields: Sequence[np.ndarray], count: int) -> None:
+    """Raise, for the first i < ``count`` with a field outside [0, 2^63),
+    the ``WireError`` that building ``Message(tag, (f[i] for f in fields))``
+    raises, as the interpreter would when that sender built it."""
     if any(f.dtype == object or (count and f.min() < 0) for f in fields):
         bad = np.zeros(count, dtype=bool)
         for f in fields:
@@ -186,6 +183,11 @@ def _message_sizes(tag: int, fields: Sequence[np.ndarray], count: int) -> np.nda
         if bad.any():
             i = int(np.flatnonzero(bad)[0])
             Message(tag, tuple(int(f[i]) for f in fields))
+
+
+def _message_sizes(fields: Sequence[np.ndarray], count: int) -> np.ndarray:
+    """``Message(tag, (f[i] for f in fields)).size_bits``, whatever the tag,
+    for i < ``count``, for fields that ``_check_fields`` has passed."""
     if not fields:
         return np.full(count, TAG_BITS, dtype=np.int64)
     # one (fields x senders) array, so the per-call numpy cost is paid once
@@ -251,14 +253,14 @@ class Net:
         largest message among senders with a neighbor is sized from each
         field's maximum when there is at most one field: ``TAG_BITS`` with
         none, one Python ``bit_length`` with one. Per-sender sizes are
-        built only for two or more fields, a field that may be out of
-        range, or a round over budget, where they name the offender.
+        built only for two or more fields, or for a round over budget,
+        where they name the offender.
         """
         idx = senders.nonzero()[0]
         fields = [np.asarray(f)[idx] for f in fields]
-        if sizes is None and (len(fields) > 1 or any(
-                f.dtype == object or (idx.size and f.min() < 0) for f in fields)):
-            sizes = _message_sizes(tag, fields, idx.size)
+        _check_fields(tag, fields, idx.size)
+        if sizes is None and len(fields) > 1:
+            sizes = _message_sizes(fields, idx.size)
         if not active.any():
             return
         stats = self.stats
@@ -279,7 +281,7 @@ class Net:
         budget = stats.budget_bits
         if budget is not None and top > budget:
             if sizes is None:
-                sizes = _message_sizes(tag, fields, idx.size)[talk]
+                sizes = _message_sizes(fields, idx.size)[talk]
             first = int((sizes > budget).argmax())
             u = int(idx[talk][first])
             raise CongestViolation(self.ids[u], self.ids[self.nbr[self.indptr[u]]],

@@ -107,7 +107,7 @@ class WeightedGraph:
         self.degrees, self._ids, self.w = _read_only(deg, ids, w)
         self.max_degree: int = int(np.maximum.reduce(deg, initial=0))
         self._csr: tuple[np.ndarray, np.ndarray] = _read_only(indptr, nbr)
-        self._rows: tuple[slice | np.ndarray, np.ndarray] | None = None
+        self._rows: tuple[np.ndarray, np.ndarray] | None = None
         self._adj: dict[int, tuple[int, ...]] | None = None
         self._weights: Mapping[int, int] | None = None
         self._degeneracy: int | None = None
@@ -118,16 +118,14 @@ class WeightedGraph:
         """``(indptr, nbr)``: the adjacency by node position (class docstring)."""
         return self._csr
 
-    def _row_starts(self) -> tuple[slice | np.ndarray, np.ndarray]:
+    def _row_starts(self) -> tuple[np.ndarray, np.ndarray]:
         """The rows with entries and their starts in ``nbr``, for
         ``neighbor_reduce``: ``reduceat`` gives a row with no entries its
         next row's first value, so such rows are left out. Derived on first
-        use; when no row is empty it is every row, with no index array."""
+        use."""
         if self._rows is None:
-            indptr = self._csr[0]
             rows = self.degrees.nonzero()[0]
-            self._rows = ((slice(None), indptr[:-1]) if rows.size == self.n
-                          else (rows, indptr[rows]))
+            self._rows = (rows, self._csr[0][rows])
         return self._rows
 
     @property

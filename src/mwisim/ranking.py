@@ -64,8 +64,10 @@ class BoppanaProgram:
     def step(self, state, ctx: NodeContext, inbox, rng) -> StepResult:
         rank = state
         for msg in inbox.values():
-            vals = msg.values
-            other = vals[0] if len(vals) == 1 else from_limbs(vals)
+            try:  # one limb, unless the rank passed 63 bits
+                (other,) = msg.values
+            except ValueError:
+                other = from_limbs(msg.values)
             if other >= rank:
                 return StepResult(halt=True, output=False)
         return StepResult(halt=True, output=True)

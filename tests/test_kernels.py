@@ -23,7 +23,7 @@ from mwisim import boost, engine, heavy, mis, ranking, sparsify
 from mwisim.algorithms import ALGORITHMS, run_algorithm
 from mwisim.cli import main as run_cli
 from mwisim.engine import (DEFAULT_MAX_ROUNDS, CongestViolation, EngineError, Net,
-                           RoundLimitExceeded, RoundStats, _message_sizes,
+                           RoundLimitExceeded, RoundStats, _check_fields, _message_sizes,
                            message_budget_bits, run, run_on_subgraph)
 from mwisim.graphs import (INT64_MAX, WEIGHT_MODELS, IndependentSet, WeightedGraph,
                            generate, neighbor_reduce, save)
@@ -186,6 +186,36 @@ def test_63_bit_weights(n, p, graph_seed, ws, seed):
     assert all(kind == "ok" for alg, mode, (kind, *_) in kernels if mode == "local")
 
 
+# the centre (weight 1) of a star with eight leaves of weight 2^63 - 1: its
+# weighted degree 2^66 - 8 goes out as the limbs (2^63 - 8, 7)
+_BIG_STAR = WeightedGraph(range(9), [(0, v) for v in range(1, 9)],
+                          {0: 1, **{v: INT64_MAX for v in range(1, 9)}})
+
+
+@pytest.mark.parametrize("alg", ["sparse", "boost-sparse"])
+def test_weighted_degree_past_63_bits_in_congest_mode(alg, monkeypatch):
+    # n = 9 gives a 128-bit budget, which holds the centre's limbs:
+    # 4 + (6 + 63) + (6 + 3) = 82 bits
+    program = sparsify.ProfileProgram(4.0)
+    kernel, reference = both(_BIG_STAR, program, mode="congest")
+    assert kernel == reference and kernel[0] == "ok"
+    assert kernel[1][1].max_message_bits == 82
+    out = run_algorithm(_BIG_STAR, alg, PARAMS, seed=0, mode="congest")
+    assert out.iset.members == frozenset(range(1, 9))
+    assert out.iset.weight == 8 * INT64_MAX
+    # an 80-bit budget holds each leaf's (degree, weight) in round 1,
+    # 4 + (6 + 1) + (6 + 63) = 80 bits, but not the centre's limbs in round 2
+    monkeypatch.setattr(engine, "DEFAULT_C_MSG", 20)
+    kernel, reference = both(_BIG_STAR, program, mode="congest")
+    assert kernel == reference
+    kind, _, fields = kernel
+    assert kind == "CongestViolation"
+    assert fields == {"sender": 0, "receiver": 1, "round_no": 2,
+                      "size_bits": 82, "budget_bits": 80}
+    with pytest.raises(CongestViolation):
+        run_algorithm(_BIG_STAR, alg, PARAMS, seed=0, mode="congest")
+
+
 def test_local_heavy_weight_past_int64_is_stored_exactly(tmp_path):
     g = WeightedGraph(range(3), [(0, 1)], {v: INT64_MAX for v in range(3)})
     path = tmp_path / "big.g"
@@ -262,10 +292,11 @@ def test_message_sizes_equal_message_size_bits(tag, case):
                 for i in range(count)]
     except WireError as e:
         with pytest.raises(WireError) as got:
-            _message_sizes(tag, fields, count)
+            _check_fields(tag, fields, count)
         assert str(got.value) == str(e)
         return
-    sizes = _message_sizes(tag, fields, count)
+    _check_fields(tag, fields, count)
+    sizes = _message_sizes(fields, count)
     assert sizes.dtype == np.int64 and sizes.tolist() == want
 
 
