@@ -2,17 +2,16 @@
 
 from __future__ import annotations
 
-from itertools import compress
 from typing import Any, Mapping
 
 from .arb import arb_approx
-from .boost import BoostResult, Inner, boost
+from .boost import BoostResult, Inner, boost, phase_count
 from .engine import RunOutcome, run
 from .graphs import (GraphError, IndependentSet, WeightedGraph, check_real,
                      degeneracy)
 from .heavy import heavy_mis_approx
 from .mis import LubyProgram
-from .ranking import boppana_once
+from .ranking import boppana_once, rank_range
 from .sparsify import DEFAULT_LAMBDA, sparse_approx
 
 ALGORITHMS = ("heavy", "sparse", "boost-heavy", "boost-sparse", "arb",
@@ -51,15 +50,17 @@ def resolved_params(alg: str, params: Mapping[str, Any],
                     g: WeightedGraph) -> dict[str, Any]:
     """The parameters a record stores: everything the run actually used.
 
-    Raises ``GraphError`` for an eps, lam or c that is not finite or out of
-    range (eps > 0, lam > 0, boosting's c >= 1), or a ranking c or an alpha
-    that is not an integer; ``arb_approx`` checks that alpha >= 1.
+    Raises ``GraphError`` for an eps, lam or c not finite or out of range
+    (eps > 0, lam > 0, boosting's c >= 1 and finite c/eps, ``rank_range``'s
+    c), or a non-integer ranking c or alpha; ``arb_approx`` checks alpha >= 1.
     """
     p: dict[str, Any] = {}
     if alg in ("boost-heavy", "boost-sparse", "arb", "fastld"):
         p["eps"] = check_real(_need(params, "eps", alg), "eps", alg, above=0)
     if alg in ("boost-heavy", "boost-sparse"):
         p["c"] = check_real(_get(params, "c", DEFAULT_C_BOOST), "c", alg, at_least=1)
+    if "eps" in p:  # arb's inner boosting and fastld's use the default c
+        phase_count(p.get("c", DEFAULT_C_BOOST), p["eps"], alg)
     if alg in ("sparse", "boost-sparse"):
         p["lam"] = check_real(_get(params, "lam", DEFAULT_LAMBDA), "lam", alg,
                               above=0)
@@ -70,6 +71,7 @@ def resolved_params(alg: str, params: Mapping[str, Any],
                       else max(1, degeneracy(g)))
     if alg in ("boppana", "fastld"):
         p["c"] = _integral(_get(params, "c", DEFAULT_C_RANK), "c", alg)
+        rank_range(g.n, p["c"])
     return p
 
 
@@ -106,12 +108,12 @@ def run_algorithm(g: WeightedGraph, alg: str, params: Mapping[str, Any],
     if alg == "fastld":
         # one ranking round on unit weights keeps a 1/(8*Delta) fraction, so
         # boosting uses c = 8; p["c"] is the rank-range constant
-        r = boost(g, as_inner("boppana", p, mode), eps=p["eps"], c=8.0,
+        r = boost(g, as_inner("boppana", p, mode), eps=p["eps"], c=DEFAULT_C_BOOST,
                   seed=seed, mode=mode, n_upper=n_upper)
         return _boost_outcome(r)
     # luby
     in_mis, stats = run(g, LubyProgram(), mode=mode, seed=seed, n_upper=n_upper)
-    return RunOutcome(IndependentSet.of(g, compress(g.nodes, in_mis)), stats, {})
+    return RunOutcome(IndependentSet.of(g, in_mis), stats, {})
 
 
 def as_inner(alg: str, params: Mapping[str, Any], mode: str = "congest") -> Inner:

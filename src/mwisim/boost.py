@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress
 from typing import Callable, Iterable
 
 import numpy as np
@@ -139,7 +138,9 @@ class BoostResult:
     sizes: tuple[int, ...]
 
 
-def phase_count(c: float, eps: float) -> int:
+def phase_count(c: float, eps: float, alg: str = "boost") -> int:
+    if not math.isfinite(c / eps):  # math.ceil refuses inf
+        raise GraphError(f"algorithm {alg!r}: eps={eps} is too small: c/eps overflows")
     return math.ceil(c / eps)
 
 
@@ -165,16 +166,14 @@ def local_ratio(g: WeightedGraph, inner: Inner, phases: int, salt: int,
     """
     if n_upper is None:
         n_upper = g.n
-    g_i = g.induced(compress(g.nodes, g.w > 0))
+    g_i = g.induced(g.w > 0)
     frames: list[PhaseFrame] = []
     stats = RoundStats()
     inner_rounds_max = 0
     sizes = []
 
     for i in range(1, phases + 1):
-        g_in = g_i
-        if degree_cap is not None and g_i.n:
-            g_in = g_i.induced(compress(g_i.nodes, g_i.degrees <= degree_cap))
+        g_in = g_i if degree_cap is None else g_i.induced(g_i.degrees <= degree_cap)
         if not g_in.n:
             break
         sizes.append(g_i.n)
@@ -185,17 +184,16 @@ def local_ratio(g: WeightedGraph, inner: Inner, phases: int, salt: int,
         members = res.iset.members
         stats = stats.merge(res.stats)
         inner_rounds_max = max(inner_rounds_max, res.stats.rounds)
-        chosen = g_i._known_mask(members)
-        frames.append(PhaseFrame(i, members, dict(zip(compress(g_i.nodes, chosen),
-                                                      g_i.w[chosen].tolist()))))
+        pushed = g_i.w[g_i.mask(members)].tolist()  # by position: ascending ids
+        frames.append(PhaseFrame(i, members, dict(zip(sorted(members), pushed))))
 
         zeroed = members if degree_cap is None else frozenset(g_in.nodes)
         upd_out, upd_stats = run(g_i, ResidualUpdateProgram(members, zeroed),
                                  mode=mode, seed=derive_seed(seed, 0x0DD + i),
                                  n_upper=n_upper)
         stats = stats.merge(upd_stats)
-        # a kept (positive) residual is at most its old weight: no int64 check
-        g_i = g_i.induced(compress(g_i.nodes, [r > 0 for r in upd_out]), upd_out)
+        # Python ints, some maybe below -2^63; a kept one is at most its old weight
+        g_i = g_i.induced(np.array([r > 0 for r in upd_out], dtype=bool), upd_out)
 
     sizes.append(g_i.n)
     iset = pop_stack(g, frames)

@@ -15,9 +15,10 @@ never see n, the maximum degree, or any global structure.
 Each node has a private counter-based random stream (``rng``): word k of
 node v is the k-th SplitMix64 output seeded by ``derive_seed(seed, v)``.
 
-A run's outputs are one value per node, by position in the executed graph
-(``g.nodes``, or ``g.induced(subset).nodes``: ascending ids): the value the
-node's halting ``StepResult.output`` carried.
+A run executes on the nodes a boolean mask by position selects
+(``g.mask(ids)`` converts ids). Its outputs are one value per node, by
+position in the executed graph (``g.nodes``, or ``g.induced(keep).nodes``):
+the value the node's halting ``StepResult.output`` carried.
 
 A program runs in one of two forms with identical outputs, ``RoundStats``
 and errors, under any ``node_order``. Both open their rounds through one
@@ -39,8 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import (TYPE_CHECKING, Any, Callable, Iterable, Mapping, Protocol,
-                    Sequence)
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Protocol, Sequence
 
 import numpy as np
 
@@ -317,24 +317,24 @@ def run(g: WeightedGraph, program: NodeProgram, mode: str = "congest",
         node_order: Callable[[list[int]], list[int]] | None = None,
         ) -> tuple[list[Any], RoundStats]:
     """Execute ``program`` on all nodes of ``g``; see ``run_on_subgraph``."""
-    return run_on_subgraph(g, g.nodes, program, mode=mode, seed=seed,
+    return run_on_subgraph(g, np.ones(g.n, dtype=bool), program, mode=mode, seed=seed,
                            max_rounds=max_rounds, n_upper=n_upper,
                            node_order=node_order)
 
 
-def run_on_subgraph(g: WeightedGraph, subset: Iterable[int], program: NodeProgram,
+def run_on_subgraph(g: WeightedGraph, keep: np.ndarray, program: NodeProgram,
                     mode: str = "congest", seed: int = 0,
                     max_rounds: int = DEFAULT_MAX_ROUNDS,
                     n_upper: int | None = None,
                     node_order: Callable[[list[int]], list[int]] | None = None,
                     ) -> tuple[list[Any], RoundStats]:
-    """Execute ``program`` on ``g.induced(subset)`` (``g`` itself when the
-    subset is all of it) and return ``(outputs, stats)``: ``outputs`` holds
-    one value per node of the executed graph, by position (the subset in
-    ascending order).
+    """Execute ``program`` on ``g.induced(keep)`` (``g`` itself when the
+    boolean mask ``keep``, by position in ``g.nodes``, is all true) and
+    return ``(outputs, stats)``: ``outputs`` holds one value per node of the
+    executed graph, by position (the kept nodes in ascending order).
 
     Identifiers and ``n_upper`` are inherited from ``g`` (``n_upper``
-    defaults to g.n, not to the subset size). The program's kernel runs
+    defaults to g.n, not to the kept count). The program's kernel runs
     when it has one; ``node_order`` runs the per-node interpreter instead,
     with per-round processing in that order. It exists to test schedule
     independence and the kernels: outputs, stats and errors do not depend on
@@ -349,7 +349,7 @@ def run_on_subgraph(g: WeightedGraph, subset: Iterable[int], program: NodeProgra
         raise EngineError(f"max_rounds must be >= 1, got {max_rounds}")
     if n_upper is None:
         n_upper = g.n
-    h = g.induced(subset)
+    h = g.induced(keep)
     budget = message_budget_bits(n_upper) if mode == "congest" else None
     net = Net(h, n_upper, seed, budget, max_rounds)
     kernel = getattr(program, "kernel", None)
@@ -391,7 +391,7 @@ def run_on_subgraph(g: WeightedGraph, subset: Iterable[int], program: NodeProgra
             if not isinstance(msg, Message):
                 raise EngineError(f"round {net.stats.rounds + 1}: node {u} sent a "
                                   f"{type(msg).__name__}, not a Message")
-        net.send(h._mask(states.keys()), h._mask(sent.keys()), 0,
+        net.send(h.mask(states.keys()), h.mask(sent.keys()), 0,
                  sizes=np.fromiter((m.size_bits for m in sent.values()), np.int64,
                                    len(sent)))
         act = program.step

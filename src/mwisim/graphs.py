@@ -12,7 +12,7 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Collection, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -54,8 +54,8 @@ class WeightedGraph:
     Five facts are computed on first use and then cached on the graph,
     which is safe only because nothing changes a graph after it is built
     (the generators return new graphs with empty caches, and so does
-    ``induced``, except that the whole node set with the same weights is
-    the graph itself):
+    ``induced``, except that an all-true mask with no new weights is the
+    graph itself):
 
     * ``adj``, which maps each node id to the sorted tuple of its neighbor
       ids; it is derived from the CSR on first read, and only the sequential
@@ -159,7 +159,7 @@ class WeightedGraph:
         return int(self.degrees[i])
 
     def total_weight(self, subset: Iterable[int] | None = None) -> int:
-        w = self.w if subset is None else self.w[self._mask(set(subset))]
+        w = self.w if subset is None else self.w[self.mask(subset)]
         return sum(w.tolist())
 
     def edges(self) -> list[tuple[int, int]]:
@@ -169,30 +169,26 @@ class WeightedGraph:
                         map(self.nodes.__getitem__, nbr[once].tolist())))
 
     def is_independent(self, members: Iterable[int]) -> bool:
-        return self._independent(self._mask(set(members)))
+        return self._independent(self.mask(members))
 
     def _independent(self, inside: np.ndarray) -> bool:  # inside: a mask by position
         return not np.count_nonzero(inside[self._csr[1]] & inside.repeat(self.degrees))
 
-    def induced(self, subset: Iterable[int],
+    def induced(self, keep: np.ndarray,
                 weights: Sequence[int] | None = None) -> "WeightedGraph":
-        """Induced subgraph keeping original identifiers; optional new
-        ``weights``, one per node of ``self`` by position.
+        """Subgraph induced by the boolean mask ``keep`` (by position), keeping
+        ids; optional new ``weights``, one per node of ``self`` by position.
 
-        A subgraph of a valid graph is valid, so only the subset and the
-        kept nodes' new weights are checked. Every node without new weights
-        is ``self``. Otherwise the CSR is the parent's, filtered to the
-        entries between kept positions and renumbered, each row ascending.
+        A subgraph of a valid graph is valid, so only the mask and the kept
+        nodes' new weights are checked. Every node without new weights is
+        ``self``. Otherwise the CSR is the parent's, filtered to the entries
+        between kept positions and renumbered, each row ascending.
         """
-        sub = set(subset)
-        unknown = sub.difference(self.nodes)
-        if unknown:
-            raise GraphError(f"subset contains unknown nodes {sorted(unknown)}")
-        if weights is None and len(sub) == self.n:
+        keep = self._selection(keep)
+        if weights is None and keep.all():
             return self
         if weights is not None and len(weights) != self.n:
             raise GraphError(f"expected {self.n} weights by position, got {len(weights)}")
-        keep = self._known_mask(sub)
         kept = keep.nonzero()[0]
         pos = kept.tolist()
         nodes = tuple(map(self.nodes.__getitem__, pos))
@@ -208,18 +204,23 @@ class WeightedGraph:
             nodes, self._ids[kept], w, np.concatenate((bounds[kept], bounds[-1:])),
             kept.searchsorted(nbr[entry]))
 
-    def _mask(self, ids: Collection[int]) -> np.ndarray:
-        """Boolean array by position, set at the nodes ``ids``; refuses unknown ids."""
-        unknown = set(ids).difference(self.nodes)
+    def mask(self, ids: Iterable[int]) -> np.ndarray:
+        """Boolean mask by position, set at the nodes ``ids``; refuses unknown ids."""
+        ids = set(ids)
+        unknown = ids.difference(self.nodes)
         if unknown:
             raise GraphError(f"node {min(unknown)} is not in the graph")
-        return self._known_mask(ids)
-
-    def _known_mask(self, ids: Collection[int]) -> np.ndarray:
-        """``_mask`` of ids the caller has already checked are nodes."""
         mask = np.zeros(self.n, dtype=bool)
         mask[self._ids.searchsorted(np.fromiter(ids, np.int64, len(ids)))] = True
         return mask
+
+    def _selection(self, keep) -> np.ndarray:
+        """``keep`` if it is a boolean mask by position (``[]`` when n = 0), else
+        ``GraphError``."""
+        keep = np.asarray(keep)
+        if keep.shape != (self.n,) or keep.dtype != bool and keep.size:
+            raise GraphError(f"expected a boolean mask of {self.n} nodes, got {keep!r}")
+        return keep.astype(bool, copy=False)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, WeightedGraph) and self.nodes == other.nodes and all(
@@ -240,12 +241,13 @@ class IndependentSet:
     weight: int
 
     @classmethod
-    def of(cls, g: WeightedGraph, members: Iterable[int]) -> "IndependentSet":
-        mem = frozenset(members)
-        inside = g._mask(mem)
+    def of(cls, g: WeightedGraph, inside: np.ndarray) -> "IndependentSet":
+        """The nodes the boolean mask ``inside`` selects, if independent in ``g``."""
+        inside = g._selection(inside)
         if not g._independent(inside):
             raise GraphError("set is not independent")
-        return cls(mem, sum(g.w[inside].tolist()))
+        return cls(frozenset(map(g.nodes.__getitem__, inside.nonzero()[0].tolist())),
+                   sum(g.w[inside].tolist()))
 
     def __len__(self):
         return len(self.members)
@@ -492,7 +494,7 @@ def generate(family: str, params: Mapping[str, object], weight_model: str = "uni
         g = build_clique_cycle(n0, n1).graph
         if weight_model == "unit":
             return g
-        return g.induced(g.nodes, _draw_weights(g.n, weight_model, seed).tolist())
+        return g.induced(np.ones(g.n, bool), _draw_weights(g.n, weight_model, seed).tolist())
 
     n = int(params["n"])
     if n < 1:

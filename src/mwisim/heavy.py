@@ -40,28 +40,35 @@ def is_good(weight: int, delta: int, s: int) -> bool:
     return weight > 0 and 2 * (delta + 1) * weight >= s
 
 
+def degree_weight_message(ctx: NodeContext, tag: int) -> Message:
+    """Round 1 of the good-node and profile programs: (degree, weight)."""
+    return Message(tag, (len(ctx.neighbors), ctx.weight))
+
+
+def read_degree_weight(ctx: NodeContext, inbox) -> tuple[int, int]:
+    """Round 1's inbox read: max degree over the closed neighborhood, neighbors' weight."""
+    delta, total = len(ctx.neighbors), 0
+    for msg in inbox.values():
+        d, w = msg.values
+        if d > delta:
+            delta = d
+        total += w
+    return delta, total
+
+
 @dataclass(frozen=True)
 class LocalStatsProgram:
     """Round 1: exchange (degree, weight). Round 2: announce the good bit,
     which is each node's output."""
 
     def init(self, ctx: NodeContext, rng) -> StepResult:
-        deg = len(ctx.neighbors)
-        return StepResult(state=None,
-                          outbox=Message(TAG_STATS, (deg, ctx.weight)))
+        return StepResult(state=None, outbox=degree_weight_message(ctx, TAG_STATS))
 
     def step(self, state, ctx: NodeContext, inbox, rng) -> StepResult:
         if state is None:
-            delta = len(ctx.neighbors)
-            s = ctx.weight
-            for msg in inbox.values():
-                d, w = msg.values
-                if d > delta:
-                    delta = d
-                s += w
-            good = is_good(ctx.weight, delta, s)
-            return StepResult(state=good,
-                              outbox=Message(TAG_GOOD, (int(good),)))
+            delta, s = read_degree_weight(ctx, inbox)
+            good = is_good(ctx.weight, delta, ctx.weight + s)
+            return StepResult(state=good, outbox=Message(TAG_GOOD, (int(good),)))
         return StepResult(halt=True, output=state)
 
     def kernel(self, net: Net) -> list[bool]:
@@ -86,13 +93,12 @@ def heavy_mis_approx(g: WeightedGraph, seed: int = 0, mode: str = "congest",
     """
     good_bits, st1 = run(g, LocalStatsProgram(), mode=mode,
                          seed=derive_seed(seed, 0x10CA1), n_upper=n_upper)
-    good = list(compress(g.nodes, good_bits))
+    good = np.array(good_bits, dtype=bool)
     in_mis, st2 = run_on_subgraph(g, good, LubyProgram(), mode=mode,
                                   seed=derive_seed(seed, 0x1B15), n_upper=n_upper)
-    members = frozenset(compress(good, in_mis))
-    ok, _ = verify_mis(g, good, members)
-    # a valid MIS of an induced subgraph is independent in g
-    weight = sum(compress(compress(g.w.tolist(), good_bits), in_mis))
-    iset = IndependentSet(members, weight) if ok else IndependentSet.of(g, members)
+    inside = np.zeros(g.n, dtype=bool)
+    inside[good] = in_mis  # the good subgraph's positions, ascending
+    iset = IndependentSet.of(g, inside)
+    ok, _ = verify_mis(g, compress(g.nodes, good_bits), iset.members)
     return RunOutcome(iset, st1.merge(st2),
-                      {"good_nodes": len(good), "mis_valid": ok})
+                      {"good_nodes": sum(good_bits), "mis_valid": ok})

@@ -102,7 +102,7 @@ def greedy_mis(g: WeightedGraph, order: Iterable[int] | None = None) -> Independ
     for v in g.nodes if order is None else order:
         if not any(u in chosen for u in adj[v]):
             chosen.add(v)
-    return IndependentSet.of(g, chosen)
+    return IndependentSet.of(g, g.mask(chosen))
 
 
 def verify_mis(g: WeightedGraph, node_subset, candidate) -> tuple[bool, str | None]:
@@ -117,7 +117,7 @@ def verify_mis(g: WeightedGraph, node_subset, candidate) -> tuple[bool, str | No
     stray = cand - subset
     if stray:
         return False, f"candidate node {min(stray)} is outside the subset"
-    sub, inside = g._mask(subset), g._mask(cand)
+    sub, inside = g.mask(subset), g.mask(cand)
     indptr, nbr = g.csr()
     own = inside.repeat(g.degrees)  # the CSR entries of members' rows
     both = (inside[nbr] & own).nonzero()[0]

@@ -15,7 +15,7 @@ fast pipeline for unweighted low-degree graphs (``fastld`` in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, permutations
+from itertools import permutations
 from typing import Sequence
 
 import numpy as np
@@ -91,7 +91,7 @@ def boppana_once(g: WeightedGraph, c: int = 2, seed: int = 0,
                  mode: str = "congest", n_upper: int | None = None) -> RunOutcome:
     """One engine run of the ranking program: its set and stats."""
     joins, stats = run(g, BoppanaProgram(c), mode=mode, seed=seed, n_upper=n_upper)
-    return RunOutcome(IndependentSet.of(g, compress(g.nodes, joins)), stats)
+    return RunOutcome(IndependentSet.of(g, joins), stats)
 
 
 def _seq_rule(g: WeightedGraph, perm: Sequence[int]) -> frozenset[int]:
@@ -111,7 +111,7 @@ def seq_boppana(g: WeightedGraph, permutation: Sequence[int]) -> IndependentSet:
     perm = list(permutation)
     if sorted(perm) != list(g.nodes):
         raise GraphError("not a permutation of the node set")
-    return IndependentSet.of(g, _seq_rule(g, perm))
+    return IndependentSet.of(g, g.mask(_seq_rule(g, perm)))
 
 
 def check_perm_equivalence(g: WeightedGraph) -> bool:

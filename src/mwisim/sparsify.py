@@ -23,7 +23,7 @@ import numpy as np
 
 from .engine import Net, NodeContext, RunOutcome, StepResult, run
 from .graphs import GraphError, WeightedGraph, check_real, neighbor_reduce
-from .heavy import heavy_mis_approx
+from .heavy import degree_weight_message, heavy_mis_approx, read_degree_weight
 from .rng import derive_seed, node_uniforms
 from .wire import Message, from_limbs, to_limbs
 
@@ -71,21 +71,12 @@ class ProfileProgram:
     log_base: str = "two"
 
     def init(self, ctx: NodeContext, rng) -> StepResult:
-        deg = len(ctx.neighbors)
-        return StepResult(state=None,
-                          outbox=Message(TAG_DEGW, (deg, ctx.weight)))
+        return StepResult(state=None, outbox=degree_weight_message(ctx, TAG_DEGW))
 
     def step(self, state, ctx: NodeContext, inbox, rng) -> StepResult:
         if state is None:
-            delta = len(ctx.neighbors)
-            wdeg = 0
-            for msg in inbox.values():
-                d, w = msg.values
-                if d > delta:
-                    delta = d
-                wdeg += w
-            return StepResult(state=(delta, wdeg),
-                              outbox=Message(TAG_WDEG, to_limbs(wdeg)))
+            delta, wdeg = read_degree_weight(ctx, inbox)
+            return StepResult(state=(delta, wdeg), outbox=Message(TAG_WDEG, to_limbs(wdeg)))
         delta, wdeg = state
         wmax = wdeg
         for msg in inbox.values():
@@ -150,7 +141,7 @@ def sparse_approx(g: WeightedGraph, lam: float = DEFAULT_LAMBDA, seed: int = 0,
     p, st1 = run(g, ProfileProgram(lam, log_base), mode=mode,
                  seed=derive_seed(seed, 0x5A8F), n_upper=n_upper)
     sampled = sample_subgraph(g, p, derive_seed(seed, SAMPLE_SALT))
-    h = g.induced(sampled)
+    h = g.induced(g.mask(sampled))
     heavy = heavy_mis_approx(h, seed=derive_seed(seed, 0x4EA4), mode=mode,
                              n_upper=n_upper)
     # h keeps g's weights, so the set and its weight are the same in g

@@ -255,7 +255,7 @@ def _c5_sparsifier(tally: _Tally, quick: bool) -> tuple[bool, str]:
             first = g
         profile = compute_sampling_profile(g, lam)
         sampled = sample_subgraph(g, profile, derive_seed(0x5A17, s))
-        delta_h = g.induced(sampled).max_degree
+        delta_h = g.induced(g.mask(sampled)).max_degree
         w_v = g.total_weight()
         w_h = g.total_weight(sampled)
         delta = g.max_degree

@@ -207,7 +207,7 @@ def test_arb_rounds_are_inner_rounds_plus_one_per_low_phase():
         for frame, size in zip(r.stack, r.sizes):
             active = [v for v in g.nodes if w[v] > 0]
             assert size == len(active)
-            g_i = g.induced(active, [w[v] for v in g.nodes])
+            g_i = g.induced(g.mask(active), [w[v] for v in g.nodes])
             low = frozenset(v for v in active if g_i.degree(v) <= 4 * alpha)
             assert frame.members <= low
             low_phases += bool(low)
@@ -237,7 +237,7 @@ def test_arb_zero_weight_nodes_leave_before_phase_one():
         base = generate("gnp", {"n": n, "p": rng.uniform(0.1, 0.4)},
                         ("uniform_range", "heavy_tail")[k % 2], derive_seed(0xA20, k))
         weights = [0 if rng.random() < 0.3 else w for w in base.w.tolist()]
-        g = base.induced(base.nodes, weights)
+        g = base.induced(base.mask(base.nodes), weights)
         alpha = max(1, degeneracy(g))
         out = run_algorithm(g, "arb", {"eps": float(eps), "alpha": alpha},
                             derive_seed(0xA21, k))

@@ -2,7 +2,6 @@ import json
 import random
 import time
 from fractions import Fraction
-from itertools import compress
 
 import pytest
 
@@ -142,7 +141,8 @@ class ScriptedInner:
     def __call__(self, g_sub, seed, n_upper):
         members = frozenset(self.sets[self.calls]) & frozenset(g_sub.nodes)
         self.calls += 1
-        return RunOutcome(IndependentSet.of(g_sub, members), RoundStats(rounds=1))
+        return RunOutcome(IndependentSet.of(g_sub, g_sub.mask(members)),
+                          RoundStats(rounds=1))
 
 
 def test_boost_scripted_trace():
@@ -281,8 +281,8 @@ def test_residuals_match_sequential_reduction():
             base = generate("gnp", {"n": n, "p": min(1.0, rng.uniform(3, 12) / n)},
                             ("uniform_range", "heavy_tail")[k % 2],
                             derive_seed(0x5EF, k))
-            g = base.induced(base.nodes, [0 if rng.random() < 0.2 else w
-                                          for w in base.w.tolist()])
+            g = base.induced(base.mask(base.nodes), [0 if rng.random() < 0.2 else w
+                                                     for w in base.w.tolist()])
             observed = []
 
             def recorder(g_sub, seed, n_upper):
@@ -299,11 +299,10 @@ def test_residuals_match_sequential_reduction():
             replay = iter(observed)
             w = g.weights
             for frame in r.stack:
-                mirror = g.induced([v for v in g.nodes if w[v] > 0],
+                mirror = g.induced(g.mask(v for v in g.nodes if w[v] > 0),
                                    [w[v] for v in g.nodes])
                 if cap is not None:
-                    mirror = mirror.induced(compress(mirror.nodes,
-                                                     mirror.degrees <= cap))
+                    mirror = mirror.induced(mirror.degrees <= cap)
                 if not mirror.n:
                     assert not frame.members
                     continue

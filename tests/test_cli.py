@@ -375,6 +375,24 @@ def test_non_finite_and_truncated_parameters_are_rejected(args, reason, capsys):
     assert reason in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args,message", [
+    (["boost-heavy", "--eps", "1e-320"],
+     "algorithm 'boost-heavy': eps=1e-320 is too small: c/eps overflows"),
+    (["fastld", "--eps", "1e-320"],
+     "algorithm 'fastld': eps=1e-320 is too small: c/eps overflows"),
+    (["arb", "--alpha", "2", "--eps", "1e-320"],
+     "algorithm 'arb': eps=1e-320 is too small: c/eps overflows"),
+    (["boppana", "--c", "0"], "rank constant c must be an integer >= 1, got 0"),
+    (["fastld", "--eps", "0.5", "--c", "0"],
+     "rank constant c must be an integer >= 1, got 0"),
+])
+def test_parameters_are_refused_before_any_round(args, message, capsys):
+    # a refusal from a phase's inner run would name the phase
+    assert run_cli(["run", "--family", "gnp", "--n", "10", "--p", "0.3",
+                    "--alg", *args]) == 3
+    assert capsys.readouterr().err == f"invariant violation: {message}\n"
+
+
 def test_integral_rank_constant_given_as_float_is_kept(capsys):
     assert run_cli(["run", "--family", "path", "--n", "6", "--seeds", "0",
                     "--alg", "boppana", "--c", "3.0"]) == 0

@@ -177,35 +177,44 @@ def test_reversed_interpreter_raises_the_kernels_errors():
 
 def test_run_on_subgraph_empty_and_full():
     g = generate("cycle", {"n": 5}, "unit", 0)
-    out, stats = run_on_subgraph(g, [], LubyProgram(), seed=3)
+    out, stats = run_on_subgraph(g, np.zeros(g.n, dtype=bool), LubyProgram(), seed=3)
     assert out == [] and stats.rounds == 0
     full_a = run(g, LubyProgram(), seed=3)
-    full_b = run_on_subgraph(g, g.nodes, LubyProgram(), seed=3)
+    full_b = run_on_subgraph(g, g.mask(g.nodes), LubyProgram(), seed=3)
     assert full_a == full_b
 
 
 def test_run_on_subgraph_rejects_unknown_nodes_like_induced():
     g = generate("cycle", {"n": 5}, "unit", 0)
-    with pytest.raises(GraphError, match=r"unknown nodes \[7, 9\]"):
-        run_on_subgraph(g, [0, 9, 7], LubyProgram())
+    with pytest.raises(GraphError, match="^node 7 is not in the graph$"):
+        run_on_subgraph(g, g.mask([0, 9, 7]), LubyProgram())
+    # only a boolean mask by position selects nodes, as for ``induced``
+    for bad in ([0, 1, 2, 3, 4], [True] * 4, [True] * 6, np.ones(5, dtype=np.int64)):
+        with pytest.raises(GraphError) as want:
+            g.induced(bad)
+        with pytest.raises(GraphError) as got:
+            run_on_subgraph(g, bad, LubyProgram())
+        assert str(got.value) == str(want.value)
+    empty = WeightedGraph([], [], {})
+    assert run_on_subgraph(empty, [], LubyProgram())[0] == []
 
 
 def test_full_subset_runs_on_the_graph_itself(monkeypatch):
     g = generate("gnp", {"n": 30, "p": 0.2}, "unit", 2)
     want = run(g, LubyProgram(), seed=4)
-    assert g.induced(g.nodes) is g
+    assert g.induced(np.ones(g.n, dtype=bool)) is g
 
     def no_build(*args, **kwargs):
         raise AssertionError("a full-graph run built a subgraph")
 
     monkeypatch.setattr(WeightedGraph, "_build", no_build)
     assert run(g, LubyProgram(), seed=4) == want
-    assert run_on_subgraph(g, reversed(g.nodes), LubyProgram(), seed=4) == want
+    assert run_on_subgraph(g, g.mask(reversed(g.nodes)), LubyProgram(), seed=4) == want
 
 
 def test_subgraph_semantics_inert_outside():
     g = generate("cycle", {"n": 6}, "unit", 0)
-    out, _ = run_on_subgraph(g, [0, 2, 4], ExchangeIds(), seed=0)
+    out, _ = run_on_subgraph(g, g.mask([0, 2, 4]), ExchangeIds(), seed=0)
     # the induced subgraph has no edges, so nobody hears anything
     assert out == [[], [], []]
 
@@ -213,13 +222,14 @@ def test_subgraph_semantics_inert_outside():
 def test_outputs_follow_the_executed_graphs_positions():
     g = generate("gnp", {"n": 30, "p": 0.25}, "uniform_range", 3)
     subset = [29, 3, 17, 8, 0, 22, 11, 5, 14, 26]  # a proper subset, unsorted
-    h = g.induced(subset)
+    keep = g.mask(subset)
+    h = g.induced(keep)
     selected = frozenset({3, 22})
     zeroed = selected | {17, 5}
     want = arb_reduce(h.weights, selected, zeroed, h)
     assert [v for v in sorted(subset) if want[v] == 0] == sorted(zeroed)
     for node_order in (None, list):
-        out, _ = run_on_subgraph(g, subset, ResidualUpdateProgram(selected, zeroed),
+        out, _ = run_on_subgraph(g, keep, ResidualUpdateProgram(selected, zeroed),
                                  node_order=node_order)
         assert out == [want[v] for v in sorted(subset)]
         assert [i for i, r in enumerate(out) if r == 0] == [
@@ -247,7 +257,7 @@ def test_subgraph_inherits_n_upper():
             raise AssertionError
 
     g = generate("cycle", {"n": 40}, "unit", 0)
-    run_on_subgraph(g, [0, 1], Peek())
+    run_on_subgraph(g, g.mask([0, 1]), Peek())
     assert seen == {0: 40, 1: 40}
 
 
@@ -359,21 +369,21 @@ class HashedBroadcasts:
 def test_random_broadcast_programs(n, p, graph_seed, salt, shuffle_seed):
     g = generate("gnp", {"n": n, "p": p}, "uniform_range", graph_seed)
     pick = random.Random(shuffle_seed)
-    subset = [v for v in g.nodes if pick.random() < 0.75]
+    keep = np.array([pick.random() < 0.75 for _ in g.nodes], dtype=bool)
     program = HashedBroadcasts(salt)
-    base_out, base_stats = run_on_subgraph(g, subset, program, mode="local")
+    base_out, base_stats = run_on_subgraph(g, keep, program, mode="local")
 
     def order(nodes):
         nodes = list(nodes)
         pick.shuffle(nodes)
         return nodes
 
-    out, stats = run_on_subgraph(g, subset, program, mode="local",
+    out, stats = run_on_subgraph(g, keep, program, mode="local",
                                  node_order=order)
     assert out == base_out and stats == base_stats
 
     # every message reaches each neighbor in the executed graph once
-    h = g.induced(subset)
+    h = g.induced(keep)
     want = [0] * stats.rounds
     for v, (delivered, _) in zip(h.nodes, out):
         for r in delivered:

@@ -63,7 +63,7 @@ def test_node_ids_must_fit_int64():
             WeightedGraph([5, big], [(5, big)], {5: 1, big: 1})
     g = WeightedGraph([0, INT64_MAX], [(0, INT64_MAX)], {0: 1, INT64_MAX: 2})
     assert g.adj == {0: (INT64_MAX,), INT64_MAX: (0,)}
-    assert g.induced([INT64_MAX]).nodes == (INT64_MAX,)
+    assert g.induced(g.mask([INT64_MAX])).nodes == (INT64_MAX,)
     assert not g.is_independent([0, INT64_MAX])
     for bad in (1.5, True):
         with pytest.raises(GraphError, match="is not an integer"):
@@ -103,7 +103,7 @@ def test_is_independent_equals_an_edge_scan():
 
 def test_induced_keeps_ids_and_reweights():
     g = unit(range(4), [(0, 1), (1, 2), (2, 3)])
-    h = g.induced([1, 2, 3], weights=[0, 9, 8, 7])  # by position in g.nodes
+    h = g.induced(g.mask([1, 2, 3]), weights=[0, 9, 8, 7])  # by position in g.nodes
     assert h.nodes == (1, 2, 3)
     assert h.adj[1] == (2,)
     assert h.weights == {1: 9, 2: 8, 3: 7}
@@ -140,12 +140,12 @@ def test_induced_equals_validated_construction(name, kind, reweight):
     g = INDUCED_GRAPHS[name]()
     rng = random.Random(f"{name}/{kind}")
     keep = {"empty": 0.0, "full": 1.0, "half": 0.5, "most": 0.8}[kind]
-    subset = [v for v in g.nodes if rng.random() < keep]
-    rng.shuffle(subset)
+    mask = np.array([rng.random() < keep for _ in g.nodes], dtype=bool)
+    subset = [v for v, k in zip(g.nodes, mask) if k]
     # replacement weights cover every node of g, by position
     weights = ([rng.choice([0, 1, rng.randrange(INT64_MAX), INT64_MAX])
                 for _ in g.nodes] if reweight else None)
-    h = g.induced(iter(subset), weights)
+    h = g.induced(mask, weights)
     ref = _induced_reference(g, subset, weights)
     assert h == ref
     assert list(h.weights) == list(ref.weights) == list(h.nodes)
@@ -159,8 +159,16 @@ def test_induced_equals_validated_construction(name, kind, reweight):
 
 def test_induced_rejects_unknown_nodes():
     g = generate("path", {"n": 4}, "unit", 0)
-    with pytest.raises(GraphError, match=r"^subset contains unknown nodes \[-1, 7\]$"):
-        g.induced([0, 7, -1])
+    with pytest.raises(GraphError, match=r"^node -1 is not in the graph$"):
+        g.mask([0, 7, -1])
+    # a selection is a boolean mask by position, nothing else
+    for bad in ([0, 1, 2, 3], [True] * 3, [True] * 5, np.ones(4, dtype=np.int64)):
+        with pytest.raises(GraphError, match="^expected a boolean mask of 4 nodes"):
+            g.induced(bad)
+    empty = WeightedGraph([], [], {})
+    assert empty.induced([]) is empty  # numpy reads [] as floats
+    with pytest.raises(GraphError, match="^expected a boolean mask of 0 nodes"):
+        empty.induced([0])
 
 
 @pytest.mark.parametrize("bad", [-1, 1.5, True, 2**63, None, np.int64(3)])
@@ -170,18 +178,18 @@ def test_induced_rejects_bad_weights_like_the_constructor(bad):
     with pytest.raises(GraphError) as want:
         WeightedGraph([1, 2, 3], [], dict(zip(g.nodes, weights)))
     with pytest.raises(GraphError) as got:
-        g.induced([1, 2, 3], weights)
+        g.induced(g.mask([1, 2, 3]), weights)
     assert str(got.value) == str(want.value)
-    assert g.induced([0, 1], weights).weights == {0: 5, 1: 6}  # node 2 left out
+    assert g.induced(g.mask([0, 1]), weights).weights == {0: 5, 1: 6}  # node 2 left out
     # only the kept nodes' weights are read, whatever the others hold
-    assert g.induced([0, 3], [5, -2**70, object(), 7]).w.tolist() == [5, 7]
+    assert g.induced(g.mask([0, 3]), [5, -2**70, object(), 7]).w.tolist() == [5, 7]
 
 
 @pytest.mark.parametrize("count", [0, 3, 5])
 def test_induced_wants_one_weight_per_parent_node(count):
     g = generate("path", {"n": 4}, "unit", 0)
     with pytest.raises(GraphError, match=f"^expected 4 weights by position, got {count}$"):
-        g.induced([1, 2], [1] * count)
+        g.induced(g.mask([1, 2]), [1] * count)
 
 
 # --------------------------------------------------------------- generators
@@ -468,7 +476,7 @@ def test_induced_children_derive_their_own_row_starts(n, p, seed, data):
     assert_folds_by_rows(g, values, values)  # fills the parent's cache
     parent_rows = g._row_starts()
     keep = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
-    child = g.induced([v for v, k in zip(g.nodes, keep) if k])
+    child = g.induced(np.array(keep, dtype=bool))
     if child is not g:
         assert child._rows is None
     assert_folds_by_rows(child, values[np.array(keep)], values[np.array(keep)])
@@ -575,9 +583,10 @@ def test_new_graphs_start_with_empty_caches():
     brute_force_max_is(g)
     degeneracy(g)
     assert g._opt is not None and g._degeneracy is not None
-    assert g.induced(g.nodes) is g  # the same graph, caches included
-    for h in (g.induced(g.nodes[1:]),
-              g.induced(g.nodes, [1] * g.n),
+    every = np.ones(g.n, dtype=bool)
+    assert g.induced(every) is g  # the same graph, caches included
+    for h in (g.induced(g.mask(g.nodes[1:])),
+              g.induced(every, [1] * g.n),
               generate("gnp", {"n": 20, "p": 0.3}, "uniform_range", 2),
               load(save(g))):
         assert h._opt is None and h._degeneracy is None and h._adj is None
@@ -645,7 +654,12 @@ def test_parse_errors_carry_line_numbers(text, line):
 def test_independent_set_validates():
     g = unit(range(3), [(0, 1)])
     with pytest.raises(GraphError, match="not independent"):
-        IndependentSet.of(g, {0, 1})
-    s = IndependentSet.of(g, {0, 2})
+        IndependentSet.of(g, g.mask({0, 1}))
+    s = IndependentSet.of(g, g.mask({0, 2}))
+    for bad in ([0, 2], [True, False], [True, False, True, False], np.array([1, 0, 1])):
+        with pytest.raises(GraphError, match="^expected a boolean mask of 3 nodes"):
+            IndependentSet.of(g, bad)
+    empty = WeightedGraph([], [], {})
+    assert IndependentSet.of(empty, []) == IndependentSet(frozenset(), 0)
     assert s.weight == 2 and len(s) == 2
 

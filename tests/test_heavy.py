@@ -47,9 +47,9 @@ def test_stats_examples():
     assert stats[0] == (3, 3, 4)   # center
     assert stats[1] == (1, 3, 2)   # leaf
     # a leaf of weight 1 beside a center of weight 7: s = 8 = 2 * (3 + 1) * 1
-    heavy_center = star.induced(star.nodes, [7, 1, 1, 2])
+    heavy_center = star.induced(star.mask(star.nodes), [7, 1, 1, 2])
     assert good_nodes(heavy_center) == frozenset({0, 1, 2, 3})
-    heavier_center = star.induced(star.nodes, [8, 1, 1, 2])
+    heavier_center = star.induced(star.mask(star.nodes), [8, 1, 1, 2])
     assert good_nodes(heavier_center) == frozenset({0, 3})
 
 
@@ -138,7 +138,7 @@ def test_round_count_is_two_plus_mis():
     good = good_nodes(g)
     assert r.diagnostics["good_nodes"] == len(good)
     # replay the MIS leg with the same derived seed: rounds = 2 + T_mis exactly
-    _, mis_stats = run_on_subgraph(g, good, LubyProgram(),
+    _, mis_stats = run_on_subgraph(g, g.mask(good), LubyProgram(),
                                    seed=derive_seed(5, 0x1B15))
     assert r.stats.rounds == 2 + mis_stats.rounds
 

@@ -77,17 +77,17 @@ weights = st.one_of(st.integers(0, 10**6),
 def test_kernels_equal_the_interpreter(n, p, graph_seed, ws, seed, mode,
                                        max_rounds, n_upper):
     base = generate("gnp", {"n": n, "p": p}, "unit", graph_seed)
-    g = base.induced(base.nodes, ws[:base.n])
+    g = base.induced(base.mask(base.nodes), ws[:base.n])
     rng = random.Random(graph_seed)
-    sub = [v for v in g.nodes if rng.random() < 0.8]
+    sub = np.array([rng.random() < 0.8 for _ in g.nodes], dtype=bool)
     for program in programs(g, rng):
         kw = dict(mode=mode, seed=seed, max_rounds=max_rounds, n_upper=n_upper)
         kernel, reference = both(g, program, **kw)
         assert kernel == reference, type(program).__name__
         # a subset, and the empty graph
-        for subset in (sub, []):
-            kernel = outcome(lambda: run_on_subgraph(g, subset, program, **kw))
-            reference = outcome(lambda: run_on_subgraph(g, subset, program,
+        for keep in (sub, np.zeros(g.n, dtype=bool)):
+            kernel = outcome(lambda: run_on_subgraph(g, keep, program, **kw))
+            reference = outcome(lambda: run_on_subgraph(g, keep, program,
                                                         node_order=list, **kw))
             assert kernel == reference, type(program).__name__
         assert kernel == ("ok", ([], RoundStats(budget_bits=kernel[1][1].budget_bits)))
@@ -142,7 +142,7 @@ def test_63_bit_weights(n, p, graph_seed, ws, seed):
     # n <= 4 keeps the CONGEST budget at 32 or 64 bits, below one 63-bit
     # weight plus its headers
     g = generate("gnp", {"n": n, "p": p}, "unit", graph_seed)
-    g = g.induced(g.nodes, ws[:g.n])
+    g = g.induced(g.mask(g.nodes), ws[:g.n])
     # totals are exact Python ints: four weights near 2^63 overflow an int64 sum
     assert g.total_weight() == sum(ws[:n]) and type(g.total_weight()) is int
     kernels = _algorithm_runs([g])
@@ -414,10 +414,12 @@ def test_kernels_and_graph_queries_build_no_adjacency_tuples():
                     ranking.BoppanaProgram(2),
                     boost.ResidualUpdateProgram(selected, selected)):
         run(g, program, seed=1)
-    h = g.induced(g.nodes[::3])
-    run_on_subgraph(g, h.nodes, mis.LubyProgram(), seed=2)
+    keep = np.zeros(g.n, dtype=bool)
+    keep[::3] = True
+    h = g.induced(keep)
+    run_on_subgraph(g, keep, mis.LubyProgram(), seed=2)
     run(h, heavy.LocalStatsProgram(), seed=2)
-    assert IndependentSet.of(g, selected).weight == g.total_weight(selected)
+    assert IndependentSet.of(g, np.array(out)).weight == g.total_weight(selected)
     assert g.max_degree == max(map(g.degree, g.nodes)) and g.m == g.csr()[1].size // 2
     neighbor_reduce(g, np.add, np.ones(g.n, dtype=np.int64))
     assert g._adj is None and h._adj is None

@@ -36,7 +36,7 @@ def verify_mis_walk(g, node_subset, candidate):
 
 def luby_members(g, seed, subset=None):
     subset = g.nodes if subset is None else subset
-    out, stats = run_on_subgraph(g, subset, LubyProgram(), seed=seed)
+    out, stats = run_on_subgraph(g, g.mask(subset), LubyProgram(), seed=seed)
     return set(compress(sorted(subset), out)), stats
 
 
@@ -156,7 +156,7 @@ def test_verify_mis_matches_the_walk():
         subset = (list(g.nodes) if case % 2 else
                   [v for v in g.nodes if rng.random() < 0.7])
         order = rng.sample(subset, len(subset))
-        cand = set(greedy_mis(g.induced(subset), order).members)
+        cand = set(greedy_mis(g.induced(g.mask(subset)), order).members)
         kind = rng.choice(kinds)
         if kind == "dependent" and len(cand) < len(subset):
             cand.add(rng.choice([v for v in subset if v not in cand]))

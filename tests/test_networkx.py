@@ -47,7 +47,7 @@ def test_oracle_weight_is_max_weight_clique_of_complement():
 def test_csr_matches_adjacency():
     graphs = list(_corpus(20, 60, 3))
     graphs += [load(save(g)) for g in graphs[:10]]
-    graphs += [g.induced([v for v in g.nodes if v % 3]) for g in graphs[:10]]
+    graphs += [g.induced(g.mask(v for v in g.nodes if v % 3)) for g in graphs[:10]]
     graphs.append(WeightedGraph([9, 4, 30], [(4, 30)], {4: 1, 9: 2, 30: 3}))
     for g in graphs:
         h = _to_nx(g)

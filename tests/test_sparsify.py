@@ -195,7 +195,7 @@ def test_sparse_result_independent_in_g():
         assert g.is_independent(r.iset.members)
         # subgraph soundness: diagnostics describe the induced sample
         sampled = _sample(g, s)
-        h = g.induced(sampled)
+        h = g.induced(g.mask(sampled))
         assert r.iset.members <= sampled
         assert r.diagnostics == {"sampled": len(sampled),
                                  "delta_h": h.max_degree,
