@@ -185,11 +185,11 @@ class WeightedGraph:
         between kept positions and renumbered, each row ascending.
         """
         keep = self._selection(keep)
-        if weights is None and keep.all():
+        kept = keep.nonzero()[0]
+        if weights is None and kept.size == len(self.nodes):
             return self
         if weights is not None and len(weights) != self.n:
             raise GraphError(f"expected {self.n} weights by position, got {len(weights)}")
-        kept = keep.nonzero()[0]
         pos = kept.tolist()
         nodes = tuple(map(self.nodes.__getitem__, pos))
         w = (self.w[kept] if weights is None
@@ -218,9 +218,9 @@ class WeightedGraph:
         """``keep`` if it is a boolean mask by position (``[]`` when n = 0), else
         ``GraphError``."""
         keep = np.asarray(keep)
-        if keep.shape != (self.n,) or keep.dtype != bool and keep.size:
+        if keep.shape != (len(self.nodes),) or keep.dtype != bool and keep.size:
             raise GraphError(f"expected a boolean mask of {self.n} nodes, got {keep!r}")
-        return keep.astype(bool, copy=False)
+        return keep if keep.size else keep.astype(bool)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, WeightedGraph) and self.nodes == other.nodes and all(

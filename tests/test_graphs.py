@@ -146,6 +146,7 @@ def test_induced_equals_validated_construction(name, kind, reweight):
     weights = ([rng.choice([0, 1, rng.randrange(INT64_MAX), INT64_MAX])
                 for _ in g.nodes] if reweight else None)
     h = g.induced(mask, weights)
+    assert np.array_equal(g.mask(reversed(subset)), mask)  # ids in any order
     ref = _induced_reference(g, subset, weights)
     assert h == ref
     assert list(h.weights) == list(ref.weights) == list(h.nodes)
