@@ -16,9 +16,10 @@ Each node has a private counter-based random stream (``rng``): word k of
 node v is the k-th SplitMix64 output seeded by ``derive_seed(seed, v)``.
 
 A run executes on the nodes a boolean mask by position selects
-(``g.mask(ids)`` converts ids). Its outputs are one value per node, by
-position in the executed graph (``g.nodes``, or ``g.induced(keep).nodes``):
-the value the node's halting ``StepResult.output`` carried.
+(``g.mask(ids)`` converts ids; answers built from its outputs stay in ids).
+Its outputs are one value per node, by position in the executed graph
+(``g.nodes``, or ``g.induced(keep).nodes``): the value the node's halting
+``StepResult.output`` carried.
 
 A program runs in one of two forms with identical outputs, ``RoundStats``
 and errors, under any ``node_order``. Both open their rounds through one

@@ -215,8 +215,7 @@ class WeightedGraph:
         return mask
 
     def _selection(self, keep) -> np.ndarray:
-        """``keep`` if it is a boolean mask by position (``[]`` when n = 0), else
-        ``GraphError``."""
+        """``keep`` if a boolean mask by position (``[]`` when n = 0), else ``GraphError``."""
         keep = np.asarray(keep)
         if keep.shape != (len(self.nodes),) or keep.dtype != bool and keep.size:
             raise GraphError(f"expected a boolean mask of {self.n} nodes, got {keep!r}")
