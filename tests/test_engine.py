@@ -392,6 +392,36 @@ def test_random_broadcast_programs(n, p, graph_seed, salt, shuffle_seed):
     assert stats.messages_sent == sum(want)
 
 
+def test_hashed_broadcasts_pinned():
+    """``HashedBroadcasts`` has no kernel, so this pin is what ties the
+    interpreter's inboxes to a fixed reference: every decision hashes the
+    node's sorted inbox, and any change in who hears what moves the digest.
+    The G(24, p) cases always have a silent node; K4 with salts 4 and 5
+    has a round in which every node sends."""
+    cases = []
+    for p in (0.1, 0.3, 0.6):
+        g = generate("gnp", {"n": 24, "p": p}, "uniform_range", 5)
+        pick = random.Random(20)
+        keep = np.array([pick.random() < 0.75 for _ in g.nodes], dtype=bool)
+        cases += [(g, keep, salt) for salt in range(3)]
+    k4 = generate("gnp", {"n": 4, "p": 1.0}, "uniform_range", 5)
+    cases += [(k4, np.ones(4, dtype=bool), salt) for salt in range(6)]
+    runs = []
+    for g, keep, salt in cases:
+        shuffled = random.Random(salt)
+
+        def order(nodes):
+            nodes = list(nodes)
+            shuffled.shuffle(nodes)
+            return nodes
+
+        for node_order in (None, order):
+            runs.append(run_on_subgraph(g, keep, HashedBroadcasts(salt), mode="local",
+                                        node_order=node_order))
+    digest = hashlib.sha256(repr(runs).encode()).hexdigest()
+    assert digest == "125d32c2dfb4f7e12b3350700c5b704db8c03470daacc4296e64aa484355dc5c"
+
+
 @pytest.mark.parametrize("kwargs,reason", [
     ({"mode": "quantum"}, "unknown mode 'quantum'"),
     ({"max_rounds": 0}, "max_rounds must be >= 1, got 0"),
