@@ -10,7 +10,9 @@ still read by its neighbors in that round.
 
 Nodes see only their own id, their weight, the ids of their neighbors in the
 executed graph, and an upper bound ``n_upper`` on the network size. They
-never see n, the maximum degree, or any global structure.
+never see n, the maximum degree, or any global structure. A step's inbox is
+an ``Inbox``: a read-only mapping from the ids of the neighbors that sent
+last round, in ascending order, to their messages.
 
 Each node has a private counter-based random stream (``rng``): word k of
 node v is the k-th SplitMix64 output seeded by ``derive_seed(seed, v)``.
@@ -40,8 +42,10 @@ order.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Mapping, Protocol, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Protocol, Sequence
 
 import numpy as np
 
@@ -95,6 +99,42 @@ class NodeContext:
     n_upper: int
 
 
+class Inbox(Mapping):
+    """A read-only mapping from the ids of the neighbors that sent last
+    round, in ascending order, to their messages; equal to the dict of the
+    same pairs. ``values()`` and ``items()`` are tuples in that order."""
+
+    __slots__ = ("_senders", "_msgs")
+
+    def __init__(self, senders: tuple[int, ...], msgs: tuple[Message, ...]):
+        self._senders = senders
+        self._msgs = msgs
+
+    def __getitem__(self, u: int) -> Message:
+        try:
+            i = bisect_left(self._senders, u)
+        except TypeError:  # not comparable with the ids, so not a sender
+            raise KeyError(u) from None
+        if i < len(self._senders) and self._senders[i] == u:
+            return self._msgs[i]
+        raise KeyError(u)
+
+    def __len__(self) -> int:
+        return len(self._senders)
+
+    def __iter__(self):
+        return iter(self._senders)
+
+    def values(self) -> tuple[Message, ...]:
+        return self._msgs
+
+    def items(self) -> tuple[tuple[int, Message], ...]:
+        return tuple(zip(self._senders, self._msgs))
+
+    def __repr__(self) -> str:
+        return f"Inbox({dict(self)!r})"
+
+
 @dataclass(frozen=True)
 class StepResult:
     """``outbox``, if given, is broadcast to every neighbor next round."""
@@ -121,8 +161,9 @@ class NodeProgram(Protocol):
 
     def init(self, ctx: NodeContext, rng) -> StepResult: ...
 
-    def step(self, state: Any, ctx: NodeContext, inbox: Mapping[int, Message],
-             rng) -> StepResult: ...
+    def step(self, state: Any, ctx: NodeContext, inbox: Inbox, rng) -> StepResult:
+        """One round: ``inbox`` maps each neighbor that sent last round, in
+        ascending id order, to its message (an ``Inbox``, read-only)."""
 
 
 @dataclass
@@ -375,10 +416,16 @@ def run_on_subgraph(g: WeightedGraph, keep: np.ndarray, program: NodeProgram,
     outputs: dict[int, Any] = {}
     states: dict[int, Any] = dict.fromkeys(nodes)
     sent: dict[int, Message] = {}
+    empty = Inbox((), ())
     while states:
         pending = {}
+        # when every node sent, each node's senders are all its neighbors
+        everyone = len(sent) == len(nodes)
         for v in list(states):
-            inbox = {u: sent[u] for u in adj[v] if u in sent} if sent else {}
+            inbox = empty
+            if sent:
+                senders = adj[v] if everyone else tuple(filter(sent.__contains__, adj[v]))
+                inbox = Inbox(senders, tuple(map(sent.__getitem__, senders)))
             res = act(states.pop(v), ctxs[v], inbox, rngs[v])
             if res.halt:
                 outputs[v] = res.output

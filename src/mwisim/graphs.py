@@ -7,6 +7,7 @@ inequality with zero tolerance.
 
 from __future__ import annotations
 
+import gc
 import math
 import random
 from bisect import bisect_left
@@ -135,7 +136,14 @@ class WeightedGraph:
             # an object array holds ``nodes``' own ints, so every tuple refers
             # to the one int object per node
             flat = np.array(self.nodes, dtype=object)[self._csr[1]].tolist()
-            self._adj = {v: tuple(flat[a:b]) for v, a, b in zip(self.nodes, ptr, ptr[1:])}
+            # the collector that n new tuples set off finds no cycle among ints
+            was_enabled = gc.isenabled()
+            gc.disable()
+            try:
+                self._adj = {v: tuple(flat[a:b]) for v, a, b in zip(self.nodes, ptr, ptr[1:])}
+            finally:
+                if was_enabled:
+                    gc.enable()
         return self._adj
 
     @property

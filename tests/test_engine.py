@@ -320,6 +320,79 @@ def test_halted_node_stops_sending():
     assert stats.messages_sent == 0
 
 
+class ReadInboxes:
+    """Every node but ``quiet`` sends its id in init (``quiet`` halts), no
+    node sends in round 1, and all halt in round 2. Each step's inbox is
+    kept, with what a program can read from it."""
+
+    def __init__(self, quiet=None):
+        self.quiet = quiet
+
+    def init(self, ctx, rng):
+        if ctx.node_id == self.quiet:
+            return StepResult(halt=True, output=[])
+        return StepResult(state=[], outbox=Message(1, (ctx.node_id,)))
+
+    def step(self, state, ctx, inbox, rng):
+        missing = []
+        for u in ctx.neighbors:
+            try:
+                inbox[u]
+            except KeyError:
+                missing.append(u)
+        seen = state + [(inbox, dict(inbox), list(inbox), len(inbox),
+                         inbox.get(self.quiet), missing)]
+        if len(seen) == 2:
+            return StepResult(halt=True, output=seen)
+        return StepResult(state=seen)
+
+
+@pytest.mark.parametrize("node_order", [None, lambda nodes: nodes[::-1]],
+                         ids=["default-order", "reversed"])
+def test_inbox_is_the_dict_of_last_rounds_senders(monkeypatch, node_order):
+    """On a star with centre 2, an inbox equals the dict the rule
+    ``{u: sent[u] for u in adj[v] if u in sent}`` builds, reads in ascending
+    sender order, and refuses writes. Round 1 takes the every-node-sent path
+    (``filter`` is never called) without a quiet node and the filtered path
+    with node 3 quiet; round 2, with no senders, hands every node one shared
+    empty inbox."""
+    from mwisim import engine
+
+    filtered = []
+
+    def counting_filter(*args):
+        filtered.append(args)
+        return filter(*args)
+
+    monkeypatch.setattr(engine, "filter", counting_filter, raising=False)
+    g = unit([0, 1, 2, 3, 4], [(2, 0), (2, 1), (2, 3), (2, 4)])
+    adj = g.adj
+    for quiet in (None, 3):
+        filtered.clear()
+        out, _ = run(g, ReadInboxes(quiet), node_order=node_order)
+        sent = {u: Message(1, (u,)) for u in g.nodes if u != quiet}
+        assert bool(filtered) is (quiet is not None)
+        empties = set()
+        for v, seen in zip(g.nodes, out):
+            if v == quiet:
+                assert seen == []
+                continue
+            (inbox, as_dict, keys, size, got, missing), last = seen
+            want = {u: sent[u] for u in adj[v] if u in sent}
+            assert inbox == want and want == inbox and as_dict == want
+            assert keys == sorted(want) == list(inbox.keys()) and size == len(want)
+            assert list(inbox.items()) == sorted(want.items())
+            assert list(inbox.values()) == [want[u] for u in keys]
+            assert got is None and (quiet in inbox) is False
+            assert missing == sorted(set(adj[v]) - sent.keys())
+            assert missing == ([3] if v == 2 and quiet == 3 else [])
+            with pytest.raises(TypeError):
+                inbox[keys[0]] = Message(1)
+            empties.add(id(last[0]))
+            assert last[1:] == ({}, [], 0, None, list(adj[v]))
+        assert len(empties) == 1
+
+
 def test_stats_merge():
     from mwisim.engine import RoundStats
 

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import itertools
 import random
@@ -85,6 +86,18 @@ def test_adjacency_tuples_are_derived_once_and_read_only():
     assert g.edges() == [(u, v) for u in g.nodes for v in g.adj[u] if u < v]
     with pytest.raises(AttributeError):
         g.adj = {}
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_adjacency_build_leaves_the_collector_as_it_found_it(enabled):
+    g = generate("gnp", {"n": 30, "p": 0.2}, "unit", 1)
+    was = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        assert g._adj is None and len(g.adj) == g.n
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if was else gc.disable()
 
 
 def test_is_independent_equals_an_edge_scan():
