@@ -71,10 +71,11 @@ def run_inner(inner: Inner, g: WeightedGraph, seed: int,
     res = inner(g, seed, n_upper)
     if not res.diagnostics.get("mis_valid", True):
         raise GraphError("inner MIS black box returned an invalid MIS")
-    members = res.iset.members
-    if not members <= set(g.nodes):
-        raise GraphError("inner selected nodes outside its graph")
-    if not g.is_independent(members):
+    try:
+        inside = g.mask(res.iset.members)
+    except GraphError:
+        raise GraphError("inner selected nodes outside its graph") from None
+    if not g._independent(inside):
         raise GraphError("inner returned a non-independent set")
     return res
 

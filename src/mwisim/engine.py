@@ -262,6 +262,7 @@ class Net:
         self._seeds: np.ndarray | None = None
         self._max_rounds = max_rounds
         self._sent = np.zeros(graph.n, dtype=bool)
+        self._sent_all = False
 
     def words(self, pos: np.ndarray, k) -> np.ndarray:
         """Word ``k`` of the stream of each node in ``pos`` (uint64)."""
@@ -333,6 +334,7 @@ class Net:
         stats.per_round_messages.append(msgs)
         stats.max_message_bits = max(stats.max_message_bits, top)
         self._sent = senders
+        self._sent_all = idx.size == len(self.ids)
 
     def send_limbs(self, active: np.ndarray, senders: np.ndarray, tag: int,
                    values: np.ndarray) -> None:
@@ -348,9 +350,11 @@ class Net:
         """``ufunc`` (``np.add`` or ``np.maximum``) over ``values`` of each
         node's neighbors that sent in the last round, on top of ``initial``
         (default 0): ``graphs.neighbor_reduce`` with every other neighbor
-        counted as 0, which neither ufunc notices on non-negative values."""
-        return neighbor_reduce(self.graph, ufunc, np.where(self._sent, values, 0),
-                               initial)
+        counted as 0, which neither ufunc notices on non-negative values
+        (``values`` as given when every node sent)."""
+        if not self._sent_all:
+            values = np.where(self._sent, values, 0)
+        return neighbor_reduce(self.graph, ufunc, values, initial)
 
 
 def run(g: WeightedGraph, program: NodeProgram, mode: str = "congest",

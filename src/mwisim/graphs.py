@@ -20,6 +20,7 @@ import numpy as np
 from .rng import derive_seed
 
 INT64_MAX = (1 << 63) - 1
+INT32_MAX = (1 << 31) - 1
 
 WEIGHT_MODELS = ("unit", "uniform_range", "heavy_tail")
 FAMILIES = ("cycle", "path", "clique", "star", "gnp", "cycle_of_cliques")
@@ -203,14 +204,16 @@ class WeightedGraph:
         w = (self.w[kept] if weights is None
              else _checked_weights(nodes, list(map(weights.__getitem__, pos))))
         indptr, nbr = self._csr
-        entry = keep[nbr] & keep.repeat(self.degrees)
-        # kept entries before each row of the parent: the new row bounds
-        before = np.zeros(nbr.size + 1, dtype=np.int64)
-        np.add.accumulate(entry, dtype=np.int64, out=before[1:])
-        bounds = before[indptr]
+        # the entries between kept positions; kept entries before each row of
+        # the parent are the new row bounds
+        entry = (keep[nbr] & keep.repeat(self.degrees)).nonzero()[0]
+        bounds = entry.searchsorted(indptr)
+        # the position map: a kept node's number in the subgraph
+        new_pos = np.empty(len(self.nodes), dtype=np.int64)
+        new_pos[kept] = np.arange(kept.size)
         return object.__new__(WeightedGraph)._build(
             nodes, self._ids[kept], w, np.concatenate((bounds[kept], bounds[-1:])),
-            kept.searchsorted(nbr[entry]))
+            new_pos[nbr[entry]])
 
     def mask(self, ids: Iterable[int]) -> np.ndarray:
         """Boolean mask by position, set at the nodes ``ids``; refuses unknown ids."""
@@ -253,6 +256,11 @@ class IndependentSet:
         inside = g._selection(inside)
         if not g._independent(inside):
             raise GraphError("set is not independent")
+        return cls._of_independent(g, inside)
+
+    @classmethod
+    def _of_independent(cls, g: WeightedGraph, inside: np.ndarray) -> "IndependentSet":
+        """``of`` for a boolean mask already known to be independent in ``g``."""
         return cls(frozenset(map(g.nodes.__getitem__, inside.nonzero()[0].tolist())),
                    sum(g.w[inside].tolist()))
 
@@ -296,20 +304,25 @@ def _csr_of_edges(n: int, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.
     """``(indptr, nbr)`` of the graph on positions 0..n-1 with an edge
     between ``u[k]`` and ``v[k]`` for each k, in either order, repeats
     merged."""
-    # the directed keys i * n + j, sorted in place in one array, are the CSR
-    # in row order: repeats are neighbouring equal keys (dropped only if there
-    # are any), row i starts at the first key >= i * n (n + 1 binary
-    # searches), and a key's neighbour is the key mod n
-    keys = np.empty(2 * u.size, dtype=np.int64)
-    for half, a, b in ((keys[:u.size], u, v), (keys[u.size:], v, u)):
-        np.multiply(a, n, out=half)
-        half += b
+    # the directed keys i << b | j (b bits hold any position), sorted in
+    # place in one array, are the CSR in row order: repeats are neighbouring
+    # equal keys (dropped only if there are any), row i starts at the first
+    # key >= i << b (n + 1 binary searches), and a key's neighbour is its low
+    # b bits. The keys are int32 whenever n << b fits, which halves the bytes
+    # the sort moves.
+    b = max(n - 1, 0).bit_length()
+    dtype = np.int32 if n << b <= INT32_MAX else np.int64
+    keys = np.concatenate((u, v), dtype=dtype, casting="same_kind")
+    keys <<= b
+    keys |= np.concatenate((v, u), dtype=dtype, casting="same_kind")
     keys.sort()
     same = keys[1:] == keys[:-1]
     if same.any():
         keys = keys[np.append(True, ~same)]
-    indptr = keys.searchsorted(np.arange(n + 1, dtype=np.int64) * n)
-    return indptr, np.remainder(keys, n, out=keys)
+    indptr = keys.searchsorted(np.arange(0, (n << b) + 1, 1 << b, dtype=dtype))
+    nbr = keys.astype(np.int64, copy=False)
+    nbr &= (1 << b) - 1
+    return indptr, nbr
 
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -398,7 +411,12 @@ def _gnp_edges(n: int, p: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
     chunks = []
     pos = -1
     while pos < total:
-        block = gen.geometric(p, size=max(64, int((total - pos) * p * 1.1) + 64))
+        # the slots left hold a Binomial(left, p) count of edges: a block of
+        # its mean + 6 sd + 64 draws almost always ends the scan, and a short
+        # block only costs another; draws split across calls are the same
+        # stream as one call's, so the block size never changes the edges
+        left = (total - pos) * p
+        block = gen.geometric(p, size=int(left + 6 * math.sqrt(left * (1 - p))) + 64)
         # a gap past the last slot ends the scan either way; clipping it keeps
         # the running sum inside int64 when p is tiny
         np.cumsum(np.minimum(block, total + 1, out=block), out=block)

@@ -15,14 +15,13 @@ the good bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
 
 import numpy as np
 
 from .engine import (Net, NodeContext, RunOutcome, StepResult, run,
                      run_on_subgraph)
 from .graphs import IndependentSet, WeightedGraph
-from .mis import LubyProgram, verify_mis
+from .mis import LubyProgram, mis_violation
 from .rng import derive_seed
 from .wire import Message
 
@@ -77,9 +76,11 @@ class LocalStatsProgram:
         net.send(every, every, TAG_STATS, deg, w)
         delta = net.fold(np.maximum, deg, deg)
         s = net.fold(np.add, w, w)
-        good = [is_good(*wds) for wds in zip(w.tolist(), delta.tolist(), s.tolist())]
-        net.send(every, every, TAG_GOOD, np.array(good, dtype=np.int64))
-        return good
+        # is_good: for an integer w, 2(delta+1)w >= s iff w >= ceil(s / (2(delta+1))),
+        # and the ceiling never leaves s's range, int64 or Python ints
+        good = (w > 0) & (w >= -(-s // (2 * (delta + 1))))
+        net.send(every, every, TAG_GOOD, good)
+        return good.tolist()
 
 
 def heavy_mis_approx(g: WeightedGraph, seed: int = 0, mode: str = "congest",
@@ -98,7 +99,11 @@ def heavy_mis_approx(g: WeightedGraph, seed: int = 0, mode: str = "congest",
                                   seed=derive_seed(seed, 0x1B15), n_upper=n_upper)
     inside = np.zeros(g.n, dtype=bool)
     inside[good] = in_mis  # the good subgraph's positions, ascending
-    iset = IndependentSet.of(g, inside)
-    ok, _ = verify_mis(g, compress(g.nodes, good_bits), iset.members)
+    violation = mis_violation(g, good, inside)
+    if violation is None:  # its one scan found no adjacent members
+        iset = IndependentSet._of_independent(g, inside)
+    else:  # refused if dependent; else independent but not maximal
+        iset = IndependentSet.of(g, inside)
     return RunOutcome(iset, st1.merge(st2),
-                      {"good_nodes": sum(good_bits), "mis_valid": ok})
+                      {"good_nodes": int(np.count_nonzero(good)),
+                       "mis_valid": violation is None})

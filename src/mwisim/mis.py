@@ -7,7 +7,8 @@ announced nodes' neighbors drop out. One iteration costs two engine rounds
 iteration makes progress and termination is deterministic; the O(log n)
 bound is the usual high-probability one.
 
-``verify_mis`` checks the black box's answers over the CSR, not ``g.adj``.
+``verify_mis`` checks the black box's answers over the CSR, not ``g.adj``;
+``mis_violation`` is the same check on boolean masks by position.
 """
 
 from __future__ import annotations
@@ -117,16 +118,24 @@ def verify_mis(g: WeightedGraph, node_subset, candidate) -> tuple[bool, str | No
     stray = cand - subset
     if stray:
         return False, f"candidate node {min(stray)} is outside the subset"
-    sub, inside = g.mask(subset), g.mask(cand)
+    violation = mis_violation(g, g.mask(subset), g.mask(cand))
+    return violation is None, violation
+
+
+def mis_violation(g: WeightedGraph, sub: np.ndarray, inside: np.ndarray) -> str | None:
+    """``verify_mis`` on boolean masks by position, ``inside`` within ``sub``:
+    None if ``inside`` is a maximal independent set of the subgraph ``sub``
+    induces, else the first violation (adjacent members, then a node left
+    uncovered). One scan of the CSR."""
     indptr, nbr = g.csr()
     own = inside.repeat(g.degrees)  # the CSR entries of members' rows
     both = (inside[nbr] & own).nonzero()[0]
     if both.size:  # the least member with a member neighbor, and its least one
         v = g.nodes[indptr.searchsorted(both[0], "right") - 1]
-        return False, f"members {v} and {g.nodes[nbr[both[0]]]} are adjacent"
+        return f"members {v} and {g.nodes[nbr[both[0]]]} are adjacent"
     covered = inside.copy()
     covered[nbr[own]] = True
     bare = (sub & ~covered).nonzero()[0]
     if bare.size:
-        return False, f"node {g.nodes[bare[0]]} is neither in the set nor adjacent to it"
-    return True, None
+        return f"node {g.nodes[bare[0]]} is neither in the set nor adjacent to it"
+    return None

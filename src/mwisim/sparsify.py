@@ -114,8 +114,18 @@ def compute_sampling_profile(g: WeightedGraph, lam: float, log_base: str = "two"
         every = np.ones(g.n, dtype=bool)
         net.send(every, every, TAG_DEGW, deg, w)
         net.send_limbs(every, every, TAG_WDEG, wdeg)
-    return [_clamped(wv, d, wm, scale)
-            for wv, d, wm in zip(w.tolist(), delta.tolist(), wmax.tolist())]
+    # float64 steps round as ``_clamped``'s do wherever wmax < 2^53: there
+    # w <= wmax and delta are exact doubles. An isolated node has wmax = 0,
+    # so delta >= 1 wherever wmax > 0, and p = inf * scale clamps to 1 where
+    # wmax = 0.
+    wm = wmax.astype(np.float64)
+    p = np.divide(w, wm, out=np.full(g.n, np.inf), where=wm > 0)
+    p += 1.0 / np.maximum(delta, 1)
+    p *= scale
+    np.minimum(p, 1.0, out=p)
+    for i in (wm >= 2.0**53).nonzero()[0].tolist():
+        p[i] = _clamped(int(w[i]), int(delta[i]), int(wmax[i]), scale)
+    return p.tolist()
 
 
 def sample_subgraph(g: WeightedGraph, p: Sequence[float],

@@ -213,15 +213,16 @@ def test_rand_mis_sparse_pipeline(seed):
 
 
 def test_rand_mis_checks_the_clique_cycle_set_once(monkeypatch):
-    # in run_inner; the sparse pipeline and the mapping back add none
+    # in run_inner, on a mask; the sparse pipeline (whose maximality check
+    # scans the pairs itself) and the mapping back add none
     checked = []
-    is_independent = WeightedGraph.is_independent
+    independent = WeightedGraph._independent
 
-    def counted(self, members):
+    def counted(self, inside):
         checked.append(self.n)
-        return is_independent(self, members)
+        return independent(self, inside)
 
-    monkeypatch.setattr(WeightedGraph, "is_independent", counted)
+    monkeypatch.setattr(WeightedGraph, "_independent", counted)
     c = generate("cycle", {"n": 32}, "unit", 0)
     rand_mis(c, as_inner("sparse", {"lam": 4.0}, "local"), 16)
     assert checked.count(32 * 16) == 1

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from mwisim.graphs import (INT64_MAX, BruteForceCapError, GraphError,
                            GraphParseError, IndependentSet, WeightedGraph,
                            _csr_of_edges, _gnp_edges, _slot_pairs,
-                           brute_force_max_is,
+                           brute_force_max_is, build_clique_cycle,
                            degeneracy,
                            generate, load, neighbor_reduce, random_tree, save)
 from mwisim.heavy import heavy_mis_approx
@@ -242,6 +242,17 @@ def test_gnp_deterministic_and_plausible():
     assert a != c
 
 
+@pytest.mark.parametrize("p", [0.001, 0.04, 0.3, 0.6])
+def test_geometric_draws_split_across_calls_are_one_stream(p):
+    # why _gnp_edges may size its blocks freely: the edges never depend on it
+    def gen():
+        return np.random.Generator(np.random.PCG64(derive_seed(5, 0x6E90)))
+
+    a, b = gen(), gen()
+    split = np.concatenate((a.geometric(p, size=337), a.geometric(p, size=663)))
+    assert np.array_equal(split, b.geometric(p, size=1000))
+
+
 def test_gnp_edges_valid():
     g = generate("gnp", {"n": 257, "p": 0.13}, "unit", 11)
     for u in g.nodes:
@@ -361,6 +372,11 @@ def test_csr_of_edges_matches_sorted_neighbour_sets(data):
         # repeats, some turned round and some not
         k = data.draw(st.integers(0, len(pairs)), label="repeated")
         pairs += [(b, a) for a, b in pairs[:k:2]] + pairs[1:k:2]
+    _assert_csr_of_pairs(n, pairs)
+
+
+def _assert_csr_of_pairs(n, pairs):
+    """``_csr_of_edges`` on ``pairs`` against sorted sets of neighbours."""
     u = np.array([a for a, _ in pairs], dtype=np.int64)
     v = np.array([b for _, b in pairs], dtype=np.int64)
     nbrs = [set() for _ in range(n)]
@@ -371,6 +387,44 @@ def test_csr_of_edges_matches_sorted_neighbour_sets(data):
     assert indptr.dtype == nbr.dtype == np.int64
     assert indptr.tolist() == list(itertools.accumulate(map(len, nbrs), initial=0))
     assert nbr.tolist() == [j for s in nbrs for j in sorted(s)]
+
+
+@pytest.mark.parametrize("n", [2**15, 2**15 + 1])
+def test_csr_of_edges_at_both_key_widths(n):
+    # n << b fits int32 at n = 2^15 (b = 15) and not at 2^15 + 1 (b = 16),
+    # so the keys are sorted as int32 and int64 respectively
+    rng = random.Random(n)
+    ends = [0, 1, n - 2, n - 1]  # the top positions set every bit of b
+    pairs = [(a, b) for a in ends for b in ends if a != b]
+    while len(pairs) < 4000:
+        a, b = rng.randrange(n), rng.choice([rng.randrange(n), rng.choice(ends)])
+        if a != b:
+            pairs.append((a, b))
+    # repeats, some turned round and some not
+    pairs += [(b, a) for a, b in pairs[:500]] + pairs[500:900]
+    rng.shuffle(pairs)
+    _assert_csr_of_pairs(n, pairs)
+
+
+def _csr_builders():
+    yield "constructor", WeightedGraph([9, 2, 5], [(2, 9), (5, 2)], {2: 1, 5: 2, 9: 3})
+    yield "constructor, no edges", WeightedGraph([4], [], {4: 1})
+    g = generate("gnp", {"n": 40, "p": 0.2}, "heavy_tail", 3)
+    yield "generate", g
+    yield "generate, cycle", generate("cycle", {"n": 7}, "unit", 0)
+    yield "induced", g.induced(np.arange(40) % 3 > 0)
+    yield "induced, reweighted", g.induced(np.ones(40, bool), list(range(40)))
+    yield "build_clique_cycle", build_clique_cycle(5, 3).graph
+    yield "load", load(save(g))
+
+
+@pytest.mark.parametrize("name,g", list(_csr_builders()),
+                         ids=[name for name, _ in _csr_builders()])
+def test_every_builder_stores_the_csr_as_read_only_contiguous_int64(name, g):
+    # the sha256 pins cast to <i8 first, so they would not see a narrower dtype
+    for a in g.csr():
+        assert a.dtype == np.int64
+        assert a.flags.c_contiguous and not a.flags.writeable
 
 
 def _sha256(a):

@@ -4,7 +4,8 @@ from itertools import compress
 import pytest
 
 from mwisim.engine import run
-from mwisim.graphs import INT64_MAX, WeightedGraph, generate
+from mwisim import heavy
+from mwisim.graphs import INT64_MAX, GraphError, WeightedGraph, generate
 from mwisim.heavy import LocalStatsProgram, heavy_mis_approx, is_good
 from mwisim.rng import derive_seed
 
@@ -76,6 +77,34 @@ def test_stats_program_matches_sequential():
         assert stats.rounds == 2
         good = _reference_good(g)
         assert out == [v in good for v in g.nodes]
+
+
+def _good_bit_boundaries():
+    """(graph, the good ids) with weights near 2^62: the good bit at its
+    boundary 2(delta+1)w = s, where 2(delta+1)w passes 2^63."""
+    # a path a-b-c (delta 2 everywhere) whose closed sums fit int64, so the
+    # kernel folds in int64, while 6 * w_b does not: a is good iff 5 w_a >= w_b
+    w_b = INT64_MAX // 3
+    yield WeightedGraph([0, 1, 2], [(0, 1), (1, 2)],
+                        {0: -(-w_b // 5), 1: w_b, 2: -(-w_b // 5) - 1}), {0, 1}
+    # a star whose centre's closed sum passes 2^64, so the sums are Python
+    # ints: with 4 leaves the centre is good iff 9 w_c >= the leaves' sum
+    leaves = {v: 2**62 + 7 * v for v in range(1, 5)}
+    for w_c, good in ((-(-sum(leaves.values()) // 9), {0, 1, 2, 3, 4}),
+                      (-(-sum(leaves.values()) // 9) - 1, {1, 2, 3, 4})):
+        yield WeightedGraph(range(5), [(0, v) for v in leaves], {0: w_c, **leaves}), good
+    # zero weights: never good, beside heavy nodes, alone, or among zeros
+    yield WeightedGraph(range(6), [(0, 1), (1, 2), (4, 5)],
+                        {0: 0, 1: INT64_MAX, 2: 0, 3: 0, 4: 0, 5: 0}), {1}
+
+
+@pytest.mark.parametrize("index", range(4))
+def test_good_bit_is_exact_past_int64(index):
+    g, good = list(_good_bit_boundaries())[index]
+    kernel, _ = run(g, LocalStatsProgram(), mode="local")
+    interpreted, _ = run(g, LocalStatsProgram(), mode="local", node_order=list)
+    assert kernel == interpreted == [v in good for v in g.nodes]
+    assert _reference_good(g) == good
 
 
 def test_good_examples():
@@ -155,6 +184,27 @@ def test_exact_guarantee_random(seed):
     assert r.diagnostics["mis_valid"]
     assert g.is_independent(r.iset.members)
     assert 4 * (g.max_degree + 1) * r.iset.weight >= g.total_weight()
+
+
+@pytest.mark.parametrize("joins,error", [("none", None), ("all", "not independent")])
+def test_heavy_reports_a_bad_black_box_answer(monkeypatch, joins, error):
+    # Luby's answer replaced: no good node joins (not maximal), or every good
+    # node joins (dependent, which IndependentSet.of refuses)
+    run_on_subgraph = heavy.run_on_subgraph
+
+    def scripted(g, keep, program, **kwargs):
+        out, stats = run_on_subgraph(g, keep, program, **kwargs)
+        return [joins == "all"] * len(out), stats
+
+    monkeypatch.setattr(heavy, "run_on_subgraph", scripted)
+    g = generate("cycle", {"n": 6}, "unit", 0)
+    if error:
+        with pytest.raises(GraphError, match=error):
+            heavy_mis_approx(g, seed=1)
+    else:
+        r = heavy_mis_approx(g, seed=1)
+        assert r.iset.members == frozenset()
+        assert r.diagnostics == {"good_nodes": 6, "mis_valid": False}
 
 
 def test_all_zero_weights_vacuous():

@@ -69,6 +69,16 @@ def _profile_corpus():
     # weighted degrees beyond int64
     yield WeightedGraph(range(5), [(0, 1), (0, 2), (0, 3), (3, 4)],
                         {0: INT64_MAX, 1: INT64_MAX, 2: INT64_MAX - 1, 3: 1, 4: 0})
+    # wmax at 2^53 - 1, 2^53 and 2^53 + 1, where a double stops holding every
+    # int: the leaves' sum is the centre's weighted degree and every node's
+    # wmax. At 2^53 + 1, w / float(wmax) rounds otherwise than w / wmax for
+    # four heavy leaves under lam 0.3 (p < 1 there, as delta = 60).
+    for wmax in (2**53 - 1, 2**53, 2**53 + 1):
+        heavy = [wmax // d + 1 for d in (9, 8, 7, 6, 5)]
+        light = [(wmax - sum(heavy)) // 55 + i for i in range(54)]
+        leaves = [*heavy, *light, wmax - sum(heavy) - sum(light)]
+        yield WeightedGraph(range(61), [(0, i) for i in range(1, 61)],
+                            {0: 5, **dict(enumerate(leaves, 1))})
 
 
 def test_profile_equals_reference():
