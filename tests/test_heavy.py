@@ -3,8 +3,8 @@ from itertools import compress
 
 import pytest
 
-from mwisim.engine import run
 from mwisim import heavy
+from mwisim.engine import run
 from mwisim.graphs import INT64_MAX, GraphError, WeightedGraph, generate
 from mwisim.heavy import LocalStatsProgram, heavy_mis_approx, is_good
 from mwisim.rng import derive_seed
@@ -90,17 +90,16 @@ def _good_bit_boundaries():
     # a star whose centre's closed sum passes 2^64, so the sums are Python
     # ints: with 4 leaves the centre is good iff 9 w_c >= the leaves' sum
     leaves = {v: 2**62 + 7 * v for v in range(1, 5)}
-    for w_c, good in ((-(-sum(leaves.values()) // 9), {0, 1, 2, 3, 4}),
-                      (-(-sum(leaves.values()) // 9) - 1, {1, 2, 3, 4})):
+    least = -(-sum(leaves.values()) // 9)
+    for w_c, good in ((least, {0, 1, 2, 3, 4}), (least - 1, {1, 2, 3, 4})):
         yield WeightedGraph(range(5), [(0, v) for v in leaves], {0: w_c, **leaves}), good
     # zero weights: never good, beside heavy nodes, alone, or among zeros
     yield WeightedGraph(range(6), [(0, 1), (1, 2), (4, 5)],
                         {0: 0, 1: INT64_MAX, 2: 0, 3: 0, 4: 0, 5: 0}), {1}
 
 
-@pytest.mark.parametrize("index", range(4))
-def test_good_bit_is_exact_past_int64(index):
-    g, good = list(_good_bit_boundaries())[index]
+@pytest.mark.parametrize("g,good", list(_good_bit_boundaries()))
+def test_good_bit_is_exact_past_int64(g, good):
     kernel, _ = run(g, LocalStatsProgram(), mode="local")
     interpreted, _ = run(g, LocalStatsProgram(), mode="local", node_order=list)
     assert kernel == interpreted == [v in good for v in g.nodes]
