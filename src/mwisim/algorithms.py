@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Any, Mapping
 
 from .arb import arb_approx
-from .boost import BoostResult, Inner, boost, phase_count
+from .boost import Inner, boost, phase_count
 from .engine import RunOutcome, run
 from .graphs import (GraphError, IndependentSet, WeightedGraph, check_real,
                      degeneracy)
@@ -91,26 +91,18 @@ def run_algorithm(g: WeightedGraph, alg: str, params: Mapping[str, Any],
                              n_upper=n_upper, log_base=p["log_base"])
     if alg in ("boost-heavy", "boost-sparse"):
         inner = as_inner(alg.removeprefix("boost-"), p, mode)
-        r = boost(g, inner, eps=p["eps"], c=p["c"], seed=seed, mode=mode,
-                  n_upper=n_upper)
-        return _boost_outcome(r)
+        return boost(g, inner, eps=p["eps"], c=p["c"], seed=seed, mode=mode,
+                     n_upper=n_upper)
     if alg == "arb":
-        r = arb_approx(g, p["alpha"], as_inner("boost-heavy", p, mode),
-                       seed=seed, mode=mode, n_upper=n_upper)
-        # the phases after the last frame left the vertex set as it was
-        sizes = [*r.sizes, *r.sizes[-1:] * (r.phases + 1 - len(r.sizes))]
-        return RunOutcome(r.iset, r.stats,
-                          {"phases": r.phases, "alpha": p["alpha"],
-                           "sizes": sizes},
-                          stack=r.stack)
+        return arb_approx(g, p["alpha"], as_inner("boost-heavy", p, mode),
+                          seed=seed, mode=mode, n_upper=n_upper)
     if alg == "boppana":
         return boppana_once(g, c=p["c"], seed=seed, mode=mode, n_upper=n_upper)
     if alg == "fastld":
         # one ranking round on unit weights keeps a 1/(8*Delta) fraction, so
         # boosting uses c = 8; p["c"] is the rank-range constant
-        r = boost(g, as_inner("boppana", p, mode), eps=p["eps"], c=DEFAULT_C_BOOST,
-                  seed=seed, mode=mode, n_upper=n_upper)
-        return _boost_outcome(r)
+        return boost(g, as_inner("boppana", p, mode), eps=p["eps"],
+                     c=DEFAULT_C_BOOST, seed=seed, mode=mode, n_upper=n_upper)
     # luby
     in_mis, stats = run(g, LubyProgram(), mode=mode, seed=seed, n_upper=n_upper)
     return RunOutcome(IndependentSet.of(g, in_mis), stats, {})
@@ -120,10 +112,3 @@ def as_inner(alg: str, params: Mapping[str, Any], mode: str = "congest") -> Inne
     """``alg`` as a local-ratio inner algorithm (see ``boost.local_ratio``)."""
     return lambda g_sub, seed, n_upper: run_algorithm(g_sub, alg, params, seed,
                                                       mode, n_upper)
-
-
-def _boost_outcome(r: BoostResult) -> RunOutcome:
-    return RunOutcome(r.iset, r.stats,
-                      {"phases": r.phases,
-                       "inner_rounds_max": r.inner_rounds_max},
-                      stack=r.stack)

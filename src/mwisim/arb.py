@@ -16,10 +16,12 @@ caller supplies the (1+eps)*Delta-approximation as the inner algorithm.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from typing import Iterable, Mapping
 
-from .boost import BoostResult, Inner, local_ratio
-from .graphs import GraphError, WeightedGraph, check_int64
+from .boost import Inner, local_ratio
+from .engine import RunOutcome
+from .graphs import GraphError, WeightedGraph
 
 
 def arb_reduce(w: Mapping[int, int], selected: Iterable[int],
@@ -29,8 +31,8 @@ def arb_reduce(w: Mapping[int, int], selected: Iterable[int],
     Nodes in ``zeroed`` (a superset of the independent set ``selected``) drop
     to zero; every other node loses the residual weight of its selected
     neighbors. Boosting zeroes exactly the selected set; the arboricity
-    pipeline zeroes every low-degree node. Arithmetic is checked signed
-    64-bit.
+    pipeline zeroes every low-degree node. Residuals are exact Python ints,
+    so one below -2^63 is returned as it is, as the reduction round does.
     """
     chosen = set(selected)
     zero = set(zeroed)
@@ -44,7 +46,7 @@ def arb_reduce(w: Mapping[int, int], selected: Iterable[int],
             out[v] = 0
         else:
             reduction = sum(w[u] for u in g.adj[v] if u in chosen)
-            out[v] = check_int64(wv - reduction, f"residual of node {v}")
+            out[v] = wv - reduction
     return out
 
 
@@ -53,15 +55,21 @@ def arb_phase_count(n: int) -> int:
 
 
 def arb_approx(g: WeightedGraph, alpha: int, inner: Inner, seed: int = 0,
-               mode: str = "congest", n_upper: int | None = None) -> BoostResult:
+               mode: str = "congest", n_upper: int | None = None) -> RunOutcome:
     """The full low-arboricity pipeline; ``alpha`` is caller-supplied.
 
     ``inner`` is the (1+eps)*Delta-approximation each phase runs (the
     harness passes boosting over the good-node algorithm). Degeneracy is a
     safe surrogate for alpha (it is never smaller), at the cost of a weaker
-    constant in the approximation factor.
+    constant in the approximation factor. The diagnostics are ``phases``,
+    ``alpha`` and ``sizes``, one count per phase and one after the last.
     """
     if not alpha >= 1:  # NaN included
         raise GraphError(f"algorithm 'arb': alpha must be >= 1, got {alpha}")
-    return local_ratio(g, inner, arb_phase_count(g.n), 0xA5B, seed, mode,
-                       n_upper, degree_cap=4 * alpha)
+    r = local_ratio(g, inner, arb_phase_count(g.n), 0xA5B, seed, mode,
+                    n_upper, degree_cap=4 * alpha)
+    phases, sizes = r.diagnostics["phases"], r.diagnostics["sizes"]
+    # the phases after the last frame left the vertex set as it was
+    sizes = sizes + sizes[-1:] * (phases + 1 - len(sizes))
+    return replace(r, diagnostics={"phases": phases, "alpha": alpha,
+                                   "sizes": sizes})

@@ -18,7 +18,7 @@ drives both the (1+eps)*Delta and the 8*(1+eps)*alpha bounds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable
 
 import numpy as np
@@ -85,14 +85,14 @@ class ResidualUpdateProgram:
     """One announcement round realizing the weight reduction distributively.
 
     Run on the positive-residual subgraph (so ctx.weight is the residual):
-    selected nodes broadcast their residual weight; nodes in ``zeroed`` (a
-    superset of ``selected``) end at zero; everyone else subtracts the
-    announced weights of selected neighbors. Each node's output is its new
-    residual.
+    selected nodes broadcast their residual weight; a node ends at zero if
+    it is selected or, with ``degree_cap``, if its own degree is at most the
+    cap; everyone else subtracts the announced weights of selected
+    neighbors. Each node's output is its new residual.
     """
 
     selected: frozenset[int]
-    zeroed: frozenset[int]
+    degree_cap: int | None = None
 
     def init(self, ctx: NodeContext, rng) -> StepResult:
         if ctx.node_id in self.selected:
@@ -101,7 +101,9 @@ class ResidualUpdateProgram:
         return StepResult(state=None)
 
     def step(self, state, ctx: NodeContext, inbox, rng) -> StepResult:
-        if ctx.node_id in self.zeroed:
+        cap = self.degree_cap
+        if ctx.node_id in self.selected or (cap is not None
+                                            and len(ctx.neighbors) <= cap):
             return StepResult(halt=True, output=0)
         reduction = sum(msg.values[0] for msg in inbox.values()
                         if msg.tag == TAG_REDUCE)
@@ -112,7 +114,9 @@ class ResidualUpdateProgram:
         selected = np.fromiter(map(self.selected.__contains__, ids), bool, len(ids))
         net.send(np.ones(len(ids), dtype=bool), selected, TAG_REDUCE, w)
         out = w - net.fold(np.add, w)
-        out[np.fromiter(map(self.zeroed.__contains__, ids), bool, len(ids))] = 0
+        # a new mask: ``net`` keeps ``selected`` as the round's senders
+        out[selected if self.degree_cap is None
+            else selected | (net.deg <= self.degree_cap)] = 0
         return out.tolist()
 
 
@@ -128,17 +132,6 @@ def check_stack_property(g: WeightedGraph, iset: IndependentSet,
     return iset.weight >= sum(f.pushed_total() for f in frames)
 
 
-@dataclass(frozen=True)
-class BoostResult:
-    iset: IndependentSet
-    stack: tuple[PhaseFrame, ...]
-    stats: RoundStats
-    phases: int
-    inner_rounds_max: int
-    # positive-residual nodes before each frame's phase, then after the last
-    sizes: tuple[int, ...]
-
-
 def phase_count(c: float, eps: float, alg: str = "boost") -> int:
     if not math.isfinite(c / eps):  # math.ceil refuses inf
         raise GraphError(f"algorithm {alg!r}: eps={eps} is too small: c/eps overflows")
@@ -147,7 +140,7 @@ def phase_count(c: float, eps: float, alg: str = "boost") -> int:
 
 def local_ratio(g: WeightedGraph, inner: Inner, phases: int, salt: int,
                 seed: int, mode: str, n_upper: int | None,
-                degree_cap: int | None = None) -> BoostResult:
+                degree_cap: int | None = None) -> RunOutcome:
     """``phases`` push phases of ``inner``, then the greedy pop stage.
 
     The loop's only state is the residual graph ``g_i``: the subgraph of
@@ -164,6 +157,11 @@ def local_ratio(g: WeightedGraph, inner: Inner, phases: int, salt: int,
     holds a frame for each phase that ran, and ``phases`` stays the budget.
     A ``GraphError`` from a phase's inner run or its check (``run_inner``)
     is re-raised as ``BoostPhaseError`` naming the phase.
+
+    The outcome holds the popped set, the stats of every run and the stack;
+    its diagnostics are ``phases`` (the budget), ``inner_rounds_max`` and
+    ``sizes``: the positive-residual node count before each frame's phase,
+    then after the last one (not padded to the budget).
     """
     if n_upper is None:
         n_upper = g.n
@@ -188,8 +186,7 @@ def local_ratio(g: WeightedGraph, inner: Inner, phases: int, salt: int,
         pushed = g_i.w[g_i.mask(members)].tolist()  # by position: ascending ids
         frames.append(PhaseFrame(i, members, dict(zip(sorted(members), pushed))))
 
-        zeroed = members if degree_cap is None else frozenset(g_in.nodes)
-        upd_out, upd_stats = run(g_i, ResidualUpdateProgram(members, zeroed),
+        upd_out, upd_stats = run(g_i, ResidualUpdateProgram(members, degree_cap),
                                  mode=mode, seed=derive_seed(seed, 0x0DD + i),
                                  n_upper=n_upper)
         stats = stats.merge(upd_stats)
@@ -197,20 +194,25 @@ def local_ratio(g: WeightedGraph, inner: Inner, phases: int, salt: int,
         g_i = g_i.induced(np.array([r > 0 for r in upd_out], dtype=bool), upd_out)
 
     sizes.append(g_i.n)
-    iset = pop_stack(g, frames)
-    return BoostResult(iset=iset, stack=tuple(frames), stats=stats, phases=phases,
-                       inner_rounds_max=inner_rounds_max, sizes=tuple(sizes))
+    return RunOutcome(pop_stack(g, frames), stats,
+                      {"phases": phases, "inner_rounds_max": inner_rounds_max,
+                       "sizes": sizes},
+                      stack=tuple(frames))
 
 
 def boost(g: WeightedGraph, inner: Inner, eps: float, c: float = 8.0,
           seed: int = 0, mode: str = "congest",
-          n_upper: int | None = None) -> BoostResult:
+          n_upper: int | None = None) -> RunOutcome:
     """t = ceil(c/eps) push phases of ``inner``, then the greedy pop stage.
 
     ``c`` must bound the inner algorithm's fraction guarantee (the good-node
     algorithm has 4*(Delta+1)/Delta <= 8). Each phase costs the inner
     algorithm's rounds plus one announcement round for the weight reduction.
+    The diagnostics are ``phases`` and ``inner_rounds_max``.
     """
     eps = check_real(eps, "eps", "boost", above=0)
     c = check_real(c, "c", "boost", at_least=1)
-    return local_ratio(g, inner, phase_count(c, eps), 0xB0057, seed, mode, n_upper)
+    r = local_ratio(g, inner, phase_count(c, eps), 0xB0057, seed, mode, n_upper)
+    d = r.diagnostics
+    return replace(r, diagnostics={"phases": d["phases"],
+                                   "inner_rounds_max": d["inner_rounds_max"]})

@@ -188,13 +188,19 @@ class RoundStats:
 
 @dataclass(frozen=True)
 class RunOutcome:
-    """What every algorithm and ``cliquecycle.rand_mis`` return: the set, its
-    cost, what a record keeps as ``diagnostics``, and any local-ratio stack."""
+    """What every algorithm, ``boost.local_ratio`` and ``cliquecycle.rand_mis``
+    return: the set, its cost, what a record keeps as ``diagnostics``, and
+    any local-ratio stack."""
 
     iset: IndependentSet
     stats: RoundStats
     diagnostics: dict[str, Any] = field(default_factory=dict)
     stack: tuple[PhaseFrame, ...] | None = None
+
+    @property
+    def phases(self) -> int | None:
+        """``diagnostics.get("phases")``: a local-ratio run's phase budget."""
+        return self.diagnostics.get("phases")
 
 
 def message_budget_bits(n_upper: int) -> int:

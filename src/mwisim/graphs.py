@@ -268,12 +268,6 @@ class IndependentSet:
         return len(self.members)
 
 
-def check_int64(x: int, what: str = "value") -> int:
-    if not -INT64_MAX - 1 <= x <= INT64_MAX:
-        raise OverflowError(f"{what} = {x} overflows signed 64-bit range")
-    return x
-
-
 def check_real(value, key: str, alg: str, above: float | None = None,
                at_least: float | None = None) -> float:
     """``float(value)`` if it is finite and in range; else ``GraphError``

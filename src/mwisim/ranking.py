@@ -106,14 +106,6 @@ def _seq_rule(g: WeightedGraph, perm: Sequence[int]) -> frozenset[int]:
     return frozenset(chosen)
 
 
-def seq_boppana(g: WeightedGraph, permutation: Sequence[int]) -> IndependentSet:
-    """Process nodes in order; keep a node iff no neighbor came earlier."""
-    perm = list(permutation)
-    if sorted(perm) != list(g.nodes):
-        raise GraphError("not a permutation of the node set")
-    return IndependentSet.of(g, g.mask(_seq_rule(g, perm)))
-
-
 def check_perm_equivalence(g: WeightedGraph) -> bool:
     """Exhaustively compare the sequential rule against the rank rule.
 

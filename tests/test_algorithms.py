@@ -1,7 +1,10 @@
 import pytest
 
-from mwisim.algorithms import (ALGORITHMS, UsageError, resolved_params,
-                               run_algorithm)
+from mwisim.algorithms import (ALGORITHMS, UsageError, as_inner,
+                               resolved_params, run_algorithm)
+from mwisim.arb import arb_approx
+from mwisim.boost import boost
+from mwisim.engine import RunOutcome
 from mwisim.graphs import GraphError, WeightedGraph, generate
 
 PARAMS = {
@@ -73,3 +76,28 @@ def test_arb_integral_float_alpha_is_stored_as_int():
     assert p["alpha"] == 2 and type(p["alpha"]) is int
     out = run_algorithm(TINY[3], "arb", {"alpha": 2.0, "eps": 0.5}, 0)
     assert out.diagnostics["alpha"] == 2
+
+
+@pytest.mark.parametrize("mode", ["congest", "local"])
+def test_pipelines_return_the_harness_outcome_unchanged(mode):
+    g = generate("gnp", {"n": 30, "p": 0.2}, "heavy_tail", 11)
+    p = {"eps": 0.5}
+    direct = {
+        "boost-heavy": boost(g, as_inner("heavy", p, mode), eps=0.5, seed=4,
+                             mode=mode),
+        "fastld": boost(g, as_inner("boppana", {"c": 2}, mode), eps=0.5, seed=4,
+                        mode=mode),
+        "arb": arb_approx(g, 2, as_inner("boost-heavy", p, mode), seed=4,
+                          mode=mode),
+    }
+    keys = {"boost-heavy": {"phases", "inner_rounds_max"},
+            "fastld": {"phases", "inner_rounds_max"},
+            "arb": {"phases", "alpha", "sizes"}}
+    for alg, r in direct.items():
+        out = run_algorithm(g, alg, {**p, "alpha": 2}, seed=4, mode=mode)
+        assert type(r) is type(out) is RunOutcome
+        assert set(r.diagnostics) == set(out.diagnostics) == keys[alg]
+        assert (r.iset, r.stats, r.diagnostics, r.stack) == (
+            out.iset, out.stats, out.diagnostics, out.stack)
+        assert len(r.stack) >= 2 and r.phases == r.diagnostics["phases"]
+    assert len(direct["arb"].diagnostics["sizes"]) == direct["arb"].phases + 1

@@ -87,7 +87,7 @@ def test_arb_edgeless_one_phase():
     g = WeightedGraph(range(4), [], {v: v + 1 for v in range(4)})
     r = arb_approx(g, alpha=1, inner=_boosted(0.5), seed=0)
     assert r.iset.members == frozenset(range(4))
-    assert r.sizes[1] == 0
+    assert r.diagnostics["sizes"][1] == 0
 
 
 def test_arb_path_example():
@@ -95,7 +95,7 @@ def test_arb_path_example():
     opt = brute_force_max_is(g).weight  # 6
     r = arb_approx(g, alpha=1, inner=_boosted(0.25), seed=2)
     assert 8 * Fraction(5, 4) * 1 * r.iset.weight >= opt
-    assert r.sizes[-1] == 0
+    assert r.diagnostics["sizes"][-1] == 0
     assert check_stack_property(g, r.iset, r.stack)
 
 
@@ -108,9 +108,10 @@ def test_arb_trees_vs_oracle(seed):
     r = arb_approx(g, alpha=1, inner=_boosted(float(eps)),
                    seed=derive_seed(0xA4, seed))
     assert 8 * (1 + eps) * 1 * r.iset.weight >= opt
-    assert r.sizes[-1] == 0
+    sizes = r.diagnostics["sizes"]
+    assert sizes[-1] == 0
     assert r.phases == arb_phase_count(n)
-    for a, b in zip(r.sizes, r.sizes[1:]):
+    for a, b in zip(sizes, sizes[1:]):
         assert 2 * b <= a
 
 
@@ -119,9 +120,10 @@ def test_arb_halving_with_degeneracy_alpha():
         g = generate("gnp", {"n": 22, "p": 0.18}, "uniform_range", seed)
         alpha = max(1, degeneracy(g))
         r = arb_approx(g, alpha=alpha, inner=_boosted(0.5), seed=seed)
-        for a, b in zip(r.sizes, r.sizes[1:]):
+        sizes = r.diagnostics["sizes"]
+        for a, b in zip(sizes, sizes[1:]):
             assert 2 * b <= a
-        assert r.sizes[-1] == 0
+        assert sizes[-1] == 0
         assert check_stack_property(g, r.iset, r.stack)
 
 
@@ -172,19 +174,38 @@ def _random_independent(g, rng, k):
 
 def test_update_round_matches_sequential_mirror():
     rng = random.Random(0xA8E)
+    above_cap = 0
     for k in range(30):
         g = generate("gnp", {"n": rng.randint(2, 30), "p": rng.uniform(0.05, 0.5)},
                      ("uniform_range", "heavy_tail")[k % 2], derive_seed(0xA8E, k))
         selected = _random_independent(g, rng, rng.randint(0, 5))
         if k % 3 == 0:
-            zeroed = selected  # boosting's rule
+            cap, zeroed = None, selected  # boosting's rule
         else:
-            zeroed = selected | {v for v in g.nodes if rng.random() < 0.4}
-        out, stats = run(g, ResidualUpdateProgram(selected, zeroed),
+            cap = rng.randint(0, 4)  # the arboricity pipeline's rule
+            zeroed = selected | {v for v in g.nodes if g.degree(v) <= cap}
+            above_cap += any(g.degree(v) > cap for v in selected)
+        out, stats = run(g, ResidualUpdateProgram(selected, cap),
                          seed=derive_seed(0xA8F, k))
         assert dict(zip(g.nodes, out)) == arb_reduce(g.weights, selected, zeroed, g)
         assert stats.rounds == 1
         assert stats.messages_sent == sum(g.degree(v) for v in selected)
+    assert above_cap  # a selected node the cap alone would not zero
+
+
+@pytest.mark.parametrize("cap", [None, 1])
+def test_reduction_past_int64_min_agrees_with_the_mirror(cap):
+    # three leaves announce 2^62 each to a centre of weight 1: its residual
+    # 1 - 3*2^62 is below -2^63, and every form returns it exactly
+    g = WeightedGraph(range(4), [(0, 1), (0, 2), (0, 3)],
+                      {0: 1, 1: 2**62, 2: 2**62, 3: 2**62})
+    selected = frozenset({1, 2, 3})
+    want = [1 - 3 * 2**62, 0, 0, 0]
+    assert arb_reduce(g.weights, selected, selected, g) == dict(enumerate(want))
+    for node_order in (None, list):
+        out, _ = run(g, ResidualUpdateProgram(selected, cap), mode="local",
+                     node_order=node_order)
+        assert out == want
 
 
 def test_arb_rounds_are_inner_rounds_plus_one_per_low_phase():
@@ -204,7 +225,7 @@ def test_arb_rounds_are_inner_rounds_plus_one_per_low_phase():
         # and the reduction round run exactly in phases with a low-degree node
         w = g.weights
         low_phases = 0
-        for frame, size in zip(r.stack, r.sizes):
+        for frame, size in zip(r.stack, r.diagnostics["sizes"]):
             active = [v for v in g.nodes if w[v] > 0]
             assert size == len(active)
             g_i = g.induced(g.mask(active), [w[v] for v in g.nodes])
@@ -212,14 +233,14 @@ def test_arb_rounds_are_inner_rounds_plus_one_per_low_phase():
             assert frame.members <= low
             low_phases += bool(low)
             w = arb_reduce(w, frame.members, low, g)
-        assert r.sizes[-1] == sum(1 for v in g.nodes if w[v] > 0)
+        assert r.diagnostics["sizes"][-1] == sum(1 for v in g.nodes if w[v] > 0)
         assert low_phases == len(inner_rounds)
         assert r.stats.rounds == sum(inner_rounds) + low_phases
         assert len(r.stats.per_round_messages) == r.stats.rounds
     # no low-degree node in any phase: nothing runs and nothing is charged
     k10 = generate("clique", {"n": 10}, "unit", 0)
     r = arb_approx(k10, alpha=2, inner=_boosted(0.5), seed=0)
-    assert r.stats.rounds == 0 and set(r.sizes) == {10}
+    assert r.stats.rounds == 0 and set(r.diagnostics["sizes"]) == {10}
 
 
 def test_c10_arb_charges_its_reduction_rounds():

@@ -68,11 +68,10 @@ def test_reduce_rejects_dependent_set():
         boost_reduce(g.weights, {0, 1}, g)
 
 
-def test_reduce_overflow_detected():
+def test_reduce_is_exact_past_int64():
     g = WeightedGraph([0, 1], [(0, 1)], {0: 2**62, 1: 2**62})
     w = {0: -(2**62) - 2, 1: 2**62 + 1}
-    with pytest.raises(OverflowError):
-        boost_reduce(w, {1}, g)
+    assert boost_reduce(w, {1}, g) == {0: -(2**63) - 3, 1: 0}
 
 
 @pytest.mark.parametrize("mode", ["congest", "local"])
@@ -258,7 +257,7 @@ def test_boost_guarantees_random_corpus(eps):
                   seed=derive_seed(0xB8, k))
         t = phase_count(8.0, float(eps))
         assert r.phases == t
-        assert r.stats.rounds <= t * (r.inner_rounds_max + 2)
+        assert r.stats.rounds <= t * (r.diagnostics["inner_rounds_max"] + 2)
         assert check_stack_property(g, r.iset, r.stack)
         assert (1 + eps) * g.max_degree * r.iset.weight >= opt
         assert (1 + eps) * (g.max_degree + 1) * r.iset.weight >= g.total_weight()

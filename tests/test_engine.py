@@ -224,12 +224,13 @@ def test_outputs_follow_the_executed_graphs_positions():
     subset = [29, 3, 17, 8, 0, 22, 11, 5, 14, 26]  # a proper subset, unsorted
     keep = g.mask(subset)
     h = g.induced(keep)
-    selected = frozenset({3, 22})
-    zeroed = selected | {17, 5}
+    selected = frozenset({3, 22})  # both of degree 2 in h, above the cap
+    zeroed = selected | {14, 29}  # the nodes of degree 1 in h
+    assert zeroed == selected | {v for v in h.nodes if h.degree(v) <= 1}
     want = arb_reduce(h.weights, selected, zeroed, h)
     assert [v for v in sorted(subset) if want[v] == 0] == sorted(zeroed)
     for node_order in (None, list):
-        out, _ = run_on_subgraph(g, keep, ResidualUpdateProgram(selected, zeroed),
+        out, _ = run_on_subgraph(g, keep, ResidualUpdateProgram(selected, degree_cap=1),
                                  node_order=node_order)
         assert out == [want[v] for v in sorted(subset)]
         assert [i for i, r in enumerate(out) if r == 0] == [

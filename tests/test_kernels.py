@@ -56,12 +56,11 @@ def programs(g, rng):
         if rng.random() < 0.4 and not independent.intersection(g.adj[v]):
             independent.add(v)
     selected = frozenset(independent)
-    zeroed = selected | {v for v in g.nodes if rng.random() < 0.3}
     return [mis.LubyProgram(), heavy.LocalStatsProgram(),
             sparsify.ProfileProgram(rng.choice([0.3, 4.0]),
                                     rng.choice(["two", "natural"])),
             ranking.BoppanaProgram(rng.randint(1, 4)),
-            boost.ResidualUpdateProgram(selected, frozenset(zeroed))]
+            boost.ResidualUpdateProgram(selected, rng.choice([None, 0, 1, 2, 4]))]
 
 
 weights = st.one_of(st.integers(0, 10**6),
@@ -376,7 +375,8 @@ def test_send_sizes_a_round_as_its_largest_message(case):
 def test_one_field_rounds_build_no_per_sender_sizes(monkeypatch):
     g = generate("gnp", {"n": 40, "p": 0.2}, "uniform_range", 5)
     selected = frozenset(g.nodes[::4])
-    programs = (mis.LubyProgram(), boost.ResidualUpdateProgram(selected, selected))
+    programs = (mis.LubyProgram(), boost.ResidualUpdateProgram(selected),
+                boost.ResidualUpdateProgram(selected, degree_cap=8))
     want = [run(g, p, mode=mode, seed=3) for p in programs for mode in ("congest", "local")]
 
     def refuse(*args):
@@ -412,7 +412,7 @@ def test_kernels_and_graph_queries_build_no_adjacency_tuples():
     selected = frozenset(compress(g.nodes, out))
     for program in (heavy.LocalStatsProgram(), sparsify.ProfileProgram(4.0),
                     ranking.BoppanaProgram(2),
-                    boost.ResidualUpdateProgram(selected, selected)):
+                    boost.ResidualUpdateProgram(selected, degree_cap=8)):
         run(g, program, seed=1)
     keep = np.zeros(g.n, dtype=bool)
     keep[::3] = True

@@ -5,8 +5,8 @@ import pytest
 
 from mwisim.algorithms import run_algorithm
 from mwisim.graphs import GraphError, WeightedGraph, generate
-from mwisim.ranking import (boppana_once, check_perm_equivalence, rank_range,
-                            rank_rule, seq_boppana)
+from mwisim.ranking import (_seq_rule, boppana_once, check_perm_equivalence,
+                            rank_range, rank_rule)
 from mwisim.rng import NodeStream, derive_seed, node_rng
 
 
@@ -64,17 +64,14 @@ def test_boppana_edgeless_takes_all():
 
 def test_seq_examples():
     p3 = unit([0, 1, 2], [(0, 1), (1, 2)])
-    assert seq_boppana(p3, [2, 0, 1]).members == frozenset({0, 2})
+    assert _seq_rule(p3, [2, 0, 1]) == frozenset({0, 2})
 
     k4 = generate("clique", {"n": 4}, "unit", 0)
     for perm in ([3, 1, 0, 2], [0, 1, 2, 3]):
-        assert seq_boppana(k4, perm).members == frozenset({perm[0]})
+        assert _seq_rule(k4, perm) == frozenset({perm[0]})
 
     edgeless = unit(range(4), [])
-    assert seq_boppana(edgeless, [3, 1, 2, 0]).members == frozenset(range(4))
-
-    with pytest.raises(GraphError, match="permutation"):
-        seq_boppana(p3, [0, 1])
+    assert _seq_rule(edgeless, [3, 1, 2, 0]) == frozenset(range(4))
 
 
 def test_perm_equivalence_examples():
