@@ -378,14 +378,15 @@ def _draw_weights(n: int, model: str, seed: int) -> np.ndarray:
         return np.array([rng.randint(1, UNIFORM_RANGE_MAX) for _ in range(n)], np.int64)
     # heavy_tail: Pareto-like integer weights, capped; a few giant nodes
     # dominate the total weight, which is the regime the weighted sampler
-    # targets.
-    out = []
-    for _ in range(n):
-        u = rng.random()
-        while u == 0.0:
-            u = rng.random()
-        out.append(min(int(1.0 / (u * u)), HEAVY_TAIL_CAP))
-    return np.array(out, np.int64)
+    # targets. Each weight is min(int(1 / u^2), cap) for the next non-zero
+    # u of the stream: a zero is dropped and the rest move up one place.
+    u = [rng.random() for _ in range(n)]
+    while 0.0 in u:
+        k = u.index(0.0)
+        u[k:] = [*u[k + 1:], rng.random()]
+    # exact as float64 steps: the cap is an exact double, and truncating a
+    # positive double below it is int()
+    return np.minimum(1.0 / np.square(u), HEAVY_TAIL_CAP).astype(np.int64)
 
 
 def _clique_edges(n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -82,9 +82,7 @@ class BoppanaProgram:
 
 def rank_rule(g: WeightedGraph, ranks: dict[int, int]) -> frozenset[int]:
     """The strict-max membership rule applied to a full rank assignment."""
-    adj = g.adj
-    return frozenset(v for v in g.nodes
-                     if all(ranks[v] > ranks[u] for u in adj[v]))
+    return _ids_of(g, _rank_bits(_nbr_positions(g), [ranks[v] for v in g.nodes]))
 
 
 def boppana_once(g: WeightedGraph, c: int = 2, seed: int = 0,
@@ -96,31 +94,73 @@ def boppana_once(g: WeightedGraph, c: int = 2, seed: int = 0,
 
 def _seq_rule(g: WeightedGraph, perm: Sequence[int]) -> frozenset[int]:
     """Keep each node of ``perm``, in order, iff no neighbor came earlier."""
-    adj = g.adj
-    processed: set[int] = set()
-    chosen: set[int] = set()
-    for v in perm:
-        if not any(u in processed for u in adj[v]):
-            chosen.add(v)
-        processed.add(v)
-    return frozenset(chosen)
+    pos = dict(zip(g.nodes, range(g.n)))
+    nbr_bits = _bitsets(_nbr_positions(g))
+    return _ids_of(g, _seq_bits(nbr_bits, [pos[v] for v in perm]))
+
+
+def _nbr_positions(g: WeightedGraph) -> list[list[int]]:
+    """Each position's neighbor positions, read from the CSR."""
+    ptr, nbr = (a.tolist() for a in g.csr())
+    return [nbr[a:b] for a, b in zip(ptr, ptr[1:])]
+
+
+def _bitsets(rows: list[list[int]]) -> list[int]:
+    """Each row of positions as an int bitset (bit j set for position j)."""
+    return [sum(1 << j for j in row) for row in rows]
+
+
+def _seq_bits(nbr_bits: list[int], perm: Sequence[int]) -> int:
+    """The sequential rule on positions: scan ``perm`` and keep a position
+    unless a neighbor was scanned before it. Returns the kept bitset."""
+    processed = chosen = 0
+    for i in perm:
+        if not nbr_bits[i] & processed:
+            chosen |= 1 << i
+        processed |= 1 << i
+    return chosen
+
+
+def _rank_bits(nbr_pos: list[list[int]], rank: Sequence[int]) -> int:
+    """The strict-max rule on positions: position i joins iff ``rank[i]``
+    exceeds every neighbor's rank (ties exclude both ends). Returns the
+    joined bitset."""
+    chosen = 0
+    for i, row in enumerate(nbr_pos):
+        r = rank[i]
+        for j in row:
+            if rank[j] >= r:
+                break
+        else:
+            chosen |= 1 << i
+    return chosen
+
+
+def _ids_of(g: WeightedGraph, bits: int) -> frozenset[int]:
+    return frozenset(v for i, v in enumerate(g.nodes) if bits >> i & 1)
 
 
 def check_perm_equivalence(g: WeightedGraph) -> bool:
     """Exhaustively compare the sequential rule against the rank rule.
 
-    For every permutation, ranks decreasing along the draw order must select
-    the same set as the sequential scan, and each distinct set the scan
-    selects must be independent. Enumeration-bounded to n <= 9.
+    For every permutation of the node positions, ranks decreasing along the
+    draw order must select the same set as the sequential scan, and each
+    distinct set the scan selects must be independent on the CSR.
+    Enumeration-bounded to n <= 9.
     """
     n = g.n
     if n > PERM_CHECK_CAP:
         raise GraphError(f"exhaustive check limited to n <= {PERM_CHECK_CAP}, got {n}")
+    nbr_pos = _nbr_positions(g)
+    nbr_bits = _bitsets(nbr_pos)
+    rank = [0] * n
     selected = set()
-    for perm in permutations(g.nodes):
-        seq_members = _seq_rule(g, perm)
-        ranks = {v: n - pos for pos, v in enumerate(perm)}
-        if rank_rule(g, ranks) != seq_members:
+    for perm in permutations(range(n)):
+        for pos, i in enumerate(perm):
+            rank[i] = n - pos
+        seq_bits = _seq_bits(nbr_bits, perm)
+        if _rank_bits(nbr_pos, rank) != seq_bits:
             return False
-        selected.add(seq_members)
-    return all(map(g.is_independent, selected))
+        selected.add(seq_bits)
+    return all(g._independent(np.array([bits >> i & 1 for i in range(n)], dtype=bool))
+               for bits in selected)

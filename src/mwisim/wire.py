@@ -46,19 +46,6 @@ class Message:
         bits = TAG_BITS + sum(LEN_BITS + _field_bits(v) for v in self.values)
         object.__setattr__(self, "size_bits", bits)
 
-    @property
-    def payload(self) -> bytes:
-        """Canonical byte encoding, zero-padded to a byte boundary."""
-        acc = self.tag
-        length = TAG_BITS
-        for v in self.values:
-            w = _field_bits(v)
-            acc = (acc << LEN_BITS) | w
-            acc = (acc << w) | v
-            length += LEN_BITS + w
-        pad = (-length) % 8
-        return (acc << pad).to_bytes((length + pad) // 8, "big")
-
 
 def to_limbs(value: int) -> tuple[int, ...]:
     """Split a non-negative integer into ``FIELD_BITS``-bit fields, least
@@ -79,22 +66,3 @@ def from_limbs(limbs: Sequence[int]) -> int:
     for limb in reversed(limbs):
         value = (value << FIELD_BITS) | limb
     return value
-
-
-def decode(payload: bytes, n_fields: int) -> Message:
-    """Inverse of ``Message.payload`` given the field count."""
-    acc = int.from_bytes(payload, "big")
-    total = len(payload) * 8
-    pos = 0
-
-    def take(width: int) -> int:
-        nonlocal pos
-        pos += width
-        return (acc >> (total - pos)) & ((1 << width) - 1)
-
-    tag = take(TAG_BITS)
-    values = []
-    for _ in range(n_fields):
-        width = take(LEN_BITS)
-        values.append(take(width))
-    return Message(tag, tuple(values))

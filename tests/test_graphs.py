@@ -2,15 +2,17 @@ import gc
 import hashlib
 import itertools
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mwisim.graphs import (INT64_MAX, BruteForceCapError, GraphError,
+from mwisim import graphs
+from mwisim.graphs import (HEAVY_TAIL_CAP, INT64_MAX, BruteForceCapError, GraphError,
                            GraphParseError, IndependentSet, WeightedGraph,
-                           _csr_of_edges, _gnp_edges, _slot_pairs,
+                           _csr_of_edges, _draw_weights, _gnp_edges, _slot_pairs,
                            brute_force_max_is, build_clique_cycle,
                            degeneracy,
                            generate, load, neighbor_reduce, random_tree, save)
@@ -315,6 +317,56 @@ def test_weight_models():
     h = generate("path", {"n": 50}, "heavy_tail", 5)
     assert all(1 <= w <= 10**9 for w in h.weights.values())
     assert max(h.weights.values()) > 100  # a heavy node exists at n=50
+
+def _reference_heavy_tail(rng, n):
+    """The scalar loop behind the ``heavy_tail`` weights: the reference."""
+    out = []
+    for _ in range(n):
+        u = rng.random()
+        while u == 0.0:
+            u = rng.random()
+        out.append(min(int(1.0 / (u * u)), HEAVY_TAIL_CAP))
+    return out
+
+
+def _stream_with_zeros(zeros):
+    """A ``random.Random`` whose ``random()`` returns 0.0 in place of its
+    draw at the given call indices; it records the seeds it is built with."""
+    class Zeroing(random.Random):
+        seeds = []
+
+        def __init__(self, seed):
+            self.seeds.append(seed)
+            self.calls = 0
+            super().__init__(seed)
+
+        def random(self):
+            u = super().random()
+            self.calls += 1
+            return 0.0 if self.calls - 1 in zeros else u
+
+    return Zeroing
+
+
+def test_heavy_tail_weights_equal_the_scalar_loop(monkeypatch):
+    stream = _stream_with_zeros(())
+    monkeypatch.setattr(graphs, "random", SimpleNamespace(Random=stream))
+    for seed in range(13):
+        for n in (0, 1, 50, 4096):
+            got = _draw_weights(n, "heavy_tail", seed).tolist()
+            assert got == _reference_heavy_tail(stream(stream.seeds[-1]), n)
+
+
+@pytest.mark.parametrize("zeros", [(0,), (3,), (9,), (3, 4), (2, 10)])
+def test_heavy_tail_redraws_a_zero_at_its_place(monkeypatch, zeros):
+    # (2, 10) zeroes the draw that replaces the first zero too
+    plain = _draw_weights(10, "heavy_tail", 5).tolist()
+    stream = _stream_with_zeros(zeros)
+    monkeypatch.setattr(graphs, "random", SimpleNamespace(Random=stream))
+    got = _draw_weights(10, "heavy_tail", 5).tolist()
+    assert got == _reference_heavy_tail(stream(stream.seeds[-1]), 10)
+    assert got != plain
+
 
 def _reference_edges(family, n, p, seed):
     """Each family's edge list as plain Python pairs."""

@@ -1,8 +1,13 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mwisim import ranking, verify
 from mwisim.algorithms import run_algorithm
 from mwisim.graphs import GraphError, WeightedGraph, generate
 from mwisim.ranking import (_seq_rule, boppana_once, check_perm_equivalence,
@@ -89,6 +94,127 @@ def test_perm_equivalence_random(seed):
     g = generate("gnp", {"n": rng.randint(2, 6), "p": rng.uniform(0.2, 0.8)},
                  "unit", derive_seed(0xEE, seed))
     assert check_perm_equivalence(g)
+
+
+def reference_seq_rule(g, perm):
+    """The sequential rule on ids and sets over ``g.adj``: the reference."""
+    processed, chosen = set(), set()
+    for v in perm:
+        if not any(u in processed for u in g.adj[v]):
+            chosen.add(v)
+        processed.add(v)
+    return frozenset(chosen)
+
+
+def reference_rank_rule(g, ranks):
+    """The strict-max rule on ids over ``g.adj``: the reference."""
+    return frozenset(v for v in g.nodes if all(ranks[v] > ranks[u] for u in g.adj[v]))
+
+
+def test_rules_equal_the_id_reference_on_scattered_ids():
+    # ids neither contiguous nor zero-based, listed out of order
+    g = unit([42, 3, 10, 7], [(42, 3), (3, 10), (10, 7), (42, 10)])
+    for perm in itertools.permutations([42, 3, 10, 7]):
+        ranks = {v: 4 - pos for pos, v in enumerate(perm)}
+        assert _seq_rule(g, perm) == reference_seq_rule(g, perm)
+        assert rank_rule(g, ranks) == reference_rank_rule(g, ranks)
+        assert rank_rule(g, ranks) == _seq_rule(g, perm)
+    assert check_perm_equivalence(g)
+
+
+@st.composite
+def small_graphs(draw):
+    ids = draw(st.lists(st.integers(0, 10**6), min_size=1, max_size=7, unique=True))
+    pairs = list(itertools.combinations(ids, 2))
+    edges = [e for e, keep in zip(pairs, draw(st.lists(
+        st.booleans(), min_size=len(pairs), max_size=len(pairs)))) if keep]
+    return unit(ids, edges)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_graphs(), st.data())
+def test_rules_equal_the_id_reference(g, data):
+    perm = data.draw(st.permutations(g.nodes), label="perm")
+    assert _seq_rule(g, perm) == reference_seq_rule(g, perm)
+    # ranks from a small range, so that neighbors tie
+    ranks = dict(zip(g.nodes, data.draw(st.lists(
+        st.integers(1, 3), min_size=g.n, max_size=g.n), label="ranks")))
+    assert rank_rule(g, ranks) == reference_rank_rule(g, ranks)
+    ranks = {v: g.n - pos for pos, v in enumerate(perm)}
+    assert rank_rule(g, ranks) == reference_rank_rule(g, ranks)
+
+
+# the position-level rules, kept before any test patches them
+SEQ_BITS, RANK_BITS = ranking._seq_bits, ranking._rank_bits
+
+
+def _seq_ignoring_a_neighbor(nbr_bits, perm):
+    # each position forgets its lowest neighbor
+    return SEQ_BITS([b & (b - 1) for b in nbr_bits], perm)
+
+
+def _rank_ignoring_a_neighbor(nbr_pos, rank):
+    return RANK_BITS([row[1:] for row in nbr_pos], rank)
+
+
+def _rank_strict_min(nbr_pos, rank):
+    return RANK_BITS(nbr_pos, [-r for r in rank])
+
+
+@pytest.mark.parametrize("name,broken", [
+    ("_seq_bits", _seq_ignoring_a_neighbor),
+    ("_rank_bits", _rank_ignoring_a_neighbor),
+    ("_rank_bits", _rank_strict_min),
+])
+def test_perm_equivalence_fails_when_a_rule_is_broken(monkeypatch, name, broken):
+    path = unit([0, 1, 2], [(0, 1), (1, 2)])
+    assert check_perm_equivalence(path)
+    monkeypatch.setattr(ranking, name, broken)
+    assert not check_perm_equivalence(path)
+
+
+def test_perm_equivalence_fails_when_both_rules_take_a_dependent_set(monkeypatch):
+    path = unit([0, 1, 2], [(0, 1), (1, 2)])
+    monkeypatch.setattr(ranking, "_seq_bits", lambda nbr_bits, perm: 0b111)
+    monkeypatch.setattr(ranking, "_rank_bits", lambda nbr_pos, rank: 0b111)
+    assert not check_perm_equivalence(path)
+    assert check_perm_equivalence(unit(range(3), []))
+
+
+def test_quick_c6_checks_every_permutation_of_its_corpus(monkeypatch):
+    check, permutations = check_perm_equivalence, ranking.permutations
+    sizes, perms = [], []
+
+    def checked(g):
+        sizes.append(g.n)
+        return check(g)
+
+    def counted(nodes):
+        for perm in permutations(nodes):
+            perms.append(perm)
+            yield perm
+
+    monkeypatch.setattr(verify, "check_perm_equivalence", checked)
+    monkeypatch.setattr(ranking, "permutations", counted)
+    ok, detail = verify._c6_equivalence(quick=True)
+    assert ok
+    assert detail == "68 graphs (trees, cycles, 50 random) x all permutations: 0 mismatches"
+    assert len(sizes) == 68
+    assert len(perms) == sum(map(math.factorial, sizes)) == 13171
+
+
+def test_rules_read_no_adjacency_tuples(monkeypatch):
+    def refuse(g):
+        raise AssertionError("a ranking rule read WeightedGraph.adj")
+
+    g = unit([42, 3, 10, 7], [(42, 3), (3, 10), (10, 7)])
+    monkeypatch.setattr(WeightedGraph, "adj", property(refuse))
+    assert check_perm_equivalence(g)
+    assert check_perm_equivalence(generate("cycle", {"n": 6}, "unit", 0))
+    assert _seq_rule(g, [10, 42, 7, 3]) == frozenset({10, 42})
+    assert rank_rule(g, {42: 3, 3: 1, 10: 4, 7: 2}) == frozenset({10, 42})
+    with pytest.raises(AssertionError, match="read WeightedGraph.adj"):
+        g.adj
 
 
 def test_rank_collisions_absent_at_width():
