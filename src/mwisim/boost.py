@@ -42,18 +42,20 @@ class BoostPhaseError(GraphError):
 
 @dataclass(frozen=True)
 class PhaseFrame:
-    """One stack frame: the phase's independent set and its residual weights."""
+    """One stack frame: the phase's independent set, as the keys of its
+    residual weights."""
 
     phase: int
-    members: frozenset[int]
     pushed_weights: dict[int, int]
 
     def __post_init__(self):
-        if set(self.pushed_weights) != set(self.members):
-            raise GraphError("frame weights must cover exactly the members")
         for v, w in self.pushed_weights.items():
             if w <= 0:
                 raise GraphError(f"pushed weight of node {v} is {w}, must be > 0")
+
+    @property
+    def members(self) -> frozenset[int]:
+        return frozenset(self.pushed_weights)
 
     def pushed_total(self) -> int:
         return sum(self.pushed_weights.values())
@@ -126,8 +128,7 @@ def pop_stack(g: WeightedGraph, frames: Iterable[PhaseFrame]) -> IndependentSet:
     return greedy_mis(g, [v for f in newest_first for v in sorted(f.members)])
 
 
-def check_stack_property(g: WeightedGraph, iset: IndependentSet,
-                         frames: Iterable[PhaseFrame]) -> bool:
+def check_stack_property(iset: IndependentSet, frames: Iterable[PhaseFrame]) -> bool:
     """w(I) >= sum over frames of the pushed residual weights, exactly."""
     return iset.weight >= sum(f.pushed_total() for f in frames)
 
@@ -184,7 +185,7 @@ def local_ratio(g: WeightedGraph, inner: Inner, phases: int, salt: int,
         stats = stats.merge(res.stats)
         inner_rounds_max = max(inner_rounds_max, res.stats.rounds)
         pushed = g_i.w[g_i.mask(members)].tolist()  # by position: ascending ids
-        frames.append(PhaseFrame(i, members, dict(zip(sorted(members), pushed))))
+        frames.append(PhaseFrame(i, dict(zip(sorted(members), pushed))))
 
         upd_out, upd_stats = run(g_i, ResidualUpdateProgram(members, degree_cap),
                                  mode=mode, seed=derive_seed(seed, 0x0DD + i),

@@ -80,7 +80,7 @@ class CongestViolation(EngineError):
 
 
 class RoundLimitExceeded(EngineError):
-    """Some nodes had not halted when max_rounds was reached."""
+    """Some nodes had not halted after ``DEFAULT_MAX_ROUNDS`` rounds."""
 
     def __init__(self, unfinished: list[int], stats: "RoundStats"):
         super().__init__(
@@ -256,7 +256,7 @@ class Net:
     """
 
     def __init__(self, graph: WeightedGraph, n_upper: int, seed: int,
-                 budget: int | None, max_rounds: int):
+                 budget: int | None):
         self.graph = graph
         self.ids = graph.nodes
         self.n_upper = n_upper
@@ -266,7 +266,6 @@ class Net:
         self.stats = RoundStats(budget_bits=budget)
         self._seed = seed
         self._seeds: np.ndarray | None = None
-        self._max_rounds = max_rounds
         self._sent = np.zeros(graph.n, dtype=bool)
         self._sent_all = False
 
@@ -291,12 +290,12 @@ class Net:
         Every sender's fields are checked first, even if no node is active:
         a value outside [0, 2^63) raises the ``WireError`` that the first
         such sender's ``Message`` raises. Then, if any node is active, the
-        next round opens: the round limit (naming the active nodes in
-        position order), the CONGEST check (the first sender over budget by
-        position, named with its first neighbor), and a charge of
-        deg(sender) messages per sender. ``sizes`` (bits per sender, in
-        position order) stands in for ``fields`` when senders' messages
-        have different field counts.
+        next round opens: the round limit ``DEFAULT_MAX_ROUNDS``, read at
+        each call (naming the active nodes in position order), the CONGEST
+        check (the first sender over budget by position, named with its
+        first neighbor), and a charge of deg(sender) messages per sender.
+        ``sizes`` (bits per sender, in position order) stands in for
+        ``fields`` when senders' messages have different field counts.
 
         A message's size never falls when a field grows, so the round's
         largest message among senders with a neighbor is sized from each
@@ -313,7 +312,7 @@ class Net:
         if not active.any():
             return
         stats = self.stats
-        if stats.rounds >= self._max_rounds:
+        if stats.rounds >= DEFAULT_MAX_ROUNDS:
             raise RoundLimitExceeded([self.ids[i] for i in np.flatnonzero(active)],
                                      stats)
         round_no = stats.rounds + 1
@@ -364,19 +363,16 @@ class Net:
 
 
 def run(g: WeightedGraph, program: NodeProgram, mode: str = "congest",
-        seed: int = 0, max_rounds: int = DEFAULT_MAX_ROUNDS,
-        n_upper: int | None = None,
+        seed: int = 0, n_upper: int | None = None,
         node_order: Callable[[list[int]], list[int]] | None = None,
         ) -> tuple[list[Any], RoundStats]:
     """Execute ``program`` on all nodes of ``g``; see ``run_on_subgraph``."""
     return run_on_subgraph(g, np.ones(g.n, dtype=bool), program, mode=mode, seed=seed,
-                           max_rounds=max_rounds, n_upper=n_upper,
-                           node_order=node_order)
+                           n_upper=n_upper, node_order=node_order)
 
 
 def run_on_subgraph(g: WeightedGraph, keep: np.ndarray, program: NodeProgram,
                     mode: str = "congest", seed: int = 0,
-                    max_rounds: int = DEFAULT_MAX_ROUNDS,
                     n_upper: int | None = None,
                     node_order: Callable[[list[int]], list[int]] | None = None,
                     ) -> tuple[list[Any], RoundStats]:
@@ -397,13 +393,11 @@ def run_on_subgraph(g: WeightedGraph, keep: np.ndarray, program: NodeProgram,
     """
     if mode not in ("congest", "local"):
         raise EngineError(f"unknown mode {mode!r}")
-    if max_rounds < 1:
-        raise EngineError(f"max_rounds must be >= 1, got {max_rounds}")
     if n_upper is None:
         n_upper = g.n
     h = g.induced(keep)
     budget = message_budget_bits(n_upper) if mode == "congest" else None
-    net = Net(h, n_upper, seed, budget, max_rounds)
+    net = Net(h, n_upper, seed, budget)
     kernel = getattr(program, "kernel", None)
     if node_order is None and kernel is not None:
         return kernel(net), net.stats

@@ -10,9 +10,7 @@ from __future__ import annotations
 import gc
 import math
 import random
-from bisect import bisect_left
 from dataclasses import dataclass
-from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -53,7 +51,7 @@ class WeightedGraph:
     are stored by position too (read-only int64, each in [0, INT64_MAX]),
     as are new weights for ``induced``; totals are exact Python ints.
 
-    Five facts are computed on first use and then cached on the graph,
+    Four facts are computed on first use and then cached on the graph,
     which is safe only because nothing changes a graph after it is built
     (the generators return new graphs with empty caches, and so does
     ``induced``, except that an all-true mask with no new weights is the
@@ -62,7 +60,6 @@ class WeightedGraph:
     * ``adj``, which maps each node id to the sorted tuple of its neighbor
       ids; it is derived from the CSR on first read, and only the sequential
       walks read it (checks such as ``is_independent`` read the CSR);
-    * ``weights``, ``w`` as a read-only mapping by id, for the sequential mirrors;
     * the rows with entries and their starts in ``nbr`` (``neighbor_reduce``);
     * the degeneracy (``degeneracy(g)``);
     * the exact optimum (``brute_force_max_is(g)``), so a seed sweep over
@@ -70,7 +67,7 @@ class WeightedGraph:
     """
 
     __slots__ = ("nodes", "w", "degrees", "max_degree", "_ids", "_csr", "_rows",
-                 "_adj", "_weights", "_degeneracy", "_opt")
+                 "_adj", "_degeneracy", "_opt")
 
     def __init__(self, nodes: Iterable[int], edges: Iterable[tuple[int, int]],
                  weights: Mapping[int, int]):
@@ -111,7 +108,6 @@ class WeightedGraph:
         self._csr: tuple[np.ndarray, np.ndarray] = _read_only(indptr, nbr)
         self._rows: tuple[np.ndarray, np.ndarray] | None = None
         self._adj: dict[int, tuple[int, ...]] | None = None
-        self._weights: Mapping[int, int] | None = None
         self._degeneracy: int | None = None
         self._opt: IndependentSet | None = None
         return self
@@ -148,24 +144,12 @@ class WeightedGraph:
         return self._adj
 
     @property
-    def weights(self) -> Mapping[int, int]:
-        if self._weights is None:
-            self._weights = MappingProxyType(dict(zip(self.nodes, self.w.tolist())))
-        return self._weights
-
-    @property
     def n(self) -> int:
         return len(self.nodes)
 
     @property
     def m(self) -> int:
         return self._csr[1].size // 2
-
-    def degree(self, v: int) -> int:
-        i = bisect_left(self.nodes, v)
-        if i == self.n or self.nodes[i] != v:
-            raise GraphError(f"node {v} is not in the graph")
-        return int(self.degrees[i])
 
     def total_weight(self, subset: Iterable[int] | None = None) -> int:
         w = self.w if subset is None else self.w[self.mask(subset)]
@@ -375,7 +359,13 @@ def _draw_weights(n: int, model: str, seed: int) -> np.ndarray:
         return np.ones(n, dtype=np.int64)
     rng = random.Random(derive_seed(seed, 0x57E16875))
     if model == "uniform_range":
-        return np.array([rng.randint(1, UNIFORM_RANGE_MAX) for _ in range(n)], np.int64)
+        # randint(1, top)'s stream: 1 + the next draw of top.bit_length()
+        # bits below top, each draw at or above top rejected
+        top = UNIFORM_RANGE_MAX
+        bits, r = top.bit_length(), []
+        while len(r) < n:
+            r += [x for x in [rng.getrandbits(bits) for _ in range(n - len(r))] if x < top]
+        return np.array(r, np.int64) + 1
     # heavy_tail: Pareto-like integer weights, capped; a few giant nodes
     # dominate the total weight, which is the regime the weighted sampler
     # targets. Each weight is min(int(1 / u^2), cap) for the next non-zero

@@ -221,7 +221,7 @@ def _c3_boost(tally: _Tally, quick: bool) -> tuple[bool, str]:
             r = run_algorithm(g, "boost-heavy", {"eps": float(eps), "c": 8.0},
                               seed=derive_seed(0xB003, 1000 * i + j))
             tally.note_budget(r.stats)
-            tally.note_stack(check_stack_property(g, r.iset, r.stack))
+            tally.note_stack(check_stack_property(r.iset, r.stack))
             t = phase_count(8.0, float(eps))
             d = r.diagnostics
             tally.note_rounds(
@@ -332,7 +332,7 @@ def _c8_arb(tally: _Tally, quick: bool) -> tuple[bool, str]:
                           seed=derive_seed(0xA4B, i))
         sizes = r.diagnostics["sizes"]
         tally.note_budget(r.stats)
-        tally.note_stack(check_stack_property(g, r.iset, r.stack))
+        tally.note_stack(check_stack_property(r.iset, r.stack))
         if 8 * (1 + eps) * alpha * r.iset.weight < opt:
             bad.append(f"ratio graph#{i}")
         if sizes[-1] != 0:
@@ -367,7 +367,7 @@ def _c9_reduction(quick: bool) -> tuple[bool, str]:
                              "every run produced a verified MIS of the cycle"))
 
 
-def _c10_contracts(tally: _Tally, quick: bool) -> tuple[bool, str]:
+def _c10_contracts(tally: _Tally) -> tuple[bool, str]:
     problems = []
     g = generate("gnp", {"n": 60, "p": 0.12}, "uniform_range", 99)
     source = GraphSource.generator("gnp", {"n": 60, "p": 0.12}, "uniform_range", 99)
@@ -443,5 +443,5 @@ def run_acceptance_suite(quick: bool = False) -> list[CheckResult]:
         f"/{tally.rounds_checked} boost runs",
         0.0)
     c10 = _timed("C10 engine contracts: budget, determinism, replay",
-                 lambda: _c10_contracts(tally, quick))
+                 lambda: _c10_contracts(tally))
     return [c1, c2, c3, c4, c5, c6, c7, c8, c9, c10]

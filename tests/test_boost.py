@@ -29,18 +29,23 @@ def weighted_path(weights):
                          dict(enumerate(weights)))
 
 
+def id_weights(g):
+    """``g``'s weights keyed by node id, for the id-keyed reference code."""
+    return dict(zip(g.nodes, g.w.tolist()))
+
+
 # ------------------------------------------------------------ weight reduction
 
 def test_reduce_examples():
     p3 = weighted_path([3, 5, 3])
-    w2 = boost_reduce(p3.weights, {1}, p3)
+    w2 = boost_reduce(id_weights(p3), {1}, p3)
     assert [w2[v] for v in range(3)] == [-2, 0, -2]
 
-    w_same = boost_reduce(p3.weights, set(), p3)
+    w_same = boost_reduce(id_weights(p3), set(), p3)
     assert w_same == {0: 3, 1: 5, 2: 3}
 
     p4 = weighted_path([2, 3, 3, 2])
-    w2 = boost_reduce(p4.weights, {1}, p4)
+    w2 = boost_reduce(id_weights(p4), {1}, p4)
     assert [w2[v] for v in range(4)] == [-1, 0, 0, 2]
 
 
@@ -48,7 +53,7 @@ def test_reduce_matches_closed_neighborhood_form():
     # w_{i+1}(v) = w_i(v) - sum over N+(v) cap I equals the two-case form
     for seed in range(10):
         g = generate("gnp", {"n": 14, "p": 0.3}, "uniform_range", seed)
-        w = g.weights
+        w = id_weights(g)
         rng = random.Random(seed)
         members = set()
         for v in sorted(g.nodes, key=lambda v: rng.random()):
@@ -65,7 +70,7 @@ def test_reduce_matches_closed_neighborhood_form():
 def test_reduce_rejects_dependent_set():
     g = weighted_path([1, 1, 1])
     with pytest.raises(GraphError, match="not independent"):
-        boost_reduce(g.weights, {0, 1}, g)
+        boost_reduce(id_weights(g), {0, 1}, g)
 
 
 def test_reduce_is_exact_past_int64():
@@ -86,7 +91,7 @@ def test_negative_residual_past_int64_only_drops_its_node(alg, mode):
     assert out.iset.weight == 5 * INT64_MAX == 46116860184273879035
     assert type(out.iset.weight) is int
     assert (1 + eps) * g.max_degree * out.iset.weight >= brute_force_max_is(g).weight
-    assert check_stack_property(g, out.iset, out.stack)
+    assert check_stack_property(out.iset, out.stack)
     assert [f.pushed_weights for f in out.stack] == [dict.fromkeys(range(0, 9, 2), INT64_MAX)]
 
 
@@ -103,27 +108,42 @@ def test_negative_residual_past_int64_exits_0_from_the_cli(alg, tmp_path, capsys
 # ----------------------------------------------------------------- the stack
 
 def test_phase_frame_requires_positive_weights():
-    with pytest.raises(GraphError, match="must be > 0"):
-        PhaseFrame(1, frozenset({0}), {0: 0})
-    with pytest.raises(GraphError, match="cover exactly"):
-        PhaseFrame(1, frozenset({0}), {})
+    with pytest.raises(GraphError, match="^pushed weight of node 0 is 0, must be > 0$"):
+        PhaseFrame(1, {0: 0})
+    with pytest.raises(GraphError, match="^pushed weight of node 4 is -1, must be > 0$"):
+        PhaseFrame(1, {2: 5, 4: -1})
+
+
+def test_phase_frame_members_are_its_pushed_nodes():
+    frame = PhaseFrame(3, {9: 7, 2: 4, 5: 1})
+    assert frame.members == frozenset({2, 5, 9})
+    assert frame.pushed_total() == 12
+    assert PhaseFrame(1, {}).members == frozenset()
+    # a run's frames: each member pushed its residual, and nothing else was
+    g = generate("gnp", {"n": 30, "p": 0.2}, "heavy_tail", 4)
+    r = run_algorithm(g, "boost-heavy", {"eps": 0.5}, seed=2)
+    assert r.stack and all(f.members for f in r.stack)
+    for f in r.stack:
+        assert f.members == frozenset(f.pushed_weights)
+        assert sorted(f.members) == list(f.pushed_weights)
 
 
 def test_stack_property_examples():
     g = weighted_path([2, 3, 3, 2])
-    frames = (PhaseFrame(1, frozenset({1}), {1: 3}),
-              PhaseFrame(2, frozenset({3}), {3: 2}))
+    frames = (PhaseFrame(1, {1: 3}), PhaseFrame(2, {3: 2}))
     iset = pop_stack(g, frames)
     assert iset.members == frozenset({1, 3})
     assert iset.weight == 5
-    assert check_stack_property(g, iset, frames)  # 5 >= 3 + 2, with equality
-    assert check_stack_property(g, IndependentSet(frozenset(), 0), ())
+    assert check_stack_property(iset, frames)  # 5 >= 3 + 2, with equality
+    assert check_stack_property(IndependentSet(frozenset(), 0), ())
+    # the pushed residuals count, not the member count (2 here)
+    assert not check_stack_property(IndependentSet(frozenset({1}), 4), frames)
+    assert not check_stack_property(IndependentSet(frozenset(), 0), frames[1:])
 
 
 def test_pop_is_newest_first():
     g = weighted_path([1, 1, 1])
-    frames = (PhaseFrame(1, frozenset({1}), {1: 1}),
-              PhaseFrame(2, frozenset({0, 2}), {0: 1, 2: 1}))
+    frames = (PhaseFrame(1, {1: 1}), PhaseFrame(2, {0: 1, 2: 1}))
     # frame 2 pops first, so node 1 is blocked
     assert pop_stack(g, frames).members == frozenset({0, 2})
 
@@ -152,7 +172,7 @@ def test_boost_scripted_trace():
     assert r.iset.members == frozenset({1, 3})
     assert r.iset.weight == 5
     assert [f.pushed_weights for f in r.stack[:2]] == [{1: 3}, {3: 2}]
-    assert check_stack_property(g, r.iset, r.stack)
+    assert check_stack_property(r.iset, r.stack)
     # phase 2 ran on the filtered graph: only node 3 had positive residual
     assert inner.calls == 2  # later phases saw no positive nodes
 
@@ -170,7 +190,7 @@ def test_boost_path_vs_oracle():
     opt = brute_force_max_is(g).weight
     r = boost(g, heavy_inner, eps=0.5, c=8.0, seed=1)
     assert Fraction(3, 2) * g.max_degree * r.iset.weight >= opt
-    assert check_stack_property(g, r.iset, r.stack)
+    assert check_stack_property(r.iset, r.stack)
 
 
 def test_boost_invalid_inner_aborts_with_phase():
@@ -258,7 +278,7 @@ def test_boost_guarantees_random_corpus(eps):
         t = phase_count(8.0, float(eps))
         assert r.phases == t
         assert r.stats.rounds <= t * (r.diagnostics["inner_rounds_max"] + 2)
-        assert check_stack_property(g, r.iset, r.stack)
+        assert check_stack_property(r.iset, r.stack)
         assert (1 + eps) * g.max_degree * r.iset.weight >= opt
         assert (1 + eps) * (g.max_degree + 1) * r.iset.weight >= g.total_weight()
         # covering fact: every pushed node has a kept closed neighbor
@@ -296,7 +316,7 @@ def test_residuals_match_sequential_reduction():
                 cap = 4  # alpha = 1 leaves high-degree nodes for later phases
                 r = arb_approx(g, alpha=1, inner=recorder, seed=k)
             replay = iter(observed)
-            w = g.weights
+            w = id_weights(g)
             for frame in r.stack:
                 mirror = g.induced(g.mask(v for v in g.nodes if w[v] > 0),
                                    [w[v] for v in g.nodes])

@@ -13,7 +13,7 @@ def test_build_4_3():
     assert g.n == 12
     assert g.m == 4 * (3 + 9)  # 48
     assert {len(g.adj[v]) for v in g.nodes} == {8}  # 3*n1 - 1
-    assert set(g.weights.values()) == {1}
+    assert set(g.w.tolist()) == {1}
 
 
 def test_build_3_1_is_triangle():

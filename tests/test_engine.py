@@ -1,14 +1,16 @@
 import hashlib
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mwisim import engine
 from mwisim.arb import arb_reduce
 from mwisim.boost import ResidualUpdateProgram
-from mwisim.engine import (CongestViolation, EngineError, RoundLimitExceeded,
+from mwisim.engine import (CongestViolation, EngineError, Net, RoundLimitExceeded,
                            StepResult, message_budget_bits, run,
                            run_on_subgraph)
 from mwisim.graphs import GraphError, WeightedGraph, generate
@@ -18,6 +20,11 @@ from mwisim.wire import Message
 
 def unit(nodes, edges):
     return WeightedGraph(nodes, edges, {v: 1 for v in nodes})
+
+
+def round_limit(k):
+    """The engine's round limit set to ``k`` inside a ``with`` block."""
+    return mock.patch.object(engine, "DEFAULT_MAX_ROUNDS", k)
 
 
 class HaltInInit:
@@ -85,10 +92,23 @@ def test_congest_budget_enforced():
 
 
 def test_round_limit_carries_partial_stats():
-    with pytest.raises(RoundLimitExceeded) as exc:
-        run(unit([0, 1], [(0, 1)]), NeverHalt(), max_rounds=5)
+    with round_limit(5), pytest.raises(RoundLimitExceeded) as exc:
+        run(unit([0, 1], [(0, 1)]), NeverHalt())
     assert exc.value.stats.rounds == 5
     assert exc.value.unfinished == [0, 1]
+
+
+def test_round_limit_is_read_at_each_send():
+    g = unit([0, 1, 2], [(0, 1)])
+    net = Net(g, g.n, 0, None)
+    every = np.ones(3, dtype=bool)
+    net.send(every, every, 1)
+    with round_limit(1), pytest.raises(RoundLimitExceeded) as exc:
+        net.send(every, every, 1)
+    assert exc.value.stats.rounds == 1 and exc.value.unfinished == [0, 1, 2]
+    with round_limit(2):
+        net.send(every, every, 1)
+    assert net.stats.rounds == 2 and net.stats.per_round_messages == [2, 2]
 
 
 @pytest.mark.parametrize("outbox", [{1: Message(1, (1,))}, (Message(1),), 7],
@@ -106,12 +126,13 @@ def test_non_message_outbox_rejected(outbox):
 
     g = unit([0, 1, 2], [(0, 1)])
     with pytest.raises(EngineError, match=r"^round 2: node 1 sent a \w+, not a Message"):
-        run(g, Stale(), max_rounds=5)
+        with round_limit(5):
+            run(g, Stale())
 
 
 def test_non_message_outbox_wins_over_the_round_limit():
     """The outbox is refused when its step returns, before ``Net.send``
-    opens the round it would go out in; with max_rounds=1 that round is
+    opens the round it would go out in; with a round limit of 1 that round is
     also past the limit. Of several such senders, the least id is named."""
 
     class Stale:
@@ -123,8 +144,8 @@ def test_non_message_outbox_wins_over_the_round_limit():
 
     g = unit([0, 1, 2], [(0, 1), (1, 2)])
     for node_order in (None, list, lambda nodes: nodes[::-1]):
-        with pytest.raises(EngineError) as exc:
-            run(g, Stale(), max_rounds=1, node_order=node_order)
+        with round_limit(1), pytest.raises(EngineError) as exc:
+            run(g, Stale(), node_order=node_order)
         assert type(exc.value) is EngineError
         assert str(exc.value) == "round 2: node 1 sent a int, not a Message"
 
@@ -159,10 +180,11 @@ def _error(fn):
 def test_reversed_interpreter_raises_the_kernels_errors():
     g = generate("path", {"n": 5}, "unit", 0)
 
-    def both(value, max_rounds):
-        kernel = _error(lambda: run(g, Chatter(value), max_rounds=max_rounds))
-        assert _error(lambda: run(g, Chatter(value), max_rounds=max_rounds,
-                                  node_order=lambda nodes: nodes[::-1])) == kernel
+    def both(value, limit):
+        with round_limit(limit):
+            kernel = _error(lambda: run(g, Chatter(value)))
+            assert _error(lambda: run(g, Chatter(value),
+                                      node_order=lambda nodes: nodes[::-1])) == kernel
         return kernel
 
     # the over-budget broadcast names the first sender by position and
@@ -226,8 +248,8 @@ def test_outputs_follow_the_executed_graphs_positions():
     h = g.induced(keep)
     selected = frozenset({3, 22})  # both of degree 2 in h, above the cap
     zeroed = selected | {14, 29}  # the nodes of degree 1 in h
-    assert zeroed == selected | {v for v in h.nodes if h.degree(v) <= 1}
-    want = arb_reduce(h.weights, selected, zeroed, h)
+    assert zeroed == selected | {v for v in h.nodes if len(h.adj[v]) <= 1}
+    want = arb_reduce(dict(zip(h.nodes, h.w.tolist())), selected, zeroed, h)
     assert [v for v in sorted(subset) if want[v] == 0] == sorted(zeroed)
     for node_order in (None, list):
         out, _ = run_on_subgraph(g, keep, ResidualUpdateProgram(selected, degree_cap=1),
@@ -461,7 +483,7 @@ def test_random_broadcast_programs(n, p, graph_seed, salt, shuffle_seed):
     want = [0] * stats.rounds
     for v, (delivered, _) in zip(h.nodes, out):
         for r in delivered:
-            want[r - 1] += h.degree(v)
+            want[r - 1] += len(h.adj[v])
     assert stats.per_round_messages == want
     assert stats.messages_sent == sum(want)
 
@@ -498,9 +520,8 @@ def test_hashed_broadcasts_pinned():
 
 @pytest.mark.parametrize("kwargs,reason", [
     ({"mode": "quantum"}, "unknown mode 'quantum'"),
-    ({"max_rounds": 0}, "max_rounds must be >= 1, got 0"),
     ({"node_order": lambda nodes: nodes[1:]}, "node_order must permute the subset"),
-], ids=["mode", "max-rounds", "node-order"])
+], ids=["mode", "node-order"])
 def test_run_refuses_bad_arguments(kwargs, reason):
     with pytest.raises(EngineError, match=f"^{reason}$"):
         run(unit(range(3), [(0, 1)]), ExchangeIds(), **kwargs)

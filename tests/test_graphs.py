@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mwisim import graphs
-from mwisim.graphs import (HEAVY_TAIL_CAP, INT64_MAX, BruteForceCapError, GraphError,
-                           GraphParseError, IndependentSet, WeightedGraph,
+from mwisim.graphs import (HEAVY_TAIL_CAP, INT64_MAX, UNIFORM_RANGE_MAX, BruteForceCapError,
+                           GraphError, GraphParseError, IndependentSet, WeightedGraph,
                            _csr_of_edges, _draw_weights, _gnp_edges, _slot_pairs,
                            brute_force_max_is, build_clique_cycle,
                            degeneracy,
@@ -121,17 +121,14 @@ def test_induced_keeps_ids_and_reweights():
     h = g.induced(g.mask([1, 2, 3]), weights=[0, 9, 8, 7])  # by position in g.nodes
     assert h.nodes == (1, 2, 3)
     assert h.adj[1] == (2,)
-    assert h.weights == {1: 9, 2: 8, 3: 7}
     assert h.w.tolist() == [9, 8, 7] and h.w.dtype == np.int64
     with pytest.raises(ValueError):
         h.w[0] = 1  # read-only, like the CSR
-    with pytest.raises(TypeError):
-        h.weights[1] = 1  # read-only mapping
 
 
 def _induced_reference(g, subset, weights):
     sub = set(subset)
-    src = g.weights if weights is None else dict(zip(g.nodes, weights))
+    src = dict(zip(g.nodes, g.w.tolist() if weights is None else weights))
     return WeightedGraph(sub, [(u, v) for u, v in g.edges() if u in sub and v in sub],
                          {v: src[v] for v in sub})
 
@@ -164,8 +161,7 @@ def test_induced_equals_validated_construction(name, kind, reweight):
     assert np.array_equal(g.mask(reversed(subset)), mask)  # ids in any order
     ref = _induced_reference(g, subset, weights)
     assert h == ref
-    assert list(h.weights) == list(ref.weights) == list(h.nodes)
-    assert h.w.tolist() == list(ref.weights.values())
+    assert h.w.tolist() == ref.w.tolist()
     assert h.max_degree == ref.max_degree and h.m == ref.m
     for got, want in zip(h.csr(), ref.csr()):
         assert got.dtype == want.dtype == np.int64
@@ -196,7 +192,7 @@ def test_induced_rejects_bad_weights_like_the_constructor(bad):
     with pytest.raises(GraphError) as got:
         g.induced(g.mask([1, 2, 3]), weights)
     assert str(got.value) == str(want.value)
-    assert g.induced(g.mask([0, 1]), weights).weights == {0: 5, 1: 6}  # node 2 left out
+    assert g.induced(g.mask([0, 1]), weights).w.tolist() == [5, 6]  # node 2 left out
     # only the kept nodes' weights are read, whatever the others hold
     assert g.induced(g.mask([0, 3]), [5, -2**70, object(), 7]).w.tolist() == [5, 7]
 
@@ -212,7 +208,7 @@ def test_induced_wants_one_weight_per_parent_node(count):
 
 def test_cycle_triangle():
     g = generate("cycle", {"n": 3}, "unit", 0)
-    assert g.n == 3 and g.m == 3 and set(g.weights.values()) == {1}
+    assert g.n == 3 and g.m == 3 and set(g.w.tolist()) == {1}
 
 
 def test_clique_k4():
@@ -313,10 +309,10 @@ def test_invalid_family_and_params():
 
 def test_weight_models():
     u = generate("path", {"n": 50}, "uniform_range", 5)
-    assert all(1 <= w <= 10**6 for w in u.weights.values())
+    assert all(1 <= w <= 10**6 for w in u.w.tolist())
     h = generate("path", {"n": 50}, "heavy_tail", 5)
-    assert all(1 <= w <= 10**9 for w in h.weights.values())
-    assert max(h.weights.values()) > 100  # a heavy node exists at n=50
+    assert all(1 <= w <= 10**9 for w in h.w.tolist())
+    assert max(h.w.tolist()) > 100  # a heavy node exists at n=50
 
 def _reference_heavy_tail(rng, n):
     """The scalar loop behind the ``heavy_tail`` weights: the reference."""
@@ -368,6 +364,64 @@ def test_heavy_tail_redraws_a_zero_at_its_place(monkeypatch, zeros):
     assert got != plain
 
 
+def _reference_uniform_range(rng, n):
+    """The scalar loop behind the ``uniform_range`` weights: the reference."""
+    return [rng.randint(1, UNIFORM_RANGE_MAX) for _ in range(n)]
+
+
+def _stream_with_rejections(rejects):
+    """A ``random.Random`` whose ``getrandbits`` returns 2^bits - 1 (at or
+    above 10^6 for 20 bits, so rejected) in place of its draw at the given
+    call indices; it records each stream it builds."""
+    class Rejecting(random.Random):
+        built = []
+
+        def __init__(self, seed):
+            self.built.append(self)
+            self.seed_ = seed
+            self.calls = 0
+            super().__init__(seed)
+
+        def getrandbits(self, k):
+            r = super().getrandbits(k)
+            self.calls += 1
+            return (1 << k) - 1 if self.calls - 1 in rejects else r
+
+    return Rejecting
+
+
+def test_uniform_range_weights_equal_the_randint_loop(monkeypatch):
+    stream = _stream_with_rejections(())
+    monkeypatch.setattr(graphs, "random", SimpleNamespace(Random=stream))
+    for seed in range(13):
+        for n in (0, 1, 50, 4096):
+            got = _draw_weights(n, "uniform_range", seed)
+            drawn = stream.built[-1]
+            ref = stream(drawn.seed_)
+            assert got.dtype == np.int64
+            assert got.tolist() == _reference_uniform_range(ref, n)
+            assert drawn.calls == ref.calls  # no draw past the n-th kept one
+    # the plain stream too, with CPython's own randint
+    rng = random.Random(derive_seed(7, 0x57E16875))
+    assert (_draw_weights(4096, "uniform_range", 7).tolist()
+            == [rng.randint(1, 10**6) for _ in range(4096)])
+
+
+@pytest.mark.parametrize("rejects", [(1,), (3,), (49,), (3, 4), (49, 50)])
+def test_uniform_range_redraws_a_rejection_at_its_place(monkeypatch, rejects):
+    # seed 5's own stream rejects calls 0 and 35, so 50 weights take 52
+    # draws; (49, 50) rejects the first batch's last draw and its replacement
+    plain = _draw_weights(50, "uniform_range", 5).tolist()
+    stream = _stream_with_rejections(rejects)
+    monkeypatch.setattr(graphs, "random", SimpleNamespace(Random=stream))
+    got = _draw_weights(50, "uniform_range", 5).tolist()
+    drawn = stream.built[-1]
+    ref = stream(drawn.seed_)
+    assert got == _reference_uniform_range(ref, 50)
+    assert drawn.calls == ref.calls
+    assert got != plain
+
+
 def _reference_edges(family, n, p, seed):
     """Each family's edge list as plain Python pairs."""
     if family == "cycle":
@@ -391,7 +445,8 @@ ARRAY_BUILT_CASES += [("gnp", n, p) for n in (1, 2, 3, 50) for p in (0.0, 0.3, 1
 def test_array_built_graph_equals_validated_construction(family, n, p):
     params = {"n": n} if p is None else {"n": n, "p": p}
     g = generate(family, params, "uniform_range", 9)
-    ref = WeightedGraph(range(n), _reference_edges(family, n, p, 9), g.weights)
+    ref = WeightedGraph(range(n), _reference_edges(family, n, p, 9),
+                        dict(zip(g.nodes, g.w.tolist())))
     assert g == ref
     for built, lazy in zip(g.csr(), ref.csr()):
         assert built.dtype == lazy.dtype == np.int64
@@ -508,8 +563,7 @@ LARGE_GNP_DIGESTS = [
                          ids=["C5", "C7", "n65536"])
 def test_large_gnp_graphs_are_pinned(params, model, seed, digests):
     g = generate("gnp", params, model, seed)
-    weights = [g.weights[v] for v in g.nodes]
-    assert tuple(map(_sha256, (*g.csr(), weights))) == digests
+    assert tuple(map(_sha256, (*g.csr(), g.w.tolist()))) == digests
     if params["n"] == 4096:
         # ids past the small-int cache: the tuples still share one object per node
         assert all(u is g.nodes[u] for nbrs in g.adj.values() for u in nbrs)

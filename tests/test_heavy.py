@@ -24,18 +24,20 @@ def good_nodes(g):
 
 def _reference_stats(g):
     """(deg, delta, s) per node by its definition, one neighborhood at a time."""
+    w = dict(zip(g.nodes, g.w.tolist()))
     out = {}
     for v in g.nodes:
         closed = (v, *g.adj[v])
         out[v] = (len(g.adj[v]),
                   max(len(g.adj[u]) for u in closed),
-                  sum(g.weights[u] for u in closed))
+                  sum(w[u] for u in closed))
     return out
 
 
 def _reference_good(g):
-    return frozenset(v for v, (_, delta, s) in _reference_stats(g).items()
-                     if is_good(g.weights[v], delta, s))
+    return frozenset(v for (v, (_, delta, s)), wv in zip(_reference_stats(g).items(),
+                                                        g.w.tolist())
+                     if is_good(wv, delta, s))
 
 
 def test_stats_examples():

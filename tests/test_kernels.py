@@ -13,6 +13,7 @@ import random
 import tempfile
 from contextlib import contextmanager
 from itertools import compress
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -79,16 +80,17 @@ def test_kernels_equal_the_interpreter(n, p, graph_seed, ws, seed, mode,
     g = base.induced(base.mask(base.nodes), ws[:base.n])
     rng = random.Random(graph_seed)
     sub = np.array([rng.random() < 0.8 for _ in g.nodes], dtype=bool)
+    kw = dict(mode=mode, seed=seed, n_upper=n_upper)
     for program in programs(g, rng):
-        kw = dict(mode=mode, seed=seed, max_rounds=max_rounds, n_upper=n_upper)
-        kernel, reference = both(g, program, **kw)
-        assert kernel == reference, type(program).__name__
-        # a subset, and the empty graph
-        for keep in (sub, np.zeros(g.n, dtype=bool)):
-            kernel = outcome(lambda: run_on_subgraph(g, keep, program, **kw))
-            reference = outcome(lambda: run_on_subgraph(g, keep, program,
-                                                        node_order=list, **kw))
+        with mock.patch.object(engine, "DEFAULT_MAX_ROUNDS", max_rounds):
+            kernel, reference = both(g, program, **kw)
             assert kernel == reference, type(program).__name__
+            # a subset, and the empty graph
+            for keep in (sub, np.zeros(g.n, dtype=bool)):
+                kernel = outcome(lambda: run_on_subgraph(g, keep, program, **kw))
+                reference = outcome(lambda: run_on_subgraph(g, keep, program,
+                                                            node_order=list, **kw))
+                assert kernel == reference, type(program).__name__
         assert kernel == ("ok", ([], RoundStats(budget_bits=kernel[1][1].budget_bits)))
 
 
@@ -245,15 +247,17 @@ def test_shuffled_interpreter_matches_the_kernel():
 def test_round_limit_and_budget_errors_carry_the_same_fields():
     g = generate("gnp", {"n": 50, "p": 0.2}, "unit", 1)
     for program in (mis.LubyProgram(), heavy.LocalStatsProgram()):
-        kernel, reference = both(g, program, max_rounds=1)
+        with mock.patch.object(engine, "DEFAULT_MAX_ROUNDS", 1):
+            kernel, reference = both(g, program)
         assert kernel[0] == "RoundLimitExceeded" and kernel == reference
         assert isinstance(kernel[2]["stats"].per_round_messages, list)
     fat = WeightedGraph([0, 1, 2], [(1, 2)], {0: 10**6, 1: 10**6, 2: 10**6})
     kernel, reference = both(fat, heavy.LocalStatsProgram(), n_upper=2)
     assert kernel[0] == "CongestViolation" and kernel == reference
     assert (kernel[2]["sender"], kernel[2]["receiver"]) == (1, 2)
-    with pytest.raises(RoundLimitExceeded):
-        run(g, mis.LubyProgram(), max_rounds=1)
+    with mock.patch.object(engine, "DEFAULT_MAX_ROUNDS", 1), \
+            pytest.raises(RoundLimitExceeded):
+        run(g, mis.LubyProgram())
     with pytest.raises(CongestViolation):
         run(fat, heavy.LocalStatsProgram(), n_upper=2)
 
@@ -348,7 +352,7 @@ def send_by_sender(g, active, senders, tag, fields, budget):
 
 
 def send_once(g, active, senders, tag, fields, budget):
-    net = Net(g, g.n, 0, budget, DEFAULT_MAX_ROUNDS)
+    net = Net(g, g.n, 0, budget)
     net.send(active, senders, tag, *fields)
     stats = net.stats
     return (stats.rounds, stats.messages_sent, stats.per_round_messages,
@@ -387,25 +391,6 @@ def test_one_field_rounds_build_no_per_sender_sizes(monkeypatch):
             for p in programs for mode in ("congest", "local")] == want
 
 
-def test_no_run_path_reads_the_id_keyed_weights(monkeypatch):
-    def refuse(g):
-        raise AssertionError("a run path read WeightedGraph.weights")
-
-    monkeypatch.setattr(WeightedGraph, "weights", property(refuse))
-    params = {"n": 24, "p": 0.2}
-    source = GraphSource.generator("gnp", params, "heavy_tail", 3)
-    g = source.build()
-    for mode in ("congest", "local"):
-        for alg in ALGORITHMS:
-            assert run_algorithm(g, alg, PARAMS, seed=7, mode=mode).iset.weight > 0
-            rec = make_record(g, source, alg, PARAMS, 7, mode=mode, oracle=True,
-                              dump_stack=True)
-            assert rec["oracle"]["opt"] >= rec["result"]["weight"]
-    assert save(g).startswith("24 ")
-    with pytest.raises(AssertionError, match="read WeightedGraph.weights"):
-        g.weights
-
-
 def test_kernels_and_graph_queries_build_no_adjacency_tuples():
     g = generate("gnp", {"n": 200, "p": 0.05}, "uniform_range", 3)
     out, _ = run(g, mis.LubyProgram(), seed=1)
@@ -420,6 +405,6 @@ def test_kernels_and_graph_queries_build_no_adjacency_tuples():
     run_on_subgraph(g, keep, mis.LubyProgram(), seed=2)
     run(h, heavy.LocalStatsProgram(), seed=2)
     assert IndependentSet.of(g, np.array(out)).weight == g.total_weight(selected)
-    assert g.max_degree == max(map(g.degree, g.nodes)) and g.m == g.csr()[1].size // 2
+    assert g.max_degree == max(g.degrees.tolist()) and g.m == g.csr()[1].size // 2
     neighbor_reduce(g, np.add, np.ones(g.n, dtype=np.int64))
     assert g._adj is None and h._adj is None

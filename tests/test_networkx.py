@@ -12,7 +12,7 @@ nx = pytest.importorskip("networkx")
 
 def _to_nx(g):
     h = nx.Graph()
-    h.add_nodes_from((v, {"weight": g.weights[v]}) for v in g.nodes)
+    h.add_nodes_from((v, {"weight": w}) for v, w in zip(g.nodes, g.w.tolist()))
     h.add_edges_from(g.edges())
     return h
 
@@ -39,7 +39,7 @@ def test_degeneracy_is_max_core_number():
 def test_oracle_weight_is_max_weight_clique_of_complement():
     for g in _corpus(60, 14, 2):
         co = nx.complement(_to_nx(g))  # keeps the nodes, not their weights
-        nx.set_node_attributes(co, g.weights, "weight")
+        nx.set_node_attributes(co, dict(zip(g.nodes, g.w.tolist())), "weight")
         _, weight = nx.max_weight_clique(co, weight="weight")
         assert brute_force_max_is(g).weight == weight
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from mwisim import ranking, verify
 from mwisim.algorithms import run_algorithm
+from mwisim.engine import run
 from mwisim.graphs import GraphError, WeightedGraph, generate
 from mwisim.ranking import (_seq_rule, boppana_once, check_perm_equivalence,
                             rank_range, rank_rule)
@@ -215,6 +216,27 @@ def test_rules_read_no_adjacency_tuples(monkeypatch):
     assert rank_rule(g, {42: 3, 3: 1, 10: 4, 7: 2}) == frozenset({10, 42})
     with pytest.raises(AssertionError, match="read WeightedGraph.adj"):
         g.adj
+
+
+def test_tied_ranks_exclude_both_ends(monkeypatch):
+    """With the rank range cut to {1, 2}, neighbours tie often. The kernel,
+    the interpreter and the strict-max rule on the drawn ranks select the
+    same set, which leaves out both ends of every tie."""
+    monkeypatch.setattr(ranking, "rank_range", lambda n_upper, c: 2)
+    cases = joined = 0
+    for k in range(6):
+        g = generate("gnp", {"n": 30, "p": 0.15}, "unit", k)
+        for seed in (0, 7, 2**63 + 5):
+            ranks = {v: NodeStream(seed, v).randint(1, 2) for v in g.nodes}
+            want = rank_rule(g, ranks)
+            joins, _ = run(g, ranking.BoppanaProgram(), seed=seed, node_order=list)
+            assert boppana_once(g, seed=seed).iset.members == want
+            assert frozenset(itertools.compress(g.nodes, joins)) == want
+            tied = {x for u, v in g.edges() if ranks[u] == ranks[v] for x in (u, v)}
+            assert tied and not want & tied
+            cases += 1
+            joined += len(want)
+    assert cases == 18 and joined > 18  # some nodes are strictly above their neighbours
 
 
 def test_rank_collisions_absent_at_width():

@@ -41,7 +41,8 @@ def test_profile_program_matches_sequential():
 
 def _reference_terms(g):
     """(delta, wmax) per node by their definition, one neighborhood at a time."""
-    wdeg = {v: sum(g.weights[u] for u in g.adj[v]) for v in g.nodes}
+    w = dict(zip(g.nodes, g.w.tolist()))
+    wdeg = {v: sum(w[u] for u in g.adj[v]) for v in g.nodes}
     out = []
     for v in g.nodes:
         closed = (v, *g.adj[v])
@@ -53,8 +54,8 @@ def _reference_terms(g):
 def _reference_profile(g, lam, log_base="two", n_upper=None):
     """p(v) by its definition, by position in ``g.nodes``."""
     n_upper = g.n if n_upper is None else n_upper
-    return [sampling_probability(g.weights[v], delta, wmax, lam, n_upper, log_base)
-            for v, (delta, wmax) in zip(g.nodes, _reference_terms(g))]
+    return [sampling_probability(wv, delta, wmax, lam, n_upper, log_base)
+            for wv, (delta, wmax) in zip(g.w.tolist(), _reference_terms(g))]
 
 
 def _profile_corpus():
@@ -92,9 +93,9 @@ def test_clamp_and_range():
     for seed in range(10):
         g = generate("gnp", {"n": 80, "p": 0.2}, "heavy_tail", seed)
         prof = compute_sampling_profile(g, 4.0)
-        for v, p, (delta, wmax) in zip(g.nodes, prof, _reference_terms(g)):
+        for wv, p, (delta, wmax) in zip(g.w.tolist(), prof, _reference_terms(g)):
             assert 0.0 <= p <= 1.0
-            raw = 4.0 * math.log2(g.n) * (1 / delta + g.weights[v] / wmax)
+            raw = 4.0 * math.log2(g.n) * (1 / delta + wv / wmax)
             assert p == min(raw, 1.0)
 
 
@@ -120,7 +121,7 @@ def test_sample_is_the_per_node_uniform_draw():
     g = generate("gnp", {"n": 300, "p": 0.15}, "heavy_tail", 3)
     g = WeightedGraph([7 * v + 2**40 for v in g.nodes],
                       [(7 * u + 2**40, 7 * v + 2**40) for u, v in g.edges()],
-                      {7 * v + 2**40: w for v, w in g.weights.items()})
+                      {7 * v + 2**40: w for v, w in zip(g.nodes, g.w.tolist())})
     prof = compute_sampling_profile(g, 4.0)
     for seed in (0, 9, 2**63 + 1):
         want = frozenset(v for v, p in zip(g.nodes, prof)
