@@ -23,20 +23,15 @@ from .mis import greedy_mis, verify_mis
 
 def cycle_order(c: WeightedGraph) -> list[int]:
     """The nodes of a cycle graph in cyclic order, starting at the least id."""
-    if c.n < 3 or any(len(c.adj[v]) != 2 for v in c.nodes):
+    if c.n < 3 or (c.degrees != 2).any():
         raise GraphError("not a cycle: every node must have degree 2")
-    start = c.nodes[0]
-    order = [start, min(c.adj[start])]
-    while True:
-        prev, cur = order[-2], order[-1]
-        a, b = c.adj[cur]
-        nxt = b if a == prev else a
-        if nxt == start:
-            break
+    rows = c.csr()[1].reshape(-1, 2).tolist()  # two neighbor positions each, ascending
+    order = [0, rows[0][0]]
+    while (nxt := sum(rows[order[-1]]) - order[-2]) != 0:  # the row's other entry
         order.append(nxt)
     if len(order) != c.n:
         raise GraphError("not a cycle: graph is disconnected")
-    return order
+    return list(map(c.nodes.__getitem__, order))
 
 
 def max_gap(order: Sequence[int], members: Iterable[int]) -> int:

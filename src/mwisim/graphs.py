@@ -58,8 +58,9 @@ class WeightedGraph:
     graph itself):
 
     * ``adj``, which maps each node id to the sorted tuple of its neighbor
-      ids; it is derived from the CSR on first read, and only the sequential
-      walks read it (checks such as ``is_independent`` read the CSR);
+      ids; it is derived from the CSR on first read, and only the reference
+      interpreter in ``engine.run_on_subgraph`` and the mirror
+      ``arb.arb_reduce`` read it (every run path and check reads the CSR);
     * the rows with entries and their starts in ``nbr`` (``neighbor_reduce``);
     * the degeneracy (``degeneracy(g)``);
     * the exact optimum (``brute_force_max_is(g)``), so a seed sweep over
@@ -545,7 +546,7 @@ def random_tree(n: int, seed: int, weight_model: str = "unit") -> WeightedGraph:
 
 
 def degeneracy(g: WeightedGraph) -> int:
-    """Graph degeneracy via minimum-degree peeling (bucket queue, O(n + m)).
+    """Graph degeneracy via minimum-degree peeling (bucket queue on the CSR, O(n + m)).
 
     Serves as the implementable surrogate for arboricity: alpha <= d <= 2*alpha - 1.
     Computed once per graph and cached on it.
@@ -556,28 +557,27 @@ def degeneracy(g: WeightedGraph) -> int:
 
 
 def _peel(g: WeightedGraph) -> int:
-    if g.n == 0:
-        return 0
-    deg = {v: len(g.adj[v]) for v in g.nodes}
-    max_deg = max(deg.values())
-    buckets: list[list[int]] = [[] for _ in range(max_deg + 1)]
-    for v in g.nodes:
-        buckets[deg[v]].append(v)
-    removed: set[int] = set()
-    d = 0
-    cursor = 0
+    indptr, nbr = g.csr()
+    ptr = indptr.tolist()
+    deg = g.degrees.tolist()
+    buckets: list[list[int]] = [[] for _ in range(g.max_degree + 1)]
+    for v, dv in enumerate(deg):
+        buckets[dv].append(v)
+    removed = [False] * g.n
+    d = cursor = 0
     remaining = g.n
     while remaining:
         while not buckets[cursor]:
             cursor += 1
         v = buckets[cursor].pop()
-        if v in removed or deg[v] != cursor:
+        if removed[v] or deg[v] != cursor:
             continue  # stale bucket entry
         d = max(d, cursor)
-        removed.add(v)
+        removed[v] = True
         remaining -= 1
-        for u in g.adj[v]:
-            if u not in removed:
+        # one row at a time: all of ``nbr`` as a list would hold 2m ints
+        for u in nbr[ptr[v]:ptr[v + 1]].tolist():
+            if not removed[u]:
                 deg[u] -= 1
                 buckets[deg[u]].append(u)
                 if deg[u] < cursor:

@@ -7,8 +7,8 @@ announced nodes' neighbors drop out. One iteration costs two engine rounds
 iteration makes progress and termination is deterministic; the O(log n)
 bound is the usual high-probability one.
 
-``verify_mis`` checks the black box's answers over the CSR, not ``g.adj``;
-``mis_violation`` is the same check on boolean masks by position.
+``greedy_mis`` and ``verify_mis`` read the CSR by node position, not
+``g.adj``; ``mis_violation`` is ``verify_mis`` on boolean masks.
 """
 
 from __future__ import annotations
@@ -96,14 +96,21 @@ class LubyProgram:
 
 
 def greedy_mis(g: WeightedGraph, order: Iterable[int] | None = None) -> IndependentSet:
-    """Sequential greedy MIS: scan ``order`` (default: ids ascending) and add
-    each node unless a neighbor is already in."""
-    adj = g.adj
-    chosen: set[int] = set()
-    for v in g.nodes if order is None else order:
-        if not any(u in chosen for u in adj[v]):
-            chosen.add(v)
-    return IndependentSet.of(g, g.mask(chosen))
+    """Sequential greedy MIS: scan ``order`` (default: ids ascending; ids may
+    repeat) and add each node unless a neighbor is already in. An id not in
+    ``g`` raises ``KeyError``."""
+    indptr, nbr = g.csr()
+    ptr = indptr.tolist()
+    pos = (range(g.n) if order is None
+           else map(dict(zip(g.nodes, range(g.n))).__getitem__, order))
+    inside = np.zeros(g.n, dtype=bool)
+    blocked = [False] * g.n  # chosen, or next to a chosen node
+    for i in pos:
+        if not blocked[i]:
+            inside[i] = blocked[i] = True
+            for j in nbr[ptr[i]:ptr[i + 1]].tolist():
+                blocked[j] = True
+    return IndependentSet.of(g, inside)
 
 
 def verify_mis(g: WeightedGraph, node_subset, candidate) -> tuple[bool, str | None]:

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
+import numpy as np
+
 from .algorithms import as_inner, run_algorithm
 from .arb import arb_phase_count
 from .boost import check_stack_property, phase_count
@@ -24,7 +26,7 @@ from .engine import RoundStats, run
 from .graphs import (WeightedGraph, brute_force_max_is, degeneracy, generate,
                      random_tree)
 from .heavy import heavy_mis_approx
-from .mis import LubyProgram
+from .mis import LubyProgram, mis_violation
 from .ranking import boppana_once, check_perm_equivalence
 from .records import GraphSource, make_record, replay, same_outcome
 from .rng import derive_seed
@@ -77,17 +79,13 @@ def _timed(name: str, fn: Callable[[], tuple[bool, str]]) -> CheckResult:
 
 
 def _connected(g: WeightedGraph) -> bool:
-    if g.n == 0:
-        return True
-    seen = {g.nodes[0]}
-    frontier = [g.nodes[0]]
-    while frontier:
-        v = frontier.pop()
-        for u in g.adj[v]:
-            if u not in seen:
-                seen.add(u)
-                frontier.append(u)
-    return len(seen) == g.n
+    """Whether a frontier grown over the CSR from position 0 reaches every node."""
+    src, nbr = np.arange(g.n).repeat(g.degrees), g.csr()[1]
+    seen = frontier = np.arange(g.n) < 1
+    while frontier.any():
+        frontier = (np.bincount(nbr[frontier[src]], minlength=g.n) > 0) & ~seen
+        seen = seen | frontier
+    return bool(seen.all())
 
 
 # ---------------------------------------------------------------------------
@@ -233,11 +231,10 @@ def _c3_boost(tally: _Tally, quick: bool) -> tuple[bool, str]:
             if (1 + eps) * (delta + 1) * w < g.total_weight():
                 bad.append(f"fraction graph#{i} eps={eps}")
             # covering fact: every pushed node sees the final set next door
-            final = r.iset.members
-            for frame in r.stack:
-                for v in frame.members:
-                    if v not in final and not any(u in final for u in g.adj[v]):
-                        bad.append(f"cover graph#{i} eps={eps} node {v}")
+            pushed = g.mask(v for f in r.stack for v in f.members)
+            violation = mis_violation(g, pushed, g.mask(r.iset.members))
+            if violation:
+                bad.append(f"cover graph#{i} eps={eps}: {violation}")
     return not bad, (f"{runs} boost runs vs oracle: "
                      + (f"{len(bad)} violations, first: {bad[0]}" if bad
                         else "all ratio and fraction bounds hold exactly"))

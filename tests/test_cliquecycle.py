@@ -1,9 +1,11 @@
+import random
+
 import pytest
 
 from mwisim.algorithms import RunOutcome, as_inner
 from mwisim.cliquecycle import build_clique_cycle, cycle_order, max_gap, rand_mis
 from mwisim.engine import RoundStats
-from mwisim.graphs import GraphError, IndependentSet, WeightedGraph, generate
+from mwisim.graphs import GraphError, IndependentSet, WeightedGraph, generate, load
 from mwisim.mis import verify_mis
 
 
@@ -97,6 +99,67 @@ def test_cycle_order():
         assert b in c.adj[a]
     with pytest.raises(GraphError, match="degree 2"):
         cycle_order(generate("path", {"n": 5}, "unit", 0))
+
+
+def reference_cycle_order(c):
+    """The cycle walk on ids over ``c.adj``: the reference for ``cycle_order``."""
+    if c.n < 3 or any(len(c.adj[v]) != 2 for v in c.nodes):
+        raise GraphError("not a cycle: every node must have degree 2")
+    start = c.nodes[0]
+    order = [start, min(c.adj[start])]
+    while True:
+        prev, cur = order[-2], order[-1]
+        a, b = c.adj[cur]
+        nxt = b if a == prev else a
+        if nxt == start:
+            break
+        order.append(nxt)
+    if len(order) != c.n:
+        raise GraphError("not a cycle: graph is disconnected")
+    return order
+
+
+def loaded(ids, edges):
+    """The unit-weight graph on ``ids`` and ``edges`` through ``load``, with
+    its node and edge lines shuffled."""
+    rng = random.Random(len(ids))
+    lines = [f"{v} 1" for v in ids]
+    rng.shuffle(lines)
+    pairs = [f"{u} {v}" if rng.random() < 0.5 else f"{v} {u}" for u, v in edges]
+    rng.shuffle(pairs)
+    return load("\n".join([f"{len(ids)} {len(edges)}", *lines, *pairs]) + "\n")
+
+
+def test_cycle_order_equals_the_adj_reference():
+    rng = random.Random(0xC1C)
+    for n in (3, 4, 5, 8, 13, 32, 64):
+        for _ in range(4):
+            ids = rng.sample(range(10**9), n)  # ``ids`` in cyclic order
+            c = loaded(ids, list(zip(ids, ids[1:] + ids[:1])))
+            order = cycle_order(c)
+            assert order == reference_cycle_order(c)
+            start = ids.index(order[0])
+            assert order[0] == min(ids) and order in (ids[start:] + ids[:start],
+                                                      (ids[start::-1] + ids[:start:-1]))
+    # not cycles: a path, a star, a triangle plus an edge, two triangles, K4, a lone edge
+    ids = rng.sample(range(10**9), 6)
+    messages = set()
+    for edges in ([(ids[0], ids[1]), (ids[1], ids[2])],
+                  [(ids[0], v) for v in ids[1:]],
+                  [(ids[0], ids[1]), (ids[1], ids[2]), (ids[2], ids[0]), (ids[3], ids[4])],
+                  [(ids[0], ids[1]), (ids[1], ids[2]), (ids[2], ids[0]),
+                   (ids[3], ids[4]), (ids[4], ids[5]), (ids[5], ids[3])],
+                  [(u, v) for i, u in enumerate(ids[:4]) for v in ids[i + 1:4]],
+                  [(ids[0], ids[1])]):
+        c = loaded(sorted({v for e in edges for v in e}), edges)
+        with pytest.raises(GraphError) as want:
+            reference_cycle_order(c)
+        with pytest.raises(GraphError) as got:
+            cycle_order(c)
+        assert str(got.value) == str(want.value)
+        messages.add(str(got.value))
+    assert messages == {"not a cycle: every node must have degree 2",
+                        "not a cycle: graph is disconnected"}
 
 
 def test_max_gap():

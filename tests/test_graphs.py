@@ -18,6 +18,7 @@ from mwisim.graphs import (HEAVY_TAIL_CAP, INT64_MAX, UNIFORM_RANGE_MAX, BruteFo
                            generate, load, neighbor_reduce, random_tree, save)
 from mwisim.heavy import heavy_mis_approx
 from mwisim.mis import greedy_mis
+from test_mis import family_corpus
 from mwisim.rng import derive_seed
 
 
@@ -671,6 +672,50 @@ def test_degeneracy_examples():
 def test_tree_degeneracy_is_one(seed):
     n = random.Random(seed).randint(2, 1000)
     assert degeneracy(random_tree(n, seed)) == 1
+
+
+def reference_peel(g):
+    """The bucket-queue peel on ids and sets over ``g.adj``: the reference
+    for ``graphs._peel``."""
+    if g.n == 0:
+        return 0
+    deg = {v: len(g.adj[v]) for v in g.nodes}
+    max_deg = max(deg.values())
+    buckets = [[] for _ in range(max_deg + 1)]
+    for v in g.nodes:
+        buckets[deg[v]].append(v)
+    removed = set()
+    d = 0
+    cursor = 0
+    remaining = g.n
+    while remaining:
+        while not buckets[cursor]:
+            cursor += 1
+        v = buckets[cursor].pop()
+        if v in removed or deg[v] != cursor:
+            continue  # stale bucket entry
+        d = max(d, cursor)
+        removed.add(v)
+        remaining -= 1
+        for u in g.adj[v]:
+            if u not in removed:
+                deg[u] -= 1
+                buckets[deg[u]].append(u)
+                if deg[u] < cursor:
+                    cursor = deg[u]
+    return d
+
+
+def test_peel_equals_the_adj_reference():
+    rng = random.Random(0x9EE1)
+    corpus = [*family_corpus(rng), unit([], []), unit([42, 3, 10, 7], []),
+              unit([42, 3, 10, 7], [(42, 3), (3, 10), (10, 7), (42, 10)]),
+              unit(range(6), [(0, 1), (1, 2), (2, 0), (3, 4)])]
+    for n in (50, 200):
+        corpus += [generate("gnp", {"n": n, "p": p}, "unit", k)
+                   for k, p in enumerate((0.02, 0.05, 0.1, 0.3))]
+    for g in corpus:
+        assert graphs._peel(g) == reference_peel(g), g
 
 
 def test_degeneracy_bounded_by_max_degree():

@@ -8,11 +8,13 @@ the charge, so these tests compare what each form computes: outputs,
 ``budget_bits``) and any error with all of its fields must agree.
 """
 
+import ast
 import os
 import random
 import tempfile
 from contextlib import contextmanager
 from itertools import compress
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -20,14 +22,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mwisim import boost, engine, heavy, mis, ranking, sparsify
-from mwisim.algorithms import ALGORITHMS, run_algorithm
+from mwisim import boost, engine, heavy, mis, ranking, sparsify, verify
+from mwisim.algorithms import ALGORITHMS, as_inner, run_algorithm
+from mwisim.cliquecycle import rand_mis
 from mwisim.cli import main as run_cli
 from mwisim.engine import (DEFAULT_MAX_ROUNDS, CongestViolation, EngineError, Net,
                            RoundLimitExceeded, RoundStats, _check_fields, _message_sizes,
                            message_budget_bits, run, run_on_subgraph)
 from mwisim.graphs import (INT64_MAX, WEIGHT_MODELS, IndependentSet, WeightedGraph,
-                           generate, neighbor_reduce, save)
+                           generate, load, neighbor_reduce, save)
 from mwisim.records import GraphSource, make_record, replay, same_outcome, to_jsonl
 from mwisim.wire import Message, WireError
 from test_golden import GRAPHS
@@ -408,3 +411,43 @@ def test_kernels_and_graph_queries_build_no_adjacency_tuples():
     assert g.max_degree == max(g.degrees.tolist()) and g.m == g.csr()[1].size // 2
     neighbor_reduce(g, np.add, np.ones(g.n, dtype=np.int64))
     assert g._adj is None and h._adj is None
+
+
+def test_run_paths_read_no_adjacency_tuples(monkeypatch):
+    """With ``WeightedGraph.adj`` refused: a record of every algorithm in
+    both modes with the oracle and the stack, ``arb`` with and without
+    alpha, ``save`` and ``load``, the reduction as C9 runs it, and the quick
+    C3, C8 and C9."""
+    def refuse(g):
+        raise AssertionError("a run path read WeightedGraph.adj")
+
+    monkeypatch.setattr(WeightedGraph, "adj", property(refuse))
+    for source in (GraphSource.generator("gnp", {"n": 24, "p": 0.2}, "heavy_tail", 2),
+                   GraphSource.generator("cycle", {"n": 24}, "uniform_range", 3)):
+        g = source.build()
+        for alg in ALGORITHMS:
+            for mode in ("congest", "local"):
+                make_record(g, source, alg, {**PARAMS, "alpha": None}, seed=1, mode=mode,
+                            oracle=True, dump_stack=True)
+        record = make_record(g, source, "arb", PARAMS, seed=1, oracle=True, dump_stack=True)
+        assert record["algorithm"]["alpha"] == 2
+        assert load(save(g)) == g
+    inner = as_inner("sparse", {"lam": 4.0}, "local")
+    assert rand_mis(generate("cycle", {"n": 32}, "unit", 0), inner, 16, seed=5).iset
+    assert verify._c3_boost(verify._Tally(), quick=True)[0]
+    assert verify._c8_arb(verify._Tally(), quick=True)[0]
+    assert verify._c9_reduction(quick=True)[0]
+    with pytest.raises(AssertionError, match="read WeightedGraph.adj"):
+        g.adj
+
+
+def test_only_the_interpreter_and_arb_reduce_read_adj():
+    """The functions in ``src/`` that read an ``.adj`` attribute: the
+    reference interpreter and the sequential mirror the tracer binds."""
+    readers = set()
+    for path in sorted(Path(engine.__file__).parent.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                readers.update((path.stem, fn.name) for node in ast.walk(fn)
+                               if isinstance(node, ast.Attribute) and node.attr == "adj")
+    assert readers == {("engine", "run_on_subgraph"), ("arb", "arb_reduce")}

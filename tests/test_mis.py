@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from itertools import compress
@@ -32,6 +33,38 @@ def verify_mis_walk(g, node_subset, candidate):
         if not any(u in cand for u in g.adj[v] if u in subset):
             return False, f"node {v} is neither in the set nor adjacent to it"
     return True, None
+
+
+def reference_greedy(g, order=None):
+    """The greedy scan on ids and sets over ``g.adj``: the reference for
+    ``greedy_mis``."""
+    chosen = set()
+    for v in g.nodes if order is None else order:
+        if not any(u in chosen for u in g.adj[v]):
+            chosen.add(v)
+    return frozenset(chosen)
+
+
+def scattered(g, rng):
+    """``g`` with its nodes renamed to random ids in [0, 2^40), weights kept."""
+    ids = dict(zip(g.nodes, rng.sample(range(1 << 40), g.n)))
+    return WeightedGraph(ids.values(), [(ids[u], ids[v]) for u, v in g.edges()],
+                         {ids[v]: w for v, w in zip(g.nodes, g.w.tolist())})
+
+
+def family_corpus(rng):
+    """Paths, stars, cliques, trees and G(n, p), on their own ids and on
+    scattered ones."""
+    for k in range(40):
+        n = rng.randint(1, 40)
+        family = ("path", "star", "clique", "tree", "gnp")[k % 5]
+        if family == "tree":
+            g = random_tree(n, k, "uniform_range")
+        else:
+            params = {"n": n, "p": rng.uniform(0.05, 0.5)} if family == "gnp" else {"n": n}
+            g = generate(family, params, "uniform_range", k)
+        yield g
+        yield scattered(g, rng)
 
 
 def luby_members(g, seed, subset=None):
@@ -128,6 +161,37 @@ def test_greedy_always_maximal():
             iset = greedy_mis(g, order)
             ok, violation = verify_mis(g, g.nodes, iset.members)
             assert ok, violation
+
+
+def test_greedy_equals_the_adj_reference():
+    g = unit([42, 3, 10, 7], [(42, 3), (3, 10), (10, 7)])
+    for perm in itertools.permutations(g.nodes):
+        assert greedy_mis(g, perm).members == reference_greedy(g, perm)
+        assert greedy_mis(g, perm + perm[:2]).members == reference_greedy(g, perm)
+    repeated = [10, 10, 3]
+    assert greedy_mis(g, repeated).members == reference_greedy(g, repeated) == {10}
+    rng = random.Random(0x6EED)
+    for g in family_corpus(rng):
+        nodes = list(g.nodes)
+        subset = rng.sample(nodes, rng.randint(0, g.n))
+        # the hits first, then every node, as ``rand_mis`` scans
+        hits = sorted(rng.choices(nodes, k=rng.randint(0, 5)))
+        for order in (None, rng.sample(nodes, g.n), subset, subset + subset[::-1],
+                      hits + nodes, rng.choices(nodes, k=2 * g.n)):
+            iset = greedy_mis(g, order)
+            want = reference_greedy(g, order)
+            assert iset.members == want, (g, order)
+            assert iset.weight == g.total_weight(want)
+
+
+def test_greedy_refuses_an_unknown_id_as_the_reference_does():
+    g = unit([42, 3, 10, 7], [(42, 3), (3, 10), (10, 7)])
+    for order in ([5], [42, 5], [42, 3, 10, 7, 8]):
+        with pytest.raises(KeyError) as want:
+            reference_greedy(g, order)
+        with pytest.raises(KeyError) as got:
+            greedy_mis(g, order)
+        assert got.value.args == want.value.args
 
 
 def test_verify_mis_examples():

@@ -1,8 +1,13 @@
+import random
 from collections import Counter
+from dataclasses import replace
 
-from mwisim.graphs import WeightedGraph
+from mwisim import verify
+from mwisim.algorithms import run_algorithm
+from mwisim.graphs import IndependentSet, WeightedGraph, generate
 from mwisim.verify import (_connected, _tree_certificate, all_trees_upto,
                            mixed_corpus)
+from test_mis import family_corpus, scattered
 
 
 def test_tree_enumeration_counts():
@@ -28,6 +33,47 @@ def test_connected_helper():
     assert _connected(WeightedGraph([0, 1], [(0, 1)], {0: 1, 1: 1}))
     assert not _connected(WeightedGraph([0, 1], [], {0: 1, 1: 1}))
     assert _connected(WeightedGraph([], [], {}))
+
+
+def reference_connected(g):
+    """A search over ``g.adj`` from the least id: the reference for ``_connected``."""
+    seen = set(g.nodes[:1])
+    stack = list(seen)
+    while stack:
+        for u in g.adj[stack.pop()]:
+            if u not in seen:
+                seen.add(u)
+                stack.append(u)
+    return len(seen) == g.n
+
+
+def test_connected_equals_the_adj_reference():
+    rng = random.Random(0xC0)
+    corpus = list(family_corpus(rng))
+    for k in range(60):  # sparse G(n, p) and forests, connected and not
+        n = rng.randint(1, 30)
+        corpus.append(generate("gnp", {"n": n, "p": rng.uniform(0, 3 / n)}, "unit", k))
+        corpus.append(scattered(corpus[-1], rng))
+    corpus.append(WeightedGraph([9, 4, 30], [(4, 30)], {4: 1, 9: 2, 30: 3}))
+    results = [_connected(g) for g in corpus]
+    assert results == [reference_connected(g) for g in corpus]
+    assert 0 < results.count(False) < len(results)
+
+
+def test_c3_counts_one_cover_violation_per_run(monkeypatch):
+    """A final set missing its least member, with its weight kept, leaves
+    pushed nodes bare and passes every other check of C3."""
+    def short_by_one(*args, **kwargs):
+        r = run_algorithm(*args, **kwargs)
+        members = r.iset.members - {min(r.iset.members)}
+        return replace(r, iset=IndependentSet(members, r.iset.weight))
+
+    monkeypatch.setattr(verify, "run_algorithm", short_by_one)
+    ok, detail = verify._c3_boost(verify._Tally(), quick=True)
+    assert not ok
+    assert detail.startswith("168 boost runs vs oracle: 168 violations, first: "
+                             "cover graph#0 eps=1/4: node ")
+    assert detail.endswith(" is neither in the set nor adjacent to it")
 
 
 def test_mixed_corpus_deterministic_and_flagged():
