@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-import numpy as np
-
 from .algorithms import as_inner, run_algorithm
 from .arb import arb_phase_count
 from .boost import check_stack_property, phase_count
@@ -79,13 +77,16 @@ def _timed(name: str, fn: Callable[[], tuple[bool, str]]) -> CheckResult:
 
 
 def _connected(g: WeightedGraph) -> bool:
-    """Whether a frontier grown over the CSR from position 0 reaches every node."""
-    src, nbr = np.arange(g.n).repeat(g.degrees), g.csr()[1]
-    seen = frontier = np.arange(g.n) < 1
-    while frontier.any():
-        frontier = (np.bincount(nbr[frontier[src]], minlength=g.n) > 0) & ~seen
-        seen = seen | frontier
-    return bool(seen.all())
+    """Whether a frontier grown over the CSR rows from position 0 reaches every node."""
+    ptr, nbr = (a.tolist() for a in g.csr())
+    seen = {0} if g.n else set()
+    frontier = list(seen)
+    while frontier:
+        v = frontier.pop()
+        reached = set(nbr[ptr[v]:ptr[v + 1]]) - seen
+        seen |= reached
+        frontier.extend(reached)
+    return len(seen) == g.n
 
 
 # ---------------------------------------------------------------------------
