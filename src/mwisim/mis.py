@@ -7,8 +7,8 @@ announced nodes' neighbors drop out. One iteration costs two engine rounds
 iteration makes progress and termination is deterministic; the O(log n)
 bound is the usual high-probability one.
 
-``greedy_mis`` and ``verify_mis`` read the CSR by node position, not
-``g.adj``; ``mis_violation`` is ``verify_mis`` on boolean masks.
+``greedy_mis`` and ``verify_mis`` read the CSR by node position (no
+adjacency tuples); ``mis_violation`` is ``verify_mis`` on boolean masks.
 """
 
 from __future__ import annotations

@@ -139,8 +139,8 @@ def test_cycle_order_equals_the_adj_reference():
             order = cycle_order(c)
             assert order == reference_cycle_order(c)
             start = ids.index(order[0])
-            assert order[0] == min(ids) and order in (ids[start:] + ids[:start],
-                                                      (ids[start::-1] + ids[:start:-1]))
+            assert order[0] == min(ids)
+            assert order in (ids[start:] + ids[:start], ids[start::-1] + ids[:start:-1])
     # not cycles: a path, a star, a triangle plus an edge, two triangles, K4, a lone edge
     ids = rng.sample(range(10**9), 6)
     messages = set()
