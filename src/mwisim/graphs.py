@@ -11,6 +11,7 @@ import gc
 import math
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -83,19 +84,12 @@ class WeightedGraph:
                 raise GraphError(f"node identifier {v!r} is not an integer")
         if node_list and node_list[-1] > INT64_MAX:
             raise GraphError(f"node identifier {node_list[-1]} exceeds 64-bit range")
-        ends: list[tuple[int, int]] = []
-        for u, v in edges:
-            if u == v:
-                raise GraphError(f"self-loop at node {u}")
-            if u not in pos or v not in pos:
-                raise GraphError(f"edge ({u}, {v}) references unknown node")
-            ends.append((pos[u], pos[v]))
+        keys = _edge_keys(len(pos), *_edge_positions(edges, pos))
         if pos.keys() - weights.keys():
             raise GraphError(f"missing weight for node {min(pos.keys() - weights.keys())}")
         w = _checked_weights(node_list, [weights[v] for v in node_list])
-        uv = np.array(ends, dtype=np.int64).reshape(-1, 2)
         self._build(tuple(node_list), np.array(node_list, dtype=np.int64), w,
-                    *_csr_of_edges(len(node_list), uv[:, 0], uv[:, 1]))
+                    *_csr_of_keys(len(pos), keys))
 
     def _build(self, nodes: tuple[int, ...], ids: np.ndarray, w: np.ndarray,
                indptr: np.ndarray, nbr: np.ndarray) -> "WeightedGraph":
@@ -175,19 +169,23 @@ class WeightedGraph:
 
         A subgraph of a valid graph is valid, so only the mask and the kept
         nodes' new weights are checked. Every node without new weights is
-        ``self``. Otherwise the CSR is the parent's, filtered to the entries
+        ``self``, and every node with new weights shares ``self``'s arrays
+        but ``w``. Otherwise the CSR is the parent's, filtered to the entries
         between kept positions and renumbered, each row ascending.
         """
         keep = self._selection(keep)
         kept = keep.nonzero()[0]
-        if weights is None and kept.size == len(self.nodes):
+        every = kept.size == len(self.nodes)
+        if weights is None and every:
             return self
         if weights is not None and len(weights) != self.n:
             raise GraphError(f"expected {self.n} weights by position, got {len(weights)}")
         pos = kept.tolist()
-        nodes = tuple(map(self.nodes.__getitem__, pos))
+        nodes = self.nodes if every else tuple(map(self.nodes.__getitem__, pos))
         w = (self.w[kept] if weights is None
              else _checked_weights(nodes, list(map(weights.__getitem__, pos))))
+        if every:
+            return object.__new__(WeightedGraph)._build(nodes, self._ids, w, *self._csr)
         indptr, nbr = self._csr
         # the entries between kept positions; kept entries before each row of
         # the parent are the new row bounds
@@ -279,26 +277,61 @@ def _checked_weights(nodes: Iterable[int], values: Sequence[int]) -> np.ndarray:
     return np.array(values, dtype=np.int64)
 
 
-def _csr_of_edges(n: int, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(indptr, nbr)`` of the graph on positions 0..n-1 with an edge
-    between ``u[k]`` and ``v[k]`` for each k, in either order, repeats
-    merged."""
-    # the directed keys i << b | j (b bits hold any position), sorted in
-    # place in one array, are the CSR in row order: repeats are neighbouring
-    # equal keys (dropped only if there are any), row i starts at the first
-    # key >= i << b (n + 1 binary searches), and a key's neighbour is its low
-    # b bits. The keys are int32 whenever n << b fits, which halves the bytes
-    # the sort moves.
+def _position_dtype(n: int) -> type:
+    """The narrowest of int32 and int64 that the endpoint arrays of a graph
+    on positions 0..n-1 are built in: int32 whenever n <= INT32_MAX."""
+    return np.int32 if n <= INT32_MAX else np.int64
+
+
+def _edge_positions(edges: Iterable[tuple[int, int]],
+                    pos: Mapping[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """The positions ``pos`` gives the ends of ``edges``, checked: no
+    self-loop, no unknown id."""
+    ends: list[int] = []
+    for u, v in edges:
+        if u == v:
+            raise GraphError(f"self-loop at node {u}")
+        if u not in pos or v not in pos:
+            raise GraphError(f"edge ({u}, {v}) references unknown node")
+        ends += pos[u], pos[v]
+    uv = np.array(ends, dtype=_position_dtype(len(pos))).reshape(-1, 2)
+    return uv[:, 0], uv[:, 1]
+
+
+# A graph's CSR is built in two steps, so that a builder can drop its endpoint
+# arrays before the CSR's own arrays exist: ``_edge_keys`` turns the endpoints
+# into one array of directed keys i << b | j (b bits hold any position), and
+# ``_csr_of_keys`` sorts that array in place. Sorted, the keys are the CSR in
+# row order: repeats are neighbouring equal keys (dropped only if there are
+# any), row i starts at the first key >= i << b (n + 1 binary searches), and a
+# key's neighbour is its low b bits. The keys are int32 whenever n << b fits,
+# which halves the bytes the sort moves; int64 keys become ``nbr`` in place.
+
+
+def _edge_keys(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The directed keys of the edges between ``u[k]`` and ``v[k]`` (positions
+    0..n-1, any integer dtype), both ways round, in one new array. Only that
+    array is written."""
     b = max(n - 1, 0).bit_length()
-    dtype = np.int32 if n << b <= INT32_MAX else np.int64
-    keys = np.concatenate((u, v), dtype=dtype, casting="same_kind")
+    m = u.size
+    keys = np.empty(2 * m, dtype=np.int32 if n << b <= INT32_MAX else np.int64)
+    keys[:m] = u
+    keys[m:] = v
     keys <<= b
-    keys |= np.concatenate((v, u), dtype=dtype, casting="same_kind")
+    keys[:m] |= v
+    keys[m:] |= u
+    return keys
+
+
+def _csr_of_keys(n: int, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(indptr, nbr)``, both int64, of the graph on positions 0..n-1 whose
+    directed keys (``_edge_keys``) are ``keys``, repeats merged. ``keys`` is
+    sorted in place and may become ``nbr``: the caller hands it over."""
+    b = max(n - 1, 0).bit_length()
     keys.sort()
-    same = keys[1:] == keys[:-1]
-    if same.any():
-        keys = keys[np.append(True, ~same)]
-    indptr = keys.searchsorted(np.arange(0, (n << b) + 1, 1 << b, dtype=dtype))
+    if (keys[1:] == keys[:-1]).any():
+        keys = keys[np.append(True, keys[1:] != keys[:-1])]
+    indptr = keys.searchsorted(np.arange(0, (n << b) + 1, 1 << b, dtype=keys.dtype))
     nbr = keys.astype(np.int64, copy=False)
     nbr &= (1 << b) - 1
     return indptr, nbr
@@ -352,6 +385,29 @@ def _max_abs(values) -> int:
 # ---------------------------------------------------------------------------
 # generators
 
+# ``generate`` and ``build_clique_cycle`` refuse, before they allocate, a graph
+# whose build would need more than BUILD_CEILING_BYTES by ``build_bytes``. The
+# ceiling is a constant, not the free memory, so the same input is refused or
+# accepted on every machine; G(2^22, 20/n) needs about 1.4 GiB.
+BUILD_CEILING_BYTES = 4 << 30
+
+
+def build_bytes(n: int, m: int) -> int:
+    """The bytes that building a graph of ``n`` nodes and ``m`` edges may
+    peak at. Per edge: the kept ``nbr`` holds 16, and the endpoints and keys
+    it is built from peak at 24. Per node: the kept arrays (``indptr``,
+    ``degrees``, ids, ``w``) hold 32, the id tuple about 40, and the row
+    scans and weight draws the rest."""
+    return 24 * m + 96 * n
+
+
+def _check_build_fits(n: int, m: int) -> None:
+    need = build_bytes(n, m)
+    if need > BUILD_CEILING_BYTES:
+        raise GraphError(
+            f"a graph of {n} nodes and {m} edges needs about {need / 2**30:.3g} GiB "
+            f"to build, past the ceiling of {BUILD_CEILING_BYTES / 2**30:g} GiB")
+
 
 def _draw_weights(n: int, model: str, seed: int) -> np.ndarray:
     if model not in WEIGHT_MODELS:
@@ -381,14 +437,31 @@ def _draw_weights(n: int, model: str, seed: int) -> np.ndarray:
 
 
 def _clique_edges(n: int) -> tuple[np.ndarray, np.ndarray]:
-    u, v = np.triu_indices(n, 1)
-    return u.astype(np.int64), v.astype(np.int64)
+    """The pairs (u, v), u < v, of 0..n-1 in lexicographic order, as arrays
+    of ``_position_dtype(n)``."""
+    dtype = _position_dtype(n)
+    rows = np.arange(n - 1, dtype=dtype)
+    length = np.arange(n - 1, 0, -1)  # row u holds the pairs (u, u + 1..n - 1)
+    u = np.repeat(rows, length)
+    # v climbs by 1 along a row and falls from n - 1 to u + 2 where row u + 1 starts
+    v = np.ones(u.size, dtype=dtype)
+    v[np.cumsum(length[:-1])] = rows[1:] + 2 - n
+    np.cumsum(v, dtype=dtype, out=v)
+    return u, v
+
+
+def _gnp_block(left: float, p: float) -> int:
+    """How many gaps the G(n, p) scan draws next, when the slots left hold a
+    Binomial count of edges with mean ``left``: its mean + 6 sd + 64 almost
+    always ends the scan, and a short block only costs another."""
+    return int(left + 6 * math.sqrt(left * (1 - p))) + 64
 
 
 def _gnp_edges(n: int, p: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """G(n, p) endpoint arrays via geometric skipping over the n(n-1)/2 slots."""
+    """G(n, p) endpoint arrays, of ``_position_dtype(n)``, via geometric
+    skipping over the n(n-1)/2 slots."""
     if p <= 0.0 or n < 2:
-        none = np.zeros(0, dtype=np.int64)
+        none = np.zeros(0, dtype=_position_dtype(n))
         return none, none
     total = n * (n - 1) // 2
     if p >= 1.0:
@@ -397,12 +470,9 @@ def _gnp_edges(n: int, p: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
     chunks = []
     pos = -1
     while pos < total:
-        # the slots left hold a Binomial(left, p) count of edges: a block of
-        # its mean + 6 sd + 64 draws almost always ends the scan, and a short
-        # block only costs another; draws split across calls are the same
-        # stream as one call's, so the block size never changes the edges
-        left = (total - pos) * p
-        block = gen.geometric(p, size=int(left + 6 * math.sqrt(left * (1 - p))) + 64)
+        # draws split across calls are the same stream as one call's, so the
+        # block size never changes the edges
+        block = gen.geometric(p, size=_gnp_block((total - pos) * p, p))
         # a gap past the last slot ends the scan either way; clipping it keeps
         # the running sum inside int64 when p is tiny
         np.cumsum(np.minimum(block, total + 1, out=block), out=block)
@@ -410,21 +480,25 @@ def _gnp_edges(n: int, p: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
         pos = int(block[-1])
         # every gap is >= 1, so the slots ascend and those in range are a prefix
         chunks.append(block[:block.searchsorted(total)])
-    return _slot_pairs(n, np.concatenate(chunks))
+    return _slot_pairs(n, chunks[0] if len(chunks) == 1 else np.concatenate(chunks))
 
 
 def _slot_pairs(n: int, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The pairs (u, v), u < v, at slots ``k`` of the n(n-1)/2 pairs of
-    0..n-1 in lexicographic order; exact while n(n-1)/2 fits in int64.
+    0..n-1 in lexicographic order, as arrays of ``_position_dtype(n)``;
+    exact while n(n-1)/2 fits in int64.
 
     ``k`` must be strictly ascending, so that each row's slots are one run
-    of ``k``, found by one binary search per row start."""
+    of ``k``, found by one binary search per row start. It is only read."""
     row_start = np.zeros(n - 1, dtype=np.int64)
     np.cumsum(np.arange(n - 1, 1, -1, dtype=np.int64), out=row_start[1:])
     count = np.diff(k.searchsorted(row_start), append=k.size)
-    u = np.repeat(np.arange(n - 1, dtype=np.int64), count)
+    dtype = _position_dtype(n)
+    u = np.repeat(np.arange(n - 1, dtype=dtype), count)
     # slot row_start[u] holds the pair (u, u + 1)
-    return u, k + np.repeat(np.arange(1, n, dtype=np.int64) - row_start, count)
+    v = np.repeat(row_start - np.arange(1, n, dtype=np.int64), count)
+    np.subtract(k, v, out=v)
+    return u, v.astype(dtype, copy=False)
 
 
 @dataclass(frozen=True)
@@ -460,6 +534,8 @@ def build_clique_cycle(n0: int, n1: int,
         raise GraphError(f"cycle of cliques needs n0 >= 3, got {n0}")
     if n1 < 1:
         raise GraphError(f"clique size must be >= 1, got {n1}")
+    n = n0 * n1
+    _check_build_fits(n, n0 * (n1 * (n1 - 1) // 2 + n1 * n1))
     if base_ids is None:
         base_ids = tuple(range(n0))
     else:
@@ -474,19 +550,28 @@ def build_clique_cycle(n0: int, n1: int,
         raise GraphError(f"node identifier {top} exceeds 64-bit range")
     base = np.array(base_ids, dtype=np.int64)
     ids = (np.sort(base)[:, None] << j_bits | np.arange(1, n1 + 1)).ravel()
-    # first position of clique i (in cycle order), its members, and the
-    # members of clique i + 1 (mod n0), each paired with each
-    first = np.empty(n0, dtype=np.int64)
-    first[base.argsort()] = np.arange(0, n0 * n1, n1)
-    a, b = _clique_edges(n1)
-    x, y = np.divmod(np.arange(n1 * n1), n1)
-    u = np.concatenate([(first[:, None] + a).ravel(), (first[:, None] + x).ravel()])
-    v = np.concatenate([(first[:, None] + b).ravel(),
-                        (np.roll(first, -1)[:, None] + y).ravel()])
-    nodes = tuple(ids.tolist())
+    # first position of clique i (in cycle order)
+    first = np.empty(n0, dtype=_position_dtype(n))
+    first[base.argsort()] = np.arange(0, n, n1)
+    indptr, nbr = _csr_of_keys(n, _edge_keys(n, *_clique_cycle_edges(first, n1)))
     graph = object.__new__(WeightedGraph)._build(
-        nodes, ids, np.ones(n0 * n1, dtype=np.int64), *_csr_of_edges(n0 * n1, u, v))
+        tuple(ids.tolist()), ids, np.ones(n, dtype=np.int64), indptr, nbr)
     return CliqueCycle(n0, n1, base_ids, j_bits, graph)
+
+
+def _clique_cycle_edges(first: np.ndarray, n1: int) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoint arrays, of ``first``'s dtype, of the cycle of cliques whose
+    clique i holds positions ``first[i]`` .. ``first[i] + n1 - 1``: row i
+    pairs clique i's members with each other and then with each member of
+    clique i + 1 (mod n0)."""
+    a, b = _clique_edges(n1)
+    x = np.arange(n1, dtype=a.dtype).repeat(n1)
+    y = np.tile(np.arange(n1, dtype=a.dtype), n1)
+    u = first[:, None] + np.concatenate((a, x))
+    v = np.empty_like(u)
+    np.add(first[:, None], b, out=v[:, :a.size])
+    np.add(np.roll(first, -1)[:, None], y, out=v[:, a.size:])
+    return u.ravel(), v.ravel()
 
 
 def generate(family: str, params: Mapping[str, object], weight_model: str = "unit",
@@ -510,25 +595,37 @@ def generate(family: str, params: Mapping[str, object], weight_model: str = "uni
     n = int(params["n"])
     if n < 1:
         raise GraphError(f"n must be >= 1, got {n}")
-    ids = np.arange(n, dtype=np.int64)
-    if family == "cycle":
-        if n < 3:
-            raise GraphError(f"cycle needs n >= 3, got {n}")
-        u, v = ids, (ids + 1) % n
-    elif family == "path":
-        u, v = ids[:-1], ids[1:]
-    elif family == "clique":
-        u, v = _clique_edges(n)
-    elif family == "star":
-        u, v = np.zeros(n - 1, dtype=np.int64), ids[1:]
-    else:  # gnp
+    if family == "cycle" and n < 3:
+        raise GraphError(f"cycle needs n >= 3, got {n}")
+    p = None
+    if family == "gnp":
         p = float(params["p"])
         if not 0.0 <= p <= 1.0:
             raise GraphError(f"gnp needs 0 <= p <= 1, got {p}")
-        u, v = _gnp_edges(n, p, seed)
+        m = math.ceil(n * (n - 1) // 2 * Fraction(p))  # the expected edge count
+    else:
+        m = {"cycle": n, "clique": n * (n - 1) // 2}.get(family, n - 1)
+    _check_build_fits(n, m)
+    w = _draw_weights(n, weight_model, seed)
+    indptr, nbr = _csr_of_keys(n, _edge_keys(n, *_family_edges(family, n, p, seed)))
     return object.__new__(WeightedGraph)._build(
-        tuple(range(n)), ids, _draw_weights(n, weight_model, seed),
-        *_csr_of_edges(n, u, v))
+        tuple(range(n)), np.arange(n, dtype=np.int64), w, indptr, nbr)
+
+
+def _family_edges(family: str, n: int, p: float | None,
+                  seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoint arrays, of ``_position_dtype(n)``, of ``generate``'s families
+    on ids 0..n-1."""
+    if family == "gnp":
+        return _gnp_edges(n, p, seed)
+    if family == "clique":
+        return _clique_edges(n)
+    pos = np.arange(n, dtype=_position_dtype(n))
+    if family == "cycle":
+        return pos, np.roll(pos, -1)
+    if family == "path":
+        return pos[:-1], pos[1:]
+    return np.zeros(n - 1, dtype=pos.dtype), pos[1:]  # star
 
 
 def random_tree(n: int, seed: int, weight_model: str = "unit") -> WeightedGraph:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -411,6 +412,21 @@ def test_reduce_rejects_an_invalid_approximation_constant(c, capsys):
                     "--c", c]) == 3
     out = capsys.readouterr()
     assert "c must be a finite number >= 1" in out.err and out.out == ""
+
+
+@pytest.mark.parametrize("args", [
+    ["reduce", "--n0", "100000000", "--n1", "100000", "--seeds", "0"],
+    ["reduce", "--n0", "1000", "--n1", "100000", "--seeds", "0"],
+    ["gen", "--family", "gnp", "--n", "1000000000", "--p", "0.5"],
+    ["gen", "--family", "cycle_of_cliques", "--n0", "100000", "--n1", "1000"],
+    ["run", "--family", "clique", "--n", "100000", "--alg", "luby", "--seeds", "0"],
+], ids=["reduce", "reduce-wide-cliques", "gen-gnp", "gen-cycle-of-cliques", "run-clique"])
+def test_graphs_past_the_build_ceiling_exit_3_within_a_second(args, capsys):
+    start = time.perf_counter()
+    assert run_cli(args) == 3
+    assert time.perf_counter() - start < 1.0
+    out = capsys.readouterr()
+    assert "past the ceiling of 4 GiB" in out.err and out.out == ""
 
 
 def test_python_dash_m_runs_the_cli():

@@ -1,7 +1,9 @@
 import gc
 import hashlib
 import itertools
+import math
 import random
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,10 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mwisim import graphs
-from mwisim.graphs import (HEAVY_TAIL_CAP, INT64_MAX, UNIFORM_RANGE_MAX, BruteForceCapError,
-                           GraphError, GraphParseError, IndependentSet, WeightedGraph,
-                           _csr_of_edges, _draw_weights, _gnp_edges, _slot_pairs,
-                           brute_force_max_is, build_clique_cycle,
+from mwisim.graphs import (BUILD_CEILING_BYTES, HEAVY_TAIL_CAP, INT32_MAX, INT64_MAX,
+                           UNIFORM_RANGE_MAX, BruteForceCapError, GraphError,
+                           GraphParseError, IndependentSet, WeightedGraph,
+                           _clique_cycle_edges, _clique_edges, _csr_of_keys, _draw_weights,
+                           _edge_keys, _family_edges, _gnp_edges, _position_dtype,
+                           _slot_pairs, brute_force_max_is, build_bytes, build_clique_cycle,
                            degeneracy,
                            generate, load, neighbor_reduce, random_tree, save)
 from mwisim.heavy import heavy_mis_approx
@@ -288,7 +292,7 @@ def test_slot_pairs_of_ascending_subsets_match_the_table(data):
     table = list(itertools.combinations(range(n), 2))
     slots = sorted(data.draw(st.sets(st.integers(0, len(table) - 1)), label="slots"))
     u, v = _slot_pairs(n, np.array(slots, dtype=np.int64))
-    assert u.dtype == v.dtype == np.int64
+    assert u.dtype == v.dtype == _position_dtype(n) == np.int32
     assert list(zip(u.tolist(), v.tolist())) == [table[k] for k in slots]
 
 
@@ -484,14 +488,15 @@ def test_csr_of_edges_matches_sorted_neighbour_sets(data):
 
 
 def _assert_csr_of_pairs(n, pairs):
-    """``_csr_of_edges`` on ``pairs`` against sorted sets of neighbours."""
+    """``_edge_keys`` then ``_csr_of_keys`` on ``pairs`` against sorted sets
+    of neighbours."""
     u = np.array([a for a, _ in pairs], dtype=np.int64)
     v = np.array([b for _, b in pairs], dtype=np.int64)
     nbrs = [set() for _ in range(n)]
     for a, b in pairs:
         nbrs[a].add(b)
         nbrs[b].add(a)
-    indptr, nbr = _csr_of_edges(n, u, v)
+    indptr, nbr = _csr_of_keys(n, _edge_keys(n, u, v))
     assert indptr.dtype == nbr.dtype == np.int64
     assert indptr.tolist() == list(itertools.accumulate(map(len, nbrs), initial=0))
     assert nbr.tolist() == [j for s in nbrs for j in sorted(s)]
@@ -568,6 +573,102 @@ def test_large_gnp_graphs_are_pinned(params, model, seed, digests):
     if params["n"] == 4096:
         # ids past the small-int cache: the tuples still share one object per node
         assert all(u is g.nodes[u] for nbrs in g.adj.values() for u in nbrs)
+
+
+def _kept_bytes(g):
+    return sum(a.nbytes for a in (*g.csr(), g.w, g.degrees, g._ids))
+
+
+@pytest.mark.parametrize("params", [{"n": 4096, "p": 0.04}, {"n": 2**16, "p": 20 / 2**16}],
+                         ids=["4096", "65536"])
+def test_generating_gnp_peaks_at_most_1_6_times_what_the_graph_keeps(params):
+    # the endpoints are narrow and the keys are built in place, so the build's
+    # peak is about 24 bytes per edge against the 16 that ``nbr`` keeps; with
+    # int64 endpoints and the keys concatenated it was 2.6 and 2.8 times
+    generate("gnp", {"n": 8, "p": 0.5}, "heavy_tail", 0)  # first-use imports
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        g = generate("gnp", params, "heavy_tail", 1)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6 * _kept_bytes(g)
+
+
+@pytest.mark.parametrize("n,p", [(4096, 0.04), (2**16, 20 / 2**16), (300, 0.5), (1000, 0.003)])
+def test_gnp_edges_drawn_in_many_blocks_equal_the_one_block_scan(n, p, monkeypatch):
+    sizes = []
+
+    def counted(size):
+        def block(left, p):
+            sizes.append(size(left, p))
+            return sizes[-1]
+        return block
+
+    monkeypatch.setattr(graphs, "_gnp_block", counted(graphs._gnp_block))
+    one = _gnp_edges(n, p, 3)
+    assert len(sizes) == 1  # the scan ended in its first block, which is used as it is
+    sizes.clear()
+    monkeypatch.setattr(graphs, "_gnp_block", counted(lambda left, p: 1 + int(left / 4)))
+    many = _gnp_edges(n, p, 3)
+    assert len(sizes) > 3
+    for a, b in zip(one, many):
+        assert a.dtype == b.dtype == np.int32
+        assert np.array_equal(a, b)
+
+
+def test_endpoints_are_built_as_the_narrowest_position_dtype():
+    assert _position_dtype(INT32_MAX) is np.int32
+    assert _position_dtype(INT32_MAX + 1) is np.int64
+    first = np.array([0, 6, 3], dtype=np.int32)
+    for u, v in (_gnp_edges(300, 0.1, 1), _gnp_edges(300, 1.0, 1), _gnp_edges(300, 0.0, 1),
+                 _gnp_edges(1, 0.5, 1), _clique_edges(7), _clique_cycle_edges(first, 3),
+                 _family_edges("cycle", 9, None, 0), _family_edges("star", 9, None, 0)):
+        assert u.dtype == v.dtype == np.int32
+    # an int64 ``first`` (n0 * n1 past int32) widens the cycle of cliques' endpoints
+    u, v = _clique_cycle_edges(first.astype(np.int64), 3)
+    assert u.dtype == v.dtype == np.int64
+
+
+def test_edge_keys_and_slot_pairs_only_read_their_inputs():
+    u, v = np.array([0, 2, 1], dtype=np.int32), np.array([1, 0, 2], dtype=np.int64)
+    keys = _edge_keys(3, u, v)
+    assert u.tolist() == [0, 2, 1] and v.tolist() == [1, 0, 2]
+    assert sorted(keys.tolist()) == [1, 2, 4, 6, 8, 9]  # i << 2 | j
+    k = np.array([0, 2, 3], dtype=np.int64)
+    _slot_pairs(4, k)
+    assert k.tolist() == [0, 2, 3]
+
+
+PAST_THE_CEILING = [
+    ("gnp", {"n": 10**9, "p": 0.5}),
+    ("gnp", {"n": 10**200, "p": 1e-300}),
+    ("clique", {"n": 10**5}),
+    ("cycle", {"n": 10**8}),
+    ("star", {"n": 10**8}),
+    ("cycle_of_cliques", {"n0": 10**8, "n1": 10**5}),
+    ("cycle_of_cliques", {"n0": 3, "n1": 10**5}),
+]
+
+
+@pytest.mark.parametrize("family,params", PAST_THE_CEILING)
+def test_builds_past_the_ceiling_are_refused_before_they_allocate(family, params):
+    tracemalloc.start()
+    try:
+        with pytest.raises(GraphError, match="past the ceiling of 4 GiB"):
+            generate(family, params, "heavy_tail", 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_the_build_ceiling_admits_gnp_at_2_to_the_22():
+    n = 2**22
+    assert build_bytes(n, math.ceil(20 / n * (n * (n - 1) // 2))) <= BUILD_CEILING_BYTES
+    with pytest.raises(GraphError, match="past the ceiling"):
+        build_clique_cycle(3, 10**5, base_ids=[5, 1, 3])
 
 
 def test_neighbor_reduce_examples():
