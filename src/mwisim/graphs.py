@@ -52,6 +52,14 @@ class WeightedGraph:
     are stored by position too (read-only int64, each in [0, INT64_MAX]),
     as are new weights for ``induced``; totals are exact Python ints.
 
+    The constructor and the generators build the CSR from endpoint arrays
+    of positions, int32 whenever n <= INT32_MAX, turned into one array of
+    directed keys that is sorted in place (``_edge_keys``, then
+    ``_csr_of_keys``); the endpoints are dropped before the CSR's own
+    arrays exist. ``generate`` and ``build_clique_cycle`` refuse with
+    ``GraphError``, before they allocate, a graph whose build would peak
+    past ``BUILD_CEILING_BYTES`` (``build_bytes``).
+
     Four facts are computed on first use and then cached on the graph,
     which is safe only because nothing changes a graph after it is built
     (the generators return new graphs with empty caches, and so does
@@ -388,7 +396,7 @@ def _max_abs(values) -> int:
 # ``generate`` and ``build_clique_cycle`` refuse, before they allocate, a graph
 # whose build would need more than BUILD_CEILING_BYTES by ``build_bytes``. The
 # ceiling is a constant, not the free memory, so the same input is refused or
-# accepted on every machine; G(2^22, 20/n) needs about 1.4 GiB.
+# accepted on every machine; G(2^22, 20/n) needs about 1.3 GiB.
 BUILD_CEILING_BYTES = 4 << 30
 
 
