@@ -110,8 +110,8 @@ def cmd_run(args) -> int:
         raise UsageError(f"--oracle-cap must be >= 0, got {args.oracle_cap}")
     g, source = _load_or_generate(args)
     if args.alg == "arb" and args.alpha is None:
-        raise UsageError("algorithm 'arb' requires --alpha "
-                         "(degeneracy is a safe surrogate; see `mwisim gen`)")
+        raise UsageError("algorithm 'arb' requires --alpha (degeneracy is a safe "
+                         "surrogate: see the `degeneracy` of any `mwisim run` record)")
     params = {"eps": args.eps, "c": args.c, "lam": args.lam,
               "alpha": args.alpha, "log_base": args.log_base}
     out_records = []

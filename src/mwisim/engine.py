@@ -49,9 +49,9 @@ from typing import TYPE_CHECKING, Any, Callable, Protocol, Sequence
 
 import numpy as np
 
-from .graphs import INT64_MAX, IndependentSet, WeightedGraph, neighbor_reduce
+from .graphs import IndependentSet, WeightedGraph, neighbor_reduce
 from .rng import derive_seeds, node_rng, stream_randints, stream_words
-from .wire import LEN_BITS, TAG_BITS, Message, to_limbs
+from .wire import FIELD_BITS, LEN_BITS, TAG_BITS, Message, size_bits, to_limbs
 
 if TYPE_CHECKING:
     from .boost import PhaseFrame
@@ -168,21 +168,26 @@ class NodeProgram(Protocol):
 
 @dataclass
 class RoundStats:
-    """Complexity ledger of one run (or a merged pipeline of runs)."""
+    """Complexity ledger of one run (or a merged pipeline of runs); ``rounds``
+    and ``messages_sent`` are the length and sum of ``per_round_messages``."""
 
-    rounds: int = 0
-    messages_sent: int = 0
-    max_message_bits: int = 0
     per_round_messages: list[int] = field(default_factory=list)
+    max_message_bits: int = 0
     budget_bits: int | None = None
+
+    @property
+    def rounds(self) -> int:
+        return len(self.per_round_messages)
+
+    @property
+    def messages_sent(self) -> int:
+        return sum(self.per_round_messages)
 
     def merge(self, other: "RoundStats") -> "RoundStats":
         return RoundStats(
-            rounds=self.rounds + other.rounds,
-            messages_sent=self.messages_sent + other.messages_sent,
-            max_message_bits=max(self.max_message_bits, other.max_message_bits),
-            per_round_messages=self.per_round_messages + other.per_round_messages,
-            budget_bits=self.budget_bits if other.budget_bits is None else other.budget_bits,
+            self.per_round_messages + other.per_round_messages,
+            max(self.max_message_bits, other.max_message_bits),
+            self.budget_bits if other.budget_bits is None else other.budget_bits,
         )
 
 
@@ -225,7 +230,7 @@ def _check_fields(tag: int, fields: Sequence[np.ndarray], count: int) -> None:
         bad = np.zeros(count, dtype=bool)
         for f in fields:
             if f.dtype == object:
-                bad |= np.fromiter((not 0 <= v <= INT64_MAX for v in f), bool, count)
+                bad |= np.fromiter((not 0 <= v < 1 << FIELD_BITS for v in f), bool, count)
             else:
                 bad |= f < 0
         if bad.any():
@@ -299,10 +304,10 @@ class Net:
 
         A message's size never falls when a field grows, so the round's
         largest message among senders with a neighbor is sized from each
-        field's maximum when there is at most one field: ``TAG_BITS`` with
-        none, one Python ``bit_length`` with one. Per-sender sizes are
-        built only for two or more fields, or for a round over budget,
-        where they name the offender.
+        field's maximum when there is at most one field: ``wire.size_bits``
+        of those maxima, the rule every ``Message`` is sized by. Per-sender
+        sizes are built only for two or more fields, or for a round over
+        budget, where they name the offender.
         """
         idx = senders.nonzero()[0]
         fields = [np.asarray(f)[idx] for f in fields]
@@ -324,8 +329,7 @@ class Net:
         elif not msgs:
             top = 0
         else:
-            top = TAG_BITS + sum(LEN_BITS + max(1, int(f[talk].max()).bit_length())
-                                 for f in fields)
+            top = size_bits(int(f[talk].max()) for f in fields)
         budget = stats.budget_bits
         if budget is not None and top > budget:
             if sizes is None:
@@ -334,8 +338,6 @@ class Net:
             u = int(idx[talk][first])
             raise CongestViolation(self.ids[u], self.ids[self.nbr[self.indptr[u]]],
                                    round_no, int(sizes[first]), budget)
-        stats.rounds = round_no
-        stats.messages_sent += msgs
         stats.per_round_messages.append(msgs)
         stats.max_message_bits = max(stats.max_message_bits, top)
         self._sent = senders

@@ -50,10 +50,7 @@ def sampling_probability(weight: int, delta: int, wmax: int, lam: float,
     delta = 0 (isolated) or wmax = 0 (weightless 2-neighborhood) means the
     node is free to keep, so p = 1.
     """
-    return _clamped(weight, delta, wmax, _scale(lam, n_upper, log_base))
-
-
-def _clamped(weight: int, delta: int, wmax: int, scale: float) -> float:
+    scale = _scale(lam, n_upper, log_base)
     if delta == 0 or wmax == 0:
         return 1.0
     return min(scale * (1.0 / delta + weight / wmax), 1.0)
@@ -105,7 +102,8 @@ def compute_sampling_profile(g: WeightedGraph, lam: float, log_base: str = "two"
     each inbox. With ``net`` (the program's kernel) the two rounds are sent
     and charged; without it this is the sequential profile.
     """
-    scale = _scale(lam, g.n if n_upper is None else n_upper, log_base)
+    n_upper = g.n if n_upper is None else n_upper
+    scale = _scale(lam, n_upper, log_base)
     w, deg = g.w, g.degrees
     wdeg = neighbor_reduce(g, np.add, w)
     delta = neighbor_reduce(g, np.maximum, deg, deg)
@@ -114,17 +112,18 @@ def compute_sampling_profile(g: WeightedGraph, lam: float, log_base: str = "two"
         every = np.ones(g.n, dtype=bool)
         net.send(every, every, TAG_DEGW, deg, w)
         net.send_limbs(every, every, TAG_WDEG, wdeg)
-    # float64 steps round as ``_clamped``'s do wherever wmax < 2^53: there
-    # w <= wmax and delta are exact doubles. An isolated node has wmax = 0,
-    # so delta >= 1 wherever wmax > 0, and p = inf * scale clamps to 1 where
-    # wmax = 0.
+    # float64 steps round as ``sampling_probability``'s do wherever
+    # wmax < 2^53: there w <= wmax and delta are exact doubles. An isolated
+    # node has wmax = 0, so delta >= 1 wherever wmax > 0, and
+    # p = inf * scale clamps to 1 where wmax = 0.
     wm = wmax.astype(np.float64)
     p = np.divide(w, wm, out=np.full(g.n, np.inf), where=wm > 0)
     p += 1.0 / np.maximum(delta, 1)
     p *= scale
     np.minimum(p, 1.0, out=p)
     for i in (wm >= 2.0**53).nonzero()[0].tolist():
-        p[i] = _clamped(int(w[i]), int(delta[i]), int(wmax[i]), scale)
+        p[i] = sampling_probability(int(w[i]), int(delta[i]), int(wmax[i]), lam,
+                                    n_upper, log_base)
     return p.tolist()
 
 

@@ -12,7 +12,7 @@ rank or a sum of weights, travels as 63-bit limbs (``to_limbs``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 TAG_BITS = 4
 LEN_BITS = 6
@@ -32,6 +32,12 @@ def _field_bits(value: int) -> int:
     return width
 
 
+def size_bits(values: Iterable[int]) -> int:
+    """The encoded length of a message with fields ``values``: the tag, then
+    each field's length header and bits (``WireError`` outside [0, 2^63))."""
+    return TAG_BITS + sum(LEN_BITS + _field_bits(v) for v in values)
+
+
 @dataclass(frozen=True)
 class Message:
     """An immutable message: type tag plus integer fields."""
@@ -43,8 +49,7 @@ class Message:
     def __post_init__(self):
         if not 0 <= self.tag < (1 << TAG_BITS):
             raise WireError(f"tag {self.tag} does not fit in {TAG_BITS} bits")
-        bits = TAG_BITS + sum(LEN_BITS + _field_bits(v) for v in self.values)
-        object.__setattr__(self, "size_bits", bits)
+        object.__setattr__(self, "size_bits", size_bits(self.values))
 
 
 def to_limbs(value: int) -> tuple[int, ...]:

@@ -161,7 +161,7 @@ class ScriptedInner:
         members = frozenset(self.sets[self.calls]) & frozenset(g_sub.nodes)
         self.calls += 1
         return RunOutcome(IndependentSet.of(g_sub, g_sub.mask(members)),
-                          RoundStats(rounds=1))
+                          RoundStats([0]))
 
 
 def test_boost_scripted_trace():
@@ -212,7 +212,7 @@ def test_boost_refuses_an_inner_set_outside_its_graph():
 
     def inner(g_sub, seed, n_upper):
         members = frozenset(next(picks))  # unchecked, like a faulty inner
-        return RunOutcome(IndependentSet(members, 3), RoundStats(rounds=1))
+        return RunOutcome(IndependentSet(members, 3), RoundStats([0]))
 
     with pytest.raises(BoostPhaseError, match="phase 2: .*outside") as err:
         boost(g, inner, eps=0.5, c=8.0, seed=0)

@@ -442,3 +442,10 @@ def test_python_dash_m_runs_the_cli():
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage: mwisim")
+
+
+def test_arb_without_alpha_points_to_the_records_degeneracy(capsys):
+    assert run_cli(["run", "--family", "path", "--n", "6", "--seeds", "0",
+                    "--alg", "arb"]) == 2
+    err = capsys.readouterr().err
+    assert "--alpha" in err and "degeneracy" in err and "mwisim gen" not in err

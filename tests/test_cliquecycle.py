@@ -176,7 +176,7 @@ def _scripted_alg(picks, diagnostics=None):
     def alg(g1, seed, n_upper):
         # unchecked set: the rejection tests hand rand_mis a dependent one
         return RunOutcome(IndependentSet(frozenset(picks), len(picks)),
-                          RoundStats(rounds=3), diagnostics or {})
+                          RoundStats([0] * 3), diagnostics or {})
     return alg
 
 
@@ -204,7 +204,7 @@ def test_rand_mis_trace_no_gap():
     # hits in cliques 1 and 4: J covers everything
     alg = _scripted_alg({cc.vertex_id(1, 1), cc.vertex_id(4, 2)})
     r = rand_mis(c, alg, 2, seed=0)
-    assert isinstance(r, RunOutcome) and r.stats == RoundStats(rounds=3)
+    assert isinstance(r, RunOutcome) and r.stats == RoundStats([0] * 3)
     assert r.iset.members == {order[0], order[3]}
     assert r.diagnostics == {"mapped": sorted([order[0], order[3]]),
                              "max_gap": 2, "r_small": 100 * 8 * 3,

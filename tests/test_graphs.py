@@ -951,6 +951,7 @@ def test_save_load_roundtrip(n, seed):
     ("1 0\n0 5\n\n  \n", None),        # blank trailing lines are accepted
     ("-1 0\n", 1),                    # negative header count
     ("2 1\n0 5\n1 6\n", 4),           # fewer lines than promised
+    ("100000000000 100000000000\n0 1\n", 3),  # a header past any text
     ("2 0\n0 5\nx 6\n", 3),           # unparsable node line
     ("1 0\n-3 5\n", 2),               # negative node id
     ("2 1\n0 5\n1 6\n0\n", 4),        # unparsable edge line
