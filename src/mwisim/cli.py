@@ -11,6 +11,7 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import Sequence
 
 from . import records as rec
 from .algorithms import ALGORITHMS, UsageError, as_inner
@@ -39,15 +40,16 @@ def _graph_seed(args) -> int:
     return _default_seed() if args.graph_seed is None else args.graph_seed
 
 
-def _parse_seeds(spec: str | None) -> list[int]:
-    """Seed list syntax: '7', '0:20' (half-open range), or '1,2,5'; none
-    given is ``MWISIM_SEED``."""
+def _parse_seeds(spec: str | None) -> Sequence[int]:
+    """Seed list syntax: '7', '0:20' (half-open range, kept lazy, so a wide
+    one costs nothing until it runs), or '1,2,5'; none given is
+    ``MWISIM_SEED``."""
     if spec is None:
         return [_default_seed()]
     try:
         if ":" in spec:
             lo, hi = spec.split(":", 1)
-            seeds = list(range(int(lo), int(hi)))
+            seeds = range(int(lo), int(hi))
         else:
             seeds = [int(s) for s in spec.split(",") if s.strip()]
     except ValueError:

@@ -27,16 +27,16 @@ A program runs in one of two forms with identical outputs, ``RoundStats``
 and errors, under any ``node_order``. Both open their rounds through one
 ``Net``, the run's round ledger: ``Net.send`` applies the round limit and
 the CONGEST check and charges every round, for both forms alike. It
-sizes a round by its largest message: with at most one field that is the
-field's largest value among senders with a neighbor, since a message never
-shrinks when a field grows, and per-sender sizes are built only for two or
-more fields, or for a round over budget. A program's ``kernel``, if it has
-one, computes each whole round with numpy arrays over ``g.csr()``, drawing
-the same stream words in bulk. The
-per-node interpreter (``init``/``step`` on each node in turn) is the
-reference for program semantics: it runs when the program has no kernel,
-and whenever ``node_order`` is given, since a kernel has no processing
-order.
+sizes a round by its largest message, by ``wire``'s rules: with at most one
+field that is the field's largest value among senders with a neighbor,
+since a message never shrinks when a field grows, and per-sender sizes are
+built only for two or more fields, or for a round over budget. A program's
+``kernel``, if it has one, computes each whole round with numpy arrays over
+``g.csr()``, drawing the same stream words in bulk, and builds no
+``Message``. The per-node interpreter (``init``/``step`` on each node in
+turn) is the reference for program semantics: it runs when the program has
+no kernel, and whenever ``node_order`` is given, since a kernel has no
+processing order.
 """
 
 from __future__ import annotations
@@ -45,13 +45,13 @@ import math
 from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Protocol, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Protocol
 
 import numpy as np
 
 from .graphs import IndependentSet, WeightedGraph, neighbor_reduce
 from .rng import derive_seeds, node_rng, stream_randints, stream_words
-from .wire import FIELD_BITS, LEN_BITS, TAG_BITS, Message, size_bits, to_limbs
+from .wire import Message, check_fields, limb_sizes, message_sizes, size_bits
 
 if TYPE_CHECKING:
     from .boost import PhaseFrame
@@ -213,43 +213,6 @@ def message_budget_bits(n_upper: int) -> int:
     return DEFAULT_C_MSG * max(1, math.ceil(math.log2(max(n_upper, 2))))
 
 
-def _bit_lengths(a: np.ndarray) -> np.ndarray:
-    """``max(1, v.bit_length())`` for each non-negative int64 ``v`` in ``a``."""
-    a = np.maximum(a, 1)
-    e = np.frexp(a)[1]
-    # past 2^53 the float can round up to the next power of two: one too many
-    e -= (a >> (e - 1)) == 0
-    return e
-
-
-def _check_fields(tag: int, fields: Sequence[np.ndarray], count: int) -> None:
-    """Raise, for the first i < ``count`` with a field outside [0, 2^63),
-    the ``WireError`` that building ``Message(tag, (f[i] for f in fields))``
-    raises, as the interpreter would when that sender built it."""
-    if any(f.dtype == object or (count and f.min() < 0) for f in fields):
-        bad = np.zeros(count, dtype=bool)
-        for f in fields:
-            if f.dtype == object:
-                bad |= np.fromiter((not 0 <= v < 1 << FIELD_BITS for v in f), bool, count)
-            else:
-                bad |= f < 0
-        if bad.any():
-            i = int(np.flatnonzero(bad)[0])
-            Message(tag, tuple(int(f[i]) for f in fields))
-
-
-def _message_sizes(fields: Sequence[np.ndarray], count: int) -> np.ndarray:
-    """``Message(tag, (f[i] for f in fields)).size_bits``, whatever the tag,
-    for i < ``count``, for fields that ``_check_fields`` has passed."""
-    if not fields:
-        return np.full(count, TAG_BITS, dtype=np.int64)
-    # one (fields x senders) array, so the per-call numpy cost is paid once
-    bits = _bit_lengths(np.array(fields, dtype=np.int64))
-    sizes = bits.sum(axis=0, dtype=np.int64)
-    sizes += TAG_BITS + LEN_BITS * len(fields)
-    return sizes
-
-
 class Net:
     """The round ledger of one run: the executed graph and its rounds.
 
@@ -290,15 +253,18 @@ class Net:
     def send(self, active: np.ndarray, senders: np.ndarray, tag: int,
              *fields: np.ndarray, sizes: np.ndarray | None = None) -> None:
         """End a step: nodes in ``active`` keep running, and each node in
-        ``senders`` (a subset) broadcasts ``Message(tag, its field values)``.
+        ``senders`` (a subset) broadcasts ``Message(tag, its field values)``,
+        which ``wire`` sizes without building it (every tag is
+        ``wire.TAG_BITS`` wide).
 
-        Every sender's fields are checked first, even if no node is active:
-        a value outside [0, 2^63) raises the ``WireError`` that the first
-        such sender's ``Message`` raises. Then, if any node is active, the
-        next round opens: the round limit ``DEFAULT_MAX_ROUNDS``, read at
-        each call (naming the active nodes in position order), the CONGEST
-        check (the first sender over budget by position, named with its
-        first neighbor), and a charge of deg(sender) messages per sender.
+        Every sender's fields are checked first (``wire.check_fields``), even
+        if no node is active: a value outside [0, 2^63) raises the
+        ``WireError`` that the first such sender's ``Message`` would. Then,
+        if any node is active, the next round opens: the round limit
+        ``DEFAULT_MAX_ROUNDS``, read at each call (naming the active nodes in
+        position order), the CONGEST check (the first sender over budget by
+        position, named with its first neighbor), and a charge of
+        deg(sender) messages per sender.
         ``sizes`` (bits per sender, in position order) stands in for
         ``fields`` when senders' messages have different field counts.
 
@@ -306,14 +272,14 @@ class Net:
         largest message among senders with a neighbor is sized from each
         field's maximum when there is at most one field: ``wire.size_bits``
         of those maxima, the rule every ``Message`` is sized by. Per-sender
-        sizes are built only for two or more fields, or for a round over
-        budget, where they name the offender.
+        sizes (``wire.message_sizes``) are built only for two or more
+        fields, or for a round over budget, where they name the offender.
         """
         idx = senders.nonzero()[0]
         fields = [np.asarray(f)[idx] for f in fields]
-        _check_fields(tag, fields, idx.size)
+        check_fields(fields, idx.size)
         if sizes is None and len(fields) > 1:
-            sizes = _message_sizes(fields, idx.size)
+            sizes = message_sizes(fields, idx.size)
         if not active.any():
             return
         stats = self.stats
@@ -333,7 +299,7 @@ class Net:
         budget = stats.budget_bits
         if budget is not None and top > budget:
             if sizes is None:
-                sizes = _message_sizes(fields, idx.size)[talk]
+                sizes = message_sizes(fields, idx.size)[talk]
             first = int((sizes > budget).argmax())
             u = int(idx[talk][first])
             raise CongestViolation(self.ids[u], self.ids[self.nbr[self.indptr[u]]],
@@ -347,11 +313,11 @@ class Net:
                    values: np.ndarray) -> None:
         """``send`` of one value per node that may pass 63 bits: each sender's
         message is ``Message(tag, wire.to_limbs(value))``, which is the one
-        field ``value`` while ``values`` is an int64 array."""
+        field ``value`` while ``values`` is an int64 array, and is sized by
+        ``wire.limb_sizes`` otherwise."""
         if values.dtype != object:
             return self.send(active, senders, tag, values)
-        self.send(active, senders, tag, sizes=np.array(
-            [Message(tag, to_limbs(v)).size_bits for v in values[senders]], np.int64))
+        self.send(active, senders, tag, sizes=limb_sizes(values[senders]))
 
     def fold(self, ufunc: np.ufunc, values, initial=None) -> np.ndarray:
         """``ufunc`` (``np.add`` or ``np.maximum``) over ``values`` of each

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress
 from typing import Sequence
 
 import numpy as np
@@ -127,12 +126,12 @@ def compute_sampling_profile(g: WeightedGraph, lam: float, log_base: str = "two"
     return p.tolist()
 
 
-def sample_subgraph(g: WeightedGraph, p: Sequence[float],
-                    seed: int) -> frozenset[int]:
+def sample_subgraph(g: WeightedGraph, p: Sequence[float], seed: int) -> np.ndarray:
     """Independent per-node Bernoulli draws with probabilities ``p`` (by
-    position in ``g.nodes``), ``rng.node_uniform`` for every node at once."""
+    position in ``g.nodes``), ``rng.node_uniform`` for every node at once:
+    the sampled positions, ascending, as an int64 array."""
     u = node_uniforms(seed, g.nodes, SAMPLE_SALT)
-    return frozenset(compress(g.nodes, (u < np.asarray(p, np.float64)).tolist()))
+    return np.flatnonzero(u < np.asarray(p, np.float64))
 
 
 def sparse_approx(g: WeightedGraph, lam: float = DEFAULT_LAMBDA, seed: int = 0,
@@ -150,7 +149,9 @@ def sparse_approx(g: WeightedGraph, lam: float = DEFAULT_LAMBDA, seed: int = 0,
     p, st1 = run(g, ProfileProgram(lam, log_base), mode=mode,
                  seed=derive_seed(seed, 0x5A8F), n_upper=n_upper)
     sampled = sample_subgraph(g, p, derive_seed(seed, SAMPLE_SALT))
-    h = g.induced(g.mask(sampled))
+    keep = np.zeros(g.n, dtype=bool)
+    keep[sampled] = True
+    h = g.induced(keep)
     heavy = heavy_mis_approx(h, seed=derive_seed(seed, 0x4EA4), mode=mode,
                              n_upper=n_upper)
     # h keeps g's weights, so the set and its weight are the same in g

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
+import numpy as np
+
 from .algorithms import as_inner, run_algorithm
 from .arb import arb_phase_count
 from .boost import check_stack_property, phase_count
@@ -260,10 +262,12 @@ def _c5_sparsifier(tally: _Tally, quick: bool) -> tuple[bool, str]:
             r = sparse_approx(g, lam=lam, seed=derive_seed(0x5A17, 10**6))
             tally.note_budget(r.stats)
         profile = compute_sampling_profile(g, lam)
-        sampled = sample_subgraph(g, profile, derive_seed(0x5A17, s))
-        delta_h = g.induced(g.mask(sampled)).max_degree
+        keep = np.zeros(g.n, dtype=bool)
+        keep[sample_subgraph(g, profile, derive_seed(0x5A17, s))] = True
+        h = g.induced(keep)
+        delta_h = h.max_degree
         w_v = g.total_weight()
-        w_h = g.total_weight(sampled)
+        w_h = h.total_weight()
         delta = g.max_degree
         if delta_h <= 10 * log2n:
             deg_ok += 1

@@ -7,12 +7,19 @@ length of that encoding, which is what the CONGEST budget check consumes.
 Values must stay below 2^63, matching the model assumption that node
 weights and identifiers are polynomially bounded; a wider value, such as a
 rank or a sum of weights, travels as 63-bit limbs (``to_limbs``).
+
+This module is the one owner of that encoding, in two forms: the scalar
+one each ``Message`` is sized by, and the array one (``check_fields``,
+``message_sizes``, ``limb_sizes``) with which the engine sizes a round of
+kernel messages, one entry per sender, without building a ``Message``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
+
+import numpy as np
 
 TAG_BITS = 4
 LEN_BITS = 6
@@ -71,3 +78,47 @@ def from_limbs(limbs: Sequence[int]) -> int:
     for limb in reversed(limbs):
         value = (value << FIELD_BITS) | limb
     return value
+
+
+def bit_lengths(a: np.ndarray) -> np.ndarray:
+    """``max(1, v.bit_length())`` for each non-negative int64 ``v`` in ``a``."""
+    a = np.maximum(a, 1)
+    e = np.frexp(a)[1]
+    # past 2^53 the float can round up to the next power of two: one too many
+    e -= (a >> (e - 1)) == 0
+    return e
+
+
+def check_fields(fields: Sequence[np.ndarray], count: int) -> None:
+    """Raise, for the first i < ``count`` with a field outside [0, 2^63),
+    the ``WireError`` that sizing the fields ``f[i]`` raises, as building
+    that sender's ``Message`` would."""
+    if any(f.dtype == object or (count and f.min() < 0) for f in fields):
+        bad = np.zeros(count, dtype=bool)
+        for f in fields:
+            if f.dtype == object:
+                bad |= np.fromiter((not 0 <= v < 1 << FIELD_BITS for v in f), bool, count)
+            else:
+                bad |= f < 0
+        if bad.any():
+            i = int(np.flatnonzero(bad)[0])
+            size_bits(int(f[i]) for f in fields)
+
+
+def message_sizes(fields: Sequence[np.ndarray], count: int) -> np.ndarray:
+    """``size_bits(f[i] for f in fields)`` for each i < ``count``, as int64,
+    for fields that ``check_fields`` has passed."""
+    if not fields:
+        return np.full(count, TAG_BITS, dtype=np.int64)
+    # one (fields x senders) array, so the per-call numpy cost is paid once
+    bits = bit_lengths(np.array(fields, dtype=np.int64))
+    sizes = bits.sum(axis=0, dtype=np.int64)
+    sizes += TAG_BITS + LEN_BITS * len(fields)
+    return sizes
+
+
+def limb_sizes(values: Sequence[int]) -> np.ndarray:
+    """``size_bits(to_limbs(v))`` for each ``v`` in ``values``, as int64:
+    the size of a message that carries one value as limbs."""
+    return np.fromiter((size_bits(to_limbs(int(v))) for v in values), np.int64,
+                       len(values))

@@ -3,9 +3,12 @@ import json
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from mwisim.cli import main
-from mwisim.graphs import load
+from mwisim.algorithms import ALGORITHMS
+from mwisim.cli import _parse_seeds, main
+from mwisim.graphs import FAMILIES, WEIGHT_MODELS, load
 
 
 def run_cli(args):
@@ -294,6 +297,13 @@ def test_directory_paths_are_usage_errors(tmp_path, capsys):
     assert capsys.readouterr().err.count("error:") == 2
 
 
+def test_a_wide_seed_range_is_not_built():
+    start = time.perf_counter()
+    seeds = _parse_seeds("0:1000000000000")
+    assert time.perf_counter() - start < 0.1
+    assert seeds == range(10**12) and len(seeds) == 10**12
+
+
 @pytest.mark.parametrize("spec", ["abc", "1:", "1,x", "5:1", "5:5", ","])
 def test_malformed_seeds_are_usage_errors(spec, capsys):
     assert run_cli(["run", "--family", "path", "--n", "4", "--alg", "luby",
@@ -449,3 +459,69 @@ def test_arb_without_alpha_points_to_the_records_degeneracy(capsys):
                     "--alg", "arb"]) == 2
     err = capsys.readouterr().err
     assert "--alpha" in err and "degeneracy" in err and "mwisim gen" not in err
+
+
+def _flag(name, good, bad=()):
+    """``[name, value]`` or nothing; a good value is drawn three times as
+    often as a bad one."""
+    values = [str(v) for v in good] * 3 + [str(v) for v in bad] + [None]
+    return st.sampled_from(values).map(lambda v: [] if v is None else [name, v])
+
+
+BAD = ("nan", "inf", "-1", "0", "x", "")
+SEED_SPECS = ("0", "3", "1:3", "0,2,5")
+BAD_SEED_SPECS = ("5:5", "2:", "x", ",")
+
+
+def _generator_flags(seed_flag):
+    return st.tuples(
+        _flag("--family", FAMILIES, ("tree",)), _flag("--n", range(1, 65), (-1, 0)),
+        _flag("--p", ("0", "0.1", "0.3", "1"), BAD + ("1.5",)),
+        _flag("--n0", range(1, 9), (-1, 0)), _flag("--n1", range(1, 5), (-1, 0)),
+        _flag("--weights", WEIGHT_MODELS), _flag(seed_flag, range(4), (-1,)),
+    ).map(lambda flags: sum(flags, []))
+
+
+def _cli_args(paths):
+    """Argument lists for ``gen``, ``run`` and ``reduce`` with small graphs,
+    short seed sweeps and files in ``paths``: a valid graph, a corrupt one,
+    a missing one, a directory and a new file."""
+    files = st.sampled_from(paths)
+    outputs = st.one_of(st.just([]), files.map(lambda f: ["-o", f]))
+    gen = st.tuples(st.just(["gen"]), _generator_flags("--seed"), outputs)
+    run = st.tuples(
+        st.just(["run"]),
+        st.one_of(_generator_flags("--graph-seed"), files.map(lambda f: ["--graph", f])),
+        st.sampled_from(ALGORITHMS).map(lambda a: ["--alg", a]),
+        _flag("--eps", ("0.25", "0.5", "1"), BAD), _flag("--c", ("1", "2", "20"), BAD),
+        _flag("--lam", ("0.5", "4"), BAD), _flag("--alpha", range(1, 4), (-1, 0)),
+        _flag("--log-base", ("two", "natural")), _flag("--mode", ("congest", "local")),
+        _flag("--seeds", SEED_SPECS, BAD_SEED_SPECS), st.sampled_from([[], ["--oracle"]]),
+        _flag("--oracle-cap", ("0", "8"), ("-1", "x")),
+        st.sampled_from([[], ["--dump-stack"]]),
+        outputs, st.one_of(st.just([]), files.map(lambda f: ["--csv", f])))
+    reduce = st.tuples(
+        st.just(["reduce"]), _flag("--n0", range(1, 9), (-1, 0)),
+        _flag("--n1", range(1, 5), (-1, 0)), _flag("--lam", ("0.5", "4"), BAD),
+        _flag("--c", ("1", "8"), BAD), _flag("--seeds", SEED_SPECS, BAD_SEED_SPECS),
+        outputs)
+    return st.one_of(gen, run, reduce).map(lambda parts: sum(parts, []))
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_cli_exits_with_a_documented_code(tmp_path, capsys, data):
+    good, corrupt = tmp_path / "good.g", tmp_path / "corrupt.g"
+    good.write_text("3 2\n0 5\n1 1\n2 7\n0 1\n1 2\n")
+    corrupt.write_text("3 1\n0 5\n1 x\n")
+    paths = [str(good), str(corrupt), str(tmp_path / "missing.g"), str(tmp_path),
+             str(tmp_path / "out.txt")]
+    args = data.draw(_cli_args(paths))
+    capsys.readouterr()
+    try:
+        code = main(args)
+    except SystemExit as e:  # argparse refuses the arguments
+        code = e.code
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in capsys.readouterr().err

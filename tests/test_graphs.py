@@ -968,6 +968,47 @@ def test_parse_errors_carry_line_numbers(text, line):
     assert exc.value.line_no == line
 
 
+_TOKENS = ("0", "1", "2", "3", "5", "-1", "x", "", "1.5", "0 1", str(INT64_MAX),
+           str(INT64_MAX + 1), "1_0", "99999999999")
+
+
+@st.composite
+def graph_texts(draw):
+    """A header and n + m lines of small ints, then up to three corruptions:
+    a line dropped, repeated, added or replaced, or a token replaced."""
+    n, m = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    ids = draw(st.permutations(range(n)))
+    lines = [f"{n} {m}"]
+    lines += [f"{v} {draw(st.integers(0, 9))}" for v in ids]
+    lines += [f"{draw(st.integers(0, n))} {draw(st.integers(0, n))}" for _ in range(m)]
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(lines)))
+        kind = draw(st.sampled_from(("drop", "repeat", "add", "line", "token")))
+        if kind == "add" or i == len(lines):
+            lines.insert(i, " ".join(draw(st.lists(st.sampled_from(_TOKENS), max_size=3))))
+        elif kind == "drop":
+            del lines[i]
+        elif kind == "repeat":
+            lines.insert(i, lines[i])
+        elif kind == "line":
+            lines[i] = draw(st.sampled_from(_TOKENS))
+        else:
+            tokens = lines[i].split() or [""]
+            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(st.sampled_from(_TOKENS))
+            lines[i] = " ".join(tokens)
+    return "\n".join(lines) + draw(st.sampled_from(("", "\n", "\n\n", "\r\n")))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(graph_texts(), st.text(max_size=30)))
+def test_load_returns_a_graph_or_raises_graph_error(text):
+    try:
+        g = load(text)
+    except GraphError:
+        return
+    assert load(save(g)) == g
+
+
 # ---------------------------------------------------------- independent sets
 
 def test_independent_set_validates():

@@ -27,12 +27,12 @@ from mwisim.algorithms import ALGORITHMS, as_inner, run_algorithm
 from mwisim.cliquecycle import rand_mis
 from mwisim.cli import main as run_cli
 from mwisim.engine import (DEFAULT_MAX_ROUNDS, CongestViolation, EngineError, Net,
-                           RoundLimitExceeded, RoundStats, _check_fields, _message_sizes,
-                           message_budget_bits, run, run_on_subgraph)
+                           RoundLimitExceeded, RoundStats, message_budget_bits, run,
+                           run_on_subgraph)
 from mwisim.graphs import (INT64_MAX, WEIGHT_MODELS, IndependentSet, WeightedGraph,
                            generate, load, neighbor_reduce, save)
 from mwisim.records import GraphSource, make_record, replay, same_outcome, to_jsonl
-from mwisim.wire import Message, WireError
+from mwisim.wire import Message, WireError, check_fields, message_sizes
 from test_golden import GRAPHS
 
 PROGRAM_CLASSES = (mis.LubyProgram, heavy.LocalStatsProgram,
@@ -298,11 +298,11 @@ def test_message_sizes_equal_message_size_bits(tag, case):
                 for i in range(count)]
     except WireError as e:
         with pytest.raises(WireError) as got:
-            _check_fields(tag, fields, count)
+            check_fields(fields, count)
         assert str(got.value) == str(e)
         return
-    _check_fields(tag, fields, count)
-    sizes = _message_sizes(fields, count)
+    check_fields(fields, count)
+    sizes = message_sizes(fields, count)
     assert sizes.dtype == np.int64 and sizes.tolist() == want
 
 
@@ -389,9 +389,69 @@ def test_one_field_rounds_build_no_per_sender_sizes(monkeypatch):
     def refuse(*args):
         raise AssertionError("a round with at most one field built per-sender sizes")
 
-    monkeypatch.setattr(engine, "_message_sizes", refuse)
+    monkeypatch.setattr(engine, "message_sizes", refuse)
     assert [run(g, p, mode=mode, seed=3)
             for p in programs for mode in ("congest", "local")] == want
+
+
+def test_kernels_build_no_message(monkeypatch):
+    """With ``Message`` refused, the kernels of every algorithm run in both
+    modes on the C10 graph, the limb paths run (ranks at c = 20, weighted
+    degrees past 2^63 in LOCAL mode), and a field outside the wire's range
+    still raises the interpreter's ``WireError``."""
+    c10 = generate("gnp", {"n": 60, "p": 0.12}, "uniform_range", 99)
+    unit = generate("gnp", {"n": 24, "p": 0.2}, "unit", 2)
+
+    def limb_runs():
+        ranks = [run_algorithm(unit, alg, {**PARAMS, "c": 20}, seed=2, mode=mode)
+                 for alg in ("boppana", "fastld") for mode in ("congest", "local")]
+        sums = [run_algorithm(_BIG_STAR, alg, PARAMS, seed=0, mode="local")
+                for alg in ("sparse", "boost-sparse")]
+        return ranks + sums
+
+    want = _algorithm_runs([c10]), limb_runs()
+    assert all(r[0] == "ok" for _, _, r in want[0])
+    assert want[1][0].stats.max_message_bits == 124
+    bad = [np.array([1, -1, 2]), np.array([1, 2**63, 2], dtype=object)]
+    texts = []
+    for f in bad:
+        with pytest.raises(WireError) as e:
+            Message(1, (int(f[1]),))
+        texts.append(str(e.value))
+
+    def refuse(self):
+        raise AssertionError("a kernel built a Message")
+
+    monkeypatch.setattr(Message, "__post_init__", refuse)
+    assert (_algorithm_runs([c10]), limb_runs()) == want
+    for f, text in zip(bad, texts):
+        with pytest.raises(WireError) as e:
+            Net(_EDGE_AND_ISOLATED, 3, 0, None).send(_EVERY, _EVERY, 1, f)
+        assert str(e.value) == text
+    with pytest.raises(WireError) as e:
+        Net(_EDGE_AND_ISOLATED, 3, 0, None).send_limbs(_EVERY, _EVERY, 1, bad[1] - 2)
+    assert str(e.value) == texts[0]
+
+
+def test_engine_leaves_the_encoding_to_wire():
+    """``engine`` takes from ``wire`` the interpreter's ``Message`` and the
+    size and range functions, restates none of them, and builds no
+    ``Message``."""
+    tree = ast.parse(Path(engine.__file__).read_text(encoding="utf-8"))
+    imported = {(node.module, alias.name) for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert {name for module, name in imported if module == "wire"} == {
+        "Message", "size_bits", "check_fields", "message_sizes", "limb_sizes"}
+    assert (None, "wire") not in imported
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert not names & {"FIELD_BITS", "LEN_BITS", "TAG_BITS", "to_limbs",
+                        "bit_length", "frexp"}
+    helpers = [fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+               and any(word in fn.name for word in ("size", "field", "bit_length"))]
+    assert helpers == []
+    assert not [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name) and node.func.id == "Message"]
 
 
 def test_kernels_and_graph_queries_build_no_adjacency_tuples():

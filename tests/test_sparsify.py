@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from mwisim.engine import run
@@ -103,8 +104,9 @@ def test_sampling_degenerate_probabilities():
     g = generate("path", {"n": 6}, "unit", 0)
     all_one = [1.0] * g.n
     all_zero = [0.0] * g.n
-    assert sample_subgraph(g, all_one, seed=5) == frozenset(g.nodes)
-    assert sample_subgraph(g, all_zero, seed=5) == frozenset()
+    every = sample_subgraph(g, all_one, seed=5)
+    assert every.dtype == np.int64 and every.tolist() == list(range(g.n))
+    assert sample_subgraph(g, all_zero, seed=5).tolist() == []
 
 
 def test_sampling_deterministic():
@@ -112,8 +114,8 @@ def test_sampling_deterministic():
     g = generate("gnp", {"n": 300, "p": 0.15}, "heavy_tail", 3)
     prof = compute_sampling_profile(g, 4.0)
     assert any(p < 1.0 for p in prof)
-    assert sample_subgraph(g, prof, 9) == sample_subgraph(g, prof, 9)
-    draws = {sample_subgraph(g, prof, s) for s in range(5)}
+    assert np.array_equal(sample_subgraph(g, prof, 9), sample_subgraph(g, prof, 9))
+    draws = {tuple(sample_subgraph(g, prof, s).tolist()) for s in range(5)}
     assert len(draws) > 1  # different seeds differ somewhere
 
 
@@ -124,9 +126,9 @@ def test_sample_is_the_per_node_uniform_draw():
                       {7 * v + 2**40: w for v, w in zip(g.nodes, g.w.tolist())})
     prof = compute_sampling_profile(g, 4.0)
     for seed in (0, 9, 2**63 + 1):
-        want = frozenset(v for v, p in zip(g.nodes, prof)
-                         if node_uniform(seed, v, SAMPLE_SALT) < p)
-        assert sample_subgraph(g, prof, seed) == want
+        want = [i for i, (v, p) in enumerate(zip(g.nodes, prof))
+                if node_uniform(seed, v, SAMPLE_SALT) < p]
+        assert sample_subgraph(g, prof, seed).tolist() == want
         assert 0 < len(want) < g.n
 
 
@@ -134,13 +136,13 @@ def test_isolated_nodes_always_sampled():
     g = WeightedGraph(range(4), [], {v: 1 for v in range(4)})
     prof = compute_sampling_profile(g, 4.0)
     assert prof == [1.0] * g.n
-    assert sample_subgraph(g, prof, 0) == frozenset(g.nodes)
+    assert sample_subgraph(g, prof, 0).tolist() == list(range(g.n))
 
 
 def _sample(g, seed, lam=4.0):
-    """The nodes ``sparse_approx(g, lam, seed)`` samples."""
-    return sample_subgraph(g, compute_sampling_profile(g, lam),
-                           derive_seed(seed, SAMPLE_SALT))
+    """The ids of the nodes ``sparse_approx(g, lam, seed)`` samples."""
+    return frozenset(g.nodes[i] for i in sample_subgraph(
+        g, compute_sampling_profile(g, lam), derive_seed(seed, SAMPLE_SALT)).tolist())
 
 
 @pytest.mark.parametrize("lam", [float("nan"), float("inf"), 0.0])

@@ -1,9 +1,10 @@
+import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 import pytest
 
 from mwisim.wire import (FIELD_BITS, LEN_BITS, TAG_BITS, Message, WireError,
-                         from_limbs, to_limbs)
+                         from_limbs, limb_sizes, to_limbs)
 
 fields = st.lists(st.integers(min_value=0, max_value=(1 << 63) - 1), max_size=5)
 
@@ -83,3 +84,12 @@ def test_limbs_roundtrip_as_fields(value):
 def test_limbs_refuse_a_negative_value():
     with pytest.raises(WireError, match="non-negative"):
         to_limbs(-1)
+
+
+def test_limb_sizes_are_the_size_of_the_limbs_message():
+    # one limb, the first two-limb value, three limbs, and a zero low limb
+    values = [2**63 - 1, 2**63, 2**126 + 5, 3 << FIELD_BITS]
+    assert to_limbs(3 << FIELD_BITS)[0] == 0
+    sizes = limb_sizes(np.array(values, dtype=object))
+    assert sizes.dtype == np.int64
+    assert sizes.tolist() == [Message(9, to_limbs(v)).size_bits for v in values]
