@@ -111,7 +111,7 @@ class ResidualUpdateProgram:
                         if msg.tag == TAG_REDUCE)
         return StepResult(halt=True, output=ctx.weight - reduction)
 
-    def kernel(self, net: Net) -> list[int]:
+    def kernel(self, net: Net) -> np.ndarray:
         ids, w = net.ids, net.graph.w
         selected = np.fromiter(map(self.selected.__contains__, ids), bool, len(ids))
         net.send(np.ones(len(ids), dtype=bool), selected, TAG_REDUCE, w)
@@ -119,7 +119,7 @@ class ResidualUpdateProgram:
         # a new mask: ``net`` keeps ``selected`` as the round's senders
         out[selected if self.degree_cap is None
             else selected | (net.deg <= self.degree_cap)] = 0
-        return out.tolist()
+        return out
 
 
 def pop_stack(g: WeightedGraph, frames: Iterable[PhaseFrame]) -> IndependentSet:
@@ -191,8 +191,8 @@ def local_ratio(g: WeightedGraph, inner: Inner, phases: int, salt: int,
                                  mode=mode, seed=derive_seed(seed, 0x0DD + i),
                                  n_upper=n_upper)
         stats = stats.merge(upd_stats)
-        # Python ints, some maybe below -2^63; a kept one is at most its old weight
-        g_i = g_i.induced(np.array([r > 0 for r in upd_out], dtype=bool), upd_out)
+        # int64, or Python ints that may pass -2^63; a kept one is at most its old weight
+        g_i = g_i.induced(upd_out > 0, upd_out)
 
     sizes.append(g_i.n)
     return RunOutcome(pop_stack(g, frames), stats,

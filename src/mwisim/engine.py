@@ -19,9 +19,9 @@ node v is the k-th SplitMix64 output seeded by ``derive_seed(seed, v)``.
 
 A run executes on the nodes a boolean mask by position selects
 (``g.mask(ids)`` converts ids; answers built from its outputs stay in ids).
-Its outputs are one value per node, by position in the executed graph
-(``g.nodes``, or ``g.induced(keep).nodes``): the value the node's halting
-``StepResult.output`` carried.
+Its outputs are one 1-D array by position in the executed graph (``g.nodes``,
+or ``g.induced(keep).nodes``) of the nodes' halting ``StepResult.output``: in
+the kernel's dtype, or objects from the interpreter, so that any value fits.
 
 A program runs in one of two forms with identical outputs, ``RoundStats``
 and errors, under any ``node_order``. Both open their rounds through one
@@ -51,7 +51,7 @@ import numpy as np
 
 from .graphs import IndependentSet, WeightedGraph, neighbor_reduce
 from .rng import derive_seeds, node_rng, stream_randints, stream_words
-from .wire import Message, check_fields, limb_sizes, message_sizes, size_bits
+from .wire import Message, check_fields, check_tag, limb_sizes, message_sizes, size_bits
 
 if TYPE_CHECKING:
     from .boost import PhaseFrame
@@ -153,9 +153,9 @@ class NodeProgram(Protocol):
     ``rng.NodeStream`` whose word k is the k-th SplitMix64 output seeded by
     ``derive_seed(seed, node id)``, with ``getrandbits`` and ``randint``.
 
-    A program may also define ``kernel(net: Net) -> list``: the same
+    A program may also define ``kernel(net: Net) -> np.ndarray``: the same
     program as whole-round array steps, which the engine runs in place of
-    the per-node interpreter (see the module docstring). Its list holds
+    the per-node interpreter (see the module docstring). Its array holds
     each node's output by position in ``net.ids``.
     """
 
@@ -218,7 +218,7 @@ class Net:
 
     Both forms of a program send through it (module docstring). Arrays are
     indexed by node position in ``graph.nodes`` (ascending ids), and so is
-    the list of outputs a run returns. Each step ends with one ``send``,
+    the array of outputs a run returns. Each step ends with one ``send``,
     which opens the next round with its checks and charges; ``fold`` reads
     only what the last round's senders broadcast.
     """
@@ -257,9 +257,9 @@ class Net:
         which ``wire`` sizes without building it (every tag is
         ``wire.TAG_BITS`` wide).
 
-        Every sender's fields are checked first (``wire.check_fields``), even
-        if no node is active: a value outside [0, 2^63) raises the
-        ``WireError`` that the first such sender's ``Message`` would. Then,
+        The tag (``wire.check_tag``) and then every sender's fields
+        (``wire.check_fields``) are checked first, even if no node is active:
+        each raises the ``WireError`` that the (first bad) ``Message`` would. Then,
         if any node is active, the next round opens: the round limit
         ``DEFAULT_MAX_ROUNDS``, read at each call (naming the active nodes in
         position order), the CONGEST check (the first sender over budget by
@@ -275,6 +275,7 @@ class Net:
         sizes (``wire.message_sizes``) are built only for two or more
         fields, or for a round over budget, where they name the offender.
         """
+        check_tag(tag)
         idx = senders.nonzero()[0]
         fields = [np.asarray(f)[idx] for f in fields]
         check_fields(fields, idx.size)
@@ -333,7 +334,7 @@ class Net:
 def run(g: WeightedGraph, program: NodeProgram, mode: str = "congest",
         seed: int = 0, n_upper: int | None = None,
         node_order: Callable[[list[int]], list[int]] | None = None,
-        ) -> tuple[list[Any], RoundStats]:
+        ) -> tuple[np.ndarray, RoundStats]:
     """Execute ``program`` on all nodes of ``g``; see ``run_on_subgraph``."""
     return run_on_subgraph(g, np.ones(g.n, dtype=bool), program, mode=mode, seed=seed,
                            n_upper=n_upper, node_order=node_order)
@@ -343,11 +344,11 @@ def run_on_subgraph(g: WeightedGraph, keep: np.ndarray, program: NodeProgram,
                     mode: str = "congest", seed: int = 0,
                     n_upper: int | None = None,
                     node_order: Callable[[list[int]], list[int]] | None = None,
-                    ) -> tuple[list[Any], RoundStats]:
+                    ) -> tuple[np.ndarray, RoundStats]:
     """Execute ``program`` on ``g.induced(keep)`` (``g`` itself when the
     boolean mask ``keep``, by position in ``g.nodes``, is all true) and
-    return ``(outputs, stats)``: ``outputs`` holds one value per node of the
-    executed graph, by position (the kept nodes in ascending order).
+    return ``(outputs, stats)``: ``outputs`` is a 1-D array of one value per
+    node of the executed graph, by position (the kept nodes, ascending).
 
     Identifiers and ``n_upper`` are inherited from ``g`` (``n_upper``
     defaults to g.n, not to the kept count). The program's kernel runs
@@ -416,4 +417,4 @@ def run_on_subgraph(g: WeightedGraph, keep: np.ndarray, program: NodeProgram,
                                    len(sent)))
         act = program.step
 
-    return [outputs[v] for v in h.nodes], net.stats
+    return np.fromiter(map(outputs.__getitem__, h.nodes), object, h.n), net.stats

@@ -188,10 +188,9 @@ class WeightedGraph:
             return self
         if weights is not None and len(weights) != self.n:
             raise GraphError(f"expected {self.n} weights by position, got {len(weights)}")
-        pos = kept.tolist()
-        nodes = self.nodes if every else tuple(map(self.nodes.__getitem__, pos))
+        nodes = self.nodes if every else tuple(map(self.nodes.__getitem__, kept.tolist()))
         w = (self.w[kept] if weights is None
-             else _checked_weights(nodes, list(map(weights.__getitem__, pos))))
+             else _checked_weights(nodes, np.asarray(weights, dtype=object)[kept].tolist()))
         if every:
             return object.__new__(WeightedGraph)._build(nodes, self._ids, w, *self._csr)
         indptr, nbr = self._csr
@@ -217,8 +216,11 @@ class WeightedGraph:
         return mask
 
     def _selection(self, keep) -> np.ndarray:
-        """``keep`` if a boolean mask by position (``[]`` when n = 0), else ``GraphError``."""
+        """``keep`` if a boolean mask by position (``[]`` when n = 0, or the
+        engine interpreter's object array of bools), else ``GraphError``."""
         keep = np.asarray(keep)
+        if keep.dtype == object and all(type(b) is bool for b in keep.ravel().tolist()):
+            keep = keep.astype(bool)
         if keep.shape != (len(self.nodes),) or keep.dtype != bool and keep.size:
             raise GraphError(f"expected a boolean mask of {self.n} nodes, got {keep!r}")
         return keep if keep.size else keep.astype(bool)

@@ -70,7 +70,7 @@ class LocalStatsProgram:
             return StepResult(state=good, outbox=Message(TAG_GOOD, (int(good),)))
         return StepResult(halt=True, output=state)
 
-    def kernel(self, net: Net) -> list[bool]:
+    def kernel(self, net: Net) -> np.ndarray:
         every = np.ones(len(net.ids), dtype=bool)
         deg, w = net.deg, net.graph.w
         net.send(every, every, TAG_STATS, deg, w)
@@ -80,7 +80,7 @@ class LocalStatsProgram:
         # and the ceiling never leaves s's range, int64 or Python ints
         good = (w > 0) & (w >= -(-s // (2 * (delta + 1))))
         net.send(every, every, TAG_GOOD, good)
-        return good.tolist()
+        return good
 
 
 def heavy_mis_approx(g: WeightedGraph, seed: int = 0, mode: str = "congest",
@@ -92,13 +92,12 @@ def heavy_mis_approx(g: WeightedGraph, seed: int = 0, mode: str = "congest",
     really produced a maximal independent set of it (checked, never
     assumed), which is the hypothesis of the weight bound.
     """
-    good_bits, st1 = run(g, LocalStatsProgram(), mode=mode,
-                         seed=derive_seed(seed, 0x10CA1), n_upper=n_upper)
-    good = np.array(good_bits, dtype=bool)
+    good, st1 = run(g, LocalStatsProgram(), mode=mode,
+                    seed=derive_seed(seed, 0x10CA1), n_upper=n_upper)
     in_mis, st2 = run_on_subgraph(g, good, LubyProgram(), mode=mode,
                                   seed=derive_seed(seed, 0x1B15), n_upper=n_upper)
     inside = np.zeros(g.n, dtype=bool)
-    inside[good] = in_mis  # the good subgraph's positions, ascending
+    inside[good.nonzero()[0]] = in_mis  # the good subgraph's positions, ascending
     violation = mis_violation(g, good, inside)
     if violation is None:  # its one scan found no adjacent members
         iset = IndependentSet._of_independent(g, inside)

@@ -70,7 +70,7 @@ class LubyProgram:
         return StepResult(state=("compete", value),
                           outbox=Message(TAG_VALUE, (value,)))
 
-    def kernel(self, net: Net) -> list[bool]:
+    def kernel(self, net: Net) -> np.ndarray:
         """Two rounds per iteration over all competing nodes at once."""
         n = len(net.ids)
         shift = np.uint64(64 - _value_bits(net.n_upper))
@@ -92,7 +92,7 @@ class LubyProgram:
             in_mis |= win
             # a listener that heard a winner drops out, the rest recompete
             compete &= ~win & (net.fold(np.add, win) == 0)
-        return in_mis.tolist()
+        return in_mis
 
 
 def greedy_mis(g: WeightedGraph, order: Iterable[int] | None = None) -> IndependentSet:

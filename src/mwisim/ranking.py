@@ -72,12 +72,12 @@ class BoppanaProgram:
                 return StepResult(halt=True, output=False)
         return StepResult(halt=True, output=True)
 
-    def kernel(self, net: Net) -> list[bool]:
+    def kernel(self, net: Net) -> np.ndarray:
         ranks = net.randints(1, rank_range(net.n_upper, self.c))
         every = np.ones(len(ranks), dtype=bool)
         net.send_limbs(every, every, TAG_RANK, ranks)
         # ranks are >= 1, so a node without neighbors compares against 0
-        return (ranks > net.fold(np.maximum, ranks)).tolist()
+        return ranks > net.fold(np.maximum, ranks)
 
 
 def rank_rule(g: WeightedGraph, ranks: dict[int, int]) -> frozenset[int]:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -86,16 +85,16 @@ class ProfileProgram:
                                  ctx.n_upper, self.log_base)
         return StepResult(halt=True, output=p)
 
-    def kernel(self, net: Net) -> list[float]:
+    def kernel(self, net: Net) -> np.ndarray:
         return compute_sampling_profile(net.graph, self.lam, self.log_base,
                                         net.n_upper, net)
 
 
 def compute_sampling_profile(g: WeightedGraph, lam: float, log_base: str = "two",
                              n_upper: int | None = None,
-                             net: Net | None = None) -> list[float]:
+                             net: Net | None = None) -> np.ndarray:
     """The profile program's rounds as array steps over the whole graph:
-    p(v) for each node, by position in ``g.nodes``.
+    p(v) for each node, by position in ``g.nodes``, as float64.
 
     Every node sends in both rounds, so each fold over g is the fold over
     each inbox. With ``net`` (the program's kernel) the two rounds are sent
@@ -120,18 +119,18 @@ def compute_sampling_profile(g: WeightedGraph, lam: float, log_base: str = "two"
     p += 1.0 / np.maximum(delta, 1)
     p *= scale
     np.minimum(p, 1.0, out=p)
-    for i in (wm >= 2.0**53).nonzero()[0].tolist():
+    for i in np.flatnonzero(wm >= 2.0**53):
         p[i] = sampling_probability(int(w[i]), int(delta[i]), int(wmax[i]), lam,
                                     n_upper, log_base)
-    return p.tolist()
+    return p
 
 
-def sample_subgraph(g: WeightedGraph, p: Sequence[float], seed: int) -> np.ndarray:
+def sample_subgraph(g: WeightedGraph, p: np.ndarray, seed: int) -> np.ndarray:
     """Independent per-node Bernoulli draws with probabilities ``p`` (by
     position in ``g.nodes``), ``rng.node_uniform`` for every node at once:
     the sampled positions, ascending, as an int64 array."""
     u = node_uniforms(seed, g.nodes, SAMPLE_SALT)
-    return np.flatnonzero(u < np.asarray(p, np.float64))
+    return np.flatnonzero(u < p)
 
 
 def sparse_approx(g: WeightedGraph, lam: float = DEFAULT_LAMBDA, seed: int = 0,

@@ -11,7 +11,7 @@ rank or a sum of weights, travels as 63-bit limbs (``to_limbs``).
 This module is the one owner of that encoding, in two forms: the scalar
 one each ``Message`` is sized by, and the array one (``check_fields``,
 ``message_sizes``, ``limb_sizes``) with which the engine sizes a round of
-kernel messages, one entry per sender, without building a ``Message``.
+kernel messages, one entry per sender, unbuilt; ``check_tag`` serves both.
 """
 
 from __future__ import annotations
@@ -39,6 +39,12 @@ def _field_bits(value: int) -> int:
     return width
 
 
+def check_tag(tag: int) -> None:
+    """Raise ``WireError`` unless ``tag`` fits in ``TAG_BITS`` bits."""
+    if not 0 <= tag < (1 << TAG_BITS):
+        raise WireError(f"tag {tag} does not fit in {TAG_BITS} bits")
+
+
 def size_bits(values: Iterable[int]) -> int:
     """The encoded length of a message with fields ``values``: the tag, then
     each field's length header and bits (``WireError`` outside [0, 2^63))."""
@@ -54,8 +60,7 @@ class Message:
     size_bits: int = field(init=False)
 
     def __post_init__(self):
-        if not 0 <= self.tag < (1 << TAG_BITS):
-            raise WireError(f"tag {self.tag} does not fit in {TAG_BITS} bits")
+        check_tag(self.tag)
         object.__setattr__(self, "size_bits", size_bits(self.values))
 
 

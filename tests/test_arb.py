@@ -192,7 +192,7 @@ def test_update_round_matches_sequential_mirror():
             above_cap += any(len(g.adj[v]) > cap for v in selected)
         out, stats = run(g, ResidualUpdateProgram(selected, cap),
                          seed=derive_seed(0xA8F, k))
-        assert dict(zip(g.nodes, out)) == arb_reduce(id_weights(g), selected, zeroed, g)
+        assert dict(zip(g.nodes, out.tolist())) == arb_reduce(id_weights(g), selected, zeroed, g)
         assert stats.rounds == 1
         assert stats.messages_sent == sum(len(g.adj[v]) for v in selected)
     assert above_cap  # a selected node the cap alone would not zero
@@ -210,7 +210,7 @@ def test_reduction_past_int64_min_agrees_with_the_mirror(cap):
     for node_order in (None, list):
         out, _ = run(g, ResidualUpdateProgram(selected, cap), mode="local",
                      node_order=node_order)
-        assert out == want
+        assert out.tolist() == want
 
 
 def test_arb_rounds_are_inner_rounds_plus_one_per_low_phase():

@@ -179,9 +179,13 @@ def test_induced_rejects_unknown_nodes():
     with pytest.raises(GraphError, match=r"^node -1 is not in the graph$"):
         g.mask([0, 7, -1])
     # a selection is a boolean mask by position, nothing else
-    for bad in ([0, 1, 2, 3], [True] * 3, [True] * 5, np.ones(4, dtype=np.int64)):
+    for bad in ([0, 1, 2, 3], [True] * 3, [True] * 5, np.ones(4, dtype=np.int64),
+                np.array([1, 0, 1, 0], dtype=object), np.array([[True] * 4], dtype=object)):
         with pytest.raises(GraphError, match="^expected a boolean mask of 4 nodes"):
             g.induced(bad)
+    # or its values as objects, as the engine's interpreter returns them
+    assert g.induced(np.array([True, False, True, False], dtype=object)) == g.induced(
+        np.array([True, False, True, False]))
     empty = WeightedGraph([], [], {})
     assert empty.induced([]) is empty  # numpy reads [] as floats
     with pytest.raises(GraphError, match="^expected a boolean mask of 0 nodes"):

@@ -1,6 +1,7 @@
 import random
 from itertools import compress
 
+import numpy as np
 import pytest
 
 from mwisim import heavy
@@ -78,7 +79,7 @@ def test_stats_program_matches_sequential():
         out, stats = run(g, LocalStatsProgram(), seed=seed, node_order=list)
         assert stats.rounds == 2
         good = _reference_good(g)
-        assert out == [v in good for v in g.nodes]
+        assert out.tolist() == [v in good for v in g.nodes]
 
 
 def _good_bit_boundaries():
@@ -104,7 +105,7 @@ def _good_bit_boundaries():
 def test_good_bit_is_exact_past_int64(g, good):
     kernel, _ = run(g, LocalStatsProgram(), mode="local")
     interpreted, _ = run(g, LocalStatsProgram(), mode="local", node_order=list)
-    assert kernel == interpreted == [v in good for v in g.nodes]
+    assert kernel.tolist() == interpreted.tolist() == [v in good for v in g.nodes]
     assert _reference_good(g) == good
 
 
@@ -195,7 +196,7 @@ def test_heavy_reports_a_bad_black_box_answer(monkeypatch, joins, error):
 
     def scripted(g, keep, program, **kwargs):
         out, stats = run_on_subgraph(g, keep, program, **kwargs)
-        return [joins == "all"] * len(out), stats
+        return np.full(len(out), joins == "all"), stats
 
     monkeypatch.setattr(heavy, "run_on_subgraph", scripted)
     g = generate("cycle", {"n": 6}, "unit", 0)

@@ -49,9 +49,15 @@ def outcome(fn):
         return (type(e).__name__, str(e), vars(e))
 
 
+def listed(result):
+    """A run's ``(outputs, stats)`` with the outputs as a list, for ``==``."""
+    out, stats = result
+    return out.tolist(), stats
+
+
 def both(g, program, **kw):
-    return (outcome(lambda: run(g, program, **kw)),
-            outcome(lambda: run(g, program, node_order=list, **kw)))
+    return (outcome(lambda: listed(run(g, program, **kw))),
+            outcome(lambda: listed(run(g, program, node_order=list, **kw))))
 
 
 def programs(g, rng):
@@ -90,9 +96,9 @@ def test_kernels_equal_the_interpreter(n, p, graph_seed, ws, seed, mode,
             assert kernel == reference, type(program).__name__
             # a subset, and the empty graph
             for keep in (sub, np.zeros(g.n, dtype=bool)):
-                kernel = outcome(lambda: run_on_subgraph(g, keep, program, **kw))
-                reference = outcome(lambda: run_on_subgraph(g, keep, program,
-                                                            node_order=list, **kw))
+                kernel = outcome(lambda: listed(run_on_subgraph(g, keep, program, **kw)))
+                reference = outcome(lambda: listed(run_on_subgraph(
+                    g, keep, program, node_order=list, **kw)))
                 assert kernel == reference, type(program).__name__
         assert kernel == ("ok", ([], RoundStats(budget_bits=kernel[1][1].budget_bits)))
 
@@ -131,6 +137,62 @@ def test_golden_grid_and_c10_sweep_interpret_the_same():
     with interpreted():
         assert _algorithm_runs(graphs) == kernels
     assert all(r[0] == "ok" for _, _, r in kernels)
+
+
+# ------------------------------------------------------- the output form
+
+# the dtype each program's kernel returns; the reduction's residuals are
+# Python ints (object) where a closed neighbourhood's sum can pass int64
+KERNEL_DTYPES = {mis.LubyProgram: bool, heavy.LocalStatsProgram: bool,
+                 sparsify.ProfileProgram: np.float64, ranking.BoppanaProgram: bool,
+                 boost.ResidualUpdateProgram: np.int64}
+
+
+@pytest.mark.parametrize("mode", ["congest", "local"])
+@pytest.mark.parametrize("near_int64_max", [False, True])
+def test_runs_return_one_array_by_position(mode, near_int64_max):
+    base = generate("gnp", {"n": 30, "p": 0.2}, "uniform_range", 4)
+    ws = [INT64_MAX - w if near_int64_max else w for w in base.w.tolist()]
+    g = base.induced(np.ones(base.n, dtype=bool), ws)
+    rng = random.Random(6)
+    sub = np.array([rng.random() < 0.7 for _ in g.nodes], dtype=bool)
+    seen = set()
+    for program in programs(g, rng):
+        for keep in (np.ones(g.n, dtype=bool), sub, np.zeros(g.n, dtype=bool)):
+            # n_upper 2^40: a 1280-bit budget, which every message fits
+            kw = dict(mode=mode, seed=3, n_upper=2**40)
+            kernel, stats = run_on_subgraph(g, keep, program, **kw)
+            reference, ref_stats = run_on_subgraph(g, keep, program, node_order=list, **kw)
+            for out in (kernel, reference):
+                assert type(out) is np.ndarray and out.shape == (np.count_nonzero(keep),)
+            assert reference.dtype == object
+            want = KERNEL_DTYPES[type(program)]
+            if kernel.dtype == object:
+                assert want is np.int64 and near_int64_max and keep.any()
+            else:
+                assert kernel.dtype == want
+            seen.add((type(program), kernel.dtype))
+            assert kernel.tolist() == reference.tolist()
+            assert list(map(type, kernel.tolist())) == list(map(type, reference.tolist()))
+            assert stats == ref_stats
+    assert len(seen) == 5 + near_int64_max  # the object residuals came up
+
+
+def test_no_kernel_converts_its_output_to_a_list():
+    """The kernels and the profile's array form return the arrays they
+    compute: none of them calls ``.tolist()``."""
+    checked = []
+    for path in sorted(Path(engine.__file__).parent.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(fn, ast.FunctionDef)
+                    and fn.name in ("kernel", "compute_sampling_profile")):
+                checked.append((path.stem, fn.name))
+                assert not [node for node in ast.walk(fn) if isinstance(node, ast.Call)
+                            and isinstance(node.func, ast.Attribute)
+                            and node.func.attr == "tolist"], (path.stem, fn.name)
+    assert sorted(checked) == [("boost", "kernel"), ("heavy", "kernel"), ("mis", "kernel"),
+                               ("ranking", "kernel"), ("sparsify", "compute_sampling_profile"),
+                               ("sparsify", "kernel")]
 
 
 # ------------------------------------------------------- weights near 2^63
@@ -235,7 +297,7 @@ def test_local_heavy_weight_past_int64_is_stored_exactly(tmp_path):
 
 def test_shuffled_interpreter_matches_the_kernel():
     g = generate("gnp", {"n": 40, "p": 0.2}, "uniform_range", 5)
-    want = run(g, mis.LubyProgram(), seed=11)
+    want = listed(run(g, mis.LubyProgram(), seed=11))
     for k in range(5):
         shuffler = random.Random(k)
 
@@ -244,7 +306,7 @@ def test_shuffled_interpreter_matches_the_kernel():
             shuffler.shuffle(nodes)
             return nodes
 
-        assert run(g, mis.LubyProgram(), seed=11, node_order=order) == want
+        assert listed(run(g, mis.LubyProgram(), seed=11, node_order=order)) == want
 
 
 def test_round_limit_and_budget_errors_carry_the_same_fields():
@@ -384,13 +446,14 @@ def test_one_field_rounds_build_no_per_sender_sizes(monkeypatch):
     selected = frozenset(g.nodes[::4])
     programs = (mis.LubyProgram(), boost.ResidualUpdateProgram(selected),
                 boost.ResidualUpdateProgram(selected, degree_cap=8))
-    want = [run(g, p, mode=mode, seed=3) for p in programs for mode in ("congest", "local")]
+    want = [listed(run(g, p, mode=mode, seed=3))
+            for p in programs for mode in ("congest", "local")]
 
     def refuse(*args):
         raise AssertionError("a round with at most one field built per-sender sizes")
 
     monkeypatch.setattr(engine, "message_sizes", refuse)
-    assert [run(g, p, mode=mode, seed=3)
+    assert [listed(run(g, p, mode=mode, seed=3))
             for p in programs for mode in ("congest", "local")] == want
 
 
@@ -433,6 +496,25 @@ def test_kernels_build_no_message(monkeypatch):
     assert str(e.value) == texts[0]
 
 
+def test_send_checks_the_tag_as_message_does():
+    """A kernel's tag out of range raises the ``WireError`` of ``Message``,
+    before its fields are checked and even when no node is active."""
+    for tag in (16, -1):
+        with pytest.raises(WireError) as want:
+            Message(tag, (1,))
+        assert str(want.value) == f"tag {tag} does not fit in 4 bits"
+        for active in (_EVERY, ~_EVERY):
+            for f in (np.array([1, 2, 3]), np.array([1, -1, 2])):
+                net = Net(_EDGE_AND_ISOLATED, 3, 0, 64)
+                with pytest.raises(WireError) as got:
+                    net.send(active, _EVERY, tag, f)
+                assert str(got.value) == str(want.value)
+                assert net.stats.rounds == 0
+    net = Net(_EDGE_AND_ISOLATED, 3, 0, 64)
+    net.send(_EVERY, _EVERY, 15, np.array([1, 2, 3]))
+    assert net.stats.per_round_messages == [2]
+
+
 def test_engine_leaves_the_encoding_to_wire():
     """``engine`` takes from ``wire`` the interpreter's ``Message`` and the
     size and range functions, restates none of them, and builds no
@@ -441,7 +523,8 @@ def test_engine_leaves_the_encoding_to_wire():
     imported = {(node.module, alias.name) for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert {name for module, name in imported if module == "wire"} == {
-        "Message", "size_bits", "check_fields", "message_sizes", "limb_sizes"}
+        "Message", "size_bits", "check_tag", "check_fields", "message_sizes",
+        "limb_sizes"}
     assert (None, "wire") not in imported
     names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
