@@ -52,7 +52,9 @@ def resolved_params(alg: str, params: Mapping[str, Any],
 
     Raises ``GraphError`` for an eps, lam or c not finite or out of range
     (eps > 0, lam > 0, boosting's c >= 1 and finite c/eps, ``rank_range``'s
-    c), or a non-integer ranking c or alpha; ``arb_approx`` checks alpha >= 1.
+    c), a non-integer ranking c or alpha, or a log_base other than "two";
+    ``arb_approx`` checks alpha >= 1. The sampler's scale is lam * log2 n,
+    and records keep ``"log_base": "two"`` to say so.
     """
     p: dict[str, Any] = {}
     if alg in ("boost-heavy", "boost-sparse", "arb", "fastld"):
@@ -65,6 +67,10 @@ def resolved_params(alg: str, params: Mapping[str, Any],
         p["lam"] = check_real(_get(params, "lam", DEFAULT_LAMBDA), "lam", alg,
                               above=0)
         p["log_base"] = _get(params, "log_base", "two")
+        if p["log_base"] != "two":
+            raise GraphError(f"algorithm {alg!r}: log_base must be 'two', got "
+                             f"{p['log_base']!r}; for a natural-log lam, scale "
+                             f"lam by ln 2")
     if alg == "arb":
         alpha = params.get("alpha")
         p["alpha"] = (_integral(alpha, "alpha", alg) if alpha is not None
@@ -88,7 +94,7 @@ def run_algorithm(g: WeightedGraph, alg: str, params: Mapping[str, Any],
         return heavy_mis_approx(g, seed=seed, mode=mode, n_upper=n_upper)
     if alg == "sparse":
         return sparse_approx(g, lam=p["lam"], seed=seed, mode=mode,
-                             n_upper=n_upper, log_base=p["log_base"])
+                             n_upper=n_upper)
     if alg in ("boost-heavy", "boost-sparse"):
         inner = as_inner(alg.removeprefix("boost-"), p, mode)
         return boost(g, inner, eps=p["eps"], c=p["c"], seed=seed, mode=mode,

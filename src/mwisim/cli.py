@@ -114,8 +114,7 @@ def cmd_run(args) -> int:
     if args.alg == "arb" and args.alpha is None:
         raise UsageError("algorithm 'arb' requires --alpha (degeneracy is a safe "
                          "surrogate: see the `degeneracy` of any `mwisim run` record)")
-    params = {"eps": args.eps, "c": args.c, "lam": args.lam,
-              "alpha": args.alpha, "log_base": args.log_base}
+    params = {"eps": args.eps, "c": args.c, "lam": args.lam, "alpha": args.alpha}
     out_records = []
     for seed in _parse_seeds(args.seeds):
         out_records.append(rec.make_record(
@@ -181,7 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--c", type=float)
     p_run.add_argument("--lam", type=float)
     p_run.add_argument("--alpha", type=int)
-    p_run.add_argument("--log-base", choices=("two", "natural"), default="two")
     p_run.add_argument("--mode", choices=("congest", "local"), default="congest")
     p_run.add_argument("--seeds")
     p_run.add_argument("--oracle", action="store_true",

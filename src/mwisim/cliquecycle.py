@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .boost import Inner, run_inner
 from .engine import RunOutcome
 from .graphs import GraphError, WeightedGraph, build_clique_cycle
@@ -37,19 +39,11 @@ def cycle_order(c: WeightedGraph) -> list[int]:
 def max_gap(order: Sequence[int], members: Iterable[int]) -> int:
     """Longest run of consecutive cycle nodes outside ``members``."""
     member = set(members)
-    flags = [v in member for v in order]
-    if not any(flags):
+    hits = np.flatnonzero([v in member for v in order])
+    if hits.size == 0:
         return len(order)
-    if all(flags):
-        return 0
-    # rotate so the run never wraps
-    first = flags.index(True)
-    rotated = flags[first:] + flags[:first]
-    best = cur = 0
-    for f in rotated:
-        cur = 0 if f else cur + 1
-        best = max(best, cur)
-    return best
+    # steps between cyclically consecutive hits, the last one wrapping round
+    return int(np.diff(hits, append=hits[0] + len(order)).max()) - 1
 
 
 def rand_mis(c: WeightedGraph, inner: Inner, n1: int, seed: int = 0,

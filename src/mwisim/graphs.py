@@ -526,11 +526,6 @@ class CliqueCycle:
     j_bits: int
     graph: WeightedGraph
 
-    def vertex_id(self, i: int, j: int) -> int:
-        if not (1 <= i <= self.n0 and 1 <= j <= self.n1):
-            raise GraphError(f"no vertex ({i}, {j}) in a ({self.n0}, {self.n1}) build")
-        return (self.base_ids[i - 1] << self.j_bits) | j
-
 
 def build_clique_cycle(n0: int, n1: int,
                        base_ids: Sequence[int] | None = None) -> CliqueCycle:

@@ -80,23 +80,11 @@ class BoppanaProgram:
         return ranks > net.fold(np.maximum, ranks)
 
 
-def rank_rule(g: WeightedGraph, ranks: dict[int, int]) -> frozenset[int]:
-    """The strict-max membership rule applied to a full rank assignment."""
-    return _ids_of(g, _rank_bits(_nbr_positions(g), [ranks[v] for v in g.nodes]))
-
-
 def boppana_once(g: WeightedGraph, c: int = 2, seed: int = 0,
                  mode: str = "congest", n_upper: int | None = None) -> RunOutcome:
     """One engine run of the ranking program: its set and stats."""
     joins, stats = run(g, BoppanaProgram(c), mode=mode, seed=seed, n_upper=n_upper)
     return RunOutcome(IndependentSet.of(g, joins), stats)
-
-
-def _seq_rule(g: WeightedGraph, perm: Sequence[int]) -> frozenset[int]:
-    """Keep each node of ``perm``, in order, iff no neighbor came earlier."""
-    pos = dict(zip(g.nodes, range(g.n)))
-    nbr_bits = _bitsets(_nbr_positions(g))
-    return _ids_of(g, _seq_bits(nbr_bits, [pos[v] for v in perm]))
 
 
 def _nbr_positions(g: WeightedGraph) -> list[list[int]]:
@@ -134,10 +122,6 @@ def _rank_bits(nbr_pos: list[list[int]], rank: Sequence[int]) -> int:
         else:
             chosen |= 1 << i
     return chosen
-
-
-def _ids_of(g: WeightedGraph, bits: int) -> frozenset[int]:
-    return frozenset(v for i, v in enumerate(g.nodes) if bits >> i & 1)
 
 
 def check_perm_equivalence(g: WeightedGraph) -> bool:

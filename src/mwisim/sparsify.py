@@ -2,14 +2,15 @@
 
 Each node joins the sample with probability
 
-    p(v) = min(lambda * log n * (1/delta(v) + w(v)/w_max(v)), 1)
+    p(v) = min(lambda * log2 n * (1/delta(v) + w(v)/w_max(v)), 1)
 
 where delta(v) is the maximum degree and w_max(v) the maximum weighted
 degree over the inclusive neighborhood. The 1/delta term keeps enough nodes
 for the unweighted count, the w/w_max term rescues heavy nodes: any node
 carrying a constant fraction of its best nearby neighborhood weight is kept
 deterministically. Two CONGEST rounds compute the profile; the Bernoulli
-draws are local coin flips.
+draws are local coin flips. The log's base only rescales lambda, so a
+natural-log lambda is lambda * ln 2 here.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import Net, NodeContext, RunOutcome, StepResult, run
-from .graphs import GraphError, WeightedGraph, check_real, neighbor_reduce
+from .graphs import WeightedGraph, check_real, neighbor_reduce
 from .heavy import degree_weight_message, heavy_mis_approx, read_degree_weight
 from .rng import derive_seed, node_uniforms
 from .wire import Message, from_limbs, to_limbs
@@ -29,26 +30,22 @@ TAG_DEGW = 7
 TAG_WDEG = 8
 
 SAMPLE_SALT = 0x5A3B1E
-LOG_BASES = ("two", "natural")
 DEFAULT_LAMBDA = 4.0
 
 
-def _scale(lam: float, n_upper: int, log_base: str) -> float:
-    """lambda * log n, the factor every node's p shares; both are checked."""
-    lam = check_real(lam, "lam", "sparse", above=0)
-    if log_base not in LOG_BASES:
-        raise GraphError(f"unknown log base {log_base!r}; choose from {LOG_BASES}")
-    return lam * (math.log2 if log_base == "two" else math.log)(max(n_upper, 2))
+def _scale(lam: float, n_upper: int) -> float:
+    """lambda * log2 n, the factor every node's p shares; lam is checked."""
+    return check_real(lam, "lam", "sparse", above=0) * math.log2(max(n_upper, 2))
 
 
 def sampling_probability(weight: int, delta: int, wmax: int, lam: float,
-                         n_upper: int, log_base: str = "two") -> float:
+                         n_upper: int) -> float:
     """The clamped per-node probability; degenerate denominators give 1.
 
     delta = 0 (isolated) or wmax = 0 (weightless 2-neighborhood) means the
     node is free to keep, so p = 1.
     """
-    scale = _scale(lam, n_upper, log_base)
+    scale = _scale(lam, n_upper)
     if delta == 0 or wmax == 0:
         return 1.0
     return min(scale * (1.0 / delta + weight / wmax), 1.0)
@@ -63,7 +60,6 @@ class ProfileProgram:
     Each node's output is its sampling probability p(v)."""
 
     lam: float
-    log_base: str = "two"
 
     def init(self, ctx: NodeContext, rng) -> StepResult:
         return StepResult(state=None, outbox=degree_weight_message(ctx, TAG_DEGW))
@@ -81,16 +77,15 @@ class ProfileProgram:
                 other = from_limbs(msg.values)
             if other > wmax:
                 wmax = other
-        p = sampling_probability(ctx.weight, delta, wmax, self.lam,
-                                 ctx.n_upper, self.log_base)
+        p = sampling_probability(ctx.weight, delta, wmax, self.lam, ctx.n_upper)
         return StepResult(halt=True, output=p)
 
     def kernel(self, net: Net) -> np.ndarray:
-        return compute_sampling_profile(net.graph, self.lam, self.log_base,
-                                        net.n_upper, net)
+        return compute_sampling_profile(net.graph, self.lam, n_upper=net.n_upper,
+                                        net=net)
 
 
-def compute_sampling_profile(g: WeightedGraph, lam: float, log_base: str = "two",
+def compute_sampling_profile(g: WeightedGraph, lam: float, *,
                              n_upper: int | None = None,
                              net: Net | None = None) -> np.ndarray:
     """The profile program's rounds as array steps over the whole graph:
@@ -101,7 +96,7 @@ def compute_sampling_profile(g: WeightedGraph, lam: float, log_base: str = "two"
     and charged; without it this is the sequential profile.
     """
     n_upper = g.n if n_upper is None else n_upper
-    scale = _scale(lam, n_upper, log_base)
+    scale = _scale(lam, n_upper)
     w, deg = g.w, g.degrees
     wdeg = neighbor_reduce(g, np.add, w)
     delta = neighbor_reduce(g, np.maximum, deg, deg)
@@ -121,7 +116,7 @@ def compute_sampling_profile(g: WeightedGraph, lam: float, log_base: str = "two"
     np.minimum(p, 1.0, out=p)
     for i in np.flatnonzero(wm >= 2.0**53):
         p[i] = sampling_probability(int(w[i]), int(delta[i]), int(wmax[i]), lam,
-                                    n_upper, log_base)
+                                    n_upper)
     return p
 
 
@@ -134,8 +129,7 @@ def sample_subgraph(g: WeightedGraph, p: np.ndarray, seed: int) -> np.ndarray:
 
 
 def sparse_approx(g: WeightedGraph, lam: float = DEFAULT_LAMBDA, seed: int = 0,
-                  mode: str = "congest", n_upper: int | None = None,
-                  log_base: str = "two") -> RunOutcome:
+                  mode: str = "congest", n_upper: int | None = None) -> RunOutcome:
     """Sample the sparse subgraph, then run the good-node MIS algorithm on it.
 
     The result is independent in ``g`` (the sample is induced). Diagnostics
@@ -145,7 +139,7 @@ def sparse_approx(g: WeightedGraph, lam: float = DEFAULT_LAMBDA, seed: int = 0,
     lam = check_real(lam, "lam", "sparse", above=0)
     if n_upper is None:
         n_upper = g.n
-    p, st1 = run(g, ProfileProgram(lam, log_base), mode=mode,
+    p, st1 = run(g, ProfileProgram(lam), mode=mode,
                  seed=derive_seed(seed, 0x5A8F), n_upper=n_upper)
     sampled = sample_subgraph(g, p, derive_seed(seed, SAMPLE_SALT))
     keep = np.zeros(g.n, dtype=bool)

@@ -461,6 +461,16 @@ def test_arb_without_alpha_points_to_the_records_degeneracy(capsys):
     assert "--alpha" in err and "degeneracy" in err and "mwisim gen" not in err
 
 
+@pytest.mark.parametrize("base", ["two", "natural"])
+def test_run_has_no_log_base_flag(base, capsys):
+    # the sampler's scale is lam * log2 n; a natural-log lam is lam * ln 2
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["run", "--family", "path", "--n", "6", "--seeds", "0",
+                 "--alg", "sparse", "--log-base", base])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --log-base" in capsys.readouterr().err
+
+
 def _flag(name, good, bad=()):
     """``[name, value]`` or nothing; a good value is drawn three times as
     often as a bad one."""
@@ -495,7 +505,7 @@ def _cli_args(paths):
         st.sampled_from(ALGORITHMS).map(lambda a: ["--alg", a]),
         _flag("--eps", ("0.25", "0.5", "1"), BAD), _flag("--c", ("1", "2", "20"), BAD),
         _flag("--lam", ("0.5", "4"), BAD), _flag("--alpha", range(1, 4), (-1, 0)),
-        _flag("--log-base", ("two", "natural")), _flag("--mode", ("congest", "local")),
+        _flag("--mode", ("congest", "local")),
         _flag("--seeds", SEED_SPECS, BAD_SEED_SPECS), st.sampled_from([[], ["--oracle"]]),
         _flag("--oracle-cap", ("0", "8"), ("-1", "x")),
         st.sampled_from([[], ["--dump-stack"]]),

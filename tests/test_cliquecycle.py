@@ -9,6 +9,13 @@ from mwisim.graphs import GraphError, IndependentSet, WeightedGraph, generate, l
 from mwisim.mis import verify_mis
 
 
+def vertex_id(cc, i, j):
+    """The id of v_ij, clique i and member j (both from 1), in build ``cc``."""
+    if not (1 <= i <= cc.n0 and 1 <= j <= cc.n1):
+        raise GraphError(f"no vertex ({i}, {j}) in a ({cc.n0}, {cc.n1}) build")
+    return (cc.base_ids[i - 1] << cc.j_bits) | j
+
+
 def test_build_4_3():
     cc = build_clique_cycle(4, 3)
     g = cc.graph
@@ -61,7 +68,7 @@ def test_build_validates():
                                             (5, 4, [7, 3, 9, 1, 2**40])])
 def test_build_equals_the_edge_rule(n0, n1, base_ids):
     cc = build_clique_cycle(n0, n1, base_ids)
-    ids = [[cc.vertex_id(i, j) for j in range(1, n1 + 1)] for i in range(1, n0 + 1)]
+    ids = [[vertex_id(cc, i, j) for j in range(1, n1 + 1)] for i in range(1, n0 + 1)]
     edges = [(u, v) for i in range(n0) for a, u in enumerate(ids[i])
              for v in ids[i][a + 1:] + ids[(i + 1) % n0]]
     nodes = [v for clique in ids for v in clique]
@@ -71,13 +78,13 @@ def test_build_equals_the_edge_rule(n0, n1, base_ids):
 def test_composite_ids():
     cc = build_clique_cycle(4, 3, base_ids=[10, 20, 30, 40])
     assert cc.j_bits == 2
-    assert cc.vertex_id(1, 1) == (10 << 2) | 1
-    assert cc.vertex_id(4, 3) == (40 << 2) | 3
-    assert cc.vertex_id(2, 3) >> cc.j_bits == 20
-    assert all(cc.vertex_id(i, j) >> cc.j_bits == cc.base_ids[i - 1]
+    assert vertex_id(cc, 1, 1) == (10 << 2) | 1
+    assert vertex_id(cc, 4, 3) == (40 << 2) | 3
+    assert vertex_id(cc, 2, 3) >> cc.j_bits == 20
+    assert all(vertex_id(cc, i, j) >> cc.j_bits == cc.base_ids[i - 1]
                for i in range(1, 5) for j in range(1, 4))
     with pytest.raises(GraphError):
-        cc.vertex_id(5, 1)
+        vertex_id(cc, 5, 1)
 
 
 def test_adjacency_rule():
@@ -172,6 +179,37 @@ def test_max_gap():
     assert max_gap(order, {1, 2}) == 6  # wrap-around run 3..0
 
 
+def reference_max_gap(order, members):
+    """The longest run outside ``members`` by a scan of the rotated flags."""
+    member = set(members)
+    flags = [v in member for v in order]
+    if not any(flags):
+        return len(order)
+    if all(flags):
+        return 0
+    # rotate so the run never wraps
+    first = flags.index(True)
+    rotated = flags[first:] + flags[:first]
+    best = cur = 0
+    for f in rotated:
+        cur = 0 if f else cur + 1
+        best = max(best, cur)
+    return best
+
+
+def test_max_gap_equals_the_run_scan():
+    rng = random.Random(0xC9)
+    for _ in range(300):
+        n = rng.randint(1, 40)
+        order = rng.sample(range(10 * n), n)
+        outside = rng.sample(range(10 * n, 10 * n + 5), rng.randint(0, 3))
+        for members in (set(rng.sample(order, rng.randint(0, n))) | set(outside),
+                        set(outside), set(order), {*order, *outside}):
+            want = reference_max_gap(order, members)
+            for got in (max_gap(order, members), max_gap(order, iter(members))):
+                assert type(got) is int and got == want
+
+
 def _scripted_alg(picks, diagnostics=None):
     def alg(g1, seed, n_upper):
         # unchecked set: the rejection tests hand rand_mis a dependent one
@@ -186,9 +224,9 @@ def test_rand_mis_maps_each_hit_to_its_cycle_node():
     c = WeightedGraph(ids, zip(ids, ids[1:] + ids[:1]), {v: 1 for v in ids})
     order = cycle_order(c)
     cc = build_clique_cycle(6, 3, base_ids=order)
-    for hits, mapped in (({cc.vertex_id(1, 2)}, [order[0]]),
+    for hits, mapped in (({vertex_id(cc, 1, 2)}, [order[0]]),
                          (set(), []),
-                         ({cc.vertex_id(1, 1), cc.vertex_id(3, 2)},
+                         ({vertex_id(cc, 1, 1), vertex_id(cc, 3, 2)},
                           sorted([order[0], order[2]]))):
         r = rand_mis(c, _scripted_alg(hits), 3, seed=0)
         assert r.diagnostics["mapped"] == mapped
@@ -202,7 +240,7 @@ def test_rand_mis_trace_no_gap():
     order = cycle_order(c)
     cc = build_clique_cycle(6, 2, base_ids=order)
     # hits in cliques 1 and 4: J covers everything
-    alg = _scripted_alg({cc.vertex_id(1, 1), cc.vertex_id(4, 2)})
+    alg = _scripted_alg({vertex_id(cc, 1, 1), vertex_id(cc, 4, 2)})
     r = rand_mis(c, alg, 2, seed=0)
     assert isinstance(r, RunOutcome) and r.stats == RoundStats([0] * 3)
     assert r.iset.members == {order[0], order[3]}
@@ -215,7 +253,7 @@ def test_rand_mis_trace_fill():
     c = generate("cycle", {"n": 8}, "unit", 0)
     order = cycle_order(c)
     cc = build_clique_cycle(8, 2, base_ids=order)
-    alg = _scripted_alg({cc.vertex_id(1, 1)})  # only u_1 hit
+    alg = _scripted_alg({vertex_id(cc, 1, 1)})  # only u_1 hit
     r = rand_mis(c, alg, 2, seed=0)
     assert r.diagnostics["mapped"] == [order[0]]
     assert r.diagnostics["max_gap"] == 7
@@ -228,7 +266,7 @@ def test_rand_mis_rejects_dependent_algorithm_output():
     c = generate("cycle", {"n": 6}, "unit", 0)
     order = cycle_order(c)
     cc = build_clique_cycle(6, 2, base_ids=order)
-    bad = _scripted_alg({cc.vertex_id(1, 1), cc.vertex_id(2, 1)})
+    bad = _scripted_alg({vertex_id(cc, 1, 1), vertex_id(cc, 2, 1)})
     with pytest.raises(GraphError, match="non-independent"):
         rand_mis(c, bad, 2, seed=0)
 
@@ -238,7 +276,7 @@ def test_rand_mis_rejects_nodes_outside_the_clique_cycle():
     order = cycle_order(c)
     cc = build_clique_cycle(6, 2, base_ids=order)
     outside = max(cc.graph.nodes) + 1
-    bad = _scripted_alg({cc.vertex_id(1, 1), outside})
+    bad = _scripted_alg({vertex_id(cc, 1, 1), outside})
     with pytest.raises(GraphError, match="outside"):
         rand_mis(c, bad, 2, seed=0)
 
@@ -248,7 +286,7 @@ def test_rand_mis_rejects_an_invalid_inner_mis():
     order = cycle_order(c)
     cc = build_clique_cycle(6, 2, base_ids=order)
     # an independent set, but the inner black box reports its MIS invalid
-    bad = _scripted_alg({cc.vertex_id(1, 1)}, {"mis_valid": False})
+    bad = _scripted_alg({vertex_id(cc, 1, 1)}, {"mis_valid": False})
     with pytest.raises(GraphError, match="invalid MIS"):
         rand_mis(c, bad, 2, seed=0)
 

@@ -67,8 +67,7 @@ def programs(g, rng):
             independent.add(v)
     selected = frozenset(independent)
     return [mis.LubyProgram(), heavy.LocalStatsProgram(),
-            sparsify.ProfileProgram(rng.choice([0.3, 4.0]),
-                                    rng.choice(["two", "natural"])),
+            sparsify.ProfileProgram(rng.choice([0.3, 4.0])),
             ranking.BoppanaProgram(rng.randint(1, 4)),
             boost.ResidualUpdateProgram(selected, rng.choice([None, 0, 1, 2, 4]))]
 

@@ -11,9 +11,25 @@ from mwisim import ranking, verify
 from mwisim.algorithms import run_algorithm
 from mwisim.engine import run
 from mwisim.graphs import GraphError, WeightedGraph, generate
-from mwisim.ranking import (_seq_rule, boppana_once, check_perm_equivalence,
-                            rank_range, rank_rule)
+from mwisim.ranking import (_bitsets, _nbr_positions, _rank_bits, _seq_bits,
+                            boppana_once, check_perm_equivalence, rank_range)
 from mwisim.rng import NodeStream, derive_seed, node_rng
+
+
+def _ids_of(g, bits):
+    return frozenset(v for i, v in enumerate(g.nodes) if bits >> i & 1)
+
+
+def rank_rule(g, ranks):
+    """The strict-max membership rule applied to a full rank assignment."""
+    return _ids_of(g, _rank_bits(_nbr_positions(g), [ranks[v] for v in g.nodes]))
+
+
+def _seq_rule(g, perm):
+    """Keep each node of ``perm``, in order, iff no neighbor came earlier."""
+    pos = dict(zip(g.nodes, range(g.n)))
+    nbr_bits = _bitsets(_nbr_positions(g))
+    return _ids_of(g, _seq_bits(nbr_bits, [pos[v] for v in perm]))
 
 
 def fastld(g, eps, c=None, seed=0):
@@ -287,6 +303,38 @@ def test_fastld_2048_statistical():
                      derive_seed(0xFD17, seed))
         r = fastld(g, eps=1.0, seed=seed)
         assert 2 * (g.max_degree + 1) * len(r.iset.members) >= g.n
+
+
+def _disjoint_cliques(copies, k):
+    return unit(range(copies * k), [(c * k + a, c * k + b) for c in range(copies)
+                                    for a in range(k) for b in range(a + 1, k)])
+
+
+def _clique_and_path(k, length):
+    """K_k on 0..k-1, its node k-1 joined to a path on k..k+length-1."""
+    edges = [(a, b) for a in range(k) for b in range(a + 1, k)]
+    edges += [(v, v + 1) for v in range(k - 1, k + length - 1)]
+    return unit(range(k + length), edges)
+
+
+TIGHT_INPUTS = {"16xK4": _disjoint_cliques(16, 4), "32xK8": _disjoint_cliques(32, 8),
+                "K8+P120": _clique_and_path(8, 120), "K16+P400": _clique_and_path(16, 400)}
+
+
+@pytest.mark.parametrize("name", TIGHT_INPUTS)
+def test_fastld_result_4_on_near_tight_inputs(name):
+    # result 4: |I| >= n / ((1+eps)(Delta+1)) in O(1/eps) rounds on unit
+    # weights with Delta <= n / log2 n. Disjoint copies of K_{Delta+1} have
+    # OPT = n/(Delta+1), so only the (1+eps) factor is slack there.
+    g = TIGHT_INPUTS[name]
+    n, delta = g.n, g.max_degree
+    assert delta * math.log2(n) <= n
+    for eps in (Fraction(1, 4), Fraction(1, 2), Fraction(1)):
+        for seed in range(10):
+            r = fastld(g, eps=float(eps), seed=derive_seed(0x4E5, seed))
+            assert g.is_independent(r.iset.members)
+            assert len(r.iset) * (1 + eps) * (delta + 1) >= n
+            assert r.stats.rounds <= 2 * math.ceil(8 / eps)
 
 
 def test_rank_range_validates():

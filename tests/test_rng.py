@@ -9,10 +9,11 @@ from mwisim.algorithms import ALGORITHMS, run_algorithm
 from mwisim.engine import run
 from mwisim.graphs import INT64_MAX, WeightedGraph, generate
 from mwisim.mis import LubyProgram
-from mwisim.ranking import BoppanaProgram, rank_range, rank_rule
+from mwisim.ranking import BoppanaProgram, rank_range
 from mwisim.rng import (NodeStream, derive_seed, derive_seeds, node_rng,
                         node_uniform, node_uniforms, stream_randints,
                         stream_words)
+from test_ranking import rank_rule
 
 MASK = (1 << 64) - 1
 

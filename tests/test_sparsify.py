@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from mwisim.algorithms import resolved_params, run_algorithm
 from mwisim.engine import run
 from mwisim.graphs import INT64_MAX, GraphError, WeightedGraph, generate
 from mwisim.rng import derive_seed, node_uniform
@@ -22,10 +23,18 @@ def test_probability_examples():
     assert sampling_probability(0, 3, 0, lam=4, n_upper=100) == 1.0  # weightless 2-ball
 
 
-def test_probability_natural_log():
-    p2 = sampling_probability(1, 100, 100, lam=1, n_upper=100, log_base="two")
-    pe = sampling_probability(1, 100, 100, lam=1, n_upper=100, log_base="natural")
-    assert pe == pytest.approx(p2 * math.log(2), rel=1e-12)
+def test_a_natural_log_lambda_is_lambda_times_ln_2():
+    # lam * log2 n with lam = ln 2 is ln n: the paper's natural-log scale
+    p = sampling_probability(1, 100, 100, lam=math.log(2), n_upper=100)
+    assert p == pytest.approx(math.log(100) * (0.01 + 0.01), rel=1e-12)
+    # the option that rescaled it is gone from every library call
+    g = generate("path", {"n": 4}, "unit", 0)
+    for call in (lambda: sampling_probability(1, 2, 3, lam=1, n_upper=8, log_base="two"),
+                 lambda: ProfileProgram(4.0, "natural"),
+                 lambda: compute_sampling_profile(g, 0.3, "natural", 1000),
+                 lambda: sparse_approx(g, lam=4.0, log_base="two")):
+        with pytest.raises(TypeError, match="log_base|positional"):
+            call()
 
 
 def test_profile_program_matches_sequential():
@@ -52,10 +61,10 @@ def _reference_terms(g):
     return out
 
 
-def _reference_profile(g, lam, log_base="two", n_upper=None):
+def _reference_profile(g, lam, n_upper=None):
     """p(v) by its definition, by position in ``g.nodes``."""
     n_upper = g.n if n_upper is None else n_upper
-    return [sampling_probability(wv, delta, wmax, lam, n_upper, log_base)
+    return [sampling_probability(wv, delta, wmax, lam, n_upper)
             for wv, (delta, wmax) in zip(g.w.tolist(), _reference_terms(g))]
 
 
@@ -86,8 +95,8 @@ def _profile_corpus():
 def test_profile_equals_reference():
     for g in _profile_corpus():
         assert compute_sampling_profile(g, 4.0).tolist() == _reference_profile(g, 4.0)
-        assert (compute_sampling_profile(g, 0.3, "natural", 1000).tolist()
-                == _reference_profile(g, 0.3, "natural", 1000))
+        assert (compute_sampling_profile(g, 0.3, n_upper=1000).tolist()
+                == _reference_profile(g, 0.3, 1000))
 
 
 def test_clamp_and_range():
@@ -160,12 +169,22 @@ def test_sparse_refuses_a_lambda_that_is_not_finite_and_positive(lam):
         assert str(again.value) == str(exc.value)
 
 
-def test_unknown_log_base_is_refused():
-    g = generate("path", {"n": 4}, "unit", 0)
-    for call in (lambda: sampling_probability(1, 2, 3, lam=1, n_upper=8, log_base="ten"),
-                 lambda: compute_sampling_profile(g, 4.0, "ten")):
-        with pytest.raises(GraphError, match="unknown log base 'ten'"):
-            call()
+@pytest.mark.parametrize("alg", ["sparse", "boost-sparse"])
+def test_a_log_base_other_than_two_is_refused_naming_ln_2(alg):
+    g = generate("gnp", {"n": 20, "p": 0.2}, "unit", 1)
+    params = {"lam": 4, "eps": 0.5}
+    for base in ("natural", "ten", "e", 2):
+        for call in (lambda: resolved_params(alg, {**params, "log_base": base}, g),
+                     lambda: run_algorithm(g, alg, {**params, "log_base": base}, 0)):
+            with pytest.raises(GraphError, match=f"algorithm '{alg}': log_base must "
+                               f"be 'two', got {base!r}; .* scale lam by ln 2"):
+                call()
+    # a given "two" runs, and records keep writing it
+    two = run_algorithm(g, alg, {**params, "log_base": "two"}, 3)
+    absent = run_algorithm(g, alg, params, 3)
+    assert two.iset.members == absent.iset.members and two.stats == absent.stats
+    assert resolved_params(alg, params, g)["log_base"] == "two"
+    assert resolved_params(alg, {**params, "log_base": "two"}, g)["log_base"] == "two"
 
 
 def test_sparse_edgeless():
