@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Any, Mapping
 
 from .arb import arb_approx
-from .boost import Inner, boost, phase_count
+from .boost import DEFAULT_C_BOOST, Inner, boost, phase_count
 from .engine import RunOutcome, run
 from .graphs import (GraphError, IndependentSet, WeightedGraph, check_real,
                      degeneracy)
@@ -17,7 +17,6 @@ from .sparsify import DEFAULT_LAMBDA, sparse_approx
 ALGORITHMS = ("heavy", "sparse", "boost-heavy", "boost-sparse", "arb",
               "boppana", "fastld", "luby")
 
-DEFAULT_C_BOOST = 8.0
 DEFAULT_C_RANK = 2
 
 

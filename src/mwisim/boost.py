@@ -30,6 +30,7 @@ from .rng import derive_seed
 from .wire import Message
 
 TAG_REDUCE = 5
+DEFAULT_C_BOOST = 8.0
 
 
 class BoostPhaseError(GraphError):
@@ -201,8 +202,8 @@ def local_ratio(g: WeightedGraph, inner: Inner, phases: int, salt: int,
                       stack=tuple(frames))
 
 
-def boost(g: WeightedGraph, inner: Inner, eps: float, c: float = 8.0,
-          seed: int = 0, mode: str = "congest",
+def boost(g: WeightedGraph, inner: Inner, eps: float,
+          c: float = DEFAULT_C_BOOST, seed: int = 0, mode: str = "congest",
           n_upper: int | None = None) -> RunOutcome:
     """t = ceil(c/eps) push phases of ``inner``, then the greedy pop stage.
 

@@ -8,17 +8,17 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 from typing import Sequence
 
 from . import records as rec
-from .algorithms import ALGORITHMS, UsageError, as_inner
+from .algorithms import ALGORITHMS, DEFAULT_C_BOOST, UsageError, as_inner
 from .cliquecycle import rand_mis
 from .engine import EngineError
 from .graphs import (BRUTE_FORCE_CAP, FAMILIES, WEIGHT_MODELS, GraphError,
                      generate, load, save)
+from .sparsify import DEFAULT_LAMBDA
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -26,26 +26,9 @@ EXIT_INVARIANT = 3
 EXIT_ENGINE = 4
 
 
-def _default_seed() -> int:
-    """``MWISIM_SEED`` (0 if unset): the seed when ``--seeds`` or
-    ``--graph-seed`` is not given. Read only then, so ``verify`` ignores it."""
-    text = os.environ.get("MWISIM_SEED", "0")
-    try:
-        return int(text)
-    except ValueError:
-        raise UsageError(f"MWISIM_SEED must be an integer, got {text!r}") from None
-
-
-def _graph_seed(args) -> int:
-    return _default_seed() if args.graph_seed is None else args.graph_seed
-
-
-def _parse_seeds(spec: str | None) -> Sequence[int]:
+def _parse_seeds(spec: str) -> Sequence[int]:
     """Seed list syntax: '7', '0:20' (half-open range, kept lazy, so a wide
-    one costs nothing until it runs), or '1,2,5'; none given is
-    ``MWISIM_SEED``."""
-    if spec is None:
-        return [_default_seed()]
+    one costs nothing until it runs), or '1,2,5'."""
     try:
         if ":" in spec:
             lo, hi = spec.split(":", 1)
@@ -79,19 +62,19 @@ def _load_or_generate(args) -> tuple:
     if getattr(args, "graph", None):
         text = Path(args.graph).read_text(encoding="utf-8")
         return load(text), rec.GraphSource.from_file(args.graph, text)
-    params, seed = _graph_params(args), _graph_seed(args)
+    params, seed = _graph_params(args), args.graph_seed
     g = generate(args.family, params, args.weights, seed)
     return g, rec.GraphSource.generator(args.family, params, args.weights, seed)
 
 
-def _add_generator_flags(p: argparse.ArgumentParser, seed_flags=("--graph-seed",)):
+def _add_generator_flags(p: argparse.ArgumentParser):
     p.add_argument("--family", choices=FAMILIES)
     p.add_argument("--n", type=int)
     p.add_argument("--p", type=float, help="edge probability for gnp")
     p.add_argument("--n0", type=int, help="cycle length for cycle_of_cliques")
     p.add_argument("--n1", type=int, help="clique size for cycle_of_cliques")
     p.add_argument("--weights", choices=WEIGHT_MODELS, default="unit")
-    p.add_argument(*seed_flags, dest="graph_seed", type=int)
+    p.add_argument("--graph-seed", type=int, default=0)
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -102,7 +85,7 @@ def _emit(text: str, path: str | None) -> None:
 
 
 def cmd_gen(args) -> int:
-    g = generate(args.family, _graph_params(args), args.weights, _graph_seed(args))
+    g = generate(args.family, _graph_params(args), args.weights, args.graph_seed)
     _emit(save(g), args.output)
     return EXIT_OK
 
@@ -168,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("gen", help="generate a graph file")
-    _add_generator_flags(p_gen, seed_flags=("--seed", "--graph-seed"))
+    _add_generator_flags(p_gen)
     p_gen.add_argument("-o", "--output")
     p_gen.set_defaults(func=cmd_gen)
 
@@ -181,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--lam", type=float)
     p_run.add_argument("--alpha", type=int)
     p_run.add_argument("--mode", choices=("congest", "local"), default="congest")
-    p_run.add_argument("--seeds")
+    p_run.add_argument("--seeds", default="0")
     p_run.add_argument("--oracle", action="store_true",
                        help="compare against the exact solver (small graphs)")
     p_run.add_argument("--oracle-cap", type=int, default=BRUTE_FORCE_CAP,
@@ -202,10 +185,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_red = sub.add_parser("reduce", help="cycle-of-cliques reduction runs")
     p_red.add_argument("--n0", type=int, required=True)
     p_red.add_argument("--n1", type=int, required=True)
-    p_red.add_argument("--lam", type=float, default=4.0)
-    p_red.add_argument("--c", type=float, default=8.0,
+    p_red.add_argument("--lam", type=float, default=DEFAULT_LAMBDA)
+    p_red.add_argument("--c", type=float, default=DEFAULT_C_BOOST,
                        help="approximation constant for the diagnostic radii")
-    p_red.add_argument("--seeds")
+    p_red.add_argument("--seeds", default="0")
     p_red.add_argument("-o", "--output")
     p_red.set_defaults(func=cmd_reduce)
 

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .boost import Inner, run_inner
+from .boost import DEFAULT_C_BOOST, Inner, run_inner
 from .engine import RunOutcome
 from .graphs import GraphError, WeightedGraph, build_clique_cycle
 from .mis import greedy_mis, verify_mis
@@ -47,7 +47,7 @@ def max_gap(order: Sequence[int], members: Iterable[int]) -> int:
 
 
 def rand_mis(c: WeightedGraph, inner: Inner, n1: int, seed: int = 0,
-             c_approx: float = 8.0) -> RunOutcome:
+             c_approx: float = DEFAULT_C_BOOST) -> RunOutcome:
     """Build the clique cycle, run ``inner`` on it, map back, fill the gaps.
 
     ``inner`` runs on the whole clique cycle (LOCAL semantics are the

@@ -29,14 +29,16 @@ TAG_STATS = 3
 TAG_GOOD = 4
 
 
-def is_good(weight: int, delta: int, s: int) -> bool:
+def is_good(weight, delta, s):
     """Good-node predicate 2*(delta+1)*w >= s, zero-weight nodes excluded.
 
-    Cross-multiplied so the comparison is exact in integers. Zero-weight
+    Written as w >= ceil(s / (2(delta+1))), the same test for an integer w,
+    whose ceiling never leaves s's range: so it is exact on Python ints and
+    on int64 or object arrays alike, elementwise for arrays. Zero-weight
     nodes can satisfy the inequality vacuously (s = 0) but never help the
     bound, and downstream callers assume positive weights.
     """
-    return weight > 0 and 2 * (delta + 1) * weight >= s
+    return (weight > 0) & (weight >= -(-s // (2 * (delta + 1))))
 
 
 def degree_weight_message(ctx: NodeContext, tag: int) -> Message:
@@ -74,11 +76,7 @@ class LocalStatsProgram:
         every = np.ones(len(net.ids), dtype=bool)
         deg, w = net.deg, net.graph.w
         net.send(every, every, TAG_STATS, deg, w)
-        delta = net.fold(np.maximum, deg, deg)
-        s = net.fold(np.add, w, w)
-        # is_good: for an integer w, 2(delta+1)w >= s iff w >= ceil(s / (2(delta+1))),
-        # and the ceiling never leaves s's range, int64 or Python ints
-        good = (w > 0) & (w >= -(-s // (2 * (delta + 1))))
+        good = is_good(w, net.fold(np.maximum, deg, deg), net.fold(np.add, w, w))
         net.send(every, every, TAG_GOOD, good)
         return good
 

@@ -81,30 +81,27 @@ class ProfileProgram:
         return StepResult(halt=True, output=p)
 
     def kernel(self, net: Net) -> np.ndarray:
-        return compute_sampling_profile(net.graph, self.lam, n_upper=net.n_upper,
-                                        net=net)
+        every = np.ones(len(net.ids), dtype=bool)
+        net.send(every, every, TAG_DEGW, net.deg, net.graph.w)
+        p, wdeg = _profile(net.graph, self.lam, net.n_upper)
+        net.send_limbs(every, every, TAG_WDEG, wdeg)
+        return p
 
 
-def compute_sampling_profile(g: WeightedGraph, lam: float, *,
-                             n_upper: int | None = None,
-                             net: Net | None = None) -> np.ndarray:
-    """The profile program's rounds as array steps over the whole graph:
-    p(v) for each node, by position in ``g.nodes``, as float64.
+def _profile(g: WeightedGraph, lam: float,
+             n_upper: int) -> tuple[np.ndarray, np.ndarray]:
+    """The profile program's two rounds as array steps over the whole graph:
+    p(v) as float64 and the weighted degree (the second round's message),
+    both by position in ``g.nodes``.
 
     Every node sends in both rounds, so each fold over g is the fold over
-    each inbox. With ``net`` (the program's kernel) the two rounds are sent
-    and charged; without it this is the sequential profile.
+    each inbox.
     """
-    n_upper = g.n if n_upper is None else n_upper
     scale = _scale(lam, n_upper)
     w, deg = g.w, g.degrees
     wdeg = neighbor_reduce(g, np.add, w)
     delta = neighbor_reduce(g, np.maximum, deg, deg)
     wmax = neighbor_reduce(g, np.maximum, wdeg, wdeg)
-    if net is not None:
-        every = np.ones(g.n, dtype=bool)
-        net.send(every, every, TAG_DEGW, deg, w)
-        net.send_limbs(every, every, TAG_WDEG, wdeg)
     # float64 steps round as ``sampling_probability``'s do wherever
     # wmax < 2^53: there w <= wmax and delta are exact doubles. An isolated
     # node has wmax = 0, so delta >= 1 wherever wmax > 0, and
@@ -117,7 +114,15 @@ def compute_sampling_profile(g: WeightedGraph, lam: float, *,
     for i in np.flatnonzero(wm >= 2.0**53):
         p[i] = sampling_probability(int(w[i]), int(delta[i]), int(wmax[i]), lam,
                                     n_upper)
-    return p
+    return p, wdeg
+
+
+def compute_sampling_profile(g: WeightedGraph, lam: float, *,
+                             n_upper: int | None = None) -> np.ndarray:
+    """The sequential profile: p(v) for each node, by position in
+    ``g.nodes``, as float64, computed as the program's kernel computes it
+    but with nothing sent or charged."""
+    return _profile(g, lam, g.n if n_upper is None else n_upper)[0]
 
 
 def sample_subgraph(g: WeightedGraph, p: np.ndarray, seed: int) -> np.ndarray:

@@ -1,11 +1,14 @@
+import ast
 import hashlib
 import json
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from mwisim import cli
 from mwisim.algorithms import ALGORITHMS
 from mwisim.cli import _parse_seeds, main
 from mwisim.graphs import FAMILIES, WEIGHT_MODELS, load
@@ -208,28 +211,42 @@ def test_failing_record_exit_code(monkeypatch, capsys):
     assert "record.degeneracy fails 'minimum'" in capsys.readouterr().err
 
 
-def test_env_var_default_seed(monkeypatch, capsys):
-    monkeypatch.setenv("MWISIM_SEED", "17")
-    assert run_cli(["run", "--family", "path", "--n", "4", "--alg", "luby"]) == 0
+@pytest.mark.parametrize("env", ["17", "x7"])
+def test_seeds_come_only_from_flags(env, monkeypatch, capsys):
+    """An absent ``--seeds`` or ``--graph-seed`` is 0; ``MWISIM_SEED`` is
+    not read, so neither a number nor a non-number there changes a run."""
+    monkeypatch.setenv("MWISIM_SEED", env)
+    graph = ["--family", "gnp", "--n", "12", "--p", "0.3", "--weights", "uniform_range"]
+    assert run_cli(["run", *graph, "--alg", "luby"]) == 0
     rec = json.loads(capsys.readouterr().out)
-    assert rec["seed"] == 17 and rec["graph"]["seed"] == 17
+    assert rec["seed"] == 0 and rec["graph"]["seed"] == 0
+    assert run_cli(["reduce", "--n0", "12", "--n1", "4"]) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == 0
+    texts = []
+    for seed_flags in ([], ["--graph-seed", "0"], ["--graph-seed", env.strip("x")]):
+        assert run_cli(["gen", *graph, *seed_flags]) == 0
+        texts.append(capsys.readouterr().out)
+    assert texts[0] == texts[1] != texts[2]
 
 
-def test_non_integer_env_seed_is_a_usage_error(monkeypatch, capsys):
-    from mwisim import verify
+def test_gen_names_its_graph_seed_as_run_does(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["gen", "--family", "path", "--n", "4", "--seed", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
 
-    monkeypatch.setenv("MWISIM_SEED", "x7")
-    for argv in (["gen", "--family", "path", "--n", "4"],
-                 ["run", "--family", "path", "--n", "4", "--alg", "luby"],
-                 ["reduce", "--n0", "12", "--n1", "4"]):
-        assert run_cli(argv) == 2
-        out = capsys.readouterr()
-        assert out.err == "error: MWISIM_SEED must be an integer, got 'x7'\n"
-        assert out.out == ""
-    # verify reads no seed from the environment
-    monkeypatch.setattr(verify, "run_acceptance_suite", lambda quick: [])
-    assert run_cli(["verify", "acceptance", "--quick"]) == 0
-    assert capsys.readouterr().out == "0/0 checks passed\n"
+
+def test_no_module_reads_the_environment():
+    """Every input of a run comes from its flags: no module under
+    ``src/mwisim`` reads ``os.environ`` or ``os.getenv``."""
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        names = set()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, (ast.Name, ast.alias)):
+                names.add(node.id if isinstance(node, ast.Name) else node.name)
+        assert not names & {"environ", "environb", "getenv", "getenvb"}, path.stem
 
 
 @pytest.mark.parametrize("passed,code", [(True, 0), (False, 3)])
@@ -483,12 +500,12 @@ SEED_SPECS = ("0", "3", "1:3", "0,2,5")
 BAD_SEED_SPECS = ("5:5", "2:", "x", ",")
 
 
-def _generator_flags(seed_flag):
+def _generator_flags():
     return st.tuples(
         _flag("--family", FAMILIES, ("tree",)), _flag("--n", range(1, 65), (-1, 0)),
         _flag("--p", ("0", "0.1", "0.3", "1"), BAD + ("1.5",)),
         _flag("--n0", range(1, 9), (-1, 0)), _flag("--n1", range(1, 5), (-1, 0)),
-        _flag("--weights", WEIGHT_MODELS), _flag(seed_flag, range(4), (-1,)),
+        _flag("--weights", WEIGHT_MODELS), _flag("--graph-seed", range(4), (-1,)),
     ).map(lambda flags: sum(flags, []))
 
 
@@ -498,10 +515,10 @@ def _cli_args(paths):
     a missing one, a directory and a new file."""
     files = st.sampled_from(paths)
     outputs = st.one_of(st.just([]), files.map(lambda f: ["-o", f]))
-    gen = st.tuples(st.just(["gen"]), _generator_flags("--seed"), outputs)
+    gen = st.tuples(st.just(["gen"]), _generator_flags(), outputs)
     run = st.tuples(
         st.just(["run"]),
-        st.one_of(_generator_flags("--graph-seed"), files.map(lambda f: ["--graph", f])),
+        st.one_of(_generator_flags(), files.map(lambda f: ["--graph", f])),
         st.sampled_from(ALGORITHMS).map(lambda a: ["--alg", a]),
         _flag("--eps", ("0.25", "0.5", "1"), BAD), _flag("--c", ("1", "2", "20"), BAD),
         _flag("--lam", ("0.5", "4"), BAD), _flag("--alpha", range(1, 4), (-1, 0)),

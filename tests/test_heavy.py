@@ -3,6 +3,8 @@ from itertools import compress
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mwisim import heavy
 from mwisim.engine import run
@@ -35,10 +37,15 @@ def _reference_stats(g):
     return out
 
 
+def good_by_definition(w, delta, s):
+    """The good-node test as stated, cross-multiplied in Python ints."""
+    return w > 0 and 2 * (delta + 1) * w >= s
+
+
 def _reference_good(g):
     return frozenset(v for (v, (_, delta, s)), wv in zip(_reference_stats(g).items(),
                                                         g.w.tolist())
-                     if is_good(wv, delta, s))
+                     if good_by_definition(wv, delta, s))
 
 
 def test_stats_examples():
@@ -125,6 +132,34 @@ def test_zero_weight_nodes_never_good():
     g = WeightedGraph([0, 1], [], {0: 0, 1: 0})
     assert good_nodes(g) == frozenset()
     assert not is_good(0, 0, 0)
+
+
+def _triples(top):
+    """Lists of (w, delta, s) with w and s in [0, top]: s drawn freely, or
+    within 2 of the boundary 2(delta+1)w, or all three small."""
+    deltas = st.integers(0, 2**20)
+    free = st.tuples(st.integers(0, top), deltas, st.integers(0, top))
+    edge = st.builds(lambda w, d, off: (w, d, min(max(2 * (d + 1) * w + off, 0), top)),
+                     st.integers(0, top >> 22), deltas, st.integers(-2, 2))
+    small = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 12))
+    return st.lists(st.one_of(free, edge, small), min_size=1, max_size=12)
+
+
+@given(_triples(INT64_MAX), _triples(2**80))
+def test_is_good_is_the_cross_multiplied_test_in_every_form(narrow, wide):
+    """``is_good`` on Python ints (s past 2^63 among them), on int64 arrays,
+    on object arrays and on the kernel's mix (int64 w and delta, object s)
+    agrees, element by element, with ``good_by_definition``."""
+    for w, delta, s in narrow + wide:
+        assert is_good(w, delta, s) is good_by_definition(w, delta, s)
+    cols = [np.array(col, dtype=np.int64) for col in zip(*narrow)]
+    wide_cols = [np.array(col, dtype=object) for col in zip(*wide)]
+    for args, triples in ((cols, narrow), ([c.astype(object) for c in cols], narrow),
+                          ([*cols[:2], cols[2].astype(object)], narrow),
+                          (wide_cols, wide)):
+        good = is_good(*args)
+        assert good.dtype == bool
+        assert good.tolist() == [good_by_definition(*t) for t in triples]
 
 
 @pytest.mark.parametrize("seed", range(30))

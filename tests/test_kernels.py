@@ -9,6 +9,7 @@ the charge, so these tests compare what each form computes: outputs,
 """
 
 import ast
+import inspect
 import os
 import random
 import tempfile
@@ -177,21 +178,47 @@ def test_runs_return_one_array_by_position(mode, near_int64_max):
     assert len(seen) == 5 + near_int64_max  # the object residuals came up
 
 
-def test_no_kernel_converts_its_output_to_a_list():
-    """The kernels and the profile's array form return the arrays they
-    compute: none of them calls ``.tolist()``."""
-    checked = []
+def _functions(names):
+    """``(module stem, function node)`` for each function in ``src/mwisim``
+    whose name is in ``names``, methods included."""
     for path in sorted(Path(engine.__file__).parent.glob("*.py")):
         for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if (isinstance(fn, ast.FunctionDef)
-                    and fn.name in ("kernel", "compute_sampling_profile")):
-                checked.append((path.stem, fn.name))
-                assert not [node for node in ast.walk(fn) if isinstance(node, ast.Call)
-                            and isinstance(node.func, ast.Attribute)
-                            and node.func.attr == "tolist"], (path.stem, fn.name)
+            if isinstance(fn, ast.FunctionDef) and fn.name in names:
+                yield path.stem, fn
+
+
+def _called_names(fn):
+    return {node.func.attr if isinstance(node.func, ast.Attribute) else node.func.id
+            for node in ast.walk(fn) if isinstance(node, ast.Call)
+            and isinstance(node.func, (ast.Attribute, ast.Name))}
+
+
+def test_no_kernel_converts_its_output_to_a_list():
+    """The kernels and the profile's array forms return the arrays they
+    compute: none of them calls ``.tolist()``."""
+    checked = []
+    for stem, fn in _functions(("kernel", "compute_sampling_profile", "_profile")):
+        checked.append((stem, fn.name))
+        assert "tolist" not in _called_names(fn), (stem, fn.name)
     assert sorted(checked) == [("boost", "kernel"), ("heavy", "kernel"), ("mis", "kernel"),
-                               ("ranking", "kernel"), ("sparsify", "compute_sampling_profile"),
+                               ("ranking", "kernel"), ("sparsify", "_profile"),
+                               ("sparsify", "compute_sampling_profile"),
                                ("sparsify", "kernel")]
+
+
+def test_each_kernel_states_its_rules_once():
+    """No kernel re-enters the sequential profile, which has no ``net``
+    mode, and the good-node kernel decides by ``heavy.is_good`` with no
+    comparison of its own."""
+    kernels = dict(_functions(("kernel",)))  # one per module
+    assert sorted(kernels) == ["boost", "heavy", "mis", "ranking", "sparsify"]
+    for stem, fn in kernels.items():
+        assert "compute_sampling_profile" not in _called_names(fn), stem
+    assert list(inspect.signature(sparsify.compute_sampling_profile).parameters) == [
+        "g", "lam", "n_upper"]
+    stats = kernels["heavy"]  # LocalStatsProgram.kernel
+    assert "is_good" in _called_names(stats)
+    assert not [node for node in ast.walk(stats) if isinstance(node, ast.Compare)]
 
 
 # ------------------------------------------------------- weights near 2^63
