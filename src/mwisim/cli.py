@@ -59,7 +59,10 @@ def _graph_params(args) -> dict:
 
 
 def _load_or_generate(args) -> tuple:
-    if getattr(args, "graph", None):
+    if args.graph is not None:
+        if args.family:
+            raise UsageError("--graph and --family are two graph sources: drop "
+                             "--family to run on the file, or --graph to generate")
         text = Path(args.graph).read_text(encoding="utf-8")
         return load(text), rec.GraphSource.from_file(args.graph, text)
     params, seed = _graph_params(args), args.graph_seed
@@ -145,17 +148,19 @@ def cmd_reduce(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # no prefix spellings: every flag is spelled one way
     top = argparse.ArgumentParser(
-        prog="mwisim",
+        prog="mwisim", allow_abbrev=False,
         description="CONGEST/LOCAL simulator and MaxIS approximation harness")
     sub = top.add_subparsers(dest="command", required=True)
 
-    p_gen = sub.add_parser("gen", help="generate a graph file")
+    p_gen = sub.add_parser("gen", help="generate a graph file", allow_abbrev=False)
     _add_generator_flags(p_gen)
     p_gen.add_argument("-o", "--output")
     p_gen.set_defaults(func=cmd_gen)
 
-    p_run = sub.add_parser("run", help="run an algorithm over a seed sweep")
+    p_run = sub.add_parser("run", help="run an algorithm over a seed sweep",
+                           allow_abbrev=False)
     p_run.add_argument("--graph", help="graph file (alternative to --family)")
     _add_generator_flags(p_run)
     p_run.add_argument("--alg", required=True, choices=ALGORITHMS)
@@ -175,14 +180,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--csv", help="also write a CSV projection")
     p_run.set_defaults(func=cmd_run)
 
-    p_ver = sub.add_parser("verify", help="run the acceptance battery")
+    p_ver = sub.add_parser("verify", help="run the acceptance battery",
+                           allow_abbrev=False)
     p_ver.add_argument("suite", choices=("acceptance",))
     p_ver.add_argument("--quick", action="store_true",
                        help="reduced corpus sizes for a fast smoke run")
     p_ver.add_argument("--json", help="write machine-readable results here")
     p_ver.set_defaults(func=cmd_verify)
 
-    p_red = sub.add_parser("reduce", help="cycle-of-cliques reduction runs")
+    p_red = sub.add_parser("reduce", help="cycle-of-cliques reduction runs",
+                           allow_abbrev=False)
     p_red.add_argument("--n0", type=int, required=True)
     p_red.add_argument("--n1", type=int, required=True)
     p_red.add_argument("--lam", type=float, default=DEFAULT_LAMBDA)

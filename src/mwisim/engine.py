@@ -37,6 +37,16 @@ built only for two or more fields, or for a round over budget. A program's
 turn) is the reference for program semantics: it runs when the program has
 no kernel, and whenever ``node_order`` is given, since a kernel has no
 processing order.
+
+A program whose runs never read their seed declares ``seedless = True``.
+Its kernel outcome depends on the executed graph, ``n_upper`` and the
+budget alone, so ``run_on_subgraph`` keeps it on that graph (a cached fact
+of ``WeightedGraph``, like its degeneracy) and returns it on every later
+kernel run with the same key: the same read-only outputs and a new copy of
+the ``RoundStats``, so every run is charged its rounds, messages and bits
+in full. The interpreter always runs, a run that raises keeps nothing, a
+kept run yields to the round limit in force, and a ``seedless`` kernel that
+derives its nodes' stream seeds is refused with ``EngineError``.
 """
 
 from __future__ import annotations
@@ -156,7 +166,9 @@ class NodeProgram(Protocol):
     A program may also define ``kernel(net: Net) -> np.ndarray``: the same
     program as whole-round array steps, which the engine runs in place of
     the per-node interpreter (see the module docstring). Its array holds
-    each node's output by position in ``net.ids``.
+    each node's output by position in ``net.ids``. A program with a kernel
+    that never reads its seed may set ``seedless = True``, so that its
+    kernel outcome is kept per graph (see the module docstring).
     """
 
     def init(self, ctx: NodeContext, rng) -> StepResult: ...
@@ -182,6 +194,10 @@ class RoundStats:
     @property
     def messages_sent(self) -> int:
         return sum(self.per_round_messages)
+
+    def copy(self) -> "RoundStats":
+        return RoundStats(list(self.per_round_messages), self.max_message_bits,
+                          self.budget_bits)
 
     def merge(self, other: "RoundStats") -> "RoundStats":
         return RoundStats(
@@ -366,8 +382,10 @@ def run_on_subgraph(g: WeightedGraph, keep: np.ndarray, program: NodeProgram,
         n_upper = g.n
     h = g.induced(keep)
     budget = message_budget_bits(n_upper) if mode == "congest" else None
-    net = Net(h, n_upper, seed, budget)
     kernel = getattr(program, "kernel", None)
+    if node_order is None and kernel is not None and getattr(program, "seedless", False):
+        return _seedless_run(h, program, n_upper, seed, budget)
+    net = Net(h, n_upper, seed, budget)
     if node_order is None and kernel is not None:
         return kernel(net), net.stats
 
@@ -418,3 +436,25 @@ def run_on_subgraph(g: WeightedGraph, keep: np.ndarray, program: NodeProgram,
         act = program.step
 
     return np.fromiter(map(outputs.__getitem__, h.nodes), object, h.n), net.stats
+
+
+def _seedless_run(h: WeightedGraph, program: NodeProgram, n_upper: int, seed: int,
+                  budget: int | None) -> tuple[np.ndarray, RoundStats]:
+    """The kernel run of a ``seedless`` program on ``h`` (module
+    docstring), kept in ``h._runs``. Programs are told apart by equality,
+    so a frozen dataclass's fields are part of the key. A kept run of more
+    rounds than ``DEFAULT_MAX_ROUNDS`` now allows is made again, to raise
+    what a fresh run would."""
+    key = (program, n_upper, budget)
+    runs = h._runs if h._runs is not None else {}
+    kept = runs.get(key)
+    if kept is None or kept[1].rounds > DEFAULT_MAX_ROUNDS:
+        net = Net(h, n_upper, seed, budget)
+        out = program.kernel(net)
+        if net._seeds is not None:
+            raise EngineError(f"{type(program).__name__} is declared seedless, but "
+                              "its kernel drew from the nodes' random streams")
+        out.flags.writeable = False
+        kept = runs[key] = out, net.stats
+        h._runs = runs
+    return kept[0], kept[1].copy()

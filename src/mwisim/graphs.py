@@ -60,7 +60,7 @@ class WeightedGraph:
     ``GraphError``, before they allocate, a graph whose build would peak
     past ``BUILD_CEILING_BYTES`` (``build_bytes``).
 
-    Four facts are computed on first use and then cached on the graph,
+    Five facts are computed on first use and then cached on the graph,
     which is safe only because nothing changes a graph after it is built
     (the generators return new graphs with empty caches, and so does
     ``induced``, except that an all-true mask with no new weights is the
@@ -73,11 +73,14 @@ class WeightedGraph:
     * the rows with entries and their starts in ``nbr`` (``neighbor_reduce``);
     * the degeneracy (``degeneracy(g)``);
     * the exact optimum (``brute_force_max_is(g)``), so a seed sweep over
-      one graph solves it once.
+      one graph solves it once;
+    * the kernel runs of ``seedless`` engine programs (``_runs``, kept by
+      ``engine.run_on_subgraph``), so a seed sweep computes the good-node
+      round and the sampling profile once and charges them on every run.
     """
 
     __slots__ = ("nodes", "w", "degrees", "max_degree", "_ids", "_csr", "_rows",
-                 "_adj", "_degeneracy", "_opt")
+                 "_adj", "_degeneracy", "_opt", "_runs")
 
     def __init__(self, nodes: Iterable[int], edges: Iterable[tuple[int, int]],
                  weights: Mapping[int, int]):
@@ -113,6 +116,7 @@ class WeightedGraph:
         self._adj: dict[int, tuple[int, ...]] | None = None
         self._degeneracy: int | None = None
         self._opt: IndependentSet | None = None
+        self._runs: dict | None = None
         return self
 
     def csr(self) -> tuple[np.ndarray, np.ndarray]:
@@ -189,8 +193,12 @@ class WeightedGraph:
         if weights is not None and len(weights) != self.n:
             raise GraphError(f"expected {self.n} weights by position, got {len(weights)}")
         nodes = self.nodes if every else tuple(map(self.nodes.__getitem__, kept.tolist()))
-        w = (self.w[kept] if weights is None
-             else _checked_weights(nodes, np.asarray(weights, dtype=object)[kept].tolist()))
+        if weights is None:
+            w = self.w[kept]
+        elif _is_int64(weights):
+            w = _checked_weights(nodes, weights[kept])
+        else:
+            w = _checked_weights(nodes, np.asarray(weights, dtype=object)[kept].tolist())
         if every:
             return object.__new__(WeightedGraph)._build(nodes, self._ids, w, *self._csr)
         indptr, nbr = self._csr
@@ -275,8 +283,18 @@ def check_real(value, key: str, alg: str, above: float | None = None,
     return x
 
 
-def _checked_weights(nodes: Iterable[int], values: Sequence[int]) -> np.ndarray:
-    """``nodes``' weights ``values`` as int64; each an int (not a bool) in [0, INT64_MAX]."""
+def _checked_weights(nodes: Sequence[int], values: Sequence[int]) -> np.ndarray:
+    """``nodes``' weights ``values`` as int64; each an int (not a bool) in [0, INT64_MAX].
+
+    An int64 array needs only one sign test, and is returned as it is; it
+    refuses its first negative weight with the text the per-value loop
+    gives."""
+    if _is_int64(values):
+        negative = values < 0
+        if negative.any():
+            i = int(negative.argmax())
+            raise GraphError(f"negative weight {int(values[i])} at node {nodes[i]}")
+        return values
     for v, wv in zip(nodes, values):
         if not isinstance(wv, int) or isinstance(wv, bool):
             raise GraphError(f"weight of node {v} is not an integer")

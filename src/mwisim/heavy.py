@@ -60,7 +60,9 @@ def read_degree_weight(ctx: NodeContext, inbox) -> tuple[int, int]:
 @dataclass(frozen=True)
 class LocalStatsProgram:
     """Round 1: exchange (degree, weight). Round 2: announce the good bit,
-    which is each node's output."""
+    which is each node's output. It never draws, so it is ``seedless``."""
+
+    seedless = True
 
     def init(self, ctx: NodeContext, rng) -> StepResult:
         return StepResult(state=None, outbox=degree_weight_message(ctx, TAG_STATS))

@@ -57,9 +57,11 @@ class ProfileProgram:
     as 63-bit limbs (``wire.to_limbs``), since a sum of weights can pass
     2^63 - 1.
 
-    Each node's output is its sampling probability p(v)."""
+    Each node's output is its sampling probability p(v). It never draws, so
+    it is ``seedless``."""
 
     lam: float
+    seedless = True
 
     def init(self, ctx: NodeContext, rng) -> StepResult:
         return StepResult(state=None, outbox=degree_weight_message(ctx, TAG_DEGW))
@@ -129,7 +131,7 @@ def sample_subgraph(g: WeightedGraph, p: np.ndarray, seed: int) -> np.ndarray:
     """Independent per-node Bernoulli draws with probabilities ``p`` (by
     position in ``g.nodes``), ``rng.node_uniform`` for every node at once:
     the sampled positions, ascending, as an int64 array."""
-    u = node_uniforms(seed, g.nodes, SAMPLE_SALT)
+    u = node_uniforms(seed, g._ids, SAMPLE_SALT)
     return np.flatnonzero(u < p)
 
 

@@ -236,6 +236,36 @@ def test_gen_names_its_graph_seed_as_run_does(capsys):
     assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args,unknown", [
+    (["run", "--family", "path", "--n", "4", "--alg", "luby", "--seed", "3"], "--seed 3"),
+    (["run", "--family", "path", "--n", "4", "--alg", "boost-heavy", "--graph-s", "5",
+      "--e", "0.5"], "--graph-s 5 --e 0.5"),
+    (["gen", "--family", "path", "--n", "4", "--graph", "3"], "--graph 3"),
+    (["reduce", "--n0", "12", "--n1", "4", "--seed", "3"], "--seed 3"),
+    (["verify", "acceptance", "--q"], "--q"),
+])
+def test_every_flag_has_one_spelling(args, unknown, capsys):
+    """No prefix of a flag stands for it, in any subcommand."""
+    with pytest.raises(SystemExit) as exc:
+        run_cli(args)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {unknown}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [["--family", "cycle", "--n", "50"],
+                                   ["--family", "gnp", "--n", "9", "--p", "0.5"]])
+def test_a_run_has_one_graph_source(flags, tmp_path, capsys):
+    path = tmp_path / "g.txt"
+    assert run_cli(["gen", "--family", "star", "--n", "8", "-o", str(path)]) == 0
+    assert run_cli(["run", "--graph", str(path), *flags, "--alg", "luby"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "drop --family to run on the file, or --graph to generate" in err
+    # either source alone runs
+    assert run_cli(["run", "--graph", str(path), "--alg", "luby"]) == 0
+    assert run_cli(["run", *flags, "--alg", "luby"]) == 0
+
+
 def test_no_module_reads_the_environment():
     """Every input of a run comes from its flags: no module under
     ``src/mwisim`` reads ``os.environ`` or ``os.getenv``."""

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mwisim import graphs
@@ -204,6 +204,35 @@ def test_induced_rejects_bad_weights_like_the_constructor(bad):
     assert g.induced(g.mask([0, 1]), weights).w.tolist() == [5, 6]  # node 2 left out
     # only the kept nodes' weights are read, whatever the others hold
     assert g.induced(g.mask([0, 3]), [5, -2**70, object(), 7]).w.tolist() == [5, 7]
+
+
+@given(st.lists(st.tuples(st.one_of(st.integers(-2**63, INT64_MAX), st.integers(-3, 3)),
+                          st.booleans()), min_size=1, max_size=12))
+@settings(max_examples=100, deadline=None)
+@example([(5, True), (-1, False), (7, True), (-9, True), (-2, True)])
+def test_int64_weights_are_refused_as_lists_are(pairs):
+    """An int64 array takes one sign test, a list or object array the
+    per-value check; both keep the same graph or refuse the first bad kept
+    node by position with the same text."""
+    ws, keep = [w for w, _ in pairs], np.array([k for _, k in pairs], dtype=bool)
+    g = generate("gnp", {"n": len(ws), "p": 0.3}, "unit", 1)
+    results = []
+    for weights in (ws, np.array(ws, dtype=object), np.array(ws, dtype=np.int64)):
+        try:
+            results.append(g.induced(keep, weights))
+        except GraphError as e:
+            results.append(str(e))
+    assert results[0] == results[1] == results[2]
+    bad = [(v, w) for v, (w, k) in zip(g.nodes, pairs) if k and w < 0]
+    if bad:
+        assert results[2] == "negative weight {1} at node {0}".format(*bad[0])
+    else:
+        # the kept weights are a read-only copy; the caller's array is untouched
+        arr = np.array(ws, dtype=np.int64)
+        h = g.induced(keep, arr)
+        arr[:] = 0
+        assert h.w.tolist() == [w for w, k in pairs if k]
+        assert not h.w.flags.writeable and arr.flags.writeable
 
 
 @pytest.mark.parametrize("count", [0, 3, 5])
