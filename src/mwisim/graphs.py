@@ -193,12 +193,7 @@ class WeightedGraph:
         if weights is not None and len(weights) != self.n:
             raise GraphError(f"expected {self.n} weights by position, got {len(weights)}")
         nodes = self.nodes if every else tuple(map(self.nodes.__getitem__, kept.tolist()))
-        if weights is None:
-            w = self.w[kept]
-        elif _is_int64(weights):
-            w = _checked_weights(nodes, weights[kept])
-        else:
-            w = _checked_weights(nodes, np.asarray(weights, dtype=object)[kept].tolist())
+        w = self.w[kept] if weights is None else _checked_weights(nodes, weights, kept)
         if every:
             return object.__new__(WeightedGraph)._build(nodes, self._ids, w, *self._csr)
         indptr, nbr = self._csr
@@ -283,18 +278,25 @@ def check_real(value, key: str, alg: str, above: float | None = None,
     return x
 
 
-def _checked_weights(nodes: Sequence[int], values: Sequence[int]) -> np.ndarray:
-    """``nodes``' weights ``values`` as int64; each an int (not a bool) in [0, INT64_MAX].
+def _checked_weights(nodes: Sequence[int], values: Sequence[int],
+                     kept: np.ndarray | None = None) -> np.ndarray:
+    """``nodes``' weights as int64: ``values``, or ``values[kept]`` when the
+    positions ``kept`` are given; each an int (not a bool) in [0, INT64_MAX].
 
-    An int64 array needs only one sign test, and is returned as it is; it
-    refuses its first negative weight with the text the per-value loop
-    gives."""
+    An int64 array needs only one sign test, and its kept values are
+    returned as they are; it refuses its first negative weight with the text
+    the per-value loop gives. Other values are gathered as Python objects
+    and checked one by one."""
     if _is_int64(values):
+        if kept is not None:
+            values = values[kept]
         negative = values < 0
         if negative.any():
             i = int(negative.argmax())
             raise GraphError(f"negative weight {int(values[i])} at node {nodes[i]}")
         return values
+    if kept is not None:
+        values = np.asarray(values, dtype=object)[kept].tolist()
     for v, wv in zip(nodes, values):
         if not isinstance(wv, int) or isinstance(wv, bool):
             raise GraphError(f"weight of node {v} is not an integer")

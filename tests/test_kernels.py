@@ -278,34 +278,38 @@ def test_63_bit_weights(n, p, graph_seed, ws, seed):
     assert all(kind == "ok" for alg, mode, (kind, *_) in kernels if mode == "local")
 
 
-# the centre (weight 1) of a star with eight leaves of weight 2^63 - 1: its
-# weighted degree 2^66 - 8 goes out as the limbs (2^63 - 8, 7)
-_BIG_STAR = WeightedGraph(range(9), [(0, v) for v in range(1, 9)],
-                          {0: 1, **{v: INT64_MAX for v in range(1, 9)}})
+def big_star():
+    """The centre (weight 1) of a star with eight leaves of weight 2^63 - 1:
+    its weighted degree 2^66 - 8 goes out as the limbs (2^63 - 8, 7). Built
+    anew on each call, so its first profile run computes rather than
+    returning a run kept from another test."""
+    return WeightedGraph(range(9), [(0, v) for v in range(1, 9)],
+                         {0: 1, **{v: INT64_MAX for v in range(1, 9)}})
 
 
 @pytest.mark.parametrize("alg", ["sparse", "boost-sparse"])
 def test_weighted_degree_past_63_bits_in_congest_mode(alg, monkeypatch):
     # n = 9 gives a 128-bit budget, which holds the centre's limbs:
     # 4 + (6 + 63) + (6 + 3) = 82 bits
+    star = big_star()
     program = sparsify.ProfileProgram(4.0)
-    kernel, reference = both(_BIG_STAR, program, mode="congest")
+    kernel, reference = both(star, program, mode="congest")
     assert kernel == reference and kernel[0] == "ok"
     assert kernel[1][1].max_message_bits == 82
-    out = run_algorithm(_BIG_STAR, alg, PARAMS, seed=0, mode="congest")
+    out = run_algorithm(star, alg, PARAMS, seed=0, mode="congest")
     assert out.iset.members == frozenset(range(1, 9))
     assert out.iset.weight == 8 * INT64_MAX
     # an 80-bit budget holds each leaf's (degree, weight) in round 1,
     # 4 + (6 + 1) + (6 + 63) = 80 bits, but not the centre's limbs in round 2
     monkeypatch.setattr(engine, "DEFAULT_C_MSG", 20)
-    kernel, reference = both(_BIG_STAR, program, mode="congest")
+    kernel, reference = both(star, program, mode="congest")
     assert kernel == reference
     kind, _, fields = kernel
     assert kind == "CongestViolation"
     assert fields == {"sender": 0, "receiver": 1, "round_no": 2,
                       "size_bits": 82, "budget_bits": 80}
     with pytest.raises(CongestViolation):
-        run_algorithm(_BIG_STAR, alg, PARAMS, seed=0, mode="congest")
+        run_algorithm(star, alg, PARAMS, seed=0, mode="congest")
 
 
 def test_local_heavy_weight_past_int64_is_stored_exactly(tmp_path):
@@ -487,18 +491,21 @@ def test_kernels_build_no_message(monkeypatch):
     """With ``Message`` refused, the kernels of every algorithm run in both
     modes on the C10 graph, the limb paths run (ranks at c = 20, weighted
     degrees past 2^63 in LOCAL mode), and a field outside the wire's range
-    still raises the interpreter's ``WireError``."""
-    c10 = generate("gnp", {"n": 60, "p": 0.12}, "uniform_range", 99)
-    unit = generate("gnp", {"n": 24, "p": 0.2}, "unit", 2)
+    still raises the interpreter's ``WireError``. Each pass runs on graphs
+    built anew, so the refused pass computes the seedless kernels rather
+    than returning the runs the first pass kept."""
+    def graphs():
+        return (generate("gnp", {"n": 60, "p": 0.12}, "uniform_range", 99),
+                generate("gnp", {"n": 24, "p": 0.2}, "unit", 2), big_star())
 
-    def limb_runs():
+    def runs(c10, unit, star):
         ranks = [run_algorithm(unit, alg, {**PARAMS, "c": 20}, seed=2, mode=mode)
                  for alg in ("boppana", "fastld") for mode in ("congest", "local")]
-        sums = [run_algorithm(_BIG_STAR, alg, PARAMS, seed=0, mode="local")
+        sums = [run_algorithm(star, alg, PARAMS, seed=0, mode="local")
                 for alg in ("sparse", "boost-sparse")]
-        return ranks + sums
+        return _algorithm_runs([c10]), ranks + sums
 
-    want = _algorithm_runs([c10]), limb_runs()
+    want = runs(*graphs())
     assert all(r[0] == "ok" for _, _, r in want[0])
     assert want[1][0].stats.max_message_bits == 124
     bad = [np.array([1, -1, 2]), np.array([1, 2**63, 2], dtype=object)]
@@ -512,7 +519,14 @@ def test_kernels_build_no_message(monkeypatch):
         raise AssertionError("a kernel built a Message")
 
     monkeypatch.setattr(Message, "__post_init__", refuse)
-    assert (_algorithm_runs([c10]), limb_runs()) == want
+    c10, unit, star = graphs()
+    assert c10._runs is star._runs is None
+    assert runs(c10, unit, star) == want
+    # the refused pass kept its own good-node and profile runs on C10, and
+    # the star's profile in LOCAL mode, where the limbs go out
+    assert {type(key[0]) for key in c10._runs} == {heavy.LocalStatsProgram,
+                                                   sparsify.ProfileProgram}
+    assert (sparsify.ProfileProgram(4.0), star.n, None) in star._runs
     for f, text in zip(bad, texts):
         with pytest.raises(WireError) as e:
             Net(_EDGE_AND_ISOLATED, 3, 0, None).send(_EVERY, _EVERY, 1, f)
