@@ -68,9 +68,10 @@ Inner = Callable[[WeightedGraph, int, int], RunOutcome]
 
 
 def run_inner(inner: Inner, g: WeightedGraph, seed: int,
-              n_upper: int) -> RunOutcome:
-    """``inner(g, seed, n_upper)``, refused with ``GraphError`` unless its
-    set is an independent set of ``g`` and any MIS it ran is valid."""
+              n_upper: int) -> tuple[RunOutcome, np.ndarray]:
+    """``inner(g, seed, n_upper)`` and the boolean mask of its set by
+    position in ``g``, refused with ``GraphError`` unless the set is an
+    independent set of ``g`` and any MIS it ran is valid."""
     res = inner(g, seed, n_upper)
     if not res.diagnostics.get("mis_valid", True):
         raise GraphError("inner MIS black box returned an invalid MIS")
@@ -80,7 +81,7 @@ def run_inner(inner: Inner, g: WeightedGraph, seed: int,
         raise GraphError("inner selected nodes outside its graph") from None
     if not g._independent(inside):
         raise GraphError("inner returned a non-independent set")
-    return res
+    return res, inside
 
 
 @dataclass(frozen=True)
@@ -179,13 +180,15 @@ def local_ratio(g: WeightedGraph, inner: Inner, phases: int, salt: int,
             break
         sizes.append(g_i.n)
         try:
-            res = run_inner(inner, g_in, derive_seed(seed, salt + i), n_upper)
+            res, inside = run_inner(inner, g_in, derive_seed(seed, salt + i), n_upper)
         except GraphError as e:
             raise BoostPhaseError(i, str(e)) from e
         members = res.iset.members
         stats = stats.merge(res.stats)
         inner_rounds_max = max(inner_rounds_max, res.stats.rounds)
-        pushed = g_i.w[g_i.mask(members)].tolist()  # by position: ascending ids
+        if g_in is not g_i:
+            inside = g_i.mask(members)
+        pushed = g_i.w[inside].tolist()  # by position: ascending ids
         frames.append(PhaseFrame(i, dict(zip(sorted(members), pushed))))
 
         upd_out, upd_stats = run(g_i, ResidualUpdateProgram(members, degree_cap),

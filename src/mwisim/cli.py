@@ -58,16 +58,33 @@ def _graph_params(args) -> dict:
     return {"n": args.n, "p": args.p}
 
 
+# the generator flags other than --family, by their argparse names; each
+# defaults to None, so that one given with --graph can be refused
+GENERATOR_FLAGS = {"--n": "n", "--p": "p", "--n0": "n0", "--n1": "n1",
+                   "--weights": "weights", "--graph-seed": "graph_seed"}
+
+
+def _generator_inputs(args) -> tuple:
+    """``(family, params, weights, graph seed)``: an absent ``--weights`` is
+    ``unit`` and an absent ``--graph-seed`` is 0."""
+    weights = "unit" if args.weights is None else args.weights
+    seed = 0 if args.graph_seed is None else args.graph_seed
+    return args.family, _graph_params(args), weights, seed
+
+
 def _load_or_generate(args) -> tuple:
     if args.graph is not None:
         if args.family:
             raise UsageError("--graph and --family are two graph sources: drop "
                              "--family to run on the file, or --graph to generate")
+        for flag, name in GENERATOR_FLAGS.items():
+            if getattr(args, name) is not None:
+                raise UsageError(f"{flag} shapes a generated graph, and --graph "
+                                 f"reads one from its file: drop {flag}")
         text = Path(args.graph).read_text(encoding="utf-8")
         return load(text), rec.GraphSource.from_file(args.graph, text)
-    params, seed = _graph_params(args), args.graph_seed
-    g = generate(args.family, params, args.weights, seed)
-    return g, rec.GraphSource.generator(args.family, params, args.weights, seed)
+    inputs = _generator_inputs(args)
+    return generate(*inputs), rec.GraphSource.generator(*inputs)
 
 
 def _add_generator_flags(p: argparse.ArgumentParser):
@@ -76,8 +93,8 @@ def _add_generator_flags(p: argparse.ArgumentParser):
     p.add_argument("--p", type=float, help="edge probability for gnp")
     p.add_argument("--n0", type=int, help="cycle length for cycle_of_cliques")
     p.add_argument("--n1", type=int, help="clique size for cycle_of_cliques")
-    p.add_argument("--weights", choices=WEIGHT_MODELS, default="unit")
-    p.add_argument("--graph-seed", type=int, default=0)
+    p.add_argument("--weights", choices=WEIGHT_MODELS, help="default: unit")
+    p.add_argument("--graph-seed", type=int, help="default: 0")
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -88,8 +105,7 @@ def _emit(text: str, path: str | None) -> None:
 
 
 def cmd_gen(args) -> int:
-    g = generate(args.family, _graph_params(args), args.weights, args.graph_seed)
-    _emit(save(g), args.output)
+    _emit(save(generate(*_generator_inputs(args))), args.output)
     return EXIT_OK
 
 

@@ -69,7 +69,7 @@ def rand_mis(c: WeightedGraph, inner: Inner, n1: int, seed: int = 0,
         raise GraphError(f"c must be a finite number >= 1, got {c_approx}")
     order = cycle_order(c)
     cc = build_clique_cycle(len(order), n1, base_ids=order)
-    res = run_inner(inner, cc.graph, seed, cc.graph.n)
+    res, _ = run_inner(inner, cc.graph, seed, cc.graph.n)
     mapped = sorted({v >> cc.j_bits for v in res.iset.members})
 
     mis = greedy_mis(c, [*mapped, *c.nodes])

@@ -17,8 +17,9 @@ last round, in ascending order, to their messages.
 Each node has a private counter-based random stream (``rng``): word k of
 node v is the k-th SplitMix64 output seeded by ``derive_seed(seed, v)``.
 
-A run executes on the nodes a boolean mask by position selects
-(``g.mask(ids)`` converts ids; answers built from its outputs stay in ids).
+A run executes on the whole graph (``run``, or ``keep=None``) or on the
+nodes a boolean mask by position selects (``g.mask(ids)`` converts ids;
+answers built from its outputs stay in ids).
 Its outputs are one 1-D array by position in the executed graph (``g.nodes``,
 or ``g.induced(keep).nodes``) of the nodes' halting ``StepResult.output``: in
 the kernel's dtype, or objects from the interpreter, so that any value fits.
@@ -235,8 +236,8 @@ class Net:
     Both forms of a program send through it (module docstring). Arrays are
     indexed by node position in ``graph.nodes`` (ascending ids), and so is
     the array of outputs a run returns. Each step ends with one ``send``,
-    which opens the next round with its checks and charges; ``fold`` reads
-    only what the last round's senders broadcast.
+    which opens the next round with its checks and charges; ``fold`` and
+    ``heard`` read only what the last round's senders broadcast.
     """
 
     def __init__(self, graph: WeightedGraph, n_upper: int, seed: int,
@@ -280,7 +281,8 @@ class Net:
         ``DEFAULT_MAX_ROUNDS``, read at each call (naming the active nodes in
         position order), the CONGEST check (the first sender over budget by
         position, named with its first neighbor), and a charge of
-        deg(sender) messages per sender.
+        deg(sender) messages per sender. When every node sends, the fields
+        are read as they are, and the charge is the CSR's entry count.
         ``sizes`` (bits per sender, in position order) stands in for
         ``fields`` when senders' messages have different field counts.
 
@@ -293,19 +295,22 @@ class Net:
         """
         check_tag(tag)
         idx = senders.nonzero()[0]
-        fields = [np.asarray(f)[idx] for f in fields]
+        every = idx.size == len(self.ids)
+        # when every node sends, the fields and the talkers are by position already
+        fields = [np.asarray(f) if every else np.asarray(f)[idx] for f in fields]
         check_fields(fields, idx.size)
         if sizes is None and len(fields) > 1:
             sizes = message_sizes(fields, idx.size)
-        if not active.any():
+        if not np.count_nonzero(active):
             return
         stats = self.stats
         if stats.rounds >= DEFAULT_MAX_ROUNDS:
             raise RoundLimitExceeded([self.ids[i] for i in np.flatnonzero(active)],
                                      stats)
         round_no = stats.rounds + 1
-        talk = self._talks[idx]  # senders with a neighbor: their messages go out
-        msgs = int(self.deg[idx].sum())
+        # senders with a neighbor: their messages go out
+        talk = self._talks if every else self._talks[idx]
+        msgs = self.nbr.size if every else int(self.deg[idx].sum())
         if sizes is not None:
             sizes = sizes[talk]
             top = int(sizes.max(initial=0))
@@ -324,7 +329,7 @@ class Net:
         stats.per_round_messages.append(msgs)
         stats.max_message_bits = max(stats.max_message_bits, top)
         self._sent = senders
-        self._sent_all = idx.size == len(self.ids)
+        self._sent_all = every
 
     def send_limbs(self, active: np.ndarray, senders: np.ndarray, tag: int,
                    values: np.ndarray) -> None:
@@ -346,25 +351,34 @@ class Net:
             values = np.where(self._sent, values, 0)
         return neighbor_reduce(self.graph, ufunc, values, initial)
 
+    def heard(self) -> np.ndarray:
+        """Whether each node has a neighbor that sent in the last round: the
+        nodes in the senders' rows of the CSR, which is symmetric."""
+        out = np.zeros(len(self.ids), dtype=bool)
+        out[self.nbr[self._sent.repeat(self.deg)]] = True
+        return out
+
 
 def run(g: WeightedGraph, program: NodeProgram, mode: str = "congest",
         seed: int = 0, n_upper: int | None = None,
         node_order: Callable[[list[int]], list[int]] | None = None,
         ) -> tuple[np.ndarray, RoundStats]:
-    """Execute ``program`` on all nodes of ``g``; see ``run_on_subgraph``."""
-    return run_on_subgraph(g, np.ones(g.n, dtype=bool), program, mode=mode, seed=seed,
+    """Execute ``program`` on all nodes of ``g``: ``run_on_subgraph`` with
+    ``keep=None``, so no mask is built or checked."""
+    return run_on_subgraph(g, None, program, mode=mode, seed=seed,
                            n_upper=n_upper, node_order=node_order)
 
 
-def run_on_subgraph(g: WeightedGraph, keep: np.ndarray, program: NodeProgram,
+def run_on_subgraph(g: WeightedGraph, keep: np.ndarray | None, program: NodeProgram,
                     mode: str = "congest", seed: int = 0,
                     n_upper: int | None = None,
                     node_order: Callable[[list[int]], list[int]] | None = None,
                     ) -> tuple[np.ndarray, RoundStats]:
-    """Execute ``program`` on ``g.induced(keep)`` (``g`` itself when the
-    boolean mask ``keep``, by position in ``g.nodes``, is all true) and
-    return ``(outputs, stats)``: ``outputs`` is a 1-D array of one value per
-    node of the executed graph, by position (the kept nodes, ascending).
+    """Execute ``program`` on ``g.induced(keep)`` (``g`` itself when
+    ``keep`` is None, or a boolean mask by position in ``g.nodes`` that is
+    all true) and return ``(outputs, stats)``: ``outputs`` is a 1-D array of
+    one value per node of the executed graph, by position (the kept nodes,
+    ascending).
 
     Identifiers and ``n_upper`` are inherited from ``g`` (``n_upper``
     defaults to g.n, not to the kept count). The program's kernel runs
@@ -380,7 +394,7 @@ def run_on_subgraph(g: WeightedGraph, keep: np.ndarray, program: NodeProgram,
         raise EngineError(f"unknown mode {mode!r}")
     if n_upper is None:
         n_upper = g.n
-    h = g.induced(keep)
+    h = g if keep is None else g.induced(keep)
     budget = message_budget_bits(n_upper) if mode == "congest" else None
     kernel = getattr(program, "kernel", None)
     if node_order is None and kernel is not None and getattr(program, "seedless", False):

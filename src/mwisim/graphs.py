@@ -397,7 +397,9 @@ def neighbor_reduce(g: WeightedGraph, ufunc: np.ufunc, values: Sequence[int],
     out = (np.zeros(g.n, dtype=dtype) if initial is None
            else np.array(initial, dtype=dtype))
     rows, starts = g._row_starts()
-    if starts.size:
+    if rows.size == out.size and starts.size:  # every row has entries
+        ufunc(out, ufunc.reduceat(vals[g._csr[1]], starts), out=out)
+    elif starts.size:
         out[rows] = ufunc(out[rows], ufunc.reduceat(vals[g._csr[1]], starts))
     return out
 

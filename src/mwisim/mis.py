@@ -71,27 +71,31 @@ class LubyProgram:
                           outbox=Message(TAG_VALUE, (value,)))
 
     def kernel(self, net: Net) -> np.ndarray:
-        """Two rounds per iteration over all competing nodes at once."""
-        n = len(net.ids)
+        """Two rounds per iteration over all competing nodes at once. Nodes
+        compete from iteration 0 until they leave, so in iteration k every
+        competitor draws its word k."""
         shift = np.uint64(64 - _value_bits(net.n_upper))
-        draws = np.zeros(n, dtype=np.int64)
-        value = np.zeros(n, dtype=np.int64)
-        key = np.zeros(n, dtype=np.int64)
+        value = np.zeros(len(net.ids), dtype=np.int64)
+        key = np.zeros(len(net.ids), dtype=np.int64)
         compete = net.deg > 0
         in_mis = ~compete  # isolated nodes join in init
-        while compete.any():
-            pos = compete.nonzero()[0]
-            value[pos] = (net.words(pos, draws[pos]) >> shift).astype(np.int64)
-            draws[pos] += 1
+        pos = compete.nonzero()[0]
+        k = 0
+        while pos.size:
+            fresh = (net.words(pos, k) >> shift).astype(np.int64)
+            value[pos] = fresh
             net.send(compete, compete, TAG_VALUE, value)
             # 1 + the rank of (value, id) among the competitors orders any
-            # two competitors as the lexicographic comparison does
-            key[pos[np.lexsort((pos, value[pos]))]] = np.arange(1, pos.size + 1)
+            # two competitors as the lexicographic comparison does: a stable
+            # sort keeps equal values in position order, which is id order
+            key[pos[fresh.argsort(kind="stable")]] = np.arange(1, pos.size + 1)
             win = compete & (key > net.fold(np.maximum, key))
             net.send(compete, win, TAG_IN)
             in_mis |= win
             # a listener that heard a winner drops out, the rest recompete
-            compete &= ~win & (net.fold(np.add, win) == 0)
+            compete &= ~(win | net.heard())
+            pos = compete.nonzero()[0]
+            k += 1
         return in_mis
 
 

@@ -89,8 +89,10 @@ def bit_lengths(a: np.ndarray) -> np.ndarray:
     """``max(1, v.bit_length())`` for each non-negative int64 ``v`` in ``a``."""
     a = np.maximum(a, 1)
     e = np.frexp(a)[1]
-    # past 2^53 the float can round up to the next power of two: one too many
-    e -= (a >> (e - 1)) == 0
+    # below 2^53 the float is exact; past it, it can round up to the next
+    # power of two: one too many
+    if a.size and a.max() >= 1 << 53:
+        e -= (a >> (e - 1)) == 0
     return e
 
 

@@ -266,6 +266,40 @@ def test_a_run_has_one_graph_source(flags, tmp_path, capsys):
     assert run_cli(["run", *flags, "--alg", "luby"]) == 0
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--n", "50"), ("--p", "0.5"), ("--n0", "4"), ("--n1", "3"),
+    ("--weights", "heavy_tail"), ("--graph-seed", "4"),
+    # the default values are refused as well: a given flag is refused, whatever it says
+    ("--weights", "unit"), ("--graph-seed", "0"),
+])
+def test_graph_file_refuses_each_generator_flag(flag, value, tmp_path, capsys):
+    path = tmp_path / "g8.txt"
+    assert run_cli(["gen", "--family", "star", "--n", "8", "-o", str(path)]) == 0
+    assert run_cli(["run", "--graph", str(path), flag, value, "--alg", "luby"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error: {flag} shapes a generated graph, and --graph reads one "
+                   f"from its file: drop {flag}\n")
+
+
+def test_absent_weights_and_graph_seed_are_unit_and_0(capsys):
+    """``--weights`` and ``--graph-seed`` default to None, which a generated
+    graph reads as ``unit`` and 0: the record and the file are those of the
+    spelled-out flags."""
+    graph = ["--family", "gnp", "--n", "12", "--p", "0.3"]
+    spelled = ["--weights", "unit", "--graph-seed", "0"]
+    outputs = []
+    for flags in ([], spelled):
+        assert run_cli(["run", *graph, *flags, "--alg", "luby"]) == 0
+        outputs.append(json.loads(capsys.readouterr().out))
+        assert run_cli(["gen", *graph, *flags]) == 0
+        outputs.append(capsys.readouterr().out)
+    for record in outputs[::2]:
+        del record["wall_time_s"]
+    assert outputs[0] == outputs[2] and outputs[1] == outputs[3]
+    assert outputs[0]["graph"]["weights"] == "unit" and outputs[0]["graph"]["seed"] == 0
+
+
 def test_no_module_reads_the_environment():
     """Every input of a run comes from its flags: no module under
     ``src/mwisim`` reads ``os.environ`` or ``os.getenv``."""

@@ -767,6 +767,30 @@ def test_neighbor_reduce_equals_a_fold_by_rows(where):
     assert starts.tolist() == g.csr()[0][rows].tolist()
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.integers(3, 30), st.floats(0.0, 0.4), st.integers(0, 2**32), st.booleans(),
+       st.data())
+def test_neighbor_reduce_one_pass_when_every_row_has_entries(n, p, seed, isolated, data):
+    """A cycle with chords has no isolated node, so ``neighbor_reduce``
+    combines every row in one ``reduceat``; chords alone, away from node 0,
+    leave isolated nodes and the per-row path. Both equal the fold by rows,
+    ``np.maximum`` without ``initial`` included: its floor is 0, so negative
+    neighbors count as 0."""
+    rng = random.Random(seed)
+    edges = {(i, j) for i in range(1, n) for j in range(i + 1, n) if rng.random() < p}
+    if not isolated:
+        edges |= {(i, i + 1) for i in range(n - 1)} | {(0, n - 1)}
+    g = WeightedGraph(range(n), edges, {v: 1 for v in range(n)})
+    assert (g._row_starts()[0].size == n) is not isolated
+    ints = st.integers(-(2**40), 2**40)
+    values = np.array(data.draw(st.lists(ints, min_size=n, max_size=n)), dtype=np.int64)
+    initial = np.array(data.draw(st.lists(ints, min_size=n, max_size=n)), dtype=np.int64)
+    assert_folds_by_rows(g, values, initial)
+    negative = -1 - np.arange(n, dtype=np.int64)
+    assert_folds_by_rows(g, negative, initial)
+    assert neighbor_reduce(g, np.maximum, negative).tolist() == [0] * n
+
+
 @pytest.mark.parametrize("n", [0, 1])
 def test_neighbor_reduce_without_edges(n):
     g = WeightedGraph(range(n), [], {v: 7 for v in range(n)})

@@ -4,6 +4,8 @@ import random
 from itertools import compress
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mwisim.engine import run, run_on_subgraph
 from mwisim.graphs import GraphError, WeightedGraph, generate, random_tree
@@ -111,6 +113,61 @@ def test_luby_valid_on_random_graphs(seed):
     ok, violation = verify_mis(g, g.nodes, members)
     assert ok, violation
     assert stats.rounds <= 8 * math.log2(max(n, 2)) + 16  # loose per-run guard
+
+
+def shuffled(seed):
+    """A ``node_order`` that shuffles the nodes with ``random.Random(seed)``."""
+    def order(nodes):
+        nodes = list(nodes)
+        random.Random(seed).shuffle(nodes)
+        return nodes
+    return order
+
+
+def luby_iterations(g, seed, n_upper=None):
+    """Luby's kernel and its interpreter in a shuffled order give the same
+    outputs and ``RoundStats``; the run's iteration count (two rounds each)."""
+    kernel = run(g, LubyProgram(), seed=seed, n_upper=n_upper)
+    reference = run(g, LubyProgram(), seed=seed, n_upper=n_upper,
+                    node_order=shuffled(seed))
+    assert kernel[0].tolist() == reference[0].tolist()
+    assert kernel[1] == reference[1]
+    return kernel[1].rounds // 2
+
+
+def test_luby_kernel_draws_word_k_in_iteration_k():
+    """Every competitor of iteration k has drawn words 0..k-1 before it, so
+    the kernel draws word k for all of them; the interpreter counts each
+    node's own draws. Paths and stars leave nodes behind at different
+    iterations, and ``n_upper=2`` gives 8-bit values, so equal values are
+    broken by id."""
+    iterations = []
+    for n in range(1, 41):
+        for family in ("path", "star"):
+            g = generate(family, {"n": n}, "uniform_range", n)
+            for seed in range(10):
+                for n_upper in (None, 2):
+                    iterations.append(luby_iterations(g, seed, n_upper))
+    assert max(iterations) >= 3 and {0, 1, 2, 3} <= set(iterations)
+    # every node isolated: every one joins in init, no iteration runs
+    assert luby_iterations(unit(range(7), []), 3) == 0
+    assert run(unit(range(7), []), LubyProgram(), seed=3)[0].all()
+    # isolated nodes among a path and a star
+    mixed = unit(range(14), [(0, 1), (1, 2), (2, 3), (3, 4), (6, 7), (6, 8), (6, 9),
+                             (6, 10)])
+    for seed in range(20):
+        luby_iterations(mixed, seed, 2)
+        out, _ = run(mixed, LubyProgram(), seed=seed)
+        assert out[[5, 11, 12, 13]].all()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 60), st.floats(0.0, 0.5), st.integers(0, 2**32),
+       st.integers(0, 2**64 - 1), st.sampled_from([None, 2, 16]))
+def test_luby_kernel_equals_the_shuffled_interpreter_on_gnp(n, p, graph_seed, seed,
+                                                            n_upper):
+    g = generate("gnp", {"n": n, "p": p}, "unit", graph_seed)
+    luby_iterations(g, seed, n_upper)
 
 
 def test_luby_round_budget_rate():

@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +14,7 @@ from mwisim.engine import run
 from mwisim.graphs import GraphError, WeightedGraph, generate
 from mwisim.ranking import (_bitsets, _nbr_positions, _rank_bits, _seq_bits,
                             boppana_once, check_perm_equivalence, rank_range)
-from mwisim.rng import NodeStream, derive_seed, node_rng
+from mwisim.rng import NodeStream, derive_seed, derive_seeds, node_rng, stream_words
 
 
 def _ids_of(g, bits):
@@ -262,6 +263,14 @@ def test_rank_collisions_absent_at_width():
     collisions = sum(rng.randint(1, r_max) == rng.randint(1, r_max)
                      for _ in range(10**6))
     assert collisions == 0
+    # the scalar stream's draws are its words: a rank needs 79 bits, the top
+    # of two words, and a draw at or past r_max is rejected
+    k = (r_max - 1).bit_length()
+    words = stream_words(derive_seeds(123, [0]), np.arange(32)).tolist()
+    tops = [(words[i] << 64 | words[i + 1]) >> (128 - k) for i in range(0, 32, 2)]
+    want = [1 + x for x in tops if x < r_max][:4]
+    rng = node_rng(123, 0)
+    assert k == 79 and [rng.randint(1, r_max) for _ in want] == want
 
 
 def test_fastld_c5():

@@ -3,8 +3,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 import pytest
 
-from mwisim.wire import (FIELD_BITS, LEN_BITS, TAG_BITS, Message, WireError,
-                         from_limbs, limb_sizes, to_limbs)
+from mwisim.wire import (FIELD_BITS, LEN_BITS, TAG_BITS, Message, WireError, bit_lengths,
+                         from_limbs, limb_sizes, message_sizes, size_bits, to_limbs)
 
 fields = st.lists(st.integers(min_value=0, max_value=(1 << 63) - 1), max_size=5)
 
@@ -93,3 +93,20 @@ def test_limb_sizes_are_the_size_of_the_limbs_message():
     sizes = limb_sizes(np.array(values, dtype=object))
     assert sizes.dtype == np.int64
     assert sizes.tolist() == [Message(9, to_limbs(v)).size_bits for v in values]
+
+
+# where float64 stops being exact: ``bit_lengths`` corrects its exponent
+# only when some value reaches 2^53
+WIDE = [2**53 - 1, 2**53, 2**53 + 1, 2**54 - 1, 2**62, 2**63 - 1]
+SMALL = [0, 1, 2, 3, 255, 256, 2**31, 2**52 + 1]
+
+
+@pytest.mark.parametrize("values", [[v] for v in WIDE] + [SMALL, SMALL + WIDE,
+                                                          WIDE[::-1] + SMALL])
+def test_bit_lengths_and_message_sizes_at_the_float_limit(values):
+    a = np.array(values, dtype=np.int64)
+    assert bit_lengths(a).tolist() == [max(1, v.bit_length()) for v in values]
+    for fields in ([a], [a, a[::-1].copy()], [np.zeros_like(a), a]):
+        want = [size_bits(int(f[i]) for f in fields) for i in range(a.size)]
+        assert message_sizes(fields, a.size).tolist() == want
+    assert bit_lengths(np.zeros(0, dtype=np.int64)).tolist() == []
