@@ -87,12 +87,8 @@ def run_algorithm(g: WeightedGraph, alg: str, params: Mapping[str, Any],
     (default g.n), passed down when the run is a local-ratio inner step."""
     if alg not in ALGORITHMS:
         raise UsageError(f"unknown algorithm {alg!r}; choose from {ALGORITHMS}")
-    return _run_resolved(g, alg, resolved_params(alg, params, g), seed, mode, n_upper)
+    p = resolved_params(alg, params, g)
 
-
-def _run_resolved(g: WeightedGraph, alg: str, p: Mapping[str, Any], seed: int,
-                  mode: str, n_upper: int | None) -> RunOutcome:
-    """``run_algorithm`` with the parameters ``resolved_params`` returned."""
     if alg == "heavy":
         return heavy_mis_approx(g, seed=seed, mode=mode, n_upper=n_upper)
     if alg == "sparse":
@@ -117,25 +113,7 @@ def _run_resolved(g: WeightedGraph, alg: str, p: Mapping[str, Any], seed: int,
     return RunOutcome(IndependentSet.of(g, in_mis), stats, {})
 
 
-# the algorithms whose resolved parameters do not depend on the graph
-_GRAPH_FREE_PARAMS = ("heavy", "sparse", "boost-heavy")
-
-
 def as_inner(alg: str, params: Mapping[str, Any], mode: str = "congest") -> Inner:
-    """``alg`` as a local-ratio inner algorithm (see ``boost.local_ratio``):
-    ``run_algorithm`` on each phase's graph. ``heavy``, ``sparse`` and
-    ``boost-heavy``, whose parameters do not depend on the graph, resolve
-    them in their first call and reuse them, so a refusal is still raised
-    by the first phase's run."""
-    if alg not in _GRAPH_FREE_PARAMS:
-        return lambda g_sub, seed, n_upper: run_algorithm(g_sub, alg, params, seed,
-                                                          mode, n_upper)
-    p: dict[str, Any] | None = None
-
-    def inner(g_sub: WeightedGraph, seed: int, n_upper: int) -> RunOutcome:
-        nonlocal p
-        if p is None:
-            p = resolved_params(alg, params, g_sub)
-        return _run_resolved(g_sub, alg, p, seed, mode, n_upper)
-
-    return inner
+    """``alg`` as a local-ratio inner algorithm (see ``boost.local_ratio``)."""
+    return lambda g_sub, seed, n_upper: run_algorithm(g_sub, alg, params, seed,
+                                                      mode, n_upper)

@@ -109,8 +109,6 @@ class NodeStream:
         """The top ``k`` bits of the next ceil(k/64) words."""
         if k < 0:
             raise ValueError(f"number of bits must be non-negative, got {k}")
-        if k <= 64:  # one word, or none for k = 0
-            return self._word() >> (64 - k) if k else 0
         words = -(-k // 64)
         x = 0
         for _ in range(words):
@@ -124,12 +122,6 @@ class NodeStream:
         if span < 1:
             raise ValueError(f"empty range [{a}, {b}]")
         k = (span - 1).bit_length()
-        if 0 < k <= 64:  # one word per attempt
-            word, shift = self._word, 64 - k
-            while True:
-                x = word() >> shift
-                if x < span:
-                    return a + x
         while True:
             x = self.getrandbits(k)
             if x < span:

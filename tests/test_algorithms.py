@@ -1,6 +1,5 @@
 import pytest
 
-from mwisim import algorithms
 from mwisim.algorithms import (ALGORITHMS, UsageError, as_inner,
                                resolved_params, run_algorithm)
 from mwisim.arb import arb_approx
@@ -102,31 +101,6 @@ def test_pipelines_return_the_harness_outcome_unchanged(mode):
             out.iset, out.stats, out.diagnostics, out.stack)
         assert len(r.stack) >= 2 and r.phases == r.diagnostics["phases"]
     assert len(direct["arb"].diagnostics["sizes"]) == direct["arb"].phases + 1
-
-
-@pytest.mark.parametrize("alg,resolutions", [
-    ("boost-heavy", lambda phases: ["boost-heavy", "heavy"]),
-    ("boost-sparse", lambda phases: ["boost-sparse", "sparse"]),
-    # each arb phase is one boost-heavy run, which builds its own heavy inner
-    ("arb", lambda phases: ["arb", "boost-heavy"] + ["heavy"] * phases),
-    ("fastld", lambda phases: ["fastld"] + ["boppana"] * phases)])
-def test_inner_parameters_are_resolved_once(alg, resolutions, monkeypatch):
-    """``heavy``, ``sparse`` and ``boost-heavy`` as inner algorithms resolve
-    their parameters in their first phase only; ``boppana``'s range depends
-    on each phase's graph, so it resolves them in every phase."""
-    g = generate("gnp", {"n": 40, "p": 0.15}, "heavy_tail", 5)
-    params = {"eps": 0.5, "alpha": 1}
-    want = run_algorithm(g, alg, params, seed=2)
-    seen = []
-
-    def counted(a, p, graph):
-        seen.append(a)
-        return resolved_params(a, p, graph)
-
-    monkeypatch.setattr(algorithms, "resolved_params", counted)
-    got = run_algorithm(g, alg, params, seed=2)
-    assert (got.iset, got.stats, got.stack) == (want.iset, want.stats, want.stack)
-    assert len(got.stack) >= 2 and seen == resolutions(len(got.stack))
 
 
 def test_inner_refusal_is_raised_by_the_first_phase():
