@@ -2,15 +2,16 @@
 
 ceil(log2 n) + 1 push phases. Each phase runs a (1+eps)*Delta-approximation
 on the subgraph induced by nodes of degree at most 4*alpha in the current
-residual graph, pushes its independent set, zeroes ALL low-degree nodes'
-residuals (not just the selected ones), reduces neighbors of selected nodes,
-and keeps only strictly positive residuals for the next phase. Since at
-least half the nodes of any subgraph have degree at most 4*alpha when alpha
-is at least the arboricity, the vertex set halves every phase and empties
-within the phase budget. The shared pop stage then yields an
-8*(1+eps)*alpha approximation. The phases are ``boost.local_ratio`` with a
-degree cap of 4*alpha, so each reduction is one charged engine round. The
-caller supplies the (1+eps)*Delta-approximation as the inner algorithm.
+residual graph, pushes its independent set, reduces neighbors of selected
+nodes, and keeps only strictly positive residuals for the next phase; the
+low-degree nodes, selected or not, leave with the phase. Since at least
+half the nodes of any subgraph have degree at most 4*alpha when alpha is at
+least the arboricity, the vertex set halves every phase and empties within
+the phase budget. The shared pop stage then yields an 8*(1+eps)*alpha
+approximation. The phases are ``boost.local_ratio`` with a degree cap of
+4*alpha, so each reduction is one charged engine round and the drop is a
+local step. The caller supplies the (1+eps)*Delta-approximation as the
+inner algorithm.
 """
 
 from __future__ import annotations
@@ -25,24 +26,22 @@ from .graphs import GraphError, WeightedGraph
 
 
 def arb_reduce(w: Mapping[int, int], selected: Iterable[int],
-               zeroed: Iterable[int], g: WeightedGraph) -> dict[int, int]:
+               g: WeightedGraph) -> dict[int, int]:
     """Sequential mirror of one local-ratio reduction over all nodes of ``w``.
 
-    Nodes in ``zeroed`` (a superset of the independent set ``selected``) drop
-    to zero; every other node loses the residual weight of its selected
-    neighbors. Boosting zeroes exactly the selected set; the arboricity
-    pipeline zeroes every low-degree node. Residuals are exact Python ints,
-    so one below -2^63 is returned as it is, as the reduction round does.
+    Nodes in the independent set ``selected`` drop to zero; every other node
+    loses the residual weight of its selected neighbors. This is the rule of
+    ``boost.ResidualUpdateProgram``; the arboricity pipeline's drop of the
+    low-degree nodes comes after it, in ``boost.local_ratio``. Residuals are
+    exact Python ints, so one below -2^63 is returned as it is, as the
+    reduction round does.
     """
     chosen = set(selected)
-    zero = set(zeroed)
-    if not chosen <= zero:
-        raise GraphError("selected set must lie inside the zeroed set")
     if not g.is_independent(chosen):
         raise GraphError("selected set is not independent")
     out = {}
     for v, wv in w.items():
-        if v in zero:
+        if v in chosen:
             out[v] = 0
         else:
             reduction = sum(w[u] for u in g.adj[v] if u in chosen)

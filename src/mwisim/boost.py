@@ -9,8 +9,9 @@ newest-first and keeps every node without a kept neighbor.
 ``local_ratio`` is the one phase loop. ``boost`` runs t = ceil(c/eps)
 phases of an inner algorithm whose set weighs at least a 1/(c*Delta)
 fraction of the remaining positive weight; the arboricity pipeline
-(``arb.arb_approx``) runs it with a degree cap on what the inner algorithm
-sees. The *stack property* — the popped set's original weight dominates the
+(``arb.arb_approx``) runs it with a degree cap: the inner algorithm sees
+only the nodes of degree at most the cap, and they leave with the phase.
+The *stack property* — the popped set's original weight dominates the
 sum of all pushed residual weights — holds exactly in integer arithmetic and
 drives both the (1+eps)*Delta and the 8*(1+eps)*alpha bounds.
 """
@@ -89,14 +90,12 @@ class ResidualUpdateProgram:
     """One announcement round realizing the weight reduction distributively.
 
     Run on the positive-residual subgraph (so ctx.weight is the residual):
-    selected nodes broadcast their residual weight; a node ends at zero if
-    it is selected or, with ``degree_cap``, if its own degree is at most the
-    cap; everyone else subtracts the announced weights of selected
-    neighbors. Each node's output is its new residual.
+    selected nodes broadcast their residual weight and end at zero; every
+    other node subtracts the announced weights of its selected neighbors.
+    Each node's output is its new residual.
     """
 
     selected: frozenset[int]
-    degree_cap: int | None = None
 
     def init(self, ctx: NodeContext, rng) -> StepResult:
         if ctx.node_id in self.selected:
@@ -105,9 +104,7 @@ class ResidualUpdateProgram:
         return StepResult(state=None)
 
     def step(self, state, ctx: NodeContext, inbox, rng) -> StepResult:
-        cap = self.degree_cap
-        if ctx.node_id in self.selected or (cap is not None
-                                            and len(ctx.neighbors) <= cap):
+        if ctx.node_id in self.selected:
             return StepResult(halt=True, output=0)
         reduction = sum(msg.values[0] for msg in inbox.values()
                         if msg.tag == TAG_REDUCE)
@@ -118,9 +115,7 @@ class ResidualUpdateProgram:
         selected = np.fromiter(map(self.selected.__contains__, ids), bool, len(ids))
         net.send(np.ones(len(ids), dtype=bool), selected, TAG_REDUCE, w)
         out = w - net.fold(np.add, w)
-        # a new mask: ``net`` keeps ``selected`` as the round's senders
-        out[selected if self.degree_cap is None
-            else selected | (net.deg <= self.degree_cap)] = 0
+        out[selected] = 0
         return out
 
 
@@ -148,16 +143,17 @@ def local_ratio(g: WeightedGraph, inner: Inner, phases: int, salt: int,
 
     The loop's only state is the residual graph ``g_i``: the subgraph of
     ``g`` induced by the nodes of positive residual weight, carrying those
-    residuals as its weights. Without a cap the inner algorithm sees all of
-    it and only the nodes it selects drop to zero; with ``degree_cap`` it
-    sees only the nodes of degree at most the cap, and all of those drop to
-    zero. Either way the reduction is one announcement round on ``g_i``,
-    charged like any other engine run, and its positive outputs induce the
-    next phase's graph. That is exact: residuals never rise, so a node that
-    leaves never returns, and an induced subgraph of ``g_i`` is the induced
-    subgraph of ``g`` on the same nodes. A phase whose inner algorithm would
-    see no node leaves ``g_i`` as it is, so the loop ends there: the stack
-    holds a frame for each phase that ran, and ``phases`` stays the budget.
+    residuals as its weights. The reduction is one announcement round on
+    ``g_i`` (``ResidualUpdateProgram``), charged like any other engine run,
+    and its positive outputs induce the next phase's graph. Without a cap
+    the inner algorithm sees all of ``g_i``; with ``degree_cap`` it sees
+    only the nodes of degree at most the cap, and those leave with the
+    phase: a node knows its own degree, so the drop costs no round. That is
+    exact: residuals never rise, so a node that leaves never returns, and an
+    induced subgraph of ``g_i`` is the induced subgraph of ``g`` on the same
+    nodes. A phase whose inner algorithm would see no node leaves ``g_i``
+    as it is, so the loop ends there: the stack holds a frame for each
+    phase that ran, and ``phases`` stays the budget.
     A ``GraphError`` from a phase's inner run or its check (``run_inner``)
     is re-raised as ``BoostPhaseError`` naming the phase.
 
@@ -175,7 +171,8 @@ def local_ratio(g: WeightedGraph, inner: Inner, phases: int, salt: int,
     sizes = []
 
     for i in range(1, phases + 1):
-        g_in = g_i if degree_cap is None else g_i.induced(g_i.degrees <= degree_cap)
+        low = None if degree_cap is None else g_i.degrees <= degree_cap
+        g_in = g_i if low is None else g_i.induced(low)
         if not g_in.n:
             break
         sizes.append(g_i.n)
@@ -191,12 +188,15 @@ def local_ratio(g: WeightedGraph, inner: Inner, phases: int, salt: int,
         pushed = g_i.w[inside].tolist()  # by position: ascending ids
         frames.append(PhaseFrame(i, dict(zip(sorted(members), pushed))))
 
-        upd_out, upd_stats = run(g_i, ResidualUpdateProgram(members, degree_cap),
+        upd_out, upd_stats = run(g_i, ResidualUpdateProgram(members),
                                  mode=mode, seed=derive_seed(seed, 0x0DD + i),
                                  n_upper=n_upper)
         stats = stats.merge(upd_stats)
         # int64, or Python ints that may pass -2^63; a kept one is at most its old weight
-        g_i = g_i.induced(upd_out > 0, upd_out)
+        keep = upd_out > 0
+        if low is not None:
+            keep &= ~low
+        g_i = g_i.induced(keep, upd_out)
 
     sizes.append(g_i.n)
     return RunOutcome(pop_stack(g, frames), stats,

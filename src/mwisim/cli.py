@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import Sequence
 
 from . import records as rec
-from .algorithms import ALGORITHMS, DEFAULT_C_BOOST, UsageError, as_inner
+from .algorithms import ALGORITHMS, UsageError, as_inner
 from .cliquecycle import rand_mis
 from .engine import EngineError
 from .graphs import (BRUTE_FORCE_CAP, FAMILIES, WEIGHT_MODELS, GraphError,
@@ -150,7 +150,7 @@ def cmd_reduce(args) -> int:
     inner = as_inner("sparse", {"lam": args.lam}, "local")
     lines = []
     for seed in _parse_seeds(args.seeds):
-        r = rand_mis(base, inner, args.n1, seed=seed, c_approx=args.c)
+        r = rand_mis(base, inner, args.n1, seed=seed)
         d = r.diagnostics
         lines.append(json.dumps({
             "n0": args.n0, "n1": args.n1, "seed": seed,
@@ -209,8 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_red.add_argument("--n0", type=int, required=True)
     p_red.add_argument("--n1", type=int, required=True)
     p_red.add_argument("--lam", type=float, default=DEFAULT_LAMBDA)
-    p_red.add_argument("--c", type=float, default=DEFAULT_C_BOOST,
-                       help="approximation constant for the diagnostic radii")
     p_red.add_argument("--seeds", default="0")
     p_red.add_argument("-o", "--output")
     p_red.set_defaults(func=cmd_reduce)

@@ -12,7 +12,6 @@ statistics measured instead of bounded.
 
 from __future__ import annotations
 
-import math
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -46,8 +45,7 @@ def max_gap(order: Sequence[int], members: Iterable[int]) -> int:
     return int(np.diff(hits, append=hits[0] + len(order)).max()) - 1
 
 
-def rand_mis(c: WeightedGraph, inner: Inner, n1: int, seed: int = 0,
-             c_approx: float = DEFAULT_C_BOOST) -> RunOutcome:
+def rand_mis(c: WeightedGraph, inner: Inner, n1: int, seed: int = 0) -> RunOutcome:
     """Build the clique cycle, run ``inner`` on it, map back, fill the gaps.
 
     ``inner`` runs on the whole clique cycle (LOCAL semantics are the
@@ -62,11 +60,9 @@ def rand_mis(c: WeightedGraph, inner: Inner, n1: int, seed: int = 0,
     The outcome's ``stats`` are the inner run's. Its diagnostics are the
     sorted cycle ids hit (``mapped``), the longest run of the cycle without
     a hit (``max_gap``), and the diagnostic radii ``r_large`` and
-    ``r_small``, computed from the inner round count and the approximation
-    constant ``c_approx``, a finite number >= 1.
+    ``r_small``, computed from the inner round count and the boosting
+    constant ``DEFAULT_C_BOOST``.
     """
-    if not (math.isfinite(c_approx) and c_approx >= 1):
-        raise GraphError(f"c must be a finite number >= 1, got {c_approx}")
     order = cycle_order(c)
     cc = build_clique_cycle(len(order), n1, base_ids=order)
     res, _ = run_inner(inner, cc.graph, seed, cc.graph.n)
@@ -80,5 +76,5 @@ def rand_mis(c: WeightedGraph, inner: Inner, n1: int, seed: int = 0,
     t = res.stats.rounds
     return RunOutcome(mis, res.stats,
                       {"mapped": mapped, "max_gap": max_gap(order, mapped),
-                       "r_large": int((100 * c_approx + 1) * t + 2),
-                       "r_small": int(100 * c_approx * t)})
+                       "r_large": int((100 * DEFAULT_C_BOOST + 1) * t + 2),
+                       "r_small": int(100 * DEFAULT_C_BOOST * t)})

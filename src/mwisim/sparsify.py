@@ -119,12 +119,11 @@ def _profile(g: WeightedGraph, lam: float,
     return p, wdeg
 
 
-def compute_sampling_profile(g: WeightedGraph, lam: float, *,
-                             n_upper: int | None = None) -> np.ndarray:
+def compute_sampling_profile(g: WeightedGraph, lam: float) -> np.ndarray:
     """The sequential profile: p(v) for each node, by position in
     ``g.nodes``, as float64, computed as the program's kernel computes it
-    but with nothing sent or charged."""
-    return _profile(g, lam, g.n if n_upper is None else n_upper)[0]
+    with ``n_upper = g.n`` but with nothing sent or charged."""
+    return _profile(g, lam, g.n)[0]
 
 
 def sample_subgraph(g: WeightedGraph, p: np.ndarray, seed: int) -> np.ndarray:

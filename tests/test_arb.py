@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mwisim.algorithms import RunOutcome, as_inner, run_algorithm
 from mwisim.arb import arb_approx, arb_phase_count, arb_reduce
@@ -55,30 +57,31 @@ def test_arb_reduce_star():
     # center weight 100 with 5 leaves of weight 1, alpha = 1
     g = WeightedGraph(range(6), [(0, i) for i in range(1, 6)],
                       {0: 100, 1: 1, 2: 1, 3: 1, 4: 1, 5: 1})
-    low = frozenset(range(1, 6))  # degree <= 4 * alpha; the center has 5
     selected = {1, 3}
-    w2 = arb_reduce(id_weights(g), selected, low, g)
-    assert w2[0] == 100 - 2            # center loses selected leaf weights
-    assert all(w2[v] == 0 for v in range(1, 6))
-    assert [v for v in g.nodes if w2[v] > 0] == [0]  # only the center survives
+    w2 = arb_reduce(id_weights(g), selected, g)
+    assert w2 == {0: 100 - 2, 1: 0, 2: 1, 3: 0, 4: 1, 5: 1}
+    # the leaves have degree <= 4 * alpha and leave with the phase; the
+    # center, of degree 5, is the one survivor
+    low = frozenset(range(1, 6))
+    assert [v for v in g.nodes if w2[v] > 0 and v not in low] == [0]
 
 
 def test_arb_reduce_identity_when_nothing_low():
     g = generate("clique", {"n": 10}, "unit", 0)
-    assert arb_reduce(id_weights(g), set(), frozenset(), g) == id_weights(g)
+    assert arb_reduce(id_weights(g), set(), g) == id_weights(g)
 
 
 def test_arb_reduce_single_node():
     g = WeightedGraph([0], [], {0: 7})
-    assert arb_reduce(id_weights(g), {0}, frozenset({0}), g) == {0: 0}
+    assert arb_reduce(id_weights(g), {0}, g) == {0: 0}
 
 
 def test_arb_reduce_preconditions():
     g = generate("path", {"n": 4}, "unit", 0)
-    with pytest.raises(GraphError, match="inside the zeroed set"):
-        arb_reduce(id_weights(g), {0}, frozenset({1}), g)
     with pytest.raises(GraphError, match="not independent"):
-        arb_reduce(id_weights(g), {0, 1}, frozenset(g.nodes), g)
+        arb_reduce(id_weights(g), {0, 1}, g)
+    with pytest.raises(TypeError):  # the zeroed set is gone
+        arb_reduce(id_weights(g), {0}, frozenset(g.nodes), g)
 
 
 def test_phase_count():
@@ -179,23 +182,41 @@ def _random_independent(g, rng, k):
 
 def test_update_round_matches_sequential_mirror():
     rng = random.Random(0xA8E)
-    above_cap = 0
     for k in range(30):
         g = generate("gnp", {"n": rng.randint(2, 30), "p": rng.uniform(0.05, 0.5)},
                      ("uniform_range", "heavy_tail")[k % 2], derive_seed(0xA8E, k))
         selected = _random_independent(g, rng, rng.randint(0, 5))
-        if k % 3 == 0:
-            cap, zeroed = None, selected  # boosting's rule
-        else:
-            cap = rng.randint(0, 4)  # the arboricity pipeline's rule
-            zeroed = selected | {v for v in g.nodes if len(g.adj[v]) <= cap}
-            above_cap += any(len(g.adj[v]) > cap for v in selected)
-        out, stats = run(g, ResidualUpdateProgram(selected, cap),
+        out, stats = run(g, ResidualUpdateProgram(selected),
                          seed=derive_seed(0xA8F, k))
-        assert dict(zip(g.nodes, out.tolist())) == arb_reduce(id_weights(g), selected, zeroed, g)
+        assert dict(zip(g.nodes, out.tolist())) == arb_reduce(id_weights(g), selected, g)
         assert stats.rounds == 1
         assert stats.messages_sent == sum(len(g.adj[v]) for v in selected)
-    assert above_cap  # a selected node the cap alone would not zero
+
+
+def _scripted(pick):
+    """An inner algorithm that selects ``pick(g_sub)`` and costs nothing."""
+    def inner(g_sub, seed, n_upper):
+        return RunOutcome(IndependentSet(frozenset(pick(g_sub)), 0), RoundStats())
+    return inner
+
+
+def _after_one_phase(g, inner, cap, mode="congest"):
+    """One ``local_ratio`` phase of ``inner`` under ``cap``: its outcome and
+    the residual graph the phase leaves, as {id: residual} (None when no
+    phase ran)."""
+    left = []
+    induced = WeightedGraph.induced
+
+    def spy(self, keep, weights=None):
+        sub = induced(self, keep, weights)
+        if weights is not None:  # only the phase's last step sets new weights
+            left.append(sub)
+        return sub
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(WeightedGraph, "induced", spy)
+        r = local_ratio(g, inner, 1, 0, 0, mode, None, degree_cap=cap)
+    return r, (dict(zip(left[0].nodes, left[0].w.tolist())) if left else None)
 
 
 @pytest.mark.parametrize("cap", [None, 1])
@@ -206,11 +227,71 @@ def test_reduction_past_int64_min_agrees_with_the_mirror(cap):
                       {0: 1, 1: 2**62, 2: 2**62, 3: 2**62})
     selected = frozenset({1, 2, 3})
     want = [1 - 3 * 2**62, 0, 0, 0]
-    assert arb_reduce(id_weights(g), selected, selected, g) == dict(enumerate(want))
+    assert arb_reduce(id_weights(g), selected, g) == dict(enumerate(want))
     for node_order in (None, list):
-        out, _ = run(g, ResidualUpdateProgram(selected, cap), mode="local",
+        out, _ = run(g, ResidualUpdateProgram(selected), mode="local",
                      node_order=node_order)
         assert out.tolist() == want
+    # the phase drops every node, with or without the cap (the leaves)
+    r, left = _after_one_phase(g, _scripted(lambda g_sub: selected), cap, "local")
+    assert left == {} and r.diagnostics["sizes"] == [4, 0]
+    assert r.iset.members == selected
+
+
+def _check_capped_phase(g, cap, pick):
+    """A capped phase drops every node of degree <= cap in the positive
+    residual graph and leaves every other node at ``arb_reduce``'s residual,
+    if positive; the reduction is the phase's one charged round."""
+    g_pos = g.induced(g.w > 0)
+    low = frozenset(v for v in g_pos.nodes if len(g_pos.adj[v]) <= cap)
+    chosen = []
+
+    def recorded(g_sub):
+        assert frozenset(g_sub.nodes) == low
+        chosen.append(frozenset(pick(g_sub)))
+        return chosen[-1]
+
+    r, left = _after_one_phase(g, _scripted(recorded), cap)
+    if not low:
+        assert left is None and not chosen and r.stats.rounds == 0
+        return
+    (selected,) = chosen
+    w = arb_reduce(id_weights(g_pos), selected, g_pos)
+    assert left == {v: x for v, x in w.items() if x > 0 and v not in low}
+    assert not low & set(left)
+    assert r.stats.rounds == 1
+    assert r.stats.messages_sent == sum(len(g_pos.adj[v]) for v in selected)
+
+
+def test_capped_phase_drops_the_low_nodes_of_a_star():
+    g = WeightedGraph(range(6), [(0, i) for i in range(1, 6)],
+                      {0: 100, 1: 1, 2: 1, 3: 1, 4: 1, 5: 1})
+    for cap, selected in ((4, {1, 3}), (4, set()), (5, {0}), (0, set())):
+        _check_capped_phase(g, cap, lambda g_sub: selected)
+
+
+def test_capped_phase_drops_the_path_of_a_clique_and_path():
+    # K5 on 0..4, its node 4 joined to the path 5..9: nodes 0..3 have
+    # degree 4, node 4 has 5, the path's nodes 2 and its end 9 has 1
+    k, length = 5, 5
+    edges = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    edges += [(i, i + 1) for i in range(k - 1, k + length - 1)]
+    n = k + length
+    g = WeightedGraph(range(n), edges, {v: 10 + 7 * v for v in range(n)})
+    for cap, selected in ((2, {5, 7, 9}), (2, {6, 8}), (4, {0, 6, 8}),
+                          (5, {4, 6, 9}), (1, {9})):
+        _check_capped_phase(g, cap, lambda g_sub: selected)
+
+
+@given(st.integers(1, 24), st.floats(0.0, 1.0), st.integers(0, 2**32),
+       st.integers(0, 6), st.integers(0, 2**32))
+@settings(max_examples=60, deadline=None)
+def test_capped_phase_matches_the_mirror_then_the_drop(n, p, graph_seed, cap, pick_seed):
+    g = generate("gnp", {"n": n, "p": p}, ("uniform_range", "heavy_tail")[graph_seed % 2],
+                 graph_seed)
+    rng = random.Random(pick_seed)
+    _check_capped_phase(g, cap, lambda g_sub: _random_independent(
+        g_sub, rng, rng.randint(0, g_sub.n)))
 
 
 def test_arb_rounds_are_inner_rounds_plus_one_per_low_phase():
@@ -237,7 +318,8 @@ def test_arb_rounds_are_inner_rounds_plus_one_per_low_phase():
             low = frozenset(v for v in active if len(g_i.adj[v]) <= 4 * alpha)
             assert frame.members <= low
             low_phases += bool(low)
-            w = arb_reduce(w, frame.members, low, g)
+            w = arb_reduce(w, frame.members, g)
+            w.update(dict.fromkeys(low, 0))  # the low nodes leave with the phase
         assert r.diagnostics["sizes"][-1] == sum(1 for v in g.nodes if w[v] > 0)
         assert low_phases == len(inner_rounds)
         assert r.stats.rounds == sum(inner_rounds) + low_phases

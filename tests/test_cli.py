@@ -497,12 +497,12 @@ def test_reduce_rejects_non_finite_lambda(capsys):
     assert "finite" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("c", ["-5", "0.5", "nan", "inf"])
-def test_reduce_rejects_an_invalid_approximation_constant(c, capsys):
-    assert run_cli(["reduce", "--n0", "12", "--n1", "4", "--seeds", "0",
-                    "--c", c]) == 3
-    out = capsys.readouterr()
-    assert "c must be a finite number >= 1" in out.err and out.out == ""
+def test_reduce_takes_no_approximation_constant(capsys):
+    """The diagnostic radii use ``DEFAULT_C_BOOST``: ``reduce --c`` is gone."""
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["reduce", "--n0", "12", "--n1", "4", "--seeds", "0", "--c", "8"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --c 8" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("args", [
@@ -594,8 +594,7 @@ def _cli_args(paths):
     reduce = st.tuples(
         st.just(["reduce"]), _flag("--n0", range(1, 9), (-1, 0)),
         _flag("--n1", range(1, 5), (-1, 0)), _flag("--lam", ("0.5", "4"), BAD),
-        _flag("--c", ("1", "8"), BAD), _flag("--seeds", SEED_SPECS, BAD_SEED_SPECS),
-        outputs)
+        _flag("--seeds", SEED_SPECS, BAD_SEED_SPECS), outputs)
     return st.one_of(gen, run, reduce).map(lambda parts: sum(parts, []))
 
 

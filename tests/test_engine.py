@@ -247,17 +247,15 @@ def test_outputs_follow_the_executed_graphs_positions():
     subset = [29, 3, 17, 8, 0, 22, 11, 5, 14, 26]  # a proper subset, unsorted
     keep = g.mask(subset)
     h = g.induced(keep)
-    selected = frozenset({3, 22})  # both of degree 2 in h, above the cap
-    zeroed = selected | {14, 29}  # the nodes of degree 1 in h
-    assert zeroed == selected | {v for v in h.nodes if len(h.adj[v]) <= 1}
-    want = arb_reduce(dict(zip(h.nodes, h.w.tolist())), selected, zeroed, h)
-    assert [v for v in sorted(subset) if want[v] == 0] == sorted(zeroed)
+    selected = frozenset({3, 22})  # both of degree 2 in h
+    want = arb_reduce(dict(zip(h.nodes, h.w.tolist())), selected, h)
+    assert [v for v in sorted(subset) if want[v] == 0] == sorted(selected)
     for node_order in (None, list):
-        out, _ = run_on_subgraph(g, keep, ResidualUpdateProgram(selected, degree_cap=1),
+        out, _ = run_on_subgraph(g, keep, ResidualUpdateProgram(selected),
                                  node_order=node_order)
         assert out.tolist() == [want[v] for v in sorted(subset)]
         assert [i for i, r in enumerate(out) if r == 0] == [
-            sorted(subset).index(v) for v in sorted(zeroed)]
+            sorted(subset).index(v) for v in sorted(selected)]
 
 
 def test_n_upper_configurable_upward():

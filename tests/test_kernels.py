@@ -70,7 +70,7 @@ def programs(g, rng):
     return [mis.LubyProgram(), heavy.LocalStatsProgram(),
             sparsify.ProfileProgram(rng.choice([0.3, 4.0])),
             ranking.BoppanaProgram(rng.randint(1, 4)),
-            boost.ResidualUpdateProgram(selected, rng.choice([None, 0, 1, 2, 4]))]
+            boost.ResidualUpdateProgram(selected)]
 
 
 weights = st.one_of(st.integers(0, 10**6),
@@ -215,7 +215,7 @@ def test_each_kernel_states_its_rules_once():
     for stem, fn in kernels.items():
         assert "compute_sampling_profile" not in _called_names(fn), stem
     assert list(inspect.signature(sparsify.compute_sampling_profile).parameters) == [
-        "g", "lam", "n_upper"]
+        "g", "lam"]
     stats = kernels["heavy"]  # LocalStatsProgram.kernel
     assert "is_good" in _called_names(stats)
     assert not [node for node in ast.walk(stats) if isinstance(node, ast.Compare)]
@@ -474,8 +474,7 @@ def test_send_sizes_a_round_as_its_largest_message(case):
 def test_one_field_rounds_build_no_per_sender_sizes(monkeypatch):
     g = generate("gnp", {"n": 40, "p": 0.2}, "uniform_range", 5)
     selected = frozenset(g.nodes[::4])
-    programs = (mis.LubyProgram(), boost.ResidualUpdateProgram(selected),
-                boost.ResidualUpdateProgram(selected, degree_cap=8))
+    programs = (mis.LubyProgram(), boost.ResidualUpdateProgram(selected))
     want = [listed(run(g, p, mode=mode, seed=3))
             for p in programs for mode in ("congest", "local")]
 
@@ -583,7 +582,7 @@ def test_kernels_and_graph_queries_build_no_adjacency_tuples():
     selected = frozenset(compress(g.nodes, out))
     for program in (heavy.LocalStatsProgram(), sparsify.ProfileProgram(4.0),
                     ranking.BoppanaProgram(2),
-                    boost.ResidualUpdateProgram(selected, degree_cap=8)):
+                    boost.ResidualUpdateProgram(selected)):
         run(g, program, seed=1)
     keep = np.zeros(g.n, dtype=bool)
     keep[::3] = True

@@ -164,8 +164,7 @@ def test_programs_that_draw_or_change_keep_nothing():
     g = generate("gnp", {"n": 30, "p": 0.2}, "uniform_range", 4)
     selected = frozenset(g.nodes[::7])
     for program in (mis.LubyProgram(), ranking.BoppanaProgram(3),
-                    boost.ResidualUpdateProgram(selected),
-                    boost.ResidualUpdateProgram(selected, 2)):
+                    boost.ResidualUpdateProgram(selected)):
         assert not getattr(program, "seedless", False)
         run(g, program)
     assert g._runs is None

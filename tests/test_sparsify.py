@@ -95,8 +95,10 @@ def _profile_corpus():
 def test_profile_equals_reference():
     for g in _profile_corpus():
         assert compute_sampling_profile(g, 4.0).tolist() == _reference_profile(g, 4.0)
-        assert (compute_sampling_profile(g, 0.3, n_upper=1000).tolist()
-                == _reference_profile(g, 0.3, 1000))
+        # a raised n_upper reaches the profile through the program only
+        for node_order in (None, list):
+            out, _ = run(g, ProfileProgram(0.3), n_upper=1000, node_order=node_order)
+            assert out.tolist() == _reference_profile(g, 0.3, 1000)
 
 
 def test_clamp_and_range():
