@@ -3,12 +3,14 @@
 Each phase runs an inner algorithm on (part of) the subgraph induced by
 nodes with positive residual weight, pushes the selected nodes with their
 residual weights onto a stack, and reduces weights in the closed
-neighborhoods of selected nodes. The pop stage walks the stack
+neighborhoods of selected nodes. The stack lists its frames, each set's ids
+and pushed residuals as arrays, in push order; the pop stage walks it
 newest-first and keeps every node without a kept neighbor.
 
-``local_ratio`` is the one phase loop. ``boost`` runs t = ceil(c/eps)
-phases of an inner algorithm whose set weighs at least a 1/(c*Delta)
-fraction of the remaining positive weight; the arboricity pipeline
+``local_ratio`` is the one phase loop, and it ends once the residual graph
+empties, so a stack's length is the phases run. ``boost`` runs at most
+t = ceil(c/eps) phases of an inner algorithm whose set weighs at least a
+1/(c*Delta) fraction of the remaining positive weight; the arboricity pipeline
 (``arb.arb_approx``) runs it with a degree cap: the inner algorithm sees
 only the nodes of degree at most the cap, and they leave with the phase.
 The *stack property* — the popped set's original weight dominates the
@@ -20,12 +22,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .engine import Net, NodeContext, RoundStats, RunOutcome, StepResult, run
-from .graphs import GraphError, IndependentSet, WeightedGraph, check_real
+from .graphs import GraphError, IndependentSet, WeightedGraph, _read_only, check_real
 from .mis import greedy_mis
 from .rng import derive_seed
 from .wire import Message
@@ -42,25 +44,27 @@ class BoostPhaseError(GraphError):
         self.phase = phase
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PhaseFrame:
-    """One stack frame: the phase's independent set, as the keys of its
-    residual weights."""
+    """Frame k of a stack (phase k + 1): the set's ids, ascending, and the
+    residual each pushed, as read-only int64 arrays. Compared by identity."""
 
-    phase: int
-    pushed_weights: dict[int, int]
+    ids: np.ndarray
+    pushed: np.ndarray
 
     def __post_init__(self):
-        for v, w in self.pushed_weights.items():
+        for name in ("ids", "pushed"):  # int64 arrays of the frame's own
+            object.__setattr__(self, name, _read_only(np.array(getattr(self, name), np.int64))[0])
+        for v, w in zip(self.ids.tolist(), self.pushed.tolist()):
             if w <= 0:
                 raise GraphError(f"pushed weight of node {v} is {w}, must be > 0")
 
     @property
     def members(self) -> frozenset[int]:
-        return frozenset(self.pushed_weights)
+        return frozenset(self.ids.tolist())
 
     def pushed_total(self) -> int:
-        return sum(self.pushed_weights.values())
+        return sum(self.pushed.tolist())
 
 
 # An inner algorithm receives the subgraph it may select from (its weights
@@ -119,10 +123,9 @@ class ResidualUpdateProgram:
         return out
 
 
-def pop_stack(g: WeightedGraph, frames: Iterable[PhaseFrame]) -> IndependentSet:
-    """Second stage: the greedy scan over the frames' members, newest first."""
-    newest_first = sorted(frames, key=lambda f: f.phase, reverse=True)
-    return greedy_mis(g, [v for f in newest_first for v in sorted(f.members)])
+def pop_stack(g: WeightedGraph, frames: Sequence[PhaseFrame]) -> IndependentSet:
+    """Second stage: the greedy scan over the stack's members, newest first."""
+    return greedy_mis(g, [v for f in reversed(frames) for v in f.ids.tolist()])
 
 
 def check_stack_property(iset: IndependentSet, frames: Iterable[PhaseFrame]) -> bool:
@@ -139,7 +142,7 @@ def phase_count(c: float, eps: float, alg: str = "boost") -> int:
 def local_ratio(g: WeightedGraph, inner: Inner, phases: int, salt: int,
                 seed: int, mode: str, n_upper: int | None,
                 degree_cap: int | None = None) -> RunOutcome:
-    """``phases`` push phases of ``inner``, then the greedy pop stage.
+    """At most ``phases`` push phases of ``inner``, then the greedy pop stage.
 
     The loop's only state is the residual graph ``g_i``: the subgraph of
     ``g`` induced by the nodes of positive residual weight, carrying those
@@ -152,8 +155,9 @@ def local_ratio(g: WeightedGraph, inner: Inner, phases: int, salt: int,
     exact: residuals never rise, so a node that leaves never returns, and an
     induced subgraph of ``g_i`` is the induced subgraph of ``g`` on the same
     nodes. A phase whose inner algorithm would see no node leaves ``g_i``
-    as it is, so the loop ends there: the stack holds a frame for each
-    phase that ran, and ``phases`` stays the budget.
+    as it is, so the loop ends there, at the latest when ``g_i`` empties:
+    the stack holds a frame for each phase that ran, in push order, read off
+    the mask ``run_inner`` checked, and ``phases`` is the budget.
     A ``GraphError`` from a phase's inner run or its check (``run_inner``)
     is re-raised as ``BoostPhaseError`` naming the phase.
 
@@ -180,15 +184,11 @@ def local_ratio(g: WeightedGraph, inner: Inner, phases: int, salt: int,
             res, inside = run_inner(inner, g_in, derive_seed(seed, salt + i), n_upper)
         except GraphError as e:
             raise BoostPhaseError(i, str(e)) from e
-        members = res.iset.members
         stats = stats.merge(res.stats)
         inner_rounds_max = max(inner_rounds_max, res.stats.rounds)
-        if g_in is not g_i:
-            inside = g_i.mask(members)
-        pushed = g_i.w[inside].tolist()  # by position: ascending ids
-        frames.append(PhaseFrame(i, dict(zip(sorted(members), pushed))))
+        frames.append(PhaseFrame(g_in._ids[inside], g_in.w[inside]))
 
-        upd_out, upd_stats = run(g_i, ResidualUpdateProgram(members),
+        upd_out, upd_stats = run(g_i, ResidualUpdateProgram(res.iset.members),
                                  mode=mode, seed=derive_seed(seed, 0x0DD + i),
                                  n_upper=n_upper)
         stats = stats.merge(upd_stats)
@@ -208,7 +208,7 @@ def local_ratio(g: WeightedGraph, inner: Inner, phases: int, salt: int,
 def boost(g: WeightedGraph, inner: Inner, eps: float,
           c: float = DEFAULT_C_BOOST, seed: int = 0, mode: str = "congest",
           n_upper: int | None = None) -> RunOutcome:
-    """t = ceil(c/eps) push phases of ``inner``, then the greedy pop stage.
+    """At most t = ceil(c/eps) push phases of ``inner``, then the greedy pop stage.
 
     ``c`` must bound the inner algorithm's fraction guarantee (the good-node
     algorithm has 4*(Delta+1)/Delta <= 8). Each phase costs the inner

@@ -295,9 +295,9 @@ def make_record(g: WeightedGraph, source: GraphSource, alg_name: str,
     }
     if dump_stack and outcome.stack is not None:
         record["diagnostics"]["stack"] = [
-            {"phase": f.phase, "members": sorted(f.members),
-             "pushed_weights": {str(v): w for v, w in sorted(f.pushed_weights.items())}}
-            for f in outcome.stack
+            {"phase": k, "members": f.ids.tolist(),
+             "pushed_weights": dict(zip(map(str, f.ids.tolist()), f.pushed.tolist()))}
+            for k, f in enumerate(outcome.stack, 1)
         ]
     if oracle:
         try:

@@ -20,11 +20,11 @@ import numpy as np
 
 from .algorithms import as_inner, run_algorithm
 from .arb import arb_phase_count
-from .boost import check_stack_property, phase_count
+from .boost import PhaseFrame, check_stack_property, phase_count
 from .cliquecycle import rand_mis
 from .engine import RoundStats, run
 from .graphs import (WeightedGraph, brute_force_max_is, degeneracy, generate,
-                     random_tree)
+                     neighbor_reduce, random_tree)
 from .heavy import heavy_mis_approx
 from .mis import LubyProgram, mis_violation
 from .ranking import boppana_once, check_perm_equivalence
@@ -234,7 +234,7 @@ def _c3_boost(tally: _Tally, quick: bool) -> tuple[bool, str]:
             if (1 + eps) * (delta + 1) * w < g.total_weight():
                 bad.append(f"fraction graph#{i} eps={eps}")
             # covering fact: every pushed node sees the final set next door
-            pushed = g.mask(v for f in r.stack for v in f.members)
+            pushed = np.isin(g._ids, np.concatenate([f.ids for f in r.stack]))
             violation = mis_violation(g, pushed, g.mask(r.iset.members))
             if violation:
                 bad.append(f"cover graph#{i} eps={eps}: {violation}")
@@ -320,6 +320,28 @@ def _c7_ranking_size(tally: _Tally, quick: bool) -> tuple[bool, str]:
                 f"(need {need}), {regime_bad} out of the low-degree regime")
 
 
+def _replayed_sizes(g: WeightedGraph, stack: tuple[PhaseFrame, ...],
+                    cap: int) -> list[int] | None:
+    """An ``arb`` run's ``sizes``, replayed from its stack over all of ``g``
+    in exact integers: each frame's reduction, then the drop of the nodes of
+    residual degree at most ``cap``. None if a frame's nodes did not push
+    their residuals. It reads the CSR, as every check does, not ``adj``."""
+    w = np.maximum(g.w, 0).astype(object)  # residuals by position, 0 once gone
+    sizes = [int(np.count_nonzero(w))]
+    for f in stack:
+        at = g._ids.searchsorted(f.ids)
+        if w[at].tolist() != f.pushed.tolist():
+            return None
+        low = neighbor_reduce(g, np.add, (w > 0).astype(np.int64)) <= cap
+        chosen = np.zeros(g.n, dtype=object)
+        chosen[at] = w[at]
+        w = w - neighbor_reduce(g, np.add, chosen)
+        w[at] = 0
+        w[(w < 0) | low] = 0
+        sizes.append(int(np.count_nonzero(w)))
+    return sizes
+
+
 def _c8_arb(tally: _Tally, quick: bool) -> tuple[bool, str]:
     count = 30 if quick else 300
     corpus = mixed_corpus(count, 4, 24, master=0xAC08, low_degeneracy=True)
@@ -343,9 +365,12 @@ def _c8_arb(tally: _Tally, quick: bool) -> tuple[bool, str]:
                 break
         if r.diagnostics["phases"] != arb_phase_count(g.n):
             bad.append(f"phase count graph#{i}")
+        replayed = _replayed_sizes(g, r.stack, 4 * alpha)
+        if replayed is None or replayed != sizes[:len(replayed)]:
+            bad.append(f"stack replay graph#{i}")
     return not bad, (f"{count} runs (alpha = degeneracy): "
                      + (f"{len(bad)} violations, first: {bad[0]}" if bad
-                        else "ratio, halving, and emptiness all hold"))
+                        else "ratio, halving, emptiness and the stack replay all hold"))
 
 
 def _c9_reduction(quick: bool) -> tuple[bool, str]:

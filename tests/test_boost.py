@@ -1,14 +1,16 @@
 import json
 import random
+import sys
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from mwisim.algorithms import RunOutcome, as_inner, run_algorithm
 from mwisim.arb import arb_approx, arb_reduce
-from mwisim.boost import (BoostPhaseError, PhaseFrame, boost,
-                          check_stack_property, phase_count, pop_stack)
+from mwisim.boost import (BoostPhaseError, PhaseFrame, boost, check_stack_property,
+                          local_ratio, phase_count, pop_stack)
 from mwisim.cli import main
 from mwisim.engine import RoundStats
 from mwisim.graphs import (INT64_MAX, GraphError, IndependentSet, WeightedGraph,
@@ -27,6 +29,12 @@ def weighted_path(weights):
 def id_weights(g):
     """``g``'s weights keyed by node id, for the id-keyed reference code."""
     return dict(zip(g.nodes, g.w.tolist()))
+
+
+def stack_arrays(stack):
+    """A stack as its frames' ``(ids, pushed)`` lists: frames compare by
+    identity, so stacks are compared through this, value for value."""
+    return None if stack is None else [(f.ids.tolist(), f.pushed.tolist()) for f in stack]
 
 
 # ------------------------------------------------------------ weight reduction
@@ -87,7 +95,8 @@ def test_negative_residual_past_int64_only_drops_its_node(alg, mode):
     assert type(out.iset.weight) is int
     assert (1 + eps) * g.max_degree * out.iset.weight >= brute_force_max_is(g).weight
     assert check_stack_property(out.iset, out.stack)
-    assert [f.pushed_weights for f in out.stack] == [dict.fromkeys(range(0, 9, 2), INT64_MAX)]
+    assert stack_arrays(out.stack) == [(list(range(0, 9, 2)), [INT64_MAX] * 5)]
+    assert out.stack[0].pushed_total() == 5 * INT64_MAX  # exact past int64
 
 
 @pytest.mark.parametrize("alg", ["boost-heavy", "arb"])
@@ -104,28 +113,32 @@ def test_negative_residual_past_int64_exits_0_from_the_cli(alg, tmp_path, capsys
 
 def test_phase_frame_requires_positive_weights():
     with pytest.raises(GraphError, match="^pushed weight of node 0 is 0, must be > 0$"):
-        PhaseFrame(1, {0: 0})
+        PhaseFrame([0], [0])
     with pytest.raises(GraphError, match="^pushed weight of node 4 is -1, must be > 0$"):
-        PhaseFrame(1, {2: 5, 4: -1})
+        PhaseFrame([2, 4], [5, -1])
 
 
 def test_phase_frame_members_are_its_pushed_nodes():
-    frame = PhaseFrame(3, {9: 7, 2: 4, 5: 1})
+    frame = PhaseFrame([2, 5, 9], [4, 1, 7])
     assert frame.members == frozenset({2, 5, 9})
     assert frame.pushed_total() == 12
-    assert PhaseFrame(1, {}).members == frozenset()
-    # a run's frames: each member pushed its residual, and nothing else was
+    assert PhaseFrame([], []).members == frozenset()
+    for a in (frame.ids, frame.pushed):
+        assert a.dtype == np.int64 and not a.flags.writeable
+    # a run's frames: each member pushed its residual, ids ascending, and the
+    # first frame pushed original weights
     g = generate("gnp", {"n": 30, "p": 0.2}, "heavy_tail", 4)
     r = run_algorithm(g, "boost-heavy", {"eps": 0.5}, seed=2)
-    assert r.stack and all(f.members for f in r.stack)
+    assert len(r.stack) >= 2 and all(f.members for f in r.stack)
     for f in r.stack:
-        assert f.members == frozenset(f.pushed_weights)
-        assert sorted(f.members) == list(f.pushed_weights)
+        assert f.ids.tolist() == sorted(f.members) and f.pushed.size == f.ids.size
+    first = r.stack[0]
+    assert first.pushed.tolist() == [id_weights(g)[v] for v in first.ids.tolist()]
 
 
 def test_stack_property_examples():
     g = weighted_path([2, 3, 3, 2])
-    frames = (PhaseFrame(1, {1: 3}), PhaseFrame(2, {3: 2}))
+    frames = (PhaseFrame([1], [3]), PhaseFrame([3], [2]))
     iset = pop_stack(g, frames)
     assert iset.members == frozenset({1, 3})
     assert iset.weight == 5
@@ -138,8 +151,8 @@ def test_stack_property_examples():
 
 def test_pop_is_newest_first():
     g = weighted_path([1, 1, 1])
-    frames = (PhaseFrame(1, {1: 1}), PhaseFrame(2, {0: 1, 2: 1}))
-    # frame 2 pops first, so node 1 is blocked
+    frames = (PhaseFrame([1], [1]), PhaseFrame([0, 2], [1, 1]))
+    # the second frame pops first, so node 1 is blocked
     assert pop_stack(g, frames).members == frozenset({0, 2})
 
 
@@ -166,10 +179,38 @@ def test_boost_scripted_trace():
     assert r.phases == 16
     assert r.iset.members == frozenset({1, 3})
     assert r.iset.weight == 5
-    assert [f.pushed_weights for f in r.stack[:2]] == [{1: 3}, {3: 2}]
+    assert stack_arrays(r.stack) == [([1], [3]), ([3], [2])]
     assert check_stack_property(r.iset, r.stack)
     # phase 2 ran on the filtered graph: only node 3 had positive residual
     assert inner.calls == 2  # later phases saw no positive nodes
+
+
+def test_a_capped_phase_maps_ids_to_a_mask_once(monkeypatch):
+    # star: centre 0 (degree 4) and leaves 1-4; the cap of 1 binds in phase
+    # 1, which sees only the leaves, and drops the two it did not select
+    g = WeightedGraph(range(5), [(0, v) for v in range(1, 5)], {0: 10, 1: 1, 2: 2, 3: 3, 4: 4})
+    script = iter([{1, 2}, {0}])
+
+    def inner(g_sub, seed, n_upper):  # scripted, without a mask of its own
+        members = frozenset(next(script))
+        weights = dict(zip(g_sub.nodes, g_sub.w.tolist()))
+        return RunOutcome(IndependentSet(members, sum(weights[v] for v in members)),
+                          RoundStats([0]))
+
+    callers = []
+    mask = WeightedGraph.mask
+
+    def spy(self, ids):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return mask(self, ids)
+
+    monkeypatch.setattr(WeightedGraph, "mask", spy)
+    r = local_ratio(g, inner, 5, 0, 0, "congest", None, degree_cap=1)
+    # run_inner's check is a phase's one id-to-mask conversion, capped or not
+    assert callers == ["run_inner", "run_inner"]
+    assert r.diagnostics["sizes"] == [5, 1, 0]
+    assert stack_arrays(r.stack) == [([1, 2], [1, 2]), ([0], [7])]
+    assert r.iset.members == frozenset({0}) and check_stack_property(r.iset, r.stack)
 
 
 def test_boost_edgeless_takes_everything_in_phase_one():
@@ -225,13 +266,14 @@ def test_boost_stops_when_nothing_is_left():
     r = run_algorithm(g, "boost-heavy", {"eps": 1e-9}, 0)
     assert time.perf_counter() - start < 1.0
     assert r.diagnostics["phases"] == phase_count(8.0, 1e-9)
-    # a frame per phase that pushed nodes, and none after
-    assert [f.phase for f in r.stack] == list(range(1, len(r.stack) + 1))
-    assert all(f.members for f in r.stack)
+    # a frame per phase that ran, each pushing nodes, and none after: the
+    # stack's length is the phases run, well under the budget
+    assert 1 <= len(r.stack) <= 8 and all(f.members for f in r.stack)
     # phase seeds do not depend on eps: the 8 phases of eps = 1 empty the
     # graph too, and they are the same phases
     short = run_algorithm(g, "boost-heavy", {"eps": 1.0}, 0)
-    assert (short.iset, short.stats, short.stack) == (r.iset, r.stats, r.stack)
+    assert (short.iset, short.stats, stack_arrays(short.stack)) == (
+        r.iset, r.stats, stack_arrays(r.stack))
 
 
 def test_boost_rejects_bad_parameters():

@@ -345,7 +345,8 @@ def test_dump_stack_flag(capsys):
     assert all(set(f) == {"phase", "members", "pushed_weights"} for f in stack)
 
 
-# sha256 of each record's diagnostics.stack (JSON, sorted keys), seeds 0 and 1
+# sha256 of each record's diagnostics.stack (JSON, sorted keys), seeds 0 and 1,
+# with --alpha 3 unless the key sets it
 STACK_DIGESTS = {
     "boost-heavy": ("0c9ec0d3f1549ac85273c66b481926f7aced69380ec75afe2ee709953acaf5c8",
                     "0c9ec0d3f1549ac85273c66b481926f7aced69380ec75afe2ee709953acaf5c8"),
@@ -355,19 +356,25 @@ STACK_DIGESTS = {
                "adbc58f77de0fa105f9a5b4c35ade355251cd19d0a3826d71214a643d01d84d2"),
     "arb": ("d13e0c1bcf76106adcbdaa5375f142cdcb34e8954747840be59b2f5d43bfe11d",
             "8a21a1c1f295fce289a575a946bfc4c6e5158192626d5e6a8e7a69050fe5fd3b"),
+    # the degree cap 4 binds: phase 1 sees 11 of the 24 nodes
+    "arb --alpha 1": ("b6613c9009a1768c71f814ce17a6cecb4cb63dc513df02c8c15412f4161c9de5",
+                      "88214dfec96935f48b198d1b59ad1682e937953b999504d1164550243cf42644"),
 }
 
 
-@pytest.mark.parametrize("alg", sorted(STACK_DIGESTS))
-def test_dump_stack_is_pinned(alg, capsys):
+@pytest.mark.parametrize("case", sorted(STACK_DIGESTS))
+def test_dump_stack_is_pinned(case, capsys):
+    alg, *flags = case.split()
     assert run_cli(["run", "--family", "gnp", "--n", "24", "--p", "0.2",
                     "--weights", "heavy_tail", "--graph-seed", "2", "--alg", alg,
-                    "--alpha", "3", "--eps", "0.5", "--seeds", "0:2",
+                    *(flags or ["--alpha", "3"]), "--eps", "0.5", "--seeds", "0:2",
                     "--dump-stack"]) == 0
-    stacks = [json.loads(line)["diagnostics"]["stack"]
-              for line in capsys.readouterr().out.splitlines()]
-    assert tuple(hashlib.sha256(json.dumps(s, sort_keys=True).encode()).hexdigest()
-                 for s in stacks) == STACK_DIGESTS[alg]
+    diagnostics = [json.loads(line)["diagnostics"]
+                   for line in capsys.readouterr().out.splitlines()]
+    assert tuple(hashlib.sha256(json.dumps(d["stack"], sort_keys=True).encode()).hexdigest()
+                 for d in diagnostics) == STACK_DIGESTS[case]
+    if flags:
+        assert all(d["sizes"][:3] == [24, 3, 0] for d in diagnostics)
 
 
 def test_directory_paths_are_usage_errors(tmp_path, capsys):

@@ -34,6 +34,7 @@ from mwisim.graphs import (INT64_MAX, WEIGHT_MODELS, IndependentSet, WeightedGra
                            generate, load, neighbor_reduce, save)
 from mwisim.records import GraphSource, make_record, replay, same_outcome, to_jsonl
 from mwisim.wire import Message, WireError, check_fields, message_sizes
+from test_boost import stack_arrays
 from test_golden import GRAPHS
 
 PROGRAM_CLASSES = (mis.LubyProgram, heavy.LocalStatsProgram,
@@ -116,6 +117,11 @@ def interpreted():
             cls.kernel = kernel
 
 
+def _comparable(o):
+    """A run's outcome with its stack as arrays, so two runs compare by value."""
+    return o.iset, o.stats, o.diagnostics, stack_arrays(o.stack)
+
+
 def _algorithm_runs(graphs, modes=("congest", "local")):
     out = []
     for g in graphs:
@@ -123,8 +129,7 @@ def _algorithm_runs(graphs, modes=("congest", "local")):
             for alg in ALGORITHMS:
                 r = outcome(lambda: run_algorithm(g, alg, PARAMS, seed=7, mode=mode))
                 if r[0] == "ok":
-                    o = r[1]
-                    r = ("ok", o.iset, o.stats, o.diagnostics, o.stack)
+                    r = ("ok", *_comparable(r[1]))
                 out.append((alg, mode, r))
     return out
 
@@ -268,11 +273,11 @@ def test_63_bit_weights(n, p, graph_seed, ws, seed):
         assert iset.weight == sum(ws[v] for v in iset.members)  # id v is position v
         assert type(iset.weight) is int
         if mode == "local" and stack is not None:
-            total = sum(f.pushed_total() for f in stack)
-            assert total == sum(w for f in stack for w in f.pushed_weights.values())
+            total = sum(sum(pushed) for _, pushed in stack)
             assert type(total) is int and iset.weight >= total
             # phase 1 pushes original weights
-            assert stack[0].pushed_weights == {v: ws[v] for v in stack[0].members}
+            ids, pushed = stack[0]
+            assert pushed == [ws[v] for v in ids]
     # no run is refused in LOCAL mode: a residual past int64 is negative and
     # only drops its node, and the sampler's weighted degree travels as limbs
     assert all(kind == "ok" for alg, mode, (kind, *_) in kernels if mode == "local")
@@ -502,11 +507,11 @@ def test_kernels_build_no_message(monkeypatch):
                  for alg in ("boppana", "fastld") for mode in ("congest", "local")]
         sums = [run_algorithm(star, alg, PARAMS, seed=0, mode="local")
                 for alg in ("sparse", "boost-sparse")]
-        return _algorithm_runs([c10]), ranks + sums
+        return _algorithm_runs([c10]), [_comparable(o) for o in ranks + sums]
 
     want = runs(*graphs())
     assert all(r[0] == "ok" for _, _, r in want[0])
-    assert want[1][0].stats.max_message_bits == 124
+    assert want[1][0][1].max_message_bits == 124
     bad = [np.array([1, -1, 2]), np.array([1, 2**63, 2], dtype=object)]
     texts = []
     for f in bad:

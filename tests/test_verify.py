@@ -4,7 +4,9 @@ from dataclasses import replace
 
 from mwisim import verify
 from mwisim.algorithms import run_algorithm
+from mwisim.boost import PhaseFrame
 from mwisim.graphs import IndependentSet, WeightedGraph, generate
+from mwisim.rng import derive_seed
 from mwisim.verify import (_connected, _tree_certificate, all_trees_upto,
                            mixed_corpus)
 from test_mis import family_corpus, scattered
@@ -74,6 +76,20 @@ def test_c3_counts_one_cover_violation_per_run(monkeypatch):
     assert detail.startswith("168 boost runs vs oracle: 168 violations, first: "
                              "cover graph#0 eps=1/4: node ")
     assert detail.endswith(" is neither in the set nor adjacent to it")
+
+
+def test_c8_replay_sees_the_drop_of_the_low_nodes():
+    """On C8's graph #15 (alpha = 1), two low nodes outside phase 1's set
+    keep a positive residual: the replay gives the run's sizes only with
+    their drop, and refuses a frame whose nodes did not push their residuals."""
+    g = mixed_corpus(30, 4, 24, master=0xAC08, low_degeneracy=True)[15]
+    r = run_algorithm(g, "arb", {"alpha": 1, "eps": 0.5}, seed=derive_seed(0xA4B, 15))
+    sizes = r.diagnostics["sizes"][:len(r.stack) + 1]
+    assert sizes == [14, 0]
+    assert verify._replayed_sizes(g, r.stack, 4) == sizes
+    assert verify._replayed_sizes(g, r.stack, -1) == [14, 2]  # nothing dropped
+    first = r.stack[0]
+    assert verify._replayed_sizes(g, (PhaseFrame(first.ids, first.pushed + 1),), 4) is None
 
 
 def test_mixed_corpus_deterministic_and_flagged():
