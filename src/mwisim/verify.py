@@ -234,7 +234,7 @@ def _c3_boost(tally: _Tally, quick: bool) -> tuple[bool, str]:
             if (1 + eps) * (delta + 1) * w < g.total_weight():
                 bad.append(f"fraction graph#{i} eps={eps}")
             # covering fact: every pushed node sees the final set next door
-            pushed = np.isin(g._ids, np.concatenate([f.ids for f in r.stack]))
+            pushed = g.mask(np.concatenate([f.ids for f in r.stack]).tolist())
             violation = mis_violation(g, pushed, g.mask(r.iset.members))
             if violation:
                 bad.append(f"cover graph#{i} eps={eps}: {violation}")
