@@ -126,7 +126,23 @@ def cmd_run(args) -> int:
     _emit(rec.to_jsonl(out_records), args.output)
     if args.csv:
         Path(args.csv).write_text(rec.to_csv(out_records), encoding="utf-8")
+    if args.alg == "arb":
+        for r in out_records:
+            _warn_if_arb_left_nodes(r)
     return EXIT_OK
+
+
+def _warn_if_arb_left_nodes(record: dict) -> None:
+    """An ``arb`` run whose phases end with nodes left never offered them
+    to the inner algorithm: alpha is below the input's arboricity, the set
+    need not be maximal, and the record's bound does not hold."""
+    left = record["diagnostics"]["sizes"][-1]
+    if left:
+        alpha = record["algorithm"]["alpha"]
+        print(f"warning: arb seed {record['seed']}: {left} of {record['n']} nodes were "
+              f"never offered to the inner algorithm, since alpha {alpha} is below the "
+              f"graph's arboricity (its degeneracy is {record['degeneracy']}); the "
+              f"8(1+eps)*alpha bound does not apply to this record", file=sys.stderr)
 
 
 def cmd_verify(args) -> int:

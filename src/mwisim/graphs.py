@@ -489,9 +489,48 @@ def _gnp_block(left: float, p: float) -> int:
     return int(left + 6 * math.sqrt(left * (1 - p))) + 64
 
 
+GAP_PIECE = 1 << 14  # gaps converted from one float64 buffer at a time
+GAP_CAP = 1 << 62  # past the last slot of any graph the ceiling admits
+
+
+def _gnp_gaps(gen: np.random.Generator, p: float, size: int) -> np.ndarray:
+    """``size`` gaps of the G(n, p) scan as int64: ``gen.geometric(p, size)``
+    bit for bit, save that a gap past ``GAP_CAP`` reads ``GAP_CAP``.
+
+    Below 1/3, numpy draws a geometric by inversion, ``ceil(E / -log1p(-p))``
+    with E from ``gen.standard_exponential``, one exponential per gap and
+    with no further state; this applies that rule in array steps, piece by
+    piece, so that no block-sized float64 array is live. Each step rounds
+    as numpy's C loop does: the quotient and ``ceil`` are exact IEEE
+    operations, ``math.log1p`` calls the C library's ``log1p`` as numpy
+    does, and capping before ``ceil`` equals capping after it, since the
+    cap is an integer. From 1/3 up numpy searches the cumulative sums
+    instead, so those gaps are ``gen.geometric``'s own draws."""
+    if p >= 1 / 3:
+        return gen.geometric(p, size)
+    out = np.empty(size, dtype=np.int64)
+    buf = np.empty(min(size, GAP_PIECE))
+    scale = -math.log1p(-p)
+    with np.errstate(over="ignore"):  # E / scale is inf for a subnormal p
+        for start in range(0, size, GAP_PIECE):
+            piece = out[start:start + GAP_PIECE]
+            # draws split across calls are the same stream as one call's
+            e = gen.standard_exponential(out=buf[:piece.size])
+            np.divide(e, scale, out=e)
+            np.minimum(e, GAP_CAP, out=e)
+            np.ceil(e, out=piece, casting="unsafe")
+    return out
+
+
 def _gnp_edges(n: int, p: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """G(n, p) endpoint arrays, of ``_position_dtype(n)``, via geometric
-    skipping over the n(n-1)/2 slots."""
+    skipping over the n(n-1)/2 slots.
+
+    The gaps between edge slots come from ``_gnp_gaps`` on one PCG64
+    ``Generator``, in blocks sized by ``_gnp_block``. The graphs therefore
+    rest on numpy keeping PCG64's stream (NEP 19), ``standard_exponential``'s
+    ziggurat for p below 1/3 and ``geometric``'s search from 1/3 up; the
+    sha256 pins in ``tests/test_graphs.py`` check each path."""
     if p <= 0.0 or n < 2:
         none = np.zeros(0, dtype=_position_dtype(n))
         return none, none
@@ -504,7 +543,7 @@ def _gnp_edges(n: int, p: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
     while pos < total:
         # draws split across calls are the same stream as one call's, so the
         # block size never changes the edges
-        block = gen.geometric(p, size=_gnp_block((total - pos) * p, p))
+        block = _gnp_gaps(gen, p, _gnp_block((total - pos) * p, p))
         # a gap past the last slot ends the scan either way; clipping it keeps
         # the running sum inside int64 when p is tiny
         np.cumsum(np.minimum(block, total + 1, out=block), out=block)

@@ -549,6 +549,29 @@ def test_arb_without_alpha_points_to_the_records_degeneracy(capsys):
     assert "--alpha" in err and "degeneracy" in err and "mwisim gen" not in err
 
 
+ARB_BELOW_ARBORICITY = ["run", "--family", "gnp", "--n", "200", "--p", "0.05",
+                        "--weights", "uniform_range", "--graph-seed", "0", "--alg", "arb",
+                        "--eps", "0.5", "--seeds", "0:3"]
+
+
+def test_arb_warns_when_alpha_leaves_nodes_never_offered(capsys):
+    assert run_cli([*ARB_BELOW_ARBORICITY, "--alpha", "1"]) == 0
+    out, err = capsys.readouterr()
+    records = [json.loads(line) for line in out.splitlines()]
+    assert len(records) == 3 and len(err.splitlines()) == 3
+    for r, line in zip(records, err.splitlines()):
+        left = r["diagnostics"]["sizes"][-1]
+        assert left > 0
+        assert line.startswith(f"warning: arb seed {r['seed']}: {left} of 200 nodes ")
+        assert "alpha 1 " in line and f"degeneracy is {r['degeneracy']}" in line
+        assert "8(1+eps)*alpha bound does not apply" in line
+    # the degeneracy is never below the arboricity, so it leaves no node out
+    assert run_cli([*ARB_BELOW_ARBORICITY, "--alpha", str(records[0]["degeneracy"])]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and all(json.loads(line)["diagnostics"]["sizes"][-1] == 0
+                             for line in out.splitlines())
+
+
 @pytest.mark.parametrize("base", ["two", "natural"])
 def test_run_has_no_log_base_flag(base, capsys):
     # the sampler's scale is lam * log2 n; a natural-log lam is lam * ln 2

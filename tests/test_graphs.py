@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mwisim import graphs
-from mwisim.graphs import (BUILD_CEILING_BYTES, HEAVY_TAIL_CAP, INT32_MAX, INT64_MAX,
+from mwisim.graphs import (BUILD_CEILING_BYTES, GAP_CAP, HEAVY_TAIL_CAP, INT32_MAX, INT64_MAX,
                            UNIFORM_RANGE_MAX, BruteForceCapError, GraphError,
                            GraphParseError, IndependentSet, WeightedGraph,
                            _clique_cycle_edges, _clique_edges, _csr_of_keys, _draw_weights,
@@ -287,6 +287,50 @@ def test_geometric_draws_split_across_calls_are_one_stream(p):
     a, b = gen(), gen()
     split = np.concatenate((a.geometric(p, size=337), a.geometric(p, size=663)))
     assert np.array_equal(split, b.geometric(p, size=1000))
+    # and why _gnp_gaps may convert its exponentials piece by piece into one buffer
+    a, b = gen(), gen()
+    split = np.empty(1000)
+    a.standard_exponential(out=split[:337])
+    a.standard_exponential(out=split[337:])
+    assert np.array_equal(split, b.standard_exponential(size=1000))
+
+
+def _gen(seed):
+    return np.random.Generator(np.random.PCG64(seed))
+
+
+def _inversion(gen, p, size):
+    # numpy's geometric below 1/3, one scalar at a time in Python floats
+    z = [gen.standard_exponential() / -math.log1p(-p) for _ in range(size)]
+    return np.array([GAP_CAP if x >= GAP_CAP else math.ceil(x) for x in z], dtype=np.int64)
+
+
+@settings(max_examples=150, deadline=None)
+@given(p=st.floats(0.0, 1 / 3, exclude_min=True, exclude_max=True),
+       seed=st.integers(0, 2**64 - 1), size=st.integers(0, 3000),
+       piece=st.integers(1, 4000))
+@example(p=math.nextafter(1 / 3, 0), seed=1, size=3000, piece=512)
+@example(p=5e-324, seed=2, size=700, piece=64)
+@example(p=1e-300, seed=3, size=70, piece=1)
+def test_bulk_gaps_equal_numpys_geometric_below_a_third(p, seed, size, piece):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graphs, "GAP_PIECE", piece)
+        gaps = graphs._gnp_gaps(_gen(seed), p, size)
+    assert gaps.dtype == np.int64 and gaps.shape == (size,)
+    # numpy reads a draw past 2^63 as INT64_MAX; every gap past GAP_CAP ends the scan
+    assert np.array_equal(gaps, np.minimum(_gen(seed).geometric(p, size), GAP_CAP))
+    if size <= 100:
+        assert np.array_equal(gaps, _inversion(_gen(seed), p, size))
+
+
+def test_gaps_at_a_third_are_numpys_search():
+    # from 1/3 up numpy's geometric searches, and inversion would draw other gaps
+    for p in (1 / 3, 0.5):
+        gaps = graphs._gnp_gaps(_gen(9), p, 1000)
+        assert np.array_equal(gaps, _gen(9).geometric(p, 1000))
+        assert not np.array_equal(gaps, _inversion(_gen(9), p, 1000))
+    below = math.nextafter(1 / 3, 0)
+    assert np.array_equal(graphs._gnp_gaps(_gen(9), below, 1000), _inversion(_gen(9), below, 1000))
 
 
 def test_gnp_edges_valid():
@@ -606,6 +650,38 @@ def test_large_gnp_graphs_are_pinned(params, model, seed, digests):
     if params["n"] == 4096:
         # ids past the small-int cache: the tuples still share one object per node
         assert all(u is g.nodes[u] for nbrs in g.adj.values() for u in nbrs)
+
+
+# The same digests of the gap paths the graphs above do not take, recorded
+# before the gaps below 1/3 were drawn in bulk: G(1024, 1/3) takes numpy's
+# geometric search, and G(2^15, 12/n) is scanned in 41 blocks of 1 + left/4
+# gaps, the first few spanning several pieces of GAP_PIECE.
+GAP_PATH_DIGESTS = [
+    ({"n": 1024, "p": 1 / 3}, "heavy_tail", 5, None, (
+        "ae22d876bf69a6e9ce33b66e01d7fd51a35114af7c7949cb8b2b93192d0c356b",
+        "dfcc47ce7c8f268d8de75d1c412179fa9e0e7efb9c169f7d7c821f3210fa867b",
+        "d37bd123d81226b452a5a9513a1cd4f91fbc221f97dda53daebcc8c97b8b277b")),
+    ({"n": 2**15, "p": 12 / 2**15}, "uniform_range", 4, 41, (
+        "ecd2041d883f8db2c3d33b3ae9305f4ce9184c03031cec9d0a714d5c7de7ee93",
+        "96a84c3c22f137d220d6787d945af5af4d83980b6de2dbdcf1981792a2a9f659",
+        "de4a22abe0214c7b24612fb9c9b80b73a52ae9dbbdf79b62504f6a5658bc49b2")),
+]
+
+
+@pytest.mark.parametrize("params,model,seed,blocks,digests", GAP_PATH_DIGESTS,
+                         ids=["search", "blocks"])
+def test_both_gap_paths_are_pinned(params, model, seed, blocks, digests, monkeypatch):
+    sizes = []
+
+    def short(left, p):
+        sizes.append(1 + int(left / 4))
+        return sizes[-1]
+
+    if blocks:
+        monkeypatch.setattr(graphs, "_gnp_block", short)
+    g = generate("gnp", params, model, seed)
+    assert len(sizes) == (blocks or 0)
+    assert tuple(map(_sha256, (*g.csr(), g.w.tolist()))) == digests
 
 
 def _kept_bytes(g):
