@@ -501,11 +501,12 @@ def _gnp_gaps(gen: np.random.Generator, p: float, size: int) -> np.ndarray:
     with E from ``gen.standard_exponential``, one exponential per gap and
     with no further state; this applies that rule in array steps, piece by
     piece, so that no block-sized float64 array is live. Each step rounds
-    as numpy's C loop does: the quotient and ``ceil`` are exact IEEE
-    operations, ``math.log1p`` calls the C library's ``log1p`` as numpy
-    does, and capping before ``ceil`` equals capping after it, since the
-    cap is an integer. From 1/3 up numpy searches the cumulative sums
-    instead, so those gaps are ``gen.geometric``'s own draws."""
+    as numpy's C code does: negation is exact, so ``E / -log1p(-p)`` is
+    numpy's ``-E / log1p(-p)``, one correctly rounded division;
+    ``math.log1p`` calls the C library's ``log1p``, as numpy does; and
+    capping before ``ceil`` equals capping after it, since the cap is an
+    integer. From 1/3 up numpy searches the cumulative sums instead, so
+    those gaps are ``gen.geometric``'s own draws."""
     if p >= 1 / 3:
         return gen.geometric(p, size)
     out = np.empty(size, dtype=np.int64)
