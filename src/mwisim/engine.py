@@ -37,7 +37,9 @@ built only for two or more fields, or for a round over budget. A program's
 ``Message``. The per-node interpreter (``init``/``step`` on each node in
 turn) is the reference for program semantics: it runs when the program has
 no kernel, and whenever ``node_order`` is given, since a kernel has no
-processing order.
+processing order. After a round in which every node sent, it hands each
+node its CSR row of that round's messages, held by position in one object
+array; after any other round, it filters each node's neighbors by who sent.
 
 A program whose runs never read their seed declares ``seedless = True``.
 Its kernel outcome depends on the executed graph, ``n_upper`` and the
@@ -146,7 +148,7 @@ class Inbox(Mapping):
         return f"Inbox({dict(self)!r})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StepResult:
     """``outbox``, if given, is broadcast to every neighbor next round."""
 
@@ -385,8 +387,12 @@ def run_on_subgraph(g: WeightedGraph, keep: np.ndarray | None, program: NodeProg
     when it has one; ``node_order`` runs the per-node interpreter instead,
     with per-round processing in that order. It exists to test schedule
     independence and the kernels: outputs, stats and errors do not depend on
-    it, since both forms are checked and charged by the same ``Net``. A
-    non-``Message`` outbox is refused when its step returns, before
+    it, since both forms are checked and charged by the same ``Net``.
+    After a round in which every node sent, a node's inbox is its neighbors
+    (``adj[v]``, ascending ids) with ``msgs[nbr[a:b]]``, its CSR row of the
+    messages by position, which lists the same neighbors in the same order:
+    positions ascend with ids. No array of all the round's deliveries is
+    built. A non-``Message`` outbox is refused when its step returns, before
     ``Net.send`` opens the round it would go out in, so that refusal wins
     over the round limit and the CONGEST check of that round.
     """
@@ -411,7 +417,9 @@ def run_on_subgraph(g: WeightedGraph, keep: np.ndarray | None, program: NodeProg
             raise EngineError("node_order must permute the subset")
 
     adj = h.adj
+    indptr, nbr = h.csr()
     ctxs = {v: NodeContext(v, wv, adj[v], n_upper) for v, wv in zip(h.nodes, h.w.tolist())}
+    rows = dict(zip(h.nodes, zip(indptr[:-1].tolist(), indptr[1:].tolist())))
     rngs = {v: node_rng(seed, v) for v in nodes}
 
     def init(state, ctx, inbox, rng):
@@ -424,12 +432,18 @@ def run_on_subgraph(g: WeightedGraph, keep: np.ndarray | None, program: NodeProg
     empty = Inbox((), ())
     while states:
         pending = {}
-        # when every node sent, each node's senders are all its neighbors
+        # when every node sent, each node's senders are all its neighbors, and
+        # its messages are its CSR row of the senders' messages by position
         everyone = len(sent) == len(nodes)
+        if everyone:
+            msgs = np.fromiter(sent.values(), object, len(sent))
         for v in list(states):
             inbox = empty
-            if sent:
-                senders = adj[v] if everyone else tuple(filter(sent.__contains__, adj[v]))
+            if everyone:
+                a, b = rows[v]
+                inbox = Inbox(adj[v], tuple(msgs[nbr[a:b]].tolist()))
+            elif sent:
+                senders = tuple(filter(sent.__contains__, adj[v]))
                 inbox = Inbox(senders, tuple(map(sent.__getitem__, senders)))
             res = act(states.pop(v), ctxs[v], inbox, rngs[v])
             if res.halt:

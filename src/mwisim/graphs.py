@@ -657,7 +657,7 @@ def generate(family: str, params: Mapping[str, object], weight_model: str = "uni
         g = build_clique_cycle(n0, n1).graph
         if weight_model == "unit":
             return g
-        return g.induced(np.ones(g.n, bool), _draw_weights(g.n, weight_model, seed).tolist())
+        return g.induced(np.ones(g.n, bool), _draw_weights(g.n, weight_model, seed))
 
     n = int(params["n"])
     if n < 1:

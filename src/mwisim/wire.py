@@ -51,7 +51,7 @@ def size_bits(values: Iterable[int]) -> int:
     return TAG_BITS + sum(LEN_BITS + _field_bits(v) for v in values)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Message:
     """An immutable message: type tag plus integer fields."""
 

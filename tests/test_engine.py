@@ -372,12 +372,14 @@ class ReadInboxes:
 @pytest.mark.parametrize("node_order", [None, lambda nodes: nodes[::-1]],
                          ids=["default-order", "reversed"])
 def test_inbox_is_the_dict_of_last_rounds_senders(monkeypatch, node_order):
-    """On a star with centre 2, an inbox equals the dict the rule
-    ``{u: sent[u] for u in adj[v] if u in sent}`` builds, reads in ascending
-    sender order, and refuses writes. Round 1 takes the every-node-sent path
-    (``filter`` is never called) without a quiet node and the filtered path
-    with node 3 quiet; round 2, with no senders, hands every node one shared
-    empty inbox."""
+    """On a star with centre 2 and ids 0..4, and on one with centre 11 whose
+    ids (3, 10, 11, 20, 42) are not their positions, an inbox equals the
+    dict the rule ``{u: sent[u] for u in adj[v] if u in sent}`` builds,
+    reads in ascending sender order, and refuses writes. Round 1 takes the
+    every-node-sent path (``filter`` is never called; each inbox is the
+    node's CSR row of the messages by position) without a quiet node and
+    the filtered path with a leaf quiet; round 2, with no senders, hands
+    every node one shared empty inbox."""
     from mwisim import engine
 
     filtered = []
@@ -387,32 +389,54 @@ def test_inbox_is_the_dict_of_last_rounds_senders(monkeypatch, node_order):
         return filter(*args)
 
     monkeypatch.setattr(engine, "filter", counting_filter, raising=False)
-    g = unit([0, 1, 2, 3, 4], [(2, 0), (2, 1), (2, 3), (2, 4)])
-    adj = g.adj
-    for quiet in (None, 3):
-        filtered.clear()
-        out, _ = run(g, ReadInboxes(quiet), node_order=node_order)
-        sent = {u: Message(1, (u,)) for u in g.nodes if u != quiet}
-        assert bool(filtered) is (quiet is not None)
-        empties = set()
-        for v, seen in zip(g.nodes, out):
-            if v == quiet:
-                assert seen == []
-                continue
-            (inbox, as_dict, keys, size, got, missing), last = seen
-            want = {u: sent[u] for u in adj[v] if u in sent}
-            assert inbox == want and want == inbox and as_dict == want
-            assert keys == sorted(want) == list(inbox.keys()) and size == len(want)
-            assert list(inbox.items()) == sorted(want.items())
-            assert list(inbox.values()) == [want[u] for u in keys]
-            assert got is None and (quiet in inbox) is False
-            assert missing == sorted(set(adj[v]) - sent.keys())
-            assert missing == ([3] if v == 2 and quiet == 3 else [])
-            with pytest.raises(TypeError):
-                inbox[keys[0]] = Message(1)
-            empties.add(id(last[0]))
-            assert last[1:] == ({}, [], 0, None, list(adj[v]))
-        assert len(empties) == 1
+    for ids, centre, leaf in (([0, 1, 2, 3, 4], 2, 3), ([3, 10, 11, 20, 42], 11, 20)):
+        g = unit(ids, [(centre, u) for u in ids if u != centre])
+        adj = g.adj
+        for quiet in (None, leaf):
+            filtered.clear()
+            out, _ = run(g, ReadInboxes(quiet), node_order=node_order)
+            sent = {u: Message(1, (u,)) for u in g.nodes if u != quiet}
+            assert bool(filtered) is (quiet is not None)
+            empties = set()
+            for v, seen in zip(g.nodes, out):
+                if v == quiet:
+                    assert seen == []
+                    continue
+                (inbox, as_dict, keys, size, got, missing), last = seen
+                want = {u: sent[u] for u in adj[v] if u in sent}
+                assert inbox == want and want == inbox and as_dict == want
+                assert keys == sorted(want) == list(inbox.keys()) and size == len(want)
+                assert list(inbox.items()) == sorted(want.items())
+                assert list(inbox.values()) == [want[u] for u in keys]
+                assert got is None and (quiet in inbox) is False
+                assert missing == sorted(set(adj[v]) - sent.keys())
+                assert missing == ([leaf] if v == centre and quiet == leaf else [])
+                with pytest.raises(TypeError):
+                    inbox[keys[0]] = Message(1)
+                empties.add(id(last[0]))
+                assert last[1:] == ({}, [], 0, None, list(adj[v]))
+            assert len(empties) == 1
+
+
+@pytest.mark.parametrize("make,fields", [
+    (lambda: Message(3, (5, 1 << 40)), ("tag", "values", "size_bits")),
+    (lambda: StepResult(state=(1, 2), outbox=Message(1), halt=True, output="x"),
+     ("state", "outbox", "halt", "output")),
+], ids=["Message", "StepResult"])
+def test_messages_and_step_results_are_slotted_frozen_values(make, fields):
+    """No instance dict, no writes, and equality and hash by the fields in
+    order, as a frozen dataclass with a dict compares and hashes."""
+    import dataclasses
+
+    a, b = make(), make()
+    assert not hasattr(a, "__dict__")
+    assert tuple(f.name for f in dataclasses.fields(a)) == fields
+    for name in fields:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(a, name, None)
+    values = tuple(getattr(a, name) for name in fields)
+    assert a is not b and a == b and hash(a) == hash(b) == hash(values)
+    assert a != dataclasses.replace(a, **{fields[0]: 7})
 
 
 def test_stats_merge():

@@ -687,6 +687,36 @@ def test_both_gap_paths_are_pinned(params, model, seed, blocks, digests, monkeyp
     assert tuple(map(_sha256, (*g.csr(), g.w.tolist()))) == digests
 
 
+# sha256 of the ids, indptr, nbr and the weights by position of a
+# 1024-node cycle of cliques under each weight model, recorded while its
+# weights still went to ``induced`` as a list. The drawn int64 array takes
+# ``_checked_weights``' array path and gives the same graph.
+CYCLE_OF_CLIQUES_DIGESTS = {
+    "unit": "bbddeafcfd3170bd6f6ce9e912a0dae026d243f2364b3d76791e06e0881c397c",
+    "uniform_range": "72db3f3e8b0310d92e6b814c09b6ea05810025676ed34d18a0297789a0473d49",
+    "heavy_tail": "2c4f75b7379827dbf4d0df1e786cf969040f59d1c6f51e110ad9c16387905f6f",
+}
+
+
+@pytest.mark.parametrize("model", graphs.WEIGHT_MODELS)
+def test_cycle_of_cliques_weights_are_pinned(model, monkeypatch):
+    checked = []
+
+    def spy(nodes, values, kept=None):
+        checked.append(type(values))
+        return check(nodes, values, kept)
+
+    check = graphs._checked_weights
+    monkeypatch.setattr(graphs, "_checked_weights", spy)
+    g = generate("cycle_of_cliques", {"n0": 64, "n1": 16}, model, 9)
+    assert g.n == 1024 and tuple(map(_sha256, (g._ids, *g.csr(), g.w.tolist()))) == (
+        "5ad50d4c01f16c9d3ac8925aca287088153a1089743ba2c4fe443b03b123162c",
+        "f2c467e09f29e253bd0c3efa913cfdc60288f223c1cd195998ce6751069e4323",
+        "62080e8d7c6dad7b7e80338859d2fb6583664449b750520bd0864bff3d5442d4",
+        CYCLE_OF_CLIQUES_DIGESTS[model])
+    assert checked == ([] if model == "unit" else [np.ndarray])
+
+
 def _kept_bytes(g):
     return sum(a.nbytes for a in (*g.csr(), g.w, g.degrees, g._ids))
 

@@ -344,6 +344,40 @@ def test_shuffled_interpreter_matches_the_kernel():
         assert listed(run(g, mis.LubyProgram(), seed=11, node_order=order)) == want
 
 
+@pytest.mark.parametrize("program", [sparsify.ProfileProgram(0.3), heavy.LocalStatsProgram()],
+                         ids=["profile", "stats"])
+@pytest.mark.parametrize("mode", ["congest", "local"])
+def test_shuffled_interpreter_matches_the_kernel_where_ids_are_not_positions(
+        program, mode, monkeypatch):
+    """Every node sends in every round of both programs, so the interpreter
+    hands each node its CSR row of the messages by position; on a subgraph
+    with gaps in its ids, and in a shuffled order, that row must still be
+    the messages of the node's neighbours."""
+    filtered = []
+
+    def counting_filter(*args):
+        filtered.append(args)
+        return filter(*args)
+
+    monkeypatch.setattr(engine, "filter", counting_filter, raising=False)
+    g = generate("gnp", {"n": 60, "p": 0.15}, "heavy_tail", 3)
+    keep = np.array([v % 3 != 1 for v in g.nodes])
+    h = g.induced(keep)
+    assert h.nodes != tuple(range(h.n)) and h.csr()[1].size
+    want = listed(run_on_subgraph(g, keep, program, mode=mode))
+    for k in range(4):
+        shuffler = random.Random(k)
+
+        def order(nodes):
+            nodes = list(nodes)
+            shuffler.shuffle(nodes)
+            return nodes
+
+        assert listed(run_on_subgraph(g, keep, program, mode=mode,
+                                      node_order=order)) == want
+    assert not filtered
+
+
 def test_round_limit_and_budget_errors_carry_the_same_fields():
     g = generate("gnp", {"n": 50, "p": 0.2}, "unit", 1)
     for program in (mis.LubyProgram(), heavy.LocalStatsProgram()):
