@@ -330,18 +330,23 @@ def test_local_heavy_weight_past_int64_is_stored_exactly(tmp_path):
     assert same_outcome(rec, replay(rec))
 
 
+def shuffled(seed):
+    """A ``node_order`` that shuffles the nodes with ``random.Random(seed)``."""
+    shuffler = random.Random(seed)
+
+    def order(nodes):
+        nodes = list(nodes)
+        shuffler.shuffle(nodes)
+        return nodes
+
+    return order
+
+
 def test_shuffled_interpreter_matches_the_kernel():
     g = generate("gnp", {"n": 40, "p": 0.2}, "uniform_range", 5)
     want = listed(run(g, mis.LubyProgram(), seed=11))
     for k in range(5):
-        shuffler = random.Random(k)
-
-        def order(nodes):
-            nodes = list(nodes)
-            shuffler.shuffle(nodes)
-            return nodes
-
-        assert listed(run(g, mis.LubyProgram(), seed=11, node_order=order)) == want
+        assert listed(run(g, mis.LubyProgram(), seed=11, node_order=shuffled(k))) == want
 
 
 @pytest.mark.parametrize("program", [sparsify.ProfileProgram(0.3), heavy.LocalStatsProgram()],
@@ -366,15 +371,8 @@ def test_shuffled_interpreter_matches_the_kernel_where_ids_are_not_positions(
     assert h.nodes != tuple(range(h.n)) and h.csr()[1].size
     want = listed(run_on_subgraph(g, keep, program, mode=mode))
     for k in range(4):
-        shuffler = random.Random(k)
-
-        def order(nodes):
-            nodes = list(nodes)
-            shuffler.shuffle(nodes)
-            return nodes
-
         assert listed(run_on_subgraph(g, keep, program, mode=mode,
-                                      node_order=order)) == want
+                                      node_order=shuffled(k))) == want
     assert not filtered
 
 
