@@ -709,44 +709,126 @@ def random_tree(n: int, seed: int, weight_model: str = "unit") -> WeightedGraph:
 # degeneracy
 
 
+# A frontier under PEEL_SCALAR nodes is peeled one node at a time; a graph
+# under PEEL_SCALAR nodes is peeled wholly on lists. An array layer reads at
+# most about PEEL_PIECE CSR entries at a time (one row may be longer).
+PEEL_SCALAR = 64
+PEEL_PIECE = 1 << 16
+
+
 def degeneracy(g: WeightedGraph) -> int:
-    """Graph degeneracy via minimum-degree peeling (bucket queue on the CSR, O(n + m)).
+    """Graph degeneracy: the largest k whose k-core is not empty.
 
     Serves as the implementable surrogate for arboricity: alpha <= d <= 2*alpha - 1.
-    Computed once per graph and cached on it.
+    Computed once per graph and cached on it, by ``_layer_peel``: for the
+    current k, the frontier is the live nodes of degree <= k; they are
+    removed, and every live neighbour loses one degree per edge to them,
+    which makes the next frontier; when a frontier is empty, k jumps to the
+    minimum live degree. The answer is the last k that removed a node
+    (Batagelj and Zaversnik, "An O(m) algorithm for cores decomposition of
+    networks", 2003; Matula and Beck, J. ACM 1983).
     """
     if g._degeneracy is None:
-        g._degeneracy = _peel(g)
+        g._degeneracy = _layer_peel(g)
     return g._degeneracy
 
 
-def _peel(g: WeightedGraph) -> int:
+def _layer_peel(g: WeightedGraph) -> int:
+    """The peel of ``degeneracy``. A large frontier is removed in array
+    layers (``_layer``), a small one by a stack (``_drain``); nothing is
+    O(n) per layer, only the jumps of k, which compact the live nodes, are.
+    Below PEEL_SCALAR nodes every frontier is small, so the peel runs on
+    lists throughout."""
+    n = g.n
     indptr, nbr = g.csr()
-    ptr = indptr.tolist()
-    deg = g.degrees.tolist()
-    buckets: list[list[int]] = [[] for _ in range(g.max_degree + 1)]
-    for v, dv in enumerate(deg):
-        buckets[dv].append(v)
-    removed = [False] * g.n
-    d = cursor = 0
-    remaining = g.n
-    while remaining:
-        while not buckets[cursor]:
-            cursor += 1
-        v = buckets[cursor].pop()
-        if removed[v] or deg[v] != cursor:
-            continue  # stale bucket entry
-        d = max(d, cursor)
-        removed[v] = True
-        remaining -= 1
-        # one row at a time: all of ``nbr`` as a list would hold 2m ints
-        for u in nbr[ptr[v]:ptr[v + 1]].tolist():
-            if not removed[u]:
-                deg[u] -= 1
-                buckets[deg[u]].append(u)
-                if deg[u] < cursor:
-                    cursor = deg[u]
+    if n < PEEL_SCALAR:
+        deg, alive = g.degrees.tolist(), [True] * n
+        ptr, row = indptr.tolist(), nbr.tolist()
+        live: Sequence[int] = range(n)
+        d, k = 0, min(deg, default=0)
+        stack = [v for v in live if deg[v] <= k]
+        while stack:
+            d = k
+            for v in stack:
+                alive[v] = False
+            _drain(stack, k, deg, alive, ptr, row)
+            live = [v for v in live if alive[v]]
+            k = min([deg[v] for v in live], default=k)
+            stack = [v for v in live if deg[v] <= k]
+        return d
+    deg = g.degrees.copy()
+    alive = np.ones(n, dtype=bool)
+    # memoryviews index to Python ints at list speed, with no copy
+    views = memoryview(deg), memoryview(alive), memoryview(indptr), memoryview(nbr)
+    live = np.arange(n)
+    d, k = 0, int(deg.min())
+    frontier = _take(live, deg, alive, k)
+    while frontier.size:
+        d = k
+        while frontier.size:
+            if frontier.size < PEEL_SCALAR:
+                frontier = np.array(_drain(frontier.tolist(), k, *views), dtype=np.int64)
+            else:
+                frontier = _layer(frontier, k, deg, alive, indptr, nbr)
+        live = live[alive[live]]
+        # with no live node left the frontier is empty whatever k is
+        k = int(deg[live].min(initial=g.max_degree))
+        frontier = _take(live, deg, alive, k)
     return d
+
+
+def _take(nodes: np.ndarray, deg: np.ndarray, alive: np.ndarray, k: int) -> np.ndarray:
+    """The frontier among ``nodes`` (distinct, live): those of degree <= k,
+    now marked dead."""
+    frontier = nodes[deg[nodes] <= k]
+    alive[frontier] = False
+    return frontier
+
+
+def _drain(stack: list[int], k: int, deg, alive, ptr, nbr) -> list[int]:
+    """Peel the nodes on ``stack`` (dead, rows unread) one at a time at
+    level k: each live neighbour loses one degree, and one that falls to k
+    is marked dead and pushed. Stops when the stack is empty or holds
+    PEEL_SCALAR nodes, and returns it. ``deg``, ``alive``, ``ptr`` and
+    ``nbr`` are lists or memoryviews of the arrays: either indexes to Python
+    ints."""
+    cap = PEEL_SCALAR
+    while stack and len(stack) < cap:
+        v = stack.pop()
+        for u in nbr[ptr[v]:ptr[v + 1]]:
+            if alive[u]:
+                deg[u] -= 1
+                if deg[u] == k:
+                    alive[u] = False
+                    stack.append(u)
+    return stack
+
+
+def _layer(frontier: np.ndarray, k: int, deg: np.ndarray, alive: np.ndarray,
+           indptr: np.ndarray, nbr: np.ndarray) -> np.ndarray:
+    """Remove ``frontier`` (dead, rows unread) at level k in one array layer:
+    its rows are read in pieces of about PEEL_PIECE entries, each live hit
+    loses one degree per entry (``np.unique`` counts them), and the hits
+    that fall to k or below are the next frontier."""
+    starts = indptr[frontier]
+    lens = indptr[frontier + 1] - starts
+    cut = np.cumsum(lens)
+    bounds = [0, *cut.searchsorted(np.arange(PEEL_PIECE, cut[-1], PEEL_PIECE)).tolist(),
+              frontier.size]
+    nxt = []
+    for a, b in zip(bounds, bounds[1:]):
+        if a == b:
+            continue
+        before = cut[a:b] - lens[a:b]  # the entries of the rows before each row
+        at = np.repeat(starts[a:b] - (before - before[0]), lens[a:b])
+        at += np.arange(at.size)
+        hits = nbr[at]
+        del at
+        hits = hits[alive[hits]]
+        hit, count = np.unique(hits, return_counts=True)
+        deg[hit] -= count
+        nxt.append(_take(hit, deg, alive, k))
+    return np.concatenate(nxt)
 
 
 # ---------------------------------------------------------------------------

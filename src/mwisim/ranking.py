@@ -129,14 +129,19 @@ def check_perm_equivalence(g: WeightedGraph) -> bool:
 
     For every permutation of the node positions, ranks decreasing along the
     draw order must select the same set as the sequential scan, and each
-    distinct set the scan selects must be independent on the CSR.
-    Enumeration-bounded to n <= 9.
+    distinct set the scan selects must be independent on the CSR. The
+    permutation ranks never tie, so the rank rule is also run once with
+    every rank equal, where ties exclude both ends and only the isolated
+    positions may join. Enumeration-bounded to n <= 9.
     """
     n = g.n
     if n > PERM_CHECK_CAP:
         raise GraphError(f"exhaustive check limited to n <= {PERM_CHECK_CAP}, got {n}")
     nbr_pos = _nbr_positions(g)
     nbr_bits = _bitsets(nbr_pos)
+    isolated = sum(1 << i for i, row in enumerate(nbr_pos) if not row)
+    if _rank_bits(nbr_pos, [1] * n) != isolated:
+        return False
     rank = [0] * n
     selected = set()
     for perm in permutations(range(n)):

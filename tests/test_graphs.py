@@ -939,9 +939,39 @@ def test_tree_degeneracy_is_one(seed):
     assert degeneracy(random_tree(n, seed)) == 1
 
 
+def bucket_peel(g):
+    """The bucket-queue peel by position on the CSR that ``degeneracy`` ran
+    before the layered peel: a reference for ``graphs._layer_peel``."""
+    indptr, nbr = g.csr()
+    ptr = indptr.tolist()
+    deg = g.degrees.tolist()
+    buckets = [[] for _ in range(g.max_degree + 1)]
+    for v, dv in enumerate(deg):
+        buckets[dv].append(v)
+    removed = [False] * g.n
+    d = cursor = 0
+    remaining = g.n
+    while remaining:
+        while not buckets[cursor]:
+            cursor += 1
+        v = buckets[cursor].pop()
+        if removed[v] or deg[v] != cursor:
+            continue  # stale bucket entry
+        d = max(d, cursor)
+        removed[v] = True
+        remaining -= 1
+        for u in nbr[ptr[v]:ptr[v + 1]].tolist():
+            if not removed[u]:
+                deg[u] -= 1
+                buckets[deg[u]].append(u)
+                if deg[u] < cursor:
+                    cursor = deg[u]
+    return d
+
+
 def reference_peel(g):
     """The bucket-queue peel on ids and sets over ``g.adj``: the reference
-    for ``graphs._peel``."""
+    for ``bucket_peel`` and ``graphs._layer_peel``."""
     if g.n == 0:
         return 0
     deg = {v: len(g.adj[v]) for v in g.nodes}
@@ -980,7 +1010,66 @@ def test_peel_equals_the_adj_reference():
         corpus += [generate("gnp", {"n": n, "p": p}, "unit", k)
                    for k, p in enumerate((0.02, 0.05, 0.1, 0.3))]
     for g in corpus:
-        assert graphs._peel(g) == reference_peel(g), g
+        assert graphs._layer_peel(g) == bucket_peel(g) == reference_peel(g), g
+
+
+# small cut-offs send small graphs through the drain's hand-over to the array
+# layers and through layers of many pieces; 64 and 2^16 are the module's own
+PEEL_SETTINGS = [(1, 1), (2, 1), (2, 5), (8, 3), (64, 1 << 16)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 300), p=st.floats(0, 0.4), seed=st.integers(0, 2**32 - 1),
+       cut_offs=st.sampled_from(PEEL_SETTINGS))
+def test_layer_peel_equals_the_bucket_peel_on_gnp(n, p, seed, cut_offs):
+    g = generate("gnp", {"n": n, "p": p}, "unit", seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graphs, "PEEL_SCALAR", cut_offs[0])
+        mp.setattr(graphs, "PEEL_PIECE", cut_offs[1])
+        assert graphs._layer_peel(g) == bucket_peel(g) == reference_peel(g)
+
+
+def _clique_then_path(k, length):
+    """K_k on 0..k-1, with a path of ``length`` more nodes hung off k - 1."""
+    edges = [(a, b) for a in range(k) for b in range(a + 1, k)]
+    edges += [(v, v + 1) for v in range(k - 1, k - 1 + length)]
+    return unit(range(k + length), edges)
+
+
+@pytest.mark.parametrize("cut_offs", PEEL_SETTINGS[2:], ids=["2-5", "8-3", "module"])
+@pytest.mark.parametrize("g,expected", [
+    (generate("path", {"n": 2**14}, "unit", 0), 1),
+    (generate("star", {"n": 2**14}, "unit", 0), 1),
+    (_clique_then_path(200, 2**14), 199),
+    (unit([], []), 0),
+    (unit(range(100), []), 0),
+    (unit(range(100), [(0, 1), (1, 2), (2, 0)]), 2),
+    # ids that are not positions: a K_5 and a path on scattered ids
+    (unit([7 * v + 3 for v in range(80)],
+          [(7 * a + 3, 7 * b + 3) for a in range(5) for b in range(a + 1, 5)]
+          + [(7 * v + 3, 7 * v + 10) for v in range(10, 79)]), 4),
+], ids=["path", "star", "k200-path", "empty", "isolated", "isolated-triangle", "sparse-ids"])
+def test_layer_peel_on_the_worst_cases(g, expected, cut_offs, monkeypatch):
+    monkeypatch.setattr(graphs, "PEEL_SCALAR", cut_offs[0])
+    monkeypatch.setattr(graphs, "PEEL_PIECE", cut_offs[1])
+    assert graphs._layer_peel(g) == bucket_peel(g) == reference_peel(g) == expected
+
+
+def test_layer_peel_peaks_below_half_what_the_graph_keeps():
+    # the array layers read at most about PEEL_PIECE entries at once: the
+    # peak is about 0.25 times the graph's arrays, 0.74 times with the whole
+    # frontier read in one piece, and the bucket peel's lists took 2.37
+    g = generate("gnp", {"n": 2**16, "p": 20 / 2**16}, "heavy_tail", 1)
+    graphs._layer_peel(generate("gnp", {"n": 100, "p": 0.1}, "unit", 0))  # first use
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        d = graphs._layer_peel(g)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert d == bucket_peel(g)
+    assert peak <= 0.5 * _kept_bytes(g)
 
 
 def test_degeneracy_bounded_by_max_degree():
@@ -1050,10 +1139,10 @@ def test_oracle_and_degeneracy_are_computed_once_per_graph(monkeypatch):
     from mwisim import graphs
 
     calls = []
-    solve, peel = graphs._branch_and_bound, graphs._peel
+    solve, peel = graphs._branch_and_bound, graphs._layer_peel
     monkeypatch.setattr(graphs, "_branch_and_bound",
                         lambda h: calls.append("solve") or solve(h))
-    monkeypatch.setattr(graphs, "_peel", lambda h: calls.append("peel") or peel(h))
+    monkeypatch.setattr(graphs, "_layer_peel", lambda h: calls.append("peel") or peel(h))
     g = generate("gnp", {"n": 20, "p": 0.3}, "heavy_tail", 4)
     first = brute_force_max_is(g)
     assert brute_force_max_is(g) is first

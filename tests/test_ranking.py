@@ -106,6 +106,19 @@ def test_perm_equivalence_examples():
         check_perm_equivalence(unit(range(10), []))
 
 
+def test_perm_equivalence_refuses_a_rank_rule_that_keeps_ties(monkeypatch):
+    # the permutations' ranks never tie, so only the run with every rank
+    # equal tells this rule from the strict one
+    def keeps_ties(nbr_pos, rank):
+        return sum(1 << i for i, row in enumerate(nbr_pos)
+                   if all(rank[j] <= rank[i] for j in row))
+
+    monkeypatch.setattr(ranking, "_rank_bits", keeps_ties)
+    assert not check_perm_equivalence(unit([0, 1], [(0, 1)]))
+    assert not check_perm_equivalence(generate("cycle", {"n": 5}, "unit", 0))
+    assert check_perm_equivalence(unit(range(3), []))  # no edge, so no tie to keep
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_perm_equivalence_random(seed):
     rng = random.Random(seed)
