@@ -383,7 +383,8 @@ def neighbor_reduce(g: WeightedGraph, ufunc: np.ufunc, values: Sequence[int],
     values of all its neighbors. The result is an int64 array when no sum
     over a closed neighborhood can leave its range (always, for
     ``np.maximum`` over int64 arrays), and an array of Python integers
-    (``dtype=object``) otherwise.
+    (``dtype=object``) otherwise. One ``reduceat`` over the rows with
+    entries serves every graph; a row without entries keeps its initial.
     """
     if (ufunc is np.maximum and _is_int64(values)
             and (initial is None or _is_int64(initial))):
@@ -397,9 +398,7 @@ def neighbor_reduce(g: WeightedGraph, ufunc: np.ufunc, values: Sequence[int],
     out = (np.zeros(g.n, dtype=dtype) if initial is None
            else np.array(initial, dtype=dtype))
     rows, starts = g._row_starts()
-    if rows.size == out.size and starts.size:  # every row has entries
-        ufunc(out, ufunc.reduceat(vals[g._csr[1]], starts), out=out)
-    elif starts.size:
+    if starts.size:
         out[rows] = ufunc(out[rows], ufunc.reduceat(vals[g._csr[1]], starts))
     return out
 
@@ -709,9 +708,10 @@ def random_tree(n: int, seed: int, weight_model: str = "unit") -> WeightedGraph:
 # degeneracy
 
 
-# A frontier under PEEL_SCALAR nodes is peeled one node at a time; a graph
-# under PEEL_SCALAR nodes is peeled wholly on lists. An array layer reads at
-# most about PEEL_PIECE CSR entries at a time (one row may be longer).
+# A frontier under PEEL_SCALAR nodes is peeled one node at a time (``_drain``),
+# a larger one in array layers (``_layer``); a layer reads at most
+# PEEL_PIECE frontier nodes and about PEEL_PIECE CSR entries at a time (one
+# row may be longer), so its temporaries stay bounded on a star as on G(n, p).
 PEEL_SCALAR = 64
 PEEL_PIECE = 1 << 16
 
@@ -734,46 +734,27 @@ def degeneracy(g: WeightedGraph) -> int:
 
 
 def _layer_peel(g: WeightedGraph) -> int:
-    """The peel of ``degeneracy``. A large frontier is removed in array
-    layers (``_layer``), a small one by a stack (``_drain``); nothing is
-    O(n) per layer, only the jumps of k, which compact the live nodes, are.
-    Below PEEL_SCALAR nodes every frontier is small, so the peel runs on
-    lists throughout."""
-    n = g.n
+    """The peel of ``degeneracy``, one loop for every graph. A large
+    frontier is removed in array layers (``_layer``), a small one by a stack
+    (``_drain``); nothing is O(n) per layer, only the jumps of k, which
+    compact the live nodes, are."""
     indptr, nbr = g.csr()
-    if n < PEEL_SCALAR:
-        deg, alive = g.degrees.tolist(), [True] * n
-        ptr, row = indptr.tolist(), nbr.tolist()
-        live: Sequence[int] = range(n)
-        d, k = 0, min(deg, default=0)
-        stack = [v for v in live if deg[v] <= k]
-        while stack:
-            d = k
-            for v in stack:
-                alive[v] = False
-            _drain(stack, k, deg, alive, ptr, row)
-            live = [v for v in live if alive[v]]
-            k = min([deg[v] for v in live], default=k)
-            stack = [v for v in live if deg[v] <= k]
-        return d
     deg = g.degrees.copy()
-    alive = np.ones(n, dtype=bool)
+    alive = np.ones(g.n, dtype=bool)
     # memoryviews index to Python ints at list speed, with no copy
     views = memoryview(deg), memoryview(alive), memoryview(indptr), memoryview(nbr)
-    live = np.arange(n)
-    d, k = 0, int(deg.min())
-    frontier = _take(live, deg, alive, k)
-    while frontier.size:
-        d = k
+    live = np.arange(g.n)
+    d = 0
+    while live.size:
+        # every live node is above the last k, so k only grows
+        d = k = int(deg[live].min())
+        frontier = _take(live, deg, alive, k)
         while frontier.size:
             if frontier.size < PEEL_SCALAR:
                 frontier = np.array(_drain(frontier.tolist(), k, *views), dtype=np.int64)
             else:
                 frontier = _layer(frontier, k, deg, alive, indptr, nbr)
         live = live[alive[live]]
-        # with no live node left the frontier is empty whatever k is
-        k = int(deg[live].min(initial=g.max_degree))
-        frontier = _take(live, deg, alive, k)
     return d
 
 
@@ -785,13 +766,13 @@ def _take(nodes: np.ndarray, deg: np.ndarray, alive: np.ndarray, k: int) -> np.n
     return frontier
 
 
-def _drain(stack: list[int], k: int, deg, alive, ptr, nbr) -> list[int]:
+def _drain(stack: list[int], k: int, deg: memoryview, alive: memoryview,
+           ptr: memoryview, nbr: memoryview) -> list[int]:
     """Peel the nodes on ``stack`` (dead, rows unread) one at a time at
     level k: each live neighbour loses one degree, and one that falls to k
     is marked dead and pushed. Stops when the stack is empty or holds
     PEEL_SCALAR nodes, and returns it. ``deg``, ``alive``, ``ptr`` and
-    ``nbr`` are lists or memoryviews of the arrays: either indexes to Python
-    ints."""
+    ``nbr`` are memoryviews of the peel's arrays: they index to Python ints."""
     cap = PEEL_SCALAR
     while stack and len(stack) < cap:
         v = stack.pop()
@@ -807,27 +788,30 @@ def _drain(stack: list[int], k: int, deg, alive, ptr, nbr) -> list[int]:
 def _layer(frontier: np.ndarray, k: int, deg: np.ndarray, alive: np.ndarray,
            indptr: np.ndarray, nbr: np.ndarray) -> np.ndarray:
     """Remove ``frontier`` (dead, rows unread) at level k in one array layer:
-    its rows are read in pieces of about PEEL_PIECE entries, each live hit
-    loses one degree per entry (``np.unique`` counts them), and the hits
-    that fall to k or below are the next frontier."""
-    starts = indptr[frontier]
-    lens = indptr[frontier + 1] - starts
-    cut = np.cumsum(lens)
-    bounds = [0, *cut.searchsorted(np.arange(PEEL_PIECE, cut[-1], PEEL_PIECE)).tolist(),
-              frontier.size]
+    it is read in pieces of at most PEEL_PIECE nodes, and their rows in
+    pieces of about PEEL_PIECE entries; each live hit loses one degree per
+    entry (``np.unique`` counts them), and the hits that fall to k or below
+    are the next frontier."""
     nxt = []
-    for a, b in zip(bounds, bounds[1:]):
-        if a == b:
-            continue
-        before = cut[a:b] - lens[a:b]  # the entries of the rows before each row
-        at = np.repeat(starts[a:b] - (before - before[0]), lens[a:b])
-        at += np.arange(at.size)
-        hits = nbr[at]
-        del at
-        hits = hits[alive[hits]]
-        hit, count = np.unique(hits, return_counts=True)
-        deg[hit] -= count
-        nxt.append(_take(hit, deg, alive, k))
+    for i in range(0, frontier.size, PEEL_PIECE):
+        nodes = frontier[i:i + PEEL_PIECE]
+        starts = indptr[nodes]
+        lens = indptr[nodes + 1] - starts
+        cut = np.cumsum(lens)
+        bounds = [0, *cut.searchsorted(np.arange(PEEL_PIECE, cut[-1], PEEL_PIECE)).tolist(),
+                  nodes.size]
+        for a, b in zip(bounds, bounds[1:]):
+            if a == b:
+                continue
+            before = cut[a:b] - lens[a:b]  # the entries of the rows before each row
+            at = np.repeat(starts[a:b] - (before - before[0]), lens[a:b])
+            at += np.arange(at.size)
+            hits = nbr[at]
+            del at
+            hits = hits[alive[hits]]
+            hit, count = np.unique(hits, return_counts=True)
+            deg[hit] -= count
+            nxt.append(_take(hit, deg, alive, k))
     return np.concatenate(nxt)
 
 

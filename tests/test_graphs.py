@@ -880,11 +880,10 @@ def test_neighbor_reduce_equals_a_fold_by_rows(where):
 @given(st.integers(3, 30), st.floats(0.0, 0.4), st.integers(0, 2**32), st.booleans(),
        st.data())
 def test_neighbor_reduce_one_pass_when_every_row_has_entries(n, p, seed, isolated, data):
-    """A cycle with chords has no isolated node, so ``neighbor_reduce``
-    combines every row in one ``reduceat``; chords alone, away from node 0,
-    leave isolated nodes and the per-row path. Both equal the fold by rows,
-    ``np.maximum`` without ``initial`` included: its floor is 0, so negative
-    neighbors count as 0."""
+    """A cycle with chords has no isolated node; chords alone, away from
+    node 0, leave isolated nodes, which ``reduceat`` must skip. Both equal
+    the fold by rows, ``np.maximum`` without ``initial`` included: its floor
+    is 0, so negative neighbors count as 0."""
     rng = random.Random(seed)
     edges = {(i, j) for i in range(1, n) for j in range(i + 1, n) if rng.random() < p}
     if not isolated:
@@ -1044,22 +1043,25 @@ def _clique_then_path(k, length):
     (unit([], []), 0),
     (unit(range(100), []), 0),
     (unit(range(100), [(0, 1), (1, 2), (2, 0)]), 2),
+    # under 64 nodes: at the module's cut-offs every frontier drains
+    (unit([0], []), 0),
+    (generate("path", {"n": 63}, "unit", 0), 1),
+    (generate("star", {"n": 63}, "unit", 0), 1),
+    (unit(range(63), [(0, 1), (1, 2), (2, 0)]), 2),
     # ids that are not positions: a K_5 and a path on scattered ids
     (unit([7 * v + 3 for v in range(80)],
           [(7 * a + 3, 7 * b + 3) for a in range(5) for b in range(a + 1, 5)]
           + [(7 * v + 3, 7 * v + 10) for v in range(10, 79)]), 4),
-], ids=["path", "star", "k200-path", "empty", "isolated", "isolated-triangle", "sparse-ids"])
+], ids=["path", "star", "k200-path", "empty", "isolated", "isolated-triangle", "one-node",
+        "path-63", "star-63", "isolated-triangle-63", "sparse-ids"])
 def test_layer_peel_on_the_worst_cases(g, expected, cut_offs, monkeypatch):
     monkeypatch.setattr(graphs, "PEEL_SCALAR", cut_offs[0])
     monkeypatch.setattr(graphs, "PEEL_PIECE", cut_offs[1])
     assert graphs._layer_peel(g) == bucket_peel(g) == reference_peel(g) == expected
 
 
-def test_layer_peel_peaks_below_half_what_the_graph_keeps():
-    # the array layers read at most about PEEL_PIECE entries at once: the
-    # peak is about 0.25 times the graph's arrays, 0.74 times with the whole
-    # frontier read in one piece, and the bucket peel's lists took 2.37
-    g = generate("gnp", {"n": 2**16, "p": 20 / 2**16}, "heavy_tail", 1)
+def _peel_peak(g):
+    """``_layer_peel(g)`` and its tracemalloc peak above where it started."""
     graphs._layer_peel(generate("gnp", {"n": 100, "p": 0.1}, "unit", 0))  # first use
     tracemalloc.start()
     try:
@@ -1068,8 +1070,28 @@ def test_layer_peel_peaks_below_half_what_the_graph_keeps():
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
+    return d, peak
+
+
+def test_layer_peel_peaks_below_half_what_the_graph_keeps():
+    # the array layers read at most about PEEL_PIECE entries at once: the
+    # peak is about 0.25 times the graph's arrays, 0.74 times with the whole
+    # frontier read in one piece, and the bucket peel's lists took 2.37
+    g = generate("gnp", {"n": 2**16, "p": 20 / 2**16}, "heavy_tail", 1)
+    d, peak = _peel_peak(g)
     assert d == bucket_peel(g)
     assert peak <= 0.5 * _kept_bytes(g)
+
+
+def test_layer_peel_on_a_star_peaks_below_what_the_graph_keeps():
+    # the first layer is the n - 1 leaves: read in pieces of at most
+    # PEEL_PIECE nodes, the peak is about 0.81 times the graph's arrays; with
+    # the whole frontier's starts, lengths and cut built at once it was 1.19
+    # (2^18 nodes, so that the frontier spans several pieces)
+    g = generate("star", {"n": 2**18}, "unit", 0)
+    d, peak = _peel_peak(g)
+    assert d == 1
+    assert peak <= 1.0 * _kept_bytes(g)
 
 
 def test_degeneracy_bounded_by_max_degree():
